@@ -5,6 +5,13 @@ time derivative of the cell density to a divergence, and its scalar curl to
 a transport term; both relations are algebraic at the discrete level when
 the fields live in the dealias band, so their residuals act as exacting
 structural self-checks on a run.
+
+`TrajectoryRecorder.make_record` builds each diagnostics row spectrally, in
+one pass of at most six transforms, with L^2 norms taken by Parseval.  The
+functions built on the `fields` operators (`effective_flux`,
+`assemble_rhs_ut`, `flux_divergence_residual`, `curl_flux_residual`,
+`gn_ratio`) compute the same quantities one operator at a time; the record
+does not call them, and the tests use them as its oracles.
 """
 
 from __future__ import annotations
@@ -16,7 +23,8 @@ import numpy as np
 
 from .fields import (ScalarField, VectorField, curl2d, divergence, gradient,
                      laplacian, lp_norm, perp_gradient, product_dot,
-                     product_scalar_vector)
+                     power_sum, product_scalar_vector,
+                     spectral_power)
 
 # CSV schema, fixed order.  The diagnostics record carries two extra
 # measured norms (ut_l2, grad_ut_l2) used by the energy recomputation;
@@ -242,38 +250,90 @@ class TrajectoryRecorder:
         return self.int_v4
 
     def make_record(self, t: float, u: ScalarField, v: VectorField,
-                    c_linf: float) -> DiagnosticsRecord:
+                    c_linf: float, uh: np.ndarray | None = None
+                    ) -> DiagnosticsRecord:
+        """Row at time t, built from one spectral pass over (u, v).
+
+        ``uh`` is fft2(u) when the caller already holds it.  The pass takes
+        at most six transforms: u_hat, the dealiased products u*v_x and
+        u*v_y, grad(u) in physical space, and the dealiased
+        perp_grad(u).v.  The flux, u_t and both residuals are assembled
+        from those spectra and measured by Parseval,
+        ||f||_2^2 = cell_area/N^2 * sum |f_hat|^2; the L^inf, L^4 and L^p0
+        norms come from the physical samples.  The residuals are rebuilt
+        here from u and v alone, independent of the stepper's transport
+        term, so they check the identities rather than restate them.
+        """
         grid = u.grid
-        u_tilde = ScalarField(grid, u.values - 1.0, check=False)
-        rhs_ut = assemble_rhs_ut(u, v, self.chi)
-        flux = effective_flux(u, v, self.chi)
-        grad_ut = gradient(rhs_ut)
-        grad_u_norm = lp_norm(gradient(u_tilde), 2)
-        if grad_u_norm > 0 and lp_norm(u_tilde, 2) > 0:
-            gn = lp_norm(u_tilde, 4) ** 2 / (lp_norm(u_tilde, 2) * grad_u_norm)
+        chi = self.chi
+        ikx, iky, oob = grid._ikx, grid._iky, grid._out_of_band
+        w = grid.cell_area / grid.resolution ** 2
+        area = grid.cell_area
+        uv, vx, vy = u.values, v.values[0], v.values[1]
+        if uh is None:
+            uh = np.fft.fft2(uv)
+        # Each N x N spectrum is freed or updated in place as soon as it has
+        # served, so the pass holds few of them at once (peak RSS at N=256).
+        ux = np.fft.ifft2(ikx * uh).real
+        uy = np.fft.ifft2(iky * uh).real
+        grad_u_l2 = math.sqrt(area * (ux * ux + uy * uy).sum())
+        qh = np.fft.fft2(uy * vx - ux * vy)   # perp_grad(u).v, dealiased
+        qh[oob] = 0.0
+        del ux, uy
+        txh = np.fft.fft2(uv * vx)            # chi*u*v, dealiased
+        tyh = np.fft.fft2(uv * vy)
+        txh[oob] = 0.0
+        tyh[oob] = 0.0
+        txh *= chi
+        tyh *= chi
+        fxh = ikx * uh                        # F = grad(u) + chi*u*v
+        fxh += txh
+        fyh = iky * uh
+        fyh += tyh
+        uth = ikx * txh                       # u_t = lap(u) + chi*div(u v)
+        uth += iky * tyh
+        uth -= grid._k_squared * uh
+        del txh, tyh
+        res = ikx * fxh                       # div(F) - u_t
+        res += iky * fyh
+        res -= uth
+        div_sq = power_sum(res)
+        np.multiply(iky, fxh, out=res)        # curl(F) - chi*perp_grad(u).v
+        res -= ikx * fyh
+        qh *= chi
+        res -= qh
+        curl_sq = power_sum(res)
+        ut_power = spectral_power(uth)
+
+        u_tilde = uv - 1.0
+        u2 = u_tilde * u_tilde
+        u_l2 = math.sqrt(area * u2.sum())
+        if grad_u_l2 > 0 and u_l2 > 0:
+            gn = math.sqrt(area * (u2 * u2).sum()) / (u_l2 * grad_u_l2)
         else:
             gn = 0.0  # degenerate sample (e.g. exact equilibrium)
+        v2 = vx * vx + vy * vy
         return DiagnosticsRecord(
             t=t,
             sigma=sigma_weight(t),
-            u_l2=lp_norm(u_tilde, 2),
-            grad_u_l2=grad_u_norm,
-            u_linf=lp_norm(u_tilde, np.inf),
-            v_l2=lp_norm(v, 2),
-            v_l4=lp_norm(v, 4),
-            v_lp0=lp_norm(v, self.p0),
-            v_linf=lp_norm(v, np.inf),
+            u_l2=u_l2,
+            grad_u_l2=grad_u_l2,
+            u_linf=float(np.abs(u_tilde).max()),
+            v_l2=math.sqrt(area * v2.sum()),
+            v_l4=float((area * (v2 * v2).sum()) ** 0.25),
+            v_lp0=float((area * (v2 ** (0.5 * self.p0)).sum()) ** (1.0 / self.p0)),
+            v_linf=math.sqrt(v2.max()),
             c_linf=c_linf,
-            flux_l2=lp_norm(flux, 2),
-            flux_div_residual=flux_divergence_residual(u, v, self.chi, rhs_ut),
-            flux_curl_residual=curl_flux_residual(u, v, self.chi),
+            flux_l2=math.sqrt(w * (power_sum(fxh) + power_sum(fyh))),
+            flux_div_residual=math.sqrt(w * div_sq),
+            flux_curl_residual=math.sqrt(w * curl_sq),
             a1=self.a1,
             a2=self.a2,
             a3=self.a3,
             blowup_integral=self.blowup_integral,
             gn_ratio=gn,
-            ut_l2=lp_norm(rhs_ut, 2),
-            grad_ut_l2=lp_norm(grad_ut, 2),
+            ut_l2=math.sqrt(w * ut_power.sum()),
+            grad_ut_l2=math.sqrt(w * grid.gradient_power(ut_power)),
         )
 
 

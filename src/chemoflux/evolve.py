@@ -23,10 +23,16 @@ import numpy as np
 
 from . import diagnostics as diag
 from .cole_hopf import C_FLOOR, ChemistryParams
-from .fields import Grid, ScalarField, VectorField, gradient, lp_norm
+from .fields import (Grid, ScalarField, VectorField, gradient, lp_norm,
+                     power_sum, spectral_power)
 from .initial_data import potential_of
 
 _LOG_FLOOR = float(np.log(C_FLOOR))
+
+
+def _time_tol(t: float) -> float:
+    """Tolerance within which a step end counts as reaching a requested time."""
+    return 1e-12 * max(1.0, t)
 
 
 class RunOutcome(Enum):
@@ -129,19 +135,17 @@ def _ifft2r(ah):
 
 def _transport_hat(grid: Grid, u, vx, vy, chi: float):
     """chi * div(u v) in spectral space with the product dealiased."""
-    mask = grid.dealias_mask
     pxh = np.fft.fft2(u * vx)
     pyh = np.fft.fft2(u * vy)
-    pxh[~mask] = 0.0
-    pyh[~mask] = 0.0
-    return chi * (1j * grid._kx_deriv * pxh + 1j * grid._ky_deriv * pyh)
+    pxh[grid._out_of_band] = 0.0
+    pyh[grid._out_of_band] = 0.0
+    return chi * (grid._ikx * pxh + grid._iky * pyh)
 
 
 def _advance_transformed(grid, u, vx, vy, uh, vxh, vyh, dt, chi, scheme, t_hat):
     """One IMEX step; t_hat is the transport term at the current node."""
     k2 = grid._k_squared
-    ikx = 1j * grid._kx_deriv
-    iky = 1j * grid._ky_deriv
+    ikx, iky = grid._ikx, grid._iky
     if scheme == "imex_be":
         uh1 = (uh + dt * t_hat) / (1.0 + dt * k2)
     else:
@@ -161,8 +165,8 @@ def _advance_transformed(grid, u, vx, vy, uh, vxh, vyh, dt, chi, scheme, t_hat):
 def _drift_from_log_chemical(grid, s_vals, mu):
     """v = -(1/mu) grad(s) for s = ln c, returned as physical components."""
     sh = np.fft.fft2(s_vals)
-    vx = _ifft2r(-(1.0 / mu) * 1j * grid._kx_deriv * sh)
-    vy = _ifft2r(-(1.0 / mu) * 1j * grid._ky_deriv * sh)
+    vx = _ifft2r(-(1.0 / mu) * grid._ikx * sh)
+    vy = _ifft2r(-(1.0 / mu) * grid._iky * sh)
     return vx, vy
 
 
@@ -194,17 +198,16 @@ def _node_aux(grid, uh, vxh, vyh, t_hat, vx, vy) -> diag.NodeAux:
     """Functional integrands at one node, via Parseval (no extra FFTs)."""
     n2 = grid.resolution ** 2
     w = grid.cell_area / n2
-    k2d = grid._kx_deriv ** 2 + grid._ky_deriv ** 2
-    abs_uh2 = np.abs(uh) ** 2
+    abs_uh2 = spectral_power(uh)
     mean_u = uh[0, 0].real / n2
     u_sq = w * (abs_uh2.sum() - abs_uh2[0, 0]) \
         + (mean_u - 1.0) ** 2 * grid.side_length ** 2
-    v_sq = w * ((np.abs(vxh) ** 2).sum() + (np.abs(vyh) ** 2).sum())
-    grad_u_sq = w * (k2d * abs_uh2).sum()
+    v_sq = w * (power_sum(vxh) + power_sum(vyh))
+    grad_u_sq = w * grid.gradient_power(abs_uh2)
     ut_hat = -grid._k_squared * uh + t_hat
-    abs_ut2 = np.abs(ut_hat) ** 2
+    abs_ut2 = spectral_power(ut_hat)
     ut_sq = w * abs_ut2.sum()
-    grad_ut_sq = w * (k2d * abs_ut2).sum()
+    grad_ut_sq = w * grid.gradient_power(abs_ut2)
     v4_4 = grid.cell_area * ((vx * vx + vy * vy) ** 2).sum()
     return diag.NodeAux(u_sq=float(u_sq), v_sq=float(v_sq),
                         grad_u_sq=float(grad_u_sq), ut_sq=float(ut_sq),
@@ -337,8 +340,8 @@ def run(u0: ScalarField, companion, cfg: StepperConfig, params: ChemistryParams,
     def current_state(t):
         if mode == "transformed":
             return SimState(t=t, u=ScalarField(grid, u.copy(), check=False),
-                            v=VectorField(grid, np.stack([vx, vy]).copy(),
-                                          check=False), mode=mode)
+                            v=VectorField(grid, np.stack([vx, vy]), check=False),
+                            mode=mode)
         return SimState(t=t, u=ScalarField(grid, u.copy(), check=False),
                         c=ScalarField(grid, np.exp(s), check=False), mode=mode)
 
@@ -353,13 +356,15 @@ def run(u0: ScalarField, companion, cfg: StepperConfig, params: ChemistryParams,
             t, state.u,
             state.v if mode == "transformed"
             else VectorField(grid, np.stack([vx, vy]), check=False),
-            chem_sup(t))
+            chem_sup(t), uh=uh)
         records.append(rec)
         for hook in recorders:
             hook(state, rec)
         if history is not None:
             history.append(state)
-        while pending_snaps and t >= pending_snaps[0] - 1e-12:
+
+    def take_due_snapshots(t):
+        while pending_snaps and t >= pending_snaps[0] - _time_tol(t):
             payload = {"u": u.copy()}
             if mode == "transformed":
                 payload["v1"], payload["v2"] = vx.copy(), vy.copy()
@@ -377,18 +382,21 @@ def run(u0: ScalarField, companion, cfg: StepperConfig, params: ChemistryParams,
     t_hat = _transport_hat(grid, u, vx, vy, chi)
     recorder.on_node(t, _node_aux(grid, uh, vxh, vyh, t_hat, vx, vy))
     emit(t)
+    take_due_snapshots(t)
 
-    while t < t_end - 1e-12 * max(1.0, t_end):
+    while t < t_end - _time_tol(t_end):
         if cfg.dt_mode == "cfl":
             grad_u_inf = float(np.sqrt(
-                _ifft2r(1j * grid._kx_deriv * uh) ** 2
-                + _ifft2r(1j * grid._ky_deriv * uh) ** 2).max())
+                _ifft2r(grid._ikx * uh) ** 2
+                + _ifft2r(grid._iky * uh) ** 2).max())
             v_inf = float(np.sqrt(vx * vx + vy * vy).max())
             speed = max(1e-12, v_inf * chi + grad_u_inf * grid.spacing)
             dt = min(cfg.cfl_number * grid.spacing / speed, cfg.dt)
         else:
             dt = cfg.dt
         dt = min(dt, t_end - t)
+        if pending_snaps and t + dt > pending_snaps[0] + _time_tol(t):
+            dt = pending_snaps[0] - t   # land a step on the requested time
 
         u_prev = u
         if mode == "transformed":
@@ -429,9 +437,10 @@ def run(u0: ScalarField, companion, cfg: StepperConfig, params: ChemistryParams,
                        f"drift-integral monitor = {recorder.blowup_integral}")
             break
         recorder.on_node(t, aux)
-        done = t >= t_end - 1e-12 * max(1.0, t_end)
+        done = t >= t_end - _time_tol(t_end)
         if nstep % cfg.record_every == 0 or done:
             emit(t)
+        take_due_snapshots(t)
 
     final_state = None
     if outcome is not RunOutcome.COMPLETED:

@@ -51,26 +51,29 @@ class Grid:
         return 2.0 * np.pi * np.fft.fftfreq(self.resolution, d=self.spacing)
 
     @cached_property
-    def _kx(self) -> np.ndarray:
-        k = self.wavenumbers
-        return k[None, :] * np.ones((self.resolution, 1))
-
-    @cached_property
-    def _ky(self) -> np.ndarray:
-        k = self.wavenumbers
-        return k[:, None] * np.ones((1, self.resolution))
-
-    @cached_property
-    def _kx_deriv(self) -> np.ndarray:
+    def _k_deriv(self) -> np.ndarray:
+        """Per-axis table for odd (first-derivative) operators."""
         k = self.wavenumbers.copy()
         k[self.resolution // 2] = 0.0  # Nyquist has no sign partner
-        return k[None, :] * np.ones((self.resolution, 1))
+        return k
+
+    # Derivative tables are separable, so they are kept as broadcastable
+    # (1, N) rows (x varies along columns) and (N, 1) columns (y along rows).
+    @cached_property
+    def _kx_deriv(self) -> np.ndarray:
+        return self._k_deriv[None, :]
 
     @cached_property
     def _ky_deriv(self) -> np.ndarray:
-        k = self.wavenumbers.copy()
-        k[self.resolution // 2] = 0.0
-        return k[:, None] * np.ones((1, self.resolution))
+        return self._k_deriv[:, None]
+
+    @cached_property
+    def _ikx(self) -> np.ndarray:
+        return 1j * self._kx_deriv
+
+    @cached_property
+    def _iky(self) -> np.ndarray:
+        return 1j * self._ky_deriv
 
     @cached_property
     def _k_squared(self) -> np.ndarray:
@@ -84,6 +87,19 @@ class Grid:
         m = np.abs(np.fft.fftfreq(n) * n)
         keep = m <= n // 3
         return keep[None, :] & keep[:, None]
+
+    @cached_property
+    def _out_of_band(self) -> np.ndarray:
+        return ~self.dealias_mask
+
+    def gradient_power(self, power: np.ndarray) -> float:
+        """Sum of (kx^2 + ky^2) * power, with the derivative wavenumbers.
+
+        ``power`` is |f_hat|^2 of some field f; the result times
+        cell_area / N^2 is ||grad f||_2^2 by Parseval.
+        """
+        k2 = self._k_deriv ** 2
+        return float(power.sum(axis=0) @ k2 + power.sum(axis=1) @ k2)
 
     def coordinates(self) -> tuple[np.ndarray, np.ndarray]:
         """Cell-center sample coordinates (X, Y), each N x N."""
@@ -169,15 +185,15 @@ def _require_same_grid(a, b):
 def gradient(f: ScalarField) -> VectorField:
     """Spectral gradient; zero mode annihilated, so components have zero mean."""
     fh = np.fft.fft2(f.values)
-    gx = np.fft.ifft2(1j * f.grid._kx_deriv * fh).real
-    gy = np.fft.ifft2(1j * f.grid._ky_deriv * fh).real
+    gx = np.fft.ifft2(f.grid._ikx * fh).real
+    gy = np.fft.ifft2(f.grid._iky * fh).real
     return VectorField(f.grid, np.stack([gx, gy]), check=False)
 
 
 def divergence(w: VectorField) -> ScalarField:
     wxh = np.fft.fft2(w.values[0])
     wyh = np.fft.fft2(w.values[1])
-    d = np.fft.ifft2(1j * w.grid._kx_deriv * wxh + 1j * w.grid._ky_deriv * wyh).real
+    d = np.fft.ifft2(w.grid._ikx * wxh + w.grid._iky * wyh).real
     return ScalarField(w.grid, d, check=False)
 
 
@@ -185,15 +201,15 @@ def curl2d(w: VectorField) -> ScalarField:
     """Scalar curl d2(w1) - d1(w2), i.e. the perp-divergence of w."""
     wxh = np.fft.fft2(w.values[0])
     wyh = np.fft.fft2(w.values[1])
-    c = np.fft.ifft2(1j * w.grid._ky_deriv * wxh - 1j * w.grid._kx_deriv * wyh).real
+    c = np.fft.ifft2(w.grid._iky * wxh - w.grid._ikx * wyh).real
     return ScalarField(w.grid, c, check=False)
 
 
 def perp_gradient(f: ScalarField) -> VectorField:
     """Rotated gradient (d2 f, -d1 f)."""
     fh = np.fft.fft2(f.values)
-    gx = np.fft.ifft2(1j * f.grid._ky_deriv * fh).real
-    gy = -np.fft.ifft2(1j * f.grid._kx_deriv * fh).real
+    gx = np.fft.ifft2(f.grid._iky * fh).real
+    gy = -np.fft.ifft2(f.grid._ikx * fh).real
     return VectorField(f.grid, np.stack([gx, gy]), check=False)
 
 
@@ -217,12 +233,12 @@ def dealias(field):
     g = field.grid
     if isinstance(field, ScalarField):
         fh = np.fft.fft2(field.values)
-        fh[~g.dealias_mask] = 0.0
+        fh[g._out_of_band] = 0.0
         return ScalarField(g, np.fft.ifft2(fh).real, check=False)
     out = np.empty_like(field.values)
     for i in (0, 1):
         fh = np.fft.fft2(field.values[i])
-        fh[~g.dealias_mask] = 0.0
+        fh[g._out_of_band] = 0.0
         out[i] = np.fft.ifft2(fh).real
     return VectorField(g, out, check=False)
 
@@ -234,7 +250,7 @@ def product_scalar_vector(f: ScalarField, w: VectorField) -> VectorField:
     out = np.empty_like(w.values)
     for i in (0, 1):
         ph = np.fft.fft2(f.values * w.values[i])
-        ph[~g.dealias_mask] = 0.0
+        ph[g._out_of_band] = 0.0
         out[i] = np.fft.ifft2(ph).real
     return VectorField(g, out, check=False)
 
@@ -244,8 +260,23 @@ def product_dot(w1: VectorField, w2: VectorField) -> ScalarField:
     _require_same_grid(w1, w2)
     g = w1.grid
     ph = np.fft.fft2(w1.values[0] * w2.values[0] + w1.values[1] * w2.values[1])
-    ph[~g.dealias_mask] = 0.0
+    ph[g._out_of_band] = 0.0
     return ScalarField(g, np.fft.ifft2(ph).real, check=False)
+
+
+def spectral_power(zh: np.ndarray) -> np.ndarray:
+    """|zh|^2 elementwise, without the square root that np.abs takes."""
+    return zh.real ** 2 + zh.imag ** 2
+
+
+def power_sum(zh: np.ndarray) -> float:
+    """Sum of |zh|^2 over a C-contiguous spectrum.
+
+    Summed as the squares of the interleaved real and imaginary parts, in
+    one pass and without calling into a (possibly multi-threaded) BLAS.
+    """
+    r = zh.view(np.float64)
+    return float(np.einsum("ij,ij->", r, r))
 
 
 def lp_norm(f, p) -> float:

@@ -203,7 +203,11 @@ def parse_config(text: str) -> ExperimentConfig:
 
 
 def load_config(path) -> ExperimentConfig:
-    return parse_config(Path(path).read_text())
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise ConfigError("path", f"cannot read {path}: {exc.strerror}") from None
+    return parse_config(text)
 
 
 def format_config(cfg: ExperimentConfig) -> str:

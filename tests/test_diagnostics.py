@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 from chemoflux import (ChemistryParams, DiagnosticsRecord, Grid, ScalarField,
-                       StepperConfig, VectorField, assemble_rhs_ut,
-                       calibrate_energy_constant, check_energy_inequality,
-                       curl2d, curl_flux_residual, divergence, effective_flux,
-                       energy_functionals, fit_decay, flux_divergence_residual,
-                       gn_ratio, gradient, lemma33_ratio, lp_norm,
-                       perp_gradient, run)
+                       StepperConfig, TrajectoryRecorder, VectorField,
+                       assemble_rhs_ut, calibrate_energy_constant,
+                       check_energy_inequality, curl2d, curl_flux_residual,
+                       divergence, effective_flux, energy_functionals,
+                       fit_decay, flux_divergence_residual, gn_ratio,
+                       gradient, lemma33_ratio, lp_norm, perp_gradient, run)
 from chemoflux.diagnostics import CSV_COLUMNS
 from conftest import band_limited_field, band_limited_gradient
 
@@ -302,3 +302,54 @@ class TestRecordSchema:
         traj = run(u, v, cfg, ChemistryParams())
         row = traj.records[-1].csv_row()
         assert len(row.split(",")) == len(CSV_COLUMNS)
+
+
+class TestRecordAgainstOracles:
+    """make_record's one-pass spectral row against the fields.py oracles."""
+
+    @pytest.mark.parametrize("grid", [Grid(2 * np.pi, 32), Grid(16 * np.pi, 64)],
+                             ids=["n32", "n64"])
+    def test_every_column_matches_oracle_along_a_run(self, grid):
+        chi, p0 = 1.0, 6.0
+        u0, v0 = solution_like_pair(grid, 60, amplitude=0.3)
+        seen = []
+
+        def check(state, rec):
+            u, v = state.u, state.v
+            u_tilde = ScalarField(grid, u.values - 1.0)
+            rhs = assemble_rhs_ut(u, v, chi)
+            expected = {
+                "u_l2": lp_norm(u_tilde, 2),
+                "grad_u_l2": lp_norm(gradient(u_tilde), 2),
+                "u_linf": lp_norm(u_tilde, np.inf),
+                "v_l2": lp_norm(v, 2),
+                "v_l4": lp_norm(v, 4),
+                "v_lp0": lp_norm(v, p0),
+                "v_linf": lp_norm(v, np.inf),
+                "flux_l2": lp_norm(effective_flux(u, v, chi), 2),
+                "ut_l2": lp_norm(rhs, 2),
+                "grad_ut_l2": lp_norm(gradient(rhs), 2),
+                "gn_ratio": gn_ratio(u_tilde),
+            }
+            for column, value in expected.items():
+                assert getattr(rec, column) == pytest.approx(value, rel=1e-12), column
+            assert rec.sigma == min(1.0, state.t)
+            assert rec.flux_div_residual <= 1e-12
+            assert rec.flux_curl_residual <= 1e-12
+            seen.append(state.t)
+
+        cfg = StepperConfig(dt=0.02, t_end=0.1, record_every=2)
+        traj = run(u0, v0, cfg, ChemistryParams(chi=chi), p0=p0,
+                   recorders=(check,))
+        assert len(seen) == len(traj.records) == 4
+
+    def test_curl_residual_detects_swirl(self, grid64):
+        # the spectral residual is chi*P(u curl v), not an identity: a
+        # divergence-free swirl added to v must show, at the oracle's value
+        u, v = solution_like_pair(grid64, 13)
+        swirl = perp_gradient(band_limited_field(grid64, 60, kmax=5))
+        v_bad = VectorField(grid64, v.values + swirl.values)
+        rec = TrajectoryRecorder(chi=1.0, p0=6.0).make_record(0.0, u, v_bad, 1.0)
+        assert rec.flux_curl_residual > 1e-4
+        assert rec.flux_curl_residual == pytest.approx(
+            curl_flux_residual(u, v_bad, 1.0), rel=1e-12)

@@ -296,3 +296,27 @@ class TestRun:
         for (t_snap, payload), expected in zip(traj.snapshots, (0.2, 0.4)):
             assert abs(t_snap - expected) <= 0.05 + 1e-12
             assert set(payload) == {"u", "v1", "v2"}
+
+    def test_snapshots_land_off_record_and_off_step(self, grid32):
+        # t=1.0 is a step end (20 steps of 0.05) but not a record (every 7th
+        # step); t=0.525 falls inside a step, which is clipped to land on it
+        u0, v0 = smooth_state(grid32)
+        cfg = StepperConfig(dt=0.05, t_end=1.2, record_every=7)
+        traj = run(u0, v0, cfg, ChemistryParams(), snapshot_times=(1.0, 0.525))
+        times = [t for t, _ in traj.snapshots]
+        assert len(times) == 2
+        assert abs(times[0] - 0.525) <= 1e-12
+        assert abs(times[1] - 1.0) <= 1e-12
+        assert abs(traj.records[-1].t - 1.2) <= 1e-12
+        # the snapshot holds the state at its own time: the same run cut
+        # there ends on the same fields
+        cut = run(u0, v0, StepperConfig(dt=0.05, t_end=0.525),
+                  ChemistryParams())
+        assert np.array_equal(traj.snapshots[0][1]["u"], cut.final_state.u.values)
+
+    def test_on_step_snapshot_adds_no_step(self, grid32):
+        u0, v0 = smooth_state(grid32)
+        cfg = StepperConfig(dt=0.05, t_end=1.2, record_every=1)
+        plain = run(u0, v0, cfg, ChemistryParams())
+        snapped = run(u0, v0, cfg, ChemistryParams(), snapshot_times=(1.0,))
+        assert [r.t for r in snapped.records] == [r.t for r in plain.records]
