@@ -1,21 +1,17 @@
 """Pseudo-spectral simulator and verification harness for a 2D
 parabolic-hyperbolic chemotaxis system with discontinuous initial data."""
 
-from .cole_hopf import (C_FLOOR, ChemistryParams, c_step, forward_transform,
-                        reconstruct_c)
+from .cole_hopf import C_FLOOR, ChemistryParams, forward_transform
 from .diagnostics import (CSV_COLUMNS, DecayFit, DiagnosticsRecord,
                           TrajectoryRecorder, assemble_rhs_ut,
                           calibrate_energy_constant, check_energy_inequality,
                           curl_flux_residual, effective_flux,
                           energy_functionals, fit_decay,
                           flux_divergence_residual, gn_ratio, lemma33_ratio)
-from .evolve import (BlowUpError, ChemicalExtinctionError, RunOutcome,
-                     SimState, StepperConfig, Trajectory, choose_dt, run,
-                     step_original, step_transformed)
+from .evolve import RunOutcome, SimState, StepperConfig, Trajectory, run
 from .fields import (Grid, ScalarField, VectorField, curl2d, dealias,
-                     divergence, gradient, helmholtz_solve, laplacian,
-                     lp_norm, perp_gradient, product_dot,
-                     product_scalar_vector)
+                     divergence, gradient, laplacian, lp_norm, perp_gradient,
+                     product_dot, product_scalar_vector)
 from .harness import (ConfigError, ExperimentConfig, flagship_config,
                       load_config, parse_config, run_cross_validate,
                       run_delta_sweep, run_refinement, run_single,

@@ -36,8 +36,9 @@ def cmd_run(args) -> int:
     cfg = _load(args)
     result = harness.run_single(cfg, out_dir=args.out)
     traj = result.trajectory
+    t_final = traj.records[-1].t if traj.records else 0.0   # t=0 extinction
     print(f"outcome: {result.outcome.value}  ({len(traj.records)} records, "
-          f"t_final={traj.records[-1].t:g})")
+          f"t_final={t_final:g})")
     if traj.message:
         print(traj.message)
     for fit, ref in result.fits:

@@ -2,8 +2,9 @@
 
 The substitution v = -(1/mu) * grad(ln c) removes the logarithmic
 singularity of the chemotactic sensitivity and gives v a spatial structure.
-The chemical ODE c_t = -mu*u*c is integrated with exact exponential
-(integrating-factor) updates, which preserve positivity unconditionally.
+The chemical ODE c_t = -mu*u*c itself is integrated in ``evolve`` on ln c,
+where the exact exponential update is a subtraction and positivity is
+structural.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import Grid, ScalarField, VectorField, gradient
+from .fields import ScalarField, VectorField, gradient
 
 # Below this value the chemical is treated as extinct: taking ln c and
 # further exponential decay would underflow to non-finite fields.
@@ -51,36 +52,3 @@ def forward_transform(c: ScalarField, params: ChemistryParams) -> VectorField:
             f"the floor {C_FLOOR}; ln c is not representable")
     g = gradient(ScalarField(c.grid, np.log(vals), check=False))
     return VectorField(c.grid, -g.values / params.mu, check=False)
-
-
-def c_step(c: ScalarField, u: ScalarField, mu: float, dt: float,
-           u_next: ScalarField | None = None) -> ScalarField:
-    """Advance c_t = -mu*u*c by dt with the exponential update.
-
-    Uses the midpoint-in-time average of u when both endpoint fields are
-    supplied, the left endpoint otherwise.  Positivity is exact.
-    """
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    u_avg = u.values if u_next is None else 0.5 * (u.values + u_next.values)
-    return ScalarField(c.grid, c.values * np.exp(-mu * dt * u_avg), check=False)
-
-
-def reconstruct_c(u_history, c0: ScalarField, mu: float) -> ScalarField:
-    """c(T) = c0 * exp(-mu * int_0^T u dt), trapezoid on the stored history.
-
-    ``u_history`` is a sequence of (t, ScalarField) pairs in increasing time
-    order; the first entry anchors the lower integration limit.
-    """
-    history = list(u_history)
-    if not history:
-        raise ValueError("u_history is empty")
-    acc = np.zeros_like(c0.values)
-    for (t_prev, u_prev), (t_cur, u_cur) in zip(history, history[1:]):
-        acc += 0.5 * (t_cur - t_prev) * (u_prev.values + u_cur.values)
-    return ScalarField(c0.grid, c0.values * np.exp(-mu * acc), check=False)
-
-
-def log_c_floor() -> float:
-    """ln of the extinction floor, for log-space comparisons."""
-    return float(np.log(C_FLOOR))

@@ -1,6 +1,7 @@
 """Time integration of the coupled density-drift and density-chemical systems.
 
-Two solvers share one transport kernel:
+``run`` is the only stepper.  Its two modes share one transport kernel and
+one implicit density update:
 
 * transformed mode evolves (u, v) with implicit (backward-Euler or
   trapezoidal) diffusion and explicit dealiased transport chi*div(u v);
@@ -23,8 +24,8 @@ import numpy as np
 
 from . import diagnostics as diag
 from .cole_hopf import C_FLOOR, ChemistryParams
-from .fields import (Grid, ScalarField, VectorField, gradient, lp_norm,
-                     power_sum, spectral_power)
+from .fields import (Grid, ScalarField, VectorField, lp_norm, power_sum,
+                     spectral_power)
 from .initial_data import potential_of
 
 _LOG_FLOOR = float(np.log(C_FLOOR))
@@ -48,28 +49,9 @@ EXIT_CODES = {
 }
 
 
-class BlowUpError(RuntimeError):
-    """Stepper produced a non-finite field."""
-
-    def __init__(self, t: float, blowup_integral: float = float("nan")):
-        super().__init__(f"non-finite state at t={t}; "
-                         f"running drift-integral monitor = {blowup_integral}")
-        self.t = t
-        self.blowup_integral = blowup_integral
-
-
-class ChemicalExtinctionError(RuntimeError):
-    """Chemical concentration crossed the representability floor."""
-
-    def __init__(self, t: float, c_min: float):
-        super().__init__(f"chemical concentration {c_min} under floor at t={t}")
-        self.t = t
-        self.c_min = c_min
-
-
 @dataclass
 class SimState:
-    """Snapshot advanced by the steppers; (u, v) or (u, c) depending on mode."""
+    """A run's state at one time; (u, v) or (u, c) depending on mode."""
 
     t: float
     u: ScalarField
@@ -126,7 +108,6 @@ class Trajectory:
     snapshots: list            # (t, {"u": array, ...}) pairs
     message: str = ""
     blowup_integral: float = 0.0
-    field_history: list | None = None
 
 
 def _ifft2r(ah):
@@ -142,21 +123,33 @@ def _transport_hat(grid: Grid, u, vx, vy, chi: float):
     return chi * (grid._ikx * pxh + grid._iky * pyh)
 
 
-def _advance_transformed(grid, u, vx, vy, uh, vxh, vyh, dt, chi, scheme, t_hat):
-    """One IMEX step; t_hat is the transport term at the current node."""
+def _advance_density(grid, uh, dt, scheme, t_hat, predictor_transport):
+    """IMEX update of u_hat: backward Euler, or trapezoid with a predictor.
+
+    t_hat is the transport term at the current node; for CN,
+    ``predictor_transport(uh_p)`` gives it at the predicted density.
+    """
     k2 = grid._k_squared
-    ikx, iky = grid._ikx, grid._iky
     if scheme == "imex_be":
-        uh1 = (uh + dt * t_hat) / (1.0 + dt * k2)
-    else:
-        den = 1.0 + 0.5 * dt * k2
-        explicit = (1.0 - 0.5 * dt * k2) * uh
-        uh_p = (explicit + dt * t_hat) / den
+        return (uh + dt * t_hat) / (1.0 + dt * k2)
+    den = 1.0 + 0.5 * dt * k2
+    explicit = (1.0 - 0.5 * dt * k2) * uh
+    uh_p = (explicit + dt * t_hat) / den
+    t_hat_p = predictor_transport(uh_p)
+    return (explicit + 0.5 * dt * (t_hat + t_hat_p)) / den
+
+
+def _advance_transformed(grid, uh, vxh, vyh, dt, chi, scheme, t_hat):
+    """One IMEX step; v moves by the trapezoid of grad(u) at both levels."""
+    ikx, iky = grid._ikx, grid._iky
+
+    def predictor_transport(uh_p):
         vxh_p = vxh + 0.5 * dt * (ikx * uh + ikx * uh_p)
         vyh_p = vyh + 0.5 * dt * (iky * uh + iky * uh_p)
-        t_hat_p = _transport_hat(grid, _ifft2r(uh_p), _ifft2r(vxh_p),
-                                 _ifft2r(vyh_p), chi)
-        uh1 = (explicit + 0.5 * dt * (t_hat + t_hat_p)) / den
+        return _transport_hat(grid, _ifft2r(uh_p), _ifft2r(vxh_p),
+                              _ifft2r(vyh_p), chi)
+
+    uh1 = _advance_density(grid, uh, dt, scheme, t_hat, predictor_transport)
     vxh1 = vxh + 0.5 * dt * (ikx * uh + ikx * uh1)
     vyh1 = vyh + 0.5 * dt * (iky * uh + iky * uh1)
     return uh1, vxh1, vyh1
@@ -177,18 +170,12 @@ def _advance_original(grid, u, s, uh, dt, params, scheme):
     the extinction check is an exact comparison in log space.
     """
     mu, chi = params.mu, params.chi
-    k2 = grid._k_squared
     s_half = s - (0.5 * dt * mu) * u
     vx, vy = _drift_from_log_chemical(grid, s_half, mu)
     t_hat = _transport_hat(grid, u, vx, vy, chi)
-    if scheme == "imex_be":
-        uh1 = (uh + dt * t_hat) / (1.0 + dt * k2)
-    else:
-        den = 1.0 + 0.5 * dt * k2
-        explicit = (1.0 - 0.5 * dt * k2) * uh
-        uh_p = (explicit + dt * t_hat) / den
-        t_hat_p = _transport_hat(grid, _ifft2r(uh_p), vx, vy, chi)
-        uh1 = (explicit + 0.5 * dt * (t_hat + t_hat_p)) / den
+    uh1 = _advance_density(
+        grid, uh, dt, scheme, t_hat,
+        lambda uh_p: _transport_hat(grid, _ifft2r(uh_p), vx, vy, chi))
     u1 = _ifft2r(uh1)
     s1 = s_half - (0.5 * dt * mu) * u1
     return u1, s1, uh1
@@ -214,84 +201,26 @@ def _node_aux(grid, uh, vxh, vyh, t_hat, vx, vy) -> diag.NodeAux:
                         grad_ut_sq=float(grad_ut_sq), v4_4=float(v4_4))
 
 
-def step_transformed(state: SimState, cfg: StepperConfig,
-                     params: ChemistryParams, dt: float | None = None) -> SimState:
-    """Advance a transformed-mode state by one step of size dt (default cfg.dt)."""
-    if state.mode != "transformed":
-        raise ValueError("step_transformed requires transformed mode")
-    dt = cfg.dt if dt is None else dt
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    grid = state.u.grid
-    u, vx, vy = state.u.values, state.v.values[0], state.v.values[1]
-    uh = np.fft.fft2(u)
-    vxh = np.fft.fft2(vx)
-    vyh = np.fft.fft2(vy)
-    t_hat = _transport_hat(grid, u, vx, vy, params.chi)
-    uh1, vxh1, vyh1 = _advance_transformed(
-        grid, u, vx, vy, uh, vxh, vyh, dt, params.chi, cfg.scheme, t_hat)
-    u1 = _ifft2r(uh1)
-    v1 = np.stack([_ifft2r(vxh1), _ifft2r(vyh1)])
-    if not (np.isfinite(u1).all() and np.isfinite(v1).all()):
-        raise BlowUpError(state.t + dt)
-    return SimState(t=state.t + dt, u=ScalarField(grid, u1, check=False),
-                    v=VectorField(grid, v1, check=False), mode="transformed")
-
-
-def step_original(state: SimState, cfg: StepperConfig,
-                  params: ChemistryParams, dt: float | None = None) -> SimState:
-    """Advance an original-mode state (u, c) by one Strang-split step."""
-    if state.mode != "original":
-        raise ValueError("step_original requires original mode")
-    dt = cfg.dt if dt is None else dt
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    c_min = state.c.values.min()
-    if c_min <= C_FLOOR:
-        raise ChemicalExtinctionError(state.t, c_min)
-    grid = state.u.grid
-    u = state.u.values
-    s = np.log(state.c.values)
-    uh = np.fft.fft2(u)
-    u1, s1, _ = _advance_original(grid, u, s, uh, dt, params, cfg.scheme)
-    if not np.isfinite(u1).all():
-        raise BlowUpError(state.t + dt)
-    if s1.min() <= _LOG_FLOOR:
-        raise ChemicalExtinctionError(state.t + dt, float(np.exp(s1.min())))
-    return SimState(t=state.t + dt, u=ScalarField(grid, u1, check=False),
-                    c=ScalarField(grid, np.exp(s1), check=False), mode="original")
-
-
-def choose_dt(state: SimState, cfg: StepperConfig, params: ChemistryParams) -> float:
-    """Transport-limited step cfl * h / (|v|_inf chi + |grad u|_inf h), capped."""
-    if cfg.dt_mode != "cfl":
-        raise ValueError("choose_dt requires dt_mode == 'cfl'")
-    grid = state.u.grid
-    h = grid.spacing
-    if state.mode == "transformed":
-        v_inf = lp_norm(state.v, np.inf)
-    else:
-        vx, vy = _drift_from_log_chemical(grid, np.log(state.c.values), params.mu)
-        v_inf = float(np.sqrt(vx * vx + vy * vy).max())
-    grad_u_inf = float(gradient(state.u).magnitude().max())
-    speed = max(1e-12, v_inf * params.chi + grad_u_inf * h)
-    return min(cfg.cfl_number * h / speed, cfg.dt)
-
-
 def run(u0: ScalarField, companion, cfg: StepperConfig, params: ChemistryParams,
         mode: str = "transformed", p0: float = 6.0, recorders=(),
-        snapshot_times=(), log_c0: np.ndarray | None = None,
-        keep_field_history: bool = False) -> Trajectory:
+        snapshot_times=()) -> Trajectory:
     """Advance matched initial data to t_end (or a halt) and record diagnostics.
 
     ``companion`` is the drift field v0 in transformed mode or the chemical
     c0 in original mode.  The working state is projected onto the dealias
     band once at start.  In transformed mode the chemical sup-norm is
-    tracked through the accumulated time integral of u (log-space exact);
-    ``log_c0`` overrides the reference ln c0 inferred from v0.
+    tracked through the accumulated time integral of u (log-space exact),
+    from the reference ln c0 = -mu * potential(v0).
+
+    Each hook in ``recorders`` is called as ``hook(state, record)`` at every
+    record.  The state's arrays are the run's own: the run never writes to
+    them after handing them out, so a hook may keep them without copying,
+    but must not write to them either.
 
     Deterministic for a fixed configuration and single-threaded execution.
-    Halts surface as the trajectory outcome, never as silent truncation.
+    Halts surface as the trajectory outcome, never as silent truncation:
+    an original-mode c0 at or below ``C_FLOOR`` anywhere returns
+    ``CHEMICAL_EXTINCTION`` at t=0 with a message and no records.
     """
     grid = u0.grid
     mask = grid.dealias_mask
@@ -310,19 +239,21 @@ def run(u0: ScalarField, companion, cfg: StepperConfig, params: ChemistryParams,
         vxh[~mask] = 0.0
         vyh[~mask] = 0.0
         vx, vy = _ifft2r(vxh), _ifft2r(vyh)
-        if log_c0 is None:
-            v_band = VectorField(grid, np.stack([vx, vy]), check=False)
-            if lp_norm(v_band, np.inf) > 0:
-                log_c0 = -mu * potential_of(v_band).values
-            else:
-                log_c0 = np.zeros_like(u)
+        v_band = VectorField(grid, np.stack([vx, vy]), check=False)
+        if lp_norm(v_band, np.inf) > 0:
+            ln_c0 = -mu * potential_of(v_band).values
+        else:
+            ln_c0 = np.zeros_like(u)
         u_time_integral = np.zeros_like(u)
     elif mode == "original":
         if not isinstance(companion, ScalarField):
             raise ValueError("original mode expects c0 as a ScalarField")
         c_min = companion.values.min()
         if c_min <= C_FLOOR:
-            raise ChemicalExtinctionError(0.0, c_min)
+            return Trajectory(
+                records=[], outcome=RunOutcome.CHEMICAL_EXTINCTION,
+                final_state=None, snapshots=[],
+                message=f"chemical under floor at t=0 (min c = {c_min})")
         sh = np.fft.fft2(np.log(companion.values))
         sh[~mask] = 0.0
         s = _ifft2r(sh)
@@ -334,34 +265,29 @@ def run(u0: ScalarField, companion, cfg: StepperConfig, params: ChemistryParams,
     recorder = diag.TrajectoryRecorder(chi=chi, p0=p0)
     records: list = []
     snapshots: list = []
-    history: list | None = [] if keep_field_history else None
     pending_snaps = sorted(float(ts) for ts in snapshot_times)
 
-    def current_state(t):
+    def current_state(t, u_field, v_field):
         if mode == "transformed":
-            return SimState(t=t, u=ScalarField(grid, u.copy(), check=False),
-                            v=VectorField(grid, np.stack([vx, vy]), check=False),
-                            mode=mode)
-        return SimState(t=t, u=ScalarField(grid, u.copy(), check=False),
+            return SimState(t=t, u=u_field, v=v_field, mode=mode)
+        return SimState(t=t, u=u_field,
                         c=ScalarField(grid, np.exp(s), check=False), mode=mode)
 
     def chem_sup(t):
         if mode == "transformed":
-            return float(np.exp((log_c0 - mu * u_time_integral).max()))
+            return float(np.exp((ln_c0 - mu * u_time_integral).max()))
         return float(np.exp(s.max()))
 
     def emit(t):
-        state = current_state(t)
-        rec = recorder.make_record(
-            t, state.u,
-            state.v if mode == "transformed"
-            else VectorField(grid, np.stack([vx, vy]), check=False),
-            chem_sup(t), uh=uh)
+        # u, vx, vy and s are rebound by every step, never written in place
+        u_field = ScalarField(grid, u, check=False)
+        v_field = VectorField(grid, np.stack([vx, vy]), check=False)
+        rec = recorder.make_record(t, u_field, v_field, chem_sup(t), uh=uh)
         records.append(rec)
-        for hook in recorders:
-            hook(state, rec)
-        if history is not None:
-            history.append(state)
+        if recorders:
+            state = current_state(t, u_field, v_field)
+            for hook in recorders:
+                hook(state, rec)
 
     def take_due_snapshots(t):
         while pending_snaps and t >= pending_snaps[0] - _time_tol(t):
@@ -401,7 +327,7 @@ def run(u0: ScalarField, companion, cfg: StepperConfig, params: ChemistryParams,
         u_prev = u
         if mode == "transformed":
             uh, vxh, vyh = _advance_transformed(
-                grid, u, vx, vy, uh, vxh, vyh, dt, chi, cfg.scheme, t_hat)
+                grid, uh, vxh, vyh, dt, chi, cfg.scheme, t_hat)
             u, vx, vy = _ifft2r(uh), _ifft2r(vxh), _ifft2r(vyh)
             if not (np.isfinite(u).all() and np.isfinite(vx).all()
                     and np.isfinite(vy).all()):
@@ -442,12 +368,11 @@ def run(u0: ScalarField, companion, cfg: StepperConfig, params: ChemistryParams,
             emit(t)
         take_due_snapshots(t)
 
-    final_state = None
-    if outcome is not RunOutcome.COMPLETED:
-        pass  # fields at the halt are unusable; keep the last good records
-    else:
-        final_state = current_state(t)
+    final_state = None   # fields at a halt are unusable; the records stay
+    if outcome is RunOutcome.COMPLETED:
+        final_state = current_state(
+            t, ScalarField(grid, u, check=False),
+            VectorField(grid, np.stack([vx, vy]), check=False))
     return Trajectory(records=records, outcome=outcome, final_state=final_state,
                       snapshots=snapshots, message=message,
-                      blowup_integral=recorder.blowup_integral,
-                      field_history=history)
+                      blowup_integral=recorder.blowup_integral)

@@ -171,11 +171,6 @@ class VectorField:
     def zero(cls, grid: Grid) -> "VectorField":
         return cls(grid, np.zeros((2, grid.resolution, grid.resolution)), check=False)
 
-    @classmethod
-    def from_components(cls, grid: Grid, vx: np.ndarray, vy: np.ndarray) -> "VectorField":
-        return cls(grid, np.stack([np.asarray(vx, dtype=np.float64),
-                                   np.asarray(vy, dtype=np.float64)]))
-
 
 def _require_same_grid(a, b):
     if a.grid is not b.grid and a.grid != b.grid:
@@ -216,15 +211,6 @@ def perp_gradient(f: ScalarField) -> VectorField:
 def laplacian(f: ScalarField) -> ScalarField:
     fh = np.fft.fft2(f.values)
     out = np.fft.ifft2(-f.grid._k_squared * fh).real
-    return ScalarField(f.grid, out, check=False)
-
-
-def helmholtz_solve(f: ScalarField, a: float) -> ScalarField:
-    """Invert (I - a*Laplacian) spectrally; the mean is a fixed point."""
-    if a <= 0:
-        raise ValueError(f"helmholtz coefficient must be positive, got {a}")
-    fh = np.fft.fft2(f.values)
-    out = np.fft.ifft2(fh / (1.0 + a * f.grid._k_squared)).real
     return ScalarField(f.grid, out, check=False)
 
 

@@ -10,13 +10,14 @@ are byte-deterministic for a fixed config in single-threaded execution.
 from __future__ import annotations
 
 import math
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from .cole_hopf import ChemistryParams, forward_transform
+from .cole_hopf import C_FLOOR, ChemistryParams, forward_transform
 from .diagnostics import CSV_COLUMNS, SCHEMA_VERSION, DecayFit, fit_decay
 from .evolve import (EXIT_CODES, RunOutcome, StepperConfig, Trajectory, run)
 from .fields import Grid, ScalarField, VectorField, lp_norm
@@ -328,8 +329,7 @@ def _matched_chemical(v0: VectorField, mu: float) -> ScalarField:
     return ScalarField(v0.grid, np.exp(-mu * phi.values), check=False)
 
 
-def run_single(cfg: ExperimentConfig, out_dir=None,
-               keep_field_history: bool = False) -> SingleRunResult:
+def run_single(cfg: ExperimentConfig, out_dir=None) -> SingleRunResult:
     """One run to t_end; writes diagnostics, decay summary, snapshots, echo."""
     out = Path(out_dir if out_dir is not None else cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -337,12 +337,10 @@ def run_single(cfg: ExperimentConfig, out_dir=None,
     if cfg.mode == "original":
         c0 = _matched_chemical(v0, cfg.params.mu)
         traj = run(u0, c0, cfg.stepper, cfg.params, mode="original",
-                   p0=cfg.recipe.p0, snapshot_times=cfg.snapshot_times,
-                   keep_field_history=keep_field_history)
+                   p0=cfg.recipe.p0, snapshot_times=cfg.snapshot_times)
     else:
         traj = run(u0, v0, cfg.stepper, cfg.params, mode="transformed",
-                   p0=cfg.recipe.p0, snapshot_times=cfg.snapshot_times,
-                   keep_field_history=keep_field_history)
+                   p0=cfg.recipe.p0, snapshot_times=cfg.snapshot_times)
 
     write_diagnostics_csv(out / "diagnostics.csv", traj.records)
     (out / "config_echo.cfg").write_text(format_config(cfg))
@@ -350,7 +348,7 @@ def run_single(cfg: ExperimentConfig, out_dir=None,
         write_snapshot(out / f"snapshot_{t:.6f}.cfx", list(payload.values()))
 
     fits = []
-    t_final = traj.records[-1].t
+    t_final = traj.records[-1].t if traj.records else 0.0   # t=0 extinction
     window = (2.0, min(20.0, t_final))
     if window[1] > window[0]:
         for column, ref in (("c_linf", cfg.params.mu), ("u_linf", None),
@@ -503,6 +501,11 @@ def run_refinement(cfg: ExperimentConfig, out_dir=None) -> RefinementResult:
     return RefinementResult(temporal_rows=temporal, spatial_rows=spatial, out_dir=out)
 
 
+def _require_completed(traj: Trajectory) -> None:
+    if traj.outcome is not RunOutcome.COMPLETED:
+        raise RuntimeError(f"cross-validation run halted: {traj.message}")
+
+
 @dataclass
 class CrossValidateResult:
     rows: list   # (N, dt, max_u_discrepancy, max_v_discrepancy)
@@ -527,24 +530,39 @@ def run_cross_validate(cfg: ExperimentConfig, out_dir=None) -> CrossValidateResu
         stepper = replace(cfg.stepper, dt=cfg.stepper.dt * scale, dt_mode="fixed")
         u0, v0, _ = build_initial_data(cfg.recipe, grid)
         c0 = _matched_chemical(v0, cfg.params.mu)
-        if c0.values.min() <= 0:
-            raise ConfigError("recipe", "matched chemical is nonpositive")
+        if c0.values.min() <= C_FLOOR:
+            raise ConfigError("recipe", "matched chemical is at or below the "
+                              f"extinction floor {C_FLOOR}")
+        # keep the transformed run's states, then compare each record of the
+        # original run against the oldest kept state as it happens
+        kept = deque()
         traj_t = run(u0, v0, stepper, cfg.params, mode="transformed",
-                     p0=cfg.recipe.p0, keep_field_history=True)
-        traj_o = run(u0, c0, stepper, cfg.params, mode="original",
-                     p0=cfg.recipe.p0, keep_field_history=True)
-        for traj in (traj_t, traj_o):
-            if traj.outcome is not RunOutcome.COMPLETED:
-                raise RuntimeError(f"cross-validation run halted: {traj.message}")
+                     p0=cfg.recipe.p0,
+                     recorders=(lambda state, rec: kept.append(state),))
+        _require_completed(traj_t)
         max_du = 0.0
         max_dv = 0.0
-        for st, so in zip(traj_t.field_history, traj_o.field_history):
+
+        def compare(so, rec):
+            nonlocal max_du, max_dv
+            if not kept or kept[0].t != so.t:
+                raise RuntimeError(f"cross-validation: original record at "
+                                   f"t={so.t} has no transformed record at "
+                                   "the same time")
+            st = kept.popleft()
             du = lp_norm(ScalarField(grid, st.u.values - so.u.values, check=False), 2)
             v_from_c = forward_transform(so.c, cfg.params)
             dv = lp_norm(VectorField(grid, v_from_c.values - st.v.values,
                                      check=False), 2)
             max_du = max(max_du, du)
             max_dv = max(max_dv, dv)
+
+        traj_o = run(u0, c0, stepper, cfg.params, mode="original",
+                     p0=cfg.recipe.p0, recorders=(compare,))
+        _require_completed(traj_o)
+        if kept:
+            raise RuntimeError(f"cross-validation: {len(kept)} transformed "
+                               "records have no original record")
         rows.append((n, stepper.dt, max_du, max_dv))
     with open(out / "cross_validate.csv", "w", newline="\n") as fh:
         fh.write(f"# {SCHEMA_VERSION}\n")

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from chemoflux import (ChemistryParams, Grid, ScalarField, c_step, curl2d,
-                       forward_transform, lp_norm, reconstruct_c)
+from chemoflux import (ChemistryParams, Grid, RunOutcome, ScalarField,
+                       StepperConfig, curl2d, forward_transform, lp_norm, run)
 from chemoflux.cole_hopf import C_FLOOR
 from conftest import band_limited_field
 
@@ -56,114 +56,54 @@ class TestForwardTransform:
 
 
 class TestCStep:
-    def test_homogeneous_exact(self, grid32):
-        c = ScalarField.constant(grid32, 2.0)
-        u = ScalarField.constant(grid32, 1.0)
-        out = c_step(c, u, mu=1.0, dt=0.5)
-        assert np.abs(out.values - 2.0 * np.exp(-0.5)).max() <= 1e-14
+    """The chemical update c_t = -mu u c as run() takes it in original mode."""
 
     def test_zero_density_leaves_chemical(self, grid32):
-        c = ScalarField(grid32, 1.0 + 0.3 * band_limited_field(grid32, 1).values ** 2)
-        out = c_step(c, ScalarField.constant(grid32, 0.0), mu=1.0, dt=0.7)
-        np.testing.assert_array_equal(out.values, c.values)
+        c0 = ScalarField(grid32, np.exp(0.3 * band_limited_field(grid32, 1).values))
+        kept = []
+        traj = run(ScalarField.constant(grid32, 0.0), c0,
+                   StepperConfig(dt=0.1, t_end=0.7), ChemistryParams(),
+                   mode="original", recorders=(lambda st, rec: kept.append(st.c),))
+        np.testing.assert_array_equal(traj.final_state.c.values, kept[0].values)
+        assert np.abs(kept[0].values - c0.values).max() <= 1e-13
 
-    def test_midpoint_average_of_endpoints(self, grid32):
-        c = ScalarField.constant(grid32, 1.0)
-        u0 = ScalarField(grid32, np.full((32, 32), 0.4))
-        u1 = ScalarField(grid32, np.full((32, 32), 1.2))
-        out = c_step(c, u0, mu=2.0, dt=0.25, u_next=u1)
-        assert np.abs(out.values - np.exp(-2.0 * 0.25 * 0.8)).max() <= 1e-15
-
-    def test_matches_high_order_ode_oracle(self, grid32):
-        # per grid point: c' = -mu*u(t)*c with u linear in time between the
-        # endpoints; the exponential-midpoint update integrates the linear
-        # coefficient exactly, a 40-substep RK4 run is the oracle
-        rng = np.random.default_rng(2)
-        mu, dt = 1.3, 1e-3
-        u0 = 1.0 + 0.5 * band_limited_field(grid32, 4).values
-        u1 = u0 + 0.2 * band_limited_field(grid32, 5).values
-        c0 = 1.0 + 0.3 * band_limited_field(grid32, 6).values ** 2
-
-        def u_of(t):
-            return u0 + (u1 - u0) * (t / dt)
-
-        c = c0.copy()
-        nsub = 40
-        h = dt / nsub
-        t = 0.0
-        for _ in range(nsub):
-            k1 = -mu * u_of(t) * c
-            k2 = -mu * u_of(t + h / 2) * (c + h / 2 * k1)
-            k3 = -mu * u_of(t + h / 2) * (c + h / 2 * k2)
-            k4 = -mu * u_of(t + h) * (c + h * k3)
-            c = c + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-            t += h
-        stepped = c_step(ScalarField(grid32, c0), ScalarField(grid32, u0),
-                         mu=mu, dt=dt, u_next=ScalarField(grid32, u1))
-        assert np.abs(stepped.values - c).max() <= 1e-10
-
-    def test_positivity_and_monotonicity(self, grid32):
-        c = ScalarField(grid32, np.full((32, 32), 1e-12))
-        u = ScalarField(grid32, 1.0 + band_limited_field(grid32, 9).values ** 2)
-        cur = c
-        for _ in range(50):
-            nxt = c_step(cur, u, mu=1.0, dt=0.5)
-            assert (nxt.values > 0).all()
-            assert (nxt.values <= cur.values).all()
-            cur = nxt
-
-    def test_rejects_nonpositive_dt(self, grid32):
-        c = ScalarField.constant(grid32, 1.0)
-        with pytest.raises(ValueError):
-            c_step(c, c, mu=1.0, dt=0.0)
-
-
-class TestReconstructC:
-    def test_unit_density_closed_form(self, grid32):
-        c0 = ScalarField.constant(grid32, 3.0)
-        u = ScalarField.constant(grid32, 1.0)
-        history = [(0.0, u), (1.0, u), (2.0, u)]
-        out = reconstruct_c(history, c0, mu=1.0)
-        assert np.abs(out.values - 3.0 * np.exp(-2.0)).max() <= 1e-14
-
-    def test_consistent_with_chained_steps_at_second_order(self, grid32):
-        # coefficient u(t) = base + sin(3t)*wobble sampled on the step grid
-        base = 1.0 + 0.4 * band_limited_field(grid32, 12).values
-        wobble = 0.3 * band_limited_field(grid32, 13).values
-        c0 = ScalarField.constant(grid32, 1.0)
-        T = 1.0
-        exact = c0.values * np.exp(-(base * T + wobble * (1 - np.cos(3 * T)) / 3))
+    def test_matches_closed_form_at_second_order(self):
+        # chi = 0: u = 1 + eps cos(kx) exp(-k^2 t) solves the heat equation,
+        # so c(T) = c0 exp(-mu (T + eps cos(kx) (1 - exp(-k^2 T)) / k^2))
+        grid = Grid(2 * np.pi, 32)
+        mu, eps, T = 1.3, 0.4, 1.0
+        X, Y = grid.coordinates()
+        k = 1.0
+        u0 = ScalarField(grid, 1.0 + eps * np.cos(k * X))
+        c0 = ScalarField(grid, np.exp(0.2 * np.sin(Y)))
+        exact = c0.values * np.exp(
+            -mu * (T + eps * np.cos(k * X) * (1 - np.exp(-k * k * T)) / k ** 2))
+        params = ChemistryParams(chi=0.0, mu=mu, xi=0.0)
         errs = []
-        for nsteps in (8, 16, 32):
-            dt = T / nsteps
-            times = [i * dt for i in range(nsteps + 1)]
-            fields = [ScalarField(grid32, base + np.sin(3 * t) * wobble)
-                      for t in times]
-            rec = reconstruct_c(list(zip(times, fields)), c0, mu=1.0)
-            # chaining midpoint steps sums the same trapezoid in the exponent
-            c = c0
-            for i in range(nsteps):
-                c = c_step(c, fields[i], mu=1.0, dt=dt, u_next=fields[i + 1])
-            assert np.abs(rec.values - c.values).max() <= 1e-13
-            errs.append(np.abs(rec.values - exact).max())
-        # second-order convergence to the true flow under dt halving
+        for dt in (0.1, 0.05, 0.025):
+            traj = run(u0, c0, StepperConfig(dt=dt, t_end=T), params,
+                       mode="original")
+            errs.append(np.abs(traj.final_state.c.values - exact).max())
+            assert errs[-1] <= 0.01 * dt * dt
         assert 3.5 <= errs[0] / errs[1] <= 4.5
         assert 3.5 <= errs[1] / errs[2] <= 4.5
 
-    def test_decay_bound_when_density_stays_high(self, grid32):
-        # density >= 3/4 after the initial layer forces at least
-        # exp(-(3/4)(T-1)) pointwise shrinkage of the chemical
-        rng = np.random.default_rng(3)
-        c1 = ScalarField(grid32, 1.0 + band_limited_field(grid32, 20).values ** 2)
-        times = np.linspace(1.0, 6.0, 26)
-        fields = [ScalarField(grid32,
-                              0.75 + 0.3 * np.abs(np.sin(5 * t))
-                              * (1.0 + band_limited_field(grid32, 21).values ** 2))
-                  for t in times]
-        out = reconstruct_c(list(zip(times, fields)), c1, mu=1.0)
-        bound = c1.values * np.exp(-0.75 * (times[-1] - times[0]))
-        assert (out.values <= bound * (1 + 1e-12)).all()
+    def test_positivity_and_monotonicity(self, grid32):
+        # u > 0 makes c pointwise nonincreasing at every step
+        u0 = ScalarField(grid32, 1.0 + 0.3 * band_limited_field(grid32, 9).values ** 2)
+        kept = []
+        traj = run(u0, ScalarField.constant(grid32, 1e-12),
+                   StepperConfig(dt=0.1, t_end=5.0, record_every=1),
+                   ChemistryParams(), mode="original",
+                   recorders=(lambda st, rec: kept.append((st.u, st.c)),))
+        assert traj.outcome is RunOutcome.COMPLETED and len(kept) == 51
+        for (u_prev, c_prev), (u, c) in zip(kept, kept[1:]):
+            assert (u.values > 0).all()
+            assert (c.values > 0).all()
+            assert (c.values <= c_prev.values).all()
 
-    def test_rejects_empty_history(self, grid32):
+    def test_rejects_nonpositive_dt(self):
         with pytest.raises(ValueError):
-            reconstruct_c([], ScalarField.constant(grid32, 1.0), mu=1.0)
+            StepperConfig(dt=0.0, t_end=1.0)
+        with pytest.raises(ValueError):
+            StepperConfig(dt=-0.1, t_end=1.0)

@@ -3,10 +3,8 @@ import pytest
 from scipy.linalg import expm
 
 from chemoflux import (ChemistryParams, Grid, RunOutcome, ScalarField,
-                       SimState, StepperConfig, VectorField, choose_dt,
-                       curl2d, lp_norm, project_curl_free, run, step_original,
-                       step_transformed)
-from chemoflux.evolve import BlowUpError, ChemicalExtinctionError
+                       StepperConfig, VectorField, curl2d, dealias, lp_norm,
+                       project_curl_free, run)
 from conftest import band_limited_field, band_limited_gradient
 
 
@@ -49,15 +47,25 @@ def smooth_state(grid, amplitude=0.3, seed=0):
     return u0, v0
 
 
+def final_state(u0, companion, cfg, params=None, mode="transformed"):
+    traj = run(u0, companion, cfg, params or ChemistryParams(), mode=mode)
+    assert traj.outcome is RunOutcome.COMPLETED
+    return traj.final_state
+
+
+def step_sizes(u0, v0, cfg, params=None):
+    """The dt of each step run() takes, from a record at every step."""
+    assert cfg.record_every == 1
+    traj = run(u0, v0, cfg, params or ChemistryParams())
+    return np.diff([r.t for r in traj.records])
+
+
 class TestStepTransformed:
     def test_equilibrium_fixed_point(self, grid32):
-        state = SimState(t=0.0, u=ScalarField.constant(grid32, 1.0),
-                         v=VectorField.zero(grid32))
-        cfg = StepperConfig(dt=0.05, t_end=1.0)
         for scheme in ("imex_be", "imex_cn"):
-            out = step_transformed(state, StepperConfig(dt=0.05, t_end=1.0,
-                                                        scheme=scheme),
-                                   ChemistryParams())
+            out = final_state(ScalarField.constant(grid32, 1.0),
+                              VectorField.zero(grid32),
+                              StepperConfig(dt=0.05, t_end=0.05, scheme=scheme))
             assert np.abs(out.u.values - 1.0).max() <= 1e-13
             assert np.abs(out.v.values).max() <= 1e-13
             assert out.t == 0.05
@@ -68,11 +76,8 @@ class TestStepTransformed:
         u0, v0, _ = single_mode_data(grid, m=2, eps_u=eps, eps_phi=0.5 * eps)
         chi = 1.0
         dt = 0.01
-        cfg = StepperConfig(dt=dt, t_end=1.0, scheme="imex_cn")
-        state = SimState(t=0.0, u=u0, v=v0)
-        params = ChemistryParams()
-        for _ in range(100):
-            state = step_transformed(state, cfg, params)
+        state = final_state(u0, v0, StepperConfig(dt=dt, t_end=1.0,
+                                                  scheme="imex_cn"))
         u_ex, vx_ex = linear_mode_solution(grid, 2, eps, 0.5 * eps, chi, state.t)
         num = lp_norm(ScalarField(grid, state.u.values - u_ex), 2) \
             + lp_norm(ScalarField(grid, state.v.x - vx_ex), 2)
@@ -85,16 +90,10 @@ class TestStepTransformed:
     def test_temporal_order(self, scheme, lo, hi):
         grid = Grid(2 * np.pi * 2, 32)
         u0, v0 = smooth_state(grid, amplitude=0.3)
-        params = ChemistryParams()
         T = 0.5
-        finals = []
-        for dt in (0.05, 0.025, 0.0125):
-            cfg = StepperConfig(dt=dt, t_end=T, scheme=scheme)
-            state = SimState(t=0.0, u=u0.copy(),
-                             v=VectorField(grid, v0.values.copy()))
-            while state.t < T - 1e-12:
-                state = step_transformed(state, cfg, params)
-            finals.append(state.u.values)
+        finals = [final_state(u0, v0, StepperConfig(dt=dt, t_end=T,
+                                                    scheme=scheme)).u.values
+                  for dt in (0.05, 0.025, 0.0125)]
         e1 = np.sqrt(((finals[0] - finals[1]) ** 2).sum())
         e2 = np.sqrt(((finals[1] - finals[2]) ** 2).sum())
         order = np.log2(e1 / e2)
@@ -102,44 +101,30 @@ class TestStepTransformed:
 
     def test_mean_and_curl_preserved(self, grid32):
         u0, v0 = smooth_state(grid32, amplitude=0.4, seed=3)
-        cfg = StepperConfig(dt=0.01, t_end=1.0, scheme="imex_cn")
-        params = ChemistryParams()
-        state = SimState(t=0.0, u=u0, v=v0)
-        mean_u0, mean_vx0 = state.u.mean(), state.v.x.mean()
-        for _ in range(100):
-            state = step_transformed(state, cfg, params)
-        assert abs(state.u.mean() - mean_u0) <= 1e-13
-        assert abs(state.v.x.mean() - mean_vx0) <= 1e-13
+        state = final_state(u0, v0, StepperConfig(dt=0.01, t_end=1.0,
+                                                  scheme="imex_cn"))
+        assert abs(state.u.mean() - u0.mean()) <= 1e-13
+        assert abs(state.v.x.mean() - v0.x.mean()) <= 1e-13
         assert lp_norm(curl2d(state.v), np.inf) <= 1e-12
 
-    def test_blowup_raises_structured_error(self):
-        grid = Grid(2 * np.pi, 32)
-        u0 = ScalarField(grid, 1.0 + 5.0 * np.abs(
-            band_limited_field(grid, 2, kmax=8).values))
-        v0 = band_limited_gradient(grid, 3, kmax=8, amplitude=8.0)
-        cfg = StepperConfig(dt=0.9, t_end=1000.0, scheme="imex_be")
-        params = ChemistryParams()
-        state = SimState(t=0.0, u=u0, v=v0)
-        with pytest.raises(BlowUpError), np.errstate(all="ignore"):
-            for _ in range(2000):
-                state = step_transformed(state, cfg, params)
-
     def test_mode_mismatch_rejected(self, grid32):
-        state = SimState(t=0.0, u=ScalarField.constant(grid32, 1.0),
-                         c=ScalarField.constant(grid32, 1.0), mode="original")
+        one = ScalarField.constant(grid32, 1.0)
+        cfg = StepperConfig(dt=0.1, t_end=1.0)
         with pytest.raises(ValueError):
-            step_transformed(state, StepperConfig(dt=0.1, t_end=1.0),
-                             ChemistryParams())
+            run(one, one, cfg, ChemistryParams(), mode="transformed")
+        with pytest.raises(ValueError):
+            run(one, VectorField.zero(grid32), cfg, ChemistryParams(),
+                mode="original")
 
 
 class TestStepOriginal:
     def test_homogeneous_exact(self, grid32):
         mu, dt = 1.3, 0.2
-        state = SimState(t=0.0, u=ScalarField.constant(grid32, 1.0),
-                         c=ScalarField.constant(grid32, 2.0), mode="original")
-        cfg = StepperConfig(dt=dt, t_end=1.0)
-        out = step_original(state, cfg, ChemistryParams(chi=1.3 * 0.7, mu=mu,
-                                                        xi=0.7))
+        out = final_state(ScalarField.constant(grid32, 1.0),
+                          ScalarField.constant(grid32, 2.0),
+                          StepperConfig(dt=dt, t_end=dt),
+                          ChemistryParams(chi=1.3 * 0.7, mu=mu, xi=0.7),
+                          mode="original")
         assert np.abs(out.u.values - 1.0).max() <= 1e-13
         assert np.abs(out.c.values - 2.0 * np.exp(-mu * dt)).max() <= 1e-14
 
@@ -151,59 +136,48 @@ class TestStepOriginal:
         u0, _, k = single_mode_data(grid, m=1, eps_u=eps, eps_phi=0.0)
         dt, T = 0.005, 0.5
         params = ChemistryParams(chi=0.0, mu=1.0, xi=0.0)
-        state = SimState(t=0.0, u=u0, c=ScalarField.constant(grid, 1.0),
-                         mode="original")
-        cfg = StepperConfig(dt=dt, t_end=T)
-        nsteps = round(T / dt)
-        for _ in range(nsteps):
-            state = step_original(state, cfg, params)
+        state = final_state(u0, ScalarField.constant(grid, 1.0),
+                            StepperConfig(dt=dt, t_end=T), params,
+                            mode="original")
         X, _ = grid.coordinates()
         expected = 1.0 + eps * np.exp(-k * k * T) * np.cos(k * X)
         assert np.abs(state.u.values - expected).max() <= eps * 20 * dt * dt
 
     def test_positivity_and_extinction(self, grid32):
-        state = SimState(t=0.0, u=ScalarField.constant(grid32, 1.0),
-                         c=ScalarField.constant(grid32, 2e-300), mode="original")
-        cfg = StepperConfig(dt=0.25, t_end=10.0)
-        params = ChemistryParams()
-        with pytest.raises(ChemicalExtinctionError):
-            for _ in range(40):
-                state = step_original(state, cfg, params)
-                assert (state.c.values > 0).all()
+        c_mins = []
+        cfg = StepperConfig(dt=0.25, t_end=10.0, record_every=1)
+        traj = run(ScalarField.constant(grid32, 1.0),
+                   ScalarField.constant(grid32, 2e-300), cfg, ChemistryParams(),
+                   mode="original",
+                   recorders=(lambda st, rec: c_mins.append(st.c.values.min()),))
+        assert traj.outcome is RunOutcome.CHEMICAL_EXTINCTION
+        assert c_mins and min(c_mins) > 0
 
 
 class TestChooseDt:
     def test_zero_drift_hits_cap(self, grid32):
         u = ScalarField(grid32,
                         1.0 + 1e-9 * band_limited_field(grid32, 1).values)
-        state = SimState(t=0.0, u=u, v=VectorField.zero(grid32))
-        cfg = StepperConfig(dt=0.5, t_end=10.0, dt_mode="cfl", cfl_number=0.5)
-        assert choose_dt(state, cfg, ChemistryParams()) == 0.5
+        cfg = StepperConfig(dt=0.5, t_end=1.0, dt_mode="cfl", cfl_number=0.5)
+        assert list(step_sizes(u, VectorField.zero(grid32), cfg)) == [0.5, 0.5]
 
     def test_doubling_drift_halves_dt(self, grid32):
+        # the first step's dt is set by the initial state alone; the cap
+        # and horizon sit above it
         v = band_limited_gradient(grid32, 5, amplitude=1.0)
         u = ScalarField(grid32, 1.0 + 1e-8 * band_limited_field(grid32, 2).values)
-        cfg = StepperConfig(dt=1e9, t_end=1e9, dt_mode="cfl", cfl_number=0.5)
-        params = ChemistryParams()
-        dt1 = choose_dt(SimState(t=0, u=u, v=v), cfg, params)
-        dt2 = choose_dt(SimState(t=0, u=u, v=VectorField(grid32, 2 * v.values)),
-                        cfg, params)
+        cfg = StepperConfig(dt=0.2, t_end=0.2, dt_mode="cfl", cfl_number=0.5)
+        dt1 = step_sizes(u, v, cfg)[0]
+        dt2 = step_sizes(u, VectorField(grid32, 2 * v.values), cfg)[0]
+        assert dt1 < 0.2
         assert abs(dt1 / dt2 - 2.0) <= 0.01
 
     def test_monotone_in_cfl_number(self, grid32):
         u, v = smooth_state(grid32, amplitude=0.5)
-        state = SimState(t=0.0, u=u, v=v)
-        params = ChemistryParams()
-        dts = [choose_dt(state, StepperConfig(dt=10.0, t_end=10.0, dt_mode="cfl",
-                                              cfl_number=c), params)
+        dts = [step_sizes(u, v, StepperConfig(dt=10.0, t_end=10.0,
+                                              dt_mode="cfl", cfl_number=c))[0]
                for c in (1.0, 0.5, 0.25)]
         assert dts[0] >= dts[1] >= dts[2]
-
-    def test_requires_cfl_mode(self, grid32):
-        state = SimState(t=0.0, u=ScalarField.constant(grid32, 1.0),
-                         v=VectorField.zero(grid32))
-        with pytest.raises(ValueError):
-            choose_dt(state, StepperConfig(dt=0.1, t_end=1.0), ChemistryParams())
 
 
 class TestRun:
@@ -320,3 +294,46 @@ class TestRun:
         plain = run(u0, v0, cfg, ChemistryParams())
         snapped = run(u0, v0, cfg, ChemistryParams(), snapshot_times=(1.0,))
         assert [r.t for r in snapped.records] == [r.t for r in plain.records]
+
+    def test_hook_states_are_distinct_and_unchanged(self, grid32):
+        # run() hands hooks its live arrays without copying; it must never
+        # write to them afterwards
+        u0 = ScalarField(grid32, 1.0 + 0.3 * band_limited_field(grid32, 4,
+                                                                 kmax=14).values)
+        v0 = band_limited_gradient(grid32, 5, kmax=14, amplitude=0.3)
+        for mode, companion in (("transformed", v0),
+                                ("original", ScalarField(grid32, np.exp(
+                                    0.2 * band_limited_field(grid32, 6).values)))):
+            kept, at_hook = [], []
+
+            def hook(state, rec):
+                arrays = [state.u.values,
+                          state.v.values if mode == "transformed"
+                          else state.c.values]
+                kept.append(arrays)
+                at_hook.append([a.copy() for a in arrays])
+
+            cfg = StepperConfig(dt=0.02, t_end=0.2, record_every=2)
+            run(u0, companion, cfg, ChemistryParams(), mode=mode,
+                recorders=(hook,))
+            assert len(kept) == 6
+            flat = [a for arrays in kept for a in arrays]
+            for i, a in enumerate(flat):
+                assert not any(np.shares_memory(a, b) for b in flat[i + 1:])
+            for arrays, copies in zip(kept, at_hook):
+                for a, b in zip(arrays, copies):
+                    np.testing.assert_array_equal(a, b)
+            # u0 carries modes beyond the 2/3 band, which the run drops
+            assert np.abs(u0.values - kept[0][0]).max() > 1e-6
+            np.testing.assert_array_equal(kept[0][0], dealias(u0).values)
+
+    def test_extinct_initial_chemical_halts_at_start(self, grid32):
+        vals = np.ones((32, 32))
+        vals[3, 4] = 0.0
+        traj = run(ScalarField.constant(grid32, 1.0), ScalarField(grid32, vals),
+                   StepperConfig(dt=0.1, t_end=1.0), ChemistryParams(),
+                   mode="original", snapshot_times=(0.0,))
+        assert traj.outcome is RunOutcome.CHEMICAL_EXTINCTION
+        assert "t=0" in traj.message and "floor" in traj.message
+        assert traj.records == [] and traj.snapshots == []
+        assert traj.final_state is None

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from chemoflux import (Grid, ScalarField, VectorField, curl2d, dealias,
-                       divergence, gn_ratio, gradient, helmholtz_solve,
-                       laplacian, lp_norm, perp_gradient, product_dot,
-                       product_scalar_vector, read_snapshot, write_snapshot)
+                       divergence, gn_ratio, gradient, laplacian, lp_norm,
+                       perp_gradient, product_dot, product_scalar_vector,
+                       read_snapshot, write_snapshot)
 from conftest import band_limited_field, band_limited_gradient
 
 # empirical ceiling of ||f||_4^2 / (||f||_2 ||grad f||_2) over zero-mean
@@ -165,40 +165,6 @@ class TestLaplacian:
             f = band_limited_field(grid64, seed)
             assert np.abs(laplacian(f).values
                           - divergence(gradient(f)).values).max() <= 1e-12
-
-
-class TestHelmholtzSolve:
-    def test_constants_are_fixed_points(self, grid32):
-        for a in (0.1, 1.0, 50.0):
-            g = helmholtz_solve(ScalarField.constant(grid32, 3.0), a)
-            assert np.abs(g.values - 3.0).max() <= 1e-13
-
-    def test_eigenfunction_closed_form(self):
-        grid = Grid(2 * np.pi * 2, 64)
-        L = grid.side_length
-        f = ScalarField.from_function(grid, lambda X, Y: np.sin(2 * np.pi * X / L))
-        g = helmholtz_solve(f, 1.0)
-        expected = f.values / (1.0 + (2 * np.pi / L) ** 2)
-        assert np.abs(g.values - expected).max() <= 1e-12
-
-    def test_round_trip_identity(self, grid64):
-        f = band_limited_field(grid64, seed=9)
-        a = 0.37
-        forward = ScalarField(grid64, f.values - a * laplacian(f).values)
-        back = helmholtz_solve(forward, a)
-        assert np.abs(back.values - f.values).max() <= 1e-12 * np.abs(f.values).max()
-
-    def test_mean_preserved(self, grid32):
-        f = band_limited_field(grid32, seed=4)
-        shifted = ScalarField(grid32, f.values + 2.5)
-        assert abs(helmholtz_solve(shifted, 3.0).mean() - shifted.mean()) <= 1e-13
-
-    def test_rejects_nonpositive_coefficient(self, grid32):
-        f = ScalarField.constant(grid32, 1.0)
-        with pytest.raises(ValueError):
-            helmholtz_solve(f, 0.0)
-        with pytest.raises(ValueError):
-            helmholtz_solve(f, -1.0)
 
 
 class TestLpNorm:
