@@ -12,10 +12,9 @@ from .evolve import RunOutcome, SimState, StepperConfig, Trajectory, run
 from .fields import (Grid, ScalarField, VectorField, curl2d, dealias,
                      divergence, gradient, laplacian, lp_norm, perp_gradient,
                      product_dot, product_scalar_vector)
-from .harness import (ConfigError, ExperimentConfig, flagship_config,
-                      load_config, parse_config, run_cross_validate,
-                      run_delta_sweep, run_refinement, run_single,
-                      run_theta_scan)
+from .harness import (ConfigError, ExperimentConfig, load_config,
+                      parse_config, run_cross_validate, run_delta_sweep,
+                      run_refinement, run_single, run_theta_scan)
 from .initial_data import (DataSummary, InitialDataRecipe, build_initial_data,
                            compute_eta0, mollify, potential_of,
                            project_curl_free)

@@ -68,9 +68,6 @@ class DiagnosticsRecord:
     ut_l2: float = 0.0
     grad_ut_l2: float = 0.0
 
-    def csv_row(self) -> str:
-        return ",".join(format(getattr(self, c), ".17g") for c in CSV_COLUMNS)
-
 
 @dataclass
 class DecayFit:

@@ -156,11 +156,11 @@ def _advance_transformed(grid, uh, vxh, vyh, dt, chi, scheme, t_hat):
 
 
 def _drift_from_log_chemical(grid, s_vals, mu):
-    """v = -(1/mu) grad(s) for s = ln c, returned as physical components."""
+    """v = -(1/mu) grad(s) for s = ln c, as physical components and spectra."""
     sh = np.fft.fft2(s_vals)
-    vx = _ifft2r(-(1.0 / mu) * grid._ikx * sh)
-    vy = _ifft2r(-(1.0 / mu) * grid._iky * sh)
-    return vx, vy
+    vxh = -(1.0 / mu) * grid._ikx * sh
+    vyh = -(1.0 / mu) * grid._iky * sh
+    return _ifft2r(vxh), _ifft2r(vyh), vxh, vyh
 
 
 def _advance_original(grid, u, s, uh, dt, params, scheme):
@@ -171,7 +171,7 @@ def _advance_original(grid, u, s, uh, dt, params, scheme):
     """
     mu, chi = params.mu, params.chi
     s_half = s - (0.5 * dt * mu) * u
-    vx, vy = _drift_from_log_chemical(grid, s_half, mu)
+    vx, vy, _, _ = _drift_from_log_chemical(grid, s_half, mu)
     t_hat = _transport_hat(grid, u, vx, vy, chi)
     uh1 = _advance_density(
         grid, uh, dt, scheme, t_hat,
@@ -187,8 +187,8 @@ def _node_aux(grid, uh, vxh, vyh, t_hat, vx, vy) -> diag.NodeAux:
     w = grid.cell_area / n2
     abs_uh2 = spectral_power(uh)
     mean_u = uh[0, 0].real / n2
-    u_sq = w * (abs_uh2.sum() - abs_uh2[0, 0]) \
-        + (mean_u - 1.0) ** 2 * grid.side_length ** 2
+    abs_uh2[0, 0] = 0.0   # the mean mode's power would swamp ||u - 1||^2 near u = 1
+    u_sq = w * abs_uh2.sum() + (mean_u - 1.0) ** 2 * grid.side_length ** 2
     v_sq = w * (power_sum(vxh) + power_sum(vyh))
     grad_u_sq = w * grid.gradient_power(abs_uh2)
     ut_hat = -grid._k_squared * uh + t_hat
@@ -257,8 +257,7 @@ def run(u0: ScalarField, companion, cfg: StepperConfig, params: ChemistryParams,
         sh = np.fft.fft2(np.log(companion.values))
         sh[~mask] = 0.0
         s = _ifft2r(sh)
-        vx, vy = _drift_from_log_chemical(grid, s, mu)
-        vxh, vyh = np.fft.fft2(vx), np.fft.fft2(vy)
+        vx, vy, vxh, vyh = _drift_from_log_chemical(grid, s, mu)
     else:
         raise ValueError(f"unknown mode {mode!r}")
 
@@ -348,8 +347,7 @@ def run(u0: ScalarField, companion, cfg: StepperConfig, params: ChemistryParams,
                 message = (f"chemical under floor at t={t + dt} "
                            f"(min ln c = {s.min()})")
                 break
-            vx, vy = _drift_from_log_chemical(grid, s, mu)
-            vxh, vyh = np.fft.fft2(vx), np.fft.fft2(vy)
+            vx, vy, vxh, vyh = _drift_from_log_chemical(grid, s, mu)
 
         t += dt
         nstep += 1

@@ -1,10 +1,22 @@
 """Experiment orchestration: config files, canonical studies, persistence.
 
 Configs are flat ``key = value`` text with dotted section names
-(``grid.N = 256``); mollifier widths and sweep deltas accept the ``Xh``
-suffix meaning X grid cells.  Every study writes CSV artifacts into its
-output directory plus an echo copy of the parsed configuration, and runs
-are byte-deterministic for a fixed config in single-threaded execution.
+(``grid.N = 256``).  `_SCHEMA` declares every key once, as a row of
+(key, section, attribute, parser, formatter, default): the key sets
+``attribute`` of the ``section`` part of an `ExperimentConfig` (of the
+config itself when the section is None), ``parser`` reads the value text
+and ``formatter`` writes it back.  `parse_config` rejects keys outside the
+table and parses the ``grid.*`` rows first, because mollifier widths and
+sweep deltas accept the ``Xh`` suffix meaning X grid cells.
+`format_config` echoes the rows in table order, leaving out empty lists
+and the rows without a formatter (``xval.n_list``, a parse-only alias of
+``refine.n_list``).
+
+Every study writes its tables through `_write_csv` in one format (a
+``# chemoflux-diagnostics-v1`` line, a header line, numbers to 17
+significant digits) plus an echo copy of the parsed configuration, and
+runs are byte-deterministic for a fixed config in single-threaded
+execution.
 """
 
 from __future__ import annotations
@@ -18,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from .cole_hopf import C_FLOOR, ChemistryParams, forward_transform
-from .diagnostics import CSV_COLUMNS, SCHEMA_VERSION, DecayFit, fit_decay
+from .diagnostics import CSV_COLUMNS, SCHEMA_VERSION, fit_decay
 from .evolve import (EXIT_CODES, RunOutcome, StepperConfig, Trajectory, run)
 from .fields import Grid, ScalarField, VectorField, lp_norm
 from .initial_data import InitialDataRecipe, build_initial_data, potential_of
@@ -52,38 +64,87 @@ class ExperimentConfig:
     amplitudes: tuple = ()    # theta_scan
 
 
-def _parse_cells(text: str, spacing: float, field: str) -> float:
-    """A width given either in physical units or as ``Xh`` grid cells."""
+def _one_of(*choices):
+    def parse(text):
+        if text not in choices:
+            raise ValueError(f"must be one of {choices}")
+        return text
+    return parse
+
+
+def _numbers(cast=float, arity=None):
+    """Parser of comma-separated numbers, exactly ``arity`` of them if given."""
+    def parse(text):
+        items = tuple(cast(x) for x in text.split(",") if x.strip())
+        if arity is not None and len(items) != arity:
+            raise ValueError(f"expected {arity} numbers, got {len(items)}")
+        return items
+    return parse
+
+
+def _entries(arity):
+    """Parser of ';'-separated entries of ``arity`` numbers each."""
+    entry = _numbers(float, arity)
+    return lambda text: tuple(entry(part) for part in text.split(";") if part.strip())
+
+
+def _width(text, spacing):
+    """A width in physical units, or ``Xh`` for X grid cells of ``spacing``."""
     text = text.strip()
-    try:
-        if text.endswith("h"):
-            return float(text[:-1]) * spacing
-        return float(text)
-    except ValueError:
-        raise ConfigError(field, f"cannot parse width {text!r}") from None
+    return float(text[:-1]) * spacing if text.endswith("h") else float(text)
 
 
-def _parse_float_list(text: str, field: str) -> tuple:
-    try:
-        return tuple(float(x) for x in text.split(",") if x.strip() != "")
-    except ValueError:
-        raise ConfigError(field, f"cannot parse float list {text!r}") from None
+def _widths(text, spacing):
+    return tuple(_width(x, spacing) for x in text.split(",") if x.strip())
 
 
-def _parse_tuple_list(text: str, field: str, arity: int) -> tuple:
-    out = []
-    for part in text.split(";"):
-        part = part.strip()
-        if not part:
-            continue
-        items = [x for x in part.split(",") if x.strip() != ""]
-        if len(items) != arity:
-            raise ConfigError(field, f"expected {arity} numbers per entry, got {part!r}")
-        try:
-            out.append(tuple(float(x) for x in items))
-        except ValueError:
-            raise ConfigError(field, f"cannot parse entry {part!r}") from None
-    return tuple(out)
+def _joined(items):
+    return ",".join(map(repr, items))
+
+
+def _joined_entries(entries):
+    return "; ".join(map(_joined, entries))
+
+
+_SECTIONS = {"grid": Grid, "params": ChemistryParams,
+             "recipe": InitialDataRecipe, "stepper": StepperConfig}
+
+_SCHEMA = (
+    ("study", None, "study", _one_of(*STUDIES), str, "single_run"),
+    ("out_dir", None, "out_dir", str, str, "out"),
+    ("mode", None, "mode", _one_of("transformed", "original"), str, "transformed"),
+    ("threads", None, "threads", int, str, 1),
+    ("grid.L", "grid", "side_length", float, repr, 16 * math.pi),
+    ("grid.N", "grid", "resolution", int, str, 256),
+    ("params.chi", "params", "chi", float, repr, 1.0),
+    ("params.mu", "params", "mu", float, repr, 1.0),
+    ("params.xi", "params", "xi", float, repr, 1.0),
+    ("recipe.kind", "recipe", "kind", str, str, "piecewise_constant_disks"),
+    ("recipe.amplitude", "recipe", "amplitude", float, repr, 0.0),
+    ("recipe.p0", "recipe", "p0", float, repr, 6.0),
+    ("recipe.delta", "recipe", "delta", _width, repr, 0.0),
+    ("recipe.seed", "recipe", "seed", int, str, 0),
+    ("recipe.random_disks", "recipe", "random_disks", int, str, 0),
+    ("recipe.bump_center", "recipe", "bump_center", _numbers(float, 2), _joined,
+     (0.5, 0.5)),
+    ("recipe.bump_sharpness", "recipe", "bump_sharpness", float, repr, 16.0),
+    ("stepper.scheme", "stepper", "scheme", str, str, "imex_cn"),
+    ("stepper.dt", "stepper", "dt", float, repr, 0.01),
+    ("stepper.dt_mode", "stepper", "dt_mode", str, str, "fixed"),
+    ("stepper.cfl_number", "stepper", "cfl_number", float, repr, 0.5),
+    ("stepper.t_end", "stepper", "t_end", float, repr, 1.0),
+    ("stepper.record_every", "stepper", "record_every", int, str, 1),
+    ("recipe.disks", "recipe", "disks", _entries(4), _joined_entries, ()),
+    ("recipe.stripes", "recipe", "stripes", _entries(3), _joined_entries, ()),
+    ("recipe.modes", "recipe", "potential_modes", _entries(4), _joined_entries, ()),
+    ("snapshot_times", None, "snapshot_times", _numbers(), _joined, ()),
+    ("sweep.deltas", None, "deltas", _widths, _joined, ()),
+    # parse-only alias, read before refine.n_list so that the latter wins
+    ("xval.n_list", None, "n_list", _numbers(int), None, ()),
+    ("refine.n_list", None, "n_list", _numbers(int), _joined, ()),
+    ("refine.dt_list", None, "dt_list", _numbers(), _joined, ()),
+    ("scan.amplitudes", None, "amplitudes", _numbers(), _joined, ()),
+)
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -97,110 +158,38 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ConfigError(f"line {lineno}", f"expected 'key = value', got {line!r}")
         key, value = stripped.split("=", 1)
         raw[key.strip()] = value.strip()
-
-    known = {
-        "study", "out_dir", "mode", "threads", "snapshot_times",
-        "grid.L", "grid.N",
-        "params.chi", "params.mu", "params.xi",
-        "recipe.kind", "recipe.amplitude", "recipe.p0", "recipe.delta",
-        "recipe.seed", "recipe.disks", "recipe.random_disks", "recipe.stripes",
-        "recipe.bump_center", "recipe.bump_sharpness", "recipe.modes",
-        "stepper.scheme", "stepper.dt", "stepper.dt_mode", "stepper.cfl_number",
-        "stepper.t_end", "stepper.record_every",
-        "sweep.deltas", "refine.n_list", "refine.dt_list", "xval.n_list",
-        "scan.amplitudes",
-    }
+    known = {row[0] for row in _SCHEMA}
     for key in raw:
         if key not in known:
             raise ConfigError(key, "unknown key")
 
-    def get(key, default=None, cast=str):
-        if key not in raw:
-            if default is None:
-                raise ConfigError(key, "required key missing")
-            return default
+    values = {section: {} for section in (None, *_SECTIONS)}
+
+    def parse_rows(rows, spacing=None):
+        for key, section, attr, parse, _, default in rows:
+            if key not in raw:
+                values[section].setdefault(attr, default)
+                continue
+            text = raw[key]
+            try:
+                value = (parse(text, spacing) if parse in (_width, _widths)
+                         else parse(text))
+            except ValueError as exc:
+                raise ConfigError(key, f"cannot parse {text!r}: {exc}") from None
+            values[section][attr] = value
+
+    def build(section):
         try:
-            return cast(raw[key])
-        except (ValueError, TypeError):
-            raise ConfigError(key, f"cannot parse {raw[key]!r}") from None
+            return _SECTIONS[section](**values[section])
+        except ValueError as exc:
+            raise ConfigError(section, str(exc)) from None
 
-    study = get("study", "single_run")
-    if study not in STUDIES:
-        raise ConfigError("study", f"must be one of {STUDIES}, got {study!r}")
-
-    try:
-        grid = Grid(side_length=get("grid.L", 16 * math.pi, float),
-                    resolution=get("grid.N", 256, int))
-    except ValueError as exc:
-        raise ConfigError("grid", str(exc)) from None
-
-    try:
-        params = ChemistryParams(chi=get("params.chi", 1.0, float),
-                                 mu=get("params.mu", 1.0, float),
-                                 xi=get("params.xi", 1.0, float))
-    except ValueError as exc:
-        raise ConfigError("params", str(exc)) from None
-
-    h = grid.spacing
-    bump_center = _parse_float_list(raw.get("recipe.bump_center", "0.5,0.5"),
-                                    "recipe.bump_center")
-    if len(bump_center) != 2:
-        raise ConfigError("recipe.bump_center", "expected two fractions cx,cy")
-    try:
-        recipe = InitialDataRecipe(
-            kind=get("recipe.kind", "piecewise_constant_disks"),
-            amplitude=get("recipe.amplitude", 0.0, float),
-            p0=get("recipe.p0", 6.0, float),
-            delta=_parse_cells(raw.get("recipe.delta", "0"), h, "recipe.delta"),
-            seed=get("recipe.seed", 0, int),
-            disks=_parse_tuple_list(raw.get("recipe.disks", ""), "recipe.disks", 4),
-            random_disks=get("recipe.random_disks", 0, int),
-            stripes=_parse_tuple_list(raw.get("recipe.stripes", ""), "recipe.stripes", 3),
-            bump_center=bump_center,
-            bump_sharpness=get("recipe.bump_sharpness", 16.0, float),
-            potential_modes=_parse_tuple_list(raw.get("recipe.modes", ""),
-                                              "recipe.modes", 4),
-        )
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError("recipe", str(exc)) from None
-
-    try:
-        stepper = StepperConfig(
-            dt=get("stepper.dt", 0.01, float),
-            t_end=get("stepper.t_end", 1.0, float),
-            dt_mode=get("stepper.dt_mode", "fixed"),
-            cfl_number=get("stepper.cfl_number", 0.5, float),
-            scheme=get("stepper.scheme", "imex_cn"),
-            record_every=get("stepper.record_every", 1, int),
-        )
-    except ValueError as exc:
-        raise ConfigError("stepper", str(exc)) from None
-
-    mode = get("mode", "transformed")
-    if mode not in ("transformed", "original"):
-        raise ConfigError("mode", f"must be transformed or original, got {mode!r}")
-
-    deltas = tuple(_parse_cells(x, h, "sweep.deltas")
-                   for x in raw.get("sweep.deltas", "").split(",") if x.strip())
-
-    return ExperimentConfig(
-        study=study,
-        grid=grid,
-        params=params,
-        recipe=recipe,
-        stepper=stepper,
-        mode=mode,
-        out_dir=get("out_dir", "out"),
-        snapshot_times=_parse_float_list(raw.get("snapshot_times", ""), "snapshot_times"),
-        threads=get("threads", 1, int),
-        deltas=deltas,
-        n_list=tuple(int(x) for x in _parse_float_list(raw.get("refine.n_list",
-                     raw.get("xval.n_list", "")), "n_list")),
-        dt_list=_parse_float_list(raw.get("refine.dt_list", ""), "refine.dt_list"),
-        amplitudes=_parse_float_list(raw.get("scan.amplitudes", ""), "scan.amplitudes"),
-    )
+    parse_rows(row for row in _SCHEMA if row[1] == "grid")
+    grid = build("grid")
+    parse_rows((row for row in _SCHEMA if row[1] != "grid"), grid.spacing)
+    return ExperimentConfig(grid=grid, params=build("params"),
+                            recipe=build("recipe"), stepper=build("stepper"),
+                            **values[None])
 
 
 def load_config(path) -> ExperimentConfig:
@@ -213,97 +202,34 @@ def load_config(path) -> ExperimentConfig:
 
 def format_config(cfg: ExperimentConfig) -> str:
     """Canonical echo of a parsed config (suitable for re-parsing)."""
-    lines = [
-        f"study = {cfg.study}",
-        f"out_dir = {cfg.out_dir}",
-        f"mode = {cfg.mode}",
-        f"threads = {cfg.threads}",
-        f"grid.L = {cfg.grid.side_length!r}",
-        f"grid.N = {cfg.grid.resolution}",
-        f"params.chi = {cfg.params.chi!r}",
-        f"params.mu = {cfg.params.mu!r}",
-        f"params.xi = {cfg.params.xi!r}",
-        f"recipe.kind = {cfg.recipe.kind}",
-        f"recipe.amplitude = {cfg.recipe.amplitude!r}",
-        f"recipe.p0 = {cfg.recipe.p0!r}",
-        f"recipe.delta = {cfg.recipe.delta!r}",
-        f"recipe.seed = {cfg.recipe.seed}",
-        f"recipe.random_disks = {cfg.recipe.random_disks}",
-        f"recipe.bump_center = {','.join(repr(x) for x in cfg.recipe.bump_center)}",
-        f"recipe.bump_sharpness = {cfg.recipe.bump_sharpness!r}",
-        f"stepper.scheme = {cfg.stepper.scheme}",
-        f"stepper.dt = {cfg.stepper.dt!r}",
-        f"stepper.dt_mode = {cfg.stepper.dt_mode}",
-        f"stepper.cfl_number = {cfg.stepper.cfl_number!r}",
-        f"stepper.t_end = {cfg.stepper.t_end!r}",
-        f"stepper.record_every = {cfg.stepper.record_every}",
-    ]
-    if cfg.recipe.disks:
-        lines.append("recipe.disks = " + "; ".join(
-            ",".join(repr(x) for x in d) for d in cfg.recipe.disks))
-    if cfg.recipe.stripes:
-        lines.append("recipe.stripes = " + "; ".join(
-            ",".join(repr(x) for x in s) for s in cfg.recipe.stripes))
-    if cfg.recipe.potential_modes:
-        lines.append("recipe.modes = " + "; ".join(
-            ",".join(repr(x) for x in m) for m in cfg.recipe.potential_modes))
-    if cfg.snapshot_times:
-        lines.append("snapshot_times = " + ",".join(repr(t) for t in cfg.snapshot_times))
-    if cfg.deltas:
-        lines.append("sweep.deltas = " + ",".join(repr(d) for d in cfg.deltas))
-    if cfg.n_list:
-        lines.append("refine.n_list = " + ",".join(str(n) for n in cfg.n_list))
-    if cfg.dt_list:
-        lines.append("refine.dt_list = " + ",".join(repr(d) for d in cfg.dt_list))
-    if cfg.amplitudes:
-        lines.append("scan.amplitudes = " + ",".join(repr(a) for a in cfg.amplitudes))
+    lines = []
+    for key, section, attr, _, fmt, _ in _SCHEMA:
+        value = getattr(getattr(cfg, section) if section else cfg, attr)
+        if fmt is not None and value != ():
+            lines.append(f"{key} = {fmt(value)}")
     return "\n".join(lines) + "\n"
-
-
-def flagship_config(n: int = 256, t_end: float = 40.0, dt: float = 0.01,
-                    record_every: int = 5, out_dir: str = "out/flagship") -> ExperimentConfig:
-    """Default small-perturbation jump-data configuration.
-
-    Two opposite-signed disks of amplitude 0.05 with combined area 4, so the
-    squared perturbation size is about 1e-2; mollified at two grid cells.
-    """
-    grid = Grid(side_length=16 * math.pi, resolution=n)
-    radius = math.sqrt(2.0 / math.pi)  # each disk has area 2
-    recipe = InitialDataRecipe(
-        kind="piecewise_constant_disks",
-        amplitude=0.05,
-        p0=6.0,
-        delta=2 * grid.spacing,
-        disks=((0.40, 0.5, radius, 1.0), (0.60, 0.5, radius, -1.0)),
-    )
-    stepper = StepperConfig(dt=dt, t_end=t_end, dt_mode="cfl", cfl_number=0.5,
-                            scheme="imex_cn", record_every=record_every)
-    return ExperimentConfig(study="single_run", grid=grid,
-                            params=ChemistryParams(), recipe=recipe,
-                            stepper=stepper, out_dir=out_dir)
 
 
 # ---------------------------------------------------------------------------
 # artifact writers
 
 
+def _write_csv(path, header, rows) -> None:
+    """A table: the schema line, the header, then one line per row.
+
+    Strings are written as they are and numbers to 17 significant digits,
+    so that they read back exactly.
+    """
+    with open(path, "w", newline="\n") as fh:
+        fh.write(f"# {SCHEMA_VERSION}\n{header}\n")
+        for row in rows:
+            fh.write(",".join(x if isinstance(x, str) else format(x, ".17g")
+                              for x in row) + "\n")
+
+
 def write_diagnostics_csv(path, records) -> None:
-    with open(path, "w", newline="\n") as fh:
-        fh.write(f"# {SCHEMA_VERSION}\n")
-        fh.write(",".join(CSV_COLUMNS) + "\n")
-        for rec in records:
-            fh.write(rec.csv_row() + "\n")
-
-
-def write_decay_summary_csv(path, fits) -> None:
-    with open(path, "w", newline="\n") as fh:
-        fh.write(f"# {SCHEMA_VERSION}\n")
-        fh.write("quantity,t_lo,t_hi,rate,prefactor,residual,n_samples,reference_rate\n")
-        for fit, ref in fits:
-            ref_txt = format(ref, ".17g") if ref is not None else ""
-            fh.write(f"{fit.quantity},{fit.t_lo:.17g},{fit.t_hi:.17g},"
-                     f"{fit.rate:.17g},{fit.prefactor:.17g},{fit.residual:.17g},"
-                     f"{fit.n_samples},{ref_txt}\n")
+    _write_csv(path, ",".join(CSV_COLUMNS),
+               ([getattr(rec, c) for c in CSV_COLUMNS] for rec in records))
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +284,10 @@ def run_single(cfg: ExperimentConfig, out_dir=None) -> SingleRunResult:
                 fits.append((fit_decay(series, window, quantity=column), ref))
             except ValueError:
                 continue  # nonpositive values or too few samples: no fit row
-    write_decay_summary_csv(out / "decay_summary.csv", fits)
+    _write_csv(out / "decay_summary.csv",
+               "quantity,t_lo,t_hi,rate,prefactor,residual,n_samples,reference_rate",
+               ((f.quantity, f.t_lo, f.t_hi, f.rate, f.prefactor, f.residual,
+                 f.n_samples, "" if ref is None else ref) for f, ref in fits))
     return SingleRunResult(trajectory=traj, summary=summary,
                            outcome=traj.outcome, fits=fits, out_dir=out)
 
@@ -408,11 +337,7 @@ def run_delta_sweep(cfg: ExperimentConfig, out_dir=None) -> DeltaSweepResult:
         rows.append((d1, d2, du, dv))
     decreasing = all(r0[2] > r1[2] and r0[3] > r1[3]
                      for r0, r1 in zip(rows, rows[1:]))
-    with open(out / "delta_sweep.csv", "w", newline="\n") as fh:
-        fh.write(f"# {SCHEMA_VERSION}\n")
-        fh.write("delta_coarse,delta_fine,du_l2,dv_l2\n")
-        for d1, d2, du, dv in rows:
-            fh.write(f"{d1:.17g},{d2:.17g},{du:.17g},{dv:.17g}\n")
+    _write_csv(out / "delta_sweep.csv", "delta_coarse,delta_fine,du_l2,dv_l2", rows)
     (out / "config_echo.cfg").write_text(format_config(cfg))
     return DeltaSweepResult(deltas=deltas, rows=rows,
                             cauchy_decreasing=decreasing, out_dir=out)
@@ -490,13 +415,9 @@ def run_refinement(cfg: ExperimentConfig, out_dir=None) -> RefinementResult:
             order = float("nan")
         spatial.append((n, err, order))
 
-    with open(out / "refinement.csv", "w", newline="\n") as fh:
-        fh.write(f"# {SCHEMA_VERSION}\n")
-        fh.write("kind,param,error,order\n")
-        for dt, err, order in temporal:
-            fh.write(f"temporal,{dt:.17g},{err:.17g},{order:.17g}\n")
-        for n, err, order in spatial:
-            fh.write(f"spatial,{n},{err:.17g},{order:.17g}\n")
+    _write_csv(out / "refinement.csv", "kind,param,error,order",
+               [("temporal", *row) for row in temporal]
+               + [("spatial", *row) for row in spatial])
     (out / "config_echo.cfg").write_text(format_config(cfg))
     return RefinementResult(temporal_rows=temporal, spatial_rows=spatial, out_dir=out)
 
@@ -564,11 +485,8 @@ def run_cross_validate(cfg: ExperimentConfig, out_dir=None) -> CrossValidateResu
             raise RuntimeError(f"cross-validation: {len(kept)} transformed "
                                "records have no original record")
         rows.append((n, stepper.dt, max_du, max_dv))
-    with open(out / "cross_validate.csv", "w", newline="\n") as fh:
-        fh.write(f"# {SCHEMA_VERSION}\n")
-        fh.write("N,dt,max_u_discrepancy,max_v_discrepancy\n")
-        for n, dt, du, dv in rows:
-            fh.write(f"{n},{dt:.17g},{du:.17g},{dv:.17g}\n")
+    _write_csv(out / "cross_validate.csv",
+               "N,dt,max_u_discrepancy,max_v_discrepancy", rows)
     (out / "config_echo.cfg").write_text(format_config(cfg))
     return CrossValidateResult(rows=rows, out_dir=out)
 
@@ -626,11 +544,8 @@ def run_theta_scan(cfg: ExperimentConfig, out_dir=None) -> ThetaScanResult:
     else:
         rows = [scan_one(a) for a in cfg.amplitudes]
 
-    with open(out / "theta_scan.csv", "w", newline="\n") as fh:
-        fh.write(f"# {SCHEMA_VERSION}\n")
-        fh.write("amplitude,theta0,M,outcome,decayed,a1,a1_bound,a1_ok,lemma34_ok\n")
-        for amp, th, m, label, dec, a1, bound, ok1, ok34, _ in rows:
-            fh.write(f"{amp:.17g},{th:.17g},{m:.17g},{label},{int(dec)},"
-                     f"{a1:.17g},{bound:.17g},{int(ok1)},{int(ok34)}\n")
+    _write_csv(out / "theta_scan.csv",
+               "amplitude,theta0,M,outcome,decayed,a1,a1_bound,a1_ok,lemma34_ok",
+               (row[:-1] for row in rows))   # all but the message
     (out / "config_echo.cfg").write_text(format_config(cfg))
     return ThetaScanResult(rows=rows, out_dir=out)

@@ -125,6 +125,19 @@ def test_unknown_key_exits_2(tmp_path, capsys):
     assert "stepper.bogus" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line", [
+    "grid.N = 2.5e2", "params.mu = x", "stepper.dt = abc",
+    "refine.n_list = 16.7,32", "xval.n_list = 16.7,32",   # not truncated to 16
+])
+def test_bad_value_exits_2_naming_its_key(tmp_path, capsys, line):
+    key = line.split(" =")[0]
+    code, _ = cli(tmp_path, "xval", "study = cross_validate\n" + BASE + line + "\n")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config field '{key}': cannot parse")
+    assert err.count("config field") == 1
+
+
 def test_sweep_delta_is_deterministic_across_threads(tmp_path, capsys):
     text = "study = delta_sweep\nsweep.deltas = 4h,3h,2h\n" + BASE
     code, out = cli(tmp_path, "sweep-delta", text)
@@ -202,17 +215,6 @@ def test_scan_theta_classifies_each_amplitude(tmp_path, capsys):
     theta = [float(r["theta0"]) for r in rows]
     assert theta[1] == pytest.approx(4 * theta[0], rel=1e-12)
     capsys.readouterr()
-
-
-def test_flagship_config_at_small_size(tmp_path):
-    cfg = harness.flagship_config(n=32, t_end=0.1, out_dir=str(tmp_path))
-    assert parse_config(format_config(cfg)) == cfg
-    result = harness.run_single(cfg)
-    assert result.exit_code == 0
-    rows = csv_rows(tmp_path / "diagnostics.csv")
-    assert float(rows[-1]["t"]) == pytest.approx(0.1, abs=1e-12)
-    assert max(float(r["flux_div_residual"]) for r in rows) <= 1e-12
-    assert max(float(r["flux_curl_residual"]) for r in rows) <= 1e-12
 
 
 # --- config round trip -------------------------------------------------------
