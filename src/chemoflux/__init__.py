@@ -3,21 +3,16 @@ parabolic-hyperbolic chemotaxis system with discontinuous initial data."""
 
 from .cole_hopf import C_FLOOR, ChemistryParams, forward_transform
 from .diagnostics import (CSV_COLUMNS, DecayFit, DiagnosticsRecord,
-                          TrajectoryRecorder, assemble_rhs_ut,
-                          calibrate_energy_constant, check_energy_inequality,
-                          curl_flux_residual, effective_flux,
-                          energy_functionals, fit_decay,
-                          flux_divergence_residual, gn_ratio, lemma33_ratio)
+                          TrajectoryRecorder, calibrate_energy_constant,
+                          check_energy_inequality, energy_functionals,
+                          fit_decay)
 from .evolve import RunOutcome, SimState, StepperConfig, Trajectory, run
-from .fields import (Grid, ScalarField, VectorField, curl2d, dealias,
-                     divergence, gradient, laplacian, lp_norm, perp_gradient,
-                     product_dot, product_scalar_vector)
+from .fields import Grid, ScalarField, VectorField, curl2d, gradient, lp_norm
 from .harness import (ConfigError, ExperimentConfig, load_config,
                       parse_config, run_cross_validate, run_delta_sweep,
                       run_refinement, run_single, run_theta_scan)
 from .initial_data import (DataSummary, InitialDataRecipe, build_initial_data,
-                           compute_eta0, mollify, potential_of,
-                           project_curl_free)
+                           compute_eta0, mollify, potential_of)
 from .snapshots import read_snapshot, write_snapshot
 
 __version__ = "0.1.0"

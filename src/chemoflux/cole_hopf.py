@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import ScalarField, VectorField, gradient
+from .fields import ParameterError, ScalarField, VectorField, gradient
 
 # Below this value the chemical is treated as extinct: taking ln c and
 # further exponential decay would underflow to non-finite fields.
@@ -34,8 +34,12 @@ class ChemistryParams:
     xi: float = 1.0
 
     def __post_init__(self):
-        if self.chi < 0 or self.mu <= 0 or self.xi < 0:
-            raise ValueError("require chi >= 0, xi >= 0 and mu > 0")
+        if self.chi < 0:
+            raise ParameterError("chi", f"must be nonnegative, got {self.chi}")
+        if self.mu <= 0:
+            raise ParameterError("mu", f"must be positive, got {self.mu}")
+        if self.xi < 0:
+            raise ParameterError("xi", f"must be nonnegative, got {self.xi}")
         if abs(self.chi - self.mu * self.xi) > 1e-14 * max(1.0, abs(self.chi)):
             raise ValueError(
                 f"inconsistent coefficients: chi={self.chi} != mu*xi={self.mu * self.xi}")

@@ -7,11 +7,9 @@ the fields live in the dealias band, so their residuals act as exacting
 structural self-checks on a run.
 
 `TrajectoryRecorder.make_record` builds each diagnostics row spectrally, in
-one pass of at most six transforms, with L^2 norms taken by Parseval.  The
-functions built on the `fields` operators (`effective_flux`,
-`assemble_rhs_ut`, `flux_divergence_residual`, `curl_flux_residual`,
-`gn_ratio`) compute the same quantities one operator at a time; the record
-does not call them, and the tests use them as its oracles.
+one pass of at most six half-spectrum transforms, with L^2 norms taken by
+Parseval.  The tests check it against operator-at-a-time oracles on full
+complex spectra.
 """
 
 from __future__ import annotations
@@ -21,10 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import (ScalarField, VectorField, curl2d, divergence, gradient,
-                     laplacian, lp_norm, perp_gradient, product_dot,
-                     power_sum, product_scalar_vector,
-                     spectral_power)
+from .fields import ScalarField, VectorField, power_sum, spectral_power
 
 # CSV schema, fixed order.  The diagnostics record carries two extra
 # measured norms (ut_l2, grad_ut_l2) used by the energy recomputation;
@@ -80,78 +75,6 @@ class DecayFit:
     prefactor: float
     residual: float    # rms residual of the fit in log space
     n_samples: int
-
-
-def effective_flux(u: ScalarField, v: VectorField, chi: float) -> VectorField:
-    """F = grad(u) + chi * u*v with the product dealiased."""
-    g = gradient(u)
-    if chi == 0.0:
-        return g
-    p = product_scalar_vector(u, v)
-    return VectorField(u.grid, g.values + chi * p.values, check=False)
-
-
-def assemble_rhs_ut(u: ScalarField, v: VectorField, chi: float) -> ScalarField:
-    """Right-hand side of the density equation, lap(u) + chi*div(u*v)."""
-    out = laplacian(u).values
-    if chi != 0.0:
-        out = out + chi * divergence(product_scalar_vector(u, v)).values
-    return ScalarField(u.grid, out, check=False)
-
-
-def flux_divergence_residual(u: ScalarField, v: VectorField, chi: float,
-                             rhs_ut: ScalarField) -> float:
-    """|| div(F) - u_t ||_2 where u_t is the assembled right-hand side."""
-    if rhs_ut.values.shape != u.values.shape:
-        raise ValueError("rhs_ut shape does not match state")
-    d = divergence(effective_flux(u, v, chi))
-    return lp_norm(ScalarField(u.grid, d.values - rhs_ut.values, check=False), 2)
-
-
-def curl_flux_residual(u: ScalarField, v: VectorField, chi: float) -> float:
-    """|| curl(F) - chi * perp_grad(u).v ||_2 (product dealiased).
-
-    Small whenever v itself is (numerically) curl-free.
-    """
-    lhs = curl2d(effective_flux(u, v, chi))
-    rhs = product_dot(perp_gradient(u), v)
-    return lp_norm(ScalarField(u.grid, lhs.values - chi * rhs.values, check=False), 2)
-
-
-def gn_ratio(f: ScalarField) -> float:
-    """Interpolation-inequality sample ||f||_4^2 / (||f||_2 ||grad f||_2)."""
-    gnorm = lp_norm(gradient(f), 2)
-    if gnorm == 0.0:
-        raise ValueError("gn_ratio undefined for fields with vanishing gradient")
-    return lp_norm(f, 4) ** 2 / (lp_norm(f, 2) * gnorm)
-
-
-def jacobian_frobenius(w: VectorField) -> ScalarField:
-    """Pointwise Frobenius magnitude of the spectral Jacobian of w."""
-    gx = gradient(ScalarField(w.grid, w.values[0], check=False))
-    gy = gradient(ScalarField(w.grid, w.values[1], check=False))
-    mag = np.sqrt(gx.values[0] ** 2 + gx.values[1] ** 2
-                  + gy.values[0] ** 2 + gy.values[1] ** 2)
-    return ScalarField(w.grid, mag, check=False)
-
-
-def lemma33_ratio(u: ScalarField, v: VectorField, ut: ScalarField, p: float,
-                  chi: float = 1.0):
-    """||grad F||_p / (||u_t||_p + ||perp_grad(u).v||_p).
-
-    Returns None (skip flag) when the denominator is degenerate.  The
-    empirical supremum of this ratio across runs measures the constant in
-    the gradient-flux bound.  For p=2 Parseval splits ||grad F||_2^2 into
-    ||div F||_2^2 + ||curl F||_2^2, so with curl-free v the ratio lies in
-    [1/sqrt(2), 1].  A curl in v adds chi*u*curl(v) to curl F only, so the
-    ratio grows with the size of that curl relative to ||u_t||_p; a curl
-    that is small against ||u_t||_p moves the ratio little.
-    """
-    den = lp_norm(ut, p) + lp_norm(product_dot(perp_gradient(u), v), p)
-    if den <= 1e-14:
-        return None
-    num = lp_norm(jacobian_frobenius(effective_flux(u, v, chi)), p)
-    return num / den
 
 
 def fit_decay(series, window, quantity: str = "") -> DecayFit:
@@ -251,34 +174,36 @@ class TrajectoryRecorder:
                     ) -> DiagnosticsRecord:
         """Row at time t, built from one spectral pass over (u, v).
 
-        ``uh`` is fft2(u) when the caller already holds it.  The pass takes
-        at most six transforms: u_hat, the dealiased products u*v_x and
-        u*v_y, grad(u) in physical space, and the dealiased
-        perp_grad(u).v.  The flux, u_t and both residuals are assembled
-        from those spectra and measured by Parseval,
-        ||f||_2^2 = cell_area/N^2 * sum |f_hat|^2; the L^inf, L^4 and L^p0
-        norms come from the physical samples.  The residuals are rebuilt
-        here from u and v alone, independent of the stepper's transport
-        term, so they check the identities rather than restate them.
+        ``uh`` is the half spectrum ``np.fft.rfft2(u)`` when the caller
+        already holds it.  The pass takes at most six transforms: u_hat, the
+        dealiased products u*v_x and u*v_y, grad(u) in physical space, and
+        the dealiased perp_grad(u).v.  The flux, u_t and both residuals are
+        assembled from those spectra and measured by Parseval,
+        ||f||_2^2 = cell_area/N^2 * sum |f_hat|^2 with the half-spectrum
+        column weights; the L^inf, L^4 and L^p0 norms come from the physical
+        samples.  The residuals are rebuilt here from u and v alone,
+        independent of the stepper's transport term, so they check the
+        identities rather than restate them.
         """
         grid = u.grid
         chi = self.chi
         ikx, iky, oob = grid._ikx, grid._iky, grid._out_of_band
+        shape = grid.shape
         w = grid.cell_area / grid.resolution ** 2
         area = grid.cell_area
         uv, vx, vy = u.values, v.values[0], v.values[1]
         if uh is None:
-            uh = np.fft.fft2(uv)
-        # Each N x N spectrum is freed or updated in place as soon as it has
+            uh = np.fft.rfft2(uv)
+        # Each spectrum is freed or updated in place as soon as it has
         # served, so the pass holds few of them at once (peak RSS at N=256).
-        ux = np.fft.ifft2(ikx * uh).real
-        uy = np.fft.ifft2(iky * uh).real
+        ux = np.fft.irfft2(ikx * uh, s=shape)
+        uy = np.fft.irfft2(iky * uh, s=shape)
         grad_u_l2 = math.sqrt(area * (ux * ux + uy * uy).sum())
-        qh = np.fft.fft2(uy * vx - ux * vy)   # perp_grad(u).v, dealiased
+        qh = np.fft.rfft2(uy * vx - ux * vy)  # perp_grad(u).v, dealiased
         qh[oob] = 0.0
         del ux, uy
-        txh = np.fft.fft2(uv * vx)            # chi*u*v, dealiased
-        tyh = np.fft.fft2(uv * vy)
+        txh = np.fft.rfft2(uv * vx)           # chi*u*v, dealiased
+        tyh = np.fft.rfft2(uv * vy)
         txh[oob] = 0.0
         tyh[oob] = 0.0
         txh *= chi
@@ -329,7 +254,7 @@ class TrajectoryRecorder:
             a3=self.a3,
             blowup_integral=self.blowup_integral,
             gn_ratio=gn,
-            ut_l2=math.sqrt(w * ut_power.sum()),
+            ut_l2=math.sqrt(w * grid.power_total(ut_power)),
             grad_ut_l2=math.sqrt(w * grid.gradient_power(ut_power)),
         )
 

@@ -12,7 +12,9 @@ one implicit density update:
 
 A run projects its working state onto the dealias band once at start;
 products then never alias back into the retained band, which is what makes
-the flux identities machine-precision checks.
+the flux identities machine-precision checks.  Every field is real, so the
+state is carried as half spectra (``np.fft.rfft2``); see `fields` for the
+layout.
 """
 
 from __future__ import annotations
@@ -24,8 +26,8 @@ import numpy as np
 
 from . import diagnostics as diag
 from .cole_hopf import C_FLOOR, ChemistryParams
-from .fields import (Grid, ScalarField, VectorField, lp_norm, power_sum,
-                     spectral_power)
+from .fields import (Grid, ParameterError, ScalarField, VectorField, lp_norm,
+                     power_sum, spectral_power)
 from .initial_data import potential_of
 
 _LOG_FLOOR = float(np.log(C_FLOOR))
@@ -83,19 +85,23 @@ class StepperConfig:
 
     def __post_init__(self):
         if self.dt <= 0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
+            raise ParameterError("dt", f"must be positive, got {self.dt}")
         if self.t_end < 0:
-            raise ValueError(f"t_end must be nonnegative, got {self.t_end}")
+            raise ParameterError("t_end", f"must be nonnegative, got {self.t_end}")
         if self.t_end > 0 and self.dt > self.t_end:
             raise ValueError(f"dt={self.dt} exceeds t_end={self.t_end}")
         if self.dt_mode not in ("fixed", "cfl"):
-            raise ValueError(f"unknown dt_mode {self.dt_mode!r}")
+            raise ParameterError("dt_mode",
+                                 f"must be fixed or cfl, got {self.dt_mode!r}")
         if not (0 < self.cfl_number <= 1):
-            raise ValueError(f"cfl_number must be in (0, 1], got {self.cfl_number}")
+            raise ParameterError("cfl_number",
+                                 f"must be in (0, 1], got {self.cfl_number}")
         if self.scheme not in ("imex_be", "imex_cn"):
-            raise ValueError(f"unknown scheme {self.scheme!r}")
+            raise ParameterError("scheme",
+                                 f"must be imex_be or imex_cn, got {self.scheme!r}")
         if self.record_every < 1:
-            raise ValueError("record_every must be a positive integer")
+            raise ParameterError("record_every",
+                                 f"must be a positive integer, got {self.record_every}")
 
 
 @dataclass
@@ -110,14 +116,10 @@ class Trajectory:
     blowup_integral: float = 0.0
 
 
-def _ifft2r(ah):
-    return np.fft.ifft2(ah).real
-
-
 def _transport_hat(grid: Grid, u, vx, vy, chi: float):
     """chi * div(u v) in spectral space with the product dealiased."""
-    pxh = np.fft.fft2(u * vx)
-    pyh = np.fft.fft2(u * vy)
+    pxh = np.fft.rfft2(u * vx)
+    pyh = np.fft.rfft2(u * vy)
     pxh[grid._out_of_band] = 0.0
     pyh[grid._out_of_band] = 0.0
     return chi * (grid._ikx * pxh + grid._iky * pyh)
@@ -141,13 +143,14 @@ def _advance_density(grid, uh, dt, scheme, t_hat, predictor_transport):
 
 def _advance_transformed(grid, uh, vxh, vyh, dt, chi, scheme, t_hat):
     """One IMEX step; v moves by the trapezoid of grad(u) at both levels."""
-    ikx, iky = grid._ikx, grid._iky
+    ikx, iky, shape = grid._ikx, grid._iky, grid.shape
 
     def predictor_transport(uh_p):
         vxh_p = vxh + 0.5 * dt * (ikx * uh + ikx * uh_p)
         vyh_p = vyh + 0.5 * dt * (iky * uh + iky * uh_p)
-        return _transport_hat(grid, _ifft2r(uh_p), _ifft2r(vxh_p),
-                              _ifft2r(vyh_p), chi)
+        return _transport_hat(grid, np.fft.irfft2(uh_p, s=shape),
+                              np.fft.irfft2(vxh_p, s=shape),
+                              np.fft.irfft2(vyh_p, s=shape), chi)
 
     uh1 = _advance_density(grid, uh, dt, scheme, t_hat, predictor_transport)
     vxh1 = vxh + 0.5 * dt * (ikx * uh + ikx * uh1)
@@ -157,10 +160,11 @@ def _advance_transformed(grid, uh, vxh, vyh, dt, chi, scheme, t_hat):
 
 def _drift_from_log_chemical(grid, s_vals, mu):
     """v = -(1/mu) grad(s) for s = ln c, as physical components and spectra."""
-    sh = np.fft.fft2(s_vals)
+    sh = np.fft.rfft2(s_vals)
     vxh = -(1.0 / mu) * grid._ikx * sh
     vyh = -(1.0 / mu) * grid._iky * sh
-    return _ifft2r(vxh), _ifft2r(vyh), vxh, vyh
+    return (np.fft.irfft2(vxh, s=grid.shape), np.fft.irfft2(vyh, s=grid.shape),
+            vxh, vyh)
 
 
 def _advance_original(grid, u, s, uh, dt, params, scheme):
@@ -175,8 +179,9 @@ def _advance_original(grid, u, s, uh, dt, params, scheme):
     t_hat = _transport_hat(grid, u, vx, vy, chi)
     uh1 = _advance_density(
         grid, uh, dt, scheme, t_hat,
-        lambda uh_p: _transport_hat(grid, _ifft2r(uh_p), vx, vy, chi))
-    u1 = _ifft2r(uh1)
+        lambda uh_p: _transport_hat(grid, np.fft.irfft2(uh_p, s=grid.shape),
+                                    vx, vy, chi))
+    u1 = np.fft.irfft2(uh1, s=grid.shape)
     s1 = s_half - (0.5 * dt * mu) * u1
     return u1, s1, uh1
 
@@ -188,17 +193,27 @@ def _node_aux(grid, uh, vxh, vyh, t_hat, vx, vy) -> diag.NodeAux:
     abs_uh2 = spectral_power(uh)
     mean_u = uh[0, 0].real / n2
     abs_uh2[0, 0] = 0.0   # the mean mode's power would swamp ||u - 1||^2 near u = 1
-    u_sq = w * abs_uh2.sum() + (mean_u - 1.0) ** 2 * grid.side_length ** 2
+    u_sq = w * grid.power_total(abs_uh2) + (mean_u - 1.0) ** 2 * grid.side_length ** 2
     v_sq = w * (power_sum(vxh) + power_sum(vyh))
     grad_u_sq = w * grid.gradient_power(abs_uh2)
     ut_hat = -grid._k_squared * uh + t_hat
     abs_ut2 = spectral_power(ut_hat)
-    ut_sq = w * abs_ut2.sum()
+    ut_sq = w * grid.power_total(abs_ut2)
     grad_ut_sq = w * grid.gradient_power(abs_ut2)
     v4_4 = grid.cell_area * ((vx * vx + vy * vy) ** 2).sum()
     return diag.NodeAux(u_sq=float(u_sq), v_sq=float(v_sq),
                         grad_u_sq=float(grad_u_sq), ut_sq=float(ut_sq),
                         grad_ut_sq=float(grad_ut_sq), v4_4=float(v4_4))
+
+
+def _cfl_dt(grid, uh, vx, vy, chi, cfg) -> float:
+    """Advective step limit from max|v| and max|grad u|, capped at cfg.dt."""
+    grad_u_inf = float(np.sqrt(
+        np.fft.irfft2(grid._ikx * uh, s=grid.shape) ** 2
+        + np.fft.irfft2(grid._iky * uh, s=grid.shape) ** 2).max())
+    v_inf = float(np.sqrt(vx * vx + vy * vy).max())
+    speed = max(1e-12, v_inf * chi + grad_u_inf * grid.spacing)
+    return min(cfg.cfl_number * grid.spacing / speed, cfg.dt)
 
 
 def run(u0: ScalarField, companion, cfg: StepperConfig, params: ChemistryParams,
@@ -223,22 +238,22 @@ def run(u0: ScalarField, companion, cfg: StepperConfig, params: ChemistryParams,
     ``CHEMICAL_EXTINCTION`` at t=0 with a message and no records.
     """
     grid = u0.grid
-    mask = grid.dealias_mask
+    oob, shape = grid._out_of_band, grid.shape
     mu, chi = params.mu, params.chi
 
-    uh = np.fft.fft2(u0.values)
-    uh[~mask] = 0.0
-    u = _ifft2r(uh)
+    uh = np.fft.rfft2(u0.values)
+    uh[oob] = 0.0
+    u = np.fft.irfft2(uh, s=shape)
 
     s = None
     if mode == "transformed":
         if not isinstance(companion, VectorField):
             raise ValueError("transformed mode expects v0 as a VectorField")
-        vxh = np.fft.fft2(companion.values[0])
-        vyh = np.fft.fft2(companion.values[1])
-        vxh[~mask] = 0.0
-        vyh[~mask] = 0.0
-        vx, vy = _ifft2r(vxh), _ifft2r(vyh)
+        vxh = np.fft.rfft2(companion.values[0])
+        vyh = np.fft.rfft2(companion.values[1])
+        vxh[oob] = 0.0
+        vyh[oob] = 0.0
+        vx, vy = np.fft.irfft2(vxh, s=shape), np.fft.irfft2(vyh, s=shape)
         v_band = VectorField(grid, np.stack([vx, vy]), check=False)
         if lp_norm(v_band, np.inf) > 0:
             ln_c0 = -mu * potential_of(v_band).values
@@ -254,9 +269,9 @@ def run(u0: ScalarField, companion, cfg: StepperConfig, params: ChemistryParams,
                 records=[], outcome=RunOutcome.CHEMICAL_EXTINCTION,
                 final_state=None, snapshots=[],
                 message=f"chemical under floor at t=0 (min c = {c_min})")
-        sh = np.fft.fft2(np.log(companion.values))
-        sh[~mask] = 0.0
-        s = _ifft2r(sh)
+        sh = np.fft.rfft2(np.log(companion.values))
+        sh[oob] = 0.0
+        s = np.fft.irfft2(sh, s=shape)
         vx, vy, vxh, vyh = _drift_from_log_chemical(grid, s, mu)
     else:
         raise ValueError(f"unknown mode {mode!r}")
@@ -311,12 +326,7 @@ def run(u0: ScalarField, companion, cfg: StepperConfig, params: ChemistryParams,
 
     while t < t_end - _time_tol(t_end):
         if cfg.dt_mode == "cfl":
-            grad_u_inf = float(np.sqrt(
-                _ifft2r(grid._ikx * uh) ** 2
-                + _ifft2r(grid._iky * uh) ** 2).max())
-            v_inf = float(np.sqrt(vx * vx + vy * vy).max())
-            speed = max(1e-12, v_inf * chi + grad_u_inf * grid.spacing)
-            dt = min(cfg.cfl_number * grid.spacing / speed, cfg.dt)
+            dt = _cfl_dt(grid, uh, vx, vy, chi, cfg)
         else:
             dt = cfg.dt
         dt = min(dt, t_end - t)
@@ -327,7 +337,9 @@ def run(u0: ScalarField, companion, cfg: StepperConfig, params: ChemistryParams,
         if mode == "transformed":
             uh, vxh, vyh = _advance_transformed(
                 grid, uh, vxh, vyh, dt, chi, cfg.scheme, t_hat)
-            u, vx, vy = _ifft2r(uh), _ifft2r(vxh), _ifft2r(vyh)
+            u = np.fft.irfft2(uh, s=shape)
+            vx = np.fft.irfft2(vxh, s=shape)
+            vy = np.fft.irfft2(vyh, s=shape)
             if not (np.isfinite(u).all() and np.isfinite(vx).all()
                     and np.isfinite(vy).all()):
                 outcome = RunOutcome.BLOWUP

@@ -5,9 +5,16 @@ The unbounded plane is truncated to a large periodic box; solutions of
 interest decay to a constant state, so periodic images interact weakly
 when L is large.  Conventions:
 
-* wavenumbers are 2*pi*m/L with m in the standard FFT index order,
-* the Nyquist mode is zeroed in odd (first-derivative) operators so that
-  real fields stay real and the operators are antisymmetric,
+* every field is real, so spectra are half spectra: ``np.fft.rfft2`` of an
+  N x N array is N x (N/2 + 1), with y along the full first axis (rows, FFT
+  index order) and x along the halved last axis (columns m = 0..N/2); the
+  way back is ``np.fft.irfft2(zh, s=(N, N))``,
+* wavenumbers are 2*pi*m/L,
+* the Nyquist mode is zeroed in odd (first-derivative) operators, both the
+  x-Nyquist column and the y-Nyquist row, so that real fields stay real and
+  the operators are antisymmetric,
+* a Parseval sum over a half spectrum weights columns 1..N/2-1 twice, for
+  their mirror images in the dropped half, and columns 0 and N/2 once,
 * quadratic products are dealiased with the 2/3 rule.
 """
 
@@ -19,12 +26,22 @@ from functools import cached_property
 import numpy as np
 
 
+class ParameterError(ValueError):
+    """A constructor argument outside its range; ``name`` is the argument."""
+
+    def __init__(self, name: str, message: str):
+        super().__init__(f"{name} {message}")
+        self.name = name
+
+
 @dataclass(frozen=True)
 class Grid:
-    """Torus geometry and spectral wavenumber tables.
+    """Torus geometry and half-spectrum wavenumber tables.
 
     side_length is the period in both directions; resolution is the number
-    of samples per axis (even, at least 8).
+    of samples per axis (even, at least 8).  The spectral tables have the
+    N x (N/2 + 1) layout of ``np.fft.rfft2``: x-wavenumbers run along the
+    halved last axis and y-wavenumbers along the full first axis.
     """
 
     side_length: float
@@ -32,10 +49,12 @@ class Grid:
 
     def __post_init__(self):
         if self.side_length <= 0:
-            raise ValueError(f"side_length must be positive, got {self.side_length}")
+            raise ParameterError("side_length",
+                                 f"must be positive, got {self.side_length}")
         n = self.resolution
         if n < 8 or n % 2 != 0:
-            raise ValueError(f"resolution must be an even integer >= 8, got {n}")
+            raise ParameterError("resolution",
+                                 f"must be an even integer >= 8, got {n}")
 
     @property
     def spacing(self) -> float:
@@ -45,27 +64,34 @@ class Grid:
     def cell_area(self) -> float:
         return self.spacing ** 2
 
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (self.resolution, self.resolution)
+
     @cached_property
     def wavenumbers(self) -> np.ndarray:
         """Per-axis table 2*pi*m/L, FFT index order (length N)."""
         return 2.0 * np.pi * np.fft.fftfreq(self.resolution, d=self.spacing)
 
     @cached_property
-    def _k_deriv(self) -> np.ndarray:
-        """Per-axis table for odd (first-derivative) operators."""
-        k = self.wavenumbers.copy()
-        k[self.resolution // 2] = 0.0  # Nyquist has no sign partner
-        return k
+    def _kx(self) -> np.ndarray:
+        """x-wavenumbers of the half-spectrum columns, m = 0..N/2."""
+        return 2.0 * np.pi * np.fft.rfftfreq(self.resolution, d=self.spacing)
 
     # Derivative tables are separable, so they are kept as broadcastable
-    # (1, N) rows (x varies along columns) and (N, 1) columns (y along rows).
+    # (1, N/2 + 1) rows (x varies along columns) and (N, 1) columns (y along
+    # rows); the Nyquist entry has no sign partner and is zeroed.
     @cached_property
     def _kx_deriv(self) -> np.ndarray:
-        return self._k_deriv[None, :]
+        k = self._kx.copy()
+        k[-1] = 0.0
+        return k[None, :]
 
     @cached_property
     def _ky_deriv(self) -> np.ndarray:
-        return self._k_deriv[:, None]
+        k = self.wavenumbers.copy()
+        k[self.resolution // 2] = 0.0
+        return k[:, None]
 
     @cached_property
     def _ikx(self) -> np.ndarray:
@@ -77,29 +103,40 @@ class Grid:
 
     @cached_property
     def _k_squared(self) -> np.ndarray:
-        k = self.wavenumbers
-        return k[None, :] ** 2 + k[:, None] ** 2
-
-    @cached_property
-    def dealias_mask(self) -> np.ndarray:
-        """Square 2/3-rule mask: keep |m| <= N//3 on each axis."""
-        n = self.resolution
-        m = np.abs(np.fft.fftfreq(n) * n)
-        keep = m <= n // 3
-        return keep[None, :] & keep[:, None]
+        return self._kx[None, :] ** 2 + self.wavenumbers[:, None] ** 2
 
     @cached_property
     def _out_of_band(self) -> np.ndarray:
-        return ~self.dealias_mask
+        """Modes outside the square 2/3-rule band |m| <= N//3 on each axis."""
+        n = self.resolution
+        keep_y = np.abs(np.fft.fftfreq(n) * n) <= n // 3
+        keep_x = np.arange(n // 2 + 1) <= n // 3
+        return ~(keep_x[None, :] & keep_y[:, None])
+
+    @cached_property
+    def _column_weight(self) -> np.ndarray:
+        """Parseval weight of each half-spectrum column: 1 on 0 and N/2, else 2."""
+        w = np.full(self.resolution // 2 + 1, 2.0)
+        w[0] = w[-1] = 1.0
+        return w
+
+    def power_total(self, power: np.ndarray) -> float:
+        """Weighted sum of a half-spectrum ``power`` = |f_hat|^2.
+
+        The result times cell_area / N^2 is ||f||_2^2 by Parseval.
+        """
+        return float(power.sum(axis=0) @ self._column_weight)
 
     def gradient_power(self, power: np.ndarray) -> float:
-        """Sum of (kx^2 + ky^2) * power, with the derivative wavenumbers.
+        """Weighted sum of (kx^2 + ky^2) * power, with the derivative wavenumbers.
 
-        ``power`` is |f_hat|^2 of some field f; the result times
-        cell_area / N^2 is ||grad f||_2^2 by Parseval.
+        ``power`` is |f_hat|^2 of some field f over its half spectrum; the
+        result times cell_area / N^2 is ||grad f||_2^2 by Parseval.
         """
-        k2 = self._k_deriv ** 2
-        return float(power.sum(axis=0) @ k2 + power.sum(axis=1) @ k2)
+        w = self._column_weight
+        kx2 = self._kx_deriv[0] ** 2
+        ky2 = self._ky_deriv[:, 0] ** 2
+        return float(power.sum(axis=0) @ (w * kx2) + (power @ w) @ ky2)
 
     def coordinates(self) -> tuple[np.ndarray, np.ndarray]:
         """Cell-center sample coordinates (X, Y), each N x N."""
@@ -172,82 +209,22 @@ class VectorField:
         return cls(grid, np.zeros((2, grid.resolution, grid.resolution)), check=False)
 
 
-def _require_same_grid(a, b):
-    if a.grid is not b.grid and a.grid != b.grid:
-        raise ValueError("fields live on different grids")
-
-
 def gradient(f: ScalarField) -> VectorField:
     """Spectral gradient; zero mode annihilated, so components have zero mean."""
-    fh = np.fft.fft2(f.values)
-    gx = np.fft.ifft2(f.grid._ikx * fh).real
-    gy = np.fft.ifft2(f.grid._iky * fh).real
-    return VectorField(f.grid, np.stack([gx, gy]), check=False)
-
-
-def divergence(w: VectorField) -> ScalarField:
-    wxh = np.fft.fft2(w.values[0])
-    wyh = np.fft.fft2(w.values[1])
-    d = np.fft.ifft2(w.grid._ikx * wxh + w.grid._iky * wyh).real
-    return ScalarField(w.grid, d, check=False)
+    g = f.grid
+    fh = np.fft.rfft2(f.values)
+    gx = np.fft.irfft2(g._ikx * fh, s=g.shape)
+    gy = np.fft.irfft2(g._iky * fh, s=g.shape)
+    return VectorField(g, np.stack([gx, gy]), check=False)
 
 
 def curl2d(w: VectorField) -> ScalarField:
     """Scalar curl d2(w1) - d1(w2), i.e. the perp-divergence of w."""
-    wxh = np.fft.fft2(w.values[0])
-    wyh = np.fft.fft2(w.values[1])
-    c = np.fft.ifft2(w.grid._iky * wxh - w.grid._ikx * wyh).real
-    return ScalarField(w.grid, c, check=False)
-
-
-def perp_gradient(f: ScalarField) -> VectorField:
-    """Rotated gradient (d2 f, -d1 f)."""
-    fh = np.fft.fft2(f.values)
-    gx = np.fft.ifft2(f.grid._iky * fh).real
-    gy = -np.fft.ifft2(f.grid._ikx * fh).real
-    return VectorField(f.grid, np.stack([gx, gy]), check=False)
-
-
-def laplacian(f: ScalarField) -> ScalarField:
-    fh = np.fft.fft2(f.values)
-    out = np.fft.ifft2(-f.grid._k_squared * fh).real
-    return ScalarField(f.grid, out, check=False)
-
-
-def dealias(field):
-    """Project a field onto the 2/3-rule band (|m| <= N//3 per axis)."""
-    g = field.grid
-    if isinstance(field, ScalarField):
-        fh = np.fft.fft2(field.values)
-        fh[g._out_of_band] = 0.0
-        return ScalarField(g, np.fft.ifft2(fh).real, check=False)
-    out = np.empty_like(field.values)
-    for i in (0, 1):
-        fh = np.fft.fft2(field.values[i])
-        fh[g._out_of_band] = 0.0
-        out[i] = np.fft.ifft2(fh).real
-    return VectorField(g, out, check=False)
-
-
-def product_scalar_vector(f: ScalarField, w: VectorField) -> VectorField:
-    """Pointwise f*w with the result projected onto the dealias band."""
-    _require_same_grid(f, w)
-    g = f.grid
-    out = np.empty_like(w.values)
-    for i in (0, 1):
-        ph = np.fft.fft2(f.values * w.values[i])
-        ph[g._out_of_band] = 0.0
-        out[i] = np.fft.ifft2(ph).real
-    return VectorField(g, out, check=False)
-
-
-def product_dot(w1: VectorField, w2: VectorField) -> ScalarField:
-    """Dealiased pointwise dot product of two vector fields."""
-    _require_same_grid(w1, w2)
-    g = w1.grid
-    ph = np.fft.fft2(w1.values[0] * w2.values[0] + w1.values[1] * w2.values[1])
-    ph[g._out_of_band] = 0.0
-    return ScalarField(g, np.fft.ifft2(ph).real, check=False)
+    g = w.grid
+    wxh = np.fft.rfft2(w.values[0])
+    wyh = np.fft.rfft2(w.values[1])
+    c = np.fft.irfft2(g._iky * wxh - g._ikx * wyh, s=g.shape)
+    return ScalarField(g, c, check=False)
 
 
 def spectral_power(zh: np.ndarray) -> np.ndarray:
@@ -256,13 +233,16 @@ def spectral_power(zh: np.ndarray) -> np.ndarray:
 
 
 def power_sum(zh: np.ndarray) -> float:
-    """Sum of |zh|^2 over a C-contiguous spectrum.
+    """Parseval sum of |zh|^2 over a C-contiguous half spectrum.
 
-    Summed as the squares of the interleaved real and imaginary parts, in
-    one pass and without calling into a (possibly multi-threaded) BLAS.
+    Columns 1..N/2-1 count twice and the first and last columns (0 and N/2)
+    once.  Summed as the squares of the interleaved real and imaginary
+    parts, in one pass and without calling into a (possibly multi-threaded)
+    BLAS.
     """
     r = zh.view(np.float64)
-    return float(np.einsum("ij,ij->", r, r))
+    col = np.einsum("ij,ij->j", r, r)   # per real and per imaginary column
+    return float(2.0 * col.sum() - col[:2].sum() - col[-2:].sum())
 
 
 def lp_norm(f, p) -> float:

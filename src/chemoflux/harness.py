@@ -7,7 +7,10 @@ Configs are flat ``key = value`` text with dotted section names
 config itself when the section is None), ``parser`` reads the value text
 and ``formatter`` writes it back.  `parse_config` rejects keys outside the
 table and parses the ``grid.*`` rows first, because mollifier widths and
-sweep deltas accept the ``Xh`` suffix meaning X grid cells.
+sweep deltas accept the ``Xh`` suffix meaning X grid cells.  A value
+that fails its own range check is reported against its key, and values
+that contradict each other (``stepper.dt`` above ``stepper.t_end``)
+against their section.
 `format_config` echoes the rows in table order, leaving out empty lists
 and the rows without a formatter (``xval.n_list``, a parse-only alias of
 ``refine.n_list``).
@@ -32,7 +35,7 @@ import numpy as np
 from .cole_hopf import C_FLOOR, ChemistryParams, forward_transform
 from .diagnostics import CSV_COLUMNS, SCHEMA_VERSION, fit_decay
 from .evolve import (EXIT_CODES, RunOutcome, StepperConfig, Trajectory, run)
-from .fields import Grid, ScalarField, VectorField, lp_norm
+from .fields import Grid, ParameterError, ScalarField, VectorField, lp_norm
 from .initial_data import InitialDataRecipe, build_initial_data, potential_of
 from .snapshots import write_snapshot
 
@@ -181,7 +184,11 @@ def parse_config(text: str) -> ExperimentConfig:
     def build(section):
         try:
             return _SECTIONS[section](**values[section])
-        except ValueError as exc:
+        except ParameterError as exc:   # one argument out of range: name its key
+            key = next(row[0] for row in _SCHEMA
+                       if row[1] == section and row[2] == exc.name)
+            raise ConfigError(key, str(exc)) from None
+        except ValueError as exc:       # arguments inconsistent with each other
             raise ConfigError(section, str(exc)) from None
 
     parse_rows(row for row in _SCHEMA if row[1] == "grid")

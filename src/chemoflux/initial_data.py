@@ -14,8 +14,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .fields import (Grid, ScalarField, VectorField, curl2d, gradient,
-                     lp_norm)
+from .fields import (Grid, ParameterError, ScalarField, VectorField, curl2d,
+                     gradient, lp_norm)
 
 RECIPE_KINDS = (
     "piecewise_constant_disks",
@@ -49,11 +49,12 @@ class InitialDataRecipe:
 
     def __post_init__(self):
         if self.kind not in RECIPE_KINDS:
-            raise ValueError(f"unknown recipe kind {self.kind!r}")
+            raise ParameterError("kind",
+                                 f"must be one of {RECIPE_KINDS}, got {self.kind!r}")
         if self.p0 <= 4:
-            raise ValueError(f"p0 must exceed 4, got {self.p0}")
+            raise ParameterError("p0", f"must exceed 4, got {self.p0}")
         if self.delta < 0:
-            raise ValueError(f"delta must be nonnegative, got {self.delta}")
+            raise ParameterError("delta", f"must be nonnegative, got {self.delta}")
 
     def scaled(self, amplitude: float) -> "InitialDataRecipe":
         return replace(self, amplitude=amplitude)
@@ -100,34 +101,19 @@ def mollifier_kernel(grid: Grid, delta: float) -> np.ndarray:
 def mollify(f: ScalarField, delta: float) -> ScalarField:
     """Circular convolution with the width-delta kernel; preserves the mean
     and keeps values inside [min f, max f]."""
-    w = mollifier_kernel(f.grid, delta)
-    out = np.fft.ifft2(np.fft.fft2(f.values) * np.fft.fft2(w)).real
-    return ScalarField(f.grid, out, check=False)
+    g = f.grid
+    ker = np.fft.rfft2(mollifier_kernel(g, delta))
+    out = np.fft.irfft2(np.fft.rfft2(f.values) * ker, s=g.shape)
+    return ScalarField(g, out, check=False)
 
 
 def mollify_vector(w: VectorField, delta: float) -> VectorField:
-    ker = np.fft.fft2(mollifier_kernel(w.grid, delta))
+    g = w.grid
+    ker = np.fft.rfft2(mollifier_kernel(g, delta))
     out = np.empty_like(w.values)
     for i in (0, 1):
-        out[i] = np.fft.ifft2(np.fft.fft2(w.values[i]) * ker).real
-    return VectorField(w.grid, out, check=False)
-
-
-def project_curl_free(w: VectorField) -> VectorField:
-    """Gradient part of the Helmholtz decomposition, mean preserved."""
-    g = w.grid
-    kx, ky = g._kx_deriv, g._ky_deriv
-    k2 = kx ** 2 + ky ** 2
-    wxh = np.fft.fft2(w.values[0])
-    wyh = np.fft.fft2(w.values[1])
-    with np.errstate(invalid="ignore", divide="ignore"):
-        coef = np.where(k2 > 0, (kx * wxh + ky * wyh) / np.where(k2 > 0, k2, 1.0), 0.0)
-    pxh = kx * coef
-    pyh = ky * coef
-    pxh[0, 0] = wxh[0, 0]
-    pyh[0, 0] = wyh[0, 0]
-    return VectorField(g, np.stack([np.fft.ifft2(pxh).real,
-                                    np.fft.ifft2(pyh).real]), check=False)
+        out[i] = np.fft.irfft2(np.fft.rfft2(w.values[i]) * ker, s=g.shape)
+    return VectorField(g, out, check=False)
 
 
 def potential_of(w: VectorField) -> ScalarField:
@@ -136,10 +122,10 @@ def potential_of(w: VectorField) -> ScalarField:
     g = w.grid
     kx, ky = g._kx_deriv, g._ky_deriv
     k2 = kx ** 2 + ky ** 2
-    wxh = np.fft.fft2(w.values[0])
-    wyh = np.fft.fft2(w.values[1])
+    wxh = np.fft.rfft2(w.values[0])
+    wyh = np.fft.rfft2(w.values[1])
     ph = np.where(k2 > 0, (kx * wxh + ky * wyh) / (1j * np.where(k2 > 0, k2, 1.0)), 0.0)
-    return ScalarField(g, np.fft.ifft2(ph).real, check=False)
+    return ScalarField(g, np.fft.irfft2(ph, s=g.shape), check=False)
 
 
 def _min_image(d: np.ndarray, L: float) -> np.ndarray:

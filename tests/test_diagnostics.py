@@ -3,14 +3,14 @@ import pytest
 
 from chemoflux import (ChemistryParams, DiagnosticsRecord, Grid, ScalarField,
                        StepperConfig, TrajectoryRecorder, VectorField,
-                       assemble_rhs_ut, calibrate_energy_constant,
-                       check_energy_inequality, curl2d, curl_flux_residual,
-                       divergence, effective_flux, energy_functionals,
-                       fit_decay, flux_divergence_residual, gn_ratio,
-                       gradient, lemma33_ratio, lp_norm, perp_gradient, run)
+                       calibrate_energy_constant, check_energy_inequality,
+                       energy_functionals, fit_decay, lp_norm, run)
 from chemoflux.diagnostics import CSV_COLUMNS
 from chemoflux.harness import write_diagnostics_csv
 from conftest import band_limited_field, band_limited_gradient
+from oracles import (assemble_rhs_ut, curl2d, curl_flux_residual, divergence,
+                     effective_flux, flux_divergence_residual, gn_ratio,
+                     gradient, lemma33_ratio, perp_gradient)
 
 SINGLE_MODE_GN_RATIO = 0.194924200308419  # sqrt(3/8)/pi, locked
 
@@ -313,7 +313,7 @@ class TestRecordSchema:
 
 
 class TestRecordAgainstOracles:
-    """make_record's one-pass spectral row against the fields.py oracles."""
+    """make_record's one-pass half-spectrum row against the full-spectrum oracles."""
 
     @pytest.mark.parametrize("grid", [Grid(2 * np.pi, 32), Grid(16 * np.pi, 64)],
                              ids=["n32", "n64"])

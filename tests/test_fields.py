@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from chemoflux import (Grid, ScalarField, VectorField, curl2d, dealias,
-                       divergence, gn_ratio, gradient, laplacian, lp_norm,
-                       perp_gradient, product_dot, product_scalar_vector,
-                       read_snapshot, write_snapshot)
+from chemoflux import (Grid, ScalarField, VectorField, curl2d, gradient,
+                       lp_norm, read_snapshot, write_snapshot)
+from chemoflux.fields import power_sum, spectral_power
 from conftest import band_limited_field, band_limited_gradient
+from oracles import (dealias, divergence, gn_ratio, laplacian, perp_gradient,
+                     product_dot, product_scalar_vector)
+from oracles import gradient as full_spectrum_gradient
 
 # empirical ceiling of ||f||_4^2 / (||f||_2 ||grad f||_2) over zero-mean
 # band-limited samples; the single sine mode realizes sqrt(3/8)/pi ~ 0.1949
@@ -35,6 +39,31 @@ class TestGrid:
     def test_cell_area(self, grid32):
         assert np.isclose(grid32.cell_area, (grid32.side_length / 32) ** 2)
         assert grid32.cell_area > 0
+
+
+class TestHalfSpectrumParseval:
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(min_value=4, max_value=32).map(lambda m: 2 * m),
+           seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
+    def test_weighted_sums_match_full_spectrum_norms(self, n, seed):
+        # columns 0 and N/2 of a half spectrum have no mirror image and
+        # count once; the field puts energy in both, and in the y-Nyquist row
+        grid = Grid(2 * np.pi * 3, n)
+        L = grid.side_length
+        X, Y = grid.coordinates()
+        alternating = (-1.0) ** np.arange(n)
+        vals = (np.random.default_rng(seed).standard_normal((n, n))
+                + 2.0 * alternating[None, :] * (1.0 + np.sin(2 * np.pi * Y / L))
+                + 2.0 * alternating[:, None] * (1.0 + np.cos(2 * np.pi * X / L)))
+        f = ScalarField(grid, vals)
+        w = grid.cell_area / n ** 2
+        fh = np.fft.rfft2(vals)
+        power = spectral_power(fh)
+        f_sq = lp_norm(f, 2) ** 2
+        grad_sq = lp_norm(full_spectrum_gradient(f), 2) ** 2
+        assert w * power_sum(fh) == pytest.approx(f_sq, rel=1e-12)
+        assert w * grid.power_total(power) == pytest.approx(f_sq, rel=1e-12)
+        assert w * grid.gradient_power(power) == pytest.approx(grad_sq, rel=1e-12)
 
 
 class TestGradient:

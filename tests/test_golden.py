@@ -1,10 +1,12 @@
 """Golden-CSV gate: fixed small configs must reproduce their checked-in rows.
 
 Each ``tests/golden/<name>.cfg`` is an N=32 ``single_run``; the matching
-``<name>.csv`` is its diagnostics file.  Every column must agree to 1e-10
-relative (entries below 1e-6 of the column's largest magnitude are compared
-against that floor), and the flux-identity residuals must stay at machine
-precision.
+``<name>.csv`` is its diagnostics file.  Every physical column must agree
+to 1e-10 relative (entries below 1e-6 of the column's largest magnitude are
+compared against that floor).  The flux-identity residuals are round-off,
+about 1e-16, whose digits any change in the order of floating-point
+operations moves by O(1) relative; they are checked only by the absolute
+machine-precision bound.
 """
 
 from pathlib import Path
@@ -34,6 +36,8 @@ def test_diagnostics_match_golden(tmp_path, name):
     assert header == gold_header == list(CSV_COLUMNS)
     assert len(rows) == len(gold)
     for j, col in enumerate(header):
+        if col in RESIDUALS:
+            continue
         floor = 1e-6 * max(abs(r[j]) for r in gold)
         for row, ref in zip(rows, gold):
             assert abs(row[j] - ref[j]) <= RTOL * max(abs(ref[j]), floor), \
