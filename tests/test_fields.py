@@ -51,10 +51,10 @@ class TestHalfSpectrumParseval:
         grid = Grid(2 * np.pi * 3, n)
         L = grid.side_length
         X, Y = grid.coordinates()
-        alternating = (-1.0) ** np.arange(n)
+        alt = (-1.0) ** np.arange(n)
         vals = (np.random.default_rng(seed).standard_normal((n, n))
-                + 2.0 * alternating[None, :] * (1.0 + np.sin(2 * np.pi * Y / L))
-                + 2.0 * alternating[:, None] * (1.0 + np.cos(2 * np.pi * X / L)))
+                + 2.0 * alt[None, :] * (1.0 + np.sin(2 * np.pi * Y / L))
+                + 2.0 * alt[:, None] * (1.0 + np.cos(2 * np.pi * X / L)))
         f = ScalarField(grid, vals)
         w = grid.cell_area / n ** 2
         fh = np.fft.rfft2(vals)

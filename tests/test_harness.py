@@ -128,7 +128,7 @@ def test_unknown_key_exits_2(tmp_path, capsys):
 @pytest.mark.parametrize("line", [
     "grid.N = 2.5e2", "params.mu = x", "stepper.dt = abc",
     "refine.n_list = 16.7,32", "xval.n_list = 16.7,32",   # not truncated to 16
-    "stepper.dt = -1", "grid.N = 7", "recipe.kind = blob",  # parse, out of range
+    "stepper.dt = -1", "grid.N = 7", "recipe.kind = blob",  # parse, but out of range
 ])
 def test_bad_value_exits_2_naming_its_key(tmp_path, capsys, line):
     key, value = line.split(" = ")
