@@ -2,7 +2,7 @@
 
 Subcommands: run, sweep-delta, refine, xval, scan-theta, fit-decay.
 A single run exits 0 on completion, 10 on blow-up, 11 on chemical
-extinction; config errors exit 2.
+extinction; config and other input errors exit 2 with one ``error:`` line.
 """
 
 from __future__ import annotations
@@ -27,8 +27,8 @@ def _load(args) -> harness.ExperimentConfig:
     if args.threads is not None:
         cfg = replace(cfg, threads=args.threads)
     if getattr(args, "snapshot_times", None):
-        times = tuple(float(t) for t in args.snapshot_times.split(","))
-        cfg = replace(cfg, snapshot_times=times)
+        cfg = replace(cfg, snapshot_times=harness.parse_value(
+            "snapshot_times", args.snapshot_times))
     return cfg
 
 
@@ -86,28 +86,28 @@ def cmd_scan_theta(args) -> int:
     return 0
 
 
+def _read_series(path, column) -> list:
+    """(t, value) pairs of one column of a chemoflux CSV table."""
+    with open(path) as fh:
+        lines = [ln.strip() for ln in fh if ln.strip() and not ln.startswith("#")]
+    header = lines[0].split(",") if lines else []
+    for name in ("t", column):
+        if name not in header:
+            raise ValueError(f"column {name!r} not found in {path}")
+    i, j = header.index("t"), header.index(column)
+    return [(float(p[i]), float(p[j])) for p in (ln.split(",") for ln in lines[1:])]
+
+
 def cmd_fit_decay(args) -> int:
-    lo, hi = (float(x) for x in args.window.split(","))
-    series = []
-    with open(args.csv) as fh:
-        header = None
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if header is None:
-                header = line.split(",")
-                try:
-                    t_idx = header.index("t")
-                    col_idx = header.index(args.column)
-                except ValueError:
-                    print(f"column {args.column!r} not found in {args.csv}",
-                          file=sys.stderr)
-                    return 2
-                continue
-            parts = line.split(",")
-            series.append((float(parts[t_idx]), float(parts[col_idx])))
-    fit = fit_decay(series, (lo, hi), quantity=args.column)
+    try:
+        window = tuple(float(x) for x in args.window.split(","))
+        if len(window) != 2:
+            raise ValueError(f"--window takes t_lo,t_hi, got {args.window!r}")
+        fit = fit_decay(_read_series(args.csv, args.column), window,
+                        quantity=args.column)
+    except (OSError, ValueError) as exc:   # unreadable CSV or bad window
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print(f"quantity={fit.quantity} window=[{fit.t_lo:g},{fit.t_hi:g}] "
           f"rate={fit.rate:.6g} prefactor={fit.prefactor:.6g} "
           f"residual={fit.residual:.3g} n={fit.n_samples}")

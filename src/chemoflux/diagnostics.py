@@ -6,16 +6,19 @@ a transport term; both relations are algebraic at the discrete level when
 the fields live in the dealias band, so their residuals act as exacting
 structural self-checks on a run.
 
-`TrajectoryRecorder.make_record` builds each diagnostics row spectrally, in
-one pass of at most six half-spectrum transforms, with L^2 norms taken by
-Parseval.  The tests check it against operator-at-a-time oracles on full
-complex spectra.
+`node_norms` is the one measurement of the six node norms (||u-1||_2,
+||grad u||_2, ||u_t||_2, ||grad u_t||_2, ||v||_2, ||v||_4) that feed the
+functionals: the stepper takes it once per time node, by Parseval, and
+`TrajectoryRecorder.make_record` reads a record's norms from it.  The rest
+of a row comes from one pass of five half-spectrum transforms.  The tests
+check both against operator-at-a-time oracles on full complex spectra.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -105,9 +108,8 @@ def fit_decay(series, window, quantity: str = "") -> DecayFit:
                     n_samples=len(ts))
 
 
-@dataclass
-class NodeAux:
-    """Per-time-node quantities feeding the running functionals."""
+class NodeAux(NamedTuple):
+    """The six squared node norms feeding the functionals; see `node_norms`."""
 
     u_sq: float        # ||u-1||_2^2
     v_sq: float        # ||v||_2^2
@@ -115,6 +117,26 @@ class NodeAux:
     ut_sq: float       # ||u_t||_2^2 with u_t the assembled right-hand side
     grad_ut_sq: float
     v4_4: float        # ||v||_4^4
+
+
+def node_norms(grid, uh, vxh, vyh, t_hat, vx, vy) -> NodeAux:
+    """The node norms of a state, by Parseval on its half spectra (no FFTs).
+
+    ``t_hat`` is the transport term chi*div(u v) at the node, so that
+    u_t = lap(u) + chi*div(u v); ||v||_4^4 is summed over the samples vx, vy.
+    """
+    n2 = grid.resolution ** 2
+    w = grid.cell_area / n2
+    abs_uh2 = spectral_power(uh)
+    mean_u = uh[0, 0].real / n2
+    abs_uh2[0, 0] = 0.0   # the mean mode's power would swamp ||u - 1||^2 near u = 1
+    u_sq = w * grid.power_total(abs_uh2) + (mean_u - 1.0) ** 2 * grid.side_length ** 2
+    abs_ut2 = spectral_power(t_hat - grid._k_squared * uh)
+    return NodeAux(u_sq=float(u_sq), v_sq=w * (power_sum(vxh) + power_sum(vyh)),
+                   grad_u_sq=w * grid.gradient_power(abs_uh2),
+                   ut_sq=w * grid.power_total(abs_ut2),
+                   grad_ut_sq=w * grid.gradient_power(abs_ut2),
+                   v4_4=float(grid.cell_area * ((vx * vx + vy * vy) ** 2).sum()))
 
 
 class TrajectoryRecorder:
@@ -170,20 +192,22 @@ class TrajectoryRecorder:
         return self.int_v4
 
     def make_record(self, t: float, u: ScalarField, v: VectorField,
-                    c_linf: float, uh: np.ndarray | None = None
+                    c_linf: float, aux: NodeAux, uh: np.ndarray
                     ) -> DiagnosticsRecord:
-        """Row at time t, built from one spectral pass over (u, v).
+        """Row at time t from the node's norms and one spectral pass over (u, v).
 
-        ``uh`` is the half spectrum ``np.fft.rfft2(u)`` when the caller
-        already holds it.  The pass takes at most six transforms: u_hat, the
-        dealiased products u*v_x and u*v_y, grad(u) in physical space, and
-        the dealiased perp_grad(u).v.  The flux, u_t and both residuals are
-        assembled from those spectra and measured by Parseval,
-        ||f||_2^2 = cell_area/N^2 * sum |f_hat|^2 with the half-spectrum
-        column weights; the L^inf, L^4 and L^p0 norms come from the physical
-        samples.  The residuals are rebuilt here from u and v alone,
-        independent of the stepper's transport term, so they check the
-        identities rather than restate them.
+        ``aux`` holds the node's norms from `node_norms`, which give the
+        u_l2, grad_u_l2, v_l2, v_l4, ut_l2 and grad_ut_l2 columns, and ``uh``
+        is the half spectrum ``np.fft.rfft2(u)``.  The pass takes five
+        transforms: grad(u) in physical space, the dealiased
+        perp_grad(u).v, and the dealiased products u*v_x and u*v_y.  The
+        flux and both residuals are assembled from those spectra and
+        measured by Parseval, ||f||_2^2 = cell_area/N^2 * sum |f_hat|^2 with
+        the half-spectrum column weights; the L^inf and L^p0 norms and the
+        Gagliardo-Nirenberg ratio come from the physical samples.  The
+        residuals are rebuilt here from u and v alone, independent of the
+        stepper's transport term, so they check the identities rather than
+        restate them.
         """
         grid = u.grid
         chi = self.chi
@@ -192,13 +216,10 @@ class TrajectoryRecorder:
         w = grid.cell_area / grid.resolution ** 2
         area = grid.cell_area
         uv, vx, vy = u.values, v.values[0], v.values[1]
-        if uh is None:
-            uh = np.fft.rfft2(uv)
         # Each spectrum is freed or updated in place as soon as it has
         # served, so the pass holds few of them at once (peak RSS at N=256).
         ux = np.fft.irfft2(ikx * uh, s=shape)
         uy = np.fft.irfft2(iky * uh, s=shape)
-        grad_u_l2 = math.sqrt(area * (ux * ux + uy * uy).sum())
         qh = np.fft.rfft2(uy * vx - ux * vy)  # perp_grad(u).v, dealiased
         qh[oob] = 0.0
         del ux, uy
@@ -212,24 +233,22 @@ class TrajectoryRecorder:
         fxh += txh
         fyh = iky * uh
         fyh += tyh
-        uth = ikx * txh                       # u_t = lap(u) + chi*div(u v)
-        uth += iky * tyh
-        uth -= grid._k_squared * uh
+        res = ikx * txh                       # u_t = lap(u) + chi*div(u v)
+        res += iky * tyh
+        res -= grid._k_squared * uh
         del txh, tyh
-        res = ikx * fxh                       # div(F) - u_t
-        res += iky * fyh
-        res -= uth
+        res -= ikx * fxh                      # u_t - div(F)
+        res -= iky * fyh
         div_sq = power_sum(res)
         np.multiply(iky, fxh, out=res)        # curl(F) - chi*perp_grad(u).v
         res -= ikx * fyh
         qh *= chi
         res -= qh
         curl_sq = power_sum(res)
-        ut_power = spectral_power(uth)
 
         u_tilde = uv - 1.0
         u2 = u_tilde * u_tilde
-        u_l2 = math.sqrt(area * u2.sum())
+        u_l2, grad_u_l2 = math.sqrt(aux.u_sq), math.sqrt(aux.grad_u_sq)
         if grad_u_l2 > 0 and u_l2 > 0:
             gn = math.sqrt(area * (u2 * u2).sum()) / (u_l2 * grad_u_l2)
         else:
@@ -241,8 +260,8 @@ class TrajectoryRecorder:
             u_l2=u_l2,
             grad_u_l2=grad_u_l2,
             u_linf=float(np.abs(u_tilde).max()),
-            v_l2=math.sqrt(area * v2.sum()),
-            v_l4=float((area * (v2 * v2).sum()) ** 0.25),
+            v_l2=math.sqrt(aux.v_sq),
+            v_l4=aux.v4_4 ** 0.25,
             v_lp0=float((area * (v2 ** (0.5 * self.p0)).sum()) ** (1.0 / self.p0)),
             v_linf=math.sqrt(v2.max()),
             c_linf=c_linf,
@@ -254,8 +273,8 @@ class TrajectoryRecorder:
             a3=self.a3,
             blowup_integral=self.blowup_integral,
             gn_ratio=gn,
-            ut_l2=math.sqrt(w * grid.power_total(ut_power)),
-            grad_ut_l2=math.sqrt(w * grid.gradient_power(ut_power)),
+            ut_l2=math.sqrt(aux.ut_sq),
+            grad_ut_l2=math.sqrt(aux.grad_ut_sq),
         )
 
 

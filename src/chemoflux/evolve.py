@@ -26,11 +26,11 @@ import numpy as np
 
 from . import diagnostics as diag
 from .cole_hopf import C_FLOOR, ChemistryParams
-from .fields import (Grid, ParameterError, ScalarField, VectorField, lp_norm,
-                     power_sum, spectral_power)
+from .fields import Grid, ParameterError, ScalarField, VectorField
 from .initial_data import potential_of
 
 _LOG_FLOOR = float(np.log(C_FLOOR))
+_LOG_MAX = float(np.log(np.finfo(float).max))   # exp overflows above this
 
 
 def _time_tol(t: float) -> float:
@@ -53,25 +53,12 @@ EXIT_CODES = {
 
 @dataclass
 class SimState:
-    """A run's state at one time; (u, v) or (u, c) depending on mode."""
+    """A run's state at one time: (u, v) in transformed mode, (u, c) in original."""
 
     t: float
     u: ScalarField
     v: VectorField | None = None
     c: ScalarField | None = None
-    mode: str = "transformed"
-
-    def __post_init__(self):
-        if self.mode == "transformed":
-            if self.v is None:
-                raise ValueError("transformed mode requires a drift field v")
-        elif self.mode == "original":
-            if self.c is None:
-                raise ValueError("original mode requires a chemical field c")
-        else:
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if self.t < 0:
-            raise ValueError("time must be nonnegative")
 
 
 @dataclass
@@ -186,26 +173,6 @@ def _advance_original(grid, u, s, uh, dt, params, scheme):
     return u1, s1, uh1
 
 
-def _node_aux(grid, uh, vxh, vyh, t_hat, vx, vy) -> diag.NodeAux:
-    """Functional integrands at one node, via Parseval (no extra FFTs)."""
-    n2 = grid.resolution ** 2
-    w = grid.cell_area / n2
-    abs_uh2 = spectral_power(uh)
-    mean_u = uh[0, 0].real / n2
-    abs_uh2[0, 0] = 0.0   # the mean mode's power would swamp ||u - 1||^2 near u = 1
-    u_sq = w * grid.power_total(abs_uh2) + (mean_u - 1.0) ** 2 * grid.side_length ** 2
-    v_sq = w * (power_sum(vxh) + power_sum(vyh))
-    grad_u_sq = w * grid.gradient_power(abs_uh2)
-    ut_hat = -grid._k_squared * uh + t_hat
-    abs_ut2 = spectral_power(ut_hat)
-    ut_sq = w * grid.power_total(abs_ut2)
-    grad_ut_sq = w * grid.gradient_power(abs_ut2)
-    v4_4 = grid.cell_area * ((vx * vx + vy * vy) ** 2).sum()
-    return diag.NodeAux(u_sq=float(u_sq), v_sq=float(v_sq),
-                        grad_u_sq=float(grad_u_sq), ut_sq=float(ut_sq),
-                        grad_ut_sq=float(grad_ut_sq), v4_4=float(v4_4))
-
-
 def _cfl_dt(grid, uh, vx, vy, chi, cfg) -> float:
     """Advective step limit from max|v| and max|grad u|, capped at cfg.dt."""
     grad_u_inf = float(np.sqrt(
@@ -223,9 +190,17 @@ def run(u0: ScalarField, companion, cfg: StepperConfig, params: ChemistryParams,
 
     ``companion`` is the drift field v0 in transformed mode or the chemical
     c0 in original mode.  The working state is projected onto the dealias
-    band once at start.  In transformed mode the chemical sup-norm is
-    tracked through the accumulated time integral of u (log-space exact),
-    from the reference ln c0 = -mu * potential(v0).
+    band once at start.  Both modes carry s = ln c: original mode evolves
+    it, and transformed mode starts it at -mu * potential(v0) and advances
+    it by the trapezoid of -mu*u over each step, the same update as the
+    Strang pair of original mode.  The records' ``c_linf`` is exp(max s).
+
+    Every time node, t=0 included, takes one pass: the transport term, the
+    six node norms (`diagnostics.node_norms`), the halt test, the running
+    functionals, the record (every ``record_every`` steps and at t_end),
+    and the snapshots due.  The halt test returns ``BLOWUP`` when a node
+    norm is not finite or max s reaches ln of the largest double, where
+    c_linf would overflow; a non-finite field makes its norm non-finite.
 
     Each hook in ``recorders`` is called as ``hook(state, record)`` at every
     record.  The state's arrays are the run's own: the run never writes to
@@ -234,8 +209,8 @@ def run(u0: ScalarField, companion, cfg: StepperConfig, params: ChemistryParams,
 
     Deterministic for a fixed configuration and single-threaded execution.
     Halts surface as the trajectory outcome, never as silent truncation:
-    an original-mode c0 at or below ``C_FLOOR`` anywhere returns
-    ``CHEMICAL_EXTINCTION`` at t=0 with a message and no records.
+    an original-mode c at or below ``C_FLOOR`` anywhere returns
+    ``CHEMICAL_EXTINCTION`` with a message, at t=0 with no records.
     """
     grid = u0.grid
     oob, shape = grid._out_of_band, grid.shape
@@ -245,7 +220,6 @@ def run(u0: ScalarField, companion, cfg: StepperConfig, params: ChemistryParams,
     uh[oob] = 0.0
     u = np.fft.irfft2(uh, s=shape)
 
-    s = None
     if mode == "transformed":
         if not isinstance(companion, VectorField):
             raise ValueError("transformed mode expects v0 as a VectorField")
@@ -254,12 +228,10 @@ def run(u0: ScalarField, companion, cfg: StepperConfig, params: ChemistryParams,
         vxh[oob] = 0.0
         vyh[oob] = 0.0
         vx, vy = np.fft.irfft2(vxh, s=shape), np.fft.irfft2(vyh, s=shape)
-        v_band = VectorField(grid, np.stack([vx, vy]), check=False)
-        if lp_norm(v_band, np.inf) > 0:
-            ln_c0 = -mu * potential_of(v_band).values
-        else:
-            ln_c0 = np.zeros_like(u)
-        u_time_integral = np.zeros_like(u)
+        s = np.zeros_like(u)   # ln c0 = -mu * potential(v0), no FFTs for v0 = 0
+        if vxh.any() or vyh.any():
+            s = -mu * potential_of(VectorField(grid, np.stack([vx, vy]),
+                                               check=False)).values
     elif mode == "original":
         if not isinstance(companion, ScalarField):
             raise ValueError("original mode expects c0 as a ScalarField")
@@ -283,27 +255,44 @@ def run(u0: ScalarField, companion, cfg: StepperConfig, params: ChemistryParams,
 
     def current_state(t, u_field, v_field):
         if mode == "transformed":
-            return SimState(t=t, u=u_field, v=v_field, mode=mode)
-        return SimState(t=t, u=u_field,
-                        c=ScalarField(grid, np.exp(s), check=False), mode=mode)
+            return SimState(t=t, u=u_field, v=v_field)
+        return SimState(t=t, u=u_field, c=ScalarField(grid, np.exp(s), check=False))
 
-    def chem_sup(t):
-        if mode == "transformed":
-            return float(np.exp((ln_c0 - mu * u_time_integral).max()))
-        return float(np.exp(s.max()))
-
-    def emit(t):
-        # u, vx, vy and s are rebound by every step, never written in place
+    def emit(t, aux, s_max):
+        # a function of its own, so that the stacked v and the state's c
+        # are freed before the next step unless a hook keeps them
         u_field = ScalarField(grid, u, check=False)
         v_field = VectorField(grid, np.stack([vx, vy]), check=False)
-        rec = recorder.make_record(t, u_field, v_field, chem_sup(t), uh=uh)
+        rec = recorder.make_record(t, u_field, v_field, float(np.exp(s_max)),
+                                   aux, uh)
         records.append(rec)
         if recorders:
             state = current_state(t, u_field, v_field)
             for hook in recorders:
                 hook(state, rec)
 
-    def take_due_snapshots(t):
+    t = 0.0
+    t_end = cfg.t_end
+    outcome = RunOutcome.COMPLETED
+    message = ""
+    nstep = 0
+
+    while True:
+        # the node at t; u, vx, vy and s are rebound by every step, never
+        # written in place, so hooks may keep them
+        t_hat = _transport_hat(grid, u, vx, vy, chi)
+        aux = diag.node_norms(grid, uh, vxh, vyh, t_hat, vx, vy)
+        s_max = float(s.max())
+        if not (np.isfinite(aux).all() and s_max < _LOG_MAX):
+            outcome = RunOutcome.BLOWUP
+            message = (f"node norm not finite or sup c overflowing at t={t}; "
+                       f"running drift-integral monitor = "
+                       f"{recorder.blowup_integral}")
+            break
+        recorder.on_node(t, aux)
+        done = t >= t_end - _time_tol(t_end)
+        if nstep % cfg.record_every == 0 or done:
+            emit(t, aux, s_max)
         while pending_snaps and t >= pending_snaps[0] - _time_tol(t):
             payload = {"u": u.copy()}
             if mode == "transformed":
@@ -312,19 +301,9 @@ def run(u0: ScalarField, companion, cfg: StepperConfig, params: ChemistryParams,
                 payload["c"] = np.exp(s)
             snapshots.append((t, payload))
             pending_snaps.pop(0)
+        if done:
+            break
 
-    t = 0.0
-    t_end = cfg.t_end
-    outcome = RunOutcome.COMPLETED
-    message = ""
-    nstep = 0
-
-    t_hat = _transport_hat(grid, u, vx, vy, chi)
-    recorder.on_node(t, _node_aux(grid, uh, vxh, vyh, t_hat, vx, vy))
-    emit(t)
-    take_due_snapshots(t)
-
-    while t < t_end - _time_tol(t_end):
         if cfg.dt_mode == "cfl":
             dt = _cfl_dt(grid, uh, vx, vy, chi, cfg)
         else:
@@ -333,50 +312,24 @@ def run(u0: ScalarField, companion, cfg: StepperConfig, params: ChemistryParams,
         if pending_snaps and t + dt > pending_snaps[0] + _time_tol(t):
             dt = pending_snaps[0] - t   # land a step on the requested time
 
-        u_prev = u
         if mode == "transformed":
+            u_prev = u
             uh, vxh, vyh = _advance_transformed(
                 grid, uh, vxh, vyh, dt, chi, cfg.scheme, t_hat)
             u = np.fft.irfft2(uh, s=shape)
             vx = np.fft.irfft2(vxh, s=shape)
             vy = np.fft.irfft2(vyh, s=shape)
-            if not (np.isfinite(u).all() and np.isfinite(vx).all()
-                    and np.isfinite(vy).all()):
-                outcome = RunOutcome.BLOWUP
-                message = (f"non-finite state at t={t + dt}; running "
-                           f"drift-integral monitor = {recorder.blowup_integral}")
-                break
-            u_time_integral += 0.5 * dt * (u_prev + u)
+            s = s - (0.5 * dt * mu) * (u_prev + u)
         else:
             u, s, uh = _advance_original(grid, u, s, uh, dt, params, cfg.scheme)
-            if not np.isfinite(u).all():
-                outcome = RunOutcome.BLOWUP
-                message = (f"non-finite state at t={t + dt}; running "
-                           f"drift-integral monitor = {recorder.blowup_integral}")
-                break
             if s.min() <= _LOG_FLOOR:
                 outcome = RunOutcome.CHEMICAL_EXTINCTION
                 message = (f"chemical under floor at t={t + dt} "
                            f"(min ln c = {s.min()})")
                 break
             vx, vy, vxh, vyh = _drift_from_log_chemical(grid, s, mu)
-
         t += dt
         nstep += 1
-        t_hat = _transport_hat(grid, u, vx, vy, chi)
-        aux = _node_aux(grid, uh, vxh, vyh, t_hat, vx, vy)
-        if not all(np.isfinite(x) for x in (aux.u_sq, aux.v_sq, aux.grad_u_sq,
-                                            aux.ut_sq, aux.grad_ut_sq, aux.v4_4)):
-            # norms overflowed double precision: the monitor has diverged
-            outcome = RunOutcome.BLOWUP
-            message = (f"diverging functionals at t={t}; last finite "
-                       f"drift-integral monitor = {recorder.blowup_integral}")
-            break
-        recorder.on_node(t, aux)
-        done = t >= t_end - _time_tol(t_end)
-        if nstep % cfg.record_every == 0 or done:
-            emit(t)
-        take_due_snapshots(t)
 
     final_state = None   # fields at a halt are unusable; the records stay
     if outcome is RunOutcome.COMPLETED:

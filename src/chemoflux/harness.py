@@ -150,6 +150,19 @@ _SCHEMA = (
 )
 
 
+def _parse(row, text, spacing=None):
+    key, parse = row[0], row[3]
+    try:
+        return parse(text, spacing) if parse in (_width, _widths) else parse(text)
+    except ValueError as exc:
+        raise ConfigError(key, f"cannot parse {text!r}: {exc}") from None
+
+
+def parse_value(key: str, text: str):
+    """The value of one config key given outside a file (a CLI override)."""
+    return _parse(next(row for row in _SCHEMA if row[0] == key), text)
+
+
 def parse_config(text: str) -> ExperimentConfig:
     """Parse flat dotted key-value text into a validated ExperimentConfig."""
     raw: dict[str, str] = {}
@@ -169,17 +182,12 @@ def parse_config(text: str) -> ExperimentConfig:
     values = {section: {} for section in (None, *_SECTIONS)}
 
     def parse_rows(rows, spacing=None):
-        for key, section, attr, parse, _, default in rows:
-            if key not in raw:
+        for row in rows:
+            key, section, attr, _, _, default = row
+            if key in raw:
+                values[section][attr] = _parse(row, raw[key], spacing)
+            else:
                 values[section].setdefault(attr, default)
-                continue
-            text = raw[key]
-            try:
-                value = (parse(text, spacing) if parse in (_width, _widths)
-                         else parse(text))
-            except ValueError as exc:
-                raise ConfigError(key, f"cannot parse {text!r}: {exc}") from None
-            values[section][attr] = value
 
     def build(section):
         try:
@@ -264,6 +272,10 @@ def _matched_chemical(v0: VectorField, mu: float) -> ScalarField:
 
 def run_single(cfg: ExperimentConfig, out_dir=None) -> SingleRunResult:
     """One run to t_end; writes diagnostics, decay summary, snapshots, echo."""
+    for t in cfg.snapshot_times:
+        if not 0.0 <= t <= cfg.stepper.t_end:
+            raise ConfigError("snapshot_times", f"{t!r} is outside [0, t_end = "
+                              f"{cfg.stepper.t_end!r}]")
     out = Path(out_dir if out_dir is not None else cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     u0, v0, summary = build_initial_data(cfg.recipe, cfg.grid)
@@ -527,7 +539,8 @@ def run_theta_scan(cfg: ExperimentConfig, out_dir=None) -> ThetaScanResult:
                     False, float("nan"), float("nan"), False, False, str(exc))
         traj = run(u0, v0, cfg.stepper, cfg.params, mode="transformed",
                    p0=cfg.recipe.p0)
-        a1 = traj.records[-1].a1
+        # a run can halt at its t=0 node, before any record
+        a1 = traj.records[-1].a1 if traj.records else float("nan")
         bound = 1.5 * summary.theta0_raw
         a1_ok = a1 <= bound if summary.theta0_raw > 0 else True
         settled = [r for r in traj.records if r.t >= 1.0]

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from chemoflux import (ChemistryParams, DiagnosticsRecord, Grid, ScalarField,
-                       StepperConfig, TrajectoryRecorder, VectorField,
+                       StepperConfig, VectorField,
                        calibrate_energy_constant, check_energy_inequality,
                        energy_functionals, fit_decay, lp_norm, run)
 from chemoflux.diagnostics import CSV_COLUMNS
@@ -353,11 +353,13 @@ class TestRecordAgainstOracles:
 
     def test_curl_residual_detects_swirl(self, grid64):
         # the spectral residual is chi*P(u curl v), not an identity: a
-        # divergence-free swirl added to v must show, at the oracle's value
+        # divergence-free swirl added to v must show, at the oracle's value,
+        # in the t=0 record of a run started from it
         u, v = solution_like_pair(grid64, 13)
         swirl = perp_gradient(band_limited_field(grid64, 60, kmax=5))
         v_bad = VectorField(grid64, v.values + swirl.values)
-        rec = TrajectoryRecorder(chi=1.0, p0=6.0).make_record(0.0, u, v_bad, 1.0)
+        rec = run(u, v_bad, StepperConfig(dt=0.05, t_end=0.0),
+                  ChemistryParams()).records[0]
         assert rec.flux_curl_residual > 1e-4
         assert rec.flux_curl_residual == pytest.approx(
             curl_flux_residual(u, v_bad, 1.0), rel=1e-12)

@@ -235,8 +235,7 @@ class TestRun:
         v0 = band_limited_gradient(grid, 3, kmax=8, amplitude=8.0)
         cfg = StepperConfig(dt=0.9, t_end=1000.0, scheme="imex_be",
                             record_every=10)
-        with np.errstate(all="ignore"):
-            traj = run(u0, v0, cfg, ChemistryParams())
+        traj = run(u0, v0, cfg, ChemistryParams())
         assert traj.outcome is RunOutcome.BLOWUP
         assert np.isfinite(traj.blowup_integral)
         assert traj.blowup_integral > 0

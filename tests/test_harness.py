@@ -26,7 +26,8 @@ stepper.t_end = 0.3
 threads = 1
 """
 
-# grows without bound under backward Euler at dt = 0.9 and halts at t = 9
+# grows without bound under backward Euler at dt = 0.9; sup c would overflow
+# at t = 4.5, where the run halts
 BLOWUP = """study = single_run
 grid.L = 6.283185307179586
 grid.N = 32
@@ -85,21 +86,33 @@ def test_fit_decay_unknown_column_exits_2(tmp_path, capsys):
     csv = tmp_path / "d.csv"
     csv.write_text("# chemoflux-diagnostics-v1\nt,c_linf\n0,1\n1,0.5\n")
     assert main(["fit-decay", "--csv", str(csv), "--column", "u_linf"]) == 2
-    assert "u_linf" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "u_linf" in err
+    # a missing file, a one-number window, a window fit_decay rejects
+    for flags, needle in ((["--csv", str(tmp_path / "none.csv")], "none.csv"),
+                          (["--csv", str(csv), "--window", "2"], "window"),
+                          (["--csv", str(csv), "--window", "0.1,0.3"], "window")):
+        assert main(["fit-decay", *flags]) == 2, flags
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, flags
+        assert needle in err, flags
 
 
 def test_blowup_exits_10(tmp_path, capsys):
-    with np.errstate(all="ignore"):
-        code, out = cli(tmp_path, "run", BLOWUP)
+    # the halt comes before any written value overflows
+    code, out = cli(tmp_path, "run", BLOWUP)
     assert code == 10
     printed = capsys.readouterr().out
     assert printed.startswith("outcome: blowup")
     halt_t = float(printed.split("at t=")[1].split(";")[0])
-    assert 8.0 < halt_t < 10.0
-    assert len(csv_rows(out / "diagnostics.csv")) >= 1
+    assert halt_t == pytest.approx(4.5, abs=1e-12)
+    rows = csv_rows(out / "diagnostics.csv")
+    assert [float(r["t"]) for r in rows] == pytest.approx([0, 0.9, 1.8, 2.7, 3.6])
+    assert all(math.isfinite(float(x)) for r in rows for x in r.values())
 
 
 def test_extinction_at_start_exits_11(tmp_path, capsys):
+    # exp(-mu phi) overflows where phi = -1000, on purpose
     with np.errstate(all="ignore"):
         code, out = cli(tmp_path, "run", "study = single_run\nmode = original\n"
                         + EXTINCT)
@@ -117,6 +130,31 @@ def test_xval_of_extinct_chemical_is_a_config_error(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: config field 'recipe'") and "floor" in err
+
+
+def test_scan_theta_of_overflowing_chemical_labels_blowup(tmp_path, capsys):
+    # ln c0 = -phi reaches 1000 > ln(float max): each member halts at its
+    # t=0 node, with no record, before c_linf overflows
+    text = "study = theta_scan\nscan.amplitudes = 0.9,1.0\n" + EXTINCT
+    code, out = cli(tmp_path, "scan-theta", text)
+    assert code == 0
+    rows = csv_rows(out / "theta_scan.csv")
+    assert [r["outcome"] for r in rows] == ["blowup", "blowup"]
+    assert all(r["a1"] == "nan" for r in rows)
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("times", ["abc", "5", "-1"])
+def test_bad_snapshot_times_exit_2(tmp_path, capsys, times):
+    # not a number, after t_end = 0.3, before t = 0
+    code, out = cli(tmp_path, "run", "study = single_run\n"
+                    + BASE.replace("grid.N = 32", "grid.N = 16"),
+                    "--snapshot-times", times)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config field 'snapshot_times': ")
+    assert err.count("\n") == 1
+    assert not list(out.glob("snapshot_*"))
 
 
 def test_unknown_key_exits_2(tmp_path, capsys):
