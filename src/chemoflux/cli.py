@@ -1,8 +1,12 @@
 """Command-line entry points for the experiment harness.
 
-Subcommands: run, sweep-delta, refine, xval, scan-theta, fit-decay.
-A single run exits 0 on completion, 10 on blow-up, 11 on chemical
-extinction; config and other input errors exit 2 with one ``error:`` line.
+Subcommands: one per study of `STUDY_COMMANDS` (run, sweep-delta, refine,
+xval, scan-theta) and fit-decay.  A study subcommand exits 0 on
+completion, 10 on blow-up and 11 on chemical extinction of the single run
+or of any member run the study needs to complete (with one ``error:``
+line), and 2 with one ``error:`` line on a config or other input error;
+fit-decay exits 0 or 2.  The config's ``study`` key must name the
+subcommand's study, and only ``single_run`` accepts ``snapshot_times``.
 """
 
 from __future__ import annotations
@@ -10,34 +14,17 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import replace
+from functools import partial
 
 from . import harness
 from .diagnostics import fit_decay
+from .evolve import EXIT_CODES
 
 
-def _add_common(sub):
-    sub.add_argument("--config", required=True, help="path to a config file")
-    sub.add_argument("--out", default=None, help="output directory override")
-    sub.add_argument("--threads", type=int, default=None,
-                     help="worker cap for sweep studies (1 = reproducible)")
-
-
-def _load(args) -> harness.ExperimentConfig:
-    cfg = harness.load_config(args.config)
-    if args.threads is not None:
-        cfg = replace(cfg, threads=args.threads)
-    if getattr(args, "snapshot_times", None):
-        cfg = replace(cfg, snapshot_times=harness.parse_value(
-            "snapshot_times", args.snapshot_times))
-    return cfg
-
-
-def cmd_run(args) -> int:
-    cfg = _load(args)
-    result = harness.run_single(cfg, out_dir=args.out)
+def _print_run(result) -> int:
     traj = result.trajectory
-    t_final = traj.records[-1].t if traj.records else 0.0   # t=0 extinction
-    print(f"outcome: {result.outcome.value}  ({len(traj.records)} records, "
+    t_final = traj.records[-1].t if traj.records else 0.0   # t=0 halt
+    print(f"outcome: {traj.outcome.value}  ({len(traj.records)} records, "
           f"t_final={t_final:g})")
     if traj.message:
         print(traj.message)
@@ -46,44 +33,71 @@ def cmd_run(args) -> int:
         print(f"decay {fit.quantity}: rate={fit.rate:.4f} "
               f"residual={fit.residual:.3g}{extra}")
     print(f"artifacts in {result.out_dir}")
-    return result.exit_code
+    return EXIT_CODES[traj.outcome]
 
 
-def cmd_sweep_delta(args) -> int:
-    result = harness.run_delta_sweep(_load(args), out_dir=args.out)
+def _print_delta_sweep(result) -> int:
+    rows, decreasing = result
     print("delta_coarse  delta_fine  du_l2        dv_l2")
-    for d1, d2, du, dv in result.rows:
+    for d1, d2, du, dv in rows:
         print(f"{d1:<12.5g}  {d2:<10.5g}  {du:<11.5g}  {dv:<11.5g}")
-    print(f"cauchy_decreasing: {result.cauchy_decreasing}")
+    print(f"cauchy_decreasing: {decreasing}")
     return 0
 
 
-def cmd_refine(args) -> int:
-    result = harness.run_refinement(_load(args), out_dir=args.out)
-    print("temporal: dt, error, observed order")
-    for dt, err, order in result.temporal_rows:
-        print(f"  {dt:<10.3g} {err:<12.5g} {order:.3f}")
-    print("spatial: N, error vs finest, observed order")
-    for n, err, order in result.spatial_rows:
-        print(f"  {n:<10d} {err:<12.5g} {order:.3f}")
+def _print_refinement(rows) -> int:
+    for kind, columns, fmt in (("temporal", "dt, error", "<10.3g"),
+                               ("spatial", "N, error vs finest", "<10d")):
+        print(f"{kind}: {columns}, observed order")
+        for _, param, err, order in (r for r in rows if r[0] == kind):
+            print(f"  {param:{fmt}} {err:<12.5g} {order:.3f}")
     return 0
 
 
-def cmd_xval(args) -> int:
-    result = harness.run_cross_validate(_load(args), out_dir=args.out)
+def _print_cross_validate(rows) -> int:
     print("N     dt        max|u_orig-u_transf|  max|v(c)-v|")
-    for n, dt, du, dv in result.rows:
+    for n, dt, du, dv in rows:
         print(f"{n:<5d} {dt:<9.4g} {du:<20.6g} {dv:<12.6g}")
     return 0
 
 
-def cmd_scan_theta(args) -> int:
-    result = harness.run_theta_scan(_load(args), out_dir=args.out)
+def _print_theta_scan(rows) -> int:
     print("amplitude  theta0      M           outcome             a1<=1.5th  window")
-    for amp, th, m, label, _dec, _a1, _bound, ok1, ok34, _msg in result.rows:
+    for amp, th, m, label, _dec, _a1, _bound, ok1, ok34 in rows:
         print(f"{amp:<9.4g}  {th:<10.4g}  {m:<10.4g}  {label:<18s}  "
               f"{str(ok1):<9s}  {ok34}")
     return 0
+
+
+# subcommand, study, study function, printer, help
+STUDY_COMMANDS = (
+    ("run", "single_run", harness.run_single, _print_run,
+     "single run with diagnostics and decay fits"),
+    ("sweep-delta", "delta_sweep", harness.run_delta_sweep, _print_delta_sweep,
+     "mollifier-width Cauchy study"),
+    ("refine", "refinement", harness.run_refinement, _print_refinement,
+     "temporal and spatial order study"),
+    ("xval", "cross_validate", harness.run_cross_validate, _print_cross_validate,
+     "original vs transformed solver comparison"),
+    ("scan-theta", "theta_scan", harness.run_theta_scan, _print_theta_scan,
+     "amplitude ladder stability frontier"),
+)
+
+
+def _run_study(study, run_study, printer, args) -> int:
+    cfg = harness.load_config(args.config)
+    if args.threads is not None:
+        cfg = replace(cfg, threads=args.threads)
+    if getattr(args, "snapshot_times", None):
+        cfg = replace(cfg, snapshot_times=harness.parse_value(
+            "snapshot_times", args.snapshot_times))
+    if cfg.study != study:
+        raise harness.ConfigError("study", f"{cfg.study!r} given to "
+                                  f"'{args.command}', which runs {study!r}")
+    if cfg.snapshot_times and study != "single_run":
+        raise harness.ConfigError("snapshot_times",
+                                  f"only single_run takes snapshots, not {study}")
+    return printer(run_study(cfg, out_dir=args.out))
 
 
 def _read_series(path, column) -> list:
@@ -120,27 +134,16 @@ def main(argv=None) -> int:
         description="pseudo-spectral chemotaxis simulation and verification harness")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    p = subs.add_parser("run", help="single run with diagnostics and decay fits")
-    _add_common(p)
-    p.add_argument("--snapshot-times", default=None,
-                   help="comma-separated times for CFX1 snapshots")
-    p.set_defaults(fn=cmd_run)
-
-    p = subs.add_parser("sweep-delta", help="mollifier-width Cauchy study")
-    _add_common(p)
-    p.set_defaults(fn=cmd_sweep_delta)
-
-    p = subs.add_parser("refine", help="temporal and spatial order study")
-    _add_common(p)
-    p.set_defaults(fn=cmd_refine)
-
-    p = subs.add_parser("xval", help="original vs transformed solver comparison")
-    _add_common(p)
-    p.set_defaults(fn=cmd_xval)
-
-    p = subs.add_parser("scan-theta", help="amplitude ladder stability frontier")
-    _add_common(p)
-    p.set_defaults(fn=cmd_scan_theta)
+    for command, study, run_study, printer, text in STUDY_COMMANDS:
+        p = subs.add_parser(command, help=text)
+        p.add_argument("--config", required=True, help="path to a config file")
+        p.add_argument("--out", default=None, help="output directory override")
+        p.add_argument("--threads", type=int, default=None,
+                       help="worker cap for sweep studies (1 = reproducible)")
+        if study == "single_run":
+            p.add_argument("--snapshot-times", default=None,
+                           help="comma-separated times for CFX1 snapshots")
+        p.set_defaults(fn=partial(_run_study, study, run_study, printer))
 
     p = subs.add_parser("fit-decay", help="log-linear fit on a diagnostics column")
     p.add_argument("--csv", required=True, help="diagnostics CSV path")
@@ -151,9 +154,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except harness.ConfigError as exc:
+    except (harness.ConfigError, harness.RunHalted) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return EXIT_CODES[exc.outcome] if isinstance(exc, harness.RunHalted) else 2
 
 
 if __name__ == "__main__":

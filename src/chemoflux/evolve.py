@@ -210,7 +210,8 @@ def run(u0: ScalarField, companion, cfg: StepperConfig, params: ChemistryParams,
     Deterministic for a fixed configuration and single-threaded execution.
     Halts surface as the trajectory outcome, never as silent truncation:
     an original-mode c at or below ``C_FLOOR`` anywhere returns
-    ``CHEMICAL_EXTINCTION`` with a message, at t=0 with no records.
+    ``CHEMICAL_EXTINCTION`` with a message, at t=0 with no records, and a
+    c0 that is not finite returns ``BLOWUP`` the same way.
     """
     grid = u0.grid
     oob, shape = grid._out_of_band, grid.shape
@@ -235,12 +236,17 @@ def run(u0: ScalarField, companion, cfg: StepperConfig, params: ChemistryParams,
     elif mode == "original":
         if not isinstance(companion, ScalarField):
             raise ValueError("original mode expects c0 as a ScalarField")
-        c_min = companion.values.min()
+        c_min, c_max = companion.values.min(), companion.values.max()
         if c_min <= C_FLOOR:
             return Trajectory(
                 records=[], outcome=RunOutcome.CHEMICAL_EXTINCTION,
                 final_state=None, snapshots=[],
                 message=f"chemical under floor at t=0 (min c = {c_min})")
+        if not np.isfinite(c_max):
+            return Trajectory(
+                records=[], outcome=RunOutcome.BLOWUP,
+                final_state=None, snapshots=[],
+                message=f"chemical not finite at t=0 (max c = {c_max})")
         sh = np.fft.rfft2(np.log(companion.values))
         sh[oob] = 0.0
         s = np.fft.irfft2(sh, s=shape)

@@ -15,11 +15,14 @@ against their section.
 and the rows without a formatter (``xval.n_list``, a parse-only alias of
 ``refine.n_list``).
 
-Every study writes its tables through `_write_csv` in one format (a
-``# chemoflux-diagnostics-v1`` line, a header line, numbers to 17
-significant digits) plus an echo copy of the parsed configuration, and
-runs are byte-deterministic for a fixed config in single-threaded
-execution.
+Every study has one skeleton: it checks its own inputs; `_output` makes
+the output directory and writes the config echo there; `_solve` builds and
+runs each member, and `_map` maps members over ``threads`` worker
+threads; `_completed` raises `RunHalted`, carrying the `RunOutcome`, for a
+member that halted where the study needs a completed run; the study
+writes its table through `_write_csv` (a ``# chemoflux-diagnostics-v1``
+line, a header line, numbers to 17 significant digits) and returns its
+rows.  Runs are byte-deterministic for a fixed config with one thread.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ import numpy as np
 
 from .cole_hopf import C_FLOOR, ChemistryParams, forward_transform
 from .diagnostics import CSV_COLUMNS, SCHEMA_VERSION, fit_decay
-from .evolve import (EXIT_CODES, RunOutcome, StepperConfig, Trajectory, run)
+from .evolve import RunOutcome, StepperConfig, Trajectory, run
 from .fields import Grid, ParameterError, ScalarField, VectorField, lp_norm
 from .initial_data import InitialDataRecipe, build_initial_data, potential_of
 from .snapshots import write_snapshot
@@ -248,26 +251,70 @@ def write_diagnostics_csv(path, records) -> None:
 
 
 # ---------------------------------------------------------------------------
+# the study skeleton
+
+
+class RunHalted(RuntimeError):
+    """A study member halted before t_end; ``outcome`` is its `RunOutcome`."""
+
+    def __init__(self, traj: Trajectory):
+        super().__init__(f"study run halted ({traj.outcome.value}): {traj.message}")
+        self.outcome = traj.outcome
+
+
+def _completed(traj: Trajectory) -> Trajectory:
+    """``traj`` if it reached t_end; a study cannot use a halted member."""
+    if traj.outcome is not RunOutcome.COMPLETED:
+        raise RunHalted(traj)
+    return traj
+
+
+def _output(cfg: ExperimentConfig, out_dir) -> Path:
+    """The study's output directory, created, with the config echo in it."""
+    out = Path(out_dir if out_dir is not None else cfg.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    (out / "config_echo.cfg").write_text(format_config(cfg))
+    return out
+
+
+def _map(cfg: ExperimentConfig, fn, items) -> list:
+    """``[fn(x) for x in items]``, on ``cfg.threads`` worker threads above 1.
+
+    One thread runs in the calling thread, not in a pool of one: a worker
+    thread allocates from its own malloc arena, which raises peak memory.
+    """
+    if cfg.threads <= 1:
+        return [fn(x) for x in items]
+    with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
+        return list(pool.map(fn, items))
+
+
+def _matched_chemical(v0: VectorField, mu: float) -> ScalarField:
+    """c0 consistent with v0 through the log-gradient substitution."""
+    phi = potential_of(v0)
+    with np.errstate(over="ignore"):   # inf c0: `run` halts it at t=0
+        return ScalarField(v0.grid, np.exp(-mu * phi.values), check=False)
+
+
+def _solve(cfg: ExperimentConfig, recipe, grid, stepper, mode="transformed",
+           **kwargs) -> Trajectory:
+    """Build ``recipe`` on ``grid`` and run it, from the matched chemical in
+    original mode."""
+    u0, v0, _ = build_initial_data(recipe, grid)
+    companion = _matched_chemical(v0, cfg.params.mu) if mode == "original" else v0
+    return run(u0, companion, stepper, cfg.params, mode=mode, p0=cfg.recipe.p0,
+               **kwargs)
+
+
+# ---------------------------------------------------------------------------
 # studies
 
 
 @dataclass
 class SingleRunResult:
     trajectory: Trajectory
-    summary: object
-    outcome: RunOutcome
-    fits: list
+    fits: list   # (DecayFit, reference rate or None)
     out_dir: Path
-
-    @property
-    def exit_code(self) -> int:
-        return EXIT_CODES[self.outcome]
-
-
-def _matched_chemical(v0: VectorField, mu: float) -> ScalarField:
-    """c0 consistent with v0 through the log-gradient substitution."""
-    phi = potential_of(v0)
-    return ScalarField(v0.grid, np.exp(-mu * phi.values), check=False)
 
 
 def run_single(cfg: ExperimentConfig, out_dir=None) -> SingleRunResult:
@@ -276,24 +323,15 @@ def run_single(cfg: ExperimentConfig, out_dir=None) -> SingleRunResult:
         if not 0.0 <= t <= cfg.stepper.t_end:
             raise ConfigError("snapshot_times", f"{t!r} is outside [0, t_end = "
                               f"{cfg.stepper.t_end!r}]")
-    out = Path(out_dir if out_dir is not None else cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    u0, v0, summary = build_initial_data(cfg.recipe, cfg.grid)
-    if cfg.mode == "original":
-        c0 = _matched_chemical(v0, cfg.params.mu)
-        traj = run(u0, c0, cfg.stepper, cfg.params, mode="original",
-                   p0=cfg.recipe.p0, snapshot_times=cfg.snapshot_times)
-    else:
-        traj = run(u0, v0, cfg.stepper, cfg.params, mode="transformed",
-                   p0=cfg.recipe.p0, snapshot_times=cfg.snapshot_times)
-
+    out = _output(cfg, out_dir)
+    traj = _solve(cfg, cfg.recipe, cfg.grid, cfg.stepper, cfg.mode,
+                  snapshot_times=cfg.snapshot_times)
     write_diagnostics_csv(out / "diagnostics.csv", traj.records)
-    (out / "config_echo.cfg").write_text(format_config(cfg))
     for t, payload in traj.snapshots:
         write_snapshot(out / f"snapshot_{t:.6f}.cfx", list(payload.values()))
 
     fits = []
-    t_final = traj.records[-1].t if traj.records else 0.0   # t=0 extinction
+    t_final = traj.records[-1].t if traj.records else 0.0   # t=0 halt
     window = (2.0, min(20.0, t_final))
     if window[1] > window[0]:
         for column, ref in (("c_linf", cfg.params.mu), ("u_linf", None),
@@ -307,23 +345,15 @@ def run_single(cfg: ExperimentConfig, out_dir=None) -> SingleRunResult:
                "quantity,t_lo,t_hi,rate,prefactor,residual,n_samples,reference_rate",
                ((f.quantity, f.t_lo, f.t_hi, f.rate, f.prefactor, f.residual,
                  f.n_samples, "" if ref is None else ref) for f, ref in fits))
-    return SingleRunResult(trajectory=traj, summary=summary,
-                           outcome=traj.outcome, fits=fits, out_dir=out)
+    return SingleRunResult(trajectory=traj, fits=fits, out_dir=out)
 
 
-@dataclass
-class DeltaSweepResult:
-    deltas: tuple
-    rows: list           # (delta_coarse, delta_fine, du_l2, dv_l2)
-    cauchy_decreasing: bool
-    out_dir: Path
-
-
-def run_delta_sweep(cfg: ExperimentConfig, out_dir=None) -> DeltaSweepResult:
+def run_delta_sweep(cfg: ExperimentConfig, out_dir=None) -> tuple:
     """Mollification-width sweep: solve for each delta, compare neighbours at T.
 
-    The difference table decreasing down the sweep is the numerical
-    counterpart of the vanishing-regularization Cauchy property.
+    Returns the rows (delta_coarse, delta_fine, du_l2, dv_l2) and whether
+    both differences decrease down the sweep, the numerical counterpart of
+    the vanishing-regularization Cauchy property.
     """
     deltas = cfg.deltas
     if len(deltas) < 3:
@@ -332,22 +362,13 @@ def run_delta_sweep(cfg: ExperimentConfig, out_dir=None) -> DeltaSweepResult:
         raise ConfigError("sweep.deltas", "widths must be strictly decreasing")
     if any(d <= 0 for d in deltas):
         raise ConfigError("sweep.deltas", "widths must be positive")
-    out = Path(out_dir if out_dir is not None else cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _output(cfg, out_dir)
 
     def solve(delta):
-        u0, v0, _ = build_initial_data(replace(cfg.recipe, delta=delta), cfg.grid)
-        traj = run(u0, v0, cfg.stepper, cfg.params, mode="transformed",
-                   p0=cfg.recipe.p0)
-        if traj.outcome is not RunOutcome.COMPLETED:
-            raise RuntimeError(f"delta={delta} run halted: {traj.message}")
-        return traj.final_state
+        recipe = replace(cfg.recipe, delta=delta)
+        return _completed(_solve(cfg, recipe, cfg.grid, cfg.stepper)).final_state
 
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            finals = list(pool.map(solve, deltas))
-    else:
-        finals = [solve(d) for d in deltas]
+    finals = _map(cfg, solve, deltas)
 
     rows = []
     for (d1, s1), (d2, s2) in zip(zip(deltas, finals), zip(deltas[1:], finals[1:])):
@@ -357,112 +378,69 @@ def run_delta_sweep(cfg: ExperimentConfig, out_dir=None) -> DeltaSweepResult:
     decreasing = all(r0[2] > r1[2] and r0[3] > r1[3]
                      for r0, r1 in zip(rows, rows[1:]))
     _write_csv(out / "delta_sweep.csv", "delta_coarse,delta_fine,du_l2,dv_l2", rows)
-    (out / "config_echo.cfg").write_text(format_config(cfg))
-    return DeltaSweepResult(deltas=deltas, rows=rows,
-                            cauchy_decreasing=decreasing, out_dir=out)
+    return rows, decreasing
 
 
-def subsample(values: np.ndarray, n_target: int) -> np.ndarray:
-    """Restrict a fine field to a coarser grid sharing its sample points."""
-    n = values.shape[0]
-    if n % n_target != 0:
-        raise ValueError(f"coarse resolution {n_target} must divide {n}")
-    step = n // n_target
-    return values[::step, ::step].copy()
+def run_refinement(cfg: ExperimentConfig, out_dir=None) -> list:
+    """Temporal Richardson study over dt_list and spatial study over n_list.
 
-
-@dataclass
-class RefinementResult:
-    temporal_rows: list   # (dt, error_to_next, order)
-    spatial_rows: list    # (N, error_to_reference, order)
-    out_dir: Path
-
-
-def run_refinement(cfg: ExperimentConfig, out_dir=None) -> RefinementResult:
-    """Temporal Richardson study over dt_list and spatial study over n_list."""
+    Returns the rows (kind, param, error, order): each temporal error is the
+    distance to the run at the next smaller dt, each spatial error the
+    distance to the finest grid at the smallest dt, and the order is
+    observed between a row and the next (nan for the last).
+    """
     if len(cfg.dt_list) < 3:
         raise ConfigError("refine.dt_list", "need at least 3 step sizes")
-    if len(cfg.n_list) < 3:
+    ns = sorted(cfg.n_list)
+    if len(ns) < 3:
         raise ConfigError("refine.n_list", "need at least 3 resolutions")
-    out = Path(out_dir if out_dir is not None else cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    if any(ns[-1] % n for n in ns):
+        raise ConfigError("refine.n_list", "each resolution must divide the finest")
+    out = _output(cfg, out_dir)
 
     def final_u(grid, dt):
-        u0, v0, _ = build_initial_data(cfg.recipe, grid)
         stepper = replace(cfg.stepper, dt=dt, dt_mode="fixed")
-        traj = run(u0, v0, stepper, cfg.params, mode="transformed",
-                   p0=cfg.recipe.p0)
-        if traj.outcome is not RunOutcome.COMPLETED:
-            raise RuntimeError(f"refinement run halted: {traj.message}")
-        return traj.final_state.u.values
+        return _completed(_solve(cfg, cfg.recipe, grid, stepper)).final_state.u.values
 
-    # temporal study on the configured grid
+    def l2(grid, values):
+        return lp_norm(ScalarField(grid, values, check=False), 2)
+
+    # (param, error, step size) per study
     dts = sorted(cfg.dt_list, reverse=True)
     finals = [final_u(cfg.grid, dt) for dt in dts]
-    temporal = []
-    errs = []
-    for (dt, a), b in zip(zip(dts, finals), finals[1:]):
-        err = lp_norm(ScalarField(cfg.grid, a - b, check=False), 2)
-        errs.append((dt, err))
-    for i, (dt, err) in enumerate(errs):
-        if i + 1 < len(errs):
-            ratio = err / max(errs[i + 1][1], 1e-300)
-            order = math.log(ratio) / math.log(dts[i] / dts[i + 1])
-        else:
-            order = float("nan")
-        temporal.append((dt, err, order))
-
-    # spatial study against the finest grid, common fixed dt
-    ns = sorted(cfg.n_list)
-    dt_ref = min(cfg.dt_list)
-    per_n = {}
-    for n in ns:
-        per_n[n] = final_u(Grid(cfg.grid.side_length, n), dt_ref)
-    ref = per_n[ns[-1]]
+    temporal = [(dt, l2(cfg.grid, a - b), dt)
+                for dt, a, b in zip(dts, finals, finals[1:])]
+    grids = [Grid(cfg.grid.side_length, n) for n in ns]
+    per_n = [final_u(grid, min(cfg.dt_list)) for grid in grids]
     spatial = []
-    sp_errs = []
-    for n in ns[:-1]:
-        coarse_ref = subsample(ref, n)
-        err = lp_norm(ScalarField(Grid(cfg.grid.side_length, n),
-                                  per_n[n] - coarse_ref, check=False), 2)
-        sp_errs.append((n, err))
-    for i, (n, err) in enumerate(sp_errs):
-        if i + 1 < len(sp_errs):
-            ratio = err / max(sp_errs[i + 1][1], 1e-300)
-            order = math.log2(max(ratio, 1e-300)) / math.log2(ns[i + 1] / ns[i])
-        else:
+    for n, grid, u in zip(ns, grids, per_n[:-1]):
+        k = ns[-1] // n   # the finest grid's samples at this grid's points
+        spatial.append((n, l2(grid, u - per_n[-1][::k, ::k]), 1.0 / n))
+
+    rows = []
+    for kind, errs in (("temporal", temporal), ("spatial", spatial)):
+        for i, (param, err, h) in enumerate(errs):
             order = float("nan")
-        spatial.append((n, err, order))
-
-    _write_csv(out / "refinement.csv", "kind,param,error,order",
-               [("temporal", *row) for row in temporal]
-               + [("spatial", *row) for row in spatial])
-    (out / "config_echo.cfg").write_text(format_config(cfg))
-    return RefinementResult(temporal_rows=temporal, spatial_rows=spatial, out_dir=out)
-
-
-def _require_completed(traj: Trajectory) -> None:
-    if traj.outcome is not RunOutcome.COMPLETED:
-        raise RuntimeError(f"cross-validation run halted: {traj.message}")
+            if i + 1 < len(errs):
+                _, err_next, h_next = errs[i + 1]
+                ratio = max(err / max(err_next, 1e-300), 1e-300)
+                order = math.log(ratio) / math.log(h / h_next)
+            rows.append((kind, param, err, order))
+    _write_csv(out / "refinement.csv", "kind,param,error,order", rows)
+    return rows
 
 
-@dataclass
-class CrossValidateResult:
-    rows: list   # (N, dt, max_u_discrepancy, max_v_discrepancy)
-    out_dir: Path
-
-
-def run_cross_validate(cfg: ExperimentConfig, out_dir=None) -> CrossValidateResult:
+def run_cross_validate(cfg: ExperimentConfig, out_dir=None) -> list:
     """Run both solvers from matched data; report max-in-time L2 discrepancies.
 
     The chemical initial state is synthesized from the drift potential, so
     the two modes describe the same solution through the log-gradient
     substitution; their drift between record times measures the combined
-    discretization error of the two schemes.
+    discretization error of the two schemes.  Returns the rows
+    (N, dt, max_u_discrepancy, max_v_discrepancy).
     """
     ns = cfg.n_list if cfg.n_list else (cfg.grid.resolution,)
-    out = Path(out_dir if out_dir is not None else cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _output(cfg, out_dir)
     rows = []
     for n in ns:
         grid = Grid(cfg.grid.side_length, n)
@@ -476,10 +454,9 @@ def run_cross_validate(cfg: ExperimentConfig, out_dir=None) -> CrossValidateResu
         # keep the transformed run's states, then compare each record of the
         # original run against the oldest kept state as it happens
         kept = deque()
-        traj_t = run(u0, v0, stepper, cfg.params, mode="transformed",
-                     p0=cfg.recipe.p0,
-                     recorders=(lambda state, rec: kept.append(state),))
-        _require_completed(traj_t)
+        _completed(run(u0, v0, stepper, cfg.params, mode="transformed",
+                       p0=cfg.recipe.p0,
+                       recorders=(lambda state, rec: kept.append(state),)))
         max_du = 0.0
         max_dv = 0.0
 
@@ -497,46 +474,39 @@ def run_cross_validate(cfg: ExperimentConfig, out_dir=None) -> CrossValidateResu
             max_du = max(max_du, du)
             max_dv = max(max_dv, dv)
 
-        traj_o = run(u0, c0, stepper, cfg.params, mode="original",
-                     p0=cfg.recipe.p0, recorders=(compare,))
-        _require_completed(traj_o)
+        _completed(run(u0, c0, stepper, cfg.params, mode="original",
+                       p0=cfg.recipe.p0, recorders=(compare,)))
         if kept:
             raise RuntimeError(f"cross-validation: {len(kept)} transformed "
                                "records have no original record")
         rows.append((n, stepper.dt, max_du, max_dv))
     _write_csv(out / "cross_validate.csv",
                "N,dt,max_u_discrepancy,max_v_discrepancy", rows)
-    (out / "config_echo.cfg").write_text(format_config(cfg))
-    return CrossValidateResult(rows=rows, out_dir=out)
+    return rows
 
 
-@dataclass
-class ThetaScanResult:
-    rows: list
-    out_dir: Path
-
-
-def run_theta_scan(cfg: ExperimentConfig, out_dir=None) -> ThetaScanResult:
+def run_theta_scan(cfg: ExperimentConfig, out_dir=None) -> list:
     """Amplitude ladder: measure theta0/M and classify each run's outcome.
 
-    ``decayed`` means the sup-norm perturbation at the end is at most half
-    its value at the first settled record (t >= 1); the energy bound check
-    compares the running A1 against 1.5 * theta0.
+    Returns the rows of ``theta_scan.csv``, one per amplitude.  ``decayed``
+    means the sup-norm perturbation at the end is at most half its value at
+    the first settled record (t >= 1); the energy bound check compares the
+    running A1 against 1.5 * theta0.  A member that halts is labelled with
+    its outcome, and one whose data cannot be built ``invalid_data``.
     """
     if not cfg.amplitudes:
         raise ConfigError("scan.amplitudes", "amplitude ladder is required")
     if any(a1 >= a2 for a1, a2 in zip(cfg.amplitudes, cfg.amplitudes[1:])):
         raise ConfigError("scan.amplitudes", "ladder must be strictly increasing")
-    out = Path(out_dir if out_dir is not None else cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _output(cfg, out_dir)
 
     def scan_one(amp):
         recipe = cfg.recipe.scaled(amp)
         try:
             u0, v0, summary = build_initial_data(recipe, cfg.grid)
-        except ValueError as exc:
+        except ValueError:
             return (amp, float("nan"), float("nan"), "invalid_data",
-                    False, float("nan"), float("nan"), False, False, str(exc))
+                    False, float("nan"), float("nan"), False, False)
         traj = run(u0, v0, cfg.stepper, cfg.params, mode="transformed",
                    p0=cfg.recipe.p0)
         # a run can halt at its t=0 node, before any record
@@ -549,23 +519,15 @@ def run_theta_scan(cfg: ExperimentConfig, out_dir=None) -> ThetaScanResult:
             decayed = traj.records[-1].u_linf <= 0.5 * settled[0].u_linf
         else:
             decayed = False
-        if traj.outcome is RunOutcome.BLOWUP:
-            label = "blowup"
-        elif traj.outcome is RunOutcome.CHEMICAL_EXTINCTION:
-            label = "chemical_extinction"
+        if traj.outcome is not RunOutcome.COMPLETED:
+            label = traj.outcome.value   # blowup or chemical_extinction
         else:
             label = "completed_decay" if decayed else "completed_no_decay"
         return (amp, summary.theta0, summary.M, label, decayed, a1, bound,
-                a1_ok, lemma34_ok, "")
+                a1_ok, lemma34_ok)
 
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            rows = list(pool.map(scan_one, cfg.amplitudes))
-    else:
-        rows = [scan_one(a) for a in cfg.amplitudes]
-
+    rows = _map(cfg, scan_one, cfg.amplitudes)
     _write_csv(out / "theta_scan.csv",
                "amplitude,theta0,M,outcome,decayed,a1,a1_bound,a1_ok,lemma34_ok",
-               (row[:-1] for row in rows))   # all but the message
-    (out / "config_echo.cfg").write_text(format_config(cfg))
-    return ThetaScanResult(rows=rows, out_dir=out)
+               rows)
+    return rows

@@ -10,7 +10,7 @@ which makes the zero-curl requirement structural rather than numerical.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 

@@ -4,7 +4,7 @@ import pytest
 from chemoflux import (ChemistryParams, Grid, RunOutcome, ScalarField,
                        StepperConfig, curl2d, forward_transform, lp_norm, run)
 from chemoflux.cole_hopf import C_FLOOR
-from conftest import band_limited_field
+from sample_fields import band_limited_field
 
 
 class TestChemistryParams:

@@ -7,7 +7,7 @@ from chemoflux import (ChemistryParams, DiagnosticsRecord, Grid, ScalarField,
                        energy_functionals, fit_decay, lp_norm, run)
 from chemoflux.diagnostics import CSV_COLUMNS
 from chemoflux.harness import write_diagnostics_csv
-from conftest import band_limited_field, band_limited_gradient
+from sample_fields import band_limited_field, band_limited_gradient
 from oracles import (assemble_rhs_ut, curl2d, curl_flux_residual, divergence,
                      effective_flux, flux_divergence_residual, gn_ratio,
                      gradient, lemma33_ratio, perp_gradient)

@@ -4,7 +4,7 @@ from scipy.linalg import expm
 
 from chemoflux import (ChemistryParams, Grid, RunOutcome, ScalarField,
                        StepperConfig, VectorField, curl2d, lp_norm, run)
-from conftest import band_limited_field, band_limited_gradient
+from sample_fields import band_limited_field, band_limited_gradient
 from oracles import dealias, project_curl_free
 
 

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from chemoflux import (Grid, ScalarField, VectorField, curl2d, gradient,
                        lp_norm, read_snapshot, write_snapshot)
 from chemoflux.fields import power_sum, spectral_power
-from conftest import band_limited_field, band_limited_gradient
+from sample_fields import band_limited_field, band_limited_gradient
 from oracles import (dealias, divergence, gn_ratio, laplacian, perp_gradient,
                      product_dot, product_scalar_vector)
 from oracles import gradient as full_spectrum_gradient

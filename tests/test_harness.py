@@ -45,6 +45,11 @@ recipe.amplitude = 1.0
 recipe.modes = 1,0,1000.0,0.0
 """
 
+# -mu phi reaches 900 > ln(float max) but stays above ln(C_FLOOR), so the
+# matched chemical overflows to inf without underflowing
+OVERFLOW = EXTINCT.replace("1,0,1000.0,0.0",
+                           "1,0,600.0,0.0; 2,0,300.0,1.5707963267948966")
+
 
 def cli(tmp_path, subcommand, text, *extra):
     cfg = tmp_path / f"{subcommand}.cfg"
@@ -112,10 +117,8 @@ def test_blowup_exits_10(tmp_path, capsys):
 
 
 def test_extinction_at_start_exits_11(tmp_path, capsys):
-    # exp(-mu phi) overflows where phi = -1000, on purpose
-    with np.errstate(all="ignore"):
-        code, out = cli(tmp_path, "run", "study = single_run\nmode = original\n"
-                        + EXTINCT)
+    code, out = cli(tmp_path, "run", "study = single_run\nmode = original\n"
+                    + EXTINCT)
     assert code == 11
     captured = capsys.readouterr()
     assert captured.out.startswith("outcome: chemical_extinction  (0 records")
@@ -125,11 +128,53 @@ def test_extinction_at_start_exits_11(tmp_path, capsys):
 
 
 def test_xval_of_extinct_chemical_is_a_config_error(tmp_path, capsys):
-    with np.errstate(all="ignore"):
-        code, _ = cli(tmp_path, "xval", "study = cross_validate\n" + EXTINCT)
+    code, _ = cli(tmp_path, "xval", "study = cross_validate\n" + EXTINCT)
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: config field 'recipe'") and "floor" in err
+
+
+def test_overflowing_chemical_at_start_exits_10(tmp_path, capsys):
+    # the overflow of exp(-mu phi) is the only one, and run() reports the
+    # non-finite c0 before any step uses it; a warning would fail the test
+    code, out = cli(tmp_path, "run", "study = single_run\nmode = original\n"
+                    + OVERFLOW)
+    assert code == 10
+    captured = capsys.readouterr()
+    assert captured.out.startswith("outcome: blowup  (0 records")
+    assert "chemical not finite at t=0" in captured.out
+    assert captured.err == ""
+    assert csv_rows(out / "diagnostics.csv") == []
+
+
+@pytest.mark.parametrize("subcommand,head", [
+    ("sweep-delta", "study = delta_sweep\nsweep.deltas = 4h,3h,2h\n"),
+    ("xval", "study = cross_validate\n"),
+    ("refine", "study = refinement\nrefine.dt_list = 0.9,0.6,0.3\n"
+               "refine.n_list = 8,16,32\n"),   # dt = 0.9 halts at t = 4.5
+], ids=["sweep-delta", "xval", "refine"])
+def test_halted_study_member_exits_10(tmp_path, capsys, subcommand, head):
+    code, _ = cli(tmp_path, subcommand,
+                  head + BLOWUP.replace("study = single_run\n", ""))
+    assert code == 10
+    err = capsys.readouterr().err
+    assert err.startswith("error: study run halted (blowup): ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("subcommand,head,field", [
+    ("run", "study = theta_scan\nscan.amplitudes = 0.1\n", "study"),
+    ("scan-theta", "scan.amplitudes = 0.1\n", "study"),   # study = single_run
+    ("scan-theta", "study = theta_scan\nscan.amplitudes = 0.1\n"
+                   "snapshot_times = 0.1\n", "snapshot_times"),
+], ids=["study-run", "study-scan-theta", "snapshot_times"])
+def test_config_of_another_study_exits_2(tmp_path, capsys, subcommand, head, field):
+    code, out = cli(tmp_path, subcommand, head + BASE)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config field '{field}': ")
+    assert err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_scan_theta_of_overflowing_chemical_labels_blowup(tmp_path, capsys):
@@ -209,6 +254,16 @@ def test_refine_reports_second_order_in_time(tmp_path, capsys):
     assert [int(r["param"]) for r in spatial] == [8, 16]
     assert 1.8 <= float(temporal[0]["order"]) <= 2.2     # IMEX-CN
     assert "temporal" in capsys.readouterr().out
+
+
+def test_refine_resolution_not_dividing_the_finest_exits_2(tmp_path, capsys):
+    text = ("study = refinement\nrefine.dt_list = 0.02,0.01,0.005\n"
+            "refine.n_list = 8,12,16\n" + BASE)
+    code, out = cli(tmp_path, "refine", text)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config field 'refine.n_list': ")
+    assert not out.exists()
 
 
 def test_xval_solvers_agree(tmp_path, capsys):

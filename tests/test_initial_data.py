@@ -5,7 +5,7 @@ from chemoflux import (Grid, InitialDataRecipe, ScalarField, VectorField,
                        build_initial_data, compute_eta0, curl2d, gradient,
                        lp_norm, mollify, potential_of)
 from chemoflux.initial_data import mollify_vector
-from conftest import band_limited_field, band_limited_gradient
+from sample_fields import band_limited_field, band_limited_gradient
 from oracles import project_curl_free
 
 
