@@ -1,7 +1,10 @@
 """Time integration of the coupled density-drift and density-chemical systems.
 
-``run`` is the only stepper.  Its two modes share one transport kernel and
-one implicit density update:
+``march`` is the only stepper: a generator that yields ``(state, record)``
+at each record node and returns the `Trajectory` when it ends; ``run``
+drains it and calls its hooks on each pair.  A yielded or hooked state's
+arrays are never written afterwards.  The two modes share one transport
+kernel and one implicit density update:
 
 * transformed mode evolves (u, v) with implicit (backward-Euler or
   trapezoidal) diffusion and explicit dealiased transport chi*div(u v);
@@ -19,7 +22,7 @@ layout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 import numpy as np
@@ -95,12 +98,12 @@ class StepperConfig:
 class Trajectory:
     """Ordered diagnostics plus the structured terminal status of a run."""
 
-    records: list
     outcome: RunOutcome
     final_state: SimState | None
     snapshots: list            # (t, {"u": array, ...}) pairs
     message: str = ""
     blowup_integral: float = 0.0
+    records: list = field(default_factory=list)
 
 
 def _transport_hat(grid: Grid, u, vx, vy, chi: float):
@@ -183,10 +186,16 @@ def _cfl_dt(grid, uh, vx, vy, chi, cfg) -> float:
     return min(cfg.cfl_number * grid.spacing / speed, cfg.dt)
 
 
-def run(u0: ScalarField, companion, cfg: StepperConfig, params: ChemistryParams,
-        mode: str = "transformed", p0: float = 6.0, recorders=(),
-        snapshot_times=()) -> Trajectory:
-    """Advance matched initial data to t_end (or a halt) and record diagnostics.
+def march(u0: ScalarField, companion, cfg: StepperConfig, params: ChemistryParams,
+          mode: str = "transformed", p0: float = 6.0, snapshot_times=()):
+    """Advance matched initial data to t_end (or a halt), yielding each record.
+
+    A generator: it yields ``(state, record)`` at every record node and
+    returns (as ``StopIteration.value``) the `Trajectory` of the run
+    without its records, which it has already yielded.  A yielded state's
+    arrays are the march's own: it never writes to them afterwards, and it
+    keeps no reference to the state, so a consumer that drops the pair
+    before asking for the next one holds one state at a time.
 
     ``companion`` is the drift field v0 in transformed mode or the chemical
     c0 in original mode.  The working state is projected onto the dealias
@@ -201,11 +210,6 @@ def run(u0: ScalarField, companion, cfg: StepperConfig, params: ChemistryParams,
     and the snapshots due.  The halt test returns ``BLOWUP`` when a node
     norm is not finite or max s reaches ln of the largest double, where
     c_linf would overflow; a non-finite field makes its norm non-finite.
-
-    Each hook in ``recorders`` is called as ``hook(state, record)`` at every
-    record.  The state's arrays are the run's own: the run never writes to
-    them after handing them out, so a hook may keep them without copying,
-    but must not write to them either.
 
     Deterministic for a fixed configuration and single-threaded execution.
     Halts surface as the trajectory outcome, never as silent truncation:
@@ -239,12 +243,12 @@ def run(u0: ScalarField, companion, cfg: StepperConfig, params: ChemistryParams,
         c_min, c_max = companion.values.min(), companion.values.max()
         if c_min <= C_FLOOR:
             return Trajectory(
-                records=[], outcome=RunOutcome.CHEMICAL_EXTINCTION,
+                outcome=RunOutcome.CHEMICAL_EXTINCTION,
                 final_state=None, snapshots=[],
                 message=f"chemical under floor at t=0 (min c = {c_min})")
         if not np.isfinite(c_max):
             return Trajectory(
-                records=[], outcome=RunOutcome.BLOWUP,
+                outcome=RunOutcome.BLOWUP,
                 final_state=None, snapshots=[],
                 message=f"chemical not finite at t=0 (max c = {c_max})")
         sh = np.fft.rfft2(np.log(companion.values))
@@ -255,7 +259,6 @@ def run(u0: ScalarField, companion, cfg: StepperConfig, params: ChemistryParams,
         raise ValueError(f"unknown mode {mode!r}")
 
     recorder = diag.TrajectoryRecorder(chi=chi, p0=p0)
-    records: list = []
     snapshots: list = []
     pending_snaps = sorted(float(ts) for ts in snapshot_times)
 
@@ -266,16 +269,12 @@ def run(u0: ScalarField, companion, cfg: StepperConfig, params: ChemistryParams,
 
     def emit(t, aux, s_max):
         # a function of its own, so that the stacked v and the state's c
-        # are freed before the next step unless a hook keeps them
+        # live only in the yielded pair, never in the generator's frame
         u_field = ScalarField(grid, u, check=False)
         v_field = VectorField(grid, np.stack([vx, vy]), check=False)
         rec = recorder.make_record(t, u_field, v_field, float(np.exp(s_max)),
                                    aux, uh)
-        records.append(rec)
-        if recorders:
-            state = current_state(t, u_field, v_field)
-            for hook in recorders:
-                hook(state, rec)
+        return current_state(t, u_field, v_field), rec
 
     t = 0.0
     t_end = cfg.t_end
@@ -285,7 +284,7 @@ def run(u0: ScalarField, companion, cfg: StepperConfig, params: ChemistryParams,
 
     while True:
         # the node at t; u, vx, vy and s are rebound by every step, never
-        # written in place, so hooks may keep them
+        # written in place, so yielded states may keep them
         t_hat = _transport_hat(grid, u, vx, vy, chi)
         aux = diag.node_norms(grid, uh, vxh, vyh, t_hat, vx, vy)
         s_max = float(s.max())
@@ -298,7 +297,7 @@ def run(u0: ScalarField, companion, cfg: StepperConfig, params: ChemistryParams,
         recorder.on_node(t, aux)
         done = t >= t_end - _time_tol(t_end)
         if nstep % cfg.record_every == 0 or done:
-            emit(t, aux, s_max)
+            yield emit(t, aux, s_max)
         while pending_snaps and t >= pending_snaps[0] - _time_tol(t):
             payload = {"u": u.copy()}
             if mode == "transformed":
@@ -342,6 +341,28 @@ def run(u0: ScalarField, companion, cfg: StepperConfig, params: ChemistryParams,
         final_state = current_state(
             t, ScalarField(grid, u, check=False),
             VectorField(grid, np.stack([vx, vy]), check=False))
-    return Trajectory(records=records, outcome=outcome, final_state=final_state,
+    return Trajectory(outcome=outcome, final_state=final_state,
                       snapshots=snapshots, message=message,
                       blowup_integral=recorder.blowup_integral)
+
+
+def run(u0: ScalarField, companion, cfg: StepperConfig, params: ChemistryParams,
+        mode: str = "transformed", p0: float = 6.0, recorders=(),
+        snapshot_times=()) -> Trajectory:
+    """Drain `march` into a `Trajectory` that holds its records.
+
+    Each hook in ``recorders`` is called as ``hook(state, record)`` at every
+    record, under the contract of the yielded states: a hook may keep the
+    state's arrays but must not write to them.
+    """
+    marching = march(u0, companion, cfg, params, mode, p0, snapshot_times)
+    records = []
+    while True:
+        try:
+            state, rec = next(marching)
+        except StopIteration as stop:
+            return replace(stop.value, records=records)
+        records.append(rec)
+        for hook in recorders:
+            hook(state, rec)
+        del state, rec   # else the state outlives the next step

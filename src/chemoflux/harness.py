@@ -22,13 +22,15 @@ threads; `_completed` raises `RunHalted`, carrying the `RunOutcome`, for a
 member that halted where the study needs a completed run; the study
 writes its table through `_write_csv` (a ``# chemoflux-diagnostics-v1``
 line, a header line, numbers to 17 significant digits) and returns its
-rows.  Runs are byte-deterministic for a fixed config with one thread.
+rows.  Cross-validation steps its two solvers in lockstep, the original
+mode's `march` inside a hook of the transformed mode's `run`, so it holds
+one state per mode.  Runs are byte-deterministic for a fixed config with
+one thread.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -37,7 +39,7 @@ import numpy as np
 
 from .cole_hopf import C_FLOOR, ChemistryParams, forward_transform
 from .diagnostics import CSV_COLUMNS, SCHEMA_VERSION, fit_decay
-from .evolve import RunOutcome, StepperConfig, Trajectory, run
+from .evolve import RunOutcome, StepperConfig, Trajectory, march, run
 from .fields import Grid, ParameterError, ScalarField, VectorField, lp_norm
 from .initial_data import InitialDataRecipe, build_initial_data, potential_of
 from .snapshots import write_snapshot
@@ -86,6 +88,14 @@ def _numbers(cast=float, arity=None):
             raise ValueError(f"expected {arity} numbers, got {len(items)}")
         return items
     return parse
+
+
+def _resolutions(text):
+    """Comma-separated grid resolutions, each one that `Grid` accepts."""
+    ns = _numbers(int)(text)
+    for n in ns:
+        Grid(1.0, n)   # its ParameterError is a ValueError, reported on the key
+    return ns
 
 
 def _entries(arity):
@@ -146,8 +156,8 @@ _SCHEMA = (
     ("snapshot_times", None, "snapshot_times", _numbers(), _joined, ()),
     ("sweep.deltas", None, "deltas", _widths, _joined, ()),
     # parse-only alias, read before refine.n_list so that the latter wins
-    ("xval.n_list", None, "n_list", _numbers(int), None, ()),
-    ("refine.n_list", None, "n_list", _numbers(int), _joined, ()),
+    ("xval.n_list", None, "n_list", _resolutions, None, ()),
+    ("refine.n_list", None, "n_list", _resolutions, _joined, ()),
     ("refine.dt_list", None, "dt_list", _numbers(), _joined, ()),
     ("scan.amplitudes", None, "amplitudes", _numbers(), _joined, ()),
 )
@@ -267,6 +277,15 @@ def _completed(traj: Trajectory) -> Trajectory:
     if traj.outcome is not RunOutcome.COMPLETED:
         raise RunHalted(traj)
     return traj
+
+
+def _next_record(marching):
+    """The next ``(state, record)`` of a march, or None once it completed."""
+    try:
+        return next(marching)
+    except StopIteration as stop:
+        _completed(stop.value)
+        return None
 
 
 def _output(cfg: ExperimentConfig, out_dir) -> Path:
@@ -436,8 +455,13 @@ def run_cross_validate(cfg: ExperimentConfig, out_dir=None) -> list:
     The chemical initial state is synthesized from the drift potential, so
     the two modes describe the same solution through the log-gradient
     substitution; their drift between record times measures the combined
-    discretization error of the two schemes.  Returns the rows
-    (N, dt, max_u_discrepancy, max_v_discrepancy).
+    discretization error of the two schemes.  The two solvers step in
+    lockstep: at each record of the transformed run, a hook advances the
+    original-mode `march` to its next record and compares the pair on the
+    spot, so the study holds one state per mode whatever the number of
+    records.  A pair at different times or a run with a record left over
+    is an error, and a halted run of either mode raises `RunHalted`.
+    Returns the rows (N, dt, max_u_discrepancy, max_v_discrepancy).
     """
     ns = cfg.n_list if cfg.n_list else (cfg.grid.resolution,)
     out = _output(cfg, out_dir)
@@ -451,22 +475,22 @@ def run_cross_validate(cfg: ExperimentConfig, out_dir=None) -> list:
         if c0.values.min() <= C_FLOOR:
             raise ConfigError("recipe", "matched chemical is at or below the "
                               f"extinction floor {C_FLOOR}")
-        # keep the transformed run's states, then compare each record of the
-        # original run against the oldest kept state as it happens
-        kept = deque()
-        _completed(run(u0, v0, stepper, cfg.params, mode="transformed",
-                       p0=cfg.recipe.p0,
-                       recorders=(lambda state, rec: kept.append(state),)))
+        partner = march(u0, c0, stepper, cfg.params, mode="original",
+                        p0=cfg.recipe.p0)
         max_du = 0.0
         max_dv = 0.0
 
-        def compare(so, rec):
+        def compare(st, _):
             nonlocal max_du, max_dv
-            if not kept or kept[0].t != so.t:
+            pair = _next_record(partner)
+            if pair is None:
+                raise RuntimeError(f"cross-validation: transformed record at "
+                                   f"t={st.t} has no original record")
+            so = pair[0]
+            if so.t != st.t:
                 raise RuntimeError(f"cross-validation: original record at "
-                                   f"t={so.t} has no transformed record at "
-                                   "the same time")
-            st = kept.popleft()
+                                   f"t={so.t} and transformed record at "
+                                   f"t={st.t} are not at the same time")
             du = lp_norm(ScalarField(grid, st.u.values - so.u.values, check=False), 2)
             v_from_c = forward_transform(so.c, cfg.params)
             dv = lp_norm(VectorField(grid, v_from_c.values - st.v.values,
@@ -474,11 +498,14 @@ def run_cross_validate(cfg: ExperimentConfig, out_dir=None) -> list:
             max_du = max(max_du, du)
             max_dv = max(max_dv, dv)
 
-        _completed(run(u0, c0, stepper, cfg.params, mode="original",
+        # the transformed run goes through `run`, so that the first entry
+        # into `run` still marks where stepping starts (perfbench's setup_s)
+        _completed(run(u0, v0, stepper, cfg.params, mode="transformed",
                        p0=cfg.recipe.p0, recorders=(compare,)))
-        if kept:
-            raise RuntimeError(f"cross-validation: {len(kept)} transformed "
-                               "records have no original record")
+        pair = _next_record(partner)
+        if pair is not None:
+            raise RuntimeError(f"cross-validation: original record at "
+                               f"t={pair[0].t} has no transformed record")
         rows.append((n, stepper.dt, max_du, max_dv))
     _write_csv(out / "cross_validate.csv",
                "N,dt,max_u_discrepancy,max_v_discrepancy", rows)

@@ -1,6 +1,7 @@
 """The five studies and every CLI subcommand at N <= 32, with their exit codes."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -9,7 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chemoflux import harness
-from chemoflux.cli import main
+from chemoflux.cli import STUDY_COMMANDS, main
+from chemoflux.cole_hopf import C_FLOOR
+from chemoflux.diagnostics import TrajectoryRecorder
+from chemoflux.evolve import EXIT_CODES
+from chemoflux.fields import ScalarField
 from chemoflux.harness import STUDIES, format_config, parse_config
 from chemoflux.initial_data import RECIPE_KINDS
 
@@ -212,15 +217,17 @@ def test_unknown_key_exits_2(tmp_path, capsys):
     "grid.N = 2.5e2", "params.mu = x", "stepper.dt = abc",
     "refine.n_list = 16.7,32", "xval.n_list = 16.7,32",   # not truncated to 16
     "stepper.dt = -1", "grid.N = 7", "recipe.kind = blob",  # parse, but out of range
+    "xval.n_list = 16,7", "refine.n_list = 6,12,24",   # not a grid resolution
 ])
 def test_bad_value_exits_2_naming_its_key(tmp_path, capsys, line):
     key, value = line.split(" = ")
-    code, _ = cli(tmp_path, "xval", "study = cross_validate\n" + BASE + line + "\n")
+    code, out = cli(tmp_path, "xval", "study = cross_validate\n" + BASE + line + "\n")
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: config field '{key}': ")
     assert value in err
     assert err.count("config field") == 1
+    assert not out.exists()   # rejected before any output or run
 
 
 def test_sweep_delta_is_deterministic_across_threads(tmp_path, capsys):
@@ -281,22 +288,95 @@ def test_xval_solvers_agree(tmp_path, capsys):
 
 @pytest.mark.parametrize("skew,message", [
     ({"record_every": 2}, "same time"),      # a record between two of the other's
-    ({"t_end": 0.1}, "no original record"),   # the other stops early
+    ({"t_end": 0.1}, "no original record"),   # the original run stops early
+    ({"t_end": 0.5}, "no transformed record"),   # the transformed run stops early
+    pytest.param({"floor_margin": 0.12},     # the original run halts at t=0.15
+                 r"halted \(chemical_extinction\): chemical under floor at t=0\.15",
+                 id="original-halts"),
 ])
 def test_xval_refuses_unmatched_records(tmp_path, monkeypatch, skew, message):
     # the two solvers' records are compared pairwise; a record of one
-    # without a partner at the same time must not be skipped
-    real_run = harness.run
+    # without a partner at the same time must not be skipped, and a partner
+    # that halts is a halted study member
+    real_march = harness.march
+    skew = dict(skew)
+    margin = skew.pop("floor_margin", None)
 
-    def skewed_run(u0, companion, cfg, params, mode="transformed", **kw):
-        if mode == "original":
-            cfg = replace(cfg, **skew)
-        return real_run(u0, companion, cfg, params, mode=mode, **kw)
+    def skewed_march(u0, c0, cfg, params, mode, **kw):
+        assert mode == "original"   # the transformed run goes through run()
+        if margin is not None:
+            # a constant factor leaves v = -(1/mu) grad ln c as it was, but
+            # puts min c just above the floor, where decay soon takes it
+            scale = C_FLOOR * math.exp(margin) / c0.values.min()
+            c0 = ScalarField(c0.grid, scale * c0.values)
+        return real_march(u0, c0, replace(cfg, **skew), params, mode, **kw)
 
-    monkeypatch.setattr(harness, "run", skewed_run)
+    monkeypatch.setattr(harness, "march", skewed_march)
     cfg = parse_config("study = cross_validate\n" + BASE)
-    with pytest.raises(RuntimeError, match=message):
+    with pytest.raises(RuntimeError, match=message) as info:
         harness.run_cross_validate(cfg, out_dir=tmp_path)
+    if margin is None:
+        assert info.type is RuntimeError
+    else:
+        assert info.type is harness.RunHalted
+        assert EXIT_CODES[info.value.outcome] == 11
+
+
+def test_xval_memory_does_not_grow_with_the_horizon(tmp_path):
+    # the two solvers step in lockstep, so xval holds one state per mode
+    # however many records it compares; NumPy reports its buffers to
+    # tracemalloc.  From t=0.3 to t=1.5 there are 24 more records.
+    n = 32
+    state_bytes = 3 * n * n * 8   # u and the two components of v
+
+    def peak(t_end):
+        cfg = parse_config("study = cross_validate\nstepper.record_every = 1\n"
+                           + BASE.replace("stepper.t_end = 0.3",
+                                          f"stepper.t_end = {t_end}"))
+        tracemalloc.start()
+        try:
+            harness.run_cross_validate(cfg, out_dir=tmp_path / str(t_end))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(0.3)   # warm-up: one-time allocations are not the horizon's
+    assert peak(1.5) - peak(0.3) < 2 * state_bytes
+
+
+def test_every_study_enters_run_before_its_first_record(tmp_path, monkeypatch,
+                                                        capsys):
+    # the benchmark's setup time ends at the first entry into harness.run;
+    # a study that made a record before it would count stepping as setup
+    events = []
+    real_run, real_record = harness.run, TrajectoryRecorder.make_record
+
+    def counting_run(*args, **kwargs):
+        events.append("run")
+        return real_run(*args, **kwargs)
+
+    def counting_record(self, *args, **kwargs):
+        events.append("record")
+        return real_record(self, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "run", counting_run)
+    monkeypatch.setattr(TrajectoryRecorder, "make_record", counting_record)
+    extra = {
+        "single_run": "",
+        "delta_sweep": "sweep.deltas = 4h,3h,2h\n",
+        "refinement": "refine.dt_list = 0.1,0.05,0.025\nrefine.n_list = 8,16,32\n",
+        "cross_validate": "",
+        "theta_scan": "scan.amplitudes = 0.05,0.1\n",
+    }
+    small = BASE.replace("grid.N = 32", "grid.N = 16")
+    for subcommand, study, *_ in STUDY_COMMANDS:
+        events.clear()
+        code, _ = cli(tmp_path, subcommand, f"study = {study}\n" + extra[study]
+                      + small)
+        assert code == 0, subcommand
+        assert "record" in events, subcommand
+        assert "run" in events[:events.index("record")], subcommand
+    capsys.readouterr()
 
 
 def test_production_transforms_are_half_spectra(tmp_path, monkeypatch, capsys):
@@ -403,7 +483,8 @@ def config_texts(draw):
         "sweep.deltas": st.lists(st.one_of(
             st.integers(min_value=1, max_value=8).map(lambda n: f"{n}h"),
             finite.map(repr)), min_size=1, max_size=4).map(",".join),
-        "xval.n_list": st.lists(st.integers(min_value=8, max_value=512),
+        "xval.n_list": st.lists(st.integers(min_value=4, max_value=256).map(
+                                    lambda n: 2 * n),
                                 min_size=1, max_size=4).map(
             lambda ns: ",".join(map(str, ns))),
         "refine.dt_list": st.lists(finite, min_size=1, max_size=4).map(_join),
