@@ -6,7 +6,8 @@ completion, 10 on blow-up and 11 on chemical extinction of the single run
 or of any member run the study needs to complete (with one ``error:``
 line), and 2 with one ``error:`` line on a config or other input error;
 fit-decay exits 0 or 2.  The config's ``study`` key must name the
-subcommand's study, and only ``single_run`` accepts ``snapshot_times``.
+subcommand's study, only ``single_run`` reads ``mode`` and
+``snapshot_times``, and ``threads`` is at least 1.
 """
 
 from __future__ import annotations
@@ -22,17 +23,17 @@ from .evolve import EXIT_CODES
 
 
 def _print_run(result) -> int:
-    traj = result.trajectory
+    traj, fits, out_dir = result
     t_final = traj.records[-1].t if traj.records else 0.0   # t=0 halt
     print(f"outcome: {traj.outcome.value}  ({len(traj.records)} records, "
           f"t_final={t_final:g})")
     if traj.message:
         print(traj.message)
-    for fit, ref in result.fits:
+    for fit, ref in fits:
         extra = f" (reference {ref:g})" if ref is not None else ""
         print(f"decay {fit.quantity}: rate={fit.rate:.4f} "
               f"residual={fit.residual:.3g}{extra}")
-    print(f"artifacts in {result.out_dir}")
+    print(f"artifacts in {out_dir}")
     return EXIT_CODES[traj.outcome]
 
 
@@ -94,9 +95,12 @@ def _run_study(study, run_study, printer, args) -> int:
     if cfg.study != study:
         raise harness.ConfigError("study", f"{cfg.study!r} given to "
                                   f"'{args.command}', which runs {study!r}")
-    if cfg.snapshot_times and study != "single_run":
-        raise harness.ConfigError("snapshot_times",
-                                  f"only single_run takes snapshots, not {study}")
+    if cfg.threads < 1:
+        raise harness.ConfigError("threads", f"must be at least 1, got {cfg.threads}")
+    for key in ("mode", "snapshot_times"):   # set away from the dataclass default
+        if study != "single_run" and getattr(cfg, key) != getattr(
+                harness.ExperimentConfig, key):
+            raise harness.ConfigError(key, f"is read only by single_run, not {study}")
     return printer(run_study(cfg, out_dir=args.out))
 
 

@@ -3,8 +3,8 @@
 ``march`` is the only stepper: a generator that yields ``(state, record)``
 at each record node and returns the `Trajectory` when it ends; ``run``
 drains it and calls its hooks on each pair.  A yielded or hooked state's
-arrays are never written afterwards.  The two modes share one transport
-kernel and one implicit density update:
+arrays are never written afterwards.  The companion of u0, v0 or c0, picks
+the mode; both share one transport kernel and one implicit density update:
 
 * transformed mode evolves (u, v) with implicit (backward-Euler or
   trapezoidal) diffusion and explicit dealiased transport chi*div(u v);
@@ -66,8 +66,8 @@ class SimState:
 
 @dataclass
 class StepperConfig:
-    dt: float
-    t_end: float
+    dt: float = 0.01
+    t_end: float = 1.0
     dt_mode: str = "fixed"       # fixed | cfl (dt is the cap in cfl mode)
     cfl_number: float = 0.5
     scheme: str = "imex_cn"      # imex_be | imex_cn
@@ -187,7 +187,7 @@ def _cfl_dt(grid, uh, vx, vy, chi, cfg) -> float:
 
 
 def march(u0: ScalarField, companion, cfg: StepperConfig, params: ChemistryParams,
-          mode: str = "transformed", p0: float = 6.0, snapshot_times=()):
+          p0: float = 6.0, snapshot_times=()):
     """Advance matched initial data to t_end (or a halt), yielding each record.
 
     A generator: it yields ``(state, record)`` at every record node and
@@ -197,12 +197,12 @@ def march(u0: ScalarField, companion, cfg: StepperConfig, params: ChemistryParam
     keeps no reference to the state, so a consumer that drops the pair
     before asking for the next one holds one state at a time.
 
-    ``companion`` is the drift field v0 in transformed mode or the chemical
-    c0 in original mode.  The working state is projected onto the dealias
-    band once at start.  Both modes carry s = ln c: original mode evolves
-    it, and transformed mode starts it at -mu * potential(v0) and advances
-    it by the trapezoid of -mu*u over each step, the same update as the
-    Strang pair of original mode.  The records' ``c_linf`` is exp(max s).
+    ``companion`` selects the mode: v0 (a `VectorField`) the transformed, c0
+    (a `ScalarField`) the original.  The working state is projected onto the
+    dealias band once at start.  Both modes carry s = ln c: original mode
+    evolves it, and transformed mode starts it at -mu * potential(v0) and
+    advances it by the trapezoid of -mu*u over each step, the same update as
+    the Strang pair of original mode.  The records' ``c_linf`` is exp(max s).
 
     Every time node, t=0 included, takes one pass: the transport term, the
     six node norms (`diagnostics.node_norms`), the halt test, the running
@@ -225,9 +225,8 @@ def march(u0: ScalarField, companion, cfg: StepperConfig, params: ChemistryParam
     uh[oob] = 0.0
     u = np.fft.irfft2(uh, s=shape)
 
-    if mode == "transformed":
-        if not isinstance(companion, VectorField):
-            raise ValueError("transformed mode expects v0 as a VectorField")
+    transformed = isinstance(companion, VectorField)
+    if transformed:
         vxh = np.fft.rfft2(companion.values[0])
         vyh = np.fft.rfft2(companion.values[1])
         vxh[oob] = 0.0
@@ -237,9 +236,7 @@ def march(u0: ScalarField, companion, cfg: StepperConfig, params: ChemistryParam
         if vxh.any() or vyh.any():
             s = -mu * potential_of(VectorField(grid, np.stack([vx, vy]),
                                                check=False)).values
-    elif mode == "original":
-        if not isinstance(companion, ScalarField):
-            raise ValueError("original mode expects c0 as a ScalarField")
+    elif isinstance(companion, ScalarField):
         c_min, c_max = companion.values.min(), companion.values.max()
         if c_min <= C_FLOOR:
             return Trajectory(
@@ -256,14 +253,14 @@ def march(u0: ScalarField, companion, cfg: StepperConfig, params: ChemistryParam
         s = np.fft.irfft2(sh, s=shape)
         vx, vy, vxh, vyh = _drift_from_log_chemical(grid, s, mu)
     else:
-        raise ValueError(f"unknown mode {mode!r}")
+        raise ValueError(f"companion {type(companion).__name__} selects no mode")
 
     recorder = diag.TrajectoryRecorder(chi=chi, p0=p0)
     snapshots: list = []
     pending_snaps = sorted(float(ts) for ts in snapshot_times)
 
     def current_state(t, u_field, v_field):
-        if mode == "transformed":
+        if transformed:
             return SimState(t=t, u=u_field, v=v_field)
         return SimState(t=t, u=u_field, c=ScalarField(grid, np.exp(s), check=False))
 
@@ -300,7 +297,7 @@ def march(u0: ScalarField, companion, cfg: StepperConfig, params: ChemistryParam
             yield emit(t, aux, s_max)
         while pending_snaps and t >= pending_snaps[0] - _time_tol(t):
             payload = {"u": u.copy()}
-            if mode == "transformed":
+            if transformed:
                 payload["v1"], payload["v2"] = vx.copy(), vy.copy()
             else:
                 payload["c"] = np.exp(s)
@@ -317,7 +314,7 @@ def march(u0: ScalarField, companion, cfg: StepperConfig, params: ChemistryParam
         if pending_snaps and t + dt > pending_snaps[0] + _time_tol(t):
             dt = pending_snaps[0] - t   # land a step on the requested time
 
-        if mode == "transformed":
+        if transformed:
             u_prev = u
             uh, vxh, vyh = _advance_transformed(
                 grid, uh, vxh, vyh, dt, chi, cfg.scheme, t_hat)
@@ -347,15 +344,15 @@ def march(u0: ScalarField, companion, cfg: StepperConfig, params: ChemistryParam
 
 
 def run(u0: ScalarField, companion, cfg: StepperConfig, params: ChemistryParams,
-        mode: str = "transformed", p0: float = 6.0, recorders=(),
-        snapshot_times=()) -> Trajectory:
-    """Drain `march` into a `Trajectory` that holds its records.
+        p0: float = 6.0, recorders=(), snapshot_times=()) -> Trajectory:
+    """Drain `march`, whose ``companion`` selects the system, into a
+    `Trajectory` that holds its records.
 
     Each hook in ``recorders`` is called as ``hook(state, record)`` at every
     record, under the contract of the yielded states: a hook may keep the
     state's arrays but must not write to them.
     """
-    marching = march(u0, companion, cfg, params, mode, p0, snapshot_times)
+    marching = march(u0, companion, cfg, params, p0, snapshot_times)
     records = []
     while True:
         try:

@@ -44,8 +44,8 @@ class Grid:
     halved last axis and y-wavenumbers along the full first axis.
     """
 
-    side_length: float
-    resolution: int
+    side_length: float = 16 * np.pi
+    resolution: int = 256
 
     def __post_init__(self):
         if self.side_length <= 0:

@@ -2,30 +2,30 @@
 
 Configs are flat ``key = value`` text with dotted section names
 (``grid.N = 256``).  `_SCHEMA` declares every key once, as a row of
-(key, section, attribute, parser, formatter, default): the key sets
-``attribute`` of the ``section`` part of an `ExperimentConfig` (of the
-config itself when the section is None), ``parser`` reads the value text
-and ``formatter`` writes it back.  `parse_config` rejects keys outside the
-table and parses the ``grid.*`` rows first, because mollifier widths and
-sweep deltas accept the ``Xh`` suffix meaning X grid cells.  A value
-that fails its own range check is reported against its key, and values
-that contradict each other (``stepper.dt`` above ``stepper.t_end``)
-against their section.
+(key, section, attribute, parser, formatter): the key sets ``attribute``
+of the ``section`` part of an `ExperimentConfig` (of the config itself
+for section None), ``parser`` reads the value text and ``formatter``
+writes it back.  `parse_config` sets only the keys a file gives, leaving
+the dataclass defaults, rejects keys outside the table and parses the
+``grid.*`` rows first, because mollifier widths and sweep deltas accept
+the ``Xh`` suffix meaning X grid cells.  A value that fails its own range
+check is reported against its key, and values that contradict each other
+(``stepper.dt`` above ``stepper.t_end``) against their section.
 `format_config` echoes the rows in table order, leaving out empty lists
 and the rows without a formatter (``xval.n_list``, a parse-only alias of
 ``refine.n_list``).
 
 Every study has one skeleton: it checks its own inputs; `_output` makes
 the output directory and writes the config echo there; `_solve` builds and
-runs each member, and `_map` maps members over ``threads`` worker
-threads; `_completed` raises `RunHalted`, carrying the `RunOutcome`, for a
-member that halted where the study needs a completed run; the study
-writes its table through `_write_csv` (a ``# chemoflux-diagnostics-v1``
-line, a header line, numbers to 17 significant digits) and returns its
-rows.  Cross-validation steps its two solvers in lockstep, the original
-mode's `march` inside a hook of the transformed mode's `run`, so it holds
-one state per mode.  Runs are byte-deterministic for a fixed config with
-one thread.
+runs each member, the only place where ``mode`` picks the companion, and
+`_map` maps members over ``threads`` worker threads; `_completed` raises
+`RunHalted`, carrying the `RunOutcome`, for a member that halted where the
+study needs a completed run; the study writes its table through
+`_write_csv` (a ``# chemoflux-diagnostics-v1`` line, a header line,
+numbers to 17 significant digits) and returns its rows.  Cross-validation
+steps its two solvers in lockstep, the original mode's `march` inside a
+hook of the transformed mode's `run`, so it holds one state per mode.
+Runs are byte-deterministic for a fixed config with one thread.
 """
 
 from __future__ import annotations
@@ -57,11 +57,11 @@ class ConfigError(ValueError):
 
 @dataclass
 class ExperimentConfig:
-    study: str
     grid: Grid
     params: ChemistryParams
     recipe: InitialDataRecipe
     stepper: StepperConfig
+    study: str = "single_run"
     mode: str = "transformed"
     out_dir: str = "out"
     snapshot_times: tuple = ()
@@ -126,40 +126,39 @@ _SECTIONS = {"grid": Grid, "params": ChemistryParams,
              "recipe": InitialDataRecipe, "stepper": StepperConfig}
 
 _SCHEMA = (
-    ("study", None, "study", _one_of(*STUDIES), str, "single_run"),
-    ("out_dir", None, "out_dir", str, str, "out"),
-    ("mode", None, "mode", _one_of("transformed", "original"), str, "transformed"),
-    ("threads", None, "threads", int, str, 1),
-    ("grid.L", "grid", "side_length", float, repr, 16 * math.pi),
-    ("grid.N", "grid", "resolution", int, str, 256),
-    ("params.chi", "params", "chi", float, repr, 1.0),
-    ("params.mu", "params", "mu", float, repr, 1.0),
-    ("params.xi", "params", "xi", float, repr, 1.0),
-    ("recipe.kind", "recipe", "kind", str, str, "piecewise_constant_disks"),
-    ("recipe.amplitude", "recipe", "amplitude", float, repr, 0.0),
-    ("recipe.p0", "recipe", "p0", float, repr, 6.0),
-    ("recipe.delta", "recipe", "delta", _width, repr, 0.0),
-    ("recipe.seed", "recipe", "seed", int, str, 0),
-    ("recipe.random_disks", "recipe", "random_disks", int, str, 0),
-    ("recipe.bump_center", "recipe", "bump_center", _numbers(float, 2), _joined,
-     (0.5, 0.5)),
-    ("recipe.bump_sharpness", "recipe", "bump_sharpness", float, repr, 16.0),
-    ("stepper.scheme", "stepper", "scheme", str, str, "imex_cn"),
-    ("stepper.dt", "stepper", "dt", float, repr, 0.01),
-    ("stepper.dt_mode", "stepper", "dt_mode", str, str, "fixed"),
-    ("stepper.cfl_number", "stepper", "cfl_number", float, repr, 0.5),
-    ("stepper.t_end", "stepper", "t_end", float, repr, 1.0),
-    ("stepper.record_every", "stepper", "record_every", int, str, 1),
-    ("recipe.disks", "recipe", "disks", _entries(4), _joined_entries, ()),
-    ("recipe.stripes", "recipe", "stripes", _entries(3), _joined_entries, ()),
-    ("recipe.modes", "recipe", "potential_modes", _entries(4), _joined_entries, ()),
-    ("snapshot_times", None, "snapshot_times", _numbers(), _joined, ()),
-    ("sweep.deltas", None, "deltas", _widths, _joined, ()),
+    ("study", None, "study", _one_of(*STUDIES), str),
+    ("out_dir", None, "out_dir", str, str),
+    ("mode", None, "mode", _one_of("transformed", "original"), str),
+    ("threads", None, "threads", int, str),
+    ("grid.L", "grid", "side_length", float, repr),
+    ("grid.N", "grid", "resolution", int, str),
+    ("params.chi", "params", "chi", float, repr),
+    ("params.mu", "params", "mu", float, repr),
+    ("params.xi", "params", "xi", float, repr),
+    ("recipe.kind", "recipe", "kind", str, str),
+    ("recipe.amplitude", "recipe", "amplitude", float, repr),
+    ("recipe.p0", "recipe", "p0", float, repr),
+    ("recipe.delta", "recipe", "delta", _width, repr),
+    ("recipe.seed", "recipe", "seed", int, str),
+    ("recipe.random_disks", "recipe", "random_disks", int, str),
+    ("recipe.bump_center", "recipe", "bump_center", _numbers(float, 2), _joined),
+    ("recipe.bump_sharpness", "recipe", "bump_sharpness", float, repr),
+    ("stepper.scheme", "stepper", "scheme", str, str),
+    ("stepper.dt", "stepper", "dt", float, repr),
+    ("stepper.dt_mode", "stepper", "dt_mode", str, str),
+    ("stepper.cfl_number", "stepper", "cfl_number", float, repr),
+    ("stepper.t_end", "stepper", "t_end", float, repr),
+    ("stepper.record_every", "stepper", "record_every", int, str),
+    ("recipe.disks", "recipe", "disks", _entries(4), _joined_entries),
+    ("recipe.stripes", "recipe", "stripes", _entries(3), _joined_entries),
+    ("recipe.modes", "recipe", "potential_modes", _entries(4), _joined_entries),
+    ("snapshot_times", None, "snapshot_times", _numbers(), _joined),
+    ("sweep.deltas", None, "deltas", _widths, _joined),
     # parse-only alias, read before refine.n_list so that the latter wins
-    ("xval.n_list", None, "n_list", _resolutions, None, ()),
-    ("refine.n_list", None, "n_list", _resolutions, _joined, ()),
-    ("refine.dt_list", None, "dt_list", _numbers(), _joined, ()),
-    ("scan.amplitudes", None, "amplitudes", _numbers(), _joined, ()),
+    ("xval.n_list", None, "n_list", _resolutions, None),
+    ("refine.n_list", None, "n_list", _resolutions, _joined),
+    ("refine.dt_list", None, "dt_list", _numbers(), _joined),
+    ("scan.amplitudes", None, "amplitudes", _numbers(), _joined),
 )
 
 
@@ -196,11 +195,9 @@ def parse_config(text: str) -> ExperimentConfig:
 
     def parse_rows(rows, spacing=None):
         for row in rows:
-            key, section, attr, _, _, default = row
+            key, section, attr = row[:3]
             if key in raw:
                 values[section][attr] = _parse(row, raw[key], spacing)
-            else:
-                values[section].setdefault(attr, default)
 
     def build(section):
         try:
@@ -231,7 +228,7 @@ def load_config(path) -> ExperimentConfig:
 def format_config(cfg: ExperimentConfig) -> str:
     """Canonical echo of a parsed config (suitable for re-parsing)."""
     lines = []
-    for key, section, attr, _, fmt, _ in _SCHEMA:
+    for key, section, attr, _, fmt in _SCHEMA:
         value = getattr(getattr(cfg, section) if section else cfg, attr)
         if fmt is not None and value != ():
             lines.append(f"{key} = {fmt(value)}")
@@ -315,29 +312,29 @@ def _matched_chemical(v0: VectorField, mu: float) -> ScalarField:
         return ScalarField(v0.grid, np.exp(-mu * phi.values), check=False)
 
 
+def _initial_data(recipe, grid):
+    """`build_initial_data`; data it cannot build is a `ConfigError` on ``recipe``."""
+    try:
+        return build_initial_data(recipe, grid)
+    except ValueError as exc:   # u0 < 0, or a mollifier wider than L/4
+        raise ConfigError("recipe", str(exc)) from None
+
+
 def _solve(cfg: ExperimentConfig, recipe, grid, stepper, mode="transformed",
            **kwargs) -> Trajectory:
-    """Build ``recipe`` on ``grid`` and run it, from the matched chemical in
-    original mode."""
-    u0, v0, _ = build_initial_data(recipe, grid)
+    """Build ``recipe`` on ``grid`` and run it; original ``mode`` runs from
+    the matched chemical, the companion that selects that system."""
+    u0, v0, _ = _initial_data(recipe, grid)
     companion = _matched_chemical(v0, cfg.params.mu) if mode == "original" else v0
-    return run(u0, companion, stepper, cfg.params, mode=mode, p0=cfg.recipe.p0,
-               **kwargs)
+    return run(u0, companion, stepper, cfg.params, p0=cfg.recipe.p0, **kwargs)
 
 
 # ---------------------------------------------------------------------------
 # studies
 
 
-@dataclass
-class SingleRunResult:
-    trajectory: Trajectory
-    fits: list   # (DecayFit, reference rate or None)
-    out_dir: Path
-
-
-def run_single(cfg: ExperimentConfig, out_dir=None) -> SingleRunResult:
-    """One run to t_end; writes diagnostics, decay summary, snapshots, echo."""
+def run_single(cfg: ExperimentConfig, out_dir=None) -> tuple:
+    """One run to t_end with its artifacts; returns (trajectory, fits, out dir)."""
     for t in cfg.snapshot_times:
         if not 0.0 <= t <= cfg.stepper.t_end:
             raise ConfigError("snapshot_times", f"{t!r} is outside [0, t_end = "
@@ -349,7 +346,7 @@ def run_single(cfg: ExperimentConfig, out_dir=None) -> SingleRunResult:
     for t, payload in traj.snapshots:
         write_snapshot(out / f"snapshot_{t:.6f}.cfx", list(payload.values()))
 
-    fits = []
+    fits = []   # (DecayFit, reference rate or None)
     t_final = traj.records[-1].t if traj.records else 0.0   # t=0 halt
     window = (2.0, min(20.0, t_final))
     if window[1] > window[0]:
@@ -364,7 +361,7 @@ def run_single(cfg: ExperimentConfig, out_dir=None) -> SingleRunResult:
                "quantity,t_lo,t_hi,rate,prefactor,residual,n_samples,reference_rate",
                ((f.quantity, f.t_lo, f.t_hi, f.rate, f.prefactor, f.residual,
                  f.n_samples, "" if ref is None else ref) for f, ref in fits))
-    return SingleRunResult(trajectory=traj, fits=fits, out_dir=out)
+    return traj, fits, out
 
 
 def run_delta_sweep(cfg: ExperimentConfig, out_dir=None) -> tuple:
@@ -379,8 +376,8 @@ def run_delta_sweep(cfg: ExperimentConfig, out_dir=None) -> tuple:
         raise ConfigError("sweep.deltas", "need at least 3 widths")
     if any(d2 >= d1 for d1, d2 in zip(deltas, deltas[1:])):
         raise ConfigError("sweep.deltas", "widths must be strictly decreasing")
-    if any(d <= 0 for d in deltas):
-        raise ConfigError("sweep.deltas", "widths must be positive")
+    if any(not 0 < d <= cfg.grid.side_length / 4 for d in deltas):
+        raise ConfigError("sweep.deltas", "widths must be positive and at most L/4")
     out = _output(cfg, out_dir)
 
     def solve(delta):
@@ -408,11 +405,10 @@ def run_refinement(cfg: ExperimentConfig, out_dir=None) -> list:
     distance to the finest grid at the smallest dt, and the order is
     observed between a row and the next (nan for the last).
     """
-    if len(cfg.dt_list) < 3:
-        raise ConfigError("refine.dt_list", "need at least 3 step sizes")
+    for key, items in (("refine.dt_list", cfg.dt_list), ("refine.n_list", cfg.n_list)):
+        if len(items) < 3 or len(set(items)) < len(items):   # a repeat has no order
+            raise ConfigError(key, "need at least 3 entries, all distinct")
     ns = sorted(cfg.n_list)
-    if len(ns) < 3:
-        raise ConfigError("refine.n_list", "need at least 3 resolutions")
     if any(ns[-1] % n for n in ns):
         raise ConfigError("refine.n_list", "each resolution must divide the finest")
     out = _output(cfg, out_dir)
@@ -464,19 +460,21 @@ def run_cross_validate(cfg: ExperimentConfig, out_dir=None) -> list:
     Returns the rows (N, dt, max_u_discrepancy, max_v_discrepancy).
     """
     ns = cfg.n_list if cfg.n_list else (cfg.grid.resolution,)
+    try:   # every member's stepper, before any output
+        steppers = [replace(cfg.stepper, dt=cfg.stepper.dt * (ns[0] / n),
+                            dt_mode="fixed") for n in ns]
+    except ValueError as exc:   # a coarse member's dt exceeds t_end
+        raise ConfigError("xval.n_list", f"{_joined(ns)}: {exc}") from None
     out = _output(cfg, out_dir)
     rows = []
-    for n in ns:
+    for n, stepper in zip(ns, steppers):
         grid = Grid(cfg.grid.side_length, n)
-        scale = ns[0] / n
-        stepper = replace(cfg.stepper, dt=cfg.stepper.dt * scale, dt_mode="fixed")
-        u0, v0, _ = build_initial_data(cfg.recipe, grid)
+        u0, v0, _ = _initial_data(cfg.recipe, grid)
         c0 = _matched_chemical(v0, cfg.params.mu)
         if c0.values.min() <= C_FLOOR:
             raise ConfigError("recipe", "matched chemical is at or below the "
                               f"extinction floor {C_FLOOR}")
-        partner = march(u0, c0, stepper, cfg.params, mode="original",
-                        p0=cfg.recipe.p0)
+        partner = march(u0, c0, stepper, cfg.params, p0=cfg.recipe.p0)
         max_du = 0.0
         max_dv = 0.0
 
@@ -500,8 +498,8 @@ def run_cross_validate(cfg: ExperimentConfig, out_dir=None) -> list:
 
         # the transformed run goes through `run`, so that the first entry
         # into `run` still marks where stepping starts (perfbench's setup_s)
-        _completed(run(u0, v0, stepper, cfg.params, mode="transformed",
-                       p0=cfg.recipe.p0, recorders=(compare,)))
+        _completed(run(u0, v0, stepper, cfg.params, p0=cfg.recipe.p0,
+                       recorders=(compare,)))
         pair = _next_record(partner)
         if pair is not None:
             raise RuntimeError(f"cross-validation: original record at "
@@ -534,8 +532,7 @@ def run_theta_scan(cfg: ExperimentConfig, out_dir=None) -> list:
         except ValueError:
             return (amp, float("nan"), float("nan"), "invalid_data",
                     False, float("nan"), float("nan"), False, False)
-        traj = run(u0, v0, cfg.stepper, cfg.params, mode="transformed",
-                   p0=cfg.recipe.p0)
+        traj = run(u0, v0, cfg.stepper, cfg.params, p0=cfg.recipe.p0)
         # a run can halt at its t=0 node, before any record
         a1 = traj.records[-1].a1 if traj.records else float("nan")
         bound = 1.5 * summary.theta0_raw

@@ -35,7 +35,7 @@ class InitialDataRecipe:
     in physical units (0 disables mollification).
     """
 
-    kind: str
+    kind: str = "piecewise_constant_disks"
     amplitude: float = 0.0
     p0: float = 6.0
     delta: float = 0.0

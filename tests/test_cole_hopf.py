@@ -63,7 +63,7 @@ class TestCStep:
         kept = []
         traj = run(ScalarField.constant(grid32, 0.0), c0,
                    StepperConfig(dt=0.1, t_end=0.7), ChemistryParams(),
-                   mode="original", recorders=(lambda st, rec: kept.append(st.c),))
+                   recorders=(lambda st, rec: kept.append(st.c),))
         np.testing.assert_array_equal(traj.final_state.c.values, kept[0].values)
         assert np.abs(kept[0].values - c0.values).max() <= 1e-13
 
@@ -81,8 +81,7 @@ class TestCStep:
         params = ChemistryParams(chi=0.0, mu=mu, xi=0.0)
         errs = []
         for dt in (0.1, 0.05, 0.025):
-            traj = run(u0, c0, StepperConfig(dt=dt, t_end=T), params,
-                       mode="original")
+            traj = run(u0, c0, StepperConfig(dt=dt, t_end=T), params)
             errs.append(np.abs(traj.final_state.c.values - exact).max())
             assert errs[-1] <= 0.01 * dt * dt
         assert 3.5 <= errs[0] / errs[1] <= 4.5
@@ -94,7 +93,7 @@ class TestCStep:
         kept = []
         traj = run(u0, ScalarField.constant(grid32, 1e-12),
                    StepperConfig(dt=0.1, t_end=5.0, record_every=1),
-                   ChemistryParams(), mode="original",
+                   ChemistryParams(),
                    recorders=(lambda st, rec: kept.append((st.u, st.c)),))
         assert traj.outcome is RunOutcome.COMPLETED and len(kept) == 51
         for (u_prev, c_prev), (u, c) in zip(kept, kept[1:]):

@@ -47,8 +47,8 @@ def smooth_state(grid, amplitude=0.3, seed=0):
     return u0, v0
 
 
-def final_state(u0, companion, cfg, params=None, mode="transformed"):
-    traj = run(u0, companion, cfg, params or ChemistryParams(), mode=mode)
+def final_state(u0, companion, cfg, params=None):
+    traj = run(u0, companion, cfg, params or ChemistryParams())
     assert traj.outcome is RunOutcome.COMPLETED
     return traj.final_state
 
@@ -107,14 +107,13 @@ class TestStepTransformed:
         assert abs(state.v.x.mean() - v0.x.mean()) <= 1e-13
         assert lp_norm(curl2d(state.v), np.inf) <= 1e-12
 
-    def test_mode_mismatch_rejected(self, grid32):
+    def test_companion_of_neither_type_rejected(self, grid32):
+        # v0 selects the transformed system and c0 the original one; a bare
+        # array is neither
         one = ScalarField.constant(grid32, 1.0)
-        cfg = StepperConfig(dt=0.1, t_end=1.0)
-        with pytest.raises(ValueError):
-            run(one, one, cfg, ChemistryParams(), mode="transformed")
-        with pytest.raises(ValueError):
-            run(one, VectorField.zero(grid32), cfg, ChemistryParams(),
-                mode="original")
+        with pytest.raises(ValueError, match="ndarray selects no mode"):
+            run(one, one.values, StepperConfig(dt=0.1, t_end=1.0),
+                ChemistryParams())
 
 
 class TestStepOriginal:
@@ -123,8 +122,7 @@ class TestStepOriginal:
         out = final_state(ScalarField.constant(grid32, 1.0),
                           ScalarField.constant(grid32, 2.0),
                           StepperConfig(dt=dt, t_end=dt),
-                          ChemistryParams(chi=1.3 * 0.7, mu=mu, xi=0.7),
-                          mode="original")
+                          ChemistryParams(chi=1.3 * 0.7, mu=mu, xi=0.7))
         assert np.abs(out.u.values - 1.0).max() <= 1e-13
         assert np.abs(out.c.values - 2.0 * np.exp(-mu * dt)).max() <= 1e-14
 
@@ -137,8 +135,7 @@ class TestStepOriginal:
         dt, T = 0.005, 0.5
         params = ChemistryParams(chi=0.0, mu=1.0, xi=0.0)
         state = final_state(u0, ScalarField.constant(grid, 1.0),
-                            StepperConfig(dt=dt, t_end=T), params,
-                            mode="original")
+                            StepperConfig(dt=dt, t_end=T), params)
         X, _ = grid.coordinates()
         expected = 1.0 + eps * np.exp(-k * k * T) * np.cos(k * X)
         assert np.abs(state.u.values - expected).max() <= eps * 20 * dt * dt
@@ -148,7 +145,6 @@ class TestStepOriginal:
         cfg = StepperConfig(dt=0.25, t_end=10.0, record_every=1)
         traj = run(ScalarField.constant(grid32, 1.0),
                    ScalarField.constant(grid32, 2e-300), cfg, ChemistryParams(),
-                   mode="original",
                    recorders=(lambda st, rec: c_mins.append(st.c.values.min()),))
         assert traj.outcome is RunOutcome.CHEMICAL_EXTINCTION
         assert c_mins and min(c_mins) > 0
@@ -246,7 +242,7 @@ class TestRun:
         u0 = ScalarField.constant(grid32, 1.0)
         c0 = ScalarField.constant(grid32, 2e-300)
         cfg = StepperConfig(dt=0.25, t_end=10.0, record_every=4)
-        traj = run(u0, c0, cfg, ChemistryParams(), mode="original")
+        traj = run(u0, c0, cfg, ChemistryParams())
         assert traj.outcome is RunOutcome.CHEMICAL_EXTINCTION
         assert "floor" in traj.message
         # decay at unit rate from ln(2e-300) hits the floor before t=1
@@ -300,21 +296,18 @@ class TestRun:
         u0 = ScalarField(grid32, 1.0 + 0.3 * band_limited_field(grid32, 4,
                                                                  kmax=14).values)
         v0 = band_limited_gradient(grid32, 5, kmax=14, amplitude=0.3)
-        for mode, companion in (("transformed", v0),
-                                ("original", ScalarField(grid32, np.exp(
-                                    0.2 * band_limited_field(grid32, 6).values)))):
+        for companion in (v0, ScalarField(grid32, np.exp(
+                0.2 * band_limited_field(grid32, 6).values))):
             kept, at_hook = [], []
 
             def hook(state, rec):
                 arrays = [state.u.values,
-                          state.v.values if mode == "transformed"
-                          else state.c.values]
+                          state.c.values if state.v is None else state.v.values]
                 kept.append(arrays)
                 at_hook.append([a.copy() for a in arrays])
 
             cfg = StepperConfig(dt=0.02, t_end=0.2, record_every=2)
-            run(u0, companion, cfg, ChemistryParams(), mode=mode,
-                recorders=(hook,))
+            run(u0, companion, cfg, ChemistryParams(), recorders=(hook,))
             assert len(kept) == 6
             flat = [a for arrays in kept for a in arrays]
             for i, a in enumerate(flat):
@@ -334,7 +327,7 @@ class TestRun:
         vals[3, 4] = 0.0
         traj = run(ScalarField.constant(grid32, 1.0), ScalarField(grid32, vals),
                    StepperConfig(dt=0.1, t_end=1.0), ChemistryParams(),
-                   mode="original", snapshot_times=(0.0,))
+                   snapshot_times=(0.0,))
         assert traj.outcome is RunOutcome.CHEMICAL_EXTINCTION
         assert "t=0" in traj.message and "floor" in traj.message
         assert traj.records == [] and traj.snapshots == []

@@ -50,6 +50,9 @@ recipe.amplitude = 1.0
 recipe.modes = 1,0,1000.0,0.0
 """
 
+# a disk of weight -20 at amplitude 0.1 puts u0 = -1 under it
+NEGATIVE_U0 = "recipe.disks = 0.5,0.5,1.0,-20\n"
+
 # -mu phi reaches 900 > ln(float max) but stays above ln(C_FLOOR), so the
 # matched chemical overflows to inf without underflowing
 OVERFLOW = EXTINCT.replace("1,0,1000.0,0.0",
@@ -167,19 +170,44 @@ def test_halted_study_member_exits_10(tmp_path, capsys, subcommand, head):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
-@pytest.mark.parametrize("subcommand,head,field", [
-    ("run", "study = theta_scan\nscan.amplitudes = 0.1\n", "study"),
-    ("scan-theta", "scan.amplitudes = 0.1\n", "study"),   # study = single_run
+SWEEP = "study = delta_sweep\nsweep.deltas = 4h,3h,2h\n"
+REFINE = ("study = refinement\nrefine.dt_list = 0.1,0.05,0.025\n"
+          "refine.n_list = 8,16,32\n")
+
+
+@pytest.mark.parametrize("subcommand,head,field,flags", [
+    ("run", "study = theta_scan\nscan.amplitudes = 0.1\n", "study", ()),
+    ("scan-theta", "scan.amplitudes = 0.1\n", "study", ()),   # study = single_run
     ("scan-theta", "study = theta_scan\nscan.amplitudes = 0.1\n"
-                   "snapshot_times = 0.1\n", "snapshot_times"),
-], ids=["study-run", "study-scan-theta", "snapshot_times"])
-def test_config_of_another_study_exits_2(tmp_path, capsys, subcommand, head, field):
-    code, out = cli(tmp_path, subcommand, head + BASE)
+                   "snapshot_times = 0.1\n", "snapshot_times", ()),
+    # only single_run reads mode; the other studies would ignore it
+    ("sweep-delta", SWEEP + "mode = original\n", "mode", ()),
+    ("refine", REFINE + "mode = original\n", "mode", ()),
+    ("xval", "study = cross_validate\nmode = original\n", "mode", ()),
+    ("scan-theta", "study = theta_scan\nscan.amplitudes = 0.1\n"
+                   "mode = original\n", "mode", ()),
+    ("sweep-delta", SWEEP, "threads", ("--threads", "-2")),
+    # widths above L/4 = 1.57 wrap the mollifier
+    ("sweep-delta", "study = delta_sweep\nsweep.deltas = 20,10,5\n",
+     "sweep.deltas", ()),
+    # data that cannot be built; the output directory is made first
+    ("run", "study = single_run\n" + NEGATIVE_U0, "recipe", ()),
+    ("sweep-delta", SWEEP + NEGATIVE_U0, "recipe", ()),
+    ("refine", REFINE + NEGATIVE_U0, "recipe", ()),
+    ("xval", "study = cross_validate\n" + NEGATIVE_U0, "recipe", ()),
+], ids=["study-run", "study-scan-theta", "snapshot_times", "mode-sweep-delta",
+        "mode-refine", "mode-xval", "mode-scan-theta", "threads-flag",
+        "sweep-too-wide", "u0-negative-run", "u0-negative-sweep-delta",
+        "u0-negative-refine", "u0-negative-xval"])
+def test_config_of_another_study_exits_2(tmp_path, capsys, subcommand, head, field,
+                                         flags):
+    code, out = cli(tmp_path, subcommand, head + BASE, *flags)
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: config field '{field}': ")
     assert err.count("\n") == 1
-    assert not out.exists()
+    made = sorted(p.name for p in out.iterdir()) if out.exists() else []
+    assert made == (["config_echo.cfg"] if field == "recipe" else [])
 
 
 def test_scan_theta_of_overflowing_chemical_labels_blowup(tmp_path, capsys):
@@ -218,6 +246,8 @@ def test_unknown_key_exits_2(tmp_path, capsys):
     "refine.n_list = 16.7,32", "xval.n_list = 16.7,32",   # not truncated to 16
     "stepper.dt = -1", "grid.N = 7", "recipe.kind = blob",  # parse, but out of range
     "xval.n_list = 16,7", "refine.n_list = 6,12,24",   # not a grid resolution
+    "threads = 0",
+    "xval.n_list = 64,8",   # N=8 would step at dt = 0.4 > t_end = 0.3
 ])
 def test_bad_value_exits_2_naming_its_key(tmp_path, capsys, line):
     key, value = line.split(" = ")
@@ -263,13 +293,21 @@ def test_refine_reports_second_order_in_time(tmp_path, capsys):
     assert "temporal" in capsys.readouterr().out
 
 
-def test_refine_resolution_not_dividing_the_finest_exits_2(tmp_path, capsys):
-    text = ("study = refinement\nrefine.dt_list = 0.02,0.01,0.005\n"
-            "refine.n_list = 8,12,16\n" + BASE)
+@pytest.mark.parametrize("dt_list,n_list,key", [
+    ("0.02,0.01,0.005", "8,12,16", "refine.n_list"),
+    # a repeated entry has no observed order between it and its twin
+    ("0.1,0.1,0.05", "8,16,32", "refine.dt_list"),
+    ("0.1,0.05,0.025", "8,8,16", "refine.n_list"),
+], ids=["not-dividing", "repeated-dt", "repeated-n"])
+def test_refine_resolution_not_dividing_the_finest_exits_2(tmp_path, capsys,
+                                                          dt_list, n_list, key):
+    text = (f"study = refinement\nrefine.dt_list = {dt_list}\n"
+            f"refine.n_list = {n_list}\n" + BASE)
     code, out = cli(tmp_path, "refine", text)
     assert code == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: config field 'refine.n_list': ")
+    assert err.startswith(f"error: config field '{key}': ")
+    assert err.count("\n") == 1
     assert not out.exists()
 
 
@@ -302,14 +340,14 @@ def test_xval_refuses_unmatched_records(tmp_path, monkeypatch, skew, message):
     skew = dict(skew)
     margin = skew.pop("floor_margin", None)
 
-    def skewed_march(u0, c0, cfg, params, mode, **kw):
-        assert mode == "original"   # the transformed run goes through run()
+    def skewed_march(u0, c0, cfg, params, **kw):
+        assert isinstance(c0, ScalarField)   # the transformed run goes through run()
         if margin is not None:
             # a constant factor leaves v = -(1/mu) grad ln c as it was, but
             # puts min c just above the floor, where decay soon takes it
             scale = C_FLOOR * math.exp(margin) / c0.values.min()
             c0 = ScalarField(c0.grid, scale * c0.values)
-        return real_march(u0, c0, replace(cfg, **skew), params, mode, **kw)
+        return real_march(u0, c0, replace(cfg, **skew), params, **kw)
 
     monkeypatch.setattr(harness, "march", skewed_march)
     cfg = parse_config("study = cross_validate\n" + BASE)
@@ -347,11 +385,14 @@ def test_xval_memory_does_not_grow_with_the_horizon(tmp_path):
 def test_every_study_enters_run_before_its_first_record(tmp_path, monkeypatch,
                                                         capsys):
     # the benchmark's setup time ends at the first entry into harness.run;
-    # a study that made a record before it would count stepping as setup
+    # a study that made a record before it would count stepping as setup.
+    # Its tracer tags a run's mode from a mode keyword or a fifth positional
+    # argument, and run takes neither, so each run is tagged "transformed".
     events = []
     real_run, real_record = harness.run, TrajectoryRecorder.make_record
 
     def counting_run(*args, **kwargs):
+        assert len(args) <= 4 and "mode" not in kwargs, (len(args), kwargs)
         events.append("run")
         return real_run(*args, **kwargs)
 
