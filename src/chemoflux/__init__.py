@@ -12,7 +12,7 @@ from .harness import (ConfigError, ExperimentConfig, load_config,
                       parse_config, run_cross_validate, run_delta_sweep,
                       run_refinement, run_single, run_theta_scan)
 from .initial_data import (DataSummary, InitialDataRecipe, build_initial_data,
-                           compute_eta0, mollify, potential_of)
+                           mollify, potential_of)
 from .snapshots import read_snapshot, write_snapshot
 
 __version__ = "0.1.0"

@@ -7,7 +7,10 @@ or of any member run the study needs to complete (with one ``error:``
 line), and 2 with one ``error:`` line on a config or other input error;
 fit-decay exits 0 or 2.  The config's ``study`` key must name the
 subcommand's study, only ``single_run`` reads ``mode`` and
-``snapshot_times``, and ``threads`` is at least 1.
+``snapshot_times``, and ``threads`` is at least 1.  Every study runs the
+skeleton of `harness`: its checks, `_data` for every member, `_output`,
+`_map`/`_solve`, `_completed`, then `_write_csv`; input or data that it
+rejects makes no output.
 """
 
 from __future__ import annotations
@@ -143,7 +146,8 @@ def main(argv=None) -> int:
         p.add_argument("--config", required=True, help="path to a config file")
         p.add_argument("--out", default=None, help="output directory override")
         p.add_argument("--threads", type=int, default=None,
-                       help="worker cap for sweep studies (1 = reproducible)")
+                       help="worker threads for a study's members; "
+                            "outputs do not depend on it")
         if study == "single_run":
             p.add_argument("--snapshot-times", default=None,
                            help="comma-separated times for CFX1 snapshots")

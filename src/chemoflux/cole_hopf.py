@@ -22,27 +22,20 @@ C_FLOOR = 1e-300
 
 @dataclass(frozen=True)
 class ChemistryParams:
-    """Physical coefficients; chi = mu * xi is the transport strength.
+    """Physical coefficients: transport strength chi and degradation rate mu.
 
-    chi = 0 (equivalently xi = 0) is admitted as the decoupled heat-equation
-    limit used by the verification studies; the degradation rate mu must
-    stay positive.
+    chi = 0 is admitted as the decoupled heat-equation limit used by the
+    verification studies; the degradation rate mu must stay positive.
     """
 
     chi: float = 1.0
     mu: float = 1.0
-    xi: float = 1.0
 
     def __post_init__(self):
         if self.chi < 0:
             raise ParameterError("chi", f"must be nonnegative, got {self.chi}")
         if self.mu <= 0:
             raise ParameterError("mu", f"must be positive, got {self.mu}")
-        if self.xi < 0:
-            raise ParameterError("xi", f"must be nonnegative, got {self.xi}")
-        if abs(self.chi - self.mu * self.xi) > 1e-14 * max(1.0, abs(self.chi)):
-            raise ValueError(
-                f"inconsistent coefficients: chi={self.chi} != mu*xi={self.mu * self.xi}")
 
 
 def forward_transform(c: ScalarField, params: ChemistryParams) -> VectorField:

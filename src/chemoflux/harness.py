@@ -15,17 +15,21 @@ check is reported against its key, and values that contradict each other
 and the rows without a formatter (``xval.n_list``, a parse-only alias of
 ``refine.n_list``).
 
-Every study has one skeleton: it checks its own inputs; `_output` makes
-the output directory and writes the config echo there; `_solve` builds and
-runs each member, the only place where ``mode`` picks the companion, and
-`_map` maps members over ``threads`` worker threads; `_completed` raises
-`RunHalted`, carrying the `RunOutcome`, for a member that halted where the
-study needs a completed run; the study writes its table through
-`_write_csv` (a ``# chemoflux-diagnostics-v1`` line, a header line,
-numbers to 17 significant digits) and returns its rows.  Cross-validation
-steps its two solvers in lockstep, the original mode's `march` inside a
-hook of the transformed mode's `run`, so it holds one state per mode.
-Runs are byte-deterministic for a fixed config with one thread.
+Every study has one skeleton: it checks its own inputs; `_data` builds
+the datum of every member, the only place where the config's ``mode``
+picks the companion, so data it cannot build is a `ConfigError` before
+any output; `_output` makes the output directory and writes the config
+echo there; `_map` maps the study's distinct members over ``threads``
+worker threads and `_solve` runs each; `_completed` raises `RunHalted`,
+carrying the `RunOutcome`, for a member that halted where the study needs
+a completed run; the study writes its table through `_write_csv` (a
+``# chemoflux-diagnostics-v1`` line, a header line, numbers to 17
+significant digits) and returns its rows.  The theta scan alone builds
+inside each member, because data it cannot build is a row label there.
+Cross-validation steps its two solvers in lockstep, the original mode's
+`march` inside a hook of the transformed mode's `run`, so it holds one
+state per mode.  Runs are byte-deterministic for a fixed config, and a
+study's outputs do not depend on ``threads``.
 """
 
 from __future__ import annotations
@@ -134,7 +138,6 @@ _SCHEMA = (
     ("grid.N", "grid", "resolution", int, str),
     ("params.chi", "params", "chi", float, repr),
     ("params.mu", "params", "mu", float, repr),
-    ("params.xi", "params", "xi", float, repr),
     ("recipe.kind", "recipe", "kind", str, str),
     ("recipe.amplitude", "recipe", "amplitude", float, repr),
     ("recipe.p0", "recipe", "p0", float, repr),
@@ -312,20 +315,20 @@ def _matched_chemical(v0: VectorField, mu: float) -> ScalarField:
         return ScalarField(v0.grid, np.exp(-mu * phi.values), check=False)
 
 
-def _initial_data(recipe, grid):
-    """`build_initial_data`; data it cannot build is a `ConfigError` on ``recipe``."""
+def _data(cfg: ExperimentConfig, recipe, grid, mode="transformed") -> tuple:
+    """A member's ``(u0, companion)``: v0, or in original ``mode`` the matched
+    chemical, the companion that selects that system.  Data that cannot be
+    built is a `ConfigError` on ``recipe``."""
     try:
-        return build_initial_data(recipe, grid)
+        u0, v0, _ = build_initial_data(recipe, grid)
     except ValueError as exc:   # u0 < 0, or a mollifier wider than L/4
         raise ConfigError("recipe", str(exc)) from None
+    return u0, _matched_chemical(v0, cfg.params.mu) if mode == "original" else v0
 
 
-def _solve(cfg: ExperimentConfig, recipe, grid, stepper, mode="transformed",
-           **kwargs) -> Trajectory:
-    """Build ``recipe`` on ``grid`` and run it; original ``mode`` runs from
-    the matched chemical, the companion that selects that system."""
-    u0, v0, _ = _initial_data(recipe, grid)
-    companion = _matched_chemical(v0, cfg.params.mu) if mode == "original" else v0
+def _solve(cfg: ExperimentConfig, data, stepper, **kwargs) -> Trajectory:
+    """Run a member from its ``(u0, companion)``."""
+    u0, companion = data
     return run(u0, companion, stepper, cfg.params, p0=cfg.recipe.p0, **kwargs)
 
 
@@ -339,9 +342,9 @@ def run_single(cfg: ExperimentConfig, out_dir=None) -> tuple:
         if not 0.0 <= t <= cfg.stepper.t_end:
             raise ConfigError("snapshot_times", f"{t!r} is outside [0, t_end = "
                               f"{cfg.stepper.t_end!r}]")
+    data = _data(cfg, cfg.recipe, cfg.grid, cfg.mode)
     out = _output(cfg, out_dir)
-    traj = _solve(cfg, cfg.recipe, cfg.grid, cfg.stepper, cfg.mode,
-                  snapshot_times=cfg.snapshot_times)
+    traj = _solve(cfg, data, cfg.stepper, snapshot_times=cfg.snapshot_times)
     write_diagnostics_csv(out / "diagnostics.csv", traj.records)
     for t, payload in traj.snapshots:
         write_snapshot(out / f"snapshot_{t:.6f}.cfx", list(payload.values()))
@@ -378,13 +381,10 @@ def run_delta_sweep(cfg: ExperimentConfig, out_dir=None) -> tuple:
         raise ConfigError("sweep.deltas", "widths must be strictly decreasing")
     if any(not 0 < d <= cfg.grid.side_length / 4 for d in deltas):
         raise ConfigError("sweep.deltas", "widths must be positive and at most L/4")
+    data = [_data(cfg, replace(cfg.recipe, delta=d), cfg.grid) for d in deltas]
     out = _output(cfg, out_dir)
-
-    def solve(delta):
-        recipe = replace(cfg.recipe, delta=delta)
-        return _completed(_solve(cfg, recipe, cfg.grid, cfg.stepper)).final_state
-
-    finals = _map(cfg, solve, deltas)
+    finals = _map(cfg, lambda datum: _completed(
+        _solve(cfg, datum, cfg.stepper)).final_state, data)
 
     rows = []
     for (d1, s1), (d2, s2) in zip(zip(deltas, finals), zip(deltas[1:], finals[1:])):
@@ -403,7 +403,9 @@ def run_refinement(cfg: ExperimentConfig, out_dir=None) -> list:
     Returns the rows (kind, param, error, order): each temporal error is the
     distance to the run at the next smaller dt, each spatial error the
     distance to the finest grid at the smallest dt, and the order is
-    observed between a row and the next (nan for the last).
+    observed between a row and the next (nan for the last).  A member is a
+    (N, dt) pair, run once even when both studies use it, and each grid's
+    datum is built once.
     """
     for key, items in (("refine.dt_list", cfg.dt_list), ("refine.n_list", cfg.n_list)):
         if len(items) < 3 or len(set(items)) < len(items):   # a repeat has no order
@@ -411,26 +413,35 @@ def run_refinement(cfg: ExperimentConfig, out_dir=None) -> list:
     ns = sorted(cfg.n_list)
     if any(ns[-1] % n for n in ns):
         raise ConfigError("refine.n_list", "each resolution must divide the finest")
+    dts = sorted(cfg.dt_list, reverse=True)
+    try:   # every member's stepper, before any output
+        steppers = {dt: replace(cfg.stepper, dt=dt, dt_mode="fixed") for dt in dts}
+    except ValueError as exc:   # a dt above t_end
+        raise ConfigError("refine.dt_list", f"{_joined(cfg.dt_list)}: {exc}") from None
+    in_time = [(cfg.grid.resolution, dt) for dt in dts]
+    in_space = [(n, dts[-1]) for n in ns]
+    data = {n: _data(cfg, cfg.recipe, Grid(cfg.grid.side_length, n))
+            for n in dict.fromkeys((cfg.grid.resolution, *ns))}
     out = _output(cfg, out_dir)
 
-    def final_u(grid, dt):
-        stepper = replace(cfg.stepper, dt=dt, dt_mode="fixed")
-        return _completed(_solve(cfg, cfg.recipe, grid, stepper)).final_state.u.values
+    def final_u(member):
+        n, dt = member
+        return _completed(_solve(cfg, data[n], steppers[dt])).final_state.u.values
 
-    def l2(grid, values):
-        return lp_norm(ScalarField(grid, values, check=False), 2)
+    members = list(dict.fromkeys(in_time + in_space))
+    finals = dict(zip(members, _map(cfg, final_u, members)))
+
+    def l2(n, values):
+        return lp_norm(ScalarField(data[n][0].grid, values, check=False), 2)
 
     # (param, error, step size) per study
-    dts = sorted(cfg.dt_list, reverse=True)
-    finals = [final_u(cfg.grid, dt) for dt in dts]
-    temporal = [(dt, l2(cfg.grid, a - b), dt)
-                for dt, a, b in zip(dts, finals, finals[1:])]
-    grids = [Grid(cfg.grid.side_length, n) for n in ns]
-    per_n = [final_u(grid, min(cfg.dt_list)) for grid in grids]
+    temporal = [(dt, l2(n, finals[n, dt] - finals[finer]), dt)
+                for (n, dt), finer in zip(in_time, in_time[1:])]
     spatial = []
-    for n, grid, u in zip(ns, grids, per_n[:-1]):
+    for n, dt in in_space[:-1]:
         k = ns[-1] // n   # the finest grid's samples at this grid's points
-        spatial.append((n, l2(grid, u - per_n[-1][::k, ::k]), 1.0 / n))
+        spatial.append((n, l2(n, finals[n, dt] - finals[in_space[-1]][::k, ::k]),
+                        1.0 / n))
 
     rows = []
     for kind, errs in (("temporal", temporal), ("spatial", spatial)):
@@ -465,16 +476,20 @@ def run_cross_validate(cfg: ExperimentConfig, out_dir=None) -> list:
                             dt_mode="fixed") for n in ns]
     except ValueError as exc:   # a coarse member's dt exceeds t_end
         raise ConfigError("xval.n_list", f"{_joined(ns)}: {exc}") from None
-    out = _output(cfg, out_dir)
-    rows = []
+    members = []   # (stepper, (u0, v0), c0)
     for n, stepper in zip(ns, steppers):
-        grid = Grid(cfg.grid.side_length, n)
-        u0, v0, _ = _initial_data(cfg.recipe, grid)
-        c0 = _matched_chemical(v0, cfg.params.mu)
+        data = _data(cfg, cfg.recipe, Grid(cfg.grid.side_length, n))
+        c0 = _matched_chemical(data[1], cfg.params.mu)
         if c0.values.min() <= C_FLOOR:
             raise ConfigError("recipe", "matched chemical is at or below the "
                               f"extinction floor {C_FLOOR}")
-        partner = march(u0, c0, stepper, cfg.params, p0=cfg.recipe.p0)
+        members.append((stepper, data, c0))
+    out = _output(cfg, out_dir)
+
+    def discrepancies(member):
+        stepper, data, c0 = member
+        grid = c0.grid
+        partner = march(data[0], c0, stepper, cfg.params, p0=cfg.recipe.p0)
         max_du = 0.0
         max_dv = 0.0
 
@@ -498,13 +513,14 @@ def run_cross_validate(cfg: ExperimentConfig, out_dir=None) -> list:
 
         # the transformed run goes through `run`, so that the first entry
         # into `run` still marks where stepping starts (perfbench's setup_s)
-        _completed(run(u0, v0, stepper, cfg.params, p0=cfg.recipe.p0,
-                       recorders=(compare,)))
+        _completed(_solve(cfg, data, stepper, recorders=(compare,)))
         pair = _next_record(partner)
         if pair is not None:
             raise RuntimeError(f"cross-validation: original record at "
                                f"t={pair[0].t} has no transformed record")
-        rows.append((n, stepper.dt, max_du, max_dv))
+        return (grid.resolution, stepper.dt, max_du, max_dv)
+
+    rows = _map(cfg, discrepancies, members)
     _write_csv(out / "cross_validate.csv",
                "N,dt,max_u_discrepancy,max_v_discrepancy", rows)
     return rows
@@ -526,13 +542,13 @@ def run_theta_scan(cfg: ExperimentConfig, out_dir=None) -> list:
     out = _output(cfg, out_dir)
 
     def scan_one(amp):
-        recipe = cfg.recipe.scaled(amp)
         try:
-            u0, v0, summary = build_initial_data(recipe, cfg.grid)
+            u0, v0, summary = build_initial_data(replace(cfg.recipe, amplitude=amp),
+                                                 cfg.grid)
         except ValueError:
             return (amp, float("nan"), float("nan"), "invalid_data",
                     False, float("nan"), float("nan"), False, False)
-        traj = run(u0, v0, cfg.stepper, cfg.params, p0=cfg.recipe.p0)
+        traj = _solve(cfg, (u0, v0), cfg.stepper)
         # a run can halt at its t=0 node, before any record
         a1 = traj.records[-1].a1 if traj.records else float("nan")
         bound = 1.5 * summary.theta0_raw

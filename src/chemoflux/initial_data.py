@@ -10,7 +10,7 @@ which makes the zero-curl requirement structural rather than numerical.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,9 +56,6 @@ class InitialDataRecipe:
         if self.delta < 0:
             raise ParameterError("delta", f"must be nonnegative, got {self.delta}")
 
-    def scaled(self, amplitude: float) -> "InitialDataRecipe":
-        return replace(self, amplitude=amplitude)
-
 
 @dataclass(frozen=True)
 class DataSummary:
@@ -69,19 +66,9 @@ class DataSummary:
     which upper-bounds it and is the reference scale of the energy bound.
     """
 
-    theta0: float          # ||u0-1||_2^2 + ||v0||_2^2 of the produced fields
-    M: float               # ||v0||_{p0}
-    linf_amplitude: float  # ||u0-1||_inf + ||v0||_inf
-    delta: float
-    eta0: float
-    theta0_raw: float = 0.0
-
-
-def compute_eta0(p0: float) -> float:
-    """(p0-4) / (2 (p0-2)), valid for p0 > 4; lies in (0, 1/2)."""
-    if p0 <= 4:
-        raise ValueError(f"p0 must exceed 4, got {p0}")
-    return (p0 - 4.0) / (2.0 * (p0 - 2.0))
+    theta0: float       # ||u0-1||_2^2 + ||v0||_2^2 of the produced fields
+    M: float            # ||v0||_{p0}
+    theta0_raw: float
 
 
 def mollifier_kernel(grid: Grid, delta: float) -> np.ndarray:
@@ -98,22 +85,14 @@ def mollifier_kernel(grid: Grid, delta: float) -> np.ndarray:
     return w / w.sum()
 
 
-def mollify(f: ScalarField, delta: float) -> ScalarField:
-    """Circular convolution with the width-delta kernel; preserves the mean
-    and keeps values inside [min f, max f]."""
+def mollify(f: ScalarField | VectorField, delta: float):
+    """Circular convolution of a scalar or vector field with the width-delta
+    kernel, component by component (the transforms act on the last two
+    axes); preserves the mean and keeps values inside [min f, max f]."""
     g = f.grid
     ker = np.fft.rfft2(mollifier_kernel(g, delta))
     out = np.fft.irfft2(np.fft.rfft2(f.values) * ker, s=g.shape)
-    return ScalarField(g, out, check=False)
-
-
-def mollify_vector(w: VectorField, delta: float) -> VectorField:
-    g = w.grid
-    ker = np.fft.rfft2(mollifier_kernel(g, delta))
-    out = np.empty_like(w.values)
-    for i in (0, 1):
-        out[i] = np.fft.irfft2(np.fft.rfft2(w.values[i]) * ker, s=g.shape)
-    return VectorField(g, out, check=False)
+    return type(f)(g, out, check=False)
 
 
 def potential_of(w: VectorField) -> ScalarField:
@@ -199,18 +178,12 @@ def build_initial_data(recipe: InitialDataRecipe, grid: Grid):
         + lp_norm(v0, 2) ** 2
     if recipe.delta > 0:
         u0 = mollify(u0, recipe.delta)
-        v0 = mollify_vector(v0, recipe.delta)
+        v0 = mollify(v0, recipe.delta)
 
-    u_tilde = ScalarField(grid, u0.values - 1.0, check=False)
-    theta0 = lp_norm(u_tilde, 2) ** 2 + lp_norm(v0, 2) ** 2
-    summary = DataSummary(
-        theta0=theta0,
-        M=lp_norm(v0, recipe.p0),
-        linf_amplitude=lp_norm(u_tilde, np.inf) + lp_norm(v0, np.inf),
-        delta=recipe.delta,
-        eta0=compute_eta0(recipe.p0),
-        theta0_raw=theta0_raw,
-    )
+    theta0 = lp_norm(ScalarField(grid, u0.values - 1.0, check=False), 2) ** 2 \
+        + lp_norm(v0, 2) ** 2
+    summary = DataSummary(theta0=theta0, M=lp_norm(v0, recipe.p0),
+                          theta0_raw=theta0_raw)
     curl_sup = lp_norm(curl2d(v0), np.inf)
     if curl_sup > 1e-10:
         raise AssertionError(

@@ -10,15 +10,11 @@ from sample_fields import band_limited_field
 class TestChemistryParams:
     def test_defaults_consistent(self):
         p = ChemistryParams()
-        assert p.chi == p.mu * p.xi == 1.0
-
-    def test_rejects_inconsistent_product(self):
-        with pytest.raises(ValueError):
-            ChemistryParams(chi=2.0, mu=1.0, xi=1.0)
+        assert p.chi == p.mu == 1.0
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
-            ChemistryParams(chi=1.0, mu=-1.0, xi=-1.0)
+            ChemistryParams(chi=1.0, mu=-1.0)
 
 
 class TestForwardTransform:
@@ -40,7 +36,7 @@ class TestForwardTransform:
         grid = Grid(2 * np.pi, 32)
         c = ScalarField(grid, np.exp(band_limited_field(grid, 3).values))
         v1 = forward_transform(c, ChemistryParams())
-        v2 = forward_transform(c, ChemistryParams(chi=2.0, mu=2.0, xi=1.0))
+        v2 = forward_transform(c, ChemistryParams(chi=2.0, mu=2.0))
         assert np.abs(v2.values - 0.5 * v1.values).max() <= 1e-13
 
     def test_output_is_curl_free(self, grid64):
@@ -78,7 +74,7 @@ class TestCStep:
         c0 = ScalarField(grid, np.exp(0.2 * np.sin(Y)))
         exact = c0.values * np.exp(
             -mu * (T + eps * np.cos(k * X) * (1 - np.exp(-k * k * T)) / k ** 2))
-        params = ChemistryParams(chi=0.0, mu=mu, xi=0.0)
+        params = ChemistryParams(chi=0.0, mu=mu)
         errs = []
         for dt in (0.1, 0.05, 0.025):
             traj = run(u0, c0, StepperConfig(dt=dt, t_end=T), params)

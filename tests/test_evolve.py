@@ -122,18 +122,18 @@ class TestStepOriginal:
         out = final_state(ScalarField.constant(grid32, 1.0),
                           ScalarField.constant(grid32, 2.0),
                           StepperConfig(dt=dt, t_end=dt),
-                          ChemistryParams(chi=1.3 * 0.7, mu=mu, xi=0.7))
+                          ChemistryParams(chi=1.3 * 0.7, mu=mu))
         assert np.abs(out.u.values - 1.0).max() <= 1e-13
         assert np.abs(out.c.values - 2.0 * np.exp(-mu * dt)).max() <= 1e-14
 
     def test_decoupled_heat_mode_decay(self):
-        # xi = 0 turns the density equation into pure diffusion; a single
+        # chi = 0 turns the density equation into pure diffusion; a single
         # cosine mode must decay by exp(-k^2 t) up to O(dt^2)
         grid = Grid(2 * np.pi, 32)
         eps = 0.01
         u0, _, k = single_mode_data(grid, m=1, eps_u=eps, eps_phi=0.0)
         dt, T = 0.005, 0.5
-        params = ChemistryParams(chi=0.0, mu=1.0, xi=0.0)
+        params = ChemistryParams(chi=0.0, mu=1.0)
         state = final_state(u0, ScalarField.constant(grid, 1.0),
                             StepperConfig(dt=dt, t_end=T), params)
         X, _ = grid.coordinates()

@@ -73,6 +73,15 @@ def csv_rows(path):
     return [dict(zip(header, ln.split(","))) for ln in lines[1:]]
 
 
+def assert_same_table_at_two_threads(tmp_path, subcommand, out, table):
+    """The study of ``cli``'s last config for ``subcommand``, rerun on two
+    member threads, writes ``table`` byte for byte as it wrote it in ``out``."""
+    out2 = tmp_path / "threads2"
+    assert main([subcommand, "--config", str(tmp_path / f"{subcommand}.cfg"),
+                 "--out", str(out2), "--threads", "2"]) == 0
+    assert (out2 / table).read_bytes() == (out / table).read_bytes()
+
+
 def test_run_fits_chemical_decay_at_rate_mu(tmp_path, capsys):
     text = "study = single_run\n" + BASE.replace("stepper.t_end = 0.3",
                                                  "stepper.t_end = 3.0")
@@ -136,10 +145,11 @@ def test_extinction_at_start_exits_11(tmp_path, capsys):
 
 
 def test_xval_of_extinct_chemical_is_a_config_error(tmp_path, capsys):
-    code, _ = cli(tmp_path, "xval", "study = cross_validate\n" + EXTINCT)
+    code, out = cli(tmp_path, "xval", "study = cross_validate\n" + EXTINCT)
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: config field 'recipe'") and "floor" in err
+    assert not out.exists()   # rejected before any output or run
 
 
 def test_overflowing_chemical_at_start_exits_10(tmp_path, capsys):
@@ -173,6 +183,10 @@ def test_halted_study_member_exits_10(tmp_path, capsys, subcommand, head):
 SWEEP = "study = delta_sweep\nsweep.deltas = 4h,3h,2h\n"
 REFINE = ("study = refinement\nrefine.dt_list = 0.1,0.05,0.025\n"
           "refine.n_list = 8,16,32\n")
+# the finest temporal member (N=32, dt=0.005) is also the finest spatial one
+REFINE_ORDER = ("study = refinement\nrefine.dt_list = 0.02,0.01,0.005\n"
+                "refine.n_list = 8,16,32\n"
+                + BASE.replace("stepper.t_end = 0.3", "stepper.t_end = 0.2"))
 
 
 @pytest.mark.parametrize("subcommand,head,field,flags", [
@@ -190,7 +204,7 @@ REFINE = ("study = refinement\nrefine.dt_list = 0.1,0.05,0.025\n"
     # widths above L/4 = 1.57 wrap the mollifier
     ("sweep-delta", "study = delta_sweep\nsweep.deltas = 20,10,5\n",
      "sweep.deltas", ()),
-    # data that cannot be built; the output directory is made first
+    # data that cannot be built
     ("run", "study = single_run\n" + NEGATIVE_U0, "recipe", ()),
     ("sweep-delta", SWEEP + NEGATIVE_U0, "recipe", ()),
     ("refine", REFINE + NEGATIVE_U0, "recipe", ()),
@@ -206,8 +220,7 @@ def test_config_of_another_study_exits_2(tmp_path, capsys, subcommand, head, fie
     err = capsys.readouterr().err
     assert err.startswith(f"error: config field '{field}': ")
     assert err.count("\n") == 1
-    made = sorted(p.name for p in out.iterdir()) if out.exists() else []
-    assert made == (["config_echo.cfg"] if field == "recipe" else [])
+    assert not out.exists()   # rejected before any output or run
 
 
 def test_scan_theta_of_overflowing_chemical_labels_blowup(tmp_path, capsys):
@@ -241,6 +254,19 @@ def test_unknown_key_exits_2(tmp_path, capsys):
     assert "stepper.bogus" in capsys.readouterr().err
 
 
+def test_chi_and_mu_are_independent_inputs(tmp_path, capsys):
+    # mu alone moves neither chi nor anything to match; xi is not a key
+    code, out = cli(tmp_path, "run", "study = single_run\n" + BASE
+                    + "params.mu = 2\n")
+    assert code == 0
+    echo = parse_config((out / "config_echo.cfg").read_text())
+    assert (echo.params.chi, echo.params.mu) == (1.0, 2.0)
+    capsys.readouterr()
+    code, _ = cli(tmp_path, "run", BASE + "params.xi = 1\n")
+    assert code == 2
+    assert "config field 'params.xi': unknown key" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("line", [
     "grid.N = 2.5e2", "params.mu = x", "stepper.dt = abc",
     "refine.n_list = 16.7,32", "xval.n_list = 16.7,32",   # not truncated to 16
@@ -270,18 +296,36 @@ def test_sweep_delta_is_deterministic_across_threads(tmp_path, capsys):
                        (3 * math.pi / 16, 2 * math.pi / 16)])
     assert all(float(r["du_l2"]) > 0 and float(r["dv_l2"]) > 0 for r in rows)
     assert "cauchy_decreasing" in capsys.readouterr().out
-    out2 = tmp_path / "threads2"
-    assert main(["sweep-delta", "--config", str(tmp_path / "sweep-delta.cfg"),
-                 "--out", str(out2), "--threads", "2"]) == 0
-    assert (out2 / "delta_sweep.csv").read_bytes() == \
-        (out / "delta_sweep.csv").read_bytes()
+    assert_same_table_at_two_threads(tmp_path, "sweep-delta", out, "delta_sweep.csv")
+
+
+def test_refine_runs_each_member_and_builds_each_grid_once(tmp_path, monkeypatch,
+                                                          capsys):
+    # the (grid.N, smallest dt) member serves both studies, and one datum
+    # per grid serves every dt
+    runs, builds = [], []
+    real_run, real_build = harness.run, harness.build_initial_data
+
+    def counting_run(u0, companion, stepper, *args, **kwargs):
+        runs.append((u0.grid.resolution, stepper.dt))
+        return real_run(u0, companion, stepper, *args, **kwargs)
+
+    def counting_build(recipe, grid):
+        builds.append(grid.resolution)
+        return real_build(recipe, grid)
+
+    monkeypatch.setattr(harness, "run", counting_run)
+    monkeypatch.setattr(harness, "build_initial_data", counting_build)
+    code, _ = cli(tmp_path, "refine", REFINE_ORDER)
+    assert code == 0
+    assert sorted(runs) == [(8, 0.005), (16, 0.005), (32, 0.005), (32, 0.01),
+                            (32, 0.02)]
+    assert sorted(builds) == [8, 16, 32]
+    capsys.readouterr()
 
 
 def test_refine_reports_second_order_in_time(tmp_path, capsys):
-    text = ("study = refinement\nrefine.dt_list = 0.02,0.01,0.005\n"
-            "refine.n_list = 8,16,32\n" + BASE.replace("stepper.t_end = 0.3",
-                                                       "stepper.t_end = 0.2"))
-    code, out = cli(tmp_path, "refine", text)
+    code, out = cli(tmp_path, "refine", REFINE_ORDER)
     assert code == 0
     rows = csv_rows(out / "refinement.csv")
     temporal = [r for r in rows if r["kind"] == "temporal"]
@@ -291,6 +335,7 @@ def test_refine_reports_second_order_in_time(tmp_path, capsys):
     assert [int(r["param"]) for r in spatial] == [8, 16]
     assert 1.8 <= float(temporal[0]["order"]) <= 2.2     # IMEX-CN
     assert "temporal" in capsys.readouterr().out
+    assert_same_table_at_two_threads(tmp_path, "refine", out, "refinement.csv")
 
 
 @pytest.mark.parametrize("dt_list,n_list,key", [
@@ -298,7 +343,8 @@ def test_refine_reports_second_order_in_time(tmp_path, capsys):
     # a repeated entry has no observed order between it and its twin
     ("0.1,0.1,0.05", "8,16,32", "refine.dt_list"),
     ("0.1,0.05,0.025", "8,8,16", "refine.n_list"),
-], ids=["not-dividing", "repeated-dt", "repeated-n"])
+    ("0.5,0.4,0.3", "8,16,32", "refine.dt_list"),   # above t_end = 0.3
+], ids=["not-dividing", "repeated-dt", "repeated-n", "dt-above-t_end"])
 def test_refine_resolution_not_dividing_the_finest_exits_2(tmp_path, capsys,
                                                           dt_list, n_list, key):
     text = (f"study = refinement\nrefine.dt_list = {dt_list}\n"
@@ -321,6 +367,7 @@ def test_xval_solvers_agree(tmp_path, capsys):
     for r in rows:
         assert 0 < float(r["max_u_discrepancy"]) <= 1e-3
         assert 0 < float(r["max_v_discrepancy"]) <= 1e-3
+    assert_same_table_at_two_threads(tmp_path, "xval", out, "cross_validate.csv")
     capsys.readouterr()
 
 
@@ -388,20 +435,28 @@ def test_every_study_enters_run_before_its_first_record(tmp_path, monkeypatch,
     # a study that made a record before it would count stepping as setup.
     # Its tracer tags a run's mode from a mode keyword or a fifth positional
     # argument, and run takes neither, so each run is tagged "transformed".
+    # Every study but the theta scan, where data that cannot be built is a
+    # row label, builds all its data before it makes any output.
     events = []
     real_run, real_record = harness.run, TrajectoryRecorder.make_record
+    real_output, real_build = harness._output, harness.build_initial_data
 
     def counting_run(*args, **kwargs):
         assert len(args) <= 4 and "mode" not in kwargs, (len(args), kwargs)
         events.append("run")
         return real_run(*args, **kwargs)
 
-    def counting_record(self, *args, **kwargs):
-        events.append("record")
-        return real_record(self, *args, **kwargs)
+    def counting(name, real):
+        def wrapper(*args, **kwargs):
+            events.append(name)
+            return real(*args, **kwargs)
+        return wrapper
 
     monkeypatch.setattr(harness, "run", counting_run)
-    monkeypatch.setattr(TrajectoryRecorder, "make_record", counting_record)
+    monkeypatch.setattr(TrajectoryRecorder, "make_record",
+                        counting("record", real_record))
+    monkeypatch.setattr(harness, "_output", counting("output", real_output))
+    monkeypatch.setattr(harness, "build_initial_data", counting("build", real_build))
     extra = {
         "single_run": "",
         "delta_sweep": "sweep.deltas = 4h,3h,2h\n",
@@ -417,6 +472,9 @@ def test_every_study_enters_run_before_its_first_record(tmp_path, monkeypatch,
         assert code == 0, subcommand
         assert "record" in events, subcommand
         assert "run" in events[:events.index("record")], subcommand
+        if study != "theta_scan":
+            assert "build" in events, subcommand
+            assert "build" not in events[events.index("output"):], subcommand
     capsys.readouterr()
 
 
@@ -480,7 +538,6 @@ def _join(items, sep=","):
 
 @st.composite
 def config_texts(draw):
-    mu, xi = draw(finite), draw(st.floats(min_value=0.0, max_value=10.0))
     dt = draw(finite)
     lines = {
         "study": draw(st.sampled_from(STUDIES)),
@@ -489,9 +546,8 @@ def config_texts(draw):
         "threads": str(draw(small_int)),
         "grid.L": repr(draw(finite)),
         "grid.N": str(2 * draw(st.integers(min_value=4, max_value=64))),
-        "params.mu": repr(mu),
-        "params.xi": repr(xi),
-        "params.chi": repr(mu * xi),
+        "params.mu": repr(draw(finite)),
+        "params.chi": repr(draw(st.floats(min_value=0.0, max_value=1e3))),
         "recipe.kind": draw(st.sampled_from(RECIPE_KINDS)),
         "recipe.amplitude": repr(draw(signed)),
         "recipe.p0": repr(draw(st.floats(min_value=4.001, max_value=100.0))),

@@ -2,29 +2,10 @@ import numpy as np
 import pytest
 
 from chemoflux import (Grid, InitialDataRecipe, ScalarField, VectorField,
-                       build_initial_data, compute_eta0, curl2d, gradient,
-                       lp_norm, mollify, potential_of)
-from chemoflux.initial_data import mollify_vector
+                       build_initial_data, curl2d, gradient, lp_norm, mollify,
+                       potential_of)
 from sample_fields import band_limited_field, band_limited_gradient
 from oracles import project_curl_free
-
-
-class TestEta0:
-    def test_reference_values(self):
-        assert compute_eta0(6.0) == pytest.approx(0.25, abs=1e-15)
-        assert compute_eta0(8.0) == pytest.approx(1.0 / 3.0, abs=1e-15)
-
-    def test_vanishes_at_threshold(self):
-        assert 0 < compute_eta0(4.0 + 1e-9) < 1e-9
-
-    def test_stays_below_half(self):
-        for p0 in (4.5, 6, 20, 1e6):
-            assert 0 < compute_eta0(p0) < 0.5
-
-    def test_rejects_p0_at_most_four(self):
-        for p0 in (4.0, 3.0, -1.0):
-            with pytest.raises(ValueError):
-                compute_eta0(p0)
 
 
 class TestRecipes:
@@ -164,8 +145,9 @@ class TestMollify:
     def test_commutes_with_gradient(self, grid64):
         phi = band_limited_field(grid64, seed=17)
         delta = 1.1
-        a = mollify_vector(gradient(phi), delta)
+        a = mollify(gradient(phi), delta)
         b = gradient(mollify(phi, delta))
+        assert isinstance(a, VectorField)
         assert np.abs(a.values - b.values).max() <= 1e-12
 
     def test_rejects_wide_kernel(self, grid64):
