@@ -3,9 +3,7 @@ parabolic-hyperbolic chemotaxis system with discontinuous initial data."""
 
 from .cole_hopf import C_FLOOR, ChemistryParams, forward_transform
 from .diagnostics import (CSV_COLUMNS, DecayFit, DiagnosticsRecord,
-                          TrajectoryRecorder, calibrate_energy_constant,
-                          check_energy_inequality, energy_functionals,
-                          fit_decay)
+                          TrajectoryRecorder, fit_decay)
 from .evolve import RunOutcome, SimState, StepperConfig, Trajectory, run
 from .fields import Grid, ScalarField, VectorField, curl2d, gradient, lp_norm
 from .harness import (ConfigError, ExperimentConfig, load_config,
@@ -13,6 +11,6 @@ from .harness import (ConfigError, ExperimentConfig, load_config,
                       run_refinement, run_single, run_theta_scan)
 from .initial_data import (DataSummary, InitialDataRecipe, build_initial_data,
                            mollify, potential_of)
-from .snapshots import read_snapshot, write_snapshot
+from .snapshots import write_snapshot
 
 __version__ = "0.1.0"

@@ -110,13 +110,20 @@ def _run_study(study, run_study, printer, args) -> int:
 def _read_series(path, column) -> list:
     """(t, value) pairs of one column of a chemoflux CSV table."""
     with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip() and not ln.startswith("#")]
-    header = lines[0].split(",") if lines else []
+        rows = [(lineno, ln.strip().split(",")) for lineno, ln in enumerate(fh, 1)
+                if ln.strip() and not ln.startswith("#")]
+    header = rows[0][1] if rows else []
     for name in ("t", column):
         if name not in header:
             raise ValueError(f"column {name!r} not found in {path}")
     i, j = header.index("t"), header.index(column)
-    return [(float(p[i]), float(p[j])) for p in (ln.split(",") for ln in lines[1:])]
+    series = []
+    for lineno, p in rows[1:]:
+        if len(p) != len(header):
+            raise ValueError(f"{path} line {lineno}: {len(p)} fields, "
+                             f"the header has {len(header)}")
+        series.append((float(p[i]), float(p[j])))
+    return series
 
 
 def cmd_fit_decay(args) -> int:

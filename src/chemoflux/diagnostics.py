@@ -9,31 +9,22 @@ structural self-checks on a run.
 `node_norms` is the one measurement of the six node norms (||u-1||_2,
 ||grad u||_2, ||u_t||_2, ||grad u_t||_2, ||v||_2, ||v||_4) that feed the
 functionals: the stepper takes it once per time node, by Parseval, and
-`TrajectoryRecorder.make_record` reads a record's norms from it.  The rest
-of a row comes from one pass of five half-spectrum transforms.  The tests
-check both against operator-at-a-time oracles on full complex spectra.
+`TrajectoryRecorder` accumulates the functionals from it.  A
+`DiagnosticsRecord` is one CSV row: `make_record` reads its norm columns
+from the node's norms and the rest from one pass of five half-spectrum
+transforms.  The tests check both against operator-at-a-time oracles on
+full complex spectra.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
 
 from .fields import ScalarField, VectorField, power_sum, spectral_power
-
-# CSV schema, fixed order.  The diagnostics record carries two extra
-# measured norms (ut_l2, grad_ut_l2) used by the energy recomputation;
-# they are not part of the file schema.
-CSV_COLUMNS = (
-    "t", "sigma",
-    "u_l2", "grad_u_l2", "u_linf",
-    "v_l2", "v_l4", "v_lp0", "v_linf", "c_linf",
-    "flux_l2", "flux_div_residual", "flux_curl_residual",
-    "a1", "a2", "a3", "blowup_integral", "gn_ratio",
-)
 
 SCHEMA_VERSION = "chemoflux-diagnostics-v1"
 
@@ -45,6 +36,8 @@ def sigma_weight(t: float) -> float:
 
 @dataclass
 class DiagnosticsRecord:
+    """One row of the diagnostics CSV: its fields are the columns, in order."""
+
     t: float
     sigma: float
     u_l2: float
@@ -63,8 +56,9 @@ class DiagnosticsRecord:
     a3: float
     blowup_integral: float
     gn_ratio: float
-    ut_l2: float = 0.0
-    grad_ut_l2: float = 0.0
+
+
+CSV_COLUMNS = tuple(f.name for f in fields(DiagnosticsRecord))
 
 
 @dataclass
@@ -197,8 +191,8 @@ class TrajectoryRecorder:
         """Row at time t from the node's norms and one spectral pass over (u, v).
 
         ``aux`` holds the node's norms from `node_norms`, which give the
-        u_l2, grad_u_l2, v_l2, v_l4, ut_l2 and grad_ut_l2 columns, and ``uh``
-        is the half spectrum ``np.fft.rfft2(u)``.  The pass takes five
+        u_l2, grad_u_l2, v_l2 and v_l4 columns, and ``uh`` is the half
+        spectrum ``np.fft.rfft2(u)``.  The pass takes five
         transforms: grad(u) in physical space, the dealiased
         perp_grad(u).v, and the dealiased products u*v_x and u*v_y.  The
         flux and both residuals are assembled from those spectra and
@@ -273,64 +267,5 @@ class TrajectoryRecorder:
             a3=self.a3,
             blowup_integral=self.blowup_integral,
             gn_ratio=gn,
-            ut_l2=math.sqrt(aux.ut_sq),
-            grad_ut_l2=math.sqrt(aux.grad_ut_sq),
         )
 
-
-def energy_functionals(records) -> tuple[float, float, float]:
-    """Recompute (A1, A2, A3) from recorded rows alone.
-
-    Trapezoid integrals and suprema are taken on the recording grid, so the
-    result is cadence-limited; the running columns in the records themselves
-    are accumulated on the stepping grid and are the sharper estimate.
-    """
-    rows = list(records)
-    if not rows:
-        raise ValueError("empty trajectory")
-    sup_e = max(r.u_l2 ** 2 + r.v_l2 ** 2 for r in rows)
-    sup_a2 = max(r.sigma * r.grad_u_l2 ** 2
-                 + r.sigma ** 2 * (r.ut_l2 ** 2 + r.grad_u_l2 ** 2) for r in rows)
-    sup_v4 = max(r.v_l4 ** 4 for r in rows)
-    int_grad = int_a2 = int_v4 = 0.0
-    for r0, r1 in zip(rows, rows[1:]):
-        h = r1.t - r0.t
-        int_grad += 0.5 * h * (r0.grad_u_l2 ** 2 + r1.grad_u_l2 ** 2)
-        int_a2 += 0.5 * h * (
-            (r0.sigma * r0.ut_l2 ** 2 + r0.sigma ** 2 * r0.grad_ut_l2 ** 2)
-            + (r1.sigma * r1.ut_l2 ** 2 + r1.sigma ** 2 * r1.grad_ut_l2 ** 2))
-        int_v4 += 0.5 * h * (r0.v_l4 ** 4 + r1.v_l4 ** 4)
-    return sup_e + int_grad, sup_a2 + int_a2, sup_v4 + int_v4
-
-
-def calibrate_energy_constant(records) -> float:
-    """Smallest constant C making the discrete energy inequality
-    dE <= -2*int |grad u|^2 + C*int ||u-1||^2 ||v||_4^4 hold on the rows."""
-    rows = list(records)
-    c_needed = 0.0
-    for r0, r1 in zip(rows, rows[1:]):
-        h = r1.t - r0.t
-        de = (r1.u_l2 ** 2 + r1.v_l2 ** 2) - (r0.u_l2 ** 2 + r0.v_l2 ** 2)
-        diss = h * (r0.grad_u_l2 ** 2 + r1.grad_u_l2 ** 2)  # 2 * trapezoid
-        forcing = 0.5 * h * (r0.u_l2 ** 2 * r0.v_l4 ** 4
-                             + r1.u_l2 ** 2 * r1.v_l4 ** 4)
-        excess = de + diss
-        if excess > 0 and forcing > 0:
-            c_needed = max(c_needed, excess / forcing)
-    return c_needed
-
-
-def check_energy_inequality(records, constant: float, slack: float = 1e-12):
-    """Return the times where the calibrated energy inequality fails."""
-    rows = list(records)
-    violations = []
-    for r0, r1 in zip(rows, rows[1:]):
-        h = r1.t - r0.t
-        e0 = r0.u_l2 ** 2 + r0.v_l2 ** 2
-        e1 = r1.u_l2 ** 2 + r1.v_l2 ** 2
-        diss = h * (r0.grad_u_l2 ** 2 + r1.grad_u_l2 ** 2)
-        forcing = 0.5 * h * (r0.u_l2 ** 2 * r0.v_l4 ** 4
-                             + r1.u_l2 ** 2 * r1.v_l4 ** 4)
-        if e1 - e0 > -diss + constant * forcing + slack * (1.0 + e0):
-            violations.append(r1.t)
-    return violations

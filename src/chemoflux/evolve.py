@@ -3,8 +3,10 @@
 ``march`` is the only stepper: a generator that yields ``(state, record)``
 at each record node and returns the `Trajectory` when it ends; ``run``
 drains it and calls its hooks on each pair.  A yielded or hooked state's
-arrays are never written afterwards.  The companion of u0, v0 or c0, picks
-the mode; both share one transport kernel and one implicit density update:
+arrays are never written afterwards.  The type of u0's companion picks the
+mode: v0, a `VectorField`, the transformed one and c0, a `ScalarField`, the
+original one.  Both modes share one transport kernel and one implicit
+density update:
 
 * transformed mode evolves (u, v) with implicit (backward-Euler or
   trapezoidal) diffusion and explicit dealiased transport chi*div(u v);

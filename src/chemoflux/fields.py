@@ -159,21 +159,6 @@ class ScalarField:
         self.grid = grid
         self.values = values
 
-    def copy(self) -> "ScalarField":
-        return ScalarField(self.grid, self.values.copy(), check=False)
-
-    def mean(self) -> float:
-        return float(self.values.mean())
-
-    @classmethod
-    def constant(cls, grid: Grid, value: float) -> "ScalarField":
-        return cls(grid, np.full((grid.resolution, grid.resolution), float(value)), check=False)
-
-    @classmethod
-    def from_function(cls, grid: Grid, fn) -> "ScalarField":
-        X, Y = grid.coordinates()
-        return cls(grid, np.asarray(fn(X, Y), dtype=np.float64))
-
 
 class VectorField:
     """Two scalar components sharing one Grid, stored as a (2, N, N) array."""
@@ -189,17 +174,6 @@ class VectorField:
             raise ValueError("vector field contains non-finite samples")
         self.grid = grid
         self.values = values
-
-    @property
-    def x(self) -> np.ndarray:
-        return self.values[0]
-
-    @property
-    def y(self) -> np.ndarray:
-        return self.values[1]
-
-    def copy(self) -> "VectorField":
-        return VectorField(self.grid, self.values.copy(), check=False)
 
     def magnitude(self) -> np.ndarray:
         return np.sqrt(self.values[0] ** 2 + self.values[1] ** 2)

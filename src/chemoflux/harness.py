@@ -95,10 +95,12 @@ def _numbers(cast=float, arity=None):
 
 
 def _resolutions(text):
-    """Comma-separated grid resolutions, each one that `Grid` accepts."""
+    """Comma-separated distinct grid resolutions, each one that `Grid` accepts."""
     ns = _numbers(int)(text)
     for n in ns:
         Grid(1.0, n)   # its ParameterError is a ValueError, reported on the key
+    if len(set(ns)) < len(ns):   # a repeated member adds no information
+        raise ValueError("resolutions must be distinct")
     return ns
 
 
@@ -342,6 +344,10 @@ def run_single(cfg: ExperimentConfig, out_dir=None) -> tuple:
         if not 0.0 <= t <= cfg.stepper.t_end:
             raise ConfigError("snapshot_times", f"{t!r} is outside [0, t_end = "
                               f"{cfg.stepper.t_end!r}]")
+    names = [f"{t:.6f}" for t in cfg.snapshot_times]   # snapshot_{name}.cfx
+    if len(set(names)) < len(names):   # a later file would overwrite an earlier
+        raise ConfigError("snapshot_times", f"{_joined(cfg.snapshot_times)}: two "
+                          "times share a file name, which keeps 6 decimals")
     data = _data(cfg, cfg.recipe, cfg.grid, cfg.mode)
     out = _output(cfg, out_dir)
     traj = _solve(cfg, data, cfg.stepper, snapshot_times=cfg.snapshot_times)
@@ -408,8 +414,10 @@ def run_refinement(cfg: ExperimentConfig, out_dir=None) -> list:
     datum is built once.
     """
     for key, items in (("refine.dt_list", cfg.dt_list), ("refine.n_list", cfg.n_list)):
-        if len(items) < 3 or len(set(items)) < len(items):   # a repeat has no order
-            raise ConfigError(key, "need at least 3 entries, all distinct")
+        if len(items) < 3:
+            raise ConfigError(key, "need at least 3 entries")
+    if len(set(cfg.dt_list)) < len(cfg.dt_list):   # a repeat has no order
+        raise ConfigError("refine.dt_list", "steps must be distinct")
     ns = sorted(cfg.n_list)
     if any(ns[-1] % n for n in ns):
         raise ConfigError("refine.n_list", "each resolution must divide the finest")

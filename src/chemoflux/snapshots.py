@@ -29,20 +29,3 @@ def write_snapshot(path, components) -> None:
         for a in arrays:
             fh.write(a.tobytes())
 
-
-def read_snapshot(path):
-    """Read a CFX1 file; returns (N, [array, ...])."""
-    with open(path, "rb") as fh:
-        head = fh.read(_HEADER.size)
-        if len(head) != _HEADER.size:
-            raise ValueError("truncated snapshot header")
-        magic, n, count, _ = _HEADER.unpack(head)
-        if magic != MAGIC:
-            raise ValueError(f"bad magic {magic!r}, expected {MAGIC!r}")
-        out = []
-        for _ in range(count):
-            buf = fh.read(8 * n * n)
-            if len(buf) != 8 * n * n:
-                raise ValueError("truncated snapshot payload")
-            out.append(np.frombuffer(buf, dtype="<f8").reshape(n, n).copy())
-    return n, out

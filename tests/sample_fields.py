@@ -1,8 +1,19 @@
-"""Random band-limited sample fields shared by the test modules."""
+"""Sample fields shared by the test modules: constant, from a function of
+the sample coordinates, and random band-limited."""
 
 import numpy as np
 
 from chemoflux import ScalarField, VectorField, gradient
+
+
+def constant_field(grid, value):
+    return ScalarField(grid, np.full(grid.shape, float(value)), check=False)
+
+
+def field_from_function(grid, fn):
+    """The samples fn(X, Y) at the grid's cell-center coordinates."""
+    X, Y = grid.coordinates()
+    return ScalarField(grid, fn(X, Y))
 
 
 def band_limited_field(grid, seed, kmax=6, amplitude=1.0, zero_mean=False):

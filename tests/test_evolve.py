@@ -4,7 +4,7 @@ from scipy.linalg import expm
 
 from chemoflux import (ChemistryParams, Grid, RunOutcome, ScalarField,
                        StepperConfig, VectorField, curl2d, lp_norm, run)
-from sample_fields import band_limited_field, band_limited_gradient
+from sample_fields import band_limited_field, band_limited_gradient, constant_field
 from oracles import dealias, project_curl_free
 
 
@@ -63,7 +63,7 @@ def step_sizes(u0, v0, cfg, params=None):
 class TestStepTransformed:
     def test_equilibrium_fixed_point(self, grid32):
         for scheme in ("imex_be", "imex_cn"):
-            out = final_state(ScalarField.constant(grid32, 1.0),
+            out = final_state(constant_field(grid32, 1.0),
                               VectorField.zero(grid32),
                               StepperConfig(dt=0.05, t_end=0.05, scheme=scheme))
             assert np.abs(out.u.values - 1.0).max() <= 1e-13
@@ -80,7 +80,7 @@ class TestStepTransformed:
                                                   scheme="imex_cn"))
         u_ex, vx_ex = linear_mode_solution(grid, 2, eps, 0.5 * eps, chi, state.t)
         num = lp_norm(ScalarField(grid, state.u.values - u_ex), 2) \
-            + lp_norm(ScalarField(grid, state.v.x - vx_ex), 2)
+            + lp_norm(ScalarField(grid, state.v.values[0] - vx_ex), 2)
         den = lp_norm(ScalarField(grid, u_ex - 1.0), 2) \
             + lp_norm(ScalarField(grid, vx_ex), 2)
         assert num / den <= 1e-4 + 10 * dt * dt
@@ -103,14 +103,14 @@ class TestStepTransformed:
         u0, v0 = smooth_state(grid32, amplitude=0.4, seed=3)
         state = final_state(u0, v0, StepperConfig(dt=0.01, t_end=1.0,
                                                   scheme="imex_cn"))
-        assert abs(state.u.mean() - u0.mean()) <= 1e-13
-        assert abs(state.v.x.mean() - v0.x.mean()) <= 1e-13
+        assert abs(state.u.values.mean() - u0.values.mean()) <= 1e-13
+        assert abs(state.v.values[0].mean() - v0.values[0].mean()) <= 1e-13
         assert lp_norm(curl2d(state.v), np.inf) <= 1e-12
 
     def test_companion_of_neither_type_rejected(self, grid32):
         # v0 selects the transformed system and c0 the original one; a bare
         # array is neither
-        one = ScalarField.constant(grid32, 1.0)
+        one = constant_field(grid32, 1.0)
         with pytest.raises(ValueError, match="ndarray selects no mode"):
             run(one, one.values, StepperConfig(dt=0.1, t_end=1.0),
                 ChemistryParams())
@@ -119,8 +119,8 @@ class TestStepTransformed:
 class TestStepOriginal:
     def test_homogeneous_exact(self, grid32):
         mu, dt = 1.3, 0.2
-        out = final_state(ScalarField.constant(grid32, 1.0),
-                          ScalarField.constant(grid32, 2.0),
+        out = final_state(constant_field(grid32, 1.0),
+                          constant_field(grid32, 2.0),
                           StepperConfig(dt=dt, t_end=dt),
                           ChemistryParams(chi=1.3 * 0.7, mu=mu))
         assert np.abs(out.u.values - 1.0).max() <= 1e-13
@@ -134,7 +134,7 @@ class TestStepOriginal:
         u0, _, k = single_mode_data(grid, m=1, eps_u=eps, eps_phi=0.0)
         dt, T = 0.005, 0.5
         params = ChemistryParams(chi=0.0, mu=1.0)
-        state = final_state(u0, ScalarField.constant(grid, 1.0),
+        state = final_state(u0, constant_field(grid, 1.0),
                             StepperConfig(dt=dt, t_end=T), params)
         X, _ = grid.coordinates()
         expected = 1.0 + eps * np.exp(-k * k * T) * np.cos(k * X)
@@ -143,8 +143,8 @@ class TestStepOriginal:
     def test_positivity_and_extinction(self, grid32):
         c_mins = []
         cfg = StepperConfig(dt=0.25, t_end=10.0, record_every=1)
-        traj = run(ScalarField.constant(grid32, 1.0),
-                   ScalarField.constant(grid32, 2e-300), cfg, ChemistryParams(),
+        traj = run(constant_field(grid32, 1.0),
+                   constant_field(grid32, 2e-300), cfg, ChemistryParams(),
                    recorders=(lambda st, rec: c_mins.append(st.c.values.min()),))
         assert traj.outcome is RunOutcome.CHEMICAL_EXTINCTION
         assert c_mins and min(c_mins) > 0
@@ -188,7 +188,7 @@ class TestRun:
             traj.records[0].u_l2 ** 2 + traj.records[0].v_l2 ** 2, rel=1e-12)
 
     def test_equilibrium_stays_at_machine_precision(self, grid32):
-        u0 = ScalarField.constant(grid32, 1.0)
+        u0 = constant_field(grid32, 1.0)
         v0 = VectorField.zero(grid32)
         cfg = StepperConfig(dt=0.01, t_end=10.0, record_every=100)
         traj = run(u0, v0, cfg, ChemistryParams())
@@ -204,9 +204,9 @@ class TestRun:
         cfg = StepperConfig(dt=0.005, t_end=5.0, record_every=1000)
         traj = run(u0, v0, cfg, ChemistryParams())
         final = traj.final_state
-        assert abs(final.u.mean() - u0.mean()) <= 1e-12
-        assert abs(final.v.x.mean() - v0.x.mean()) <= 1e-12
-        assert abs(final.v.y.mean() - v0.y.mean()) <= 1e-12
+        assert abs(final.u.values.mean() - u0.values.mean()) <= 1e-12
+        assert abs(final.v.values[0].mean() - v0.values[0].mean()) <= 1e-12
+        assert abs(final.v.values[1].mean() - v0.values[1].mean()) <= 1e-12
 
     def test_curl_free_without_reprojection(self, grid32):
         u0, v0 = smooth_state(grid32, amplitude=0.5, seed=11)
@@ -239,8 +239,8 @@ class TestRun:
         assert traj.final_state is None
 
     def test_extinction_reported_as_outcome(self, grid32):
-        u0 = ScalarField.constant(grid32, 1.0)
-        c0 = ScalarField.constant(grid32, 2e-300)
+        u0 = constant_field(grid32, 1.0)
+        c0 = constant_field(grid32, 2e-300)
         cfg = StepperConfig(dt=0.25, t_end=10.0, record_every=4)
         traj = run(u0, c0, cfg, ChemistryParams())
         assert traj.outcome is RunOutcome.CHEMICAL_EXTINCTION
@@ -250,7 +250,7 @@ class TestRun:
 
     def test_chemical_supnorm_tracks_homogeneous_decay(self, grid32):
         # u = 1 everywhere: the tracked sup of c must follow exp(-mu t)
-        u0 = ScalarField.constant(grid32, 1.0)
+        u0 = constant_field(grid32, 1.0)
         v0 = VectorField.zero(grid32)
         cfg = StepperConfig(dt=0.01, t_end=2.0, record_every=50)
         traj = run(u0, v0, cfg, ChemistryParams())
@@ -325,7 +325,7 @@ class TestRun:
     def test_extinct_initial_chemical_halts_at_start(self, grid32):
         vals = np.ones((32, 32))
         vals[3, 4] = 0.0
-        traj = run(ScalarField.constant(grid32, 1.0), ScalarField(grid32, vals),
+        traj = run(constant_field(grid32, 1.0), ScalarField(grid32, vals),
                    StepperConfig(dt=0.1, t_end=1.0), ChemistryParams(),
                    snapshot_times=(0.0,))
         assert traj.outcome is RunOutcome.CHEMICAL_EXTINCTION

@@ -1,12 +1,16 @@
+import struct
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chemoflux import (Grid, ScalarField, VectorField, curl2d, gradient,
-                       lp_norm, read_snapshot, write_snapshot)
+                       lp_norm, write_snapshot)
 from chemoflux.fields import power_sum, spectral_power
-from sample_fields import band_limited_field, band_limited_gradient
+from sample_fields import (band_limited_field, band_limited_gradient,
+                           constant_field, field_from_function)
 from oracles import (dealias, divergence, gn_ratio, laplacian, perp_gradient,
                      product_dot, product_scalar_vector)
 from oracles import gradient as full_spectrum_gradient
@@ -68,18 +72,18 @@ class TestHalfSpectrumParseval:
 
 class TestGradient:
     def test_constant_is_flat(self, grid32):
-        g = gradient(ScalarField.constant(grid32, 7.0))
+        g = gradient(constant_field(grid32, 7.0))
         assert np.abs(g.values).max() <= 1e-13
 
     def test_resolved_mode_analytic(self):
         grid = Grid(2 * np.pi * 3, 64)
         L = grid.side_length
-        f = ScalarField.from_function(grid, lambda X, Y: np.sin(2 * np.pi * X / L))
+        f = field_from_function(grid, lambda X, Y: np.sin(2 * np.pi * X / L))
         g = gradient(f)
         X, _ = grid.coordinates()
         expected = (2 * np.pi / L) * np.cos(2 * np.pi * X / L)
-        assert np.abs(g.x - expected).max() <= 1e-12
-        assert np.abs(g.y).max() <= 1e-12
+        assert np.abs(g.values[0] - expected).max() <= 1e-12
+        assert np.abs(g.values[1]).max() <= 1e-12
 
     def test_matches_finite_differences_at_second_order(self):
         # fixed continuum function rasterized on two grids; centered FD error
@@ -93,21 +97,21 @@ class TestGradient:
         errs = []
         for n in (64, 128):
             grid = Grid(L, n)
-            f = ScalarField.from_function(grid, fn)
+            f = field_from_function(grid, fn)
             spectral = gradient(f)
             h = grid.spacing
             fd_x = (np.roll(f.values, -1, axis=1) - np.roll(f.values, 1, axis=1)) / (2 * h)
             fd_y = (np.roll(f.values, -1, axis=0) - np.roll(f.values, 1, axis=0)) / (2 * h)
-            errs.append(max(np.abs(spectral.x - fd_x).max(),
-                            np.abs(spectral.y - fd_y).max()))
+            errs.append(max(np.abs(spectral.values[0] - fd_x).max(),
+                            np.abs(spectral.values[1] - fd_y).max()))
         ratio = errs[0] / errs[1]
         assert 3.5 <= ratio <= 4.5
 
     def test_components_have_zero_mean(self, grid64):
         f = band_limited_field(grid64, seed=3)
         g = gradient(f)
-        assert abs(g.x.mean()) <= 1e-14
-        assert abs(g.y.mean()) <= 1e-14
+        assert abs(g.values[0].mean()) <= 1e-14
+        assert abs(g.values[1].mean()) <= 1e-14
 
     def test_rejects_non_finite(self, grid32):
         vals = np.zeros((32, 32))
@@ -120,7 +124,7 @@ class TestDivergence:
     def test_div_grad_equals_laplacian(self):
         grid = Grid(2 * np.pi, 64)
         L = grid.side_length
-        f = ScalarField.from_function(
+        f = field_from_function(
             grid, lambda X, Y: np.sin(2 * np.pi * X / L) * np.sin(2 * np.pi * Y / L))
         lhs = divergence(gradient(f)).values
         rhs = laplacian(f).values
@@ -141,11 +145,12 @@ class TestDivergence:
         errs = []
         for n in (64, 128):
             grid = Grid(L, n)
-            w = gradient(ScalarField.from_function(grid, fn))
+            w = gradient(field_from_function(grid, fn))
             d = divergence(w)
+            wx, wy = w.values
             h = grid.spacing
-            fd = (np.roll(w.x, -1, axis=1) - np.roll(w.x, 1, axis=1)) / (2 * h) \
-                + (np.roll(w.y, -1, axis=0) - np.roll(w.y, 1, axis=0)) / (2 * h)
+            fd = (np.roll(wx, -1, axis=1) - np.roll(wx, 1, axis=1)) / (2 * h) \
+                + (np.roll(wy, -1, axis=0) - np.roll(wy, 1, axis=0)) / (2 * h)
             errs.append(np.abs(d.values - fd).max())
         assert 3.5 <= errs[0] / errs[1] <= 4.5
 
@@ -180,12 +185,12 @@ class TestCurl:
 
 class TestLaplacian:
     def test_constant(self, grid32):
-        assert np.abs(laplacian(ScalarField.constant(grid32, 5.0)).values).max() <= 1e-13
+        assert np.abs(laplacian(constant_field(grid32, 5.0)).values).max() <= 1e-13
 
     def test_eigenfunction(self):
         grid = Grid(2 * np.pi * 2, 64)
         L = grid.side_length
-        f = ScalarField.from_function(grid, lambda X, Y: np.sin(2 * np.pi * X / L))
+        f = field_from_function(grid, lambda X, Y: np.sin(2 * np.pi * X / L))
         out = laplacian(f)
         assert np.abs(out.values + (2 * np.pi / L) ** 2 * f.values).max() <= 1e-12
 
@@ -199,7 +204,7 @@ class TestLaplacian:
 class TestLpNorm:
     def test_constant_closed_form(self):
         grid = Grid(3.0, 16)
-        f = ScalarField.constant(grid, -2.0)
+        f = constant_field(grid, -2.0)
         for p in (1, 2, 4, 7.5):
             assert np.isclose(lp_norm(f, p), 2.0 * 3.0 ** (2.0 / p), rtol=1e-13)
         assert lp_norm(f, np.inf) == 2.0
@@ -225,14 +230,14 @@ class TestLpNorm:
 
     def test_rejects_p_below_one(self, grid32):
         with pytest.raises(ValueError):
-            lp_norm(ScalarField.constant(grid32, 1.0), 0.5)
+            lp_norm(constant_field(grid32, 1.0), 0.5)
 
     def test_interpolation_inequality_sampler(self, grid64):
         # ||f||_4^2 <= C ||f||_2 ||grad f||_2 with C locked from the
         # ensemble scan; a single sine mode (ratio sqrt(3/8)/pi ~ 0.1949)
         # sits near the ensemble ceiling
         L = grid64.side_length
-        seen = [gn_ratio(ScalarField.from_function(
+        seen = [gn_ratio(field_from_function(
             grid64, lambda X, Y: np.sin(2 * np.pi * X / L)))]
         for seed in range(20):
             f = band_limited_field(grid64, seed, kmax=7, zero_mean=True)
@@ -253,7 +258,7 @@ class TestSpectralConvergence:
             X, _ = grid.coordinates()
             f = ScalarField(grid, np.exp(4 * np.sin(2 * np.pi * X / L)))
             exact = (4 * 2 * np.pi / L) * np.cos(2 * np.pi * X / L) * f.values
-            errs[n] = np.abs(gradient(f).x - exact).max()
+            errs[n] = np.abs(gradient(f).values[0] - exact).max()
         assert errs[32] / max(errs[64], 1e-300) >= 1e3
 
 
@@ -276,6 +281,15 @@ class TestDealiasing:
         assert np.abs(lhs.values - rhs.values).max() <= 1e-12
 
 
+def read_snapshot(path):
+    """Reference reader of the CFX1 format; returns (N, [array, ...])."""
+    blob = Path(path).read_bytes()
+    magic, n, count, _ = struct.unpack_from("<4sIII", blob)
+    assert magic == b"CFX1" and len(blob) == 16 + 8 * n * n * count
+    data = np.frombuffer(blob, dtype="<f8", offset=16)
+    return n, list(data.reshape(count, n, n))
+
+
 class TestSnapshotFormat:
     def test_round_trip(self, tmp_path, grid32):
         a = band_limited_field(grid32, 1).values
@@ -296,9 +310,3 @@ class TestSnapshotFormat:
         assert len(blob) == 16 + 16 * 16 * 8
         assert int.from_bytes(blob[4:8], "little") == 16
         assert int.from_bytes(blob[8:12], "little") == 1
-
-    def test_rejects_bad_magic(self, tmp_path):
-        path = tmp_path / "bad.cfx"
-        path.write_bytes(b"NOPE" + bytes(12))
-        with pytest.raises(ValueError):
-            read_snapshot(path)

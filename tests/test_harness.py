@@ -110,10 +110,14 @@ def test_fit_decay_unknown_column_exits_2(tmp_path, capsys):
     assert main(["fit-decay", "--csv", str(csv), "--column", "u_linf"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and "u_linf" in err
-    # a missing file, a one-number window, a window fit_decay rejects
+    # a missing file, a one-number window, a window fit_decay rejects, a
+    # row with fewer fields than the header
+    short = tmp_path / "short.csv"
+    short.write_text("t,c_linf\n2.0\n")
     for flags, needle in ((["--csv", str(tmp_path / "none.csv")], "none.csv"),
                           (["--csv", str(csv), "--window", "2"], "window"),
-                          (["--csv", str(csv), "--window", "0.1,0.3"], "window")):
+                          (["--csv", str(csv), "--window", "0.1,0.3"], "window"),
+                          (["--csv", str(short)], "short.csv line 2")):
         assert main(["fit-decay", *flags]) == 2, flags
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, flags
@@ -235,9 +239,10 @@ def test_scan_theta_of_overflowing_chemical_labels_blowup(tmp_path, capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("times", ["abc", "5", "-1"])
+@pytest.mark.parametrize("times", ["abc", "5", "-1", "0.1,0.1", "0.1,0.1000001"])
 def test_bad_snapshot_times_exit_2(tmp_path, capsys, times):
-    # not a number, after t_end = 0.3, before t = 0
+    # not a number, after t_end = 0.3, before t = 0, and two times whose
+    # snapshot files, named to 6 decimals, would overwrite each other
     code, out = cli(tmp_path, "run", "study = single_run\n"
                     + BASE.replace("grid.N = 32", "grid.N = 16"),
                     "--snapshot-times", times)
@@ -245,7 +250,7 @@ def test_bad_snapshot_times_exit_2(tmp_path, capsys, times):
     err = capsys.readouterr().err
     assert err.startswith("error: config field 'snapshot_times': ")
     assert err.count("\n") == 1
-    assert not list(out.glob("snapshot_*"))
+    assert not out.exists()   # rejected before any output or run
 
 
 def test_unknown_key_exits_2(tmp_path, capsys):
@@ -274,6 +279,7 @@ def test_chi_and_mu_are_independent_inputs(tmp_path, capsys):
     "xval.n_list = 16,7", "refine.n_list = 6,12,24",   # not a grid resolution
     "threads = 0",
     "xval.n_list = 64,8",   # N=8 would step at dt = 0.4 > t_end = 0.3
+    "xval.n_list = 32,32",   # the same member twice
 ])
 def test_bad_value_exits_2_naming_its_key(tmp_path, capsys, line):
     key, value = line.split(" = ")
