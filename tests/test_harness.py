@@ -588,7 +588,7 @@ def config_texts(draw):
             finite.map(repr)), min_size=1, max_size=4).map(",".join),
         "xval.n_list": st.lists(st.integers(min_value=4, max_value=256).map(
                                     lambda n: 2 * n),
-                                min_size=1, max_size=4).map(
+                                min_size=1, max_size=4, unique=True).map(
             lambda ns: ",".join(map(str, ns))),
         "refine.dt_list": st.lists(finite, min_size=1, max_size=4).map(_join),
         "scan.amplitudes": st.lists(signed, min_size=1, max_size=4).map(_join),
