@@ -8,11 +8,12 @@ structural self-checks on a run.
 
 `node_norms` is the one measurement of the six node norms (||u-1||_2,
 ||grad u||_2, ||u_t||_2, ||grad u_t||_2, ||v||_2, ||v||_4) that feed the
-functionals: the stepper takes it once per time node, by Parseval, and
-`TrajectoryRecorder` accumulates the functionals from it.  A
-`DiagnosticsRecord` is one CSV row: `make_record` reads its norm columns
-from the node's norms and the rest from one pass of five half-spectrum
-transforms.  The tests check both against operator-at-a-time oracles on
+functionals: the stepper takes it once per time node, the u norms by
+Parseval and the v norms from the samples, and `TrajectoryRecorder`
+accumulates the functionals from it.  A `DiagnosticsRecord` is one CSV row:
+`make_record` reads its norm columns from the node's norms and the rest
+from one pass of three half-spectrum transforms, given the node's samples
+of grad(u).  The tests check both against operator-at-a-time oracles on
 full complex spectra.
 """
 
@@ -24,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .fields import ScalarField, VectorField, power_sum, spectral_power
+from .fields import ScalarField, VectorField, dealias, power_sum, spectral_power
 
 SCHEMA_VERSION = "chemoflux-diagnostics-v1"
 
@@ -113,11 +114,13 @@ class NodeAux(NamedTuple):
     v4_4: float        # ||v||_4^4
 
 
-def node_norms(grid, uh, vxh, vyh, t_hat, vx, vy) -> NodeAux:
-    """The node norms of a state, by Parseval on its half spectra (no FFTs).
+def node_norms(grid, uh, t_hat, v) -> NodeAux:
+    """The node norms of a state, with no FFTs.
 
     ``t_hat`` is the transport term chi*div(u v) at the node, so that
-    u_t = lap(u) + chi*div(u v); ||v||_4^4 is summed over the samples vx, vy.
+    u_t = lap(u) + chi*div(u v); the u norms are Parseval sums over the half
+    spectra, and ||v||_2^2 and ||v||_4^4 come from one pass of |v|^2 over
+    the samples v, a (2, N, N) array.
     """
     n2 = grid.resolution ** 2
     w = grid.cell_area / n2
@@ -126,11 +129,12 @@ def node_norms(grid, uh, vxh, vyh, t_hat, vx, vy) -> NodeAux:
     abs_uh2[0, 0] = 0.0   # the mean mode's power would swamp ||u - 1||^2 near u = 1
     u_sq = w * grid.power_total(abs_uh2) + (mean_u - 1.0) ** 2 * grid.side_length ** 2
     abs_ut2 = spectral_power(t_hat - grid._k_squared * uh)
-    return NodeAux(u_sq=float(u_sq), v_sq=w * (power_sum(vxh) + power_sum(vyh)),
+    v2 = v[0] * v[0] + v[1] * v[1]
+    return NodeAux(u_sq=float(u_sq), v_sq=float(grid.cell_area * v2.sum()),
                    grad_u_sq=w * grid.gradient_power(abs_uh2),
                    ut_sq=w * grid.power_total(abs_ut2),
                    grad_ut_sq=w * grid.gradient_power(abs_ut2),
-                   v4_4=float(grid.cell_area * ((vx * vx + vy * vy) ** 2).sum()))
+                   v4_4=float(grid.cell_area * (v2 * v2).sum()))
 
 
 class TrajectoryRecorder:
@@ -186,41 +190,34 @@ class TrajectoryRecorder:
         return self.int_v4
 
     def make_record(self, t: float, u: ScalarField, v: VectorField,
-                    c_linf: float, aux: NodeAux, uh: np.ndarray
-                    ) -> DiagnosticsRecord:
+                    c_linf: float, aux: NodeAux, uh: np.ndarray,
+                    grad_u: np.ndarray) -> DiagnosticsRecord:
         """Row at time t from the node's norms and one spectral pass over (u, v).
 
         ``aux`` holds the node's norms from `node_norms`, which give the
-        u_l2, grad_u_l2, v_l2 and v_l4 columns, and ``uh`` is the half
-        spectrum ``np.fft.rfft2(u)``.  The pass takes five
-        transforms: grad(u) in physical space, the dealiased
-        perp_grad(u).v, and the dealiased products u*v_x and u*v_y.  The
-        flux and both residuals are assembled from those spectra and
-        measured by Parseval, ||f||_2^2 = cell_area/N^2 * sum |f_hat|^2 with
-        the half-spectrum column weights; the L^inf and L^p0 norms and the
-        Gagliardo-Nirenberg ratio come from the physical samples.  The
+        u_l2, grad_u_l2, v_l2 and v_l4 columns, ``uh`` is the half
+        spectrum ``np.fft.rfft2(u)`` and ``grad_u`` the node's samples of
+        grad(u), a (2, N, N) array.  The pass takes three transforms: the
+        dealiased perp_grad(u).v, and the dealiased products u*v_x and
+        u*v_y.  The flux and both residuals are assembled from those spectra
+        and measured by Parseval, ||f||_2^2 = cell_area/N^2 * sum |f_hat|^2
+        with the half-spectrum column weights; the L^inf and L^p0 norms and
+        the Gagliardo-Nirenberg ratio come from the physical samples.  The
         residuals are rebuilt here from u and v alone, independent of the
         stepper's transport term, so they check the identities rather than
         restate them.
         """
         grid = u.grid
         chi = self.chi
-        ikx, iky, oob = grid._ikx, grid._iky, grid._out_of_band
-        shape = grid.shape
+        ikx, iky = grid._ikx, grid._iky
         w = grid.cell_area / grid.resolution ** 2
         area = grid.cell_area
         uv, vx, vy = u.values, v.values[0], v.values[1]
         # Each spectrum is freed or updated in place as soon as it has
         # served, so the pass holds few of them at once (peak RSS at N=256).
-        ux = np.fft.irfft2(ikx * uh, s=shape)
-        uy = np.fft.irfft2(iky * uh, s=shape)
-        qh = np.fft.rfft2(uy * vx - ux * vy)  # perp_grad(u).v, dealiased
-        qh[oob] = 0.0
-        del ux, uy
-        txh = np.fft.rfft2(uv * vx)           # chi*u*v, dealiased
-        tyh = np.fft.rfft2(uv * vy)
-        txh[oob] = 0.0
-        tyh[oob] = 0.0
+        qh = dealias(np.fft.rfft2(grad_u[1] * vx - grad_u[0] * vy))  # perp_grad(u).v
+        txh = dealias(np.fft.rfft2(uv * vx))   # chi*u*v, dealiased
+        tyh = dealias(np.fft.rfft2(uv * vy))
         txh *= chi
         tyh *= chi
         fxh = ikx * uh                        # F = grad(u) + chi*u*v

@@ -17,9 +17,12 @@ density update:
 
 A run projects its working state onto the dealias band once at start;
 products then never alias back into the retained band, which is what makes
-the flux identities machine-precision checks.  Every field is real, so the
-state is carried as half spectra (``np.fft.rfft2``); see `fields` for the
-layout.
+the flux identities machine-precision checks.  Every field is real, so
+spectra are half spectra (``np.fft.rfft2``); see `fields` for the layout.
+A transformed node is the spectrum of u plus the samples of u, grad(u), v
+and s; v has no spectrum, since its update is linear in grad(u).  An
+IMEX-CN step then takes 9 transforms and an IMEX-BE step 5, and the CFL
+bound reads the node's grad(u), with no transform.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ import numpy as np
 
 from . import diagnostics as diag
 from .cole_hopf import C_FLOOR, ChemistryParams
-from .fields import Grid, ParameterError, ScalarField, VectorField
+from .fields import Grid, ParameterError, ScalarField, VectorField, dealias
 from .initial_data import potential_of
 
 _LOG_FLOOR = float(np.log(C_FLOOR))
@@ -108,55 +111,72 @@ class Trajectory:
     records: list = field(default_factory=list)
 
 
-def _transport_hat(grid: Grid, u, vx, vy, chi: float):
+def _transport_hat(grid: Grid, u, v, chi: float):
     """chi * div(u v) in spectral space with the product dealiased."""
-    pxh = np.fft.rfft2(u * vx)
-    pyh = np.fft.rfft2(u * vy)
-    pxh[grid._out_of_band] = 0.0
-    pyh[grid._out_of_band] = 0.0
-    return chi * (grid._ikx * pxh + grid._iky * pyh)
+    t_hat = dealias(np.fft.rfft2(u * v[0]))
+    t_hat *= grid._ikx
+    t_hat += grid._iky * dealias(np.fft.rfft2(u * v[1]))
+    t_hat *= chi
+    return t_hat
+
+
+def _predictor_transport_hat(grid: Grid, u_p, w, dt: float, chi: float):
+    """chi * div P(u_p v_p) for v_p = w + dt/2 grad(u_p), without v_p.
+
+    In the band P(u_p grad u_p) = grad P(u_p^2) / 2, so the term is
+    chi [div P(u_p w) + dt/4 lap P(u_p^2)]: three transforms.
+    """
+    t_hat = _transport_hat(grid, u_p, w, chi)
+    t_hat -= (0.25 * dt * chi) * grid._k_squared * dealias(np.fft.rfft2(u_p * u_p))
+    return t_hat
 
 
 def _advance_density(grid, uh, dt, scheme, t_hat, predictor_transport):
     """IMEX update of u_hat: backward Euler, or trapezoid with a predictor.
 
     t_hat is the transport term at the current node; for CN,
-    ``predictor_transport(uh_p)`` gives it at the predicted density.
+    ``predictor_transport(uh_p)`` gives it at the predicted density.  The
+    update works in place, on arrays that this step made.
     """
     k2 = grid._k_squared
     if scheme == "imex_be":
-        return (uh + dt * t_hat) / (1.0 + dt * k2)
-    den = 1.0 + 0.5 * dt * k2
+        uh1 = dt * t_hat
+        uh1 += uh
+        uh1 *= 1.0 / (1.0 + dt * k2)
+        return uh1
+    inv_den = 1.0 / (1.0 + 0.5 * dt * k2)   # cheaper than a complex quotient
     explicit = (1.0 - 0.5 * dt * k2) * uh
-    uh_p = (explicit + dt * t_hat) / den
-    t_hat_p = predictor_transport(uh_p)
-    return (explicit + 0.5 * dt * (t_hat + t_hat_p)) / den
+    uh_p = dt * t_hat
+    uh_p += explicit
+    uh_p *= inv_den
+    uh1 = predictor_transport(uh_p)
+    uh1 += t_hat
+    uh1 *= 0.5 * dt
+    uh1 += explicit
+    uh1 *= inv_den
+    return uh1
 
 
-def _advance_transformed(grid, uh, vxh, vyh, dt, chi, scheme, t_hat):
-    """One IMEX step; v moves by the trapezoid of grad(u) at both levels."""
-    ikx, iky, shape = grid._ikx, grid._iky, grid.shape
+def _advance_transformed(grid, uh, grad_u, v, dt, chi, scheme, t_hat):
+    """One IMEX step from the node (uh, grad u, v) to (uh1, u1, grad u1, v1).
 
-    def predictor_transport(uh_p):
-        vxh_p = vxh + 0.5 * dt * (ikx * uh + ikx * uh_p)
-        vyh_p = vyh + 0.5 * dt * (iky * uh + iky * uh_p)
-        return _transport_hat(grid, np.fft.irfft2(uh_p, s=shape),
-                              np.fft.irfft2(vxh_p, s=shape),
-                              np.fft.irfft2(vyh_p, s=shape), chi)
+    v moves by the trapezoid of grad(u) at both levels, in physical space:
+    w = v + dt/2 grad(u), then v1 = w + dt/2 grad(u1).
+    """
+    w = v + (0.5 * dt) * grad_u
+    uh1 = _advance_density(
+        grid, uh, dt, scheme, t_hat,
+        lambda uh_p: _predictor_transport_hat(
+            grid, np.fft.irfft2(uh_p, s=grid.shape), w, dt, chi))
+    u1 = np.fft.irfft2(uh1, s=grid.shape)
+    grad_u1 = grid._gradient(uh1)
+    w += (0.5 * dt) * grad_u1   # w is this step's own array: it becomes v1
+    return uh1, u1, grad_u1, w
 
-    uh1 = _advance_density(grid, uh, dt, scheme, t_hat, predictor_transport)
-    vxh1 = vxh + 0.5 * dt * (ikx * uh + ikx * uh1)
-    vyh1 = vyh + 0.5 * dt * (iky * uh + iky * uh1)
-    return uh1, vxh1, vyh1
 
-
-def _drift_from_log_chemical(grid, s_vals, mu):
-    """v = -(1/mu) grad(s) for s = ln c, as physical components and spectra."""
-    sh = np.fft.rfft2(s_vals)
-    vxh = -(1.0 / mu) * grid._ikx * sh
-    vyh = -(1.0 / mu) * grid._iky * sh
-    return (np.fft.irfft2(vxh, s=grid.shape), np.fft.irfft2(vyh, s=grid.shape),
-            vxh, vyh)
+def _drift(grid, sh, mu):
+    """Samples of v = -(1/mu) grad(s) from the half spectrum sh of s = ln c."""
+    return grid._gradient((-1.0 / mu) * sh)
 
 
 def _advance_original(grid, u, s, uh, dt, params, scheme):
@@ -167,23 +187,21 @@ def _advance_original(grid, u, s, uh, dt, params, scheme):
     """
     mu, chi = params.mu, params.chi
     s_half = s - (0.5 * dt * mu) * u
-    vx, vy, _, _ = _drift_from_log_chemical(grid, s_half, mu)
-    t_hat = _transport_hat(grid, u, vx, vy, chi)
+    v = _drift(grid, np.fft.rfft2(s_half), mu)
+    t_hat = _transport_hat(grid, u, v, chi)
     uh1 = _advance_density(
         grid, uh, dt, scheme, t_hat,
         lambda uh_p: _transport_hat(grid, np.fft.irfft2(uh_p, s=grid.shape),
-                                    vx, vy, chi))
+                                    v, chi))
     u1 = np.fft.irfft2(uh1, s=grid.shape)
     s1 = s_half - (0.5 * dt * mu) * u1
     return u1, s1, uh1
 
 
-def _cfl_dt(grid, uh, vx, vy, chi, cfg) -> float:
+def _cfl_dt(grid, grad_u, v, chi, cfg) -> float:
     """Advective step limit from max|v| and max|grad u|, capped at cfg.dt."""
-    grad_u_inf = float(np.sqrt(
-        np.fft.irfft2(grid._ikx * uh, s=grid.shape) ** 2
-        + np.fft.irfft2(grid._iky * uh, s=grid.shape) ** 2).max())
-    v_inf = float(np.sqrt(vx * vx + vy * vy).max())
+    grad_u_inf = float(np.sqrt((grad_u[0] ** 2 + grad_u[1] ** 2).max()))
+    v_inf = float(np.sqrt((v[0] * v[0] + v[1] * v[1]).max()))
     speed = max(1e-12, v_inf * chi + grad_u_inf * grid.spacing)
     return min(cfg.cfl_number * grid.spacing / speed, cfg.dt)
 
@@ -220,24 +238,20 @@ def march(u0: ScalarField, companion, cfg: StepperConfig, params: ChemistryParam
     c0 that is not finite returns ``BLOWUP`` the same way.
     """
     grid = u0.grid
-    oob, shape = grid._out_of_band, grid.shape
+    shape = grid.shape
     mu, chi = params.mu, params.chi
 
-    uh = np.fft.rfft2(u0.values)
-    uh[oob] = 0.0
+    uh = dealias(np.fft.rfft2(u0.values))
     u = np.fft.irfft2(uh, s=shape)
 
     transformed = isinstance(companion, VectorField)
     if transformed:
-        vxh = np.fft.rfft2(companion.values[0])
-        vyh = np.fft.rfft2(companion.values[1])
-        vxh[oob] = 0.0
-        vyh[oob] = 0.0
-        vx, vy = np.fft.irfft2(vxh, s=shape), np.fft.irfft2(vyh, s=shape)
-        s = np.zeros_like(u)   # ln c0 = -mu * potential(v0), no FFTs for v0 = 0
-        if vxh.any() or vyh.any():
-            s = -mu * potential_of(VectorField(grid, np.stack([vx, vy]),
-                                               check=False)).values
+        grad_u = grid._gradient(uh)
+        v, s = np.zeros((2,) + shape), np.zeros_like(u)   # no FFTs for v0 = 0
+        if companion.values.any():   # ln c0 = -mu * potential(v0)
+            v = np.stack([np.fft.irfft2(dealias(np.fft.rfft2(c)), s=shape)
+                          for c in companion.values])
+            s = -mu * potential_of(VectorField(grid, v, check=False)).values
     elif isinstance(companion, ScalarField):
         c_min, c_max = companion.values.min(), companion.values.max()
         if c_min <= C_FLOOR:
@@ -250,10 +264,9 @@ def march(u0: ScalarField, companion, cfg: StepperConfig, params: ChemistryParam
                 outcome=RunOutcome.BLOWUP,
                 final_state=None, snapshots=[],
                 message=f"chemical not finite at t=0 (max c = {c_max})")
-        sh = np.fft.rfft2(np.log(companion.values))
-        sh[oob] = 0.0
+        sh = dealias(np.fft.rfft2(np.log(companion.values)))
         s = np.fft.irfft2(sh, s=shape)
-        vx, vy, vxh, vyh = _drift_from_log_chemical(grid, s, mu)
+        v, grad_u = _drift(grid, sh, mu), None
     else:
         raise ValueError(f"companion {type(companion).__name__} selects no mode")
 
@@ -267,12 +280,12 @@ def march(u0: ScalarField, companion, cfg: StepperConfig, params: ChemistryParam
         return SimState(t=t, u=u_field, c=ScalarField(grid, np.exp(s), check=False))
 
     def emit(t, aux, s_max):
-        # a function of its own, so that the stacked v and the state's c
-        # live only in the yielded pair, never in the generator's frame
+        # a function of its own, so that the state's c lives only in the
+        # yielded pair, never in the generator's frame
         u_field = ScalarField(grid, u, check=False)
-        v_field = VectorField(grid, np.stack([vx, vy]), check=False)
+        v_field = VectorField(grid, v, check=False)
         rec = recorder.make_record(t, u_field, v_field, float(np.exp(s_max)),
-                                   aux, uh)
+                                   aux, uh, grad_u)
         return current_state(t, u_field, v_field), rec
 
     t = 0.0
@@ -282,10 +295,10 @@ def march(u0: ScalarField, companion, cfg: StepperConfig, params: ChemistryParam
     nstep = 0
 
     while True:
-        # the node at t; u, vx, vy and s are rebound by every step, never
+        # the node at t; u, v, grad_u and s are rebound by every step, never
         # written in place, so yielded states may keep them
-        t_hat = _transport_hat(grid, u, vx, vy, chi)
-        aux = diag.node_norms(grid, uh, vxh, vyh, t_hat, vx, vy)
+        t_hat = _transport_hat(grid, u, v, chi)
+        aux = diag.node_norms(grid, uh, t_hat, v)
         s_max = float(s.max())
         if not (np.isfinite(aux).all() and s_max < _LOG_MAX):
             outcome = RunOutcome.BLOWUP
@@ -295,12 +308,15 @@ def march(u0: ScalarField, companion, cfg: StepperConfig, params: ChemistryParam
             break
         recorder.on_node(t, aux)
         done = t >= t_end - _time_tol(t_end)
-        if nstep % cfg.record_every == 0 or done:
+        record = nstep % cfg.record_every == 0 or done
+        if grad_u is None and (record or cfg.dt_mode == "cfl"):
+            grad_u = grid._gradient(uh)   # original mode, only where it is read
+        if record:
             yield emit(t, aux, s_max)
         while pending_snaps and t >= pending_snaps[0] - _time_tol(t):
             payload = {"u": u.copy()}
             if transformed:
-                payload["v1"], payload["v2"] = vx.copy(), vy.copy()
+                payload["v1"], payload["v2"] = v[0].copy(), v[1].copy()
             else:
                 payload["c"] = np.exp(s)
             snapshots.append((t, payload))
@@ -309,7 +325,7 @@ def march(u0: ScalarField, companion, cfg: StepperConfig, params: ChemistryParam
             break
 
         if cfg.dt_mode == "cfl":
-            dt = _cfl_dt(grid, uh, vx, vy, chi, cfg)
+            dt = _cfl_dt(grid, grad_u, v, chi, cfg)
         else:
             dt = cfg.dt
         dt = min(dt, t_end - t)
@@ -318,11 +334,8 @@ def march(u0: ScalarField, companion, cfg: StepperConfig, params: ChemistryParam
 
         if transformed:
             u_prev = u
-            uh, vxh, vyh = _advance_transformed(
-                grid, uh, vxh, vyh, dt, chi, cfg.scheme, t_hat)
-            u = np.fft.irfft2(uh, s=shape)
-            vx = np.fft.irfft2(vxh, s=shape)
-            vy = np.fft.irfft2(vyh, s=shape)
+            uh, u, grad_u, v = _advance_transformed(
+                grid, uh, grad_u, v, dt, chi, cfg.scheme, t_hat)
             s = s - (0.5 * dt * mu) * (u_prev + u)
         else:
             u, s, uh = _advance_original(grid, u, s, uh, dt, params, cfg.scheme)
@@ -331,15 +344,14 @@ def march(u0: ScalarField, companion, cfg: StepperConfig, params: ChemistryParam
                 message = (f"chemical under floor at t={t + dt} "
                            f"(min ln c = {s.min()})")
                 break
-            vx, vy, vxh, vyh = _drift_from_log_chemical(grid, s, mu)
+            v, grad_u = _drift(grid, np.fft.rfft2(s), mu), None
         t += dt
         nstep += 1
 
     final_state = None   # fields at a halt are unusable; the records stay
     if outcome is RunOutcome.COMPLETED:
-        final_state = current_state(
-            t, ScalarField(grid, u, check=False),
-            VectorField(grid, np.stack([vx, vy]), check=False))
+        final_state = current_state(t, ScalarField(grid, u, check=False),
+                                    VectorField(grid, v, check=False))
     return Trajectory(outcome=outcome, final_state=final_state,
                       snapshots=snapshots, message=message,
                       blowup_integral=recorder.blowup_integral)

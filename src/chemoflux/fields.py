@@ -15,7 +15,8 @@ when L is large.  Conventions:
   the operators are antisymmetric,
 * a Parseval sum over a half spectrum weights columns 1..N/2-1 twice, for
   their mirror images in the dropped half, and columns 0 and N/2 once,
-* quadratic products are dealiased with the 2/3 rule.
+* quadratic products are dealiased with the 2/3 rule: `dealias` zeroes the
+  square band's complement by two slices, its rows and its columns.
 """
 
 from __future__ import annotations
@@ -106,14 +107,6 @@ class Grid:
         return self._kx[None, :] ** 2 + self.wavenumbers[:, None] ** 2
 
     @cached_property
-    def _out_of_band(self) -> np.ndarray:
-        """Modes outside the square 2/3-rule band |m| <= N//3 on each axis."""
-        n = self.resolution
-        keep_y = np.abs(np.fft.fftfreq(n) * n) <= n // 3
-        keep_x = np.arange(n // 2 + 1) <= n // 3
-        return ~(keep_x[None, :] & keep_y[:, None])
-
-    @cached_property
     def _column_weight(self) -> np.ndarray:
         """Parseval weight of each half-spectrum column: 1 on 0 and N/2, else 2."""
         w = np.full(self.resolution // 2 + 1, 2.0)
@@ -137,6 +130,11 @@ class Grid:
         kx2 = self._kx_deriv[0] ** 2
         ky2 = self._ky_deriv[:, 0] ** 2
         return float(power.sum(axis=0) @ (w * kx2) + (power @ w) @ ky2)
+
+    def _gradient(self, zh: np.ndarray) -> np.ndarray:
+        """Samples of grad(z), a (2, N, N) array, from z's half spectrum zh."""
+        return np.stack([np.fft.irfft2(self._ikx * zh, s=self.shape),
+                         np.fft.irfft2(self._iky * zh, s=self.shape)])
 
     def coordinates(self) -> tuple[np.ndarray, np.ndarray]:
         """Cell-center sample coordinates (X, Y), each N x N."""
@@ -185,11 +183,7 @@ class VectorField:
 
 def gradient(f: ScalarField) -> VectorField:
     """Spectral gradient; zero mode annihilated, so components have zero mean."""
-    g = f.grid
-    fh = np.fft.rfft2(f.values)
-    gx = np.fft.irfft2(g._ikx * fh, s=g.shape)
-    gy = np.fft.irfft2(g._iky * fh, s=g.shape)
-    return VectorField(g, np.stack([gx, gy]), check=False)
+    return VectorField(f.grid, f.grid._gradient(np.fft.rfft2(f.values)), check=False)
 
 
 def curl2d(w: VectorField) -> ScalarField:
@@ -199,6 +193,17 @@ def curl2d(w: VectorField) -> ScalarField:
     wyh = np.fft.rfft2(w.values[1])
     c = np.fft.irfft2(g._iky * wxh - g._ikx * wyh, s=g.shape)
     return ScalarField(g, c, check=False)
+
+
+def dealias(zh: np.ndarray) -> np.ndarray:
+    """Zero, in place, the modes of half spectrum zh outside the square 2/3-rule
+    band |m| <= a = (N-1)//3, by two slices: the rows a+1..N-a-1 and the
+    columns past a.  With |m| < N/3, no product of two band fields aliases
+    into the band, also when 3 divides N."""
+    a = (zh.shape[0] - 1) // 3
+    zh[a + 1:zh.shape[0] - a] = 0.0
+    zh[:, a + 1:] = 0.0
+    return zh
 
 
 def spectral_power(zh: np.ndarray) -> np.ndarray:

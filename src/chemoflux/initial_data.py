@@ -158,7 +158,8 @@ def build_initial_data(recipe: InitialDataRecipe, grid: Grid):
     """Rasterize a recipe into (u0, v0, summary).
 
     Raises if the recipe produces u0 < 0 anywhere or violates p0 > 4.
-    When delta > 0, u0 and v0 are convolved with the same kernel.
+    When delta > 0, u0 and, when a potential was rasterized, v0 are
+    convolved with the same kernel.
     """
     u_vals = _raster_u(recipe, grid)
     umin = u_vals.min()
@@ -178,7 +179,8 @@ def build_initial_data(recipe: InitialDataRecipe, grid: Grid):
         + lp_norm(v0, 2) ** 2
     if recipe.delta > 0:
         u0 = mollify(u0, recipe.delta)
-        v0 = mollify(v0, recipe.delta)
+        if phi_vals is not None:   # a zero v0 stays zero
+            v0 = mollify(v0, recipe.delta)
 
     theta0 = lp_norm(ScalarField(grid, u0.values - 1.0, check=False), 2) ** 2 \
         + lp_norm(v0, 2) ** 2

@@ -28,7 +28,7 @@ def _tables(grid):
     k = grid.wavenumbers
     k_deriv = k.copy()
     k_deriv[n // 2] = 0.0   # Nyquist has no sign partner
-    keep = np.abs(np.fft.fftfreq(n) * n) <= n // 3
+    keep = np.abs(np.fft.fftfreq(n) * n) <= (n - 1) // 3
     return (1j * k_deriv[None, :], 1j * k_deriv[:, None],
             k[None, :] ** 2 + k[:, None] ** 2, ~(keep[None, :] & keep[:, None]))
 
@@ -82,7 +82,7 @@ def _band(grid, values):
 
 
 def dealias(field):
-    """Projection onto the 2/3-rule band (|m| <= N//3 per axis)."""
+    """Projection onto the 2/3-rule band (|m| < N/3 per axis)."""
     g = field.grid
     if isinstance(field, ScalarField):
         return ScalarField(g, _band(g, field.values), check=False)

@@ -5,7 +5,9 @@ from scipy.linalg import expm
 from chemoflux import (ChemistryParams, Grid, RunOutcome, ScalarField,
                        StepperConfig, VectorField, curl2d, lp_norm, run)
 from sample_fields import band_limited_field, band_limited_gradient, constant_field
-from oracles import dealias, project_curl_free
+from chemoflux.evolve import _predictor_transport_hat
+from oracles import (dealias, divergence, gradient, product_scalar_vector,
+                     project_curl_free)
 
 
 def single_mode_data(grid, m, eps_u, eps_phi):
@@ -116,6 +118,24 @@ class TestStepTransformed:
                 ChemistryParams())
 
 
+    @pytest.mark.parametrize("n", [32, 48, 64])
+    def test_fused_predictor_transport_matches_oracle(self, n):
+        # chi*div P(u_p v_p), v_p = v + dt/2 (grad u + grad u_p), against the
+        # step's form from w = v + dt/2 grad u and u_p alone; every field
+        # reaches the band edge |m| = (N-1)//3
+        grid = Grid(16 * np.pi, n)
+        kmax, dt, chi = (n - 1) // 3, 0.05, 1.3
+        u = ScalarField(grid, 1.0 + 0.3 * band_limited_field(grid, 1, kmax).values)
+        u_p = ScalarField(grid, 1.0 + 0.3 * band_limited_field(grid, 2, kmax).values)
+        v = band_limited_gradient(grid, 3, kmax, amplitude=0.5)
+        grad_u, grad_u_p = gradient(u).values, gradient(u_p).values
+        v_p = VectorField(grid, v.values + 0.5 * dt * (grad_u + grad_u_p))
+        expected = chi * divergence(product_scalar_vector(u_p, v_p)).values
+        fused = np.fft.irfft2(_predictor_transport_hat(
+            grid, u_p.values, v.values + 0.5 * dt * grad_u, dt, chi), s=grid.shape)
+        assert np.abs(fused - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
 class TestStepOriginal:
     def test_homogeneous_exact(self, grid32):
         mu, dt = 1.3, 0.2
@@ -176,6 +196,61 @@ class TestChooseDt:
         assert dts[0] >= dts[1] >= dts[2]
 
 
+@pytest.fixture
+def transforms(monkeypatch):
+    """A function that runs `run` to completion and returns the number of
+    rfft2/irfft2 calls it made."""
+    calls = [0]
+    for name in ("rfft2", "irfft2"):
+        def counting(*args, _real=getattr(np.fft, name), **kwargs):
+            calls[0] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(np.fft, name, counting)
+
+    def counted(u0, companion, cfg):
+        before = calls[0]
+        assert run(u0, companion, cfg, ChemistryParams()).outcome \
+            is RunOutcome.COMPLETED
+        return calls[0] - before
+    return counted
+
+
+class TestTransformBudget:
+    """Exact transform counts, as differences between runs that differ only
+    in horizon or in record cadence.  dt = 1/16 keeps the step ends exact,
+    and the small data keep the CFL bound above that cap."""
+
+    @staticmethod
+    def data(grid, original):
+        u0, v0 = smooth_state(grid, amplitude=0.01)
+        return u0, (ScalarField(grid, np.exp(0.01 * band_limited_field(grid, 8).values))
+                    if original else v0)
+
+    @pytest.mark.parametrize("dt_mode", ["fixed", "cfl"])
+    @pytest.mark.parametrize("scheme,per_step", [("imex_cn", 9), ("imex_be", 5)])
+    def test_transformed_step(self, grid32, transforms, dt_mode, scheme, per_step):
+        u0, v0 = self.data(grid32, original=False)
+        steps = [transforms(u0, v0, StepperConfig(
+            dt=0.0625, t_end=t_end, dt_mode=dt_mode, scheme=scheme,
+            record_every=1000)) for t_end in (0.5, 1.125)]   # 8 and 18 steps
+        assert steps[1] - steps[0] == 10 * per_step
+
+    def test_original_step(self, grid32, transforms):
+        u0, c0 = self.data(grid32, original=True)
+        steps = [transforms(u0, c0, StepperConfig(dt=0.0625, t_end=t_end,
+                                                  record_every=1000))
+                 for t_end in (0.5, 1.125)]
+        assert steps[1] - steps[0] == 140
+
+    @pytest.mark.parametrize("original,per_record", [(False, 3), (True, 5)])
+    def test_record(self, grid32, transforms, original, per_record):
+        # 20 steps: 21 records, or the first and the last
+        u0, companion = self.data(grid32, original)
+        records = [transforms(u0, companion, StepperConfig(
+            dt=0.0625, t_end=1.25, record_every=every)) for every in (1, 1000)]
+        assert records[0] - records[1] == 19 * per_record
+
+
 class TestRun:
     def test_zero_horizon_gives_initial_record_only(self, grid32):
         u0, v0 = smooth_state(grid32)
@@ -216,6 +291,8 @@ class TestRun:
         assert lp_norm(curl2d(v_final), np.inf) <= 1e-10
         reproj = project_curl_free(v_final)
         assert np.abs(reproj.values - v_final.values).max() <= 1e-12
+        # v is advanced in physical space; it stays in the dealias band
+        assert np.abs(dealias(v_final).values - v_final.values).max() <= 1e-13
 
     def test_record_cadence_and_final_row(self, grid32):
         u0, v0 = smooth_state(grid32)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from chemoflux import (Grid, ScalarField, VectorField, curl2d, gradient,
                        lp_norm, write_snapshot)
+from chemoflux.fields import dealias as half_spectrum_dealias
 from chemoflux.fields import power_sum, spectral_power
 from sample_fields import (band_limited_field, band_limited_gradient,
                            constant_field, field_from_function)
@@ -268,6 +269,16 @@ class TestDealiasing:
         once = dealias(f)
         twice = dealias(once)
         assert np.abs(once.values - twice.values).max() <= 1e-13
+
+    @pytest.mark.parametrize("n", [8, 30, 32, 48, 64])
+    def test_half_spectrum_slices_match_full_spectrum_mask(self, n):
+        # the program's two slice zeroings keep the square band of the
+        # full-spectrum oracle, at sizes with and without a factor of 3
+        grid = Grid(2 * np.pi, n)
+        f = band_limited_field(grid, seed=n, kmax=n // 2)
+        kept = np.fft.irfft2(half_spectrum_dealias(np.fft.rfft2(f.values)),
+                             s=grid.shape)
+        assert np.abs(kept - dealias(f).values).max() <= 1e-13
 
     def test_in_band_product_rule_for_curl(self, grid64):
         # the discrete product rule through the 2/3 mask is exact when both

@@ -486,9 +486,10 @@ def test_every_study_enters_run_before_its_first_record(tmp_path, monkeypatch,
 
 def test_production_transforms_are_half_spectra(tmp_path, monkeypatch, capsys):
     # every transform of a study is an rfft2/irfft2 called as a numpy.fft
-    # attribute, where the benchmark's tracer sees it
+    # attribute, where the benchmark's tracer sees it: no complex transform
+    # and no 1-D or n-D one, which the tracer would not count
     def refuse(*args, **kwargs):
-        raise AssertionError("complex fft2/ifft2 called")
+        raise AssertionError("a transform other than rfft2/irfft2 called")
 
     calls = {"rfft2": 0, "irfft2": 0}
 
@@ -500,8 +501,8 @@ def test_production_transforms_are_half_spectra(tmp_path, monkeypatch, capsys):
             return real(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(np.fft, "fft2", refuse)
-    monkeypatch.setattr(np.fft, "ifft2", refuse)
+    for name in ("fft2", "ifft2", "rfft", "irfft", "fft", "ifft", "rfftn", "irfftn"):
+        monkeypatch.setattr(np.fft, name, refuse)
     for name in calls:
         monkeypatch.setattr(np.fft, name, counting(name))
     small = BASE.replace("grid.N = 32", "grid.N = 16")
