@@ -26,9 +26,9 @@ from .evolve import EXIT_CODES
 
 
 def _print_run(result) -> int:
-    traj, fits, out_dir = result
-    t_final = traj.records[-1].t if traj.records else 0.0   # t=0 halt
-    print(f"outcome: {traj.outcome.value}  ({len(traj.records)} records, "
+    traj, records, fits, out_dir = result
+    t_final = records[-1].t if records else 0.0   # t=0 halt
+    print(f"outcome: {traj.outcome.value}  ({len(records)} records, "
           f"t_final={t_final:g})")
     if traj.message:
         print(traj.message)

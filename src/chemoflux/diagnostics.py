@@ -8,13 +8,17 @@ structural self-checks on a run.
 
 `node_norms` is the one measurement of the six node norms (||u-1||_2,
 ||grad u||_2, ||u_t||_2, ||grad u_t||_2, ||v||_2, ||v||_4) that feed the
-functionals: the stepper takes it once per time node, the u norms by
-Parseval and the v norms from the samples, and `TrajectoryRecorder`
-accumulates the functionals from it.  A `DiagnosticsRecord` is one CSV row:
-`make_record` reads its norm columns from the node's norms and the rest
-from one pass of three half-spectrum transforms, given the node's samples
-of grad(u).  The tests check both against operator-at-a-time oracles on
-full complex spectra.
+functionals, and of max |v|^2, which the CFL bound reads: the stepper
+takes it once per time node, the u norms by Parseval and the v norms from
+one |v|^2 pass over the samples, and `TrajectoryRecorder` accumulates the
+functionals from it.  The stepper yields a `Node` at each record node: the
+scalars that are free there (t, c_linf and the functionals so far) and
+what a row needs.  A `DiagnosticsRecord` is one CSV row, built by
+``node.row()`` only where a consumer reads one: `make_record` reads its
+norm columns from the node's norms and the rest from one pass of three
+half-spectrum transforms, given the node's samples of grad(u) (two more
+transforms where the node has none).  The tests check both against
+operator-at-a-time oracles on full complex spectra.
 """
 
 from __future__ import annotations
@@ -33,6 +37,12 @@ SCHEMA_VERSION = "chemoflux-diagnostics-v1"
 def sigma_weight(t: float) -> float:
     """Initial-layer discount min(1, t)."""
     return min(1.0, t)
+
+
+def sup_deviation(u: np.ndarray) -> float:
+    """max|u - 1| over the samples u, the u_linf column: from max u and
+    min u, with no temporary array, and exact, since rounding is monotone."""
+    return float(max(u.max() - 1.0, 1.0 - u.min()))
 
 
 @dataclass
@@ -104,7 +114,8 @@ def fit_decay(series, window, quantity: str = "") -> DecayFit:
 
 
 class NodeAux(NamedTuple):
-    """The six squared node norms feeding the functionals; see `node_norms`."""
+    """The six squared node norms feeding the functionals, and max |v|^2;
+    see `node_norms`."""
 
     u_sq: float        # ||u-1||_2^2
     v_sq: float        # ||v||_2^2
@@ -112,6 +123,7 @@ class NodeAux(NamedTuple):
     ut_sq: float       # ||u_t||_2^2 with u_t the assembled right-hand side
     grad_ut_sq: float
     v4_4: float        # ||v||_4^4
+    v2_max: float      # max |v|^2 over the samples
 
 
 def node_norms(grid, uh, t_hat, v) -> NodeAux:
@@ -119,8 +131,8 @@ def node_norms(grid, uh, t_hat, v) -> NodeAux:
 
     ``t_hat`` is the transport term chi*div(u v) at the node, so that
     u_t = lap(u) + chi*div(u v); the u norms are Parseval sums over the half
-    spectra, and ||v||_2^2 and ||v||_4^4 come from one pass of |v|^2 over
-    the samples v, a (2, N, N) array.
+    spectra, and ||v||_2^2, ||v||_4^4 and max |v|^2 come from one pass of
+    |v|^2 over the samples v, a (2, N, N) array.
     """
     n2 = grid.resolution ** 2
     w = grid.cell_area / n2
@@ -134,7 +146,8 @@ def node_norms(grid, uh, t_hat, v) -> NodeAux:
                    grad_u_sq=w * grid.gradient_power(abs_uh2),
                    ut_sq=w * grid.power_total(abs_ut2),
                    grad_ut_sq=w * grid.gradient_power(abs_ut2),
-                   v4_4=float(grid.cell_area * (v2 * v2).sum()))
+                   v4_4=float(grid.cell_area * (v2 * v2).sum()),
+                   v2_max=float(v2.max()))
 
 
 class TrajectoryRecorder:
@@ -189,30 +202,31 @@ class TrajectoryRecorder:
     def blowup_integral(self) -> float:
         return self.int_v4
 
-    def make_record(self, t: float, u: ScalarField, v: VectorField,
-                    c_linf: float, aux: NodeAux, uh: np.ndarray,
-                    grad_u: np.ndarray) -> DiagnosticsRecord:
-        """Row at time t from the node's norms and one spectral pass over (u, v).
+    def make_record(self, node: Node) -> DiagnosticsRecord:
+        """The row of a record node from its norms and one spectral pass over (u, v).
 
-        ``aux`` holds the node's norms from `node_norms`, which give the
-        u_l2, grad_u_l2, v_l2 and v_l4 columns, ``uh`` is the half
-        spectrum ``np.fft.rfft2(u)`` and ``grad_u`` the node's samples of
-        grad(u), a (2, N, N) array.  The pass takes three transforms: the
-        dealiased perp_grad(u).v, and the dealiased products u*v_x and
-        u*v_y.  The flux and both residuals are assembled from those spectra
-        and measured by Parseval, ||f||_2^2 = cell_area/N^2 * sum |f_hat|^2
-        with the half-spectrum column weights; the L^inf and L^p0 norms and
-        the Gagliardo-Nirenberg ratio come from the physical samples.  The
-        residuals are rebuilt here from u and v alone, independent of the
-        stepper's transport term, so they check the identities rather than
-        restate them.
+        ``node.aux`` holds the node's norms from `node_norms`, which give
+        the u_l2, grad_u_l2, v_l2, v_l4 and v_linf columns, ``node.uh`` is
+        the half spectrum ``np.fft.rfft2(u)`` and ``node.grad_u`` the
+        node's samples of grad(u), a (2, N, N) array, or None, when they
+        are taken from ``uh`` here (two transforms).  The pass takes three
+        transforms: the dealiased perp_grad(u).v, and the dealiased
+        products u*v_x and u*v_y.  The flux and both residuals are
+        assembled from those spectra and measured by Parseval,
+        ||f||_2^2 = cell_area/N^2 * sum |f_hat|^2 with the half-spectrum
+        column weights; the L^p0 norm and the Gagliardo-Nirenberg ratio come
+        from the physical samples.  The residuals are rebuilt here from u
+        and v alone, independent of the stepper's transport term, so they
+        check the identities rather than restate them.
         """
-        grid = u.grid
+        grid = node.u.grid
+        uh, aux = node.uh, node.aux
+        grad_u = node.grad_u if node.grad_u is not None else grid._gradient(uh)
         chi = self.chi
         ikx, iky = grid._ikx, grid._iky
         w = grid.cell_area / grid.resolution ** 2
         area = grid.cell_area
-        uv, vx, vy = u.values, v.values[0], v.values[1]
+        uv, vx, vy = node.u.values, node.v.values[0], node.v.values[1]
         # Each spectrum is freed or updated in place as soon as it has
         # served, so the pass holds few of them at once (peak RSS at N=256).
         qh = dealias(np.fft.rfft2(grad_u[1] * vx - grad_u[0] * vy))  # perp_grad(u).v
@@ -244,25 +258,55 @@ class TrajectoryRecorder:
             gn = math.sqrt(area * (u2 * u2).sum()) / (u_l2 * grad_u_l2)
         else:
             gn = 0.0  # degenerate sample (e.g. exact equilibrium)
-        v2 = vx * vx + vy * vy
+        v2 = vx * vx + vy * vy   # for the L^p0 norm
         return DiagnosticsRecord(
-            t=t,
-            sigma=sigma_weight(t),
+            t=node.t,
+            sigma=sigma_weight(node.t),
             u_l2=u_l2,
             grad_u_l2=grad_u_l2,
-            u_linf=float(np.abs(u_tilde).max()),
+            u_linf=sup_deviation(uv),
             v_l2=math.sqrt(aux.v_sq),
             v_l4=aux.v4_4 ** 0.25,
             v_lp0=float((area * (v2 ** (0.5 * self.p0)).sum()) ** (1.0 / self.p0)),
-            v_linf=math.sqrt(v2.max()),
-            c_linf=c_linf,
+            v_linf=math.sqrt(aux.v2_max),
+            c_linf=node.c_linf,
             flux_l2=math.sqrt(w * (power_sum(fxh) + power_sum(fyh))),
             flux_div_residual=math.sqrt(w * div_sq),
             flux_curl_residual=math.sqrt(w * curl_sq),
-            a1=self.a1,
-            a2=self.a2,
-            a3=self.a3,
-            blowup_integral=self.blowup_integral,
+            a1=node.a1,
+            a2=node.a2,
+            a3=node.a3,
+            blowup_integral=node.blowup_integral,
             gn_ratio=gn,
         )
+
+
+@dataclass(frozen=True)
+class Node:
+    """A record node of a run: the scalars that are free there, and what its
+    row needs.
+
+    ``a1``, ``a2``, ``a3`` and ``blowup_integral`` are the recorder's running
+    values frozen at the node.  ``u`` and ``v`` are the node's samples,
+    ``uh`` the half spectrum of u and ``grad_u`` the samples of grad(u), or
+    None where the stepper did not take them.  The arrays are the stepper's
+    own, which it never writes afterwards.
+    """
+
+    t: float
+    c_linf: float
+    a1: float
+    a2: float
+    a3: float
+    blowup_integral: float
+    aux: NodeAux
+    uh: np.ndarray
+    u: ScalarField
+    v: VectorField
+    grad_u: np.ndarray | None
+    recorder: TrajectoryRecorder
+
+    def row(self) -> DiagnosticsRecord:
+        """The node's diagnostics row (`TrajectoryRecorder.make_record`)."""
+        return self.recorder.make_record(self)
 

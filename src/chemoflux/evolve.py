@@ -1,19 +1,22 @@
 """Time integration of the coupled density-drift and density-chemical systems.
 
-``march`` is the only stepper: a generator that yields ``(state, record)``
+``march`` is the only stepper: a generator that yields ``(state, node)``
 at each record node and returns the `Trajectory` when it ends; ``run``
-drains it and calls its hooks on each pair.  A yielded or hooked state's
-arrays are never written afterwards.  The type of u0's companion picks the
-mode: v0, a `VectorField`, the transformed one and c0, a `ScalarField`, the
-original one.  Both modes share one transport kernel and one implicit
-density update:
+drains it and calls its hooks on each pair.  A `diagnostics.Node` carries
+the scalars that are free at it and builds its diagnostics row on
+``node.row()``, so a consumer pays for a row only where it reads one.  A
+yielded or hooked pair's arrays are never written afterwards.  The type of
+u0's companion picks the mode: v0, a `VectorField`, the transformed one and
+c0, a `ScalarField`, the original one.  Both modes share one transport
+kernel and one implicit density update:
 
 * transformed mode evolves (u, v) with implicit (backward-Euler or
   trapezoidal) diffusion and explicit dealiased transport chi*div(u v);
   v is advanced by the trapezoid of grad(u) at both time levels, so it
   stays a spectral gradient at every step and curl-freeness is structural;
 * original mode evolves (u, c) by Strang splitting around the exact
-  exponential chemical update, with the drift recomputed from ln c.
+  exponential chemical update, with the drift recomputed from s = ln c,
+  whose half spectrum it carries alongside the samples.
 
 A run projects its working state onto the dealias band once at start;
 products then never alias back into the retained band, which is what makes
@@ -22,12 +25,14 @@ spectra are half spectra (``np.fft.rfft2``); see `fields` for the layout.
 A transformed node is the spectrum of u plus the samples of u, grad(u), v
 and s; v has no spectrum, since its update is linear in grad(u).  An
 IMEX-CN step then takes 9 transforms and an IMEX-BE step 5, and the CFL
-bound reads the node's grad(u), with no transform.
+bound reads the node's grad(u) and max |v|^2, with no transform.  An
+original-mode CN step takes 12, plus 2 for grad(u) where a CFL bound reads
+it; a row takes 3, plus those 2 where the node has no grad(u).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -101,14 +106,13 @@ class StepperConfig:
 
 @dataclass
 class Trajectory:
-    """Ordered diagnostics plus the structured terminal status of a run."""
+    """The structured terminal status of a run, with its snapshots."""
 
     outcome: RunOutcome
     final_state: SimState | None
     snapshots: list            # (t, {"u": array, ...}) pairs
     message: str = ""
     blowup_integral: float = 0.0
-    records: list = field(default_factory=list)
 
 
 def _transport_hat(grid: Grid, u, v, chi: float):
@@ -179,62 +183,68 @@ def _drift(grid, sh, mu):
     return grid._gradient((-1.0 / mu) * sh)
 
 
-def _advance_original(grid, u, s, uh, dt, params, scheme):
+def _advance_original(grid, u, s, uh, sh, dt, params, scheme):
     """Strang step: half chemical decay, full density step, half decay.
 
     The chemical is carried as s = ln c, so positivity is structural and
-    the extinction check is an exact comparison in log space.
+    the extinction check is an exact comparison in log space.  Each decay
+    is linear in u, so the step moves the half spectrum sh of s with the
+    samples, from spectra it already holds.  Returns (u1, s1, uh1, sh1).
     """
     mu, chi = params.mu, params.chi
-    s_half = s - (0.5 * dt * mu) * u
-    v = _drift(grid, np.fft.rfft2(s_half), mu)
+    half = 0.5 * dt * mu
+    s_half = s - half * u
+    sh_half = sh - half * uh
+    v = _drift(grid, sh_half, mu)
     t_hat = _transport_hat(grid, u, v, chi)
     uh1 = _advance_density(
         grid, uh, dt, scheme, t_hat,
         lambda uh_p: _transport_hat(grid, np.fft.irfft2(uh_p, s=grid.shape),
                                     v, chi))
     u1 = np.fft.irfft2(uh1, s=grid.shape)
-    s1 = s_half - (0.5 * dt * mu) * u1
-    return u1, s1, uh1
+    sh_half -= half * uh1   # sh_half is this step's own array: it becomes sh1
+    return u1, s_half - half * u1, uh1, sh_half
 
 
-def _cfl_dt(grid, grad_u, v, chi, cfg) -> float:
-    """Advective step limit from max|v| and max|grad u|, capped at cfg.dt."""
+def _cfl_dt(grid, grad_u, v2_max, chi, cfg) -> float:
+    """Advective step limit from max|v|^2 and max|grad u|, capped at cfg.dt."""
     grad_u_inf = float(np.sqrt((grad_u[0] ** 2 + grad_u[1] ** 2).max()))
-    v_inf = float(np.sqrt((v[0] * v[0] + v[1] * v[1]).max()))
+    v_inf = float(np.sqrt(v2_max))
     speed = max(1e-12, v_inf * chi + grad_u_inf * grid.spacing)
     return min(cfg.cfl_number * grid.spacing / speed, cfg.dt)
 
 
 def march(u0: ScalarField, companion, cfg: StepperConfig, params: ChemistryParams,
           p0: float = 6.0, snapshot_times=()):
-    """Advance matched initial data to t_end (or a halt), yielding each record.
+    """Advance matched initial data to t_end (or a halt), yielding its nodes.
 
-    A generator: it yields ``(state, record)`` at every record node and
-    returns (as ``StopIteration.value``) the `Trajectory` of the run
-    without its records, which it has already yielded.  A yielded state's
-    arrays are the march's own: it never writes to them afterwards, and it
-    keeps no reference to the state, so a consumer that drops the pair
-    before asking for the next one holds one state at a time.
+    A generator: it yields ``(state, node)`` at every record node (every
+    ``record_every`` steps and at t_end) and returns (as
+    ``StopIteration.value``) the `Trajectory` of the run.  The node carries
+    t, c_linf and the running functionals, and builds no row until
+    ``node.row()``.  A yielded pair's arrays are the march's own: it never
+    writes to them afterwards, and it keeps no reference to the pair, so a
+    consumer that drops it before asking for the next one holds one state
+    at a time.
 
     ``companion`` selects the mode: v0 (a `VectorField`) the transformed, c0
     (a `ScalarField`) the original.  The working state is projected onto the
     dealias band once at start.  Both modes carry s = ln c: original mode
     evolves it, and transformed mode starts it at -mu * potential(v0) and
     advances it by the trapezoid of -mu*u over each step, the same update as
-    the Strang pair of original mode.  The records' ``c_linf`` is exp(max s).
+    the Strang pair of original mode.  A node's ``c_linf`` is exp(max s).
 
     Every time node, t=0 included, takes one pass: the transport term, the
-    six node norms (`diagnostics.node_norms`), the halt test, the running
-    functionals, the record (every ``record_every`` steps and at t_end),
-    and the snapshots due.  The halt test returns ``BLOWUP`` when a node
-    norm is not finite or max s reaches ln of the largest double, where
-    c_linf would overflow; a non-finite field makes its norm non-finite.
+    node norms (`diagnostics.node_norms`), the halt test, the running
+    functionals, the yield at a record node, and the snapshots due.  The
+    halt test returns ``BLOWUP`` when a node norm is not finite or max s
+    reaches ln of the largest double, where c_linf would overflow; a
+    non-finite field makes its norm non-finite.
 
     Deterministic for a fixed configuration and single-threaded execution.
     Halts surface as the trajectory outcome, never as silent truncation:
     an original-mode c at or below ``C_FLOOR`` anywhere returns
-    ``CHEMICAL_EXTINCTION`` with a message, at t=0 with no records, and a
+    ``CHEMICAL_EXTINCTION`` with a message, at t=0 before any node, and a
     c0 that is not finite returns ``BLOWUP`` the same way.
     """
     grid = u0.grid
@@ -266,7 +276,7 @@ def march(u0: ScalarField, companion, cfg: StepperConfig, params: ChemistryParam
                 message=f"chemical not finite at t=0 (max c = {c_max})")
         sh = dealias(np.fft.rfft2(np.log(companion.values)))
         s = np.fft.irfft2(sh, s=shape)
-        v, grad_u = _drift(grid, sh, mu), None
+        v, grad_u = _drift(grid, sh, mu), None   # grad u only where it is read
     else:
         raise ValueError(f"companion {type(companion).__name__} selects no mode")
 
@@ -284,9 +294,12 @@ def march(u0: ScalarField, companion, cfg: StepperConfig, params: ChemistryParam
         # yielded pair, never in the generator's frame
         u_field = ScalarField(grid, u, check=False)
         v_field = VectorField(grid, v, check=False)
-        rec = recorder.make_record(t, u_field, v_field, float(np.exp(s_max)),
-                                   aux, uh, grad_u)
-        return current_state(t, u_field, v_field), rec
+        node = diag.Node(t=t, c_linf=float(np.exp(s_max)), a1=recorder.a1,
+                         a2=recorder.a2, a3=recorder.a3,
+                         blowup_integral=recorder.blowup_integral, aux=aux,
+                         uh=uh, u=u_field, v=v_field, grad_u=grad_u,
+                         recorder=recorder)
+        return current_state(t, u_field, v_field), node
 
     t = 0.0
     t_end = cfg.t_end
@@ -295,8 +308,8 @@ def march(u0: ScalarField, companion, cfg: StepperConfig, params: ChemistryParam
     nstep = 0
 
     while True:
-        # the node at t; u, v, grad_u and s are rebound by every step, never
-        # written in place, so yielded states may keep them
+        # the node at t; u, uh, v, grad_u and s are rebound by every step,
+        # never written in place, so yielded pairs may keep them
         t_hat = _transport_hat(grid, u, v, chi)
         aux = diag.node_norms(grid, uh, t_hat, v)
         s_max = float(s.max())
@@ -308,10 +321,9 @@ def march(u0: ScalarField, companion, cfg: StepperConfig, params: ChemistryParam
             break
         recorder.on_node(t, aux)
         done = t >= t_end - _time_tol(t_end)
-        record = nstep % cfg.record_every == 0 or done
-        if grad_u is None and (record or cfg.dt_mode == "cfl"):
-            grad_u = grid._gradient(uh)   # original mode, only where it is read
-        if record:
+        if grad_u is None and cfg.dt_mode == "cfl" and not done:
+            grad_u = grid._gradient(uh)   # original mode: the CFL bound reads it
+        if nstep % cfg.record_every == 0 or done:
             yield emit(t, aux, s_max)
         while pending_snaps and t >= pending_snaps[0] - _time_tol(t):
             payload = {"u": u.copy()}
@@ -325,7 +337,7 @@ def march(u0: ScalarField, companion, cfg: StepperConfig, params: ChemistryParam
             break
 
         if cfg.dt_mode == "cfl":
-            dt = _cfl_dt(grid, grad_u, v, chi, cfg)
+            dt = _cfl_dt(grid, grad_u, aux.v2_max, chi, cfg)
         else:
             dt = cfg.dt
         dt = min(dt, t_end - t)
@@ -338,17 +350,18 @@ def march(u0: ScalarField, companion, cfg: StepperConfig, params: ChemistryParam
                 grid, uh, grad_u, v, dt, chi, cfg.scheme, t_hat)
             s = s - (0.5 * dt * mu) * (u_prev + u)
         else:
-            u, s, uh = _advance_original(grid, u, s, uh, dt, params, cfg.scheme)
+            u, s, uh, sh = _advance_original(grid, u, s, uh, sh, dt, params,
+                                             cfg.scheme)
             if s.min() <= _LOG_FLOOR:
                 outcome = RunOutcome.CHEMICAL_EXTINCTION
                 message = (f"chemical under floor at t={t + dt} "
                            f"(min ln c = {s.min()})")
                 break
-            v, grad_u = _drift(grid, np.fft.rfft2(s), mu), None
+            v, grad_u = _drift(grid, sh, mu), None
         t += dt
         nstep += 1
 
-    final_state = None   # fields at a halt are unusable; the records stay
+    final_state = None   # fields at a halt are unusable; the yielded nodes stay
     if outcome is RunOutcome.COMPLETED:
         final_state = current_state(t, ScalarField(grid, u, check=False),
                                     VectorField(grid, v, check=False))
@@ -359,21 +372,20 @@ def march(u0: ScalarField, companion, cfg: StepperConfig, params: ChemistryParam
 
 def run(u0: ScalarField, companion, cfg: StepperConfig, params: ChemistryParams,
         p0: float = 6.0, recorders=(), snapshot_times=()) -> Trajectory:
-    """Drain `march`, whose ``companion`` selects the system, into a
-    `Trajectory` that holds its records.
+    """Drain `march`, whose ``companion`` selects the system, and return its
+    `Trajectory`.
 
-    Each hook in ``recorders`` is called as ``hook(state, record)`` at every
-    record, under the contract of the yielded states: a hook may keep the
-    state's arrays but must not write to them.
+    Each hook in ``recorders`` is called as ``hook(state, node)`` at every
+    record node, under the contract of the yielded pairs: a hook may keep
+    their arrays but must not write to them.  Nothing is collected: a hook
+    builds the rows it reads with ``node.row()``.
     """
     marching = march(u0, companion, cfg, params, p0, snapshot_times)
-    records = []
     while True:
         try:
-            state, rec = next(marching)
+            state, node = next(marching)
         except StopIteration as stop:
-            return replace(stop.value, records=records)
-        records.append(rec)
+            return stop.value
         for hook in recorders:
-            hook(state, rec)
-        del state, rec   # else the state outlives the next step
+            hook(state, node)
+        del state, node   # else the state outlives the next step

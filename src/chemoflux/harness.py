@@ -20,11 +20,14 @@ the datum of every member, the only place where the config's ``mode``
 picks the companion, so data it cannot build is a `ConfigError` before
 any output; `_output` makes the output directory and writes the config
 echo there; `_map` maps the study's distinct members over ``threads``
-worker threads and `_solve` runs each; `_completed` raises `RunHalted`,
-carrying the `RunOutcome`, for a member that halted where the study needs
-a completed run; the study writes its table through `_write_csv` (a
+worker threads and `_solve` runs each through `run`; `_completed` raises
+`RunHalted`, carrying the `RunOutcome`, for a member that halted where the
+study needs a completed run; the study writes its table through `_write_csv` (a
 ``# chemoflux-diagnostics-v1`` line, a header line, numbers to 17
-significant digits) and returns its rows.  The theta scan alone builds
+significant digits) and returns its rows.  Only the single run builds
+diagnostics rows (``node.row()``), one per record node for its CSV; the
+theta scan reads the free scalars of each node, and the other studies
+read no node.  The theta scan alone builds
 inside each member, because data it cannot build is a row label there.
 Cross-validation steps its two solvers in lockstep, the original mode's
 `march` inside a hook of the transformed mode's `run`, so it holds one
@@ -42,7 +45,7 @@ from pathlib import Path
 import numpy as np
 
 from .cole_hopf import C_FLOOR, ChemistryParams, forward_transform
-from .diagnostics import CSV_COLUMNS, SCHEMA_VERSION, fit_decay
+from .diagnostics import CSV_COLUMNS, SCHEMA_VERSION, fit_decay, sup_deviation
 from .evolve import RunOutcome, StepperConfig, Trajectory, march, run
 from .fields import Grid, ParameterError, ScalarField, VectorField, lp_norm
 from .initial_data import InitialDataRecipe, build_initial_data, potential_of
@@ -281,8 +284,8 @@ def _completed(traj: Trajectory) -> Trajectory:
     return traj
 
 
-def _next_record(marching):
-    """The next ``(state, record)`` of a march, or None once it completed."""
+def _next_node(marching):
+    """The next ``(state, node)`` of a march, or None once it completed."""
     try:
         return next(marching)
     except StopIteration as stop:
@@ -339,7 +342,8 @@ def _solve(cfg: ExperimentConfig, data, stepper, **kwargs) -> Trajectory:
 
 
 def run_single(cfg: ExperimentConfig, out_dir=None) -> tuple:
-    """One run to t_end with its artifacts; returns (trajectory, fits, out dir)."""
+    """One run to t_end with its artifacts; returns (trajectory, diagnostics
+    rows, fits, out dir)."""
     for t in cfg.snapshot_times:
         if not 0.0 <= t <= cfg.stepper.t_end:
             raise ConfigError("snapshot_times", f"{t!r} is outside [0, t_end = "
@@ -350,18 +354,20 @@ def run_single(cfg: ExperimentConfig, out_dir=None) -> tuple:
                           "times share a file name, which keeps 6 decimals")
     data = _data(cfg, cfg.recipe, cfg.grid, cfg.mode)
     out = _output(cfg, out_dir)
-    traj = _solve(cfg, data, cfg.stepper, snapshot_times=cfg.snapshot_times)
-    write_diagnostics_csv(out / "diagnostics.csv", traj.records)
+    records = []
+    traj = _solve(cfg, data, cfg.stepper, snapshot_times=cfg.snapshot_times,
+                  recorders=(lambda _, node: records.append(node.row()),))
+    write_diagnostics_csv(out / "diagnostics.csv", records)
     for t, payload in traj.snapshots:
         write_snapshot(out / f"snapshot_{t:.6f}.cfx", list(payload.values()))
 
     fits = []   # (DecayFit, reference rate or None)
-    t_final = traj.records[-1].t if traj.records else 0.0   # t=0 halt
+    t_final = records[-1].t if records else 0.0   # t=0 halt
     window = (2.0, min(20.0, t_final))
     if window[1] > window[0]:
         for column, ref in (("c_linf", cfg.params.mu), ("u_linf", None),
                             ("v_l4", None)):
-            series = [(r.t, getattr(r, column)) for r in traj.records]
+            series = [(r.t, getattr(r, column)) for r in records]
             try:
                 fits.append((fit_decay(series, window, quantity=column), ref))
             except ValueError:
@@ -370,7 +376,7 @@ def run_single(cfg: ExperimentConfig, out_dir=None) -> tuple:
                "quantity,t_lo,t_hi,rate,prefactor,residual,n_samples,reference_rate",
                ((f.quantity, f.t_lo, f.t_hi, f.rate, f.prefactor, f.residual,
                  f.n_samples, "" if ref is None else ref) for f, ref in fits))
-    return traj, fits, out
+    return traj, records, fits, out
 
 
 def run_delta_sweep(cfg: ExperimentConfig, out_dir=None) -> tuple:
@@ -474,8 +480,9 @@ def run_cross_validate(cfg: ExperimentConfig, out_dir=None) -> list:
     lockstep: at each record of the transformed run, a hook advances the
     original-mode `march` to its next record and compares the pair on the
     spot, so the study holds one state per mode whatever the number of
-    records.  A pair at different times or a run with a record left over
-    is an error, and a halted run of either mode raises `RunHalted`.
+    records.  Neither run builds a diagnostics row.  A pair at different
+    times or a run with a record left over is an error, and a halted run of
+    either mode raises `RunHalted`.
     Returns the rows (N, dt, max_u_discrepancy, max_v_discrepancy).
     """
     ns = cfg.n_list if cfg.n_list else (cfg.grid.resolution,)
@@ -503,7 +510,7 @@ def run_cross_validate(cfg: ExperimentConfig, out_dir=None) -> list:
 
         def compare(st, _):
             nonlocal max_du, max_dv
-            pair = _next_record(partner)
+            pair = _next_node(partner)
             if pair is None:
                 raise RuntimeError(f"cross-validation: transformed record at "
                                    f"t={st.t} has no original record")
@@ -519,10 +526,11 @@ def run_cross_validate(cfg: ExperimentConfig, out_dir=None) -> list:
             max_du = max(max_du, du)
             max_dv = max(max_dv, dv)
 
-        # the transformed run goes through `run`, so that the first entry
-        # into `run` still marks where stepping starts (perfbench's setup_s)
+        # the transformed run goes through `run`, as every study's first run
+        # does: the first entry into `run` marks where stepping starts
+        # (perfbench's setup_s ends there)
         _completed(_solve(cfg, data, stepper, recorders=(compare,)))
-        pair = _next_record(partner)
+        pair = _next_node(partner)
         if pair is not None:
             raise RuntimeError(f"cross-validation: original record at "
                                f"t={pair[0].t} has no transformed record")
@@ -539,9 +547,11 @@ def run_theta_scan(cfg: ExperimentConfig, out_dir=None) -> list:
 
     Returns the rows of ``theta_scan.csv``, one per amplitude.  ``decayed``
     means the sup-norm perturbation at the end is at most half its value at
-    the first settled record (t >= 1); the energy bound check compares the
-    running A1 against 1.5 * theta0.  A member that halts is labelled with
-    its outcome, and one whose data cannot be built ``invalid_data``.
+    the first settled record node (t >= 1); the energy bound check compares
+    the running A1 at the last record node against 1.5 * theta0; a member
+    reads both from its nodes and builds no diagnostics row.  A member that
+    halts is labelled with its outcome, and one whose data cannot be built
+    ``invalid_data``.
     """
     if not cfg.amplitudes:
         raise ConfigError("scan.amplitudes", "amplitude ladder is required")
@@ -556,15 +566,21 @@ def run_theta_scan(cfg: ExperimentConfig, out_dir=None) -> list:
         except ValueError:
             return (amp, float("nan"), float("nan"), "invalid_data",
                     False, float("nan"), float("nan"), False, False)
-        traj = _solve(cfg, (u0, v0), cfg.stepper)
-        # a run can halt at its t=0 node, before any record
-        a1 = traj.records[-1].a1 if traj.records else float("nan")
+        a1 = float("nan")   # a run can halt at its t=0 node, before any record
+        settled = []        # u_linf at each record node from t = 1 on
+
+        def keep(_, node):
+            nonlocal a1
+            a1 = node.a1
+            if node.t >= 1.0:
+                settled.append(sup_deviation(node.u.values))
+
+        traj = _solve(cfg, (u0, v0), cfg.stepper, recorders=(keep,))
         bound = 1.5 * summary.theta0_raw
         a1_ok = a1 <= bound if summary.theta0_raw > 0 else True
-        settled = [r for r in traj.records if r.t >= 1.0]
-        lemma34_ok = bool(settled) and all(r.u_linf <= 0.25 for r in settled)
+        lemma34_ok = bool(settled) and all(x <= 0.25 for x in settled)
         if traj.outcome is RunOutcome.COMPLETED and settled:
-            decayed = traj.records[-1].u_linf <= 0.5 * settled[0].u_linf
+            decayed = settled[-1] <= 0.5 * settled[0]
         else:
             decayed = False
         if traj.outcome is not RunOutcome.COMPLETED:

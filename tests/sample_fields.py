@@ -1,9 +1,20 @@
 """Sample fields shared by the test modules: constant, from a function of
-the sample coordinates, and random band-limited."""
+the sample coordinates, and random band-limited; and `run_rows`, a run
+that keeps its diagnostics rows."""
 
 import numpy as np
 
-from chemoflux import ScalarField, VectorField, gradient
+from chemoflux import ChemistryParams, ScalarField, VectorField, gradient, run
+
+
+def run_rows(u0, companion, cfg, params=None, recorders=(), **kwargs):
+    """``run`` that builds the diagnostics row of each record node; returns
+    the trajectory and the rows.  The hooks in ``recorders`` follow it."""
+    rows = []
+    traj = run(u0, companion, cfg, params or ChemistryParams(),
+               recorders=(lambda _, node: rows.append(node.row()), *recorders),
+               **kwargs)
+    return traj, rows
 
 
 def constant_field(grid, value):

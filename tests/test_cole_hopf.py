@@ -59,7 +59,7 @@ class TestCStep:
         kept = []
         traj = run(constant_field(grid32, 0.0), c0,
                    StepperConfig(dt=0.1, t_end=0.7), ChemistryParams(),
-                   recorders=(lambda st, rec: kept.append(st.c),))
+                   recorders=(lambda st, _: kept.append(st.c),))
         np.testing.assert_array_equal(traj.final_state.c.values, kept[0].values)
         assert np.abs(kept[0].values - c0.values).max() <= 1e-13
 
@@ -90,7 +90,7 @@ class TestCStep:
         traj = run(u0, constant_field(grid32, 1e-12),
                    StepperConfig(dt=0.1, t_end=5.0, record_every=1),
                    ChemistryParams(),
-                   recorders=(lambda st, rec: kept.append((st.u, st.c)),))
+                   recorders=(lambda st, _: kept.append((st.u, st.c)),))
         assert traj.outcome is RunOutcome.COMPLETED and len(kept) == 51
         for (u_prev, c_prev), (u, c) in zip(kept, kept[1:]):
             assert (u.values > 0).all()

@@ -6,7 +6,7 @@ from chemoflux import (ChemistryParams, DiagnosticsRecord, Grid, ScalarField,
 from chemoflux.diagnostics import CSV_COLUMNS
 from chemoflux.harness import write_diagnostics_csv
 from sample_fields import (band_limited_field, band_limited_gradient,
-                           constant_field, field_from_function)
+                           constant_field, field_from_function, run_rows)
 from oracles import (assemble_rhs_ut, calibrate_energy_constant,
                      check_energy_inequality, curl2d, curl_flux_residual,
                      divergence, effective_flux, energy_functionals,
@@ -24,11 +24,10 @@ def solution_like_pair(grid, seed, amplitude=0.4):
 
 
 def run_pairs(u0, v0, cfg):
-    """A run, and the ``(state, record)`` pair of each record from a hook."""
-    pairs = []
-    traj = run(u0, v0, cfg, ChemistryParams(),
-               recorders=(lambda state, rec: pairs.append((state, rec)),))
-    return traj, pairs
+    """A run, and the ``(state, row)`` pair of each record node."""
+    states = []
+    traj, rows = run_rows(u0, v0, cfg, recorders=(lambda st, _: states.append(st),))
+    return traj, list(zip(states, rows))
 
 
 class TestEffectiveFlux:
@@ -117,9 +116,9 @@ class TestEnergyFunctionals:
     def test_frozen_state_gives_initial_energy(self, grid32):
         u, v = solution_like_pair(grid32, 21)
         cfg = StepperConfig(dt=0.05, t_end=0.0)
-        traj, pairs = run_pairs(u, v, cfg)
+        _, pairs = run_pairs(u, v, cfg)
         a1, _, a3 = energy_functionals(pairs)
-        r = traj.records[0]
+        r = pairs[0][1]
         assert a1 == pytest.approx(r.u_l2 ** 2 + r.v_l2 ** 2, rel=1e-12)
         assert a3 == pytest.approx(r.v_l4 ** 4, rel=1e-12)
 
@@ -131,9 +130,9 @@ class TestEnergyFunctionals:
         for amplitude in (0.2, 1e-4):
             u, v = solution_like_pair(grid32, 22, amplitude=amplitude)
             cfg = StepperConfig(dt=0.02, t_end=0.6, record_every=1)
-            traj, pairs = run_pairs(u, v, cfg)
+            _, pairs = run_pairs(u, v, cfg)
             a1, a2, a3 = energy_functionals(pairs)
-            last = traj.records[-1]
+            last = pairs[-1][1]
             assert a1 == pytest.approx(last.a1, rel=1e-9, abs=0), amplitude
             assert a2 == pytest.approx(last.a2, rel=1e-9, abs=0), amplitude
             assert a3 == pytest.approx(last.a3, rel=1e-9, abs=0), amplitude
@@ -141,10 +140,10 @@ class TestEnergyFunctionals:
     def test_running_columns_monotone_in_integral_parts(self, grid32):
         u, v = solution_like_pair(grid32, 23)
         cfg = StepperConfig(dt=0.02, t_end=1.0, record_every=5)
-        traj = run(u, v, cfg, ChemistryParams())
-        blowups = [r.blowup_integral for r in traj.records]
+        _, rows = run_rows(u, v, cfg)
+        blowups = [r.blowup_integral for r in rows]
         assert all(b1 >= b0 for b0, b1 in zip(blowups, blowups[1:]))
-        a1s = [r.a1 for r in traj.records]
+        a1s = [r.a1 for r in rows]
         assert all(x1 >= x0 - 1e-15 for x0, x1 in zip(a1s, a1s[1:]))
 
     def test_empty_trajectory_rejected(self):
@@ -303,22 +302,22 @@ class TestEnergyInequality:
     def test_smooth_run_satisfies_calibrated_inequality(self, grid32):
         u, v = solution_like_pair(grid32, 41, amplitude=0.3)
         cfg = StepperConfig(dt=0.02, t_end=1.0, record_every=2)
-        traj = run(u, v, cfg, ChemistryParams())
-        c = calibrate_energy_constant(traj.records)
+        _, rows = run_rows(u, v, cfg)
+        c = calibrate_energy_constant(rows)
         assert np.isfinite(c) and c >= 0
-        assert check_energy_inequality(traj.records, c + 1e-12) == []
+        assert check_energy_inequality(rows, c + 1e-12) == []
 
 
 class TestRecordSchema:
     def test_csv_row_matches_column_count(self, grid32, tmp_path):
         u, v = solution_like_pair(grid32, 50)
         cfg = StepperConfig(dt=0.05, t_end=0.1)
-        traj = run(u, v, cfg, ChemistryParams())
-        write_diagnostics_csv(tmp_path / "d.csv", traj.records)
+        _, rows = run_rows(u, v, cfg)
+        write_diagnostics_csv(tmp_path / "d.csv", rows)
         lines = (tmp_path / "d.csv").read_text().splitlines()
         assert lines[1] == ",".join(CSV_COLUMNS)
         assert [len(ln.split(",")) for ln in lines[2:]] == \
-            [len(CSV_COLUMNS)] * len(traj.records)
+            [len(CSV_COLUMNS)] * len(rows)
 
 
 class TestRecordAgainstOracles:
@@ -331,7 +330,8 @@ class TestRecordAgainstOracles:
         u0, v0 = solution_like_pair(grid, 60, amplitude=0.3)
         seen = []
 
-        def check(state, rec):
+        def check(state, node):
+            rec = node.row()
             u, v = state.u, state.v
             u_tilde = ScalarField(grid, u.values - 1.0)
             expected = {
@@ -353,9 +353,8 @@ class TestRecordAgainstOracles:
             seen.append(state.t)
 
         cfg = StepperConfig(dt=0.02, t_end=0.1, record_every=2)
-        traj = run(u0, v0, cfg, ChemistryParams(chi=chi), p0=p0,
-                   recorders=(check,))
-        assert len(seen) == len(traj.records) == 4
+        run(u0, v0, cfg, ChemistryParams(chi=chi), p0=p0, recorders=(check,))
+        assert len(seen) == 4
 
     def test_curl_residual_detects_swirl(self, grid64):
         # the spectral residual is chi*P(u curl v), not an identity: a
@@ -364,8 +363,7 @@ class TestRecordAgainstOracles:
         u, v = solution_like_pair(grid64, 13)
         swirl = perp_gradient(band_limited_field(grid64, 60, kmax=5))
         v_bad = VectorField(grid64, v.values + swirl.values)
-        rec = run(u, v_bad, StepperConfig(dt=0.05, t_end=0.0),
-                  ChemistryParams()).records[0]
+        rec, = run_rows(u, v_bad, StepperConfig(dt=0.05, t_end=0.0))[1]
         assert rec.flux_curl_residual > 1e-4
         assert rec.flux_curl_residual == pytest.approx(
             curl_flux_residual(u, v_bad, 1.0), rel=1e-12)

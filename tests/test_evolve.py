@@ -4,7 +4,8 @@ from scipy.linalg import expm
 
 from chemoflux import (ChemistryParams, Grid, RunOutcome, ScalarField,
                        StepperConfig, VectorField, curl2d, lp_norm, run)
-from sample_fields import band_limited_field, band_limited_gradient, constant_field
+from sample_fields import (band_limited_field, band_limited_gradient,
+                           constant_field, run_rows)
 from chemoflux.evolve import _predictor_transport_hat
 from oracles import (dealias, divergence, gradient, product_scalar_vector,
                      project_curl_free)
@@ -56,10 +57,12 @@ def final_state(u0, companion, cfg, params=None):
 
 
 def step_sizes(u0, v0, cfg, params=None):
-    """The dt of each step run() takes, from a record at every step."""
+    """The dt of each step run() takes, from a record node at every step."""
     assert cfg.record_every == 1
-    traj = run(u0, v0, cfg, params or ChemistryParams())
-    return np.diff([r.t for r in traj.records])
+    times = []
+    run(u0, v0, cfg, params or ChemistryParams(),
+        recorders=(lambda _, node: times.append(node.t),))
+    return np.diff(times)
 
 
 class TestStepTransformed:
@@ -165,7 +168,7 @@ class TestStepOriginal:
         cfg = StepperConfig(dt=0.25, t_end=10.0, record_every=1)
         traj = run(constant_field(grid32, 1.0),
                    constant_field(grid32, 2e-300), cfg, ChemistryParams(),
-                   recorders=(lambda st, rec: c_mins.append(st.c.values.min()),))
+                   recorders=(lambda st, _: c_mins.append(st.c.values.min()),))
         assert traj.outcome is RunOutcome.CHEMICAL_EXTINCTION
         assert c_mins and min(c_mins) > 0
 
@@ -198,7 +201,8 @@ class TestChooseDt:
 
 @pytest.fixture
 def transforms(monkeypatch):
-    """A function that runs `run` to completion and returns the number of
+    """A function that runs `run` to completion, building the row of each
+    record node unless ``rows=False``, and returns the number of
     rfft2/irfft2 calls it made."""
     calls = [0]
     for name in ("rfft2", "irfft2"):
@@ -207,9 +211,10 @@ def transforms(monkeypatch):
             return _real(*args, **kwargs)
         monkeypatch.setattr(np.fft, name, counting)
 
-    def counted(u0, companion, cfg):
+    def counted(u0, companion, cfg, rows=True):
         before = calls[0]
-        assert run(u0, companion, cfg, ChemistryParams()).outcome \
+        hooks = (lambda _, node: node.row(),) if rows else ()
+        assert run(u0, companion, cfg, ChemistryParams(), recorders=hooks).outcome \
             is RunOutcome.COMPLETED
         return calls[0] - before
     return counted
@@ -240,35 +245,46 @@ class TestTransformBudget:
         steps = [transforms(u0, c0, StepperConfig(dt=0.0625, t_end=t_end,
                                                   record_every=1000))
                  for t_end in (0.5, 1.125)]
-        assert steps[1] - steps[0] == 140
+        assert steps[1] - steps[0] == 120
 
     @pytest.mark.parametrize("original,per_record", [(False, 3), (True, 5)])
     def test_record(self, grid32, transforms, original, per_record):
-        # 20 steps: 21 records, or the first and the last
+        # 20 steps: 21 rows, or the first and the last
         u0, companion = self.data(grid32, original)
         records = [transforms(u0, companion, StepperConfig(
             dt=0.0625, t_end=1.25, record_every=every)) for every in (1, 1000)]
         assert records[0] - records[1] == 19 * per_record
+
+    @pytest.mark.parametrize("dt_mode", ["fixed", "cfl"])
+    @pytest.mark.parametrize("original", [False, True])
+    def test_record_node_without_row_is_free(self, grid32, transforms, original,
+                                             dt_mode):
+        # a node yields its free scalars at no transform; only its row costs
+        u0, companion = self.data(grid32, original)
+        counts = [transforms(u0, companion, StepperConfig(
+            dt=0.0625, t_end=1.25, dt_mode=dt_mode, record_every=every),
+            rows=False) for every in (1, 1000)]
+        assert counts[0] == counts[1]
 
 
 class TestRun:
     def test_zero_horizon_gives_initial_record_only(self, grid32):
         u0, v0 = smooth_state(grid32)
         cfg = StepperConfig(dt=0.01, t_end=0.0)
-        traj = run(u0, v0, cfg, ChemistryParams())
+        traj, rows = run_rows(u0, v0, cfg)
         assert traj.outcome is RunOutcome.COMPLETED
-        assert len(traj.records) == 1
-        assert traj.records[0].t == 0.0
-        assert traj.records[0].a1 == pytest.approx(
-            traj.records[0].u_l2 ** 2 + traj.records[0].v_l2 ** 2, rel=1e-12)
+        assert len(rows) == 1
+        assert rows[0].t == 0.0
+        assert rows[0].a1 == pytest.approx(
+            rows[0].u_l2 ** 2 + rows[0].v_l2 ** 2, rel=1e-12)
 
     def test_equilibrium_stays_at_machine_precision(self, grid32):
         u0 = constant_field(grid32, 1.0)
         v0 = VectorField.zero(grid32)
         cfg = StepperConfig(dt=0.01, t_end=10.0, record_every=100)
-        traj = run(u0, v0, cfg, ChemistryParams())
+        traj, rows = run_rows(u0, v0, cfg)
         assert traj.outcome is RunOutcome.COMPLETED
-        for r in traj.records:
+        for r in rows:
             assert r.u_l2 <= 1e-12
             assert r.v_l2 <= 1e-12
             assert r.flux_div_residual <= 1e-12
@@ -297,9 +313,9 @@ class TestRun:
     def test_record_cadence_and_final_row(self, grid32):
         u0, v0 = smooth_state(grid32)
         cfg = StepperConfig(dt=0.01, t_end=0.25, record_every=7)
-        traj = run(u0, v0, cfg, ChemistryParams())
+        _, rows = run_rows(u0, v0, cfg)
         # rows at step 0, 7, 14, 21, and the final step 25
-        assert [round(r.t / 0.01) for r in traj.records] == [0, 7, 14, 21, 25]
+        assert [round(r.t / 0.01) for r in rows] == [0, 7, 14, 21, 25]
 
     def test_blowup_reported_as_outcome(self):
         grid = Grid(2 * np.pi, 32)
@@ -330,8 +346,8 @@ class TestRun:
         u0 = constant_field(grid32, 1.0)
         v0 = VectorField.zero(grid32)
         cfg = StepperConfig(dt=0.01, t_end=2.0, record_every=50)
-        traj = run(u0, v0, cfg, ChemistryParams())
-        for r in traj.records:
+        _, rows = run_rows(u0, v0, cfg)
+        for r in rows:
             assert r.c_linf == pytest.approx(np.exp(-r.t), rel=1e-10)
 
     def test_snapshots_captured_at_requested_times(self, grid32):
@@ -348,12 +364,12 @@ class TestRun:
         # step); t=0.525 falls inside a step, which is clipped to land on it
         u0, v0 = smooth_state(grid32)
         cfg = StepperConfig(dt=0.05, t_end=1.2, record_every=7)
-        traj = run(u0, v0, cfg, ChemistryParams(), snapshot_times=(1.0, 0.525))
+        traj, rows = run_rows(u0, v0, cfg, snapshot_times=(1.0, 0.525))
         times = [t for t, _ in traj.snapshots]
         assert len(times) == 2
         assert abs(times[0] - 0.525) <= 1e-12
         assert abs(times[1] - 1.0) <= 1e-12
-        assert abs(traj.records[-1].t - 1.2) <= 1e-12
+        assert abs(rows[-1].t - 1.2) <= 1e-12
         # the snapshot holds the state at its own time: the same run cut
         # there ends on the same fields
         cut = run(u0, v0, StepperConfig(dt=0.05, t_end=0.525),
@@ -363,9 +379,9 @@ class TestRun:
     def test_on_step_snapshot_adds_no_step(self, grid32):
         u0, v0 = smooth_state(grid32)
         cfg = StepperConfig(dt=0.05, t_end=1.2, record_every=1)
-        plain = run(u0, v0, cfg, ChemistryParams())
-        snapped = run(u0, v0, cfg, ChemistryParams(), snapshot_times=(1.0,))
-        assert [r.t for r in snapped.records] == [r.t for r in plain.records]
+        _, plain = run_rows(u0, v0, cfg)
+        _, snapped = run_rows(u0, v0, cfg, snapshot_times=(1.0,))
+        assert [r.t for r in snapped] == [r.t for r in plain]
 
     def test_hook_states_are_distinct_and_unchanged(self, grid32):
         # run() hands hooks its live arrays without copying; it must never
@@ -377,7 +393,7 @@ class TestRun:
                 0.2 * band_limited_field(grid32, 6).values))):
             kept, at_hook = [], []
 
-            def hook(state, rec):
+            def hook(state, _):
                 arrays = [state.u.values,
                           state.c.values if state.v is None else state.v.values]
                 kept.append(arrays)
@@ -402,10 +418,10 @@ class TestRun:
     def test_extinct_initial_chemical_halts_at_start(self, grid32):
         vals = np.ones((32, 32))
         vals[3, 4] = 0.0
-        traj = run(constant_field(grid32, 1.0), ScalarField(grid32, vals),
-                   StepperConfig(dt=0.1, t_end=1.0), ChemistryParams(),
-                   snapshot_times=(0.0,))
+        traj, rows = run_rows(constant_field(grid32, 1.0), ScalarField(grid32, vals),
+                              StepperConfig(dt=0.1, t_end=1.0),
+                              snapshot_times=(0.0,))
         assert traj.outcome is RunOutcome.CHEMICAL_EXTINCTION
         assert "t=0" in traj.message and "floor" in traj.message
-        assert traj.records == [] and traj.snapshots == []
+        assert rows == [] and traj.snapshots == []
         assert traj.final_state is None

@@ -435,16 +435,29 @@ def test_xval_memory_does_not_grow_with_the_horizon(tmp_path):
     assert peak(1.5) - peak(0.3) < 2 * state_bytes
 
 
+# the config lines each study needs on top of BASE
+STUDY_EXTRA = {
+    "single_run": "",
+    "delta_sweep": "sweep.deltas = 4h,3h,2h\n",
+    "refinement": "refine.dt_list = 0.1,0.05,0.025\nrefine.n_list = 8,16,32\n",
+    "cross_validate": "",
+    "theta_scan": "scan.amplitudes = 0.05,0.1\n",
+}
+
+
 def test_every_study_enters_run_before_its_first_record(tmp_path, monkeypatch,
                                                         capsys):
     # the benchmark's setup time ends at the first entry into harness.run;
-    # a study that made a record before it would count stepping as setup.
-    # Its tracer tags a run's mode from a mode keyword or a fifth positional
-    # argument, and run takes neither, so each run is tagged "transformed".
-    # Every study but the theta scan, where data that cannot be built is a
-    # row label, builds all its data before it makes any output.
+    # a study that visited a time node before it would count stepping as
+    # setup.  The witness is the first node's functionals update (on_node):
+    # most studies build no record, and a run's first node comes before its
+    # first step.  The benchmark's tracer tags a run's mode from a mode
+    # keyword or a fifth positional argument, and run takes neither, so each
+    # run is tagged "transformed".  Every study but the theta scan, where
+    # data that cannot be built is a row label, builds all its data before
+    # it makes any output.
     events = []
-    real_run, real_record = harness.run, TrajectoryRecorder.make_record
+    real_run, real_node = harness.run, TrajectoryRecorder.on_node
     real_output, real_build = harness._output, harness.build_initial_data
 
     def counting_run(*args, **kwargs):
@@ -459,28 +472,47 @@ def test_every_study_enters_run_before_its_first_record(tmp_path, monkeypatch,
         return wrapper
 
     monkeypatch.setattr(harness, "run", counting_run)
-    monkeypatch.setattr(TrajectoryRecorder, "make_record",
-                        counting("record", real_record))
+    monkeypatch.setattr(TrajectoryRecorder, "on_node", counting("node", real_node))
     monkeypatch.setattr(harness, "_output", counting("output", real_output))
     monkeypatch.setattr(harness, "build_initial_data", counting("build", real_build))
-    extra = {
-        "single_run": "",
-        "delta_sweep": "sweep.deltas = 4h,3h,2h\n",
-        "refinement": "refine.dt_list = 0.1,0.05,0.025\nrefine.n_list = 8,16,32\n",
-        "cross_validate": "",
-        "theta_scan": "scan.amplitudes = 0.05,0.1\n",
-    }
     small = BASE.replace("grid.N = 32", "grid.N = 16")
     for subcommand, study, *_ in STUDY_COMMANDS:
         events.clear()
-        code, _ = cli(tmp_path, subcommand, f"study = {study}\n" + extra[study]
-                      + small)
+        code, _ = cli(tmp_path, subcommand, f"study = {study}\n"
+                      + STUDY_EXTRA[study] + small)
         assert code == 0, subcommand
-        assert "record" in events, subcommand
-        assert "run" in events[:events.index("record")], subcommand
+        assert "node" in events, subcommand
+        assert "run" in events[:events.index("node")], subcommand
         if study != "theta_scan":
             assert "build" in events, subcommand
             assert "build" not in events[events.index("output"):], subcommand
+    capsys.readouterr()
+
+
+def test_only_the_single_run_builds_rows(tmp_path, monkeypatch, capsys):
+    # the single run writes one row per record node; every other study reads
+    # the free scalars of its nodes, or the final state, and builds none
+    built = []
+    real_record = TrajectoryRecorder.make_record
+
+    def counting(self, node):
+        built.append(node.t)
+        return real_record(self, node)
+
+    monkeypatch.setattr(TrajectoryRecorder, "make_record", counting)
+    small = BASE.replace("grid.N = 32", "grid.N = 16")
+    for subcommand, study, *_ in STUDY_COMMANDS:
+        built.clear()
+        code, out = cli(tmp_path, subcommand, f"study = {study}\n"
+                        "stepper.record_every = 2\n" + STUDY_EXTRA[study] + small)
+        assert code == 0, subcommand
+        if study == "single_run":
+            # 6 steps of 0.05: record nodes at steps 0, 2, 4 and 6
+            rows = csv_rows(out / "diagnostics.csv")
+            assert built == [float(r["t"]) for r in rows] == \
+                pytest.approx([0.0, 0.1, 0.2, 0.3], abs=1e-12)
+        else:
+            assert built == [], subcommand
     capsys.readouterr()
 
 
