@@ -26,8 +26,9 @@ A transformed node is the spectrum of u plus the samples of u, grad(u), v
 and s; v has no spectrum, since its update is linear in grad(u).  An
 IMEX-CN step then takes 9 transforms and an IMEX-BE step 5, and the CFL
 bound reads the node's grad(u) and max |v|^2, with no transform.  An
-original-mode CN step takes 12, plus 2 for grad(u) where a CFL bound reads
-it; a row takes 3, plus those 2 where the node has no grad(u).
+original-mode CN step takes 11 and a BE step 6, plus 2 for grad(u) where a
+CFL bound reads it; a row takes 3, plus those 2 where the node has no
+grad(u).
 """
 
 from __future__ import annotations
@@ -124,14 +125,20 @@ def _transport_hat(grid: Grid, u, v, chi: float):
     return t_hat
 
 
-def _predictor_transport_hat(grid: Grid, u_p, w, dt: float, chi: float):
-    """chi * div P(u_p v_p) for v_p = w + dt/2 grad(u_p), without v_p.
+def _self_transport_hat(grid: Grid, u, dt: float, chi: float):
+    """chi * div P(u dt/2 grad u) in one transform.
 
-    In the band P(u_p grad u_p) = grad P(u_p^2) / 2, so the term is
-    chi [div P(u_p w) + dt/4 lap P(u_p^2)]: three transforms.
+    In the band P(u grad u) = grad P(u^2) / 2, so the term is
+    chi dt/4 lap P(u^2).
     """
+    return (-0.25 * dt * chi) * grid._k_squared * dealias(np.fft.rfft2(u * u))
+
+
+def _predictor_transport_hat(grid: Grid, u_p, w, dt: float, chi: float):
+    """chi * div P(u_p v_p) for v_p = w + dt/2 grad(u_p), without v_p:
+    three transforms."""
     t_hat = _transport_hat(grid, u_p, w, chi)
-    t_hat -= (0.25 * dt * chi) * grid._k_squared * dealias(np.fft.rfft2(u_p * u_p))
+    t_hat += _self_transport_hat(grid, u_p, dt, chi)
     return t_hat
 
 
@@ -183,24 +190,25 @@ def _drift(grid, sh, mu):
     return grid._gradient((-1.0 / mu) * sh)
 
 
-def _advance_original(grid, u, s, uh, sh, dt, params, scheme):
+def _advance_original(grid, u, s, uh, sh, dt, params, scheme, t_hat):
     """Strang step: half chemical decay, full density step, half decay.
 
     The chemical is carried as s = ln c, so positivity is structural and
     the extinction check is an exact comparison in log space.  Each decay
     is linear in u, so the step moves the half spectrum sh of s with the
-    samples, from spectra it already holds.  Returns (u1, s1, uh1, sh1).
+    samples, from spectra it already holds.  The density step's drift is
+    v_h = v + dt/2 grad(u), v the node's, so its transport at u is the
+    node's t_hat plus `_self_transport_hat`, one transform; only the CN
+    predictor reads the samples of v_h.  Returns (u1, s1, uh1, sh1).
     """
     mu, chi = params.mu, params.chi
     half = 0.5 * dt * mu
     s_half = s - half * u
     sh_half = sh - half * uh
-    v = _drift(grid, sh_half, mu)
-    t_hat = _transport_hat(grid, u, v, chi)
     uh1 = _advance_density(
-        grid, uh, dt, scheme, t_hat,
+        grid, uh, dt, scheme, t_hat + _self_transport_hat(grid, u, dt, chi),
         lambda uh_p: _transport_hat(grid, np.fft.irfft2(uh_p, s=grid.shape),
-                                    v, chi))
+                                    _drift(grid, sh_half, mu), chi))
     u1 = np.fft.irfft2(uh1, s=grid.shape)
     sh_half -= half * uh1   # sh_half is this step's own array: it becomes sh1
     return u1, s_half - half * u1, uh1, sh_half
@@ -351,7 +359,7 @@ def march(u0: ScalarField, companion, cfg: StepperConfig, params: ChemistryParam
             s = s - (0.5 * dt * mu) * (u_prev + u)
         else:
             u, s, uh, sh = _advance_original(grid, u, s, uh, sh, dt, params,
-                                             cfg.scheme)
+                                             cfg.scheme, t_hat)
             if s.min() <= _LOG_FLOOR:
                 outcome = RunOutcome.CHEMICAL_EXTINCTION
                 message = (f"chemical under floor at t={t + dt} "

@@ -10,6 +10,7 @@ which makes the zero-curl requirement structural rather than numerical.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +34,13 @@ class InitialDataRecipe:
     of the u pattern and the potential-mode amplitudes alike.  Geometry is
     given in fractions of the box side.  ``delta`` is the mollifier width
     in physical units (0 disables mollification).
+
+    Without explicit ``disks``, ``random_disks`` > 0 draws that many from
+    ``random.Random(seed)``, whose stream CPython keeps fixed for an integer
+    seed: for each disk ``cx`` and then ``cy``, each uniform on [0.2, 0.8],
+    then the radius as ``uniform(0.03, 0.08)`` times the box side, with
+    weights alternating +1, -1 from the first.  ``seed`` must be
+    nonnegative: the generator would give -n the layout of n.
     """
 
     kind: str = "piecewise_constant_disks"
@@ -55,6 +63,8 @@ class InitialDataRecipe:
             raise ParameterError("p0", f"must exceed 4, got {self.p0}")
         if self.delta < 0:
             raise ParameterError("delta", f"must be nonnegative, got {self.delta}")
+        if self.seed < 0:
+            raise ParameterError("seed", f"must be nonnegative, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -119,9 +129,9 @@ def _raster_u(recipe: InitialDataRecipe, grid: Grid) -> np.ndarray:
     if recipe.kind == "piecewise_constant_disks":
         disks = list(recipe.disks)
         if not disks and recipe.random_disks > 0:
-            rng = np.random.default_rng(recipe.seed)
+            rng = random.Random(recipe.seed)
             for i in range(recipe.random_disks):
-                cx, cy = rng.uniform(0.2, 0.8, size=2)
+                cx, cy = rng.uniform(0.2, 0.8), rng.uniform(0.2, 0.8)
                 r = rng.uniform(0.03, 0.08) * L
                 disks.append((cx, cy, r, 1.0 if i % 2 == 0 else -1.0))
         for cx, cy, radius, weight in disks:

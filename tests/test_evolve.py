@@ -240,12 +240,19 @@ class TestTransformBudget:
             record_every=1000)) for t_end in (0.5, 1.125)]   # 8 and 18 steps
         assert steps[1] - steps[0] == 10 * per_step
 
+    def original_steps(self, grid, transforms, scheme):
+        """Transforms of 10 original-mode steps at fixed dt."""
+        u0, c0 = self.data(grid, original=True)
+        steps = [transforms(u0, c0, StepperConfig(
+            dt=0.0625, t_end=t_end, scheme=scheme, record_every=1000))
+            for t_end in (0.5, 1.125)]
+        return steps[1] - steps[0]
+
     def test_original_step(self, grid32, transforms):
-        u0, c0 = self.data(grid32, original=True)
-        steps = [transforms(u0, c0, StepperConfig(dt=0.0625, t_end=t_end,
-                                                  record_every=1000))
-                 for t_end in (0.5, 1.125)]
-        assert steps[1] - steps[0] == 120
+        assert self.original_steps(grid32, transforms, "imex_cn") == 110
+
+    def test_original_be_step(self, grid32, transforms):
+        assert self.original_steps(grid32, transforms, "imex_be") == 60
 
     @pytest.mark.parametrize("original,per_record", [(False, 3), (True, 5)])
     def test_record(self, grid32, transforms, original, per_record):

@@ -1,14 +1,20 @@
 """The five studies and every CLI subcommand at N <= 32, with their exit codes."""
 
+import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import chemoflux
 from chemoflux import harness
 from chemoflux.cli import STUDY_COMMANDS, main
 from chemoflux.cole_hopf import C_FLOOR
@@ -443,6 +449,58 @@ STUDY_EXTRA = {
     "cross_validate": "",
     "theta_scan": "scan.amplitudes = 0.05,0.1\n",
 }
+
+
+@pytest.mark.parametrize("subcommand,study", [c[:2] for c in STUDY_COMMANDS])
+def test_negative_seed_exits_2_in_every_study(tmp_path, capsys, subcommand, study):
+    # random.Random(-n) would draw the layout of n; a negative seed is
+    # refused at parse time, also in the theta scan, which builds its data
+    # inside each member
+    code, out = cli(tmp_path, subcommand, f"study = {study}\n" + STUDY_EXTRA[study]
+                    + BASE + "recipe.seed = -3\n")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config field 'recipe.seed': ")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+# runs each (subcommand, config, out) triple of its arguments through the
+# CLI and prints whether numpy.random was loaded by numpy alone and at the end
+NO_NUMPY_RANDOM = """
+import json, sys
+import numpy
+with_numpy = "numpy.random" in sys.modules
+from chemoflux.cli import main
+args = iter(sys.argv[1:])
+codes = [main([cmd, "--config", cfg, "--out", out])
+         for cmd, cfg, out in zip(args, args, args)]
+print(json.dumps({"codes": codes, "with_numpy": with_numpy,
+                  "after": "numpy.random" in sys.modules}))
+"""
+
+
+def test_random_layouts_do_not_load_numpy_random(tmp_path):
+    # a study draws its disk layouts with the standard library; this test
+    # suite loads numpy.random itself, so the studies run in a fresh
+    # interpreter
+    small = BASE.replace("grid.N = 32", "grid.N = 16")
+    assert "recipe.random_disks = 2" in small and "threads = 1" in small
+    args = []
+    for subcommand, study in (("scan-theta", "theta_scan"), ("xval", "cross_validate")):
+        cfg = tmp_path / f"{subcommand}.cfg"
+        cfg.write_text(f"study = {study}\n" + STUDY_EXTRA[study] + small)
+        args += [subcommand, str(cfg), str(tmp_path / subcommand)]
+    src = str(Path(chemoflux.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run([sys.executable, "-c", NO_NUMPY_RANDOM, *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    if result["with_numpy"]:
+        pytest.skip("this NumPy loads numpy.random on import")
+    assert result == {"codes": [0, 0], "with_numpy": False, "after": False}
 
 
 def test_every_study_enters_run_before_its_first_record(tmp_path, monkeypatch,

@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 
@@ -84,6 +86,23 @@ class TestRecipes:
             InitialDataRecipe(kind="piecewise_constant_disks", amplitude=0.2,
                               random_disks=3, seed=43), grid64)[0]
         assert np.abs(other.values - u_a.values).max() > 0
+
+    def test_random_disks_follow_the_documented_draws(self, grid64):
+        # per disk: cx, then cy, then the radius as a fraction of L, from
+        # random.Random(seed), with weights +1, -1, +1
+        L = grid64.side_length
+        rng = random.Random(5)
+        disks = []
+        for weight in (1.0, -1.0, 1.0):
+            cx = rng.uniform(0.2, 0.8)
+            cy = rng.uniform(0.2, 0.8)
+            disks.append((cx, cy, rng.uniform(0.03, 0.08) * L, weight))
+        drawn = build_initial_data(InitialDataRecipe(
+            amplitude=0.2, random_disks=3, seed=5), grid64)[0]
+        explicit = build_initial_data(InitialDataRecipe(
+            amplitude=0.2, disks=tuple(disks)), grid64)[0]
+        assert set(np.unique(drawn.values)) >= {0.8, 1.0, 1.2}
+        np.testing.assert_array_equal(drawn.values, explicit.values)
 
     def test_rejects_p0_at_most_four(self):
         with pytest.raises(ValueError):
