@@ -210,14 +210,16 @@ class TrajectoryRecorder:
         the half spectrum ``np.fft.rfft2(u)`` and ``node.grad_u`` the
         node's samples of grad(u), a (2, N, N) array, or None, when they
         are taken from ``uh`` here (two transforms).  The pass takes three
-        transforms: the dealiased perp_grad(u).v, and the dealiased
-        products u*v_x and u*v_y.  The flux and both residuals are
-        assembled from those spectra and measured by Parseval,
-        ||f||_2^2 = cell_area/N^2 * sum |f_hat|^2 with the half-spectrum
-        column weights; the L^p0 norm and the Gagliardo-Nirenberg ratio come
-        from the physical samples.  The residuals are rebuilt here from u
-        and v alone, independent of the stepper's transport term, so they
-        check the identities rather than restate them.
+        transforms: the dealiased products u*v_x and u*v_y, then the
+        dealiased perp_grad(u).v, once the div residual and ||F|| are done,
+        so that it holds at most three half spectra at once.  The flux and
+        both residuals are assembled from those spectra and measured by
+        Parseval, ||f||_2^2 = cell_area/N^2 * sum |f_hat|^2 with the
+        half-spectrum column weights; the L^p0 norm and the
+        Gagliardo-Nirenberg ratio come from the physical samples.  The
+        residuals are rebuilt here from u and v alone, independent of the
+        stepper's transport term, so they check the identities rather than
+        restate them.
         """
         grid = node.u.grid
         uh, aux = node.uh, node.aux
@@ -227,26 +229,25 @@ class TrajectoryRecorder:
         w = grid.cell_area / grid.resolution ** 2
         area = grid.cell_area
         uv, vx, vy = node.u.values, node.v.values[0], node.v.values[1]
-        # Each spectrum is freed or updated in place as soon as it has
-        # served, so the pass holds few of them at once (peak RSS at N=256).
-        qh = dealias(np.fft.rfft2(grad_u[1] * vx - grad_u[0] * vy))  # perp_grad(u).v
-        txh = dealias(np.fft.rfft2(uv * vx))   # chi*u*v, dealiased
-        tyh = dealias(np.fft.rfft2(uv * vy))
-        txh *= chi
-        tyh *= chi
-        fxh = ikx * uh                        # F = grad(u) + chi*u*v
-        fxh += txh
-        fyh = iky * uh
-        fyh += tyh
-        res = ikx * txh                       # u_t = lap(u) + chi*div(u v)
-        res += iky * tyh
+        # F = grad(u) + chi*u*v is built in place on the spectra of chi*u*v
+        # once each has served the residual (peak memory at N=256)
+        fxh = dealias(np.fft.rfft2(uv * vx))   # chi*u*v, dealiased
+        fxh *= chi
+        res = ikx * fxh                       # u_t = lap(u) + chi*div(u v)
+        fxh += ikx * uh
+        fyh = dealias(np.fft.rfft2(uv * vy))
+        fyh *= chi
+        res += iky * fyh
+        fyh += iky * uh
         res -= grid._k_squared * uh
-        del txh, tyh
         res -= ikx * fxh                      # u_t - div(F)
         res -= iky * fyh
         div_sq = power_sum(res)
+        flux_sq = power_sum(fxh) + power_sum(fyh)
         np.multiply(iky, fxh, out=res)        # curl(F) - chi*perp_grad(u).v
         res -= ikx * fyh
+        del fxh, fyh
+        qh = dealias(np.fft.rfft2(grad_u[1] * vx - grad_u[0] * vy))  # perp_grad(u).v
         qh *= chi
         res -= qh
         curl_sq = power_sum(res)
@@ -270,7 +271,7 @@ class TrajectoryRecorder:
             v_lp0=float((area * (v2 ** (0.5 * self.p0)).sum()) ** (1.0 / self.p0)),
             v_linf=math.sqrt(aux.v2_max),
             c_linf=node.c_linf,
-            flux_l2=math.sqrt(w * (power_sum(fxh) + power_sum(fyh))),
+            flux_l2=math.sqrt(w * flux_sq),
             flux_div_residual=math.sqrt(w * div_sq),
             flux_curl_residual=math.sqrt(w * curl_sq),
             a1=node.a1,

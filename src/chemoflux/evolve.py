@@ -5,10 +5,14 @@ at each record node and returns the `Trajectory` when it ends; ``run``
 drains it and calls its hooks on each pair.  A `diagnostics.Node` carries
 the scalars that are free at it and builds its diagnostics row on
 ``node.row()``, so a consumer pays for a row only where it reads one.  A
-yielded or hooked pair's arrays are never written afterwards.  The type of
-u0's companion picks the mode: v0, a `VectorField`, the transformed one and
-c0, a `ScalarField`, the original one.  Both modes share one transport
-kernel and one implicit density update:
+yielded or hooked pair's arrays are never written afterwards.  A march
+holds one state at a time: it takes the initial datum from a one-shot
+holder that it empties, hands each snapshot to the caller's sink at its
+time and keeps no earlier state, so a run's memory does not grow with its
+length, its snapshots or its records.  The type of u0's companion picks
+the mode: v0, a `VectorField`, the transformed one and c0, a
+`ScalarField`, the original one.  Both modes share one transport kernel
+and one implicit density update:
 
 * transformed mode evolves (u, v) with implicit (backward-Euler or
   trapezoidal) diffusion and explicit dealiased transport chi*div(u v);
@@ -67,12 +71,22 @@ EXIT_CODES = {
 
 @dataclass
 class SimState:
-    """A run's state at one time: (u, v) in transformed mode, (u, c) in original."""
+    """A run's state at one time: (u, v) in transformed mode, (u, c) in original.
+
+    An original-mode state holds the samples s of ln c and builds
+    c = exp(s), a fresh array, each time ``c`` is read.
+    """
 
     t: float
     u: ScalarField
     v: VectorField | None = None
-    c: ScalarField | None = None
+    s: np.ndarray | None = None
+
+    @property
+    def c(self) -> ScalarField | None:
+        if self.s is None:
+            return None
+        return ScalarField(self.u.grid, np.exp(self.s), check=False)
 
 
 @dataclass
@@ -107,11 +121,13 @@ class StepperConfig:
 
 @dataclass
 class Trajectory:
-    """The structured terminal status of a run, with its snapshots."""
+    """The structured terminal status of a run: its outcome, the state at
+    t_end (None after a halt), why it halted and the drift-integral monitor.
+    It keeps no field history and no snapshot: `march` hands each snapshot
+    to the caller's sink when it takes it."""
 
     outcome: RunOutcome
     final_state: SimState | None
-    snapshots: list            # (t, {"u": array, ...}) pairs
     message: str = ""
     blowup_integral: float = 0.0
 
@@ -168,20 +184,22 @@ def _advance_density(grid, uh, dt, scheme, t_hat, predictor_transport):
     return uh1
 
 
-def _advance_transformed(grid, uh, grad_u, v, dt, chi, scheme, t_hat):
-    """One IMEX step from the node (uh, grad u, v) to (uh1, u1, grad u1, v1).
+def _advance_transformed(grid, uh, w, dt, chi, scheme, t_hat):
+    """One IMEX step from the node (uh, w) to (uh1, u1, grad u1, v1).
 
     v moves by the trapezoid of grad(u) at both levels, in physical space:
-    w = v + dt/2 grad(u), then v1 = w + dt/2 grad(u1).
+    the caller forms w = v + dt/2 grad(u), the step's own array, and the
+    step completes it to v1 = w + dt/2 grad(u1) in place, a component at a
+    time.
     """
-    w = v + (0.5 * dt) * grad_u
     uh1 = _advance_density(
         grid, uh, dt, scheme, t_hat,
         lambda uh_p: _predictor_transport_hat(
             grid, np.fft.irfft2(uh_p, s=grid.shape), w, dt, chi))
     u1 = np.fft.irfft2(uh1, s=grid.shape)
     grad_u1 = grid._gradient(uh1)
-    w += (0.5 * dt) * grad_u1   # w is this step's own array: it becomes v1
+    for w_i, g_i in zip(w, grad_u1):
+        w_i += (0.5 * dt) * g_i
     return uh1, u1, grad_u1, w
 
 
@@ -222,8 +240,8 @@ def _cfl_dt(grid, grad_u, v2_max, chi, cfg) -> float:
     return min(cfg.cfl_number * grid.spacing / speed, cfg.dt)
 
 
-def march(u0: ScalarField, companion, cfg: StepperConfig, params: ChemistryParams,
-          p0: float = 6.0, snapshot_times=()):
+def march(data: list, cfg: StepperConfig, params: ChemistryParams, p0: float = 6.0,
+          snapshot_times=(), snapshot_sink=None):
     """Advance matched initial data to t_end (or a halt), yielding its nodes.
 
     A generator: it yields ``(state, node)`` at every record node (every
@@ -231,23 +249,39 @@ def march(u0: ScalarField, companion, cfg: StepperConfig, params: ChemistryParam
     ``StopIteration.value``) the `Trajectory` of the run.  The node carries
     t, c_linf and the running functionals, and builds no row until
     ``node.row()``.  A yielded pair's arrays are the march's own: it never
-    writes to them afterwards, and it keeps no reference to the pair, so a
-    consumer that drops it before asking for the next one holds one state
-    at a time.
+    writes to them afterwards, and it keeps no reference to the pair.
 
-    ``companion`` selects the mode: v0 (a `VectorField`) the transformed, c0
-    (a `ScalarField`) the original.  The working state is projected onto the
-    dealias band once at start.  Both modes carry s = ln c: original mode
-    evolves it, and transformed mode starts it at -mu * potential(v0) and
-    advances it by the trapezoid of -mu*u over each step, the same update as
-    the Strang pair of original mode.  A node's ``c_linf`` is exp(max s).
+    ``data`` is a one-shot holder, the list ``[u0, companion]``.  The march
+    empties it when it starts and drops the datum once it has projected it,
+    because in CPython every frame of the call chain (the study, `run`, a
+    tracer around it) keeps its arguments alive for the whole run; a caller
+    that needs the datum again keeps its own reference and hands over a
+    fresh holder.  ``companion`` selects the mode: v0 (a `VectorField`) the
+    transformed, c0 (a `ScalarField`) the original.  The working state is
+    projected onto the dealias band once at start.  Both modes carry
+    s = ln c: original mode evolves it, and transformed mode starts it at
+    -mu * potential(v0) and advances it by the trapezoid of -mu*u over each
+    step, the same update as the Strang pair of original mode.  A node's
+    ``c_linf`` is exp(max s).
 
     Every time node, t=0 included, takes one pass: the transport term, the
     node norms (`diagnostics.node_norms`), the halt test, the running
-    functionals, the yield at a record node, and the snapshots due.  The
-    halt test returns ``BLOWUP`` when a node norm is not finite or max s
-    reaches ln of the largest double, where c_linf would overflow; a
-    non-finite field makes its norm non-finite.
+    functionals, the yield at a record node, and the snapshots due.  A step
+    lands on each of ``snapshot_times``, where the march calls
+    ``snapshot_sink(t, payload)`` once, before the next step: the payload
+    maps "u", "v1" and "v2" (transformed) or "u" and "c" (original) to the
+    node's samples, under the contract of the yielded pairs (c is built for
+    the call).  Snapshot times need a sink.  The halt test returns
+    ``BLOWUP`` when a node norm is not finite or max s reaches ln of the
+    largest double, where c_linf would overflow; a non-finite field makes
+    its norm non-finite.
+
+    So a march holds one state at a time: the node's spectrum and samples
+    of u, its grad(u), v, s and transport term, and within a step that
+    step's arrays.  A transformed step forms w = v + dt/2 grad(u) and drops
+    v and grad(u) before it builds their successors.  It keeps no datum,
+    snapshot or earlier state; a consumer that drops each pair before
+    asking for the next holds no more.
 
     Deterministic for a fixed configuration and single-threaded execution.
     Halts surface as the trajectory outcome, never as silent truncation:
@@ -255,6 +289,10 @@ def march(u0: ScalarField, companion, cfg: StepperConfig, params: ChemistryParam
     ``CHEMICAL_EXTINCTION`` with a message, at t=0 before any node, and a
     c0 that is not finite returns ``BLOWUP`` the same way.
     """
+    if snapshot_times and snapshot_sink is None:
+        raise ValueError("snapshot_times need a snapshot_sink")
+    u0, companion = data
+    data.clear()
     grid = u0.grid
     shape = grid.shape
     mu, chi = params.mu, params.chi
@@ -274,32 +312,30 @@ def march(u0: ScalarField, companion, cfg: StepperConfig, params: ChemistryParam
         c_min, c_max = companion.values.min(), companion.values.max()
         if c_min <= C_FLOOR:
             return Trajectory(
-                outcome=RunOutcome.CHEMICAL_EXTINCTION,
-                final_state=None, snapshots=[],
+                outcome=RunOutcome.CHEMICAL_EXTINCTION, final_state=None,
                 message=f"chemical under floor at t=0 (min c = {c_min})")
         if not np.isfinite(c_max):
             return Trajectory(
-                outcome=RunOutcome.BLOWUP,
-                final_state=None, snapshots=[],
+                outcome=RunOutcome.BLOWUP, final_state=None,
                 message=f"chemical not finite at t=0 (max c = {c_max})")
         sh = dealias(np.fft.rfft2(np.log(companion.values)))
         s = np.fft.irfft2(sh, s=shape)
         v, grad_u = _drift(grid, sh, mu), None   # grad u only where it is read
     else:
         raise ValueError(f"companion {type(companion).__name__} selects no mode")
+    del u0, companion
 
     recorder = diag.TrajectoryRecorder(chi=chi, p0=p0)
-    snapshots: list = []
     pending_snaps = sorted(float(ts) for ts in snapshot_times)
 
     def current_state(t, u_field, v_field):
         if transformed:
             return SimState(t=t, u=u_field, v=v_field)
-        return SimState(t=t, u=u_field, c=ScalarField(grid, np.exp(s), check=False))
+        return SimState(t=t, u=u_field, s=s)
 
     def emit(t, aux, s_max):
-        # a function of its own, so that the state's c lives only in the
-        # yielded pair, never in the generator's frame
+        # a function of its own, so that the pair lives only with the
+        # consumer, never in the generator's frame across a step
         u_field = ScalarField(grid, u, check=False)
         v_field = VectorField(grid, v, check=False)
         node = diag.Node(t=t, c_linf=float(np.exp(s_max)), a1=recorder.a1,
@@ -317,7 +353,7 @@ def march(u0: ScalarField, companion, cfg: StepperConfig, params: ChemistryParam
 
     while True:
         # the node at t; u, uh, v, grad_u and s are rebound by every step,
-        # never written in place, so yielded pairs may keep them
+        # never written in place, so yielded pairs and snapshots may keep them
         t_hat = _transport_hat(grid, u, v, chi)
         aux = diag.node_norms(grid, uh, t_hat, v)
         s_max = float(s.max())
@@ -334,12 +370,10 @@ def march(u0: ScalarField, companion, cfg: StepperConfig, params: ChemistryParam
         if nstep % cfg.record_every == 0 or done:
             yield emit(t, aux, s_max)
         while pending_snaps and t >= pending_snaps[0] - _time_tol(t):
-            payload = {"u": u.copy()}
             if transformed:
-                payload["v1"], payload["v2"] = v[0].copy(), v[1].copy()
+                snapshot_sink(t, {"u": u, "v1": v[0], "v2": v[1]})
             else:
-                payload["c"] = np.exp(s)
-            snapshots.append((t, payload))
+                snapshot_sink(t, {"u": u, "c": np.exp(s)})
             pending_snaps.pop(0)
         if done:
             break
@@ -353,10 +387,13 @@ def march(u0: ScalarField, companion, cfg: StepperConfig, params: ChemistryParam
             dt = pending_snaps[0] - t   # land a step on the requested time
 
         if transformed:
-            u_prev = u
+            w = grad_u * (0.5 * dt)
+            w += v                    # w = v + dt/2 grad(u)
+            u_prev, v, grad_u = u, None, None
             uh, u, grad_u, v = _advance_transformed(
-                grid, uh, grad_u, v, dt, chi, cfg.scheme, t_hat)
+                grid, uh, w, dt, chi, cfg.scheme, t_hat)
             s = s - (0.5 * dt * mu) * (u_prev + u)
+            del u_prev
         else:
             u, s, uh, sh = _advance_original(grid, u, s, uh, sh, dt, params,
                                              cfg.scheme, t_hat)
@@ -373,22 +410,22 @@ def march(u0: ScalarField, companion, cfg: StepperConfig, params: ChemistryParam
     if outcome is RunOutcome.COMPLETED:
         final_state = current_state(t, ScalarField(grid, u, check=False),
                                     VectorField(grid, v, check=False))
-    return Trajectory(outcome=outcome, final_state=final_state,
-                      snapshots=snapshots, message=message,
+    return Trajectory(outcome=outcome, final_state=final_state, message=message,
                       blowup_integral=recorder.blowup_integral)
 
 
-def run(u0: ScalarField, companion, cfg: StepperConfig, params: ChemistryParams,
-        p0: float = 6.0, recorders=(), snapshot_times=()) -> Trajectory:
-    """Drain `march`, whose ``companion`` selects the system, and return its
-    `Trajectory`.
+def run(data: list, cfg: StepperConfig, params: ChemistryParams, p0: float = 6.0,
+        recorders=(), snapshot_times=(), snapshot_sink=None) -> Trajectory:
+    """Drain `march` from the one-shot holder ``data`` = [u0, companion],
+    whose companion selects the system, and return its `Trajectory`.
 
     Each hook in ``recorders`` is called as ``hook(state, node)`` at every
     record node, under the contract of the yielded pairs: a hook may keep
     their arrays but must not write to them.  Nothing is collected: a hook
-    builds the rows it reads with ``node.row()``.
+    builds the rows it reads with ``node.row()``, and ``snapshot_sink``
+    receives the snapshots at ``snapshot_times`` (see `march`).
     """
-    marching = march(u0, companion, cfg, params, p0, snapshot_times)
+    marching = march(data, cfg, params, p0, snapshot_times, snapshot_sink)
     while True:
         try:
             state, node = next(marching)

@@ -133,8 +133,12 @@ class Grid:
 
     def _gradient(self, zh: np.ndarray) -> np.ndarray:
         """Samples of grad(z), a (2, N, N) array, from z's half spectrum zh."""
-        return np.stack([np.fft.irfft2(self._ikx * zh, s=self.shape),
-                         np.fft.irfft2(self._iky * zh, s=self.shape)])
+        # filled a component at a time: a stack would hold both components
+        # beside it, and irfft2 writes into no given array (out= is ignored)
+        out = np.empty((2,) + self.shape)
+        out[0] = np.fft.irfft2(self._ikx * zh, s=self.shape)
+        out[1] = np.fft.irfft2(self._iky * zh, s=self.shape)
+        return out
 
     def coordinates(self) -> tuple[np.ndarray, np.ndarray]:
         """Cell-center sample coordinates (X, Y), each N x N."""

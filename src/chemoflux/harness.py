@@ -20,15 +20,20 @@ the datum of every member, the only place where the config's ``mode``
 picks the companion, so data it cannot build is a `ConfigError` before
 any output; `_output` makes the output directory and writes the config
 echo there; `_map` maps the study's distinct members over ``threads``
-worker threads and `_solve` runs each through `run`; `_completed` raises
+worker threads and `_solve` runs each through `run`, handing over the
+datum in a one-shot holder ``[u0, companion]`` that the member's `march`
+empties, so no study keeps a member's unprojected datum while it runs
+(only the refinement, whose grids each serve several step sizes, keeps
+its data and hands over a fresh holder per member); `_completed` raises
 `RunHalted`, carrying the `RunOutcome`, for a member that halted where the
 study needs a completed run; the study writes its table through `_write_csv` (a
 ``# chemoflux-diagnostics-v1`` line, a header line, numbers to 17
 significant digits) and returns its rows.  Only the single run builds
-diagnostics rows (``node.row()``), one per record node for its CSV; the
-theta scan reads the free scalars of each node, and the other studies
-read no node.  The theta scan alone builds
-inside each member, because data it cannot build is a row label there.
+diagnostics rows (``node.row()``), one per record node for its CSV, and
+takes snapshots, each written by its sink as soon as its march reaches
+the snapshot's time; the theta scan reads the free scalars of each node,
+and the other studies read no node.  The theta scan alone builds inside
+each member, because data it cannot build is a row label there.
 Cross-validation steps its two solvers in lockstep, the original mode's
 `march` inside a hook of the transformed mode's `run`, so it holds one
 state per mode.  Runs are byte-deterministic for a fixed config, and a
@@ -38,7 +43,6 @@ study's outputs do not depend on ``threads``.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -308,9 +312,12 @@ def _map(cfg: ExperimentConfig, fn, items) -> list:
 
     One thread runs in the calling thread, not in a pool of one: a worker
     thread allocates from its own malloc arena, which raises peak memory.
+    The pool's module is imported only here, since importing it costs every
+    study's start-up several milliseconds.
     """
     if cfg.threads <= 1:
         return [fn(x) for x in items]
+    from concurrent.futures import ThreadPoolExecutor
     with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
         return list(pool.map(fn, items))
 
@@ -322,21 +329,22 @@ def _matched_chemical(v0: VectorField, mu: float) -> ScalarField:
         return ScalarField(v0.grid, np.exp(-mu * phi.values), check=False)
 
 
-def _data(cfg: ExperimentConfig, recipe, grid, mode="transformed") -> tuple:
-    """A member's ``(u0, companion)``: v0, or in original ``mode`` the matched
-    chemical, the companion that selects that system.  Data that cannot be
-    built is a `ConfigError` on ``recipe``."""
+def _data(cfg: ExperimentConfig, recipe, grid, mode="transformed") -> list:
+    """A member's datum ``[u0, companion]``: v0, or in original ``mode`` the
+    matched chemical, the companion that selects that system.  The list is
+    the one-shot holder that `march` empties.  Data that cannot be built is
+    a `ConfigError` on ``recipe``."""
     try:
         u0, v0, _ = build_initial_data(recipe, grid)
     except ValueError as exc:   # u0 < 0, or a mollifier wider than L/4
         raise ConfigError("recipe", str(exc)) from None
-    return u0, _matched_chemical(v0, cfg.params.mu) if mode == "original" else v0
+    return [u0, _matched_chemical(v0, cfg.params.mu) if mode == "original" else v0]
 
 
-def _solve(cfg: ExperimentConfig, data, stepper, **kwargs) -> Trajectory:
-    """Run a member from its ``(u0, companion)``."""
-    u0, companion = data
-    return run(u0, companion, stepper, cfg.params, p0=cfg.recipe.p0, **kwargs)
+def _solve(cfg: ExperimentConfig, data: list, stepper, **kwargs) -> Trajectory:
+    """Run a member from its datum holder ``[u0, companion]``, which the run
+    empties."""
+    return run(data, stepper, cfg.params, p0=cfg.recipe.p0, **kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -358,10 +366,10 @@ def run_single(cfg: ExperimentConfig, out_dir=None) -> tuple:
     out = _output(cfg, out_dir)
     records = []
     traj = _solve(cfg, data, cfg.stepper, snapshot_times=cfg.snapshot_times,
+                  snapshot_sink=lambda t, payload: write_snapshot(
+                      out / f"snapshot_{t:.6f}.cfx", list(payload.values())),
                   recorders=(lambda _, node: records.append(node.row()),))
     write_diagnostics_csv(out / "diagnostics.csv", records)
-    for t, payload in traj.snapshots:
-        write_snapshot(out / f"snapshot_{t:.6f}.cfx", list(payload.values()))
 
     fits = []   # (DecayFit, reference rate or None)
     t_final = records[-1].t if records else 0.0   # t=0 halt
@@ -442,7 +450,8 @@ def run_refinement(cfg: ExperimentConfig, out_dir=None) -> list:
 
     def final_u(member):
         n, dt = member
-        return _completed(_solve(cfg, data[n], steppers[dt])).final_state.u.values
+        holder = list(data[n])   # a fresh one: each grid's datum serves every dt
+        return _completed(_solve(cfg, holder, steppers[dt])).final_state.u.values
 
     members = list(dict.fromkeys(in_time + in_space))
     finals = dict(zip(members, _map(cfg, final_u, members)))
@@ -494,20 +503,21 @@ def run_cross_validate(cfg: ExperimentConfig, out_dir=None) -> list:
                             dt_mode="fixed") for n in ns]
     except ValueError as exc:   # a coarse member's dt exceeds t_end
         raise ConfigError("xval.n_list", f"{_joined(ns)}: {exc}") from None
-    members = []   # (stepper, (u0, v0), c0)
+    members = []   # (stepper, [u0, v0], [u0, c0]): one holder per mode
     for n, stepper in zip(ns, steppers):
         data = _data(cfg, cfg.recipe, Grid(cfg.grid.side_length, n))
         c0 = _matched_chemical(data[1], cfg.params.mu)
         if c0.values.min() <= C_FLOOR:
             raise ConfigError("recipe", "matched chemical is at or below the "
                               f"extinction floor {C_FLOOR}")
-        members.append((stepper, data, c0))
+        members.append((stepper, data, [data[0], c0]))
+    del data, c0   # the holders alone keep the data, until the marches take them
     out = _output(cfg, out_dir)
 
     def discrepancies(member):
-        stepper, data, c0 = member
-        grid = c0.grid
-        partner = march(data[0], c0, stepper, cfg.params, p0=cfg.recipe.p0)
+        stepper, data, original = member
+        grid = data[0].grid
+        partner = march(original, stepper, cfg.params, p0=cfg.recipe.p0)
         max_du = 0.0
         max_dv = 0.0
 
@@ -562,9 +572,9 @@ def run_theta_scan(cfg: ExperimentConfig, out_dir=None) -> list:
     out = _output(cfg, out_dir)
 
     def scan_one(amp):
-        try:
-            u0, v0, summary = build_initial_data(replace(cfg.recipe, amplitude=amp),
-                                                 cfg.grid)
+        try:   # data = [u0, v0], the holder that the run empties
+            *data, summary = build_initial_data(replace(cfg.recipe, amplitude=amp),
+                                                cfg.grid)
         except ValueError:
             return (amp, float("nan"), float("nan"), "invalid_data",
                     False, float("nan"), float("nan"), False, False)
@@ -577,7 +587,7 @@ def run_theta_scan(cfg: ExperimentConfig, out_dir=None) -> list:
             if node.t >= 1.0:
                 settled.append(sup_deviation(node.u.values))
 
-        traj = _solve(cfg, (u0, v0), cfg.stepper, recorders=(keep,))
+        traj = _solve(cfg, data, cfg.stepper, recorders=(keep,))
         bound = 1.5 * summary.theta0_raw
         a1_ok = a1 <= bound if summary.theta0_raw > 0 else True
         lemma34_ok = bool(settled) and all(x <= 0.25 for x in settled)

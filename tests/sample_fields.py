@@ -11,7 +11,7 @@ def run_rows(u0, companion, cfg, params=None, recorders=(), **kwargs):
     """``run`` that builds the diagnostics row of each record node; returns
     the trajectory and the rows.  The hooks in ``recorders`` follow it."""
     rows = []
-    traj = run(u0, companion, cfg, params or ChemistryParams(),
+    traj = run([u0, companion], cfg, params or ChemistryParams(),
                recorders=(lambda _, node: rows.append(node.row()), *recorders),
                **kwargs)
     return traj, rows

@@ -57,7 +57,7 @@ class TestCStep:
     def test_zero_density_leaves_chemical(self, grid32):
         c0 = ScalarField(grid32, np.exp(0.3 * band_limited_field(grid32, 1).values))
         kept = []
-        traj = run(constant_field(grid32, 0.0), c0,
+        traj = run([constant_field(grid32, 0.0), c0],
                    StepperConfig(dt=0.1, t_end=0.7), ChemistryParams(),
                    recorders=(lambda st, _: kept.append(st.c),))
         np.testing.assert_array_equal(traj.final_state.c.values, kept[0].values)
@@ -77,7 +77,7 @@ class TestCStep:
         params = ChemistryParams(chi=0.0, mu=mu)
         errs = []
         for dt in (0.1, 0.05, 0.025):
-            traj = run(u0, c0, StepperConfig(dt=dt, t_end=T), params)
+            traj = run([u0, c0], StepperConfig(dt=dt, t_end=T), params)
             errs.append(np.abs(traj.final_state.c.values - exact).max())
             assert errs[-1] <= 0.01 * dt * dt
         assert 3.5 <= errs[0] / errs[1] <= 4.5
@@ -87,7 +87,7 @@ class TestCStep:
         # u > 0 makes c pointwise nonincreasing at every step
         u0 = ScalarField(grid32, 1.0 + 0.3 * band_limited_field(grid32, 9).values ** 2)
         kept = []
-        traj = run(u0, constant_field(grid32, 1e-12),
+        traj = run([u0, constant_field(grid32, 1e-12)],
                    StepperConfig(dt=0.1, t_end=5.0, record_every=1),
                    ChemistryParams(),
                    recorders=(lambda st, _: kept.append((st.u, st.c)),))

@@ -353,7 +353,7 @@ class TestRecordAgainstOracles:
             seen.append(state.t)
 
         cfg = StepperConfig(dt=0.02, t_end=0.1, record_every=2)
-        run(u0, v0, cfg, ChemistryParams(chi=chi), p0=p0, recorders=(check,))
+        run([u0, v0], cfg, ChemistryParams(chi=chi), p0=p0, recorders=(check,))
         assert len(seen) == 4
 
     def test_curl_residual_detects_swirl(self, grid64):

@@ -51,7 +51,7 @@ def smooth_state(grid, amplitude=0.3, seed=0):
 
 
 def final_state(u0, companion, cfg, params=None):
-    traj = run(u0, companion, cfg, params or ChemistryParams())
+    traj = run([u0, companion], cfg, params or ChemistryParams())
     assert traj.outcome is RunOutcome.COMPLETED
     return traj.final_state
 
@@ -60,7 +60,7 @@ def step_sizes(u0, v0, cfg, params=None):
     """The dt of each step run() takes, from a record node at every step."""
     assert cfg.record_every == 1
     times = []
-    run(u0, v0, cfg, params or ChemistryParams(),
+    run([u0, v0], cfg, params or ChemistryParams(),
         recorders=(lambda _, node: times.append(node.t),))
     return np.diff(times)
 
@@ -117,7 +117,7 @@ class TestStepTransformed:
         # array is neither
         one = constant_field(grid32, 1.0)
         with pytest.raises(ValueError, match="ndarray selects no mode"):
-            run(one, one.values, StepperConfig(dt=0.1, t_end=1.0),
+            run([one, one.values], StepperConfig(dt=0.1, t_end=1.0),
                 ChemistryParams())
 
 
@@ -166,8 +166,8 @@ class TestStepOriginal:
     def test_positivity_and_extinction(self, grid32):
         c_mins = []
         cfg = StepperConfig(dt=0.25, t_end=10.0, record_every=1)
-        traj = run(constant_field(grid32, 1.0),
-                   constant_field(grid32, 2e-300), cfg, ChemistryParams(),
+        traj = run([constant_field(grid32, 1.0),
+                    constant_field(grid32, 2e-300)], cfg, ChemistryParams(),
                    recorders=(lambda st, _: c_mins.append(st.c.values.min()),))
         assert traj.outcome is RunOutcome.CHEMICAL_EXTINCTION
         assert c_mins and min(c_mins) > 0
@@ -214,7 +214,7 @@ def transforms(monkeypatch):
     def counted(u0, companion, cfg, rows=True):
         before = calls[0]
         hooks = (lambda _, node: node.row(),) if rows else ()
-        assert run(u0, companion, cfg, ChemistryParams(), recorders=hooks).outcome \
+        assert run([u0, companion], cfg, ChemistryParams(), recorders=hooks).outcome \
             is RunOutcome.COMPLETED
         return calls[0] - before
     return counted
@@ -300,7 +300,7 @@ class TestRun:
     def test_mean_conservation_over_thousand_steps(self, grid32):
         u0, v0 = smooth_state(grid32, amplitude=0.4, seed=7)
         cfg = StepperConfig(dt=0.005, t_end=5.0, record_every=1000)
-        traj = run(u0, v0, cfg, ChemistryParams())
+        traj = run([u0, v0], cfg, ChemistryParams())
         final = traj.final_state
         assert abs(final.u.values.mean() - u0.values.mean()) <= 1e-12
         assert abs(final.v.values[0].mean() - v0.values[0].mean()) <= 1e-12
@@ -309,7 +309,7 @@ class TestRun:
     def test_curl_free_without_reprojection(self, grid32):
         u0, v0 = smooth_state(grid32, amplitude=0.5, seed=11)
         cfg = StepperConfig(dt=0.01, t_end=3.0, record_every=50)
-        traj = run(u0, v0, cfg, ChemistryParams())
+        traj = run([u0, v0], cfg, ChemistryParams())
         v_final = traj.final_state.v
         assert lp_norm(curl2d(v_final), np.inf) <= 1e-10
         reproj = project_curl_free(v_final)
@@ -331,7 +331,7 @@ class TestRun:
         v0 = band_limited_gradient(grid, 3, kmax=8, amplitude=8.0)
         cfg = StepperConfig(dt=0.9, t_end=1000.0, scheme="imex_be",
                             record_every=10)
-        traj = run(u0, v0, cfg, ChemistryParams())
+        traj = run([u0, v0], cfg, ChemistryParams())
         assert traj.outcome is RunOutcome.BLOWUP
         assert np.isfinite(traj.blowup_integral)
         assert traj.blowup_integral > 0
@@ -342,7 +342,7 @@ class TestRun:
         u0 = constant_field(grid32, 1.0)
         c0 = constant_field(grid32, 2e-300)
         cfg = StepperConfig(dt=0.25, t_end=10.0, record_every=4)
-        traj = run(u0, c0, cfg, ChemistryParams())
+        traj = run([u0, c0], cfg, ChemistryParams())
         assert traj.outcome is RunOutcome.CHEMICAL_EXTINCTION
         assert "floor" in traj.message
         # decay at unit rate from ln(2e-300) hits the floor before t=1
@@ -360,55 +360,72 @@ class TestRun:
     def test_snapshots_captured_at_requested_times(self, grid32):
         u0, v0 = smooth_state(grid32)
         cfg = StepperConfig(dt=0.01, t_end=0.5, record_every=5)
-        traj = run(u0, v0, cfg, ChemistryParams(), snapshot_times=(0.2, 0.4))
-        assert len(traj.snapshots) == 2
-        for (t_snap, payload), expected in zip(traj.snapshots, (0.2, 0.4)):
+        snaps = []
+        run([u0, v0], cfg, ChemistryParams(), snapshot_times=(0.2, 0.4),
+            snapshot_sink=lambda t, payload: snaps.append((t, payload)))
+        assert len(snaps) == 2
+        for (t_snap, payload), expected in zip(snaps, (0.2, 0.4)):
             assert abs(t_snap - expected) <= 0.05 + 1e-12
             assert set(payload) == {"u", "v1", "v2"}
+
+    def test_snapshot_times_need_a_sink(self, grid32):
+        with pytest.raises(ValueError, match="snapshot_sink"):
+            run(list(smooth_state(grid32)), StepperConfig(dt=0.1, t_end=0.2),
+                ChemistryParams(), snapshot_times=(0.1,))
 
     def test_snapshots_land_off_record_and_off_step(self, grid32):
         # t=1.0 is a step end (20 steps of 0.05) but not a record (every 7th
         # step); t=0.525 falls inside a step, which is clipped to land on it
         u0, v0 = smooth_state(grid32)
         cfg = StepperConfig(dt=0.05, t_end=1.2, record_every=7)
-        traj, rows = run_rows(u0, v0, cfg, snapshot_times=(1.0, 0.525))
-        times = [t for t, _ in traj.snapshots]
+        snaps = []
+        traj, rows = run_rows(u0, v0, cfg, snapshot_times=(1.0, 0.525),
+                              snapshot_sink=lambda t, p: snaps.append((t, p)))
+        times = [t for t, _ in snaps]
         assert len(times) == 2
         assert abs(times[0] - 0.525) <= 1e-12
         assert abs(times[1] - 1.0) <= 1e-12
         assert abs(rows[-1].t - 1.2) <= 1e-12
         # the snapshot holds the state at its own time: the same run cut
         # there ends on the same fields
-        cut = run(u0, v0, StepperConfig(dt=0.05, t_end=0.525),
+        cut = run([u0, v0], StepperConfig(dt=0.05, t_end=0.525),
                   ChemistryParams())
-        assert np.array_equal(traj.snapshots[0][1]["u"], cut.final_state.u.values)
+        assert np.array_equal(snaps[0][1]["u"], cut.final_state.u.values)
 
     def test_on_step_snapshot_adds_no_step(self, grid32):
         u0, v0 = smooth_state(grid32)
         cfg = StepperConfig(dt=0.05, t_end=1.2, record_every=1)
         _, plain = run_rows(u0, v0, cfg)
-        _, snapped = run_rows(u0, v0, cfg, snapshot_times=(1.0,))
+        _, snapped = run_rows(u0, v0, cfg, snapshot_times=(1.0,),
+                              snapshot_sink=lambda *_: None)
         assert [r.t for r in snapped] == [r.t for r in plain]
 
     def test_hook_states_are_distinct_and_unchanged(self, grid32):
-        # run() hands hooks its live arrays without copying; it must never
-        # write to them afterwards
+        # run() hands hooks and the snapshot sink its live arrays without
+        # copying; it must never write to them afterwards
         u0 = ScalarField(grid32, 1.0 + 0.3 * band_limited_field(grid32, 4,
                                                                  kmax=14).values)
         v0 = band_limited_gradient(grid32, 5, kmax=14, amplitude=0.3)
         for companion in (v0, ScalarField(grid32, np.exp(
                 0.2 * band_limited_field(grid32, 6).values))):
-            kept, at_hook = [], []
+            kept, at_hook, snapped = [], [], []
 
             def hook(state, _):
                 arrays = [state.u.values,
-                          state.c.values if state.v is None else state.v.values]
+                          state.s if state.v is None else state.v.values]
                 kept.append(arrays)
                 at_hook.append([a.copy() for a in arrays])
 
+            def sink(_, payload):
+                snapped.extend((a, a.copy()) for a in payload.values())
+
             cfg = StepperConfig(dt=0.02, t_end=0.2, record_every=2)
-            run(u0, companion, cfg, ChemistryParams(), recorders=(hook,))
+            run([u0, companion], cfg, ChemistryParams(), recorders=(hook,),
+                snapshot_times=(0.06, 0.1), snapshot_sink=sink)
             assert len(kept) == 6
+            assert len(snapped) == 2 * (3 if companion is v0 else 2)   # 2 times
+            for a, b in snapped:
+                np.testing.assert_array_equal(a, b)
             flat = [a for arrays in kept for a in arrays]
             for i, a in enumerate(flat):
                 assert not any(np.shares_memory(a, b) for b in flat[i + 1:])
@@ -425,10 +442,11 @@ class TestRun:
     def test_extinct_initial_chemical_halts_at_start(self, grid32):
         vals = np.ones((32, 32))
         vals[3, 4] = 0.0
+        snaps = []
         traj, rows = run_rows(constant_field(grid32, 1.0), ScalarField(grid32, vals),
-                              StepperConfig(dt=0.1, t_end=1.0),
-                              snapshot_times=(0.0,))
+                              StepperConfig(dt=0.1, t_end=1.0), snapshot_times=(0.0,),
+                              snapshot_sink=lambda *snap: snaps.append(snap))
         assert traj.outcome is RunOutcome.CHEMICAL_EXTINCTION
         assert "t=0" in traj.message and "floor" in traj.message
-        assert rows == [] and traj.snapshots == []
+        assert rows == [] and snaps == []
         assert traj.final_state is None

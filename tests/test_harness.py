@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -318,9 +319,9 @@ def test_refine_runs_each_member_and_builds_each_grid_once(tmp_path, monkeypatch
     runs, builds = [], []
     real_run, real_build = harness.run, harness.build_initial_data
 
-    def counting_run(u0, companion, stepper, *args, **kwargs):
-        runs.append((u0.grid.resolution, stepper.dt))
-        return real_run(u0, companion, stepper, *args, **kwargs)
+    def counting_run(data, stepper, *args, **kwargs):
+        runs.append((data[0].grid.resolution, stepper.dt))
+        return real_run(data, stepper, *args, **kwargs)
 
     def counting_build(recipe, grid):
         builds.append(grid.resolution)
@@ -399,14 +400,15 @@ def test_xval_refuses_unmatched_records(tmp_path, monkeypatch, skew, message):
     skew = dict(skew)
     margin = skew.pop("floor_margin", None)
 
-    def skewed_march(u0, c0, cfg, params, **kw):
+    def skewed_march(data, cfg, params, **kw):
+        c0 = data[1]
         assert isinstance(c0, ScalarField)   # the transformed run goes through run()
         if margin is not None:
             # a constant factor leaves v = -(1/mu) grad ln c as it was, but
             # puts min c just above the floor, where decay soon takes it
             scale = C_FLOOR * math.exp(margin) / c0.values.min()
-            c0 = ScalarField(c0.grid, scale * c0.values)
-        return real_march(u0, c0, replace(cfg, **skew), params, **kw)
+            data[1] = ScalarField(c0.grid, scale * c0.values)
+        return real_march(data, replace(cfg, **skew), params, **kw)
 
     monkeypatch.setattr(harness, "march", skewed_march)
     cfg = parse_config("study = cross_validate\n" + BASE)
@@ -439,6 +441,54 @@ def test_xval_memory_does_not_grow_with_the_horizon(tmp_path):
 
     peak(0.3)   # warm-up: one-time allocations are not the horizon's
     assert peak(1.5) - peak(0.3) < 2 * state_bytes
+
+
+def test_single_run_memory_does_not_grow_with_its_snapshots(tmp_path):
+    # each snapshot is written when the march reaches its time and dropped,
+    # and the march holds one state (u, its spectrum, grad u, v, s and the
+    # transport term, about three states' bytes) plus a step's arrays
+    n = 32
+    state_bytes = 3 * n * n * 8   # u and the two components of v
+
+    def peak(count):
+        # 12 steps of 0.05 to t = 0.6; the snapshots land on the first steps
+        times = ",".join(f"{0.05 * k:.2f}" for k in range(1, count + 1))
+        cfg = parse_config("study = single_run\n" + BASE.replace(
+            "stepper.t_end = 0.3", "stepper.t_end = 0.6")
+            + f"snapshot_times = {times}\n")
+        tracemalloc.start()
+        try:
+            harness.run_single(cfg, out_dir=tmp_path / str(count))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(2)   # warm-up: one-time allocations are not the snapshots'
+    two, twelve = peak(2), peak(12)
+    assert len(list((tmp_path / "12").glob("snapshot_*.cfx"))) == 12
+    assert twelve - two < state_bytes
+    assert max(two, twelve) < 8 * state_bytes
+
+
+def test_snapshot_is_on_disk_before_the_next_record(tmp_path, monkeypatch):
+    # the single run writes a snapshot when its march reaches the time,
+    # before the next step, not when the run ends
+    seen = []
+    real_record = TrajectoryRecorder.make_record
+    times = (0.1, 0.2)
+    out = tmp_path / "out"
+
+    def looking(self, node):
+        seen.append((node.t, [(out / f"snapshot_{ts:.6f}.cfx").is_file()
+                              for ts in times]))
+        return real_record(self, node)
+
+    monkeypatch.setattr(TrajectoryRecorder, "make_record", looking)
+    cfg = parse_config("study = single_run\nsnapshot_times = 0.1,0.2\n" + BASE)
+    harness.run_single(cfg, out_dir=out)
+    assert len(seen) == 7   # 6 steps of 0.05, a record at each node
+    for t, on_disk in seen:
+        assert on_disk == [t > ts + 1e-12 for ts in times], t
 
 
 # the config lines each study needs on top of BASE
@@ -544,6 +594,42 @@ def test_every_study_enters_run_before_its_first_record(tmp_path, monkeypatch,
         if study != "theta_scan":
             assert "build" in events, subcommand
             assert "build" not in events[events.index("output"):], subcommand
+    capsys.readouterr()
+
+
+def test_studies_hand_over_each_datum(tmp_path, monkeypatch, capsys):
+    # a member's march empties the holder of its datum and drops the
+    # unprojected fields once it has projected them, so no frame of the
+    # study keeps them while the member runs; only the refinement, whose
+    # grids each serve several step sizes, keeps its data
+    refs, alive = [], []
+    real_build, real_node = harness.build_initial_data, TrajectoryRecorder.on_node
+
+    def build(recipe, grid):
+        u0, v0, summary = real_build(recipe, grid)
+        refs.extend((weakref.ref(u0.values), weakref.ref(v0.values)))
+        return u0, v0, summary
+
+    def on_node(self, t, aux):
+        alive.append(sum(ref() is not None for ref in refs))
+        return real_node(self, t, aux)
+
+    monkeypatch.setattr(harness, "build_initial_data", build)
+    monkeypatch.setattr(TrajectoryRecorder, "on_node", on_node)
+    small = BASE.replace("grid.N = 32", "grid.N = 16")
+    for subcommand, study, *_ in STUDY_COMMANDS:
+        if study == "refinement":
+            continue
+        refs.clear()
+        alive.clear()
+        code, _ = cli(tmp_path, subcommand, f"study = {study}\n"
+                      + STUDY_EXTRA[study] + small)
+        assert code == 0, subcommand
+        assert alive and alive[-1] == 0, subcommand
+        # later members' data wait; an earlier member's never come back
+        assert alive == sorted(alive, reverse=True), subcommand
+        if study in ("single_run", "theta_scan"):
+            assert set(alive) == {0}, subcommand
     capsys.readouterr()
 
 
