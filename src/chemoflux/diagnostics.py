@@ -12,8 +12,9 @@ functionals, and of max |v|^2, which the CFL bound reads: the stepper
 takes it once per time node, the u norms by Parseval and the v norms from
 one |v|^2 pass over the samples, and `TrajectoryRecorder` accumulates the
 functionals from it.  The stepper yields a `Node` at each record node: the
-scalars that are free there (t, c_linf and the functionals so far) and
-what a row needs.  A `DiagnosticsRecord` is one CSV row, built by
+state there, the scalars that are free there (c_linf and the functionals
+so far) and what a row needs; a completed run's last node is its final
+state.  A `DiagnosticsRecord` is one CSV row, built by
 ``node.row()`` only where a consumer reads one: `make_record` reads its
 norm columns from the node's norms and the rest from one pass of three
 half-spectrum transforms, given the node's samples of grad(u) (two more
@@ -284,14 +285,15 @@ class TrajectoryRecorder:
 
 @dataclass(frozen=True)
 class Node:
-    """A record node of a run: the scalars that are free there, and what its
-    row needs.
+    """A record node of a run: its state, the scalars that are free there,
+    and what its row needs.
 
     ``a1``, ``a2``, ``a3`` and ``blowup_integral`` are the recorder's running
-    values frozen at the node.  ``u`` and ``v`` are the node's samples,
-    ``uh`` the half spectrum of u and ``grad_u`` the samples of grad(u), or
-    None where the stepper did not take them.  The arrays are the stepper's
-    own, which it never writes afterwards.
+    values frozen at the node.  ``u``, ``v`` (the drift, in either mode) and
+    ``s`` (ln c) are the node's samples, ``uh`` the half spectrum of u and
+    ``grad_u`` the samples of grad(u), or None where the stepper did not
+    take them.  The arrays are the stepper's own, which it never writes
+    afterwards.
     """
 
     t: float
@@ -305,6 +307,7 @@ class Node:
     u: ScalarField
     v: VectorField
     grad_u: np.ndarray | None
+    s: np.ndarray
     recorder: TrajectoryRecorder
 
     def row(self) -> DiagnosticsRecord:

@@ -1,12 +1,13 @@
 """Time integration of the coupled density-drift and density-chemical systems.
 
-``march`` is the only stepper: a generator that yields ``(state, node)``
-at each record node and returns the `Trajectory` when it ends; ``run``
-drains it and calls its hooks on each pair.  A `diagnostics.Node` carries
-the scalars that are free at it and builds its diagnostics row on
+``march`` is the only stepper: a generator that yields a `diagnostics.Node`
+at each record node and returns the `Trajectory` when it ends, whose final
+state is the last node it yielded; ``run`` drains it and calls its hooks
+on each node.  A node carries the state (t, u, v and s = ln c) and the
+scalars that are free at it, and builds its diagnostics row on
 ``node.row()``, so a consumer pays for a row only where it reads one.  A
-yielded or hooked pair's arrays are never written afterwards.  A march
-holds one state at a time: it takes the initial datum from a one-shot
+yielded node's arrays are never written afterwards.  A march holds one
+state at a time: it takes the initial datum from a one-shot
 holder that it empties, hands each snapshot to the caller's sink at its
 time and keeps no earlier state, so a run's memory does not grow with its
 length, its snapshots or its records.  The type of u0's companion picks
@@ -70,26 +71,6 @@ EXIT_CODES = {
 
 
 @dataclass
-class SimState:
-    """A run's state at one time: (u, v) in transformed mode, (u, c) in original.
-
-    An original-mode state holds the samples s of ln c and builds
-    c = exp(s), a fresh array, each time ``c`` is read.
-    """
-
-    t: float
-    u: ScalarField
-    v: VectorField | None = None
-    s: np.ndarray | None = None
-
-    @property
-    def c(self) -> ScalarField | None:
-        if self.s is None:
-            return None
-        return ScalarField(self.u.grid, np.exp(self.s), check=False)
-
-
-@dataclass
 class StepperConfig:
     dt: float = 0.01
     t_end: float = 1.0
@@ -121,15 +102,14 @@ class StepperConfig:
 
 @dataclass
 class Trajectory:
-    """The structured terminal status of a run: its outcome, the state at
-    t_end (None after a halt), why it halted and the drift-integral monitor.
-    It keeps no field history and no snapshot: `march` hands each snapshot
-    to the caller's sink when it takes it."""
+    """The structured terminal status of a run: its outcome, its node at
+    t_end (None after a halt) and why it halted; a blow-up's message names
+    the drift-integral monitor.  It keeps no field history and no snapshot:
+    `march` hands each snapshot to the caller's sink when it takes it."""
 
     outcome: RunOutcome
-    final_state: SimState | None
+    final_state: diag.Node | None
     message: str = ""
-    blowup_integral: float = 0.0
 
 
 def _transport_hat(grid: Grid, u, v, chi: float):
@@ -244,12 +224,14 @@ def march(data: list, cfg: StepperConfig, params: ChemistryParams, p0: float = 6
           snapshot_times=(), snapshot_sink=None):
     """Advance matched initial data to t_end (or a halt), yielding its nodes.
 
-    A generator: it yields ``(state, node)`` at every record node (every
+    A generator: it yields a `diagnostics.Node` at every record node (every
     ``record_every`` steps and at t_end) and returns (as
-    ``StopIteration.value``) the `Trajectory` of the run.  The node carries
-    t, c_linf and the running functionals, and builds no row until
-    ``node.row()``.  A yielded pair's arrays are the march's own: it never
-    writes to them afterwards, and it keeps no reference to the pair.
+    ``StopIteration.value``) the `Trajectory` of the run, whose
+    ``final_state`` is the node it yielded at t_end.  The node carries the
+    state, c_linf and the running functionals, and builds no row until
+    ``node.row()``.  A yielded node's arrays are the march's own: it never
+    writes to them afterwards, and it keeps no reference to a node across a
+    step.
 
     ``data`` is a one-shot holder, the list ``[u0, companion]``.  The march
     empties it when it starts and drops the datum once it has projected it,
@@ -262,7 +244,7 @@ def march(data: list, cfg: StepperConfig, params: ChemistryParams, p0: float = 6
     s = ln c: original mode evolves it, and transformed mode starts it at
     -mu * potential(v0) and advances it by the trapezoid of -mu*u over each
     step, the same update as the Strang pair of original mode.  A node's
-    ``c_linf`` is exp(max s).
+    ``c_linf`` is exp(max s), and its v is the drift in both modes.
 
     Every time node, t=0 included, takes one pass: the transport term, the
     node norms (`diagnostics.node_norms`), the halt test, the running
@@ -270,7 +252,7 @@ def march(data: list, cfg: StepperConfig, params: ChemistryParams, p0: float = 6
     lands on each of ``snapshot_times``, where the march calls
     ``snapshot_sink(t, payload)`` once, before the next step: the payload
     maps "u", "v1" and "v2" (transformed) or "u" and "c" (original) to the
-    node's samples, under the contract of the yielded pairs (c is built for
+    node's samples, under the contract of the yielded nodes (c is built for
     the call).  Snapshot times need a sink.  The halt test returns
     ``BLOWUP`` when a node norm is not finite or max s reaches ln of the
     largest double, where c_linf would overflow; a non-finite field makes
@@ -280,7 +262,7 @@ def march(data: list, cfg: StepperConfig, params: ChemistryParams, p0: float = 6
     of u, its grad(u), v, s and transport term, and within a step that
     step's arrays.  A transformed step forms w = v + dt/2 grad(u) and drops
     v and grad(u) before it builds their successors.  It keeps no datum,
-    snapshot or earlier state; a consumer that drops each pair before
+    snapshot or earlier state; a consumer that drops each node before
     asking for the next holds no more.
 
     Deterministic for a fixed configuration and single-threaded execution.
@@ -328,32 +310,16 @@ def march(data: list, cfg: StepperConfig, params: ChemistryParams, p0: float = 6
     recorder = diag.TrajectoryRecorder(chi=chi, p0=p0)
     pending_snaps = sorted(float(ts) for ts in snapshot_times)
 
-    def current_state(t, u_field, v_field):
-        if transformed:
-            return SimState(t=t, u=u_field, v=v_field)
-        return SimState(t=t, u=u_field, s=s)
-
-    def emit(t, aux, s_max):
-        # a function of its own, so that the pair lives only with the
-        # consumer, never in the generator's frame across a step
-        u_field = ScalarField(grid, u, check=False)
-        v_field = VectorField(grid, v, check=False)
-        node = diag.Node(t=t, c_linf=float(np.exp(s_max)), a1=recorder.a1,
-                         a2=recorder.a2, a3=recorder.a3,
-                         blowup_integral=recorder.blowup_integral, aux=aux,
-                         uh=uh, u=u_field, v=v_field, grad_u=grad_u,
-                         recorder=recorder)
-        return current_state(t, u_field, v_field), node
-
     t = 0.0
     t_end = cfg.t_end
     outcome = RunOutcome.COMPLETED
     message = ""
     nstep = 0
+    node = None   # the record node at t, None at a halt and during a step
 
     while True:
         # the node at t; u, uh, v, grad_u and s are rebound by every step,
-        # never written in place, so yielded pairs and snapshots may keep them
+        # never written in place, so yielded nodes and snapshots may keep them
         t_hat = _transport_hat(grid, u, v, chi)
         aux = diag.node_norms(grid, uh, t_hat, v)
         s_max = float(s.max())
@@ -368,7 +334,13 @@ def march(data: list, cfg: StepperConfig, params: ChemistryParams, p0: float = 6
         if grad_u is None and cfg.dt_mode == "cfl" and not done:
             grad_u = grid._gradient(uh)   # original mode: the CFL bound reads it
         if nstep % cfg.record_every == 0 or done:
-            yield emit(t, aux, s_max)
+            node = diag.Node(t=t, c_linf=float(np.exp(s_max)), a1=recorder.a1,
+                             a2=recorder.a2, a3=recorder.a3,
+                             blowup_integral=recorder.blowup_integral, aux=aux,
+                             uh=uh, u=ScalarField(grid, u, check=False),
+                             v=VectorField(grid, v, check=False), grad_u=grad_u,
+                             s=s, recorder=recorder)
+            yield node
         while pending_snaps and t >= pending_snaps[0] - _time_tol(t):
             if transformed:
                 snapshot_sink(t, {"u": u, "v1": v[0], "v2": v[1]})
@@ -377,6 +349,7 @@ def march(data: list, cfg: StepperConfig, params: ChemistryParams, p0: float = 6
             pending_snaps.pop(0)
         if done:
             break
+        node = None   # else its v and grad(u) outlive the step
 
         if cfg.dt_mode == "cfl":
             dt = _cfl_dt(grid, grad_u, aux.v2_max, chi, cfg)
@@ -406,12 +379,8 @@ def march(data: list, cfg: StepperConfig, params: ChemistryParams, p0: float = 6
         t += dt
         nstep += 1
 
-    final_state = None   # fields at a halt are unusable; the yielded nodes stay
-    if outcome is RunOutcome.COMPLETED:
-        final_state = current_state(t, ScalarField(grid, u, check=False),
-                                    VectorField(grid, v, check=False))
-    return Trajectory(outcome=outcome, final_state=final_state, message=message,
-                      blowup_integral=recorder.blowup_integral)
+    # only a completed march leaves its last node: fields at a halt are unusable
+    return Trajectory(outcome=outcome, final_state=node, message=message)
 
 
 def run(data: list, cfg: StepperConfig, params: ChemistryParams, p0: float = 6.0,
@@ -419,18 +388,18 @@ def run(data: list, cfg: StepperConfig, params: ChemistryParams, p0: float = 6.0
     """Drain `march` from the one-shot holder ``data`` = [u0, companion],
     whose companion selects the system, and return its `Trajectory`.
 
-    Each hook in ``recorders`` is called as ``hook(state, node)`` at every
-    record node, under the contract of the yielded pairs: a hook may keep
-    their arrays but must not write to them.  Nothing is collected: a hook
+    Each hook in ``recorders`` is called as ``hook(node)`` at every record
+    node, under the contract of the yielded nodes: a hook may keep their
+    arrays but must not write to them.  Nothing is collected: a hook
     builds the rows it reads with ``node.row()``, and ``snapshot_sink``
     receives the snapshots at ``snapshot_times`` (see `march`).
     """
     marching = march(data, cfg, params, p0, snapshot_times, snapshot_sink)
     while True:
         try:
-            state, node = next(marching)
+            node = next(marching)
         except StopIteration as stop:
             return stop.value
         for hook in recorders:
-            hook(state, node)
-        del state, node   # else the state outlives the next step
+            hook(node)
+        del node   # else the node outlives the next step

@@ -8,9 +8,10 @@ for section None), ``parser`` reads the value text and ``formatter``
 writes it back.  `parse_config` sets only the keys a file gives, leaving
 the dataclass defaults, rejects keys outside the table and parses the
 ``grid.*`` rows first, because mollifier widths and sweep deltas accept
-the ``Xh`` suffix meaning X grid cells.  A value that fails its own range
-check is reported against its key, and values that contradict each other
-(``stepper.dt`` above ``stepper.t_end``) against their section.
+the ``Xh`` suffix meaning X grid cells.  Every real number, in a list or
+an ``Xh`` width too, is read by `_finite`.  A value that fails its own
+range check is reported against its key, and values that contradict each
+other (``stepper.dt`` above ``stepper.t_end``) against their section.
 `format_config` echoes the rows in table order, leaving out empty lists
 and the rows without a formatter (``xval.n_list``, a parse-only alias of
 ``refine.n_list``).
@@ -31,12 +32,14 @@ study needs a completed run; the study writes its table through `_write_csv` (a
 significant digits) and returns its rows.  Only the single run builds
 diagnostics rows (``node.row()``), one per record node for its CSV, and
 takes snapshots, each written by its sink as soon as its march reaches
-the snapshot's time; the theta scan reads the free scalars of each node,
-and the other studies read no node.  The theta scan alone builds inside
-each member, because data it cannot build is a row label there.
-Cross-validation steps its two solvers in lockstep, the original mode's
-`march` inside a hook of the transformed mode's `run`, so it holds one
-state per mode.  Runs are byte-deterministic for a fixed config, and a
+the snapshot's time.  A node is also the state at its time: each `run`
+hook takes one, the theta scan reads its free scalars and u, and the
+delta sweep and the refinement keep only the samples of the final node.
+The theta scan alone builds inside each member, because data it cannot
+build is a row label there.  Cross-validation steps its two solvers in
+lockstep, the original mode's `march` inside a hook of the transformed
+mode's `run`, comparing the u and v of the two nodes, so it holds one
+node per mode.  Runs are byte-deterministic for a fixed config, and a
 study's outputs do not depend on ``threads``.
 """
 
@@ -93,7 +96,16 @@ def _one_of(*choices):
     return parse
 
 
-def _numbers(cast=float, arity=None):
+def _finite(text):
+    """A finite real number: NaN passes every ``x <= 0`` range check, and an
+    infinite horizon never ends."""
+    x = float(text)
+    if not math.isfinite(x):
+        raise ValueError("must be finite")
+    return x
+
+
+def _numbers(cast=_finite, arity=None):
     """Parser of comma-separated numbers, exactly ``arity`` of them if given."""
     def parse(text):
         items = tuple(cast(x) for x in text.split(",") if x.strip())
@@ -115,14 +127,14 @@ def _resolutions(text):
 
 def _entries(arity):
     """Parser of ';'-separated entries of ``arity`` numbers each."""
-    entry = _numbers(float, arity)
+    entry = _numbers(arity=arity)
     return lambda text: tuple(entry(part) for part in text.split(";") if part.strip())
 
 
 def _width(text, spacing):
     """A width in physical units, or ``Xh`` for X grid cells of ``spacing``."""
     text = text.strip()
-    return float(text[:-1]) * spacing if text.endswith("h") else float(text)
+    return _finite(text[:-1]) * spacing if text.endswith("h") else _finite(text)
 
 
 def _widths(text, spacing):
@@ -145,23 +157,23 @@ _SCHEMA = (
     ("out_dir", None, "out_dir", str, str),
     ("mode", None, "mode", _one_of("transformed", "original"), str),
     ("threads", None, "threads", int, str),
-    ("grid.L", "grid", "side_length", float, repr),
+    ("grid.L", "grid", "side_length", _finite, repr),
     ("grid.N", "grid", "resolution", int, str),
-    ("params.chi", "params", "chi", float, repr),
-    ("params.mu", "params", "mu", float, repr),
+    ("params.chi", "params", "chi", _finite, repr),
+    ("params.mu", "params", "mu", _finite, repr),
     ("recipe.kind", "recipe", "kind", str, str),
-    ("recipe.amplitude", "recipe", "amplitude", float, repr),
-    ("recipe.p0", "recipe", "p0", float, repr),
+    ("recipe.amplitude", "recipe", "amplitude", _finite, repr),
+    ("recipe.p0", "recipe", "p0", _finite, repr),
     ("recipe.delta", "recipe", "delta", _width, repr),
     ("recipe.seed", "recipe", "seed", int, str),
     ("recipe.random_disks", "recipe", "random_disks", int, str),
-    ("recipe.bump_center", "recipe", "bump_center", _numbers(float, 2), _joined),
-    ("recipe.bump_sharpness", "recipe", "bump_sharpness", float, repr),
+    ("recipe.bump_center", "recipe", "bump_center", _numbers(arity=2), _joined),
+    ("recipe.bump_sharpness", "recipe", "bump_sharpness", _finite, repr),
     ("stepper.scheme", "stepper", "scheme", str, str),
-    ("stepper.dt", "stepper", "dt", float, repr),
+    ("stepper.dt", "stepper", "dt", _finite, repr),
     ("stepper.dt_mode", "stepper", "dt_mode", str, str),
-    ("stepper.cfl_number", "stepper", "cfl_number", float, repr),
-    ("stepper.t_end", "stepper", "t_end", float, repr),
+    ("stepper.cfl_number", "stepper", "cfl_number", _finite, repr),
+    ("stepper.t_end", "stepper", "t_end", _finite, repr),
     ("stepper.record_every", "stepper", "record_every", int, str),
     ("recipe.disks", "recipe", "disks", _entries(4), _joined_entries),
     ("recipe.stripes", "recipe", "stripes", _entries(3), _joined_entries),
@@ -233,9 +245,12 @@ def parse_config(text: str) -> ExperimentConfig:
 
 def load_config(path) -> ExperimentConfig:
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError("path", f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError("path", f"cannot read {path}: not UTF-8 text "
+                          f"({exc.reason} at byte {exc.start})") from None
     return parse_config(text)
 
 
@@ -291,7 +306,7 @@ def _completed(traj: Trajectory) -> Trajectory:
 
 
 def _next_node(marching):
-    """The next ``(state, node)`` of a march, or None once it completed."""
+    """The next node of a march, or None once it completed."""
     try:
         return next(marching)
     except StopIteration as stop:
@@ -368,7 +383,7 @@ def run_single(cfg: ExperimentConfig, out_dir=None) -> tuple:
     traj = _solve(cfg, data, cfg.stepper, snapshot_times=cfg.snapshot_times,
                   snapshot_sink=lambda t, payload: write_snapshot(
                       out / f"snapshot_{t:.6f}.cfx", list(payload.values())),
-                  recorders=(lambda _, node: records.append(node.row()),))
+                  recorders=(lambda node: records.append(node.row()),))
     write_diagnostics_csv(out / "diagnostics.csv", records)
 
     fits = []   # (DecayFit, reference rate or None)
@@ -405,13 +420,17 @@ def run_delta_sweep(cfg: ExperimentConfig, out_dir=None) -> tuple:
         raise ConfigError("sweep.deltas", "widths must be positive and at most L/4")
     data = [_data(cfg, replace(cfg.recipe, delta=d), cfg.grid) for d in deltas]
     out = _output(cfg, out_dir)
-    finals = _map(cfg, lambda datum: _completed(
-        _solve(cfg, datum, cfg.stepper)).final_state, data)
 
+    def final_uv(datum):   # only the samples: the rest of the node is dropped
+        final = _completed(_solve(cfg, datum, cfg.stepper)).final_state
+        return final.u.values, final.v.values
+
+    finals = _map(cfg, final_uv, data)
     rows = []
-    for (d1, s1), (d2, s2) in zip(zip(deltas, finals), zip(deltas[1:], finals[1:])):
-        du = lp_norm(ScalarField(cfg.grid, s1.u.values - s2.u.values, check=False), 2)
-        dv = lp_norm(VectorField(cfg.grid, s1.v.values - s2.v.values, check=False), 2)
+    for (d1, (u1, v1)), (d2, (u2, v2)) in zip(zip(deltas, finals),
+                                              zip(deltas[1:], finals[1:])):
+        du = lp_norm(ScalarField(cfg.grid, u1 - u2, check=False), 2)
+        dv = lp_norm(VectorField(cfg.grid, v1 - v2, check=False), 2)
         rows.append((d1, d2, du, dv))
     decreasing = all(r0[2] > r1[2] and r0[3] > r1[3]
                      for r0, r1 in zip(rows, rows[1:]))
@@ -490,8 +509,8 @@ def run_cross_validate(cfg: ExperimentConfig, out_dir=None) -> list:
     discretization error of the two schemes.  The two solvers step in
     lockstep: at each record of the transformed run, a hook advances the
     original-mode `march` to its next record and compares the pair on the
-    spot, so the study holds one state per mode whatever the number of
-    records.  The drift compared is the original node's v, which is
+    spot, so the study holds one node per mode whatever the number of
+    records.  Each side's u and v are its node's; the original node's v is
     -(1/mu) grad ln c from its spectrum of ln c.  Neither run builds a
     diagnostics row.  A pair at different times or a run with a record left
     over is an error, and a halted run of either mode raises `RunHalted`.
@@ -521,19 +540,19 @@ def run_cross_validate(cfg: ExperimentConfig, out_dir=None) -> list:
         max_du = 0.0
         max_dv = 0.0
 
-        def compare(st, _):
+        def compare(node):
             nonlocal max_du, max_dv
-            pair = _next_node(partner)
-            if pair is None:
+            other = _next_node(partner)
+            if other is None:
                 raise RuntimeError(f"cross-validation: transformed record at "
-                                   f"t={st.t} has no original record")
-            so, node = pair
-            if so.t != st.t:
+                                   f"t={node.t} has no original record")
+            if other.t != node.t:
                 raise RuntimeError(f"cross-validation: original record at "
-                                   f"t={so.t} and transformed record at "
-                                   f"t={st.t} are not at the same time")
-            du = lp_norm(ScalarField(grid, st.u.values - so.u.values, check=False), 2)
-            dv = lp_norm(VectorField(grid, node.v.values - st.v.values,
+                                   f"t={other.t} and transformed record at "
+                                   f"t={node.t} are not at the same time")
+            du = lp_norm(ScalarField(grid, node.u.values - other.u.values,
+                                     check=False), 2)
+            dv = lp_norm(VectorField(grid, other.v.values - node.v.values,
                                      check=False), 2)
             max_du = max(max_du, du)
             max_dv = max(max_dv, dv)
@@ -542,10 +561,10 @@ def run_cross_validate(cfg: ExperimentConfig, out_dir=None) -> list:
         # does: the first entry into `run` marks where stepping starts
         # (perfbench's setup_s ends there)
         _completed(_solve(cfg, data, stepper, recorders=(compare,)))
-        pair = _next_node(partner)
-        if pair is not None:
+        other = _next_node(partner)
+        if other is not None:
             raise RuntimeError(f"cross-validation: original record at "
-                               f"t={pair[0].t} has no transformed record")
+                               f"t={other.t} has no transformed record")
         return (grid.resolution, stepper.dt, max_du, max_dv)
 
     rows = _map(cfg, discrepancies, members)
@@ -581,7 +600,7 @@ def run_theta_scan(cfg: ExperimentConfig, out_dir=None) -> list:
         a1 = float("nan")   # a run can halt at its t=0 node, before any record
         settled = []        # u_linf at each record node from t = 1 on
 
-        def keep(_, node):
+        def keep(node):
             nonlocal a1
             a1 = node.a1
             if node.t >= 1.0:

@@ -186,10 +186,10 @@ def project_curl_free(w: VectorField) -> VectorField:
 
 
 def energy_functionals(pairs, chi: float = 1.0) -> tuple[float, float, float]:
-    """Recompute (A1, A2, A3) from a run's ``(state, record)`` pairs.
+    """Recompute (A1, A2, A3) from a run's ``(node, row)`` pairs.
 
     The norms of u and v come from each record's CSV columns and those of
-    u_t from its state.  Trapezoid integrals and suprema are taken on the
+    u_t from its node.  Trapezoid integrals and suprema are taken on the
     recording grid, so the result is cadence-limited; the running columns
     in the records are accumulated on the stepping grid and are the sharper
     estimate.

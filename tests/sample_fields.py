@@ -12,7 +12,7 @@ def run_rows(u0, companion, cfg, params=None, recorders=(), **kwargs):
     the trajectory and the rows.  The hooks in ``recorders`` follow it."""
     rows = []
     traj = run([u0, companion], cfg, params or ChemistryParams(),
-               recorders=(lambda _, node: rows.append(node.row()), *recorders),
+               recorders=(lambda node: rows.append(node.row()), *recorders),
                **kwargs)
     return traj, rows
 

@@ -16,13 +16,18 @@ threads = 1
 """
 
 
-@pytest.mark.parametrize("which", ["missing", "directory"])
+@pytest.mark.parametrize("which", ["missing", "directory", "not_utf8"])
 def test_unreadable_config_is_a_config_error(tmp_path, capsys, which):
-    path = tmp_path / "missing.cfg" if which == "missing" else tmp_path
-    assert main(["run", "--config", str(path), "--out", str(tmp_path)]) == 2
+    path = {"missing": tmp_path / "missing.cfg", "directory": tmp_path,
+            "not_utf8": tmp_path / "latin1.cfg"}[which]
+    if which == "not_utf8":
+        path.write_bytes(SMALL_RUN.encode() + b"# \xff\n")
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert err.startswith("error: ") and str(path) in err
+    assert not out.exists()
 
 
 def test_snapshot_files_named_by_requested_times(tmp_path, capsys):

@@ -59,9 +59,9 @@ class TestCStep:
         kept = []
         traj = run([constant_field(grid32, 0.0), c0],
                    StepperConfig(dt=0.1, t_end=0.7), ChemistryParams(),
-                   recorders=(lambda st, _: kept.append(st.c),))
-        np.testing.assert_array_equal(traj.final_state.c.values, kept[0].values)
-        assert np.abs(kept[0].values - c0.values).max() <= 1e-13
+                   recorders=(lambda node: kept.append(np.exp(node.s)),))
+        np.testing.assert_array_equal(np.exp(traj.final_state.s), kept[0])
+        assert np.abs(kept[0] - c0.values).max() <= 1e-13
 
     def test_matches_closed_form_at_second_order(self):
         # chi = 0: u = 1 + eps cos(kx) exp(-k^2 t) solves the heat equation,
@@ -78,7 +78,7 @@ class TestCStep:
         errs = []
         for dt in (0.1, 0.05, 0.025):
             traj = run([u0, c0], StepperConfig(dt=dt, t_end=T), params)
-            errs.append(np.abs(traj.final_state.c.values - exact).max())
+            errs.append(np.abs(np.exp(traj.final_state.s) - exact).max())
             assert errs[-1] <= 0.01 * dt * dt
         assert 3.5 <= errs[0] / errs[1] <= 4.5
         assert 3.5 <= errs[1] / errs[2] <= 4.5
@@ -90,12 +90,13 @@ class TestCStep:
         traj = run([u0, constant_field(grid32, 1e-12)],
                    StepperConfig(dt=0.1, t_end=5.0, record_every=1),
                    ChemistryParams(),
-                   recorders=(lambda st, _: kept.append((st.u, st.c)),))
+                   recorders=(lambda node: kept.append((node.u.values,
+                                                        np.exp(node.s))),))
         assert traj.outcome is RunOutcome.COMPLETED and len(kept) == 51
         for (u_prev, c_prev), (u, c) in zip(kept, kept[1:]):
-            assert (u.values > 0).all()
-            assert (c.values > 0).all()
-            assert (c.values <= c_prev.values).all()
+            assert (u > 0).all()
+            assert (c > 0).all()
+            assert (c <= c_prev).all()
 
     def test_rejects_nonpositive_dt(self):
         with pytest.raises(ValueError):

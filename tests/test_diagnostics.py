@@ -24,10 +24,10 @@ def solution_like_pair(grid, seed, amplitude=0.4):
 
 
 def run_pairs(u0, v0, cfg):
-    """A run, and the ``(state, row)`` pair of each record node."""
-    states = []
-    traj, rows = run_rows(u0, v0, cfg, recorders=(lambda st, _: states.append(st),))
-    return traj, list(zip(states, rows))
+    """A run, and the ``(node, row)`` pair of each record node."""
+    nodes = []
+    traj, rows = run_rows(u0, v0, cfg, recorders=(nodes.append,))
+    return traj, list(zip(nodes, rows))
 
 
 class TestEffectiveFlux:
@@ -330,9 +330,9 @@ class TestRecordAgainstOracles:
         u0, v0 = solution_like_pair(grid, 60, amplitude=0.3)
         seen = []
 
-        def check(state, node):
+        def check(node):
             rec = node.row()
-            u, v = state.u, state.v
+            u, v = node.u, node.v
             u_tilde = ScalarField(grid, u.values - 1.0)
             expected = {
                 "u_l2": lp_norm(u_tilde, 2),
@@ -347,10 +347,10 @@ class TestRecordAgainstOracles:
             }
             for column, value in expected.items():
                 assert getattr(rec, column) == pytest.approx(value, rel=1e-12), column
-            assert rec.sigma == min(1.0, state.t)
+            assert rec.sigma == min(1.0, node.t)
             assert rec.flux_div_residual <= 1e-12
             assert rec.flux_curl_residual <= 1e-12
-            seen.append(state.t)
+            seen.append(node.t)
 
         cfg = StepperConfig(dt=0.02, t_end=0.1, record_every=2)
         run([u0, v0], cfg, ChemistryParams(chi=chi), p0=p0, recorders=(check,))

@@ -61,7 +61,7 @@ def step_sizes(u0, v0, cfg, params=None):
     assert cfg.record_every == 1
     times = []
     run([u0, v0], cfg, params or ChemistryParams(),
-        recorders=(lambda _, node: times.append(node.t),))
+        recorders=(lambda node: times.append(node.t),))
     return np.diff(times)
 
 
@@ -147,7 +147,7 @@ class TestStepOriginal:
                           StepperConfig(dt=dt, t_end=dt),
                           ChemistryParams(chi=1.3 * 0.7, mu=mu))
         assert np.abs(out.u.values - 1.0).max() <= 1e-13
-        assert np.abs(out.c.values - 2.0 * np.exp(-mu * dt)).max() <= 1e-14
+        assert np.abs(np.exp(out.s) - 2.0 * np.exp(-mu * dt)).max() <= 1e-14
 
     def test_decoupled_heat_mode_decay(self):
         # chi = 0 turns the density equation into pure diffusion; a single
@@ -168,7 +168,7 @@ class TestStepOriginal:
         cfg = StepperConfig(dt=0.25, t_end=10.0, record_every=1)
         traj = run([constant_field(grid32, 1.0),
                     constant_field(grid32, 2e-300)], cfg, ChemistryParams(),
-                   recorders=(lambda st, _: c_mins.append(st.c.values.min()),))
+                   recorders=(lambda node: c_mins.append(np.exp(node.s).min()),))
         assert traj.outcome is RunOutcome.CHEMICAL_EXTINCTION
         assert c_mins and min(c_mins) > 0
 
@@ -213,7 +213,7 @@ def transforms(monkeypatch):
 
     def counted(u0, companion, cfg, rows=True):
         before = calls[0]
-        hooks = (lambda _, node: node.row(),) if rows else ()
+        hooks = (lambda node: node.row(),) if rows else ()
         assert run([u0, companion], cfg, ChemistryParams(), recorders=hooks).outcome \
             is RunOutcome.COMPLETED
         return calls[0] - before
@@ -333,9 +333,8 @@ class TestRun:
                             record_every=10)
         traj = run([u0, v0], cfg, ChemistryParams())
         assert traj.outcome is RunOutcome.BLOWUP
-        assert np.isfinite(traj.blowup_integral)
-        assert traj.blowup_integral > 0
-        assert "monitor" in traj.message
+        monitor = float(traj.message.split("monitor = ")[1])
+        assert np.isfinite(monitor) and monitor > 0
         assert traj.final_state is None
 
     def test_extinction_reported_as_outcome(self, grid32):
@@ -400,19 +399,26 @@ class TestRun:
                               snapshot_sink=lambda *_: None)
         assert [r.t for r in snapped] == [r.t for r in plain]
 
+    @staticmethod
+    def node_data(grid):
+        """u0 with modes beyond the dealias band, and both companions."""
+        u0 = ScalarField(grid, 1.0 + 0.3 * band_limited_field(grid, 4,
+                                                               kmax=14).values)
+        v0 = band_limited_gradient(grid, 5, kmax=14, amplitude=0.3)
+        c0 = ScalarField(grid, np.exp(0.2 * band_limited_field(grid, 6).values))
+        return u0, (v0, c0)
+
     def test_hook_states_are_distinct_and_unchanged(self, grid32):
         # run() hands hooks and the snapshot sink its live arrays without
         # copying; it must never write to them afterwards
-        u0 = ScalarField(grid32, 1.0 + 0.3 * band_limited_field(grid32, 4,
-                                                                 kmax=14).values)
-        v0 = band_limited_gradient(grid32, 5, kmax=14, amplitude=0.3)
-        for companion in (v0, ScalarField(grid32, np.exp(
-                0.2 * band_limited_field(grid32, 6).values))):
+        u0, (v0, c0) = self.node_data(grid32)
+        for companion in (v0, c0):
             kept, at_hook, snapped = [], [], []
 
-            def hook(state, _):
-                arrays = [state.u.values,
-                          state.s if state.v is None else state.v.values]
+            def hook(node):
+                arrays = [node.u.values, node.v.values, node.s, node.uh]
+                if node.grad_u is not None:
+                    arrays.append(node.grad_u)
                 kept.append(arrays)
                 at_hook.append([a.copy() for a in arrays])
 
@@ -438,6 +444,17 @@ class TestRun:
             assert np.abs(u0.values - kept[0][0]).max() > 1e-6
             np.testing.assert_allclose(kept[0][0], dealias(u0).values,
                                        rtol=0, atol=1e-14)
+
+    def test_final_state_is_the_last_node(self, grid32):
+        u0, companions = self.node_data(grid32)
+        for companion in companions:
+            nodes = []
+            traj = run([u0, companion], StepperConfig(dt=0.02, t_end=0.2,
+                                                      record_every=3),
+                       ChemistryParams(), recorders=(nodes.append,))
+            assert traj.outcome is RunOutcome.COMPLETED
+            assert traj.final_state is nodes[-1]
+            assert abs(traj.final_state.t - 0.2) <= 1e-12
 
     def test_extinct_initial_chemical_halts_at_start(self, grid32):
         vals = np.ones((32, 32))

@@ -287,6 +287,10 @@ def test_chi_and_mu_are_independent_inputs(tmp_path, capsys):
     "threads = 0",
     "xval.n_list = 64,8",   # N=8 would step at dt = 0.4 > t_end = 0.3
     "xval.n_list = 32,32",   # the same member twice
+    # not finite: NaN passes every range check, and t_end = inf never ends
+    "stepper.t_end = nan", "stepper.t_end = inf", "stepper.dt = nan",
+    "grid.L = nan", "params.chi = nan", "params.mu = nan", "recipe.delta = nan",
+    "recipe.delta = infh", "recipe.modes = 1,0,nan,0.0", "scan.amplitudes = 0.1,nan",
 ])
 def test_bad_value_exits_2_naming_its_key(tmp_path, capsys, line):
     key, value = line.split(" = ")
