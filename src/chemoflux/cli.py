@@ -10,7 +10,9 @@ subcommand's study, only ``single_run`` reads ``mode`` and
 ``snapshot_times``, and ``threads`` is at least 1.  Every study runs the
 skeleton of `harness`: its checks, `_data` for every member, `_output`,
 `_map`/`_solve`, `_completed`, then `_write_csv`; input or data that it
-rejects makes no output.
+rejects makes no output.  A study returns the table it wrote, and
+`_print_table` shows every one, the single run's decay summary too, with
+the CSV's columns: a new column changes the study alone.
 """
 
 from __future__ import annotations
@@ -25,51 +27,34 @@ from .diagnostics import fit_decay
 from .evolve import EXIT_CODES
 
 
+def _print_table(table) -> int:
+    """Print a study's table ``(columns, rows)`` as its CSV holds it: the
+    columns in order, then a line per row, numbers to 6 significant digits."""
+    columns, rows = table
+    lines = [columns, *([x if isinstance(x, str) else format(x, ".6g")
+                         for x in row] for row in rows)]
+    widths = [max(map(len, cells)) for cells in zip(*lines)]
+    for line in lines:
+        print("  ".join(c.ljust(w) for c, w in zip(line, widths)).rstrip())
+    return 0
+
+
 def _print_run(result) -> int:
-    traj, records, fits, out_dir = result
+    traj, records, decay, out_dir = result
     t_final = records[-1].t if records else 0.0   # t=0 halt
     print(f"outcome: {traj.outcome.value}  ({len(records)} records, "
           f"t_final={t_final:g})")
     if traj.message:
         print(traj.message)
-    for fit, ref in fits:
-        extra = f" (reference {ref:g})" if ref is not None else ""
-        print(f"decay {fit.quantity}: rate={fit.rate:.4f} "
-              f"residual={fit.residual:.3g}{extra}")
+    _print_table(decay)
     print(f"artifacts in {out_dir}")
     return EXIT_CODES[traj.outcome]
 
 
 def _print_delta_sweep(result) -> int:
-    rows, decreasing = result
-    print("delta_coarse  delta_fine  du_l2        dv_l2")
-    for d1, d2, du, dv in rows:
-        print(f"{d1:<12.5g}  {d2:<10.5g}  {du:<11.5g}  {dv:<11.5g}")
+    table, decreasing = result
+    _print_table(table)
     print(f"cauchy_decreasing: {decreasing}")
-    return 0
-
-
-def _print_refinement(rows) -> int:
-    for kind, columns, fmt in (("temporal", "dt, error", "<10.3g"),
-                               ("spatial", "N, error vs finest", "<10d")):
-        print(f"{kind}: {columns}, observed order")
-        for _, param, err, order in (r for r in rows if r[0] == kind):
-            print(f"  {param:{fmt}} {err:<12.5g} {order:.3f}")
-    return 0
-
-
-def _print_cross_validate(rows) -> int:
-    print("N     dt        max|u_orig-u_transf|  max|v(c)-v|")
-    for n, dt, du, dv in rows:
-        print(f"{n:<5d} {dt:<9.4g} {du:<20.6g} {dv:<12.6g}")
-    return 0
-
-
-def _print_theta_scan(rows) -> int:
-    print("amplitude  theta0      M           outcome             a1<=1.5th  window")
-    for amp, th, m, label, _dec, _a1, _bound, ok1, ok34 in rows:
-        print(f"{amp:<9.4g}  {th:<10.4g}  {m:<10.4g}  {label:<18s}  "
-              f"{str(ok1):<9s}  {ok34}")
     return 0
 
 
@@ -79,11 +64,11 @@ STUDY_COMMANDS = (
      "single run with diagnostics and decay fits"),
     ("sweep-delta", "delta_sweep", harness.run_delta_sweep, _print_delta_sweep,
      "mollifier-width Cauchy study"),
-    ("refine", "refinement", harness.run_refinement, _print_refinement,
+    ("refine", "refinement", harness.run_refinement, _print_table,
      "temporal and spatial order study"),
-    ("xval", "cross_validate", harness.run_cross_validate, _print_cross_validate,
+    ("xval", "cross_validate", harness.run_cross_validate, _print_table,
      "original vs transformed solver comparison"),
-    ("scan-theta", "theta_scan", harness.run_theta_scan, _print_theta_scan,
+    ("scan-theta", "theta_scan", harness.run_theta_scan, _print_table,
      "amplitude ladder stability frontier"),
 )
 

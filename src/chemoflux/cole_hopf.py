@@ -4,7 +4,9 @@ The substitution v = -(1/mu) * grad(ln c) removes the logarithmic
 singularity of the chemotactic sensitivity and gives v a spatial structure.
 The chemical ODE c_t = -mu*u*c itself is integrated in ``evolve`` on ln c,
 where the exact exponential update is a subtraction and positivity is
-structural.
+structural.  `drift` is the one computation of v from the half spectrum
+of s = ln c: the original-mode stepper calls it at every node, and
+`forward_transform` is its check of the extinction floor on samples of c.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import ParameterError, ScalarField, VectorField, gradient
+from .fields import Grid, ParameterError, ScalarField, VectorField
 
 # Below this value the chemical is treated as extinct: taking ln c and
 # further exponential decay would underflow to non-finite fields.
@@ -38,6 +40,12 @@ class ChemistryParams:
             raise ParameterError("mu", f"must be positive, got {self.mu}")
 
 
+def drift(grid: Grid, sh: np.ndarray, mu: float) -> np.ndarray:
+    """Samples of v = -(1/mu) grad(s), a (2, N, N) array, from the half
+    spectrum sh of s = ln c."""
+    return grid._gradient((-1.0 / mu) * sh)
+
+
 def forward_transform(c: ScalarField, params: ChemistryParams) -> VectorField:
     """v = -(1/mu) * grad(ln c); rejects fields at or below the extinction floor."""
     vals = c.values
@@ -47,5 +55,5 @@ def forward_transform(c: ScalarField, params: ChemistryParams) -> VectorField:
         raise ValueError(
             f"chemical concentration {cmin} at cell ({i}, {j}) is at or below "
             f"the floor {C_FLOOR}; ln c is not representable")
-    g = gradient(ScalarField(c.grid, np.log(vals), check=False))
-    return VectorField(c.grid, -g.values / params.mu, check=False)
+    return VectorField(c.grid, drift(c.grid, np.fft.rfft2(np.log(vals)), params.mu),
+                       check=False)

@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .fields import ScalarField, VectorField, dealias, power_sum, spectral_power
+from .fields import ScalarField, VectorField, dealias, spectral_power
 
 SCHEMA_VERSION = "chemoflux-diagnostics-v1"
 
@@ -216,7 +216,8 @@ class TrajectoryRecorder:
         so that it holds at most three half spectra at once.  The flux and
         both residuals are assembled from those spectra and measured by
         Parseval, ||f||_2^2 = cell_area/N^2 * sum |f_hat|^2 with the
-        half-spectrum column weights; the L^p0 norm and the
+        half-spectrum column weights of `Grid.power_total`, as in
+        `node_norms`; the L^p0 norm and the
         Gagliardo-Nirenberg ratio come from the physical samples.  The
         residuals are rebuilt here from u and v alone, independent of the
         stepper's transport term, so they check the identities rather than
@@ -243,15 +244,16 @@ class TrajectoryRecorder:
         res -= grid._k_squared * uh
         res -= ikx * fxh                      # u_t - div(F)
         res -= iky * fyh
-        div_sq = power_sum(res)
-        flux_sq = power_sum(fxh) + power_sum(fyh)
+        div_sq = grid.power_total(spectral_power(res))
+        flux_sq = (grid.power_total(spectral_power(fxh))
+                   + grid.power_total(spectral_power(fyh)))
         np.multiply(iky, fxh, out=res)        # curl(F) - chi*perp_grad(u).v
         res -= ikx * fyh
         del fxh, fyh
         qh = dealias(np.fft.rfft2(grad_u[1] * vx - grad_u[0] * vy))  # perp_grad(u).v
         qh *= chi
         res -= qh
-        curl_sq = power_sum(res)
+        curl_sq = grid.power_total(spectral_power(res))
 
         u_tilde = uv - 1.0
         u2 = u_tilde * u_tilde

@@ -44,7 +44,7 @@ from enum import Enum
 import numpy as np
 
 from . import diagnostics as diag
-from .cole_hopf import C_FLOOR, ChemistryParams
+from .cole_hopf import C_FLOOR, ChemistryParams, drift
 from .fields import Grid, ParameterError, ScalarField, VectorField, dealias
 from .initial_data import potential_of
 
@@ -183,11 +183,6 @@ def _advance_transformed(grid, uh, w, dt, chi, scheme, t_hat):
     return uh1, u1, grad_u1, w
 
 
-def _drift(grid, sh, mu):
-    """Samples of v = -(1/mu) grad(s) from the half spectrum sh of s = ln c."""
-    return grid._gradient((-1.0 / mu) * sh)
-
-
 def _advance_original(grid, u, s, uh, sh, dt, params, scheme, t_hat):
     """Strang step: half chemical decay, full density step, half decay.
 
@@ -206,7 +201,7 @@ def _advance_original(grid, u, s, uh, sh, dt, params, scheme, t_hat):
     uh1 = _advance_density(
         grid, uh, dt, scheme, t_hat + _self_transport_hat(grid, u, dt, chi),
         lambda uh_p: _transport_hat(grid, np.fft.irfft2(uh_p, s=grid.shape),
-                                    _drift(grid, sh_half, mu), chi))
+                                    drift(grid, sh_half, mu), chi))
     u1 = np.fft.irfft2(uh1, s=grid.shape)
     sh_half -= half * uh1   # sh_half is this step's own array: it becomes sh1
     return u1, s_half - half * u1, uh1, sh_half
@@ -302,7 +297,7 @@ def march(data: list, cfg: StepperConfig, params: ChemistryParams, p0: float = 6
                 message=f"chemical not finite at t=0 (max c = {c_max})")
         sh = dealias(np.fft.rfft2(np.log(companion.values)))
         s = np.fft.irfft2(sh, s=shape)
-        v, grad_u = _drift(grid, sh, mu), None   # grad u only where it is read
+        v, grad_u = drift(grid, sh, mu), None   # grad u only where it is read
     else:
         raise ValueError(f"companion {type(companion).__name__} selects no mode")
     del u0, companion
@@ -375,7 +370,7 @@ def march(data: list, cfg: StepperConfig, params: ChemistryParams, p0: float = 6
                 message = (f"chemical under floor at t={t + dt} "
                            f"(min ln c = {s.min()})")
                 break
-            v, grad_u = _drift(grid, sh, mu), None
+            v, grad_u = drift(grid, sh, mu), None
         t += dt
         nstep += 1
 

@@ -215,19 +215,6 @@ def spectral_power(zh: np.ndarray) -> np.ndarray:
     return zh.real ** 2 + zh.imag ** 2
 
 
-def power_sum(zh: np.ndarray) -> float:
-    """Parseval sum of |zh|^2 over a C-contiguous half spectrum.
-
-    Columns 1..N/2-1 count twice and the first and last columns (0 and N/2)
-    once.  Summed as the squares of the interleaved real and imaginary
-    parts, in one pass and without calling into a (possibly multi-threaded)
-    BLAS.
-    """
-    r = zh.view(np.float64)
-    col = np.einsum("ij,ij->j", r, r)   # per real and per imaginary column
-    return float(2.0 * col.sum() - col[:2].sum() - col[-2:].sum())
-
-
 def lp_norm(f, p) -> float:
     """L^p norm by uniform Riemann sum; p in [1, inf].
 

@@ -27,9 +27,10 @@ empties, so no study keeps a member's unprojected datum while it runs
 (only the refinement, whose grids each serve several step sizes, keeps
 its data and hands over a fresh holder per member); `_completed` raises
 `RunHalted`, carrying the `RunOutcome`, for a member that halted where the
-study needs a completed run; the study writes its table through `_write_csv` (a
-``# chemoflux-diagnostics-v1`` line, a header line, numbers to 17
-significant digits) and returns its rows.  Only the single run builds
+study needs a completed run; the study declares its columns beside its
+rows, writes its table through `_write_csv` (a ``# chemoflux-diagnostics-v1``
+line, a header line, numbers to 17 significant digits) and returns it as
+``(columns, rows)``, for one CLI printer.  Only the single run builds
 diagnostics rows (``node.row()``), one per record node for its CSV, and
 takes snapshots, each written by its sink as soon as its march reaches
 the snapshot's time.  A node is also the state at its time: each `run`
@@ -268,21 +269,24 @@ def format_config(cfg: ExperimentConfig) -> str:
 # artifact writers
 
 
-def _write_csv(path, header, rows) -> None:
-    """A table: the schema line, the header, then one line per row.
+def _write_csv(path, columns, rows) -> tuple:
+    """A table: the schema line, the header of ``columns``, then one line
+    per row; returns the table ``(columns, rows)`` as written, which a study
+    returns for the CLI to print.
 
     Strings are written as they are and numbers to 17 significant digits,
     so that they read back exactly.
     """
     with open(path, "w", newline="\n") as fh:
-        fh.write(f"# {SCHEMA_VERSION}\n{header}\n")
+        fh.write(f"# {SCHEMA_VERSION}\n{','.join(columns)}\n")
         for row in rows:
             fh.write(",".join(x if isinstance(x, str) else format(x, ".17g")
                               for x in row) + "\n")
+    return columns, rows
 
 
 def write_diagnostics_csv(path, records) -> None:
-    _write_csv(path, ",".join(CSV_COLUMNS),
+    _write_csv(path, CSV_COLUMNS,
                ([getattr(rec, c) for c in CSV_COLUMNS] for rec in records))
 
 
@@ -368,7 +372,7 @@ def _solve(cfg: ExperimentConfig, data: list, stepper, **kwargs) -> Trajectory:
 
 def run_single(cfg: ExperimentConfig, out_dir=None) -> tuple:
     """One run to t_end with its artifacts; returns (trajectory, diagnostics
-    rows, fits, out dir)."""
+    rows, decay summary table, out dir)."""
     for t in cfg.snapshot_times:
         if not 0.0 <= t <= cfg.stepper.t_end:
             raise ConfigError("snapshot_times", f"{t!r} is outside [0, t_end = "
@@ -386,7 +390,7 @@ def run_single(cfg: ExperimentConfig, out_dir=None) -> tuple:
                   recorders=(lambda node: records.append(node.row()),))
     write_diagnostics_csv(out / "diagnostics.csv", records)
 
-    fits = []   # (DecayFit, reference rate or None)
+    fits = []
     t_final = records[-1].t if records else 0.0   # t=0 halt
     window = (2.0, min(20.0, t_final))
     if window[1] > window[0]:
@@ -394,22 +398,23 @@ def run_single(cfg: ExperimentConfig, out_dir=None) -> tuple:
                             ("v_l4", None)):
             series = [(r.t, getattr(r, column)) for r in records]
             try:
-                fits.append((fit_decay(series, window, quantity=column), ref))
+                f = fit_decay(series, window, quantity=column)
             except ValueError:
                 continue  # nonpositive values or too few samples: no fit row
-    _write_csv(out / "decay_summary.csv",
-               "quantity,t_lo,t_hi,rate,prefactor,residual,n_samples,reference_rate",
-               ((f.quantity, f.t_lo, f.t_hi, f.rate, f.prefactor, f.residual,
-                 f.n_samples, "" if ref is None else ref) for f, ref in fits))
-    return traj, records, fits, out
+            fits.append((f.quantity, f.t_lo, f.t_hi, f.rate, f.prefactor, f.residual,
+                         f.n_samples, "" if ref is None else ref))
+    decay = _write_csv(out / "decay_summary.csv",
+                       ("quantity", "t_lo", "t_hi", "rate", "prefactor", "residual",
+                        "n_samples", "reference_rate"), fits)
+    return traj, records, decay, out
 
 
 def run_delta_sweep(cfg: ExperimentConfig, out_dir=None) -> tuple:
     """Mollification-width sweep: solve for each delta, compare neighbours at T.
 
-    Returns the rows (delta_coarse, delta_fine, du_l2, dv_l2) and whether
-    both differences decrease down the sweep, the numerical counterpart of
-    the vanishing-regularization Cauchy property.
+    Returns the table of ``delta_sweep.csv`` and whether both differences
+    decrease down the sweep, the numerical counterpart of the
+    vanishing-regularization Cauchy property.
     """
     deltas = cfg.deltas
     if len(deltas) < 3:
@@ -434,20 +439,25 @@ def run_delta_sweep(cfg: ExperimentConfig, out_dir=None) -> tuple:
         rows.append((d1, d2, du, dv))
     decreasing = all(r0[2] > r1[2] and r0[3] > r1[3]
                      for r0, r1 in zip(rows, rows[1:]))
-    _write_csv(out / "delta_sweep.csv", "delta_coarse,delta_fine,du_l2,dv_l2", rows)
-    return rows, decreasing
+    table = _write_csv(out / "delta_sweep.csv",
+                       ("delta_coarse", "delta_fine", "du_l2", "dv_l2"), rows)
+    return table, decreasing
 
 
-def run_refinement(cfg: ExperimentConfig, out_dir=None) -> list:
+def run_refinement(cfg: ExperimentConfig, out_dir=None) -> tuple:
     """Temporal Richardson study over dt_list and spatial study over n_list.
 
-    Returns the rows (kind, param, error, order): each temporal error is the
-    distance to the run at the next smaller dt, each spatial error the
-    distance to the finest grid at the smallest dt, and the order is
-    observed between a row and the next (nan for the last).  A member is a
+    Returns the table of ``refinement.csv``, whose rows are (kind, param,
+    error, order): each temporal error is the distance to the run at the
+    next smaller dt, each spatial error the distance to the finest grid at
+    the smallest dt, and the order is observed between a row and the next
+    (nan for the last).  A member is a
     (N, dt) pair, run once even when both studies use it, and each grid's
-    datum is built once.
+    datum is built once.  Every member steps at a fixed dt.
     """
+    if cfg.stepper.dt_mode != "fixed":
+        raise ConfigError("stepper.dt_mode", f"refinement steps at fixed dt, "
+                          f"not {cfg.stepper.dt_mode!r}")
     for key, items in (("refine.dt_list", cfg.dt_list), ("refine.n_list", cfg.n_list)):
         if len(items) < 3:
             raise ConfigError(key, "need at least 3 entries")
@@ -458,7 +468,7 @@ def run_refinement(cfg: ExperimentConfig, out_dir=None) -> list:
         raise ConfigError("refine.n_list", "each resolution must divide the finest")
     dts = sorted(cfg.dt_list, reverse=True)
     try:   # every member's stepper, before any output
-        steppers = {dt: replace(cfg.stepper, dt=dt, dt_mode="fixed") for dt in dts}
+        steppers = {dt: replace(cfg.stepper, dt=dt) for dt in dts}
     except ValueError as exc:   # a dt above t_end
         raise ConfigError("refine.dt_list", f"{_joined(cfg.dt_list)}: {exc}") from None
     in_time = [(cfg.grid.resolution, dt) for dt in dts]
@@ -496,11 +506,10 @@ def run_refinement(cfg: ExperimentConfig, out_dir=None) -> list:
                 ratio = max(err / max(err_next, 1e-300), 1e-300)
                 order = math.log(ratio) / math.log(h / h_next)
             rows.append((kind, param, err, order))
-    _write_csv(out / "refinement.csv", "kind,param,error,order", rows)
-    return rows
+    return _write_csv(out / "refinement.csv", ("kind", "param", "error", "order"), rows)
 
 
-def run_cross_validate(cfg: ExperimentConfig, out_dir=None) -> list:
+def run_cross_validate(cfg: ExperimentConfig, out_dir=None) -> tuple:
     """Run both solvers from matched data; report max-in-time L2 discrepancies.
 
     The chemical initial state is synthesized from the drift potential, so
@@ -514,12 +523,15 @@ def run_cross_validate(cfg: ExperimentConfig, out_dir=None) -> list:
     -(1/mu) grad ln c from its spectrum of ln c.  Neither run builds a
     diagnostics row.  A pair at different times or a run with a record left
     over is an error, and a halted run of either mode raises `RunHalted`.
-    Returns the rows (N, dt, max_u_discrepancy, max_v_discrepancy).
+    Both modes step at a fixed dt, scaled with the grid spacing.  Returns
+    the table of ``cross_validate.csv``.
     """
+    if cfg.stepper.dt_mode != "fixed":
+        raise ConfigError("stepper.dt_mode", f"cross-validation steps at fixed dt, "
+                          f"not {cfg.stepper.dt_mode!r}")
     ns = cfg.n_list if cfg.n_list else (cfg.grid.resolution,)
     try:   # every member's stepper, before any output
-        steppers = [replace(cfg.stepper, dt=cfg.stepper.dt * (ns[0] / n),
-                            dt_mode="fixed") for n in ns]
+        steppers = [replace(cfg.stepper, dt=cfg.stepper.dt * (ns[0] / n)) for n in ns]
     except ValueError as exc:   # a coarse member's dt exceeds t_end
         raise ConfigError("xval.n_list", f"{_joined(ns)}: {exc}") from None
     members = []   # (stepper, [u0, v0], [u0, c0]): one holder per mode
@@ -567,16 +579,15 @@ def run_cross_validate(cfg: ExperimentConfig, out_dir=None) -> list:
                                f"t={other.t} has no transformed record")
         return (grid.resolution, stepper.dt, max_du, max_dv)
 
-    rows = _map(cfg, discrepancies, members)
-    _write_csv(out / "cross_validate.csv",
-               "N,dt,max_u_discrepancy,max_v_discrepancy", rows)
-    return rows
+    return _write_csv(out / "cross_validate.csv",
+                      ("N", "dt", "max_u_discrepancy", "max_v_discrepancy"),
+                      _map(cfg, discrepancies, members))
 
 
-def run_theta_scan(cfg: ExperimentConfig, out_dir=None) -> list:
+def run_theta_scan(cfg: ExperimentConfig, out_dir=None) -> tuple:
     """Amplitude ladder: measure theta0/M and classify each run's outcome.
 
-    Returns the rows of ``theta_scan.csv``, one per amplitude.  ``decayed``
+    Returns the table of ``theta_scan.csv``, a row per amplitude.  ``decayed``
     means the sup-norm perturbation at the end is at most half its value at
     the first settled record node (t >= 1); the energy bound check compares
     the running A1 at the last record node against 1.5 * theta0; a member
@@ -621,8 +632,7 @@ def run_theta_scan(cfg: ExperimentConfig, out_dir=None) -> list:
         return (amp, summary.theta0, summary.M, label, decayed, a1, bound,
                 a1_ok, lemma34_ok)
 
-    rows = _map(cfg, scan_one, cfg.amplitudes)
-    _write_csv(out / "theta_scan.csv",
-               "amplitude,theta0,M,outcome,decayed,a1,a1_bound,a1_ok,lemma34_ok",
-               rows)
-    return rows
+    return _write_csv(out / "theta_scan.csv",
+                      ("amplitude", "theta0", "M", "outcome", "decayed", "a1",
+                       "a1_bound", "a1_ok", "lemma34_ok"),
+                      _map(cfg, scan_one, cfg.amplitudes))

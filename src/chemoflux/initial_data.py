@@ -40,7 +40,8 @@ class InitialDataRecipe:
     seed: for each disk ``cx`` and then ``cy``, each uniform on [0.2, 0.8],
     then the radius as ``uniform(0.03, 0.08)`` times the box side, with
     weights alternating +1, -1 from the first.  ``seed`` must be
-    nonnegative: the generator would give -n the layout of n.
+    nonnegative: the generator would give -n the layout of n.  So must
+    ``random_disks``, and each disk's radius must be positive.
     """
 
     kind: str = "piecewise_constant_disks"
@@ -65,6 +66,13 @@ class InitialDataRecipe:
             raise ParameterError("delta", f"must be nonnegative, got {self.delta}")
         if self.seed < 0:
             raise ParameterError("seed", f"must be nonnegative, got {self.seed}")
+        if self.random_disks < 0:
+            raise ParameterError("random_disks",
+                                 f"must be nonnegative, got {self.random_disks}")
+        for disk in self.disks:
+            if not disk[2] > 0:
+                raise ParameterError("disks", "must each have a positive radius, "
+                                     f"got {','.join(map(repr, disk))}")
 
 
 @dataclass(frozen=True)

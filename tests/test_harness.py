@@ -220,10 +220,14 @@ REFINE_ORDER = ("study = refinement\nrefine.dt_list = 0.02,0.01,0.005\n"
     ("sweep-delta", SWEEP + NEGATIVE_U0, "recipe", ()),
     ("refine", REFINE + NEGATIVE_U0, "recipe", ()),
     ("xval", "study = cross_validate\n" + NEGATIVE_U0, "recipe", ()),
+    # both studies step at fixed dt; a CFL step would be ignored
+    ("refine", REFINE + "stepper.dt_mode = cfl\n", "stepper.dt_mode", ()),
+    ("xval", "study = cross_validate\nstepper.dt_mode = cfl\n", "stepper.dt_mode",
+     ()),
 ], ids=["study-run", "study-scan-theta", "snapshot_times", "mode-sweep-delta",
         "mode-refine", "mode-xval", "mode-scan-theta", "threads-flag",
         "sweep-too-wide", "u0-negative-run", "u0-negative-sweep-delta",
-        "u0-negative-refine", "u0-negative-xval"])
+        "u0-negative-refine", "u0-negative-xval", "cfl-refine", "cfl-xval"])
 def test_config_of_another_study_exits_2(tmp_path, capsys, subcommand, head, field,
                                          flags):
     code, out = cli(tmp_path, subcommand, head + BASE, *flags)
@@ -291,6 +295,9 @@ def test_chi_and_mu_are_independent_inputs(tmp_path, capsys):
     "stepper.t_end = nan", "stepper.t_end = inf", "stepper.dt = nan",
     "grid.L = nan", "params.chi = nan", "params.mu = nan", "recipe.delta = nan",
     "recipe.delta = infh", "recipe.modes = 1,0,nan,0.0", "scan.amplitudes = 0.1,nan",
+    # no disk would be drawn, and a radius r <= 0 would act as |r|
+    "recipe.random_disks = -3", "recipe.disks = 0.5,0.5,0.0,1.0",
+    "recipe.disks = 0.5,0.5,-0.2,1.0",
 ])
 def test_bad_value_exits_2_naming_its_key(tmp_path, capsys, line):
     key, value = line.split(" = ")
@@ -662,6 +669,38 @@ def test_only_the_single_run_builds_rows(tmp_path, monkeypatch, capsys):
         else:
             assert built == [], subcommand
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("subcommand,study,table", [
+    ("sweep-delta", "delta_sweep", "delta_sweep.csv"),
+    ("refine", "refinement", "refinement.csv"),
+    ("xval", "cross_validate", "cross_validate.csv"),
+    ("scan-theta", "theta_scan", "theta_scan.csv"),
+])
+def test_printed_table_is_the_written_table(tmp_path, capsys, subcommand, study,
+                                            table):
+    # the CLI prints the CSV's header and a line per CSV row, each cell the
+    # CSV's number to 6 significant digits; only the delta sweep adds a line
+    small = BASE.replace("grid.N = 32", "grid.N = 16")
+    code, out = cli(tmp_path, subcommand, f"study = {study}\n" + STUDY_EXTRA[study]
+                    + small)
+    assert code == 0
+    lines = [ln for ln in (out / table).read_text().splitlines()
+             if not ln.startswith("#")]
+    printed = capsys.readouterr().out.splitlines()
+    assert printed[0].split() == lines[0].split(",")
+    assert len(printed) == len(lines) + (subcommand == "sweep-delta")
+
+    def shown_as(cell):
+        try:
+            return format(float(cell), ".6g")
+        except ValueError:   # a label
+            return cell
+
+    for shown, written in zip(printed[1:], lines[1:]):
+        assert shown.split() == [shown_as(c) for c in written.split(",")]
+    if subcommand == "sweep-delta":
+        assert printed[-1].startswith("cauchy_decreasing: ")
 
 
 def test_production_transforms_are_half_spectra(tmp_path, monkeypatch, capsys):
