@@ -17,9 +17,10 @@ so far) and what a row needs; a completed run's last node is its final
 state.  A `DiagnosticsRecord` is one CSV row, built by
 ``node.row()`` only where a consumer reads one: `make_record` reads its
 norm columns from the node's norms and the rest from one pass of three
-half-spectrum transforms, given the node's samples of grad(u) (two more
-transforms where the node has none).  The tests check both against
-operator-at-a-time oracles on full complex spectra.
+half-spectrum transforms into the compact dealias band, given the node's
+samples of grad(u) (two more transforms where the node has none).  The
+tests check both against operator-at-a-time oracles on full complex
+spectra.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .fields import ScalarField, VectorField, dealias, spectral_power
+from .fields import ScalarField, VectorField, band_rfft2, spectral_power
 
 SCHEMA_VERSION = "chemoflux-diagnostics-v1"
 
@@ -131,9 +132,9 @@ def node_norms(grid, uh, t_hat, v) -> NodeAux:
     """The node norms of a state, with no FFTs.
 
     ``t_hat`` is the transport term chi*div(u v) at the node, so that
-    u_t = lap(u) + chi*div(u v); the u norms are Parseval sums over the half
-    spectra, and ||v||_2^2, ||v||_4^4 and max |v|^2 come from one pass of
-    |v|^2 over the samples v, a (2, N, N) array.
+    u_t = lap(u) + chi*div(u v); the u norms are Parseval sums over the
+    compact spectra uh and t_hat, and ||v||_2^2, ||v||_4^4 and max |v|^2
+    come from one pass of |v|^2 over the samples v, a (2, N, N) array.
     """
     n2 = grid.resolution ** 2
     w = grid.cell_area / n2
@@ -141,7 +142,7 @@ def node_norms(grid, uh, t_hat, v) -> NodeAux:
     mean_u = uh[0, 0].real / n2
     abs_uh2[0, 0] = 0.0   # the mean mode's power would swamp ||u - 1||^2 near u = 1
     u_sq = w * grid.power_total(abs_uh2) + (mean_u - 1.0) ** 2 * grid.side_length ** 2
-    abs_ut2 = spectral_power(t_hat - grid._k_squared * uh)
+    abs_ut2 = spectral_power(t_hat - grid._k_squared[:, :uh.shape[1]] * uh)
     v2 = v[0] * v[0] + v[1] * v[1]
     return NodeAux(u_sq=float(u_sq), v_sq=float(grid.cell_area * v2.sum()),
                    grad_u_sq=w * grid.gradient_power(abs_uh2),
@@ -208,17 +209,19 @@ class TrajectoryRecorder:
 
         ``node.aux`` holds the node's norms from `node_norms`, which give
         the u_l2, grad_u_l2, v_l2, v_l4 and v_linf columns, ``node.uh`` is
-        the half spectrum ``np.fft.rfft2(u)`` and ``node.grad_u`` the
-        node's samples of grad(u), a (2, N, N) array, or None, when they
+        the compact spectrum of u (`fields.band_rfft2`) and ``node.grad_u``
+        the node's samples of grad(u), a (2, N, N) array, or None, when they
         are taken from ``uh`` here (two transforms).  The pass takes three
         transforms: the dealiased products u*v_x and u*v_y, then the
         dealiased perp_grad(u).v, once the div residual and ||F|| are done,
-        so that it holds at most three half spectra at once.  The flux and
-        both residuals are assembled from those spectra and measured by
+        so that it holds at most three compact spectra at once.  The flux
+        and both residuals are assembled from those spectra and measured by
         Parseval, ||f||_2^2 = cell_area/N^2 * sum |f_hat|^2 with the
         half-spectrum column weights of `Grid.power_total`, as in
-        `node_norms`; the L^p0 norm and the
-        Gagliardo-Nirenberg ratio come from the physical samples.  The
+        `node_norms`, which a compact spectrum meets for its columns
+        0..(N-1)//3, all but the first weighted twice.  The L^p0 norm and
+        the Gagliardo-Nirenberg ratio come from the physical samples, in one
+        buffer that holds (u - 1)^4 and then |v|^p0, each squared in place.  The
         residuals are rebuilt here from u and v alone, independent of the
         stepper's transport term, so they check the identities rather than
         restate them.
@@ -227,21 +230,21 @@ class TrajectoryRecorder:
         uh, aux = node.uh, node.aux
         grad_u = node.grad_u if node.grad_u is not None else grid._gradient(uh)
         chi = self.chi
-        ikx, iky = grid._ikx, grid._iky
+        ikx, iky = grid._ikx[:, :uh.shape[1]], grid._iky
         w = grid.cell_area / grid.resolution ** 2
         area = grid.cell_area
         uv, vx, vy = node.u.values, node.v.values[0], node.v.values[1]
         # F = grad(u) + chi*u*v is built in place on the spectra of chi*u*v
         # once each has served the residual (peak memory at N=256)
-        fxh = dealias(np.fft.rfft2(uv * vx))   # chi*u*v, dealiased
+        fxh = band_rfft2(uv * vx)             # chi*u*v, dealiased
         fxh *= chi
         res = ikx * fxh                       # u_t = lap(u) + chi*div(u v)
         fxh += ikx * uh
-        fyh = dealias(np.fft.rfft2(uv * vy))
+        fyh = band_rfft2(uv * vy)
         fyh *= chi
         res += iky * fyh
         fyh += iky * uh
-        res -= grid._k_squared * uh
+        res -= grid._k_squared[:, :uh.shape[1]] * uh
         res -= ikx * fxh                      # u_t - div(F)
         res -= iky * fyh
         div_sq = grid.power_total(spectral_power(res))
@@ -250,19 +253,20 @@ class TrajectoryRecorder:
         np.multiply(iky, fxh, out=res)        # curl(F) - chi*perp_grad(u).v
         res -= ikx * fyh
         del fxh, fyh
-        qh = dealias(np.fft.rfft2(grad_u[1] * vx - grad_u[0] * vy))  # perp_grad(u).v
+        qh = band_rfft2(grad_u[1] * vx - grad_u[0] * vy)   # perp_grad(u).v
         qh *= chi
         res -= qh
         curl_sq = grid.power_total(spectral_power(res))
 
-        u_tilde = uv - 1.0
-        u2 = u_tilde * u_tilde
         u_l2, grad_u_l2 = math.sqrt(aux.u_sq), math.sqrt(aux.grad_u_sq)
-        if grad_u_l2 > 0 and u_l2 > 0:
-            gn = math.sqrt(area * (u2 * u2).sum()) / (u_l2 * grad_u_l2)
-        else:
-            gn = 0.0  # degenerate sample (e.g. exact equilibrium)
-        v2 = vx * vx + vy * vy   # for the L^p0 norm
+        sq = uv - 1.0   # one buffer, squared in place: (u - 1)^4, then |v|^p0
+        sq *= sq
+        sq *= sq
+        gn = (math.sqrt(area * sq.sum()) / (u_l2 * grad_u_l2)
+              if grad_u_l2 > 0 and u_l2 > 0 else 0.0)   # 0 at a degenerate sample
+        np.multiply(vx, vx, out=sq)
+        sq += vy * vy
+        sq **= 0.5 * self.p0
         return DiagnosticsRecord(
             t=node.t,
             sigma=sigma_weight(node.t),
@@ -271,7 +275,7 @@ class TrajectoryRecorder:
             u_linf=sup_deviation(uv),
             v_l2=math.sqrt(aux.v_sq),
             v_l4=aux.v4_4 ** 0.25,
-            v_lp0=float((area * (v2 ** (0.5 * self.p0)).sum()) ** (1.0 / self.p0)),
+            v_lp0=float((area * sq.sum()) ** (1.0 / self.p0)),
             v_linf=math.sqrt(aux.v2_max),
             c_linf=node.c_linf,
             flux_l2=math.sqrt(w * flux_sq),
@@ -292,7 +296,7 @@ class Node:
 
     ``a1``, ``a2``, ``a3`` and ``blowup_integral`` are the recorder's running
     values frozen at the node.  ``u``, ``v`` (the drift, in either mode) and
-    ``s`` (ln c) are the node's samples, ``uh`` the half spectrum of u and
+    ``s`` (ln c) are the node's samples, ``uh`` the compact spectrum of u and
     ``grad_u`` the samples of grad(u), or None where the stepper did not
     take them.  The arrays are the stepper's own, which it never writes
     afterwards.

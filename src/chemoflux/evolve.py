@@ -21,12 +21,13 @@ and one implicit density update:
   stays a spectral gradient at every step and curl-freeness is structural;
 * original mode evolves (u, c) by Strang splitting around the exact
   exponential chemical update, with the drift recomputed from s = ln c,
-  whose half spectrum it carries alongside the samples.
+  whose compact spectrum it carries alongside the samples.
 
 A run projects its working state onto the dealias band once at start;
 products then never alias back into the retained band, which is what makes
-the flux identities machine-precision checks.  Every field is real, so
-spectra are half spectra (``np.fft.rfft2``); see `fields` for the layout.
+the flux identities machine-precision checks.  So every spectrum that a
+march holds is a compact one, the N x ((N-1)//3 + 1) dealias band of a half
+spectrum that `fields.band_rfft2` takes; see `fields` for the layout.
 A transformed node is the spectrum of u plus the samples of u, grad(u), v
 and s; v has no spectrum, since its update is linear in grad(u).  An
 IMEX-CN step then takes 9 transforms and an IMEX-BE step 5, and the CFL
@@ -45,7 +46,7 @@ import numpy as np
 
 from . import diagnostics as diag
 from .cole_hopf import C_FLOOR, ChemistryParams, drift
-from .fields import Grid, ParameterError, ScalarField, VectorField, dealias
+from .fields import Grid, ParameterError, ScalarField, VectorField, band_rfft2
 from .initial_data import potential_of
 
 _LOG_FLOOR = float(np.log(C_FLOOR))
@@ -114,9 +115,9 @@ class Trajectory:
 
 def _transport_hat(grid: Grid, u, v, chi: float):
     """chi * div(u v) in spectral space with the product dealiased."""
-    t_hat = dealias(np.fft.rfft2(u * v[0]))
-    t_hat *= grid._ikx
-    t_hat += grid._iky * dealias(np.fft.rfft2(u * v[1]))
+    t_hat = band_rfft2(u * v[0])
+    t_hat *= grid._ikx[:, :t_hat.shape[1]]
+    t_hat += grid._iky * band_rfft2(u * v[1])
     t_hat *= chi
     return t_hat
 
@@ -127,7 +128,9 @@ def _self_transport_hat(grid: Grid, u, dt: float, chi: float):
     In the band P(u grad u) = grad P(u^2) / 2, so the term is
     chi dt/4 lap P(u^2).
     """
-    return (-0.25 * dt * chi) * grid._k_squared * dealias(np.fft.rfft2(u * u))
+    ph = band_rfft2(u * u)
+    ph *= (-0.25 * dt * chi) * grid._k_squared[:, :ph.shape[1]]
+    return ph
 
 
 def _predictor_transport_hat(grid: Grid, u_p, w, dt: float, chi: float):
@@ -145,7 +148,7 @@ def _advance_density(grid, uh, dt, scheme, t_hat, predictor_transport):
     ``predictor_transport(uh_p)`` gives it at the predicted density.  The
     update works in place, on arrays that this step made.
     """
-    k2 = grid._k_squared
+    k2 = grid._k_squared[:, :uh.shape[1]]
     if scheme == "imex_be":
         uh1 = dt * t_hat
         uh1 += uh
@@ -164,31 +167,12 @@ def _advance_density(grid, uh, dt, scheme, t_hat, predictor_transport):
     return uh1
 
 
-def _advance_transformed(grid, uh, w, dt, chi, scheme, t_hat):
-    """One IMEX step from the node (uh, w) to (uh1, u1, grad u1, v1).
-
-    v moves by the trapezoid of grad(u) at both levels, in physical space:
-    the caller forms w = v + dt/2 grad(u), the step's own array, and the
-    step completes it to v1 = w + dt/2 grad(u1) in place, a component at a
-    time.
-    """
-    uh1 = _advance_density(
-        grid, uh, dt, scheme, t_hat,
-        lambda uh_p: _predictor_transport_hat(
-            grid, np.fft.irfft2(uh_p, s=grid.shape), w, dt, chi))
-    u1 = np.fft.irfft2(uh1, s=grid.shape)
-    grad_u1 = grid._gradient(uh1)
-    for w_i, g_i in zip(w, grad_u1):
-        w_i += (0.5 * dt) * g_i
-    return uh1, u1, grad_u1, w
-
-
 def _advance_original(grid, u, s, uh, sh, dt, params, scheme, t_hat):
     """Strang step: half chemical decay, full density step, half decay.
 
     The chemical is carried as s = ln c, so positivity is structural and
     the extinction check is an exact comparison in log space.  Each decay
-    is linear in u, so the step moves the half spectrum sh of s with the
+    is linear in u, so the step moves the compact spectrum sh of s with the
     samples, from spectra it already holds.  The density step's drift is
     v_h = v + dt/2 grad(u), v the node's, so its transport at u is the
     node's t_hat plus `_self_transport_hat`, one transform; only the CN
@@ -256,9 +240,10 @@ def march(data: list, cfg: StepperConfig, params: ChemistryParams, p0: float = 6
     So a march holds one state at a time: the node's spectrum and samples
     of u, its grad(u), v, s and transport term, and within a step that
     step's arrays.  A transformed step forms w = v + dt/2 grad(u) and drops
-    v and grad(u) before it builds their successors.  It keeps no datum,
-    snapshot or earlier state; a consumer that drops each node before
-    asking for the next holds no more.
+    v and grad(u) before it builds their successors, and the transport term
+    and the old spectrum of u before it builds u1 and grad(u1).  It keeps
+    no datum, snapshot or earlier state; a consumer that drops each node
+    before asking for the next holds no more.
 
     Deterministic for a fixed configuration and single-threaded execution.
     Halts surface as the trajectory outcome, never as silent truncation:
@@ -274,7 +259,7 @@ def march(data: list, cfg: StepperConfig, params: ChemistryParams, p0: float = 6
     shape = grid.shape
     mu, chi = params.mu, params.chi
 
-    uh = dealias(np.fft.rfft2(u0.values))
+    uh = band_rfft2(u0.values)
     u = np.fft.irfft2(uh, s=shape)
 
     transformed = isinstance(companion, VectorField)
@@ -282,7 +267,7 @@ def march(data: list, cfg: StepperConfig, params: ChemistryParams, p0: float = 6
         grad_u = grid._gradient(uh)
         v, s = np.zeros((2,) + shape), np.zeros_like(u)   # no FFTs for v0 = 0
         if companion.values.any():   # ln c0 = -mu * potential(v0)
-            v = np.stack([np.fft.irfft2(dealias(np.fft.rfft2(c)), s=shape)
+            v = np.stack([np.fft.irfft2(band_rfft2(c), s=shape)
                           for c in companion.values])
             s = -mu * potential_of(VectorField(grid, v, check=False)).values
     elif isinstance(companion, ScalarField):
@@ -295,7 +280,7 @@ def march(data: list, cfg: StepperConfig, params: ChemistryParams, p0: float = 6
             return Trajectory(
                 outcome=RunOutcome.BLOWUP, final_state=None,
                 message=f"chemical not finite at t=0 (max c = {c_max})")
-        sh = dealias(np.fft.rfft2(np.log(companion.values)))
+        sh = band_rfft2(np.log(companion.values))
         s = np.fft.irfft2(sh, s=shape)
         v, grad_u = drift(grid, sh, mu), None   # grad u only where it is read
     else:
@@ -355,11 +340,20 @@ def march(data: list, cfg: StepperConfig, params: ChemistryParams, p0: float = 6
             dt = pending_snaps[0] - t   # land a step on the requested time
 
         if transformed:
+            # v moves by the trapezoid of grad(u) at both levels, in
+            # physical space: w = v + dt/2 grad(u) becomes v1 in place.
+            # The old v, grad(u), uh and t_hat go before u1 and grad(u1)
             w = grad_u * (0.5 * dt)
-            w += v                    # w = v + dt/2 grad(u)
-            u_prev, v, grad_u = u, None, None
-            uh, u, grad_u, v = _advance_transformed(
-                grid, uh, w, dt, chi, cfg.scheme, t_hat)
+            w += v
+            u_prev, v, grad_u = u, w, None
+            uh, t_hat = _advance_density(
+                grid, uh, dt, cfg.scheme, t_hat,
+                lambda uh_p: _predictor_transport_hat(
+                    grid, np.fft.irfft2(uh_p, s=shape), w, dt, chi)), None
+            u = np.fft.irfft2(uh, s=shape)
+            grad_u = grid._gradient(uh)
+            for i in (0, 1):   # no loop variable keeps a component view
+                v[i] += (0.5 * dt) * grad_u[i]
             s = s - (0.5 * dt * mu) * (u_prev + u)
             del u_prev
         else:

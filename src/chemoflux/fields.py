@@ -9,14 +9,21 @@ when L is large.  Conventions:
   N x N array is N x (N/2 + 1), with y along the full first axis (rows, FFT
   index order) and x along the halved last axis (columns m = 0..N/2); the
   way back is ``np.fft.irfft2(zh, s=(N, N))``,
+* the solver's spectra are compact: quadratic products are dealiased with
+  the 2/3 rule, so `band_rfft2` keeps only the columns 0..a, a = (N-1)//3,
+  of the square band, an N x (a + 1) array whose rows a+1..N-a-1 are zero;
+  ``irfft2`` zero-pads the missing columns, so the one inverse serves both
+  widths (its column pass then works on a + 1 columns).  The data build
+  keeps full half spectra, since its data are not band-limited,
+* `Grid`'s tables are full width, and each operator slices a table to the
+  width of the spectrum it meets, so one table serves both widths,
 * wavenumbers are 2*pi*m/L,
 * the Nyquist mode is zeroed in odd (first-derivative) operators, both the
   x-Nyquist column and the y-Nyquist row, so that real fields stay real and
   the operators are antisymmetric,
 * a Parseval sum over a half spectrum weights columns 1..N/2-1 twice, for
-  their mirror images in the dropped half, and columns 0 and N/2 once,
-* quadratic products are dealiased with the 2/3 rule: `dealias` zeroes the
-  square band's complement by two slices, its rows and its columns.
+  their mirror images in the dropped half, and columns 0 and N/2 once; a
+  compact spectrum has no column N/2.
 """
 
 from __future__ import annotations
@@ -42,7 +49,8 @@ class Grid:
     side_length is the period in both directions; resolution is the number
     of samples per axis (even, at least 8).  The spectral tables have the
     N x (N/2 + 1) layout of ``np.fft.rfft2``: x-wavenumbers run along the
-    halved last axis and y-wavenumbers along the full first axis.
+    halved last axis and y-wavenumbers along the full first axis.  A compact
+    spectrum (`band_rfft2`) meets a slice of them, their first a + 1 columns.
     """
 
     side_length: float = 16 * np.pi
@@ -74,17 +82,12 @@ class Grid:
         """Per-axis table 2*pi*m/L, FFT index order (length N)."""
         return 2.0 * np.pi * np.fft.fftfreq(self.resolution, d=self.spacing)
 
-    @cached_property
-    def _kx(self) -> np.ndarray:
-        """x-wavenumbers of the half-spectrum columns, m = 0..N/2."""
-        return 2.0 * np.pi * np.fft.rfftfreq(self.resolution, d=self.spacing)
-
     # Derivative tables are separable, so they are kept as broadcastable
     # (1, N/2 + 1) rows (x varies along columns) and (N, 1) columns (y along
     # rows); the Nyquist entry has no sign partner and is zeroed.
     @cached_property
     def _kx_deriv(self) -> np.ndarray:
-        k = self._kx.copy()
+        k = 2.0 * np.pi * np.fft.rfftfreq(self.resolution, d=self.spacing)
         k[-1] = 0.0
         return k[None, :]
 
@@ -104,7 +107,9 @@ class Grid:
 
     @cached_property
     def _k_squared(self) -> np.ndarray:
-        return self._kx[None, :] ** 2 + self.wavenumbers[:, None] ** 2
+        """-1 times the Laplacian's symbol.  Only compact spectra meet it, and
+        they have no Nyquist mode, so the derivative tables serve."""
+        return self._kx_deriv ** 2 + self._ky_deriv ** 2
 
     @cached_property
     def _column_weight(self) -> np.ndarray:
@@ -114,29 +119,31 @@ class Grid:
         return w
 
     def power_total(self, power: np.ndarray) -> float:
-        """Weighted sum of a half-spectrum ``power`` = |f_hat|^2.
+        """Weighted sum of a half-spectrum ``power`` = |f_hat|^2, full or compact.
 
         The result times cell_area / N^2 is ||f||_2^2 by Parseval.
         """
-        return float(power.sum(axis=0) @ self._column_weight)
+        return float(power.sum(axis=0) @ self._column_weight[:power.shape[1]])
 
     def gradient_power(self, power: np.ndarray) -> float:
         """Weighted sum of (kx^2 + ky^2) * power, with the derivative wavenumbers.
 
-        ``power`` is |f_hat|^2 of some field f over its half spectrum; the
-        result times cell_area / N^2 is ||grad f||_2^2 by Parseval.
+        ``power`` is |f_hat|^2 of some field f over its half spectrum, full
+        or compact; the result times cell_area / N^2 is ||grad f||_2^2 by
+        Parseval.
         """
-        w = self._column_weight
-        kx2 = self._kx_deriv[0] ** 2
+        w = self._column_weight[:power.shape[1]]
+        kx2 = self._kx_deriv[0, :power.shape[1]] ** 2
         ky2 = self._ky_deriv[:, 0] ** 2
         return float(power.sum(axis=0) @ (w * kx2) + (power @ w) @ ky2)
 
     def _gradient(self, zh: np.ndarray) -> np.ndarray:
-        """Samples of grad(z), a (2, N, N) array, from z's half spectrum zh."""
+        """Samples of grad(z), a (2, N, N) array, from z's half spectrum zh,
+        full or compact."""
         # filled a component at a time: a stack would hold both components
         # beside it, and irfft2 writes into no given array (out= is ignored)
         out = np.empty((2,) + self.shape)
-        out[0] = np.fft.irfft2(self._ikx * zh, s=self.shape)
+        out[0] = np.fft.irfft2(self._ikx[:, :zh.shape[1]] * zh, s=self.shape)
         out[1] = np.fft.irfft2(self._iky * zh, s=self.shape)
         return out
 
@@ -199,14 +206,19 @@ def curl2d(w: VectorField) -> ScalarField:
     return ScalarField(g, c, check=False)
 
 
-def dealias(zh: np.ndarray) -> np.ndarray:
-    """Zero, in place, the modes of half spectrum zh outside the square 2/3-rule
-    band |m| <= a = (N-1)//3, by two slices: the rows a+1..N-a-1 and the
-    columns past a.  With |m| < N/3, no product of two band fields aliases
-    into the band, also when 3 divides N."""
-    a = (zh.shape[0] - 1) // 3
-    zh[a + 1:zh.shape[0] - a] = 0.0
-    zh[:, a + 1:] = 0.0
+def band_rfft2(x: np.ndarray) -> np.ndarray:
+    """The compact dealias band of the half spectrum of real N x N samples x.
+
+    The square 2/3-rule band |m| <= a = (N-1)//3, as an N x (a + 1) array:
+    the columns 0..a of ``np.fft.rfft2(x)`` with the rows a+1..N-a-1 zeroed.
+    With |m| < N/3, no product of two band fields aliases into the band,
+    also when 3 divides N.  The transform writes into a fresh full-width
+    array, so that NumPy makes no second one.
+    """
+    n = x.shape[0]
+    a = (n - 1) // 3
+    zh = np.fft.rfft2(x, out=np.empty((n, n // 2 + 1), complex))[:, :a + 1].copy()
+    zh[a + 1:n - a] = 0.0
     return zh
 
 

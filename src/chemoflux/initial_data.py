@@ -41,7 +41,9 @@ class InitialDataRecipe:
     then the radius as ``uniform(0.03, 0.08)`` times the box side, with
     weights alternating +1, -1 from the first.  ``seed`` must be
     nonnegative: the generator would give -n the layout of n.  So must
-    ``random_disks``, and each disk's radius must be positive.
+    ``random_disks``, and each disk's radius must be positive.  A stripe's
+    width is a fraction of the side in (0, 1]: no cell lies in a stripe of
+    width <= 0.
     """
 
     kind: str = "piecewise_constant_disks"
@@ -73,6 +75,10 @@ class InitialDataRecipe:
             if not disk[2] > 0:
                 raise ParameterError("disks", "must each have a positive radius, "
                                      f"got {','.join(map(repr, disk))}")
+        for stripe in self.stripes:
+            if not 0 < stripe[1] <= 1:
+                raise ParameterError("stripes", "must each have a width in (0, 1], "
+                                     f"got {','.join(map(repr, stripe))}")
 
 
 @dataclass(frozen=True)
@@ -149,8 +155,7 @@ def _raster_u(recipe: InitialDataRecipe, grid: Grid) -> np.ndarray:
     elif recipe.kind == "piecewise_constant_stripes":
         frac = X / L
         for start, width, weight in recipe.stripes:
-            inside = (frac - start) % 1.0 < width
-            u += a * weight * inside
+            u += a * weight * ((frac - start) % 1.0 < width)
     elif recipe.kind == "smooth_bump":
         cx, cy = recipe.bump_center
         k = recipe.bump_sharpness

@@ -27,5 +27,5 @@ def write_snapshot(path, components) -> None:
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(MAGIC, n, len(arrays), 0))
         for a in arrays:
-            fh.write(a.tobytes())
+            fh.write(a.data)   # the buffer itself, not a bytes copy of it
 

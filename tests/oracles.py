@@ -28,7 +28,9 @@ def _tables(grid):
     k = grid.wavenumbers
     k_deriv = k.copy()
     k_deriv[n // 2] = 0.0   # Nyquist has no sign partner
-    keep = np.abs(np.fft.fftfreq(n) * n) <= (n - 1) // 3
+    # rounded, since fftfreq(n) * n is not always an exact integer
+    # (3.0000000000000004 at n=10)
+    keep = np.abs(np.round(np.fft.fftfreq(n) * n)) <= (n - 1) // 3
     return (1j * k_deriv[None, :], 1j * k_deriv[:, None],
             k[None, :] ** 2 + k[:, None] ** 2, ~(keep[None, :] & keep[:, None]))
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -455,6 +457,40 @@ class TestRun:
             assert traj.outcome is RunOutcome.COMPLETED
             assert traj.final_state is nodes[-1]
             assert abs(traj.final_state.t - 0.2) <= 1e-12
+
+    def test_node_spectrum_is_the_compact_band(self, grid32):
+        # a march carries the spectrum of u as its N x (a + 1) dealias band
+        u0, companions = self.node_data(grid32)
+        for companion in companions:
+            nodes = []
+            run([u0, companion], StepperConfig(dt=0.02, t_end=0.1),
+                ChemistryParams(), recorders=(nodes.append,))
+            assert len(nodes) == 6
+            assert {node.uh.shape for node in nodes} == {(32, (32 - 1) // 3 + 1)}
+
+    def test_peak_memory_of_a_single_run(self):
+        # NumPy registers its arrays with tracemalloc.  A run on a small
+        # grid first makes the one-time allocations of the code paths; the
+        # traced run then builds a fresh grid's tables, takes CN steps and
+        # builds a row at every node.  Its peak with compact spectra was
+        # 402 824 bytes alone and 401 992 after the rest of the suite
+        # (Python 3.11, NumPy 2.4).  The 8 KB margin is under a quarter of
+        # one full-width N x (N/2 + 1) spectrum at N=64 (33 792 bytes), so
+        # a full-width intermediate that comes back fails.
+        grid = Grid(16 * np.pi, 64)
+        u0 = ScalarField(grid, 1.0 + 0.3 * band_limited_field(grid, 7, kmax=14).values)
+        data = [u0, VectorField.zero(grid)]
+        cfg = StepperConfig(dt=0.05, t_end=0.5, dt_mode="cfl", record_every=1)
+        small = Grid(16 * np.pi, 8)
+        run([constant_field(small, 1.0), VectorField.zero(small)], cfg,
+            ChemistryParams(), recorders=(lambda node: node.row(),))
+        tracemalloc.start()
+        try:
+            run(data, cfg, ChemistryParams(), recorders=(lambda node: node.row(),))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 402_824 + 8_192
 
     def test_extinct_initial_chemical_halts_at_start(self, grid32):
         vals = np.ones((32, 32))

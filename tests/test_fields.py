@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 
 from chemoflux import (Grid, ScalarField, VectorField, curl2d, gradient,
                        lp_norm, write_snapshot)
-from chemoflux.fields import dealias as half_spectrum_dealias
-from chemoflux.fields import spectral_power
+from chemoflux.fields import band_rfft2, spectral_power
 from sample_fields import (band_limited_field, band_limited_gradient,
                            constant_field, field_from_function)
 from oracles import (dealias, divergence, gn_ratio, laplacian, perp_gradient,
@@ -68,6 +67,14 @@ class TestHalfSpectrumParseval:
         grad_sq = lp_norm(full_spectrum_gradient(f), 2) ** 2
         assert w * grid.power_total(power) == pytest.approx(f_sq, rel=1e-12)
         assert w * grid.gradient_power(power) == pytest.approx(grad_sq, rel=1e-12)
+        # the compact band of the same field, against its full-spectrum
+        # projection: the tables meet it sliced to its a + 1 columns
+        band = dealias(f)
+        power = spectral_power(band_rfft2(vals))
+        assert w * grid.power_total(power) == pytest.approx(
+            lp_norm(band, 2) ** 2, rel=1e-12)
+        assert w * grid.gradient_power(power) == pytest.approx(
+            lp_norm(full_spectrum_gradient(band), 2) ** 2, rel=1e-12)
 
 
 class TestGradient:
@@ -106,6 +113,16 @@ class TestGradient:
                             np.abs(spectral.values[1] - fd_y).max()))
         ratio = errs[0] / errs[1]
         assert 3.5 <= ratio <= 4.5
+
+    @pytest.mark.parametrize("n", [30, 64, 256])
+    def test_compact_spectrum_matches_its_zero_padded_full_spectrum(self, n):
+        # the inverse zero-pads the columns a compact spectrum lacks, so
+        # its gradient is bit for bit that of the full-width spectrum
+        grid = Grid(2 * np.pi, n)
+        zh = band_rfft2(band_limited_field(grid, seed=n, kmax=n // 2).values)
+        full = np.zeros((n, n // 2 + 1), complex)
+        full[:, :zh.shape[1]] = zh
+        np.testing.assert_array_equal(grid._gradient(zh), grid._gradient(full))
 
     def test_components_have_zero_mean(self, grid64):
         f = band_limited_field(grid64, seed=3)
@@ -271,12 +288,14 @@ class TestDealiasing:
 
     @pytest.mark.parametrize("n", [8, 30, 32, 48, 64])
     def test_half_spectrum_slices_match_full_spectrum_mask(self, n):
-        # the program's two slice zeroings keep the square band of the
-        # full-spectrum oracle, at sizes with and without a factor of 3
+        # the band forward's compact spectrum, columns 0..a with the rows
+        # past the band zeroed, is the square band of the full-spectrum
+        # oracle, at sizes with and without a factor of 3
         grid = Grid(2 * np.pi, n)
         f = band_limited_field(grid, seed=n, kmax=n // 2)
-        kept = np.fft.irfft2(half_spectrum_dealias(np.fft.rfft2(f.values)),
-                             s=grid.shape)
+        zh = band_rfft2(f.values)
+        assert zh.shape == (n, (n - 1) // 3 + 1)
+        kept = np.fft.irfft2(zh, s=grid.shape)
         assert np.abs(kept - dealias(f).values).max() <= 1e-13
 
     def test_in_band_product_rule_for_curl(self, grid64):

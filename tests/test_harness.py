@@ -298,6 +298,9 @@ def test_chi_and_mu_are_independent_inputs(tmp_path, capsys):
     # no disk would be drawn, and a radius r <= 0 would act as |r|
     "recipe.random_disks = -3", "recipe.disks = 0.5,0.5,0.0,1.0",
     "recipe.disks = 0.5,0.5,-0.2,1.0",
+    # no cell lies in a stripe of width <= 0, and one past 1 is the whole box
+    "recipe.stripes = 0.2,-0.3,1.0", "recipe.stripes = 0.2,0.0,1.0",
+    "recipe.stripes = 0.2,1.5,1.0",
 ])
 def test_bad_value_exits_2_naming_its_key(tmp_path, capsys, line):
     key, value = line.split(" = ")
@@ -754,6 +757,7 @@ def test_scan_theta_classifies_each_amplitude(tmp_path, capsys):
 
 finite = st.floats(min_value=1e-3, max_value=1e3, allow_nan=False)
 fraction = st.floats(min_value=0.0, max_value=1.0)
+width = st.floats(min_value=0.0, max_value=1.0, exclude_min=True)
 signed = st.floats(min_value=-10.0, max_value=10.0)
 small_int = st.integers(min_value=1, max_value=64)
 
@@ -795,7 +799,7 @@ def config_texts(draw):
         "recipe.disks": st.lists(st.tuples(fraction, fraction, finite, signed),
                                  min_size=1, max_size=3).map(
             lambda ds: "; ".join(_join(d) for d in ds)),
-        "recipe.stripes": st.lists(st.tuples(fraction, fraction, signed),
+        "recipe.stripes": st.lists(st.tuples(fraction, width, signed),
                                    min_size=1, max_size=3).map(
             lambda ss: "; ".join(_join(s) for s in ss)),
         "recipe.modes": st.lists(st.tuples(st.integers(-4, 4), st.integers(-4, 4),
