@@ -7,10 +7,17 @@ on each node.  A node carries the state (t, u, v and s = ln c) and the
 scalars that are free at it, and builds its diagnostics row on
 ``node.row()``, so a consumer pays for a row only where it reads one.  A
 yielded node's arrays are never written afterwards.  A march holds one
-state at a time: it takes the initial datum from a one-shot
-holder that it empties, hands each snapshot to the caller's sink at its
-time and keeps no earlier state, so a run's memory does not grow with its
-length, its snapshots or its records.  The type of u0's companion picks
+state at a time: it takes the initial datum from a one-shot holder that it
+empties, hands each snapshot to the caller's sink at its time and keeps no
+earlier state, so a run's memory does not grow with its length, its
+snapshots or its records.  A step of either mode holds the node's state
+plus only the arrays it is building, and drops each array of the node once
+it has read it; at the widest point of a CN step, its predictor's
+transport term, those are s at the half step, the explicit term of the
+density update (in the array of the node's transport term), the predicted
+samples of u and the term being built, beside w = v + dt/2 grad(u) in
+transformed mode or the spectrum of s and the predictor's drift in
+original mode (see `march`).  The type of u0's companion picks
 the mode: v0, a `VectorField`, the transformed one and c0, a
 `ScalarField`, the original one.  Both modes share one transport kernel
 and one implicit density update:
@@ -144,51 +151,34 @@ def _predictor_transport_hat(grid: Grid, u_p, w, dt: float, chi: float):
 def _advance_density(grid, uh, dt, scheme, t_hat, predictor_transport):
     """IMEX update of u_hat: backward Euler, or trapezoid with a predictor.
 
-    t_hat is the transport term at the current node; for CN,
-    ``predictor_transport(uh_p)`` gives it at the predicted density.  The
-    update works in place, on arrays that this step made.
+    t_hat is the transport term at the current node, an array of the
+    caller's that the update overwrites: backward Euler builds u_hat(t+dt)
+    in it, and the trapezoid its explicit term.  The trapezoid then
+    transforms its predicted spectrum and drops it, so that
+    ``predictor_transport(u_p)``, the transport term at the predicted
+    samples u_p, runs beside no spectrum of the update but t_hat.
     """
     k2 = grid._k_squared[:, :uh.shape[1]]
     if scheme == "imex_be":
-        uh1 = dt * t_hat
-        uh1 += uh
-        uh1 *= 1.0 / (1.0 + dt * k2)
-        return uh1
-    inv_den = 1.0 / (1.0 + 0.5 * dt * k2)   # cheaper than a complex quotient
+        t_hat *= dt
+        t_hat += uh
+        t_hat *= 1.0 / (1.0 + dt * k2)
+        return t_hat
     explicit = (1.0 - 0.5 * dt * k2) * uh
     uh_p = dt * t_hat
     uh_p += explicit
-    uh_p *= inv_den
-    uh1 = predictor_transport(uh_p)
-    uh1 += t_hat
+    uh_p *= 1.0 / (1.0 + 0.5 * dt * k2)   # cheaper than a complex quotient
+    t_hat *= 0.5 * dt
+    t_hat += explicit   # the explicit term of the update
+    del explicit
+    u_p = np.fft.irfft2(uh_p, s=grid.shape)
+    del uh_p
+    uh1 = predictor_transport(u_p)
+    del u_p
     uh1 *= 0.5 * dt
-    uh1 += explicit
-    uh1 *= inv_den
+    uh1 += t_hat
+    uh1 *= 1.0 / (1.0 + 0.5 * dt * k2)   # not held across the predictor
     return uh1
-
-
-def _advance_original(grid, u, s, uh, sh, dt, params, scheme, t_hat):
-    """Strang step: half chemical decay, full density step, half decay.
-
-    The chemical is carried as s = ln c, so positivity is structural and
-    the extinction check is an exact comparison in log space.  Each decay
-    is linear in u, so the step moves the compact spectrum sh of s with the
-    samples, from spectra it already holds.  The density step's drift is
-    v_h = v + dt/2 grad(u), v the node's, so its transport at u is the
-    node's t_hat plus `_self_transport_hat`, one transform; only the CN
-    predictor reads the samples of v_h.  Returns (u1, s1, uh1, sh1).
-    """
-    mu, chi = params.mu, params.chi
-    half = 0.5 * dt * mu
-    s_half = s - half * u
-    sh_half = sh - half * uh
-    uh1 = _advance_density(
-        grid, uh, dt, scheme, t_hat + _self_transport_hat(grid, u, dt, chi),
-        lambda uh_p: _transport_hat(grid, np.fft.irfft2(uh_p, s=grid.shape),
-                                    drift(grid, sh_half, mu), chi))
-    u1 = np.fft.irfft2(uh1, s=grid.shape)
-    sh_half -= half * uh1   # sh_half is this step's own array: it becomes sh1
-    return u1, s_half - half * u1, uh1, sh_half
 
 
 def _cfl_dt(grid, grad_u, v2_max, chi, cfg) -> float:
@@ -237,12 +227,25 @@ def march(data: list, cfg: StepperConfig, params: ChemistryParams, p0: float = 6
     largest double, where c_linf would overflow; a non-finite field makes
     its norm non-finite.
 
-    So a march holds one state at a time: the node's spectrum and samples
-    of u, its grad(u), v, s and transport term, and within a step that
-    step's arrays.  A transformed step forms w = v + dt/2 grad(u) and drops
-    v and grad(u) before it builds their successors, and the transport term
-    and the old spectrum of u before it builds u1 and grad(u1).  It keeps
-    no datum, snapshot or earlier state; a consumer that drops each node
+    So a march holds one state at a time.  At a node that is the spectrum
+    and samples of u, the samples of v and s, the transport term, the
+    samples of grad(u) in transformed mode or where a CFL bound reads them,
+    and in original mode the spectrum of s.  A step adds only the arrays it
+    builds and drops each of the node's once it is read: s goes to its half
+    step first, as -half*u + s (the bits of s - half*u with one array
+    fewer), which frees the node's u; a transformed step forms
+    w = v + dt/2 grad(u), which frees v and grad(u), and an original step
+    frees v once its spectrum of s has moved to the half step and its
+    transport term has taken the self-transport term, both in place.  The
+    density update folds its explicit term into the transport term's array
+    and transforms its predicted spectrum before the predictor runs, so the
+    widest point of a CN step, the predictor's transport term, holds the
+    node's spectrum of u, the half-step s, the explicit term, the predicted
+    samples u_p and the term being built, beside w in transformed mode, or
+    the spectrum of s and the predictor's drift in original mode; the CN
+    denominator is taken again after the predictor, not held across it.
+    s and its spectrum take their second half in place.  A march keeps no
+    datum, snapshot or earlier state; a consumer that drops each node
     before asking for the next holds no more.
 
     Deterministic for a fixed configuration and single-threaded execution.
@@ -259,7 +262,9 @@ def march(data: list, cfg: StepperConfig, params: ChemistryParams, p0: float = 6
     shape = grid.shape
     mu, chi = params.mu, params.chi
 
+    # each datum is dropped as soon as it is projected
     uh = band_rfft2(u0.values)
+    del u0
     u = np.fft.irfft2(uh, s=shape)
 
     transformed = isinstance(companion, VectorField)
@@ -267,8 +272,9 @@ def march(data: list, cfg: StepperConfig, params: ChemistryParams, p0: float = 6
         grad_u = grid._gradient(uh)
         v, s = np.zeros((2,) + shape), np.zeros_like(u)   # no FFTs for v0 = 0
         if companion.values.any():   # ln c0 = -mu * potential(v0)
-            v = np.stack([np.fft.irfft2(band_rfft2(c), s=shape)
-                          for c in companion.values])
+            for i in (0, 1):
+                v[i] = np.fft.irfft2(band_rfft2(companion.values[i]), s=shape)
+            companion = None
             s = -mu * potential_of(VectorField(grid, v, check=False)).values
     elif isinstance(companion, ScalarField):
         c_min, c_max = companion.values.min(), companion.values.max()
@@ -281,11 +287,12 @@ def march(data: list, cfg: StepperConfig, params: ChemistryParams, p0: float = 6
                 outcome=RunOutcome.BLOWUP, final_state=None,
                 message=f"chemical not finite at t=0 (max c = {c_max})")
         sh = band_rfft2(np.log(companion.values))
+        companion = None
         s = np.fft.irfft2(sh, s=shape)
         v, grad_u = drift(grid, sh, mu), None   # grad u only where it is read
     else:
         raise ValueError(f"companion {type(companion).__name__} selects no mode")
-    del u0, companion
+    del companion
 
     recorder = diag.TrajectoryRecorder(chi=chi, p0=p0)
     pending_snaps = sorted(float(ts) for ts in snapshot_times)
@@ -339,32 +346,50 @@ def march(data: list, cfg: StepperConfig, params: ChemistryParams, p0: float = 6
         if pending_snaps and t + dt > pending_snaps[0] + _time_tol(t):
             dt = pending_snaps[0] - t   # land a step on the requested time
 
+        # s moves by the trapezoid of -mu*u, in original mode the Strang
+        # pair of exact decays around the density step: its first half,
+        # built as -half*u + s (the bits of s - half*u, one array fewer),
+        # frees the node's u before the density step, and its second half
+        # is taken in place
+        half = 0.5 * dt * mu
+        s_half = u * -half
+        s_half += s
+        s = s_half
         if transformed:
             # v moves by the trapezoid of grad(u) at both levels, in
-            # physical space: w = v + dt/2 grad(u) becomes v1 in place.
-            # The old v, grad(u), uh and t_hat go before u1 and grad(u1)
+            # physical space: w = v + dt/2 grad(u) becomes v1 in place
             w = grad_u * (0.5 * dt)
             w += v
-            u_prev, v, grad_u = u, w, None
+            u, v, grad_u = None, w, None
             uh, t_hat = _advance_density(
                 grid, uh, dt, cfg.scheme, t_hat,
-                lambda uh_p: _predictor_transport_hat(
-                    grid, np.fft.irfft2(uh_p, s=shape), w, dt, chi)), None
-            u = np.fft.irfft2(uh, s=shape)
+                lambda u_p: _predictor_transport_hat(grid, u_p, w, dt, chi)), None
+        else:
+            # the density step's drift is v + dt/2 grad(u), v the node's,
+            # so its transport at u is the node's t_hat plus the
+            # self-transport term; the CN predictor builds its drift from
+            # the spectrum of s at the half step.  sh and t_hat are the
+            # march's own arrays, so both move in place
+            sh -= half * uh
+            t_hat += _self_transport_hat(grid, u, dt, chi)
+            u = v = grad_u = None
+            uh, t_hat = _advance_density(
+                grid, uh, dt, cfg.scheme, t_hat,
+                lambda u_p: _transport_hat(grid, u_p, drift(grid, sh, mu), chi)), None
+        u = np.fft.irfft2(uh, s=shape)
+        s -= half * u
+        if transformed:
             grad_u = grid._gradient(uh)
             for i in (0, 1):   # no loop variable keeps a component view
                 v[i] += (0.5 * dt) * grad_u[i]
-            s = s - (0.5 * dt * mu) * (u_prev + u)
-            del u_prev
         else:
-            u, s, uh, sh = _advance_original(grid, u, s, uh, sh, dt, params,
-                                             cfg.scheme, t_hat)
+            sh -= half * uh
             if s.min() <= _LOG_FLOOR:
                 outcome = RunOutcome.CHEMICAL_EXTINCTION
                 message = (f"chemical under floor at t={t + dt} "
                            f"(min ln c = {s.min()})")
                 break
-            v, grad_u = drift(grid, sh, mu), None
+            v = drift(grid, sh, mu)
         t += dt
         nstep += 1
 

@@ -231,15 +231,20 @@ def lp_norm(f, p) -> float:
     """L^p norm by uniform Riemann sum; p in [1, inf].
 
     Vector fields are measured through the pointwise Euclidean magnitude.
+    For p = 2 that is the sum of x*x over every sample of every component,
+    one component at a time, with NumPy's own reductions: no |x| pass, no
+    magnitude, and no BLAS dot product, whose threads could change the
+    order of the sum.
     """
     if not (p == np.inf or p >= 1):
         raise ValueError(f"p must be >= 1 or inf, got {p}")
+    if p == 2:
+        comps = f.values if isinstance(f, VectorField) else (f.values,)
+        return float(np.sqrt(sum((x * x).sum() for x in comps) * f.grid.cell_area))
     if isinstance(f, VectorField):
         vals = f.magnitude()
     else:
         vals = np.abs(f.values)
     if p == np.inf:
         return float(vals.max())
-    if p == 2:
-        return float(np.sqrt((vals ** 2).sum() * f.grid.cell_area))
     return float(((vals ** p).sum() * f.grid.cell_area) ** (1.0 / p))

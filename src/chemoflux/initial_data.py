@@ -109,14 +109,21 @@ def mollifier_kernel(grid: Grid, delta: float) -> np.ndarray:
     return w / w.sum()
 
 
-def mollify(f: ScalarField | VectorField, delta: float):
+def mollify(f: ScalarField | VectorField, delta: float, ker=None):
     """Circular convolution of a scalar or vector field with the width-delta
     kernel, component by component (the transforms act on the last two
-    axes); preserves the mean and keeps values inside [min f, max f]."""
+    axes); preserves the mean and keeps values inside [min f, max f].
+
+    ``ker`` is the kernel's half spectrum, ``np.fft.rfft2`` of
+    `mollifier_kernel`; a caller that convolves several fields with one
+    kernel passes it, and it is taken here otherwise.
+    """
     g = f.grid
-    ker = np.fft.rfft2(mollifier_kernel(g, delta))
-    out = np.fft.irfft2(np.fft.rfft2(f.values) * ker, s=g.shape)
-    return type(f)(g, out, check=False)
+    if ker is None:
+        ker = np.fft.rfft2(mollifier_kernel(g, delta))
+    zh = np.fft.rfft2(f.values)
+    zh *= ker
+    return type(f)(g, np.fft.irfft2(zh, s=g.shape), check=False)
 
 
 def potential_of(w: VectorField) -> ScalarField:
@@ -177,38 +184,49 @@ def _raster_potential(recipe: InitialDataRecipe, grid: Grid) -> np.ndarray | Non
     return phi
 
 
-def build_initial_data(recipe: InitialDataRecipe, grid: Grid):
-    """Rasterize a recipe into (u0, v0, summary).
+def _theta(u0: ScalarField, v0: VectorField | None) -> float:
+    """||u0 - 1||_2^2 + ||v0||_2^2, where None stands for a zero v0."""
+    theta = lp_norm(ScalarField(u0.grid, u0.values - 1.0, check=False), 2) ** 2
+    return theta if v0 is None else theta + lp_norm(v0, 2) ** 2
 
-    Raises if the recipe produces u0 < 0 anywhere or violates p0 > 4.
-    When delta > 0, u0 and, when a potential was rasterized, v0 are
-    convolved with the same kernel.
-    """
+
+def _raw_data(recipe: InitialDataRecipe, grid: Grid):
+    """The unsmoothed (u0, v0) of a recipe, v0 None where no potential is
+    rasterized (a zero v0)."""
     u_vals = _raster_u(recipe, grid)
     umin = u_vals.min()
     if umin < 0:
         raise ValueError(
             f"recipe produces negative cell density (min u0 = {umin}); "
             "u0 >= 0 is required")
-    u0 = ScalarField(grid, u_vals, check=False)
-
     phi_vals = _raster_potential(recipe, grid)
-    if phi_vals is None:
-        v0 = VectorField.zero(grid)
-    else:
-        v0 = gradient(ScalarField(grid, phi_vals, check=False))
+    v0 = None if phi_vals is None else gradient(ScalarField(grid, phi_vals,
+                                                            check=False))
+    return ScalarField(grid, u_vals, check=False), v0
 
-    theta0_raw = lp_norm(ScalarField(grid, u0.values - 1.0, check=False), 2) ** 2 \
-        + lp_norm(v0, 2) ** 2
+
+def build_initial_data(recipe: InitialDataRecipe, grid: Grid):
+    """Rasterize a recipe into (u0, v0, summary).
+
+    Raises if the recipe produces u0 < 0 anywhere or violates p0 > 4.
+    When delta > 0, u0 and, when a potential was rasterized, v0 are
+    convolved with the same kernel, whose spectrum is taken once.  A zero
+    v0 takes no transform: no mollifier, norm or curl check acts on it.
+    """
+    u0, v0 = _raw_data(recipe, grid)
+    theta0_raw = _theta(u0, v0)
     if recipe.delta > 0:
-        u0 = mollify(u0, recipe.delta)
-        if phi_vals is not None:   # a zero v0 stays zero
-            v0 = mollify(v0, recipe.delta)
+        ker = np.fft.rfft2(mollifier_kernel(grid, recipe.delta))
+        u0 = mollify(u0, recipe.delta, ker)
+        if v0 is not None:
+            v0 = mollify(v0, recipe.delta, ker)
+        del ker
 
-    theta0 = lp_norm(ScalarField(grid, u0.values - 1.0, check=False), 2) ** 2 \
-        + lp_norm(v0, 2) ** 2
-    summary = DataSummary(theta0=theta0, M=lp_norm(v0, recipe.p0),
+    summary = DataSummary(theta0=_theta(u0, v0),
+                          M=0.0 if v0 is None else lp_norm(v0, recipe.p0),
                           theta0_raw=theta0_raw)
+    if v0 is None:
+        return u0, VectorField.zero(grid), summary
     curl_sup = lp_norm(curl2d(v0), np.inf)
     if curl_sup > 1e-10:
         raise AssertionError(

@@ -468,29 +468,41 @@ class TestRun:
             assert len(nodes) == 6
             assert {node.uh.shape for node in nodes} == {(32, (32 - 1) // 3 + 1)}
 
-    def test_peak_memory_of_a_single_run(self):
+    @pytest.mark.parametrize("original,rows,bound", [
+        (False, True, 401_032), (False, False, 386_880),
+        (True, True, 423_624), (True, False, 343_872),
+    ], ids=["transformed-rows", "transformed", "original-rows", "original"])
+    def test_peak_memory_of_a_single_run(self, original, rows, bound):
         # NumPy registers its arrays with tracemalloc.  A run on a small
         # grid first makes the one-time allocations of the code paths; the
-        # traced run then builds a fresh grid's tables, takes CN steps and
-        # builds a row at every node.  Its peak with compact spectra was
-        # 402 824 bytes alone and 401 992 after the rest of the suite
-        # (Python 3.11, NumPy 2.4).  The 8 KB margin is under a quarter of
-        # one full-width N x (N/2 + 1) spectrum at N=64 (33 792 bytes), so
-        # a full-width intermediate that comes back fails.
-        grid = Grid(16 * np.pi, 64)
+        # traced run then builds a fresh grid's tables and takes CN steps,
+        # at CFL dt in transformed mode and at fixed dt in original mode,
+        # building a row at every node or none.  Each bound is the peak of
+        # the case run alone (Python 3.11, NumPy 2.4; some 300 bytes less
+        # after the rest of the suite).  The 8 KB margin is under a quarter
+        # of one full-width N x (N/2 + 1) spectrum at N=64 (33 792 bytes),
+        # so a full-width intermediate that comes back fails, and so does
+        # an N x N array (32 768 bytes) that a step holds again.
+        grid, small = Grid(16 * np.pi, 64), Grid(16 * np.pi, 8)
         u0 = ScalarField(grid, 1.0 + 0.3 * band_limited_field(grid, 7, kmax=14).values)
-        data = [u0, VectorField.zero(grid)]
-        cfg = StepperConfig(dt=0.05, t_end=0.5, dt_mode="cfl", record_every=1)
-        small = Grid(16 * np.pi, 8)
-        run([constant_field(small, 1.0), VectorField.zero(small)], cfg,
-            ChemistryParams(), recorders=(lambda node: node.row(),))
+        if original:
+            data = [u0, ScalarField(grid, np.exp(
+                0.2 * band_limited_field(grid, 6).values))]
+            warm = [constant_field(small, 1.0), constant_field(small, 1.0)]
+            cfg = StepperConfig(dt=0.05, t_end=0.5, record_every=1)
+        else:
+            data = [u0, VectorField.zero(grid)]
+            warm = [constant_field(small, 1.0), VectorField.zero(small)]
+            cfg = StepperConfig(dt=0.05, t_end=0.5, dt_mode="cfl", record_every=1)
+        hooks = (lambda node: node.row(),) if rows else ()
+        run(warm, cfg, ChemistryParams(), recorders=(lambda node: node.row(),))
         tracemalloc.start()
         try:
-            run(data, cfg, ChemistryParams(), recorders=(lambda node: node.row(),))
+            run(data, cfg, ChemistryParams(), recorders=hooks)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 402_824 + 8_192
+        assert peak <= bound + 8_192
 
     def test_extinct_initial_chemical_halts_at_start(self, grid32):
         vals = np.ones((32, 32))

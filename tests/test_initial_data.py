@@ -104,6 +104,27 @@ class TestRecipes:
         assert set(np.unique(drawn.values)) >= {0.8, 1.0, 1.2}
         np.testing.assert_array_equal(drawn.values, explicit.values)
 
+    @pytest.mark.parametrize("modes,count", [
+        ((), 3),                      # mollify u0: kernel, u0 and back
+        (((1, 0, 1.0, 0.0),), 11),    # + gradient 3, mollify v0 2, curl 3
+    ])
+    def test_transforms_of_a_mollified_build(self, grid64, monkeypatch, modes,
+                                             count):
+        # a zero v0 takes no transform, and u0 and v0 share one kernel
+        # spectrum; a transform of a (2, N, N) array counts once
+        calls = [0]
+        for name in ("rfft2", "irfft2"):
+            def counting(*args, _real=getattr(np.fft, name), **kwargs):
+                calls[0] += 1
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(np.fft, name, counting)
+        recipe = InitialDataRecipe(amplitude=0.2, delta=2 * grid64.spacing,
+                                   disks=((0.5, 0.5, 3.0, 1.0),),
+                                   potential_modes=modes)
+        _, v0, summary = build_initial_data(recipe, grid64)
+        assert calls[0] == count
+        assert (summary.M > 0) == bool(modes) and v0.values.any() == bool(modes)
+
     def test_rejects_p0_at_most_four(self):
         with pytest.raises(ValueError):
             InitialDataRecipe(kind="smooth_bump", p0=4.0)
