@@ -2,11 +2,13 @@
 
 The substitution v = -(1/mu) * grad(ln c) removes the logarithmic
 singularity of the chemotactic sensitivity and gives v a spatial structure.
-The chemical ODE c_t = -mu*u*c itself is integrated in ``evolve`` on ln c,
-where the exact exponential update is a subtraction and positivity is
-structural.  `drift` is the one computation of v from the half spectrum
-of s = ln c: the original-mode stepper calls it at every node, and
-`forward_transform` is its check of the extinction floor on samples of c.
+A datum's potential phi0 fixes both forms at once: ln c0 = -mu*phi0 and
+v0 = grad(phi0).  The chemical ODE c_t = -mu*u*c itself is integrated in
+``evolve`` on ln c, where the exact exponential update is a subtraction and
+positivity is structural.  `drift` is the one computation of v from the
+half spectrum of s = ln c: the march's start calls it in both modes, the
+original-mode stepper at every node, and `forward_transform` is its check
+of the extinction floor on samples of c.
 """
 
 from __future__ import annotations

@@ -143,7 +143,8 @@ def node_norms(grid, uh, t_hat, v) -> NodeAux:
     abs_uh2[0, 0] = 0.0   # the mean mode's power would swamp ||u - 1||^2 near u = 1
     u_sq = w * grid.power_total(abs_uh2) + (mean_u - 1.0) ** 2 * grid.side_length ** 2
     abs_ut2 = spectral_power(t_hat - grid._k_squared[:, :uh.shape[1]] * uh)
-    v2 = v[0] * v[0] + v[1] * v[1]
+    v2 = v[0] * v[0]   # two N x N arrays, not three
+    v2 += v[1] * v[1]
     return NodeAux(u_sq=float(u_sq), v_sq=float(grid.cell_area * v2.sum()),
                    grad_u_sq=w * grid.gradient_power(abs_uh2),
                    ut_sq=w * grid.power_total(abs_ut2),

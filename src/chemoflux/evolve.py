@@ -17,10 +17,11 @@ transport term, those are s at the half step, the explicit term of the
 density update (in the array of the node's transport term), the predicted
 samples of u and the term being built, beside w = v + dt/2 grad(u) in
 transformed mode or the spectrum of s and the predictor's drift in
-original mode (see `march`).  The type of u0's companion picks
-the mode: v0, a `VectorField`, the transformed one and c0, a
-`ScalarField`, the original one.  Both modes share one transport kernel
-and one implicit density update:
+original mode (see `march`).  The datum [u0, phi0] is the same for both
+modes, which ``mode`` names: the march applies the Cole-Hopf substitution
+at its start, s = ln c0 = -mu*phi0 and v0 = -(1/mu) grad(s) = grad(phi0),
+so the two modes start from one node.  Both modes share one transport
+kernel and one implicit density update:
 
 * transformed mode evolves (u, v) with implicit (backward-Euler or
   trapezoidal) diffusion and explicit dealiased transport chi*div(u v);
@@ -41,7 +42,8 @@ IMEX-CN step then takes 9 transforms and an IMEX-BE step 5, and the CFL
 bound reads the node's grad(u) and max |v|^2, with no transform.  An
 original-mode CN step takes 11 and a BE step 6, plus 2 for grad(u) where a
 CFL bound reads it; a row takes 3, plus those 2 where the node has no
-grad(u).
+grad(u).  The start takes 2 for u, 4 for s and v unless phi0 is zero, and
+in transformed mode 2 for grad(u).
 """
 
 from __future__ import annotations
@@ -54,7 +56,6 @@ import numpy as np
 from . import diagnostics as diag
 from .cole_hopf import C_FLOOR, ChemistryParams, drift
 from .fields import Grid, ParameterError, ScalarField, VectorField, band_rfft2
-from .initial_data import potential_of
 
 _LOG_FLOOR = float(np.log(C_FLOOR))
 _LOG_MAX = float(np.log(np.finfo(float).max))   # exp overflows above this
@@ -183,15 +184,17 @@ def _advance_density(grid, uh, dt, scheme, t_hat, predictor_transport):
 
 def _cfl_dt(grid, grad_u, v2_max, chi, cfg) -> float:
     """Advective step limit from max|v|^2 and max|grad u|, capped at cfg.dt."""
-    grad_u_inf = float(np.sqrt((grad_u[0] ** 2 + grad_u[1] ** 2).max()))
+    g2 = grad_u[0] * grad_u[0]   # two N x N arrays, not three
+    g2 += grad_u[1] * grad_u[1]
+    grad_u_inf = float(np.sqrt(g2.max()))
     v_inf = float(np.sqrt(v2_max))
     speed = max(1e-12, v_inf * chi + grad_u_inf * grid.spacing)
     return min(cfg.cfl_number * grid.spacing / speed, cfg.dt)
 
 
 def march(data: list, cfg: StepperConfig, params: ChemistryParams, p0: float = 6.0,
-          snapshot_times=(), snapshot_sink=None):
-    """Advance matched initial data to t_end (or a halt), yielding its nodes.
+          mode: str = "transformed", snapshot_times=(), snapshot_sink=None):
+    """Advance an initial datum to t_end (or a halt), yielding its nodes.
 
     A generator: it yields a `diagnostics.Node` at every record node (every
     ``record_every`` steps and at t_end) and returns (as
@@ -202,30 +205,37 @@ def march(data: list, cfg: StepperConfig, params: ChemistryParams, p0: float = 6
     writes to them afterwards, and it keeps no reference to a node across a
     step.
 
-    ``data`` is a one-shot holder, the list ``[u0, companion]``.  The march
-    empties it when it starts and drops the datum once it has projected it,
-    because in CPython every frame of the call chain (the study, `run`, a
-    tracer around it) keeps its arguments alive for the whole run; a caller
-    that needs the datum again keeps its own reference and hands over a
-    fresh holder.  ``companion`` selects the mode: v0 (a `VectorField`) the
-    transformed, c0 (a `ScalarField`) the original.  The working state is
-    projected onto the dealias band once at start.  Both modes carry
-    s = ln c: original mode evolves it, and transformed mode starts it at
-    -mu * potential(v0) and advances it by the trapezoid of -mu*u over each
-    step, the same update as the Strang pair of original mode.  A node's
-    ``c_linf`` is exp(max s), and its v is the drift in both modes.
+    ``data`` is a one-shot holder, the list ``[u0, phi0]`` of
+    `initial_data.build_initial_data`.  The march empties it when it starts
+    and drops the datum once it has projected it, because in CPython every
+    frame of the call chain (the study, `run`, a tracer around it) keeps its
+    arguments alive for the whole run; a caller that needs the datum again
+    keeps its own reference and hands over a fresh holder.  ``mode`` is
+    "transformed", which evolves (u, v), or "original", which evolves
+    (u, c).  Both start alike, with the working state projected onto the
+    dealias band: the compact spectrum sh of s = ln c0 = -mu*phi0, its
+    samples s and v = `cole_hopf.drift` of sh, which is grad(phi0); a zero
+    phi0 takes no transform.  Both modes carry s: original mode evolves it
+    with its spectrum, and transformed mode drops sh and advances s by the
+    trapezoid of -mu*u over each step, the same update as the Strang pair
+    of original mode.  A node's ``c_linf`` is exp(max s), and its v is the
+    drift in both modes.
 
-    Every time node, t=0 included, takes one pass: the transport term, the
-    node norms (`diagnostics.node_norms`), the halt test, the running
-    functionals, the yield at a record node, and the snapshots due.  A step
-    lands on each of ``snapshot_times``, where the march calls
-    ``snapshot_sink(t, payload)`` once, before the next step: the payload
-    maps "u", "v1" and "v2" (transformed) or "u" and "c" (original) to the
-    node's samples, under the contract of the yielded nodes (c is built for
-    the call).  Snapshot times need a sink.  The halt test returns
-    ``BLOWUP`` when a node norm is not finite or max s reaches ln of the
-    largest double, where c_linf would overflow; a non-finite field makes
-    its norm non-finite.
+    Every time node, t=0 included, takes one pass: the extinction test in
+    original mode, the transport term, the node norms
+    (`diagnostics.node_norms`), the blow-up test, the running functionals,
+    the yield at a record node, and the snapshots due.  A step lands on each
+    of ``snapshot_times``, where the march calls ``snapshot_sink(t,
+    payload)`` once, before the next step: the payload maps "u", "v1" and
+    "v2" (transformed) or "u" and "c" (original) to the node's samples,
+    under the contract of the yielded nodes (c is built for the call).
+    Snapshot times need a sink.  The extinction test returns
+    ``CHEMICAL_EXTINCTION`` when min s is at or below ln ``C_FLOOR``, where
+    c, the original mode's state, underflows; transformed mode, whose state
+    is v, has none.  The blow-up test returns ``BLOWUP`` when a node norm is
+    not finite or max s reaches ln of the largest double, where c_linf
+    would overflow; a non-finite field makes its norm non-finite.  Both
+    tests read s, which both modes start from phi0.
 
     So a march holds one state at a time.  At a node that is the spectrum
     and samples of u, the samples of v and s, the transport term, the
@@ -249,50 +259,37 @@ def march(data: list, cfg: StepperConfig, params: ChemistryParams, p0: float = 6
     before asking for the next holds no more.
 
     Deterministic for a fixed configuration and single-threaded execution.
-    Halts surface as the trajectory outcome, never as silent truncation:
-    an original-mode c at or below ``C_FLOOR`` anywhere returns
-    ``CHEMICAL_EXTINCTION`` with a message, at t=0 before any node, and a
-    c0 that is not finite returns ``BLOWUP`` the same way.
+    Halts surface as the trajectory outcome, never as silent truncation; a
+    halt at t=0 comes before any yield or snapshot.
     """
+    if mode not in ("transformed", "original"):
+        raise ValueError(f"mode must be transformed or original, got {mode!r}")
     if snapshot_times and snapshot_sink is None:
         raise ValueError("snapshot_times need a snapshot_sink")
-    u0, companion = data
+    u0, phi0 = data
     data.clear()
     grid = u0.grid
     shape = grid.shape
     mu, chi = params.mu, params.chi
+    transformed = mode == "transformed"
 
     # each datum is dropped as soon as it is projected
     uh = band_rfft2(u0.values)
     del u0
     u = np.fft.irfft2(uh, s=shape)
-
-    transformed = isinstance(companion, VectorField)
-    if transformed:
-        grad_u = grid._gradient(uh)
-        v, s = np.zeros((2,) + shape), np.zeros_like(u)   # no FFTs for v0 = 0
-        if companion.values.any():   # ln c0 = -mu * potential(v0)
-            for i in (0, 1):
-                v[i] = np.fft.irfft2(band_rfft2(companion.values[i]), s=shape)
-            companion = None
-            s = -mu * potential_of(VectorField(grid, v, check=False)).values
-    elif isinstance(companion, ScalarField):
-        c_min, c_max = companion.values.min(), companion.values.max()
-        if c_min <= C_FLOOR:
-            return Trajectory(
-                outcome=RunOutcome.CHEMICAL_EXTINCTION, final_state=None,
-                message=f"chemical under floor at t=0 (min c = {c_min})")
-        if not np.isfinite(c_max):
-            return Trajectory(
-                outcome=RunOutcome.BLOWUP, final_state=None,
-                message=f"chemical not finite at t=0 (max c = {c_max})")
-        sh = band_rfft2(np.log(companion.values))
-        companion = None
+    if phi0.values.any():   # the Cole-Hopf substitution
+        sh = band_rfft2(-mu * phi0.values)
+        del phi0
         s = np.fft.irfft2(sh, s=shape)
-        v, grad_u = drift(grid, sh, mu), None   # grad u only where it is read
+        v = drift(grid, sh, mu)
+    else:   # no transform for a zero potential
+        del phi0
+        sh = None if transformed else np.zeros_like(uh)
+        s, v = np.zeros_like(u), np.zeros((2,) + shape)
+    if transformed:
+        sh, grad_u = None, grid._gradient(uh)
     else:
-        raise ValueError(f"companion {type(companion).__name__} selects no mode")
-    del companion
+        grad_u = None   # grad u only where it is read
 
     recorder = diag.TrajectoryRecorder(chi=chi, p0=p0)
     pending_snaps = sorted(float(ts) for ts in snapshot_times)
@@ -307,6 +304,10 @@ def march(data: list, cfg: StepperConfig, params: ChemistryParams, p0: float = 6
     while True:
         # the node at t; u, uh, v, grad_u and s are rebound by every step,
         # never written in place, so yielded nodes and snapshots may keep them
+        if not transformed and s.min() <= _LOG_FLOOR:   # c is the state
+            outcome = RunOutcome.CHEMICAL_EXTINCTION
+            message = f"chemical under floor at t={t} (min ln c = {s.min()})"
+            break
         t_hat = _transport_hat(grid, u, v, chi)
         aux = diag.node_norms(grid, uh, t_hat, v)
         s_max = float(s.max())
@@ -384,11 +385,6 @@ def march(data: list, cfg: StepperConfig, params: ChemistryParams, p0: float = 6
                 v[i] += (0.5 * dt) * grad_u[i]
         else:
             sh -= half * uh
-            if s.min() <= _LOG_FLOOR:
-                outcome = RunOutcome.CHEMICAL_EXTINCTION
-                message = (f"chemical under floor at t={t + dt} "
-                           f"(min ln c = {s.min()})")
-                break
             v = drift(grid, sh, mu)
         t += dt
         nstep += 1
@@ -398,9 +394,10 @@ def march(data: list, cfg: StepperConfig, params: ChemistryParams, p0: float = 6
 
 
 def run(data: list, cfg: StepperConfig, params: ChemistryParams, p0: float = 6.0,
-        recorders=(), snapshot_times=(), snapshot_sink=None) -> Trajectory:
-    """Drain `march` from the one-shot holder ``data`` = [u0, companion],
-    whose companion selects the system, and return its `Trajectory`.
+        mode: str = "transformed", recorders=(), snapshot_times=(),
+        snapshot_sink=None) -> Trajectory:
+    """Drain `march` from the one-shot holder ``data`` = [u0, phi0] in
+    ``mode`` and return its `Trajectory`.
 
     Each hook in ``recorders`` is called as ``hook(node)`` at every record
     node, under the contract of the yielded nodes: a hook may keep their
@@ -408,7 +405,7 @@ def run(data: list, cfg: StepperConfig, params: ChemistryParams, p0: float = 6.0
     builds the rows it reads with ``node.row()``, and ``snapshot_sink``
     receives the snapshots at ``snapshot_times`` (see `march`).
     """
-    marching = march(data, cfg, params, p0, snapshot_times, snapshot_sink)
+    marching = march(data, cfg, params, p0, mode, snapshot_times, snapshot_sink)
     while True:
         try:
             node = next(marching)

@@ -187,24 +187,6 @@ class VectorField:
     def magnitude(self) -> np.ndarray:
         return np.sqrt(self.values[0] ** 2 + self.values[1] ** 2)
 
-    @classmethod
-    def zero(cls, grid: Grid) -> "VectorField":
-        return cls(grid, np.zeros((2, grid.resolution, grid.resolution)), check=False)
-
-
-def gradient(f: ScalarField) -> VectorField:
-    """Spectral gradient; zero mode annihilated, so components have zero mean."""
-    return VectorField(f.grid, f.grid._gradient(np.fft.rfft2(f.values)), check=False)
-
-
-def curl2d(w: VectorField) -> ScalarField:
-    """Scalar curl d2(w1) - d1(w2), i.e. the perp-divergence of w."""
-    g = w.grid
-    wxh = np.fft.rfft2(w.values[0])
-    wyh = np.fft.rfft2(w.values[1])
-    c = np.fft.irfft2(g._iky * wxh - g._ikx * wyh, s=g.shape)
-    return ScalarField(g, c, check=False)
-
 
 def band_rfft2(x: np.ndarray) -> np.ndarray:
     """The compact dealias band of the half spectrum of real N x N samples x.

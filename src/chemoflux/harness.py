@@ -17,15 +17,16 @@ and the rows without a formatter (``xval.n_list``, a parse-only alias of
 ``refine.n_list``).
 
 Every study has one skeleton: it checks its own inputs; `_data` builds
-the datum of every member, the only place where the config's ``mode``
-picks the companion, so data it cannot build is a `ConfigError` before
-any output; `_output` makes the output directory and writes the config
-echo there; `_map` maps the study's distinct members over ``threads``
-worker threads and `_solve` runs each through `run`, handing over the
-datum in a one-shot holder ``[u0, companion]`` that the member's `march`
-empties, so no study keeps a member's unprojected datum while it runs
-(only the refinement, whose grids each serve several step sizes, keeps
-its data and hands over a fresh holder per member); `_completed` raises
+the datum ``[u0, phi0]`` of every member, which serves either mode, so
+data it cannot build is a `ConfigError` before any output; `_output` makes
+the output directory and writes the config echo there; `_map` maps the
+study's distinct members over ``threads`` worker threads and `_solve` runs
+each through `run`, handing over the datum in a one-shot holder that the
+member's `march` empties, so no study keeps a member's unprojected datum
+while it runs (only the refinement, whose grids each serve several step
+sizes, keeps its data and hands over a fresh holder per member).  Only the
+single run passes the config's ``mode`` to `run`; every other study runs
+the transformed mode, and cross-validation runs both.  `_completed` raises
 `RunHalted`, carrying the `RunOutcome`, for a member that halted where the
 study needs a completed run; the study declares its columns beside its
 rows, writes its table through `_write_csv` (a ``# chemoflux-diagnostics-v1``
@@ -38,10 +39,10 @@ hook takes one, the theta scan reads its free scalars and u, and the
 delta sweep and the refinement keep only the samples of the final node.
 The theta scan alone builds inside each member, because data it cannot
 build is a row label there.  Cross-validation steps its two solvers in
-lockstep, the original mode's `march` inside a hook of the transformed
-mode's `run`, comparing the u and v of the two nodes, so it holds one
-node per mode.  Runs are byte-deterministic for a fixed config, and a
-study's outputs do not depend on ``threads``.
+lockstep from one datum, the original mode's `march` inside a hook of the
+transformed mode's `run`, comparing the u and v of the two nodes, so it
+holds one node per mode.  Runs are byte-deterministic for a fixed config,
+and a study's outputs do not depend on ``threads``.
 """
 
 from __future__ import annotations
@@ -50,15 +51,13 @@ import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-import numpy as np
-
 # perfbench traces `forward_transform` as ``harness.forward_transform``, a
 # boundary its tests require, so it stays imported though no study calls it
 from .cole_hopf import C_FLOOR, ChemistryParams, forward_transform  # noqa: F401
 from .diagnostics import CSV_COLUMNS, SCHEMA_VERSION, fit_decay, sup_deviation
 from .evolve import RunOutcome, StepperConfig, Trajectory, march, run
 from .fields import Grid, ParameterError, ScalarField, VectorField, lp_norm
-from .initial_data import InitialDataRecipe, build_initial_data, potential_of
+from .initial_data import InitialDataRecipe, build_initial_data
 from .snapshots import write_snapshot
 
 STUDIES = ("single_run", "delta_sweep", "refinement", "cross_validate", "theta_scan")
@@ -341,27 +340,18 @@ def _map(cfg: ExperimentConfig, fn, items) -> list:
         return list(pool.map(fn, items))
 
 
-def _matched_chemical(v0: VectorField, mu: float) -> ScalarField:
-    """c0 consistent with v0 through the log-gradient substitution."""
-    phi = potential_of(v0)
-    with np.errstate(over="ignore"):   # inf c0: `run` halts it at t=0
-        return ScalarField(v0.grid, np.exp(-mu * phi.values), check=False)
-
-
-def _data(cfg: ExperimentConfig, recipe, grid, mode="transformed") -> list:
-    """A member's datum ``[u0, companion]``: v0, or in original ``mode`` the
-    matched chemical, the companion that selects that system.  The list is
-    the one-shot holder that `march` empties.  Data that cannot be built is
-    a `ConfigError` on ``recipe``."""
+def _data(recipe, grid) -> list:
+    """A member's datum ``[u0, phi0]``, the one-shot holder that `march`
+    empties.  Data that cannot be built is a `ConfigError` on ``recipe``."""
     try:
-        u0, v0, _ = build_initial_data(recipe, grid)
+        u0, phi0, _ = build_initial_data(recipe, grid)
     except ValueError as exc:   # u0 < 0, or a mollifier wider than L/4
         raise ConfigError("recipe", str(exc)) from None
-    return [u0, _matched_chemical(v0, cfg.params.mu) if mode == "original" else v0]
+    return [u0, phi0]
 
 
 def _solve(cfg: ExperimentConfig, data: list, stepper, **kwargs) -> Trajectory:
-    """Run a member from its datum holder ``[u0, companion]``, which the run
+    """Run a member from its datum holder ``[u0, phi0]``, which the run
     empties."""
     return run(data, stepper, cfg.params, p0=cfg.recipe.p0, **kwargs)
 
@@ -381,10 +371,11 @@ def run_single(cfg: ExperimentConfig, out_dir=None) -> tuple:
     if len(set(names)) < len(names):   # a later file would overwrite an earlier
         raise ConfigError("snapshot_times", f"{_joined(cfg.snapshot_times)}: two "
                           "times share a file name, which keeps 6 decimals")
-    data = _data(cfg, cfg.recipe, cfg.grid, cfg.mode)
+    data = _data(cfg.recipe, cfg.grid)
     out = _output(cfg, out_dir)
     records = []
-    traj = _solve(cfg, data, cfg.stepper, snapshot_times=cfg.snapshot_times,
+    traj = _solve(cfg, data, cfg.stepper, mode=cfg.mode,
+                  snapshot_times=cfg.snapshot_times,
                   snapshot_sink=lambda t, payload: write_snapshot(
                       out / f"snapshot_{t:.6f}.cfx", list(payload.values())),
                   recorders=(lambda node: records.append(node.row()),))
@@ -423,7 +414,7 @@ def run_delta_sweep(cfg: ExperimentConfig, out_dir=None) -> tuple:
         raise ConfigError("sweep.deltas", "widths must be strictly decreasing")
     if any(not 0 < d <= cfg.grid.side_length / 4 for d in deltas):
         raise ConfigError("sweep.deltas", "widths must be positive and at most L/4")
-    data = [_data(cfg, replace(cfg.recipe, delta=d), cfg.grid) for d in deltas]
+    data = [_data(replace(cfg.recipe, delta=d), cfg.grid) for d in deltas]
     out = _output(cfg, out_dir)
 
     def final_uv(datum):   # only the samples: the rest of the node is dropped
@@ -473,7 +464,7 @@ def run_refinement(cfg: ExperimentConfig, out_dir=None) -> tuple:
         raise ConfigError("refine.dt_list", f"{_joined(cfg.dt_list)}: {exc}") from None
     in_time = [(cfg.grid.resolution, dt) for dt in dts]
     in_space = [(n, dts[-1]) for n in ns]
-    data = {n: _data(cfg, cfg.recipe, Grid(cfg.grid.side_length, n))
+    data = {n: _data(cfg.recipe, Grid(cfg.grid.side_length, n))
             for n in dict.fromkeys((cfg.grid.resolution, *ns))}
     out = _output(cfg, out_dir)
 
@@ -510,21 +501,22 @@ def run_refinement(cfg: ExperimentConfig, out_dir=None) -> tuple:
 
 
 def run_cross_validate(cfg: ExperimentConfig, out_dir=None) -> tuple:
-    """Run both solvers from matched data; report max-in-time L2 discrepancies.
+    """Run both solvers from one datum; report max-in-time L2 discrepancies.
 
-    The chemical initial state is synthesized from the drift potential, so
-    the two modes describe the same solution through the log-gradient
-    substitution; their drift between record times measures the combined
+    Each mode starts from the same datum [u0, phi0] through the log-gradient
+    substitution, so the two describe the same solution and start from the
+    same node; their drift between record times measures the combined
     discretization error of the two schemes.  The two solvers step in
     lockstep: at each record of the transformed run, a hook advances the
     original-mode `march` to its next record and compares the pair on the
     spot, so the study holds one node per mode whatever the number of
     records.  Each side's u and v are its node's; the original node's v is
-    -(1/mu) grad ln c from its spectrum of ln c.  Neither run builds a
-    diagnostics row.  A pair at different times or a run with a record left
-    over is an error, and a halted run of either mode raises `RunHalted`.
-    Both modes step at a fixed dt, scaled with the grid spacing.  Returns
-    the table of ``cross_validate.csv``.
+    -(1/mu) grad ln c from its spectrum of ln c.  A datum whose chemical
+    exp(-mu phi0) is at or below the extinction floor is a `ConfigError`.
+    Neither run builds a diagnostics row.  A pair at different times or a
+    run with a record left over is an error, and a halted run of either
+    mode raises `RunHalted`.  Both modes step at a fixed dt, scaled with
+    the grid spacing.  Returns the table of ``cross_validate.csv``.
     """
     if cfg.stepper.dt_mode != "fixed":
         raise ConfigError("stepper.dt_mode", f"cross-validation steps at fixed dt, "
@@ -534,21 +526,21 @@ def run_cross_validate(cfg: ExperimentConfig, out_dir=None) -> tuple:
         steppers = [replace(cfg.stepper, dt=cfg.stepper.dt * (ns[0] / n)) for n in ns]
     except ValueError as exc:   # a coarse member's dt exceeds t_end
         raise ConfigError("xval.n_list", f"{_joined(ns)}: {exc}") from None
-    members = []   # (stepper, [u0, v0], [u0, c0]): one holder per mode
+    members = []   # (stepper, [u0, phi0])
     for n, stepper in zip(ns, steppers):
-        data = _data(cfg, cfg.recipe, Grid(cfg.grid.side_length, n))
-        c0 = _matched_chemical(data[1], cfg.params.mu)
-        if c0.values.min() <= C_FLOOR:
+        data = _data(cfg.recipe, Grid(cfg.grid.side_length, n))
+        if -cfg.params.mu * data[1].values.max() <= math.log(C_FLOOR):
             raise ConfigError("recipe", "matched chemical is at or below the "
                               f"extinction floor {C_FLOOR}")
-        members.append((stepper, data, [data[0], c0]))
-    del data, c0   # the holders alone keep the data, until the marches take them
+        members.append((stepper, data))
     out = _output(cfg, out_dir)
 
     def discrepancies(member):
-        stepper, data, original = member
+        stepper, data = member
         grid = data[0].grid
-        partner = march(original, stepper, cfg.params, p0=cfg.recipe.p0)
+        # one datum, a holder per mode: each march empties its own
+        partner = march(list(data), stepper, cfg.params, p0=cfg.recipe.p0,
+                        mode="original")
         max_du = 0.0
         max_dv = 0.0
 
@@ -564,8 +556,12 @@ def run_cross_validate(cfg: ExperimentConfig, out_dir=None) -> tuple:
                                    f"t={node.t} are not at the same time")
             du = lp_norm(ScalarField(grid, node.u.values - other.u.values,
                                      check=False), 2)
-            dv = lp_norm(VectorField(grid, other.v.values - node.v.values,
-                                     check=False), 2)
+            dv_sq = 0.0   # one N x N difference at a time, summed as lp_norm sums
+            for vo, vt in zip(other.v.values, node.v.values):
+                d = vo - vt
+                d *= d
+                dv_sq += d.sum()
+            dv = math.sqrt(dv_sq * grid.cell_area)
             max_du = max(max_du, du)
             max_dv = max(max_dv, dv)
 
@@ -602,7 +598,7 @@ def run_theta_scan(cfg: ExperimentConfig, out_dir=None) -> tuple:
     out = _output(cfg, out_dir)
 
     def scan_one(amp):
-        try:   # data = [u0, v0], the holder that the run empties
+        try:   # data = [u0, phi0], the holder that the run empties
             *data, summary = build_initial_data(replace(cfg.recipe, amplitude=amp),
                                                 cfg.grid)
         except ValueError:

@@ -1,11 +1,13 @@
-"""Construction of discontinuous, curl-free-compatible initial data.
+"""Construction of discontinuous initial data.
 
-A datum is a pair (u0, v0) with u0 >= 0 and v0 a gradient field.  Jump
-data (disks, stripes) are rasterized by cell-center sampling with no
-anti-aliasing, so arbitrarily large jumps survive in the stored field;
-an optional compact mollifier of width delta is the only smoothing agent.
-The vector part is always synthesized as the gradient of a potential,
-which makes the zero-curl requirement structural rather than numerical.
+A datum is a pair (u0, phi0) with u0 >= 0 and phi0 a zero-mean potential;
+it serves both forms of the system through the Cole-Hopf substitution,
+c0 = exp(-mu phi0) and v0 = grad(phi0), which `evolve.march` applies at
+its start.  Jump data (disks, stripes) are rasterized by cell-center
+sampling with no anti-aliasing, so arbitrarily large jumps survive in the
+stored field; an optional compact mollifier of width delta is the only
+smoothing agent.  v0 is formed only here, for the smallness parameters:
+the drift is a gradient by construction, so zero curl is structural.
 """
 
 from __future__ import annotations
@@ -15,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import (Grid, ParameterError, ScalarField, VectorField, curl2d,
-                     gradient, lp_norm)
+from .fields import (Grid, ParameterError, ScalarField, VectorField, lp_norm,
+                     spectral_power)
 
 RECIPE_KINDS = (
     "piecewise_constant_disks",
@@ -28,7 +30,7 @@ RECIPE_KINDS = (
 
 @dataclass(frozen=True)
 class InitialDataRecipe:
-    """Parameters describing how to synthesize (u0, v0).
+    """Parameters describing how to synthesize (u0, phi0).
 
     ``amplitude`` is a global scale: it multiplies the per-feature weights
     of the u pattern and the potential-mode amplitudes alike.  Geometry is
@@ -86,8 +88,9 @@ class DataSummary:
     """Smallness parameters measured from the produced fields.
 
     ``theta0`` is recomputable from the returned (possibly mollified)
-    fields; ``theta0_raw`` is the same quantity for the unsmoothed datum,
-    which upper-bounds it and is the reference scale of the energy bound.
+    datum, with v0 = grad(phi0); ``theta0_raw`` is the same quantity for the
+    unsmoothed datum, which upper-bounds it and is the reference scale of
+    the energy bound.
     """
 
     theta0: float       # ||u0-1||_2^2 + ||v0||_2^2 of the produced fields
@@ -126,25 +129,12 @@ def mollify(f: ScalarField | VectorField, delta: float, ker=None):
     return type(f)(g, np.fft.irfft2(zh, s=g.shape), check=False)
 
 
-def potential_of(w: VectorField) -> ScalarField:
-    """Zero-mean potential phi with gradient(phi) equal to the gradient part
-    of w; exact inverse of `gradient` on curl-free, mean-zero fields."""
-    g = w.grid
-    kx, ky = g._kx_deriv, g._ky_deriv
-    k2 = kx ** 2 + ky ** 2
-    wxh = np.fft.rfft2(w.values[0])
-    wyh = np.fft.rfft2(w.values[1])
-    ph = np.where(k2 > 0, (kx * wxh + ky * wyh) / (1j * np.where(k2 > 0, k2, 1.0)), 0.0)
-    return ScalarField(g, np.fft.irfft2(ph, s=g.shape), check=False)
-
-
 def _min_image(d: np.ndarray, L: float) -> np.ndarray:
     return d - L * np.round(d / L)
 
 
-def _raster_u(recipe: InitialDataRecipe, grid: Grid) -> np.ndarray:
+def _raster_u(recipe: InitialDataRecipe, grid: Grid, X, Y) -> np.ndarray:
     L = grid.side_length
-    X, Y = grid.coordinates()
     u = np.ones((grid.resolution, grid.resolution))
     a = recipe.amplitude
     if recipe.kind == "piecewise_constant_disks":
@@ -172,11 +162,10 @@ def _raster_u(recipe: InitialDataRecipe, grid: Grid) -> np.ndarray:
     return u
 
 
-def _raster_potential(recipe: InitialDataRecipe, grid: Grid) -> np.ndarray | None:
+def _raster_potential(recipe: InitialDataRecipe, grid: Grid, X, Y) -> np.ndarray | None:
     if not recipe.potential_modes:
         return None
     L = grid.side_length
-    X, Y = grid.coordinates()
     phi = np.zeros((grid.resolution, grid.resolution))
     for mx, my, amp, phase in recipe.potential_modes:
         phi += recipe.amplitude * amp * np.sin(
@@ -184,51 +173,54 @@ def _raster_potential(recipe: InitialDataRecipe, grid: Grid) -> np.ndarray | Non
     return phi
 
 
-def _theta(u0: ScalarField, v0: VectorField | None) -> float:
-    """||u0 - 1||_2^2 + ||v0||_2^2, where None stands for a zero v0."""
-    theta = lp_norm(ScalarField(u0.grid, u0.values - 1.0, check=False), 2) ** 2
-    return theta if v0 is None else theta + lp_norm(v0, 2) ** 2
+def _deviation_sq(u: ScalarField) -> float:
+    """||u - 1||_2^2."""
+    return lp_norm(ScalarField(u.grid, u.values - 1.0, check=False), 2) ** 2
 
 
-def _raw_data(recipe: InitialDataRecipe, grid: Grid):
-    """The unsmoothed (u0, v0) of a recipe, v0 None where no potential is
-    rasterized (a zero v0)."""
-    u_vals = _raster_u(recipe, grid)
+def build_initial_data(recipe: InitialDataRecipe, grid: Grid):
+    """Rasterize a recipe into (u0, phi0, summary).
+
+    Raises if the recipe produces u0 < 0 anywhere or violates p0 > 4.
+    phi0 is the rasterized potential with its mean mode zeroed, or zero
+    where the recipe has no potential modes.  When delta > 0, u0 and phi0
+    are convolved with the same kernel, whose spectrum is taken once.  The
+    potential is transformed once: its spectrum gives phi0, the v0 =
+    grad(phi0) that M reads, and ||v0||_2^2 of theta0 and theta0_raw by
+    Parseval.  A zero potential takes no transform.
+    """
+    X, Y = grid.coordinates()
+    u_vals = _raster_u(recipe, grid, X, Y)
     umin = u_vals.min()
     if umin < 0:
         raise ValueError(
             f"recipe produces negative cell density (min u0 = {umin}); "
             "u0 >= 0 is required")
-    phi_vals = _raster_potential(recipe, grid)
-    v0 = None if phi_vals is None else gradient(ScalarField(grid, phi_vals,
-                                                            check=False))
-    return ScalarField(grid, u_vals, check=False), v0
-
-
-def build_initial_data(recipe: InitialDataRecipe, grid: Grid):
-    """Rasterize a recipe into (u0, v0, summary).
-
-    Raises if the recipe produces u0 < 0 anywhere or violates p0 > 4.
-    When delta > 0, u0 and, when a potential was rasterized, v0 are
-    convolved with the same kernel, whose spectrum is taken once.  A zero
-    v0 takes no transform: no mollifier, norm or curl check acts on it.
-    """
-    u0, v0 = _raw_data(recipe, grid)
-    theta0_raw = _theta(u0, v0)
+    phi = _raster_potential(recipe, grid, X, Y)
+    del X, Y
+    u0 = ScalarField(grid, u_vals, check=False)
+    theta0_raw = _deviation_sq(u0)
+    ker = None
     if recipe.delta > 0:
         ker = np.fft.rfft2(mollifier_kernel(grid, recipe.delta))
         u0 = mollify(u0, recipe.delta, ker)
-        if v0 is not None:
-            v0 = mollify(v0, recipe.delta, ker)
-        del ker
+    theta0 = _deviation_sq(u0)
+    if phi is None:
+        summary = DataSummary(theta0=theta0, M=0.0, theta0_raw=theta0_raw)
+        return u0, ScalarField(grid, np.zeros(grid.shape), check=False), summary
 
-    summary = DataSummary(theta0=_theta(u0, v0),
-                          M=0.0 if v0 is None else lp_norm(v0, recipe.p0),
+    ph = np.fft.rfft2(phi)
+    del phi
+    ph[0, 0] = 0.0   # a zero-mean potential
+    w = grid.cell_area / grid.resolution ** 2   # Parseval: ||v0||_2^2
+    theta0_raw += w * grid.gradient_power(spectral_power(ph))
+    if ker is not None:
+        ph *= ker
+        del ker
+    theta0 += w * grid.gradient_power(spectral_power(ph))
+    phi0 = ScalarField(grid, np.fft.irfft2(ph, s=grid.shape), check=False)
+    v0 = VectorField(grid, grid._gradient(ph), check=False)
+    del ph
+    summary = DataSummary(theta0=theta0, M=lp_norm(v0, recipe.p0),
                           theta0_raw=theta0_raw)
-    if v0 is None:
-        return u0, VectorField.zero(grid), summary
-    curl_sup = lp_norm(curl2d(v0), np.inf)
-    if curl_sup > 1e-10:
-        raise AssertionError(
-            f"constructed v0 is not curl-free (sup |curl| = {curl_sup})")
-    return u0, v0, summary
+    return u0, phi0, summary

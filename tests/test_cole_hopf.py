@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from chemoflux import (ChemistryParams, Grid, RunOutcome, ScalarField,
-                       StepperConfig, curl2d, forward_transform, lp_norm, run)
+                       StepperConfig, forward_transform, lp_norm, run)
 from chemoflux.cole_hopf import C_FLOOR
 from sample_fields import band_limited_field, constant_field
+from oracles import curl2d
 
 
 class TestChemistryParams:
@@ -52,13 +53,16 @@ class TestForwardTransform:
 
 
 class TestCStep:
-    """The chemical update c_t = -mu u c as run() takes it in original mode."""
+    """The chemical update c_t = -mu u c as run() takes it in original mode,
+    from c0 = exp(-mu phi0)."""
 
     def test_zero_density_leaves_chemical(self, grid32):
-        c0 = ScalarField(grid32, np.exp(0.3 * band_limited_field(grid32, 1).values))
+        f = band_limited_field(grid32, 1)
+        c0 = ScalarField(grid32, np.exp(0.3 * f.values))
         kept = []
-        traj = run([constant_field(grid32, 0.0), c0],
+        traj = run([constant_field(grid32, 0.0), ScalarField(grid32, -0.3 * f.values)],
                    StepperConfig(dt=0.1, t_end=0.7), ChemistryParams(),
+                   mode="original",
                    recorders=(lambda node: kept.append(np.exp(node.s)),))
         np.testing.assert_array_equal(np.exp(traj.final_state.s), kept[0])
         assert np.abs(kept[0] - c0.values).max() <= 1e-13
@@ -72,12 +76,14 @@ class TestCStep:
         k = 1.0
         u0 = ScalarField(grid, 1.0 + eps * np.cos(k * X))
         c0 = ScalarField(grid, np.exp(0.2 * np.sin(Y)))
+        phi0 = ScalarField(grid, -0.2 * np.sin(Y) / mu)
         exact = c0.values * np.exp(
             -mu * (T + eps * np.cos(k * X) * (1 - np.exp(-k * k * T)) / k ** 2))
         params = ChemistryParams(chi=0.0, mu=mu)
         errs = []
         for dt in (0.1, 0.05, 0.025):
-            traj = run([u0, c0], StepperConfig(dt=dt, t_end=T), params)
+            traj = run([u0, phi0], StepperConfig(dt=dt, t_end=T), params,
+                       mode="original")
             errs.append(np.abs(np.exp(traj.final_state.s) - exact).max())
             assert errs[-1] <= 0.01 * dt * dt
         assert 3.5 <= errs[0] / errs[1] <= 4.5
@@ -87,9 +93,9 @@ class TestCStep:
         # u > 0 makes c pointwise nonincreasing at every step
         u0 = ScalarField(grid32, 1.0 + 0.3 * band_limited_field(grid32, 9).values ** 2)
         kept = []
-        traj = run([u0, constant_field(grid32, 1e-12)],
+        traj = run([u0, constant_field(grid32, -np.log(1e-12))],   # c0 = 1e-12
                    StepperConfig(dt=0.1, t_end=5.0, record_every=1),
-                   ChemistryParams(),
+                   ChemistryParams(), mode="original",
                    recorders=(lambda node: kept.append((node.u.values,
                                                         np.exp(node.s))),))
         assert traj.outcome is RunOutcome.COMPLETED and len(kept) == 51

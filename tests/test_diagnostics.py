@@ -5,8 +5,12 @@ from chemoflux import (ChemistryParams, DiagnosticsRecord, Grid, ScalarField,
                        StepperConfig, VectorField, fit_decay, lp_norm, run)
 from chemoflux.diagnostics import CSV_COLUMNS
 from chemoflux.harness import write_diagnostics_csv
+from chemoflux.diagnostics import Node, TrajectoryRecorder, node_norms
+from chemoflux.fields import band_rfft2
 from sample_fields import (band_limited_field, band_limited_gradient,
-                           constant_field, field_from_function, run_rows)
+                           band_limited_potential, constant_field,
+                           field_from_function, run_rows, spectral_gradient,
+                           zero_drift)
 from oracles import (assemble_rhs_ut, calibrate_energy_constant,
                      check_energy_inequality, curl2d, curl_flux_residual,
                      divergence, effective_flux, energy_functionals,
@@ -16,24 +20,29 @@ from oracles import (assemble_rhs_ut, calibrate_energy_constant,
 SINGLE_MODE_GN_RATIO = 0.194924200308419  # sqrt(3/8)/pi, locked
 
 
-def solution_like_pair(grid, seed, amplitude=0.4):
+def solution_like_datum(grid, seed, amplitude=0.4):
+    """A datum (u, phi) near the equilibrium (1, 0)."""
     u = ScalarField(grid, 1.0 + amplitude
                     * band_limited_field(grid, seed, kmax=6).values)
-    v = band_limited_gradient(grid, seed + 50, kmax=6, amplitude=amplitude)
-    return u, v
+    return u, band_limited_potential(grid, seed + 50, kmax=6, amplitude=amplitude)
 
 
-def run_pairs(u0, v0, cfg):
+def solution_like_pair(grid, seed, amplitude=0.4):
+    """The (u, v) of `solution_like_datum`, v = grad(phi)."""
+    u, phi = solution_like_datum(grid, seed, amplitude)
+    return u, spectral_gradient(phi)
+
+
+def run_pairs(u0, phi0, cfg):
     """A run, and the ``(node, row)`` pair of each record node."""
     nodes = []
-    traj, rows = run_rows(u0, v0, cfg, recorders=(nodes.append,))
+    traj, rows = run_rows(u0, phi0, cfg, recorders=(nodes.append,))
     return traj, list(zip(nodes, rows))
 
 
 class TestEffectiveFlux:
     def test_equilibrium_flux_vanishes(self, grid64):
-        f = effective_flux(constant_field(grid64, 1.0),
-                           VectorField.zero(grid64), chi=1.0)
+        f = effective_flux(constant_field(grid64, 1.0), zero_drift(grid64), chi=1.0)
         assert np.abs(f.values).max() <= 1e-13
 
     def test_flat_density_gives_drift_back(self, grid64):
@@ -50,7 +59,7 @@ class TestEffectiveFlux:
 class TestFluxDivergenceIdentity:
     def test_equilibrium(self, grid64):
         u = constant_field(grid64, 1.0)
-        v = VectorField.zero(grid64)
+        v = zero_drift(grid64)
         rhs = assemble_rhs_ut(u, v, 1.0)
         assert flux_divergence_residual(u, v, 1.0, rhs) <= 1e-13
 
@@ -83,7 +92,7 @@ class TestFluxDivergenceIdentity:
 class TestCurlFluxIdentity:
     def test_zero_drift(self, grid64):
         u = ScalarField(grid64, 1.0 + band_limited_field(grid64, 3).values)
-        assert curl_flux_residual(u, VectorField.zero(grid64), 1.0) <= 1e-13
+        assert curl_flux_residual(u, zero_drift(grid64), 1.0) <= 1e-13
 
     def test_flat_density(self, grid64):
         v = band_limited_gradient(grid64, 7, amplitude=0.8)
@@ -108,15 +117,15 @@ class TestCurlFluxIdentity:
 class TestEnergyFunctionals:
     def test_equilibrium_trajectory_is_null(self, grid32):
         cfg = StepperConfig(dt=0.05, t_end=1.0, record_every=5)
-        _, pairs = run_pairs(constant_field(grid32, 1.0), VectorField.zero(grid32),
+        _, pairs = run_pairs(constant_field(grid32, 1.0), constant_field(grid32, 0.0),
                              cfg)
         a1, a2, a3 = energy_functionals(pairs)
         assert max(a1, a2, a3) <= 1e-24
 
     def test_frozen_state_gives_initial_energy(self, grid32):
-        u, v = solution_like_pair(grid32, 21)
+        u, phi = solution_like_datum(grid32, 21)
         cfg = StepperConfig(dt=0.05, t_end=0.0)
-        _, pairs = run_pairs(u, v, cfg)
+        _, pairs = run_pairs(u, phi, cfg)
         a1, _, a3 = energy_functionals(pairs)
         r = pairs[0][1]
         assert a1 == pytest.approx(r.u_l2 ** 2 + r.v_l2 ** 2, rel=1e-12)
@@ -128,9 +137,9 @@ class TestEnergyFunctionals:
         # so that floor is turned off.  The oracle measures u_t on each
         # state, so A2 checks the stepper's u_t node norms.
         for amplitude in (0.2, 1e-4):
-            u, v = solution_like_pair(grid32, 22, amplitude=amplitude)
+            u, phi = solution_like_datum(grid32, 22, amplitude=amplitude)
             cfg = StepperConfig(dt=0.02, t_end=0.6, record_every=1)
-            _, pairs = run_pairs(u, v, cfg)
+            _, pairs = run_pairs(u, phi, cfg)
             a1, a2, a3 = energy_functionals(pairs)
             last = pairs[-1][1]
             assert a1 == pytest.approx(last.a1, rel=1e-9, abs=0), amplitude
@@ -138,9 +147,9 @@ class TestEnergyFunctionals:
             assert a3 == pytest.approx(last.a3, rel=1e-9, abs=0), amplitude
 
     def test_running_columns_monotone_in_integral_parts(self, grid32):
-        u, v = solution_like_pair(grid32, 23)
+        u, phi = solution_like_datum(grid32, 23)
         cfg = StepperConfig(dt=0.02, t_end=1.0, record_every=5)
-        _, rows = run_rows(u, v, cfg)
+        _, rows = run_rows(u, phi, cfg)
         blowups = [r.blowup_integral for r in rows]
         assert all(b1 >= b0 for b0, b1 in zip(blowups, blowups[1:]))
         a1s = [r.a1 for r in rows]
@@ -219,7 +228,7 @@ class TestFitDecay:
 class TestLemma33Ratio:
     def test_equilibrium_skipped(self, grid32):
         u = constant_field(grid32, 1.0)
-        v = VectorField.zero(grid32)
+        v = zero_drift(grid32)
         ut = assemble_rhs_ut(u, v, 1.0)
         assert lemma33_ratio(u, v, ut, p=2) is None
 
@@ -300,9 +309,9 @@ class TestEnergyInequality:
         assert check_energy_inequality(rows, c + 1e-9) == []
 
     def test_smooth_run_satisfies_calibrated_inequality(self, grid32):
-        u, v = solution_like_pair(grid32, 41, amplitude=0.3)
+        u, phi = solution_like_datum(grid32, 41, amplitude=0.3)
         cfg = StepperConfig(dt=0.02, t_end=1.0, record_every=2)
-        _, rows = run_rows(u, v, cfg)
+        _, rows = run_rows(u, phi, cfg)
         c = calibrate_energy_constant(rows)
         assert np.isfinite(c) and c >= 0
         assert check_energy_inequality(rows, c + 1e-12) == []
@@ -310,9 +319,9 @@ class TestEnergyInequality:
 
 class TestRecordSchema:
     def test_csv_row_matches_column_count(self, grid32, tmp_path):
-        u, v = solution_like_pair(grid32, 50)
+        u, phi = solution_like_datum(grid32, 50)
         cfg = StepperConfig(dt=0.05, t_end=0.1)
-        _, rows = run_rows(u, v, cfg)
+        _, rows = run_rows(u, phi, cfg)
         write_diagnostics_csv(tmp_path / "d.csv", rows)
         lines = (tmp_path / "d.csv").read_text().splitlines()
         assert lines[1] == ",".join(CSV_COLUMNS)
@@ -327,7 +336,7 @@ class TestRecordAgainstOracles:
                              ids=["n32", "n64"])
     def test_every_column_matches_oracle_along_a_run(self, grid):
         chi, p0 = 1.0, 6.0
-        u0, v0 = solution_like_pair(grid, 60, amplitude=0.3)
+        u0, phi0 = solution_like_datum(grid, 60, amplitude=0.3)
         seen = []
 
         def check(node):
@@ -353,17 +362,24 @@ class TestRecordAgainstOracles:
             seen.append(node.t)
 
         cfg = StepperConfig(dt=0.02, t_end=0.1, record_every=2)
-        run([u0, v0], cfg, ChemistryParams(chi=chi), p0=p0, recorders=(check,))
+        run([u0, phi0], cfg, ChemistryParams(chi=chi), p0=p0, recorders=(check,))
         assert len(seen) == 4
 
     def test_curl_residual_detects_swirl(self, grid64):
         # the spectral residual is chi*P(u curl v), not an identity: a
         # divergence-free swirl added to v must show, at the oracle's value,
-        # in the t=0 record of a run started from it
+        # in the row of a node that carries it.  A march's v is a gradient
+        # by construction, so the node is built by hand; both fields are in
+        # the dealias band
         u, v = solution_like_pair(grid64, 13)
         swirl = perp_gradient(band_limited_field(grid64, 60, kmax=5))
         v_bad = VectorField(grid64, v.values + swirl.values)
-        rec, = run_rows(u, v_bad, StepperConfig(dt=0.05, t_end=0.0))[1]
+        uh = band_rfft2(u.values)
+        node = Node(t=0.0, c_linf=1.0, a1=0.0, a2=0.0, a3=0.0, blowup_integral=0.0,
+                    aux=node_norms(grid64, uh, np.zeros_like(uh), v_bad.values),
+                    uh=uh, u=u, v=v_bad, grad_u=None, s=np.zeros(grid64.shape),
+                    recorder=TrajectoryRecorder(chi=1.0, p0=6.0))
+        rec = node.row()
         assert rec.flux_curl_residual > 1e-4
         assert rec.flux_curl_residual == pytest.approx(
             curl_flux_residual(u, v_bad, 1.0), rel=1e-12)

@@ -4,24 +4,27 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from chemoflux import (ChemistryParams, Grid, RunOutcome, ScalarField,
-                       StepperConfig, VectorField, curl2d, lp_norm, run)
+from chemoflux import (ChemistryParams, Grid, InitialDataRecipe, RunOutcome,
+                       ScalarField, StepperConfig, VectorField,
+                       build_initial_data, lp_norm, run)
 from sample_fields import (band_limited_field, band_limited_gradient,
-                           constant_field, run_rows)
+                           band_limited_potential, constant_field, run_rows)
 from chemoflux.evolve import _predictor_transport_hat
-from oracles import (dealias, divergence, gradient, product_scalar_vector,
+from oracles import (curl2d, dealias, divergence, gradient, product_scalar_vector,
                      project_curl_free)
+
+MODES = ("transformed", "original")
 
 
 def single_mode_data(grid, m, eps_u, eps_phi):
-    """u = 1 + eps_u cos(kx), v = grad(eps_phi sin(kx)) for k = 2 pi m / L."""
+    """u = 1 + eps_u cos(kx) and phi = eps_phi sin(kx), so that
+    v = grad(phi) = eps_phi k cos(kx), for k = 2 pi m / L."""
     L = grid.side_length
     k = 2 * np.pi * m / L
     X, _ = grid.coordinates()
     u0 = ScalarField(grid, 1.0 + eps_u * np.cos(k * X))
-    v0 = VectorField(grid, np.stack([eps_phi * k * np.cos(k * X),
-                                     np.zeros_like(X)]))
-    return u0, v0, k
+    phi0 = ScalarField(grid, eps_phi * np.sin(k * X))
+    return u0, phi0, k
 
 
 def linear_mode_solution(grid, m, eps_u, eps_phi, chi, t):
@@ -46,23 +49,24 @@ def linear_mode_solution(grid, m, eps_u, eps_phi, chi, t):
 
 
 def smooth_state(grid, amplitude=0.3, seed=0):
+    """A datum (u0, phi0) whose u0 - 1 and grad(phi0) peak at ``amplitude``."""
     u0 = ScalarField(grid, 1.0 + amplitude
                      * band_limited_field(grid, seed, kmax=4).values)
-    v0 = band_limited_gradient(grid, seed + 100, kmax=4, amplitude=amplitude)
-    return u0, v0
+    phi0 = band_limited_potential(grid, seed + 100, kmax=4, amplitude=amplitude)
+    return u0, phi0
 
 
-def final_state(u0, companion, cfg, params=None):
-    traj = run([u0, companion], cfg, params or ChemistryParams())
+def final_state(u0, phi0, cfg, params=None, mode="transformed"):
+    traj = run([u0, phi0], cfg, params or ChemistryParams(), mode=mode)
     assert traj.outcome is RunOutcome.COMPLETED
     return traj.final_state
 
 
-def step_sizes(u0, v0, cfg, params=None):
+def step_sizes(u0, phi0, cfg, params=None):
     """The dt of each step run() takes, from a record node at every step."""
     assert cfg.record_every == 1
     times = []
-    run([u0, v0], cfg, params or ChemistryParams(),
+    run([u0, phi0], cfg, params or ChemistryParams(),
         recorders=(lambda node: times.append(node.t),))
     return np.diff(times)
 
@@ -71,7 +75,7 @@ class TestStepTransformed:
     def test_equilibrium_fixed_point(self, grid32):
         for scheme in ("imex_be", "imex_cn"):
             out = final_state(constant_field(grid32, 1.0),
-                              VectorField.zero(grid32),
+                              constant_field(grid32, 0.0),
                               StepperConfig(dt=0.05, t_end=0.05, scheme=scheme))
             assert np.abs(out.u.values - 1.0).max() <= 1e-13
             assert np.abs(out.v.values).max() <= 1e-13
@@ -80,10 +84,10 @@ class TestStepTransformed:
     def test_matches_linearized_mode_oracle(self):
         grid = Grid(2 * np.pi * 4, 32)
         eps = 1e-6
-        u0, v0, _ = single_mode_data(grid, m=2, eps_u=eps, eps_phi=0.5 * eps)
+        u0, phi0, _ = single_mode_data(grid, m=2, eps_u=eps, eps_phi=0.5 * eps)
         chi = 1.0
         dt = 0.01
-        state = final_state(u0, v0, StepperConfig(dt=dt, t_end=1.0,
+        state = final_state(u0, phi0, StepperConfig(dt=dt, t_end=1.0,
                                                   scheme="imex_cn"))
         u_ex, vx_ex = linear_mode_solution(grid, 2, eps, 0.5 * eps, chi, state.t)
         num = lp_norm(ScalarField(grid, state.u.values - u_ex), 2) \
@@ -96,9 +100,9 @@ class TestStepTransformed:
                                               ("imex_be", 0.85, 1.2)])
     def test_temporal_order(self, scheme, lo, hi):
         grid = Grid(2 * np.pi * 2, 32)
-        u0, v0 = smooth_state(grid, amplitude=0.3)
+        u0, phi0 = smooth_state(grid, amplitude=0.3)
         T = 0.5
-        finals = [final_state(u0, v0, StepperConfig(dt=dt, t_end=T,
+        finals = [final_state(u0, phi0, StepperConfig(dt=dt, t_end=T,
                                                     scheme=scheme)).u.values
                   for dt in (0.05, 0.025, 0.0125)]
         e1 = np.sqrt(((finals[0] - finals[1]) ** 2).sum())
@@ -107,20 +111,20 @@ class TestStepTransformed:
         assert lo <= order <= hi
 
     def test_mean_and_curl_preserved(self, grid32):
-        u0, v0 = smooth_state(grid32, amplitude=0.4, seed=3)
-        state = final_state(u0, v0, StepperConfig(dt=0.01, t_end=1.0,
-                                                  scheme="imex_cn"))
+        # v starts as a gradient, whose mean is zero
+        u0, phi0 = smooth_state(grid32, amplitude=0.4, seed=3)
+        state = final_state(u0, phi0, StepperConfig(dt=0.01, t_end=1.0,
+                                                    scheme="imex_cn"))
         assert abs(state.u.values.mean() - u0.values.mean()) <= 1e-13
-        assert abs(state.v.values[0].mean() - v0.values[0].mean()) <= 1e-13
+        assert abs(state.v.values[0].mean()) <= 1e-13
         assert lp_norm(curl2d(state.v), np.inf) <= 1e-12
 
-    def test_companion_of_neither_type_rejected(self, grid32):
-        # v0 selects the transformed system and c0 the original one; a bare
-        # array is neither
+    def test_unknown_mode_rejected(self, grid32):
         one = constant_field(grid32, 1.0)
-        with pytest.raises(ValueError, match="ndarray selects no mode"):
-            run([one, one.values], StepperConfig(dt=0.1, t_end=1.0),
-                ChemistryParams())
+        with pytest.raises(ValueError, match="mode must be transformed or "
+                                             "original, got 'chemical'"):
+            run([one, one], StepperConfig(dt=0.1, t_end=1.0), ChemistryParams(),
+                mode="chemical")
 
 
     @pytest.mark.parametrize("n", [32, 48, 64])
@@ -143,11 +147,11 @@ class TestStepTransformed:
 
 class TestStepOriginal:
     def test_homogeneous_exact(self, grid32):
-        mu, dt = 1.3, 0.2
+        mu, dt = 1.3, 0.2   # c0 = 2 is exp(-mu phi0)
         out = final_state(constant_field(grid32, 1.0),
-                          constant_field(grid32, 2.0),
+                          constant_field(grid32, -np.log(2.0) / mu),
                           StepperConfig(dt=dt, t_end=dt),
-                          ChemistryParams(chi=1.3 * 0.7, mu=mu))
+                          ChemistryParams(chi=1.3 * 0.7, mu=mu), mode="original")
         assert np.abs(out.u.values - 1.0).max() <= 1e-13
         assert np.abs(np.exp(out.s) - 2.0 * np.exp(-mu * dt)).max() <= 1e-14
 
@@ -159,8 +163,8 @@ class TestStepOriginal:
         u0, _, k = single_mode_data(grid, m=1, eps_u=eps, eps_phi=0.0)
         dt, T = 0.005, 0.5
         params = ChemistryParams(chi=0.0, mu=1.0)
-        state = final_state(u0, constant_field(grid, 1.0),
-                            StepperConfig(dt=dt, t_end=T), params)
+        state = final_state(u0, constant_field(grid, 0.0),
+                            StepperConfig(dt=dt, t_end=T), params, mode="original")
         X, _ = grid.coordinates()
         expected = 1.0 + eps * np.exp(-k * k * T) * np.cos(k * X)
         assert np.abs(state.u.values - expected).max() <= eps * 20 * dt * dt
@@ -169,7 +173,8 @@ class TestStepOriginal:
         c_mins = []
         cfg = StepperConfig(dt=0.25, t_end=10.0, record_every=1)
         traj = run([constant_field(grid32, 1.0),
-                    constant_field(grid32, 2e-300)], cfg, ChemistryParams(),
+                    constant_field(grid32, -np.log(2e-300))], cfg, ChemistryParams(),
+                   mode="original",
                    recorders=(lambda node: c_mins.append(np.exp(node.s).min()),))
         assert traj.outcome is RunOutcome.CHEMICAL_EXTINCTION
         assert c_mins and min(c_mins) > 0
@@ -180,22 +185,22 @@ class TestChooseDt:
         u = ScalarField(grid32,
                         1.0 + 1e-9 * band_limited_field(grid32, 1).values)
         cfg = StepperConfig(dt=0.5, t_end=1.0, dt_mode="cfl", cfl_number=0.5)
-        assert list(step_sizes(u, VectorField.zero(grid32), cfg)) == [0.5, 0.5]
+        assert list(step_sizes(u, constant_field(grid32, 0.0), cfg)) == [0.5, 0.5]
 
     def test_doubling_drift_halves_dt(self, grid32):
         # the first step's dt is set by the initial state alone; the cap
         # and horizon sit above it
-        v = band_limited_gradient(grid32, 5, amplitude=1.0)
+        phi = band_limited_potential(grid32, 5, amplitude=1.0)
         u = ScalarField(grid32, 1.0 + 1e-8 * band_limited_field(grid32, 2).values)
         cfg = StepperConfig(dt=0.2, t_end=0.2, dt_mode="cfl", cfl_number=0.5)
-        dt1 = step_sizes(u, v, cfg)[0]
-        dt2 = step_sizes(u, VectorField(grid32, 2 * v.values), cfg)[0]
+        dt1 = step_sizes(u, phi, cfg)[0]
+        dt2 = step_sizes(u, ScalarField(grid32, 2 * phi.values), cfg)[0]
         assert dt1 < 0.2
         assert abs(dt1 / dt2 - 2.0) <= 0.01
 
     def test_monotone_in_cfl_number(self, grid32):
-        u, v = smooth_state(grid32, amplitude=0.5)
-        dts = [step_sizes(u, v, StepperConfig(dt=10.0, t_end=10.0,
+        u, phi = smooth_state(grid32, amplitude=0.5)
+        dts = [step_sizes(u, phi, StepperConfig(dt=10.0, t_end=10.0,
                                               dt_mode="cfl", cfl_number=c))[0]
                for c in (1.0, 0.5, 0.25)]
         assert dts[0] >= dts[1] >= dts[2]
@@ -213,11 +218,11 @@ def transforms(monkeypatch):
             return _real(*args, **kwargs)
         monkeypatch.setattr(np.fft, name, counting)
 
-    def counted(u0, companion, cfg, rows=True):
+    def counted(u0, phi0, cfg, rows=True, mode="transformed"):
         before = calls[0]
         hooks = (lambda node: node.row(),) if rows else ()
-        assert run([u0, companion], cfg, ChemistryParams(), recorders=hooks).outcome \
-            is RunOutcome.COMPLETED
+        assert run([u0, phi0], cfg, ChemistryParams(), mode=mode,
+                   recorders=hooks).outcome is RunOutcome.COMPLETED
         return calls[0] - before
     return counted
 
@@ -227,27 +232,33 @@ class TestTransformBudget:
     in horizon or in record cadence.  dt = 1/16 keeps the step ends exact,
     and the small data keep the CFL bound above that cap."""
 
-    @staticmethod
-    def data(grid, original):
-        u0, v0 = smooth_state(grid, amplitude=0.01)
-        return u0, (ScalarField(grid, np.exp(0.01 * band_limited_field(grid, 8).values))
-                    if original else v0)
+    @pytest.mark.parametrize("mode,zero,count", [
+        ("transformed", False, 10), ("original", False, 8),
+        ("transformed", True, 6), ("original", True, 4)])
+    def test_start_and_first_node(self, grid32, transforms, mode, zero, count):
+        # u: 2; s and v from phi0: 4, none for a zero phi0; grad(u) in
+        # transformed mode: 2; the t=0 node's transport term: 2
+        u0, phi0 = smooth_state(grid32, amplitude=0.01)
+        if zero:
+            phi0 = constant_field(grid32, 0.0)
+        assert transforms(u0, phi0, StepperConfig(dt=0.0625, t_end=0.0), rows=False,
+                          mode=mode) == count
 
     @pytest.mark.parametrize("dt_mode", ["fixed", "cfl"])
     @pytest.mark.parametrize("scheme,per_step", [("imex_cn", 9), ("imex_be", 5)])
     def test_transformed_step(self, grid32, transforms, dt_mode, scheme, per_step):
-        u0, v0 = self.data(grid32, original=False)
-        steps = [transforms(u0, v0, StepperConfig(
+        u0, phi0 = smooth_state(grid32, amplitude=0.01)
+        steps = [transforms(u0, phi0, StepperConfig(
             dt=0.0625, t_end=t_end, dt_mode=dt_mode, scheme=scheme,
             record_every=1000)) for t_end in (0.5, 1.125)]   # 8 and 18 steps
         assert steps[1] - steps[0] == 10 * per_step
 
     def original_steps(self, grid, transforms, scheme):
         """Transforms of 10 original-mode steps at fixed dt."""
-        u0, c0 = self.data(grid, original=True)
-        steps = [transforms(u0, c0, StepperConfig(
-            dt=0.0625, t_end=t_end, scheme=scheme, record_every=1000))
-            for t_end in (0.5, 1.125)]
+        u0, phi0 = smooth_state(grid, amplitude=0.01)
+        steps = [transforms(u0, phi0, StepperConfig(
+            dt=0.0625, t_end=t_end, scheme=scheme, record_every=1000),
+            mode="original") for t_end in (0.5, 1.125)]
         return steps[1] - steps[0]
 
     def test_original_step(self, grid32, transforms):
@@ -259,9 +270,10 @@ class TestTransformBudget:
     @pytest.mark.parametrize("original,per_record", [(False, 3), (True, 5)])
     def test_record(self, grid32, transforms, original, per_record):
         # 20 steps: 21 rows, or the first and the last
-        u0, companion = self.data(grid32, original)
-        records = [transforms(u0, companion, StepperConfig(
-            dt=0.0625, t_end=1.25, record_every=every)) for every in (1, 1000)]
+        u0, phi0 = smooth_state(grid32, amplitude=0.01)
+        records = [transforms(u0, phi0, StepperConfig(
+            dt=0.0625, t_end=1.25, record_every=every), mode=MODES[original])
+            for every in (1, 1000)]
         assert records[0] - records[1] == 19 * per_record
 
     @pytest.mark.parametrize("dt_mode", ["fixed", "cfl"])
@@ -269,18 +281,18 @@ class TestTransformBudget:
     def test_record_node_without_row_is_free(self, grid32, transforms, original,
                                              dt_mode):
         # a node yields its free scalars at no transform; only its row costs
-        u0, companion = self.data(grid32, original)
-        counts = [transforms(u0, companion, StepperConfig(
+        u0, phi0 = smooth_state(grid32, amplitude=0.01)
+        counts = [transforms(u0, phi0, StepperConfig(
             dt=0.0625, t_end=1.25, dt_mode=dt_mode, record_every=every),
-            rows=False) for every in (1, 1000)]
+            rows=False, mode=MODES[original]) for every in (1, 1000)]
         assert counts[0] == counts[1]
 
 
 class TestRun:
     def test_zero_horizon_gives_initial_record_only(self, grid32):
-        u0, v0 = smooth_state(grid32)
+        u0, phi0 = smooth_state(grid32)
         cfg = StepperConfig(dt=0.01, t_end=0.0)
-        traj, rows = run_rows(u0, v0, cfg)
+        traj, rows = run_rows(u0, phi0, cfg)
         assert traj.outcome is RunOutcome.COMPLETED
         assert len(rows) == 1
         assert rows[0].t == 0.0
@@ -289,9 +301,9 @@ class TestRun:
 
     def test_equilibrium_stays_at_machine_precision(self, grid32):
         u0 = constant_field(grid32, 1.0)
-        v0 = VectorField.zero(grid32)
+        phi0 = constant_field(grid32, 0.0)
         cfg = StepperConfig(dt=0.01, t_end=10.0, record_every=100)
-        traj, rows = run_rows(u0, v0, cfg)
+        traj, rows = run_rows(u0, phi0, cfg)
         assert traj.outcome is RunOutcome.COMPLETED
         for r in rows:
             assert r.u_l2 <= 1e-12
@@ -300,18 +312,19 @@ class TestRun:
             assert r.flux_curl_residual <= 1e-12
 
     def test_mean_conservation_over_thousand_steps(self, grid32):
-        u0, v0 = smooth_state(grid32, amplitude=0.4, seed=7)
+        # v starts as a gradient, whose mean is zero
+        u0, phi0 = smooth_state(grid32, amplitude=0.4, seed=7)
         cfg = StepperConfig(dt=0.005, t_end=5.0, record_every=1000)
-        traj = run([u0, v0], cfg, ChemistryParams())
+        traj = run([u0, phi0], cfg, ChemistryParams())
         final = traj.final_state
         assert abs(final.u.values.mean() - u0.values.mean()) <= 1e-12
-        assert abs(final.v.values[0].mean() - v0.values[0].mean()) <= 1e-12
-        assert abs(final.v.values[1].mean() - v0.values[1].mean()) <= 1e-12
+        assert abs(final.v.values[0].mean()) <= 1e-12
+        assert abs(final.v.values[1].mean()) <= 1e-12
 
     def test_curl_free_without_reprojection(self, grid32):
-        u0, v0 = smooth_state(grid32, amplitude=0.5, seed=11)
+        u0, phi0 = smooth_state(grid32, amplitude=0.5, seed=11)
         cfg = StepperConfig(dt=0.01, t_end=3.0, record_every=50)
-        traj = run([u0, v0], cfg, ChemistryParams())
+        traj = run([u0, phi0], cfg, ChemistryParams())
         v_final = traj.final_state.v
         assert lp_norm(curl2d(v_final), np.inf) <= 1e-10
         reproj = project_curl_free(v_final)
@@ -320,9 +333,9 @@ class TestRun:
         assert np.abs(dealias(v_final).values - v_final.values).max() <= 1e-13
 
     def test_record_cadence_and_final_row(self, grid32):
-        u0, v0 = smooth_state(grid32)
+        u0, phi0 = smooth_state(grid32)
         cfg = StepperConfig(dt=0.01, t_end=0.25, record_every=7)
-        _, rows = run_rows(u0, v0, cfg)
+        _, rows = run_rows(u0, phi0, cfg)
         # rows at step 0, 7, 14, 21, and the final step 25
         assert [round(r.t / 0.01) for r in rows] == [0, 7, 14, 21, 25]
 
@@ -330,10 +343,10 @@ class TestRun:
         grid = Grid(2 * np.pi, 32)
         u0 = ScalarField(grid, 1.0 + 5.0 * np.abs(
             band_limited_field(grid, 2, kmax=8).values))
-        v0 = band_limited_gradient(grid, 3, kmax=8, amplitude=8.0)
+        phi0 = band_limited_potential(grid, 3, kmax=8, amplitude=8.0)
         cfg = StepperConfig(dt=0.9, t_end=1000.0, scheme="imex_be",
                             record_every=10)
-        traj = run([u0, v0], cfg, ChemistryParams())
+        traj = run([u0, phi0], cfg, ChemistryParams())
         assert traj.outcome is RunOutcome.BLOWUP
         monitor = float(traj.message.split("monitor = ")[1])
         assert np.isfinite(monitor) and monitor > 0
@@ -341,9 +354,9 @@ class TestRun:
 
     def test_extinction_reported_as_outcome(self, grid32):
         u0 = constant_field(grid32, 1.0)
-        c0 = constant_field(grid32, 2e-300)
+        phi0 = constant_field(grid32, -np.log(2e-300))   # c0 = 2e-300
         cfg = StepperConfig(dt=0.25, t_end=10.0, record_every=4)
-        traj = run([u0, c0], cfg, ChemistryParams())
+        traj = run([u0, phi0], cfg, ChemistryParams(), mode="original")
         assert traj.outcome is RunOutcome.CHEMICAL_EXTINCTION
         assert "floor" in traj.message
         # decay at unit rate from ln(2e-300) hits the floor before t=1
@@ -352,17 +365,17 @@ class TestRun:
     def test_chemical_supnorm_tracks_homogeneous_decay(self, grid32):
         # u = 1 everywhere: the tracked sup of c must follow exp(-mu t)
         u0 = constant_field(grid32, 1.0)
-        v0 = VectorField.zero(grid32)
+        phi0 = constant_field(grid32, 0.0)
         cfg = StepperConfig(dt=0.01, t_end=2.0, record_every=50)
-        _, rows = run_rows(u0, v0, cfg)
+        _, rows = run_rows(u0, phi0, cfg)
         for r in rows:
             assert r.c_linf == pytest.approx(np.exp(-r.t), rel=1e-10)
 
     def test_snapshots_captured_at_requested_times(self, grid32):
-        u0, v0 = smooth_state(grid32)
+        u0, phi0 = smooth_state(grid32)
         cfg = StepperConfig(dt=0.01, t_end=0.5, record_every=5)
         snaps = []
-        run([u0, v0], cfg, ChemistryParams(), snapshot_times=(0.2, 0.4),
+        run([u0, phi0], cfg, ChemistryParams(), snapshot_times=(0.2, 0.4),
             snapshot_sink=lambda t, payload: snaps.append((t, payload)))
         assert len(snaps) == 2
         for (t_snap, payload), expected in zip(snaps, (0.2, 0.4)):
@@ -377,10 +390,10 @@ class TestRun:
     def test_snapshots_land_off_record_and_off_step(self, grid32):
         # t=1.0 is a step end (20 steps of 0.05) but not a record (every 7th
         # step); t=0.525 falls inside a step, which is clipped to land on it
-        u0, v0 = smooth_state(grid32)
+        u0, phi0 = smooth_state(grid32)
         cfg = StepperConfig(dt=0.05, t_end=1.2, record_every=7)
         snaps = []
-        traj, rows = run_rows(u0, v0, cfg, snapshot_times=(1.0, 0.525),
+        traj, rows = run_rows(u0, phi0, cfg, snapshot_times=(1.0, 0.525),
                               snapshot_sink=lambda t, p: snaps.append((t, p)))
         times = [t for t, _ in snaps]
         assert len(times) == 2
@@ -389,32 +402,30 @@ class TestRun:
         assert abs(rows[-1].t - 1.2) <= 1e-12
         # the snapshot holds the state at its own time: the same run cut
         # there ends on the same fields
-        cut = run([u0, v0], StepperConfig(dt=0.05, t_end=0.525),
+        cut = run([u0, phi0], StepperConfig(dt=0.05, t_end=0.525),
                   ChemistryParams())
         assert np.array_equal(snaps[0][1]["u"], cut.final_state.u.values)
 
     def test_on_step_snapshot_adds_no_step(self, grid32):
-        u0, v0 = smooth_state(grid32)
+        u0, phi0 = smooth_state(grid32)
         cfg = StepperConfig(dt=0.05, t_end=1.2, record_every=1)
-        _, plain = run_rows(u0, v0, cfg)
-        _, snapped = run_rows(u0, v0, cfg, snapshot_times=(1.0,),
+        _, plain = run_rows(u0, phi0, cfg)
+        _, snapped = run_rows(u0, phi0, cfg, snapshot_times=(1.0,),
                               snapshot_sink=lambda *_: None)
         assert [r.t for r in snapped] == [r.t for r in plain]
 
     @staticmethod
     def node_data(grid):
-        """u0 with modes beyond the dealias band, and both companions."""
+        """u0 and phi0 with modes beyond the dealias band."""
         u0 = ScalarField(grid, 1.0 + 0.3 * band_limited_field(grid, 4,
                                                                kmax=14).values)
-        v0 = band_limited_gradient(grid, 5, kmax=14, amplitude=0.3)
-        c0 = ScalarField(grid, np.exp(0.2 * band_limited_field(grid, 6).values))
-        return u0, (v0, c0)
+        return u0, band_limited_potential(grid, 5, kmax=14, amplitude=0.3)
 
     def test_hook_states_are_distinct_and_unchanged(self, grid32):
         # run() hands hooks and the snapshot sink its live arrays without
         # copying; it must never write to them afterwards
-        u0, (v0, c0) = self.node_data(grid32)
-        for companion in (v0, c0):
+        u0, phi0 = self.node_data(grid32)
+        for mode in MODES:
             kept, at_hook, snapped = [], [], []
 
             def hook(node):
@@ -428,10 +439,10 @@ class TestRun:
                 snapped.extend((a, a.copy()) for a in payload.values())
 
             cfg = StepperConfig(dt=0.02, t_end=0.2, record_every=2)
-            run([u0, companion], cfg, ChemistryParams(), recorders=(hook,),
+            run([u0, phi0], cfg, ChemistryParams(), mode=mode, recorders=(hook,),
                 snapshot_times=(0.06, 0.1), snapshot_sink=sink)
             assert len(kept) == 6
-            assert len(snapped) == 2 * (3 if companion is v0 else 2)   # 2 times
+            assert len(snapped) == 2 * (3 if mode == "transformed" else 2)   # 2 times
             for a, b in snapped:
                 np.testing.assert_array_equal(a, b)
             flat = [a for arrays in kept for a in arrays]
@@ -448,29 +459,28 @@ class TestRun:
                                        rtol=0, atol=1e-14)
 
     def test_final_state_is_the_last_node(self, grid32):
-        u0, companions = self.node_data(grid32)
-        for companion in companions:
+        u0, phi0 = self.node_data(grid32)
+        for mode in MODES:
             nodes = []
-            traj = run([u0, companion], StepperConfig(dt=0.02, t_end=0.2,
-                                                      record_every=3),
-                       ChemistryParams(), recorders=(nodes.append,))
+            traj = run([u0, phi0], StepperConfig(dt=0.02, t_end=0.2, record_every=3),
+                       ChemistryParams(), mode=mode, recorders=(nodes.append,))
             assert traj.outcome is RunOutcome.COMPLETED
             assert traj.final_state is nodes[-1]
             assert abs(traj.final_state.t - 0.2) <= 1e-12
 
     def test_node_spectrum_is_the_compact_band(self, grid32):
         # a march carries the spectrum of u as its N x (a + 1) dealias band
-        u0, companions = self.node_data(grid32)
-        for companion in companions:
+        u0, phi0 = self.node_data(grid32)
+        for mode in MODES:
             nodes = []
-            run([u0, companion], StepperConfig(dt=0.02, t_end=0.1),
-                ChemistryParams(), recorders=(nodes.append,))
+            run([u0, phi0], StepperConfig(dt=0.02, t_end=0.1),
+                ChemistryParams(), mode=mode, recorders=(nodes.append,))
             assert len(nodes) == 6
             assert {node.uh.shape for node in nodes} == {(32, (32 - 1) // 3 + 1)}
 
     @pytest.mark.parametrize("original,rows,bound", [
-        (False, True, 401_032), (False, False, 386_880),
-        (True, True, 423_624), (True, False, 343_872),
+        (False, True, 401_032), (False, False, 354_912),
+        (True, True, 423_624), (True, False, 334_880),
     ], ids=["transformed-rows", "transformed", "original-rows", "original"])
     def test_peak_memory_of_a_single_run(self, original, rows, bound):
         # NumPy registers its arrays with tracemalloc.  A run on a small
@@ -485,33 +495,74 @@ class TestRun:
         # an N x N array (32 768 bytes) that a step holds again.
         grid, small = Grid(16 * np.pi, 64), Grid(16 * np.pi, 8)
         u0 = ScalarField(grid, 1.0 + 0.3 * band_limited_field(grid, 7, kmax=14).values)
-        if original:
-            data = [u0, ScalarField(grid, np.exp(
-                0.2 * band_limited_field(grid, 6).values))]
+        if original:   # c0 = exp(0.2 f)
+            mode = "original"
+            data = [u0, ScalarField(grid, -0.2 * band_limited_field(grid, 6).values)]
             warm = [constant_field(small, 1.0), constant_field(small, 1.0)]
             cfg = StepperConfig(dt=0.05, t_end=0.5, record_every=1)
         else:
-            data = [u0, VectorField.zero(grid)]
-            warm = [constant_field(small, 1.0), VectorField.zero(small)]
+            mode = "transformed"
+            data = [u0, constant_field(grid, 0.0)]
+            warm = [constant_field(small, 1.0), constant_field(small, 0.0)]
             cfg = StepperConfig(dt=0.05, t_end=0.5, dt_mode="cfl", record_every=1)
         hooks = (lambda node: node.row(),) if rows else ()
-        run(warm, cfg, ChemistryParams(), recorders=(lambda node: node.row(),))
+        run(warm, cfg, ChemistryParams(), mode=mode,
+            recorders=(lambda node: node.row(),))
         tracemalloc.start()
         try:
-            run(data, cfg, ChemistryParams(), recorders=hooks)
+            run(data, cfg, ChemistryParams(), mode=mode, recorders=hooks)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak <= bound + 8_192
 
     def test_extinct_initial_chemical_halts_at_start(self, grid32):
-        vals = np.ones((32, 32))
-        vals[3, 4] = 0.0
+        # c0 = exp(-mu phi0) is under the floor in one cell; the band
+        # projection spreads the spike, so it is deep
+        vals = np.zeros((32, 32))
+        vals[3, 4] = 5000.0
         snaps = []
         traj, rows = run_rows(constant_field(grid32, 1.0), ScalarField(grid32, vals),
-                              StepperConfig(dt=0.1, t_end=1.0), snapshot_times=(0.0,),
+                              StepperConfig(dt=0.1, t_end=1.0), mode="original",
+                              snapshot_times=(0.0,),
                               snapshot_sink=lambda *snap: snaps.append(snap))
         assert traj.outcome is RunOutcome.CHEMICAL_EXTINCTION
         assert "t=0" in traj.message and "floor" in traj.message
         assert rows == [] and snaps == []
         assert traj.final_state is None
+
+    def test_overflowing_chemical_halts_alike_in_both_modes(self, grid32):
+        # c0 = exp(-mu phi0) = e^710 overflows; the blow-up test reads
+        # s = ln c, which both modes start from phi0
+        u0 = ScalarField(grid32, 1.0 + 0.3 * band_limited_field(grid32, 1).values)
+        messages = []
+        for mode in MODES:
+            traj = run([u0, constant_field(grid32, -710.0)],
+                       StepperConfig(dt=0.1, t_end=1.0), ChemistryParams(),
+                       mode=mode)
+            assert traj.outcome is RunOutcome.BLOWUP and traj.final_state is None
+            messages.append(traj.message)
+        assert messages[0] == messages[1] and "overflowing at t=0.0" in messages[0]
+
+    def test_one_datum_gives_one_t0_node_in_both_modes(self, grid64):
+        # disks and potential modes, mollified: both modes apply the
+        # Cole-Hopf substitution to phi0, so their t=0 nodes agree; v is the
+        # dealiased gradient of phi0, and curl-free
+        recipe = InitialDataRecipe(amplitude=0.3, delta=2 * grid64.spacing,
+                                   disks=((0.3, 0.4, 3.0, 1.0), (0.7, 0.6, 2.0, -1.0)),
+                                   potential_modes=((1, 1, 0.5, 0.3), (0, 2, 1.0, 0.0)))
+        u0, phi0, _ = build_initial_data(recipe, grid64)
+        params = ChemistryParams(mu=1.7)
+        nodes = {}
+        for mode in MODES:
+            traj = run([u0, phi0], StepperConfig(dt=0.1, t_end=0.0), params,
+                       mode=mode)
+            nodes[mode] = traj.final_state
+        a, b = nodes["transformed"], nodes["original"]
+        for x, y in ((a.u.values, b.u.values), (a.v.values, b.v.values), (a.s, b.s)):
+            np.testing.assert_allclose(x, y, rtol=0, atol=1e-13)
+        assert a.c_linf == pytest.approx(b.c_linf, rel=1e-13, abs=0)
+        np.testing.assert_allclose(a.s, -1.7 * dealias(phi0).values, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(a.v.values, gradient(dealias(phi0)).values,
+                                   rtol=0, atol=1e-13)
+        assert lp_norm(curl2d(a.v), np.inf) <= 1e-12

@@ -164,14 +164,14 @@ def test_xval_of_extinct_chemical_is_a_config_error(tmp_path, capsys):
 
 
 def test_overflowing_chemical_at_start_exits_10(tmp_path, capsys):
-    # the overflow of exp(-mu phi) is the only one, and run() reports the
-    # non-finite c0 before any step uses it; a warning would fail the test
+    # ln c0 = -mu phi reaches 900 > ln(float max): run() halts at the t=0
+    # node, before exp(ln c) overflows; a warning would fail the test
     code, out = cli(tmp_path, "run", "study = single_run\nmode = original\n"
                     + OVERFLOW)
     assert code == 10
     captured = capsys.readouterr()
     assert captured.out.startswith("outcome: blowup  (0 records")
-    assert "chemical not finite at t=0" in captured.out
+    assert "sup c overflowing at t=0" in captured.out
     assert captured.err == ""
     assert csv_rows(out / "diagnostics.csv") == []
 
@@ -415,13 +415,14 @@ def test_xval_refuses_unmatched_records(tmp_path, monkeypatch, skew, message):
     margin = skew.pop("floor_margin", None)
 
     def skewed_march(data, cfg, params, **kw):
-        c0 = data[1]
-        assert isinstance(c0, ScalarField)   # the transformed run goes through run()
+        assert kw["mode"] == "original"   # the transformed run goes through run()
         if margin is not None:
-            # a constant factor leaves v = -(1/mu) grad ln c as it was, but
-            # puts min c just above the floor, where decay soon takes it
-            scale = C_FLOOR * math.exp(margin) / c0.values.min()
-            data[1] = ScalarField(c0.grid, scale * c0.values)
+            # a constant shift leaves v = grad(phi0) as it was, but puts
+            # min c = exp(-mu max phi0) just above the floor, where decay
+            # soon takes it
+            phi0 = data[1]
+            shift = -(math.log(C_FLOOR) + margin) / params.mu - phi0.values.max()
+            data[1] = ScalarField(phi0.grid, phi0.values + shift)
         return real_march(data, replace(cfg, **skew), params, **kw)
 
     monkeypatch.setattr(harness, "march", skewed_march)
@@ -574,16 +575,16 @@ def test_every_study_enters_run_before_its_first_record(tmp_path, monkeypatch,
     # setup.  The witness is the first node's functionals update (on_node):
     # most studies build no record, and a run's first node comes before its
     # first step.  The benchmark's tracer tags a run's mode from a mode
-    # keyword or a fifth positional argument, and run takes neither, so each
-    # run is tagged "transformed".  Every study but the theta scan, where
-    # data that cannot be built is a row label, builds all its data before
-    # it makes any output.
-    events = []
+    # keyword or a fifth positional argument, or "transformed" without
+    # either; only the single run passes one, the config's mode.  Every
+    # study but the theta scan, where data that cannot be built is a row
+    # label, builds all its data before it makes any output.
+    events, tags = [], []
     real_run, real_node = harness.run, TrajectoryRecorder.on_node
     real_output, real_build = harness._output, harness.build_initial_data
 
     def counting_run(*args, **kwargs):
-        assert len(args) <= 4 and "mode" not in kwargs, (len(args), kwargs)
+        tags.append(kwargs.get("mode", args[4] if len(args) > 4 else "transformed"))
         events.append("run")
         return real_run(*args, **kwargs)
 
@@ -608,6 +609,10 @@ def test_every_study_enters_run_before_its_first_record(tmp_path, monkeypatch,
         if study != "theta_scan":
             assert "build" in events, subcommand
             assert "build" not in events[events.index("output"):], subcommand
+    assert set(tags) == {"transformed"}
+    tags.clear()
+    assert cli(tmp_path, "run", "study = single_run\nmode = original\n" + small)[0] == 0
+    assert tags == ["original"]
     capsys.readouterr()
 
 
@@ -620,9 +625,9 @@ def test_studies_hand_over_each_datum(tmp_path, monkeypatch, capsys):
     real_build, real_node = harness.build_initial_data, TrajectoryRecorder.on_node
 
     def build(recipe, grid):
-        u0, v0, summary = real_build(recipe, grid)
-        refs.extend((weakref.ref(u0.values), weakref.ref(v0.values)))
-        return u0, v0, summary
+        u0, phi0, summary = real_build(recipe, grid)
+        refs.extend((weakref.ref(u0.values), weakref.ref(phi0.values)))
+        return u0, phi0, summary
 
     def on_node(self, t, aux):
         alive.append(sum(ref() is not None for ref in refs))

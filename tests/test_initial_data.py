@@ -3,26 +3,27 @@ import random
 import numpy as np
 import pytest
 
-from chemoflux import (Grid, InitialDataRecipe, ScalarField, VectorField,
-                       build_initial_data, curl2d, gradient, lp_norm, mollify,
-                       potential_of)
-from sample_fields import band_limited_field, band_limited_gradient, constant_field
-from oracles import project_curl_free
+from chemoflux import (ChemistryParams, Grid, InitialDataRecipe, ScalarField,
+                       StepperConfig, VectorField, build_initial_data, lp_norm,
+                       mollify, run)
+from sample_fields import (band_limited_field, band_limited_gradient,
+                           constant_field, spectral_gradient)
+from oracles import curl2d, project_curl_free
 
 
 class TestRecipes:
     def test_zero_amplitude_bump_is_equilibrium(self, grid64):
         recipe = InitialDataRecipe(kind="smooth_bump", amplitude=0.0)
-        u0, v0, summary = build_initial_data(recipe, grid64)
+        u0, phi0, summary = build_initial_data(recipe, grid64)
         assert np.all(u0.values == 1.0)
-        assert np.all(v0.values == 0.0)
+        assert np.all(phi0.values == 0.0)
         assert summary.theta0 == 0.0
 
     def test_disk_theta0_is_amplitude_sq_times_area(self, grid64):
         a, r = 0.3, 2.5
         recipe = InitialDataRecipe(kind="piecewise_constant_disks", amplitude=a,
                                    disks=((0.5, 0.5, r, 1.0),))
-        u0, v0, summary = build_initial_data(recipe, grid64)
+        u0, _, summary = build_initial_data(recipe, grid64)
         # oracle: count raster cells inside the disk directly
         X, Y = grid64.coordinates()
         L = grid64.side_length
@@ -46,13 +47,16 @@ class TestRecipes:
         L = grid64.side_length
         recipe = InitialDataRecipe(kind="from_potential", amplitude=eps,
                                    potential_modes=((1, 0, 1.0, 0.0),))
-        u0, v0, summary = build_initial_data(recipe, grid64)
+        u0, phi0, summary = build_initial_data(recipe, grid64)
+        v0 = spectral_gradient(phi0)
         assert np.all(u0.values == 1.0)
         expected_sq = eps ** 2 * (2 * np.pi / L) ** 2 * L ** 2 / 2
         assert lp_norm(v0, 2) ** 2 == pytest.approx(expected_sq, rel=1e-12)
         assert summary.M == pytest.approx(lp_norm(v0, 6), rel=1e-12)
 
     def test_every_recipe_kind_is_curl_free_and_nonnegative(self, grid64):
+        # the drift of a datum is the v of its t=0 node: the march applies
+        # the Cole-Hopf substitution to phi0
         h = grid64.spacing
         recipes = [
             InitialDataRecipe(kind="piecewise_constant_disks", amplitude=0.4,
@@ -68,9 +72,12 @@ class TestRecipes:
                               random_disks=4, seed=7),
         ]
         for recipe in recipes:
-            u0, v0, summary = build_initial_data(recipe, grid64)
+            u0, phi0, summary = build_initial_data(recipe, grid64)
             assert u0.values.min() >= 0
-            assert lp_norm(curl2d(v0), np.inf) <= 1e-10
+            v0 = spectral_gradient(phi0)
+            first = run([u0, phi0], StepperConfig(dt=0.1, t_end=0.0),
+                        ChemistryParams()).final_state
+            assert lp_norm(curl2d(first.v), np.inf) <= 1e-10
             u_tilde = ScalarField(grid64, u0.values - 1.0, check=False)
             recomputed = lp_norm(u_tilde, 2) ** 2 + lp_norm(v0, 2) ** 2
             assert summary.theta0 == pytest.approx(recomputed, rel=1e-12, abs=1e-300)
@@ -79,8 +86,8 @@ class TestRecipes:
     def test_randomized_disks_deterministic_in_seed(self, grid64):
         recipe = InitialDataRecipe(kind="piecewise_constant_disks", amplitude=0.2,
                                    random_disks=3, seed=42)
-        u_a, v_a, _ = build_initial_data(recipe, grid64)
-        u_b, v_b, _ = build_initial_data(recipe, grid64)
+        u_a, _, _ = build_initial_data(recipe, grid64)
+        u_b, _, _ = build_initial_data(recipe, grid64)
         np.testing.assert_array_equal(u_a.values, u_b.values)
         other = build_initial_data(
             InitialDataRecipe(kind="piecewise_constant_disks", amplitude=0.2,
@@ -106,12 +113,12 @@ class TestRecipes:
 
     @pytest.mark.parametrize("modes,count", [
         ((), 3),                      # mollify u0: kernel, u0 and back
-        (((1, 0, 1.0, 0.0),), 11),    # + gradient 3, mollify v0 2, curl 3
+        (((1, 0, 1.0, 0.0),), 7),     # + the potential and back, grad(phi0) 2
     ])
     def test_transforms_of_a_mollified_build(self, grid64, monkeypatch, modes,
                                              count):
-        # a zero v0 takes no transform, and u0 and v0 share one kernel
-        # spectrum; a transform of a (2, N, N) array counts once
+        # a zero phi0 takes no transform, and u0 and phi0 share one kernel
+        # spectrum
         calls = [0]
         for name in ("rfft2", "irfft2"):
             def counting(*args, _real=getattr(np.fft, name), **kwargs):
@@ -121,9 +128,9 @@ class TestRecipes:
         recipe = InitialDataRecipe(amplitude=0.2, delta=2 * grid64.spacing,
                                    disks=((0.5, 0.5, 3.0, 1.0),),
                                    potential_modes=modes)
-        _, v0, summary = build_initial_data(recipe, grid64)
+        _, phi0, summary = build_initial_data(recipe, grid64)
         assert calls[0] == count
-        assert (summary.M > 0) == bool(modes) and v0.values.any() == bool(modes)
+        assert (summary.M > 0) == bool(modes) and phi0.values.any() == bool(modes)
 
     def test_rejects_p0_at_most_four(self):
         with pytest.raises(ValueError):
@@ -177,7 +184,7 @@ class TestMollify:
     def test_gradient_sup_monotone_in_delta(self, grid64):
         # wider kernels smooth harder: sup |grad| nonincreasing in delta
         f = _stripe(grid64)
-        sups = [lp_norm(gradient(mollify(f, d)), np.inf)
+        sups = [lp_norm(spectral_gradient(mollify(f, d)), np.inf)
                 for d in (4.0, 2.0, 1.0, 0.5)]  # shrinking widths
         assert all(wide <= narrow + 1e-12
                    for wide, narrow in zip(sups, sups[1:]))
@@ -185,8 +192,8 @@ class TestMollify:
     def test_commutes_with_gradient(self, grid64):
         phi = band_limited_field(grid64, seed=17)
         delta = 1.1
-        a = mollify(gradient(phi), delta)
-        b = gradient(mollify(phi, delta))
+        a = mollify(spectral_gradient(phi), delta)
+        b = spectral_gradient(mollify(phi, delta))
         assert isinstance(a, VectorField)
         assert np.abs(a.values - b.values).max() <= 1e-12
 
@@ -225,8 +232,3 @@ class TestProjectCurlFree:
         assert abs(once.values[0].mean() - w.values[0].mean()) <= 1e-13
         assert abs(once.values[1].mean() - w.values[1].mean()) <= 1e-13
         assert lp_norm(curl2d(once), np.inf) <= 1e-12
-
-    def test_potential_inverts_gradient(self, grid64):
-        phi = band_limited_field(grid64, seed=40, zero_mean=True)
-        recovered = potential_of(gradient(phi))
-        assert np.abs(recovered.values - phi.values).max() <= 1e-12
