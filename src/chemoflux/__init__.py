@@ -5,7 +5,7 @@ from .cole_hopf import C_FLOOR, ChemistryParams, forward_transform
 from .diagnostics import (CSV_COLUMNS, DecayFit, DiagnosticsRecord,
                           TrajectoryRecorder, fit_decay)
 from .evolve import RunOutcome, StepperConfig, Trajectory, run
-from .fields import Grid, ScalarField, VectorField, lp_norm
+from .fields import Grid, lp_norm
 from .harness import (ConfigError, ExperimentConfig, load_config,
                       parse_config, run_cross_validate, run_delta_sweep,
                       run_refinement, run_single, run_theta_scan)

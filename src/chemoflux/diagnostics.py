@@ -12,7 +12,8 @@ functionals, and of max |v|^2, which the CFL bound reads: the stepper
 takes it once per time node, the u norms by Parseval and the v norms from
 one |v|^2 pass over the samples, and `TrajectoryRecorder` accumulates the
 functionals from it.  The stepper yields a `Node` at each record node: the
-state there, the scalars that are free there (c_linf and the functionals
+state there as the march's own sample arrays (u and s N x N, v and grad(u)
+(2, N, N)), the scalars that are free there (c_linf and the functionals
 so far) and what a row needs; a completed run's last node is its final
 state.  A `DiagnosticsRecord` is one CSV row, built by
 ``node.row()`` only where a consumer reads one: `make_record` reads its
@@ -31,7 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .fields import ScalarField, VectorField, band_rfft2, spectral_power
+from .fields import Grid, band_rfft2, spectral_power
 
 SCHEMA_VERSION = "chemoflux-diagnostics-v1"
 
@@ -158,10 +159,12 @@ class TrajectoryRecorder:
 
     Integrals are trapezoid sums over every time node the stepper visits
     (not just recorded instants), which keeps them insensitive to the
-    output cadence; suprema are tracked at every node as well.
+    output cadence; suprema are tracked at every node as well.  ``grid`` is
+    the run's, on which `make_record` measures each row.
     """
 
-    def __init__(self, chi: float, p0: float):
+    def __init__(self, grid: Grid, chi: float, p0: float):
+        self.grid = grid
         self.chi = chi
         self.p0 = p0
         self._prev = None          # (t, NodeAux)
@@ -227,14 +230,14 @@ class TrajectoryRecorder:
         stepper's transport term, so they check the identities rather than
         restate them.
         """
-        grid = node.u.grid
+        grid = self.grid
         uh, aux = node.uh, node.aux
         grad_u = node.grad_u if node.grad_u is not None else grid._gradient(uh)
         chi = self.chi
         ikx, iky = grid._ikx[:, :uh.shape[1]], grid._iky
         w = grid.cell_area / grid.resolution ** 2
         area = grid.cell_area
-        uv, vx, vy = node.u.values, node.v.values[0], node.v.values[1]
+        uv, vx, vy = node.u, node.v[0], node.v[1]
         # F = grad(u) + chi*u*v is built in place on the spectra of chi*u*v
         # once each has served the residual (peak memory at N=256)
         fxh = band_rfft2(uv * vx)             # chi*u*v, dealiased
@@ -297,10 +300,10 @@ class Node:
 
     ``a1``, ``a2``, ``a3`` and ``blowup_integral`` are the recorder's running
     values frozen at the node.  ``u``, ``v`` (the drift, in either mode) and
-    ``s`` (ln c) are the node's samples, ``uh`` the compact spectrum of u and
-    ``grad_u`` the samples of grad(u), or None where the stepper did not
-    take them.  The arrays are the stepper's own, which it never writes
-    afterwards.
+    ``s`` (ln c) are the node's samples, N x N for u and s and (2, N, N) for
+    v, ``uh`` the compact spectrum of u and ``grad_u`` the (2, N, N) samples
+    of grad(u), or None where the stepper did not take them.  The arrays
+    are the stepper's own, which it never writes afterwards.
     """
 
     t: float
@@ -311,8 +314,8 @@ class Node:
     blowup_integral: float
     aux: NodeAux
     uh: np.ndarray
-    u: ScalarField
-    v: VectorField
+    u: np.ndarray
+    v: np.ndarray
     grad_u: np.ndarray | None
     s: np.ndarray
     recorder: TrajectoryRecorder

@@ -31,7 +31,10 @@ kernel and one implicit density update:
   exponential chemical update, with the drift recomputed from s = ln c,
   whose compact spectrum it carries alongside the samples.
 
-A run projects its working state onto the dealias band once at start;
+Every field is a plain array of samples on the torus `fields.Grid`, which
+``march`` and ``run`` take as the keyword ``grid``: the datum's u0 and
+phi0 and a node's u and s are N x N, its v and grad(u) (2, N, N).  A run
+projects its working state onto the dealias band once at start;
 products then never alias back into the retained band, which is what makes
 the flux identities machine-precision checks.  So every spectrum that a
 march holds is a compact one, the N x ((N-1)//3 + 1) dealias band of a half
@@ -55,7 +58,7 @@ import numpy as np
 
 from . import diagnostics as diag
 from .cole_hopf import C_FLOOR, ChemistryParams, drift
-from .fields import Grid, ParameterError, ScalarField, VectorField, band_rfft2
+from .fields import Grid, ParameterError, band_rfft2
 
 _LOG_FLOOR = float(np.log(C_FLOOR))
 _LOG_MAX = float(np.log(np.finfo(float).max))   # exp overflows above this
@@ -193,7 +196,8 @@ def _cfl_dt(grid, grad_u, v2_max, chi, cfg) -> float:
 
 
 def march(data: list, cfg: StepperConfig, params: ChemistryParams, p0: float = 6.0,
-          mode: str = "transformed", snapshot_times=(), snapshot_sink=None):
+          mode: str = "transformed", snapshot_times=(), snapshot_sink=None, *,
+          grid: Grid):
     """Advance an initial datum to t_end (or a halt), yielding its nodes.
 
     A generator: it yields a `diagnostics.Node` at every record node (every
@@ -206,7 +210,8 @@ def march(data: list, cfg: StepperConfig, params: ChemistryParams, p0: float = 6
     step.
 
     ``data`` is a one-shot holder, the list ``[u0, phi0]`` of
-    `initial_data.build_initial_data`.  The march empties it when it starts
+    `initial_data.build_initial_data`, two arrays of ``grid``'s N x N shape
+    (another shape is a ValueError).  The march empties it when it starts
     and drops the datum once it has projected it, because in CPython every
     frame of the call chain (the study, `run`, a tracer around it) keeps its
     arguments alive for the whole run; a caller that needs the datum again
@@ -266,19 +271,21 @@ def march(data: list, cfg: StepperConfig, params: ChemistryParams, p0: float = 6
         raise ValueError(f"mode must be transformed or original, got {mode!r}")
     if snapshot_times and snapshot_sink is None:
         raise ValueError("snapshot_times need a snapshot_sink")
+    shape = grid.shape
+    if any(x.shape != shape for x in data):   # no loop variable keeps a datum
+        raise ValueError(f"u0 and phi0 must have the grid's shape {shape}, "
+                         f"got {[x.shape for x in data]}")
     u0, phi0 = data
     data.clear()
-    grid = u0.grid
-    shape = grid.shape
     mu, chi = params.mu, params.chi
     transformed = mode == "transformed"
 
     # each datum is dropped as soon as it is projected
-    uh = band_rfft2(u0.values)
+    uh = band_rfft2(u0)
     del u0
     u = np.fft.irfft2(uh, s=shape)
-    if phi0.values.any():   # the Cole-Hopf substitution
-        sh = band_rfft2(-mu * phi0.values)
+    if phi0.any():   # the Cole-Hopf substitution
+        sh = band_rfft2(-mu * phi0)
         del phi0
         s = np.fft.irfft2(sh, s=shape)
         v = drift(grid, sh, mu)
@@ -291,7 +298,7 @@ def march(data: list, cfg: StepperConfig, params: ChemistryParams, p0: float = 6
     else:
         grad_u = None   # grad u only where it is read
 
-    recorder = diag.TrajectoryRecorder(chi=chi, p0=p0)
+    recorder = diag.TrajectoryRecorder(grid, chi=chi, p0=p0)
     pending_snaps = sorted(float(ts) for ts in snapshot_times)
 
     t = 0.0
@@ -325,9 +332,8 @@ def march(data: list, cfg: StepperConfig, params: ChemistryParams, p0: float = 6
             node = diag.Node(t=t, c_linf=float(np.exp(s_max)), a1=recorder.a1,
                              a2=recorder.a2, a3=recorder.a3,
                              blowup_integral=recorder.blowup_integral, aux=aux,
-                             uh=uh, u=ScalarField(grid, u, check=False),
-                             v=VectorField(grid, v, check=False), grad_u=grad_u,
-                             s=s, recorder=recorder)
+                             uh=uh, u=u, v=v, grad_u=grad_u, s=s,
+                             recorder=recorder)
             yield node
         while pending_snaps and t >= pending_snaps[0] - _time_tol(t):
             if transformed:
@@ -395,9 +401,9 @@ def march(data: list, cfg: StepperConfig, params: ChemistryParams, p0: float = 6
 
 def run(data: list, cfg: StepperConfig, params: ChemistryParams, p0: float = 6.0,
         mode: str = "transformed", recorders=(), snapshot_times=(),
-        snapshot_sink=None) -> Trajectory:
-    """Drain `march` from the one-shot holder ``data`` = [u0, phi0] in
-    ``mode`` and return its `Trajectory`.
+        snapshot_sink=None, *, grid: Grid) -> Trajectory:
+    """Drain `march` from the one-shot holder ``data`` = [u0, phi0] on
+    ``grid`` in ``mode`` and return its `Trajectory`.
 
     Each hook in ``recorders`` is called as ``hook(node)`` at every record
     node, under the contract of the yielded nodes: a hook may keep their
@@ -405,7 +411,8 @@ def run(data: list, cfg: StepperConfig, params: ChemistryParams, p0: float = 6.0
     builds the rows it reads with ``node.row()``, and ``snapshot_sink``
     receives the snapshots at ``snapshot_times`` (see `march`).
     """
-    marching = march(data, cfg, params, p0, mode, snapshot_times, snapshot_sink)
+    marching = march(data, cfg, params, p0, mode, snapshot_times, snapshot_sink,
+                     grid=grid)
     while True:
         try:
             node = next(marching)

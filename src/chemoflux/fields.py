@@ -5,6 +5,9 @@ The unbounded plane is truncated to a large periodic box; solutions of
 interest decay to a constant state, so periodic images interact weakly
 when L is large.  Conventions:
 
+* a field is a plain float64 array of its samples, N x N for a scalar and
+  (2, N, N) for a vector (x component first); the geometry lives in the
+  `Grid`, which each function that needs it takes beside the array,
 * every field is real, so spectra are half spectra: ``np.fft.rfft2`` of an
   N x N array is N x (N/2 + 1), with y along the full first axis (rows, FFT
   index order) and x along the halved last axis (columns m = 0..N/2); the
@@ -153,41 +156,6 @@ class Grid:
         return np.meshgrid(x, x, indexing="xy")
 
 
-class ScalarField:
-    """Real samples on a Grid, row-major N x N array."""
-
-    __slots__ = ("grid", "values")
-
-    def __init__(self, grid: Grid, values: np.ndarray, check: bool = True):
-        values = np.asarray(values, dtype=np.float64)
-        n = grid.resolution
-        if values.shape != (n, n):
-            raise ValueError(f"expected shape {(n, n)}, got {values.shape}")
-        if check and not np.isfinite(values).all():
-            raise ValueError("scalar field contains non-finite samples")
-        self.grid = grid
-        self.values = values
-
-
-class VectorField:
-    """Two scalar components sharing one Grid, stored as a (2, N, N) array."""
-
-    __slots__ = ("grid", "values")
-
-    def __init__(self, grid: Grid, values: np.ndarray, check: bool = True):
-        values = np.asarray(values, dtype=np.float64)
-        n = grid.resolution
-        if values.shape != (2, n, n):
-            raise ValueError(f"expected shape {(2, n, n)}, got {values.shape}")
-        if check and not np.isfinite(values).all():
-            raise ValueError("vector field contains non-finite samples")
-        self.grid = grid
-        self.values = values
-
-    def magnitude(self) -> np.ndarray:
-        return np.sqrt(self.values[0] ** 2 + self.values[1] ** 2)
-
-
 def band_rfft2(x: np.ndarray) -> np.ndarray:
     """The compact dealias band of the half spectrum of real N x N samples x.
 
@@ -209,24 +177,22 @@ def spectral_power(zh: np.ndarray) -> np.ndarray:
     return zh.real ** 2 + zh.imag ** 2
 
 
-def lp_norm(f, p) -> float:
-    """L^p norm by uniform Riemann sum; p in [1, inf].
+def lp_norm(grid: Grid, x: np.ndarray, p) -> float:
+    """L^p norm of the samples x by uniform Riemann sum; p in [1, inf].
 
-    Vector fields are measured through the pointwise Euclidean magnitude.
-    For p = 2 that is the sum of x*x over every sample of every component,
-    one component at a time, with NumPy's own reductions: no |x| pass, no
-    magnitude, and no BLAS dot product, whose threads could change the
-    order of the sum.
+    x is an N x N scalar or a (2, N, N) vector, which is measured through
+    its pointwise Euclidean magnitude.  For p = 2 that is the sum of x*x
+    over every sample of every component, one component at a time, with
+    NumPy's own reductions: no |x| pass, no magnitude, and no BLAS dot
+    product, whose threads could change the order of the sum.
     """
     if not (p == np.inf or p >= 1):
         raise ValueError(f"p must be >= 1 or inf, got {p}")
+    vector = x.ndim == 3
     if p == 2:
-        comps = f.values if isinstance(f, VectorField) else (f.values,)
-        return float(np.sqrt(sum((x * x).sum() for x in comps) * f.grid.cell_area))
-    if isinstance(f, VectorField):
-        vals = f.magnitude()
-    else:
-        vals = np.abs(f.values)
+        comps = x if vector else (x,)
+        return float(np.sqrt(sum((c * c).sum() for c in comps) * grid.cell_area))
+    vals = np.sqrt(x[0] ** 2 + x[1] ** 2) if vector else np.abs(x)
     if p == np.inf:
         return float(vals.max())
-    return float(((vals ** p).sum() * f.grid.cell_area) ** (1.0 / p))
+    return float(((vals ** p).sum() * grid.cell_area) ** (1.0 / p))

@@ -1,12 +1,14 @@
 """Experiment orchestration: config files, canonical studies, persistence.
 
 Configs are flat ``key = value`` text with dotted section names
-(``grid.N = 256``).  `_SCHEMA` declares every key once, as a row of
-(key, section, attribute, parser, formatter): the key sets ``attribute``
-of the ``section`` part of an `ExperimentConfig` (of the config itself
-for section None), ``parser`` reads the value text and ``formatter``
-writes it back.  `parse_config` sets only the keys a file gives, leaving
-the dataclass defaults, rejects keys outside the table and parses the
+(``grid.N = 256``).  `_SCHEMA` declares every key once, as a row of (key,
+section, attribute, parser, formatter): the key sets ``attribute`` of the
+``section`` part of an `ExperimentConfig` (of the config itself for
+section None), ``parser`` reads the value text and ``formatter`` writes it
+back.  `parse_config` sets only the keys a file gives, leaving the
+dataclass defaults, rejects keys outside the table, a key given twice and
+a key whose attribute an earlier key of the file sets (``xval.n_list`` and
+``refine.n_list``), so that no later value silently wins, and parses the
 ``grid.*`` rows first, because mollifier widths and sweep deltas accept
 the ``Xh`` suffix meaning X grid cells.  Every real number, in a list or
 an ``Xh`` width too, is read by `_finite`.  A value that fails its own
@@ -16,33 +18,35 @@ other (``stepper.dt`` above ``stepper.t_end``) against their section.
 and the rows without a formatter (``xval.n_list``, a parse-only alias of
 ``refine.n_list``).
 
-Every study has one skeleton: it checks its own inputs; `_data` builds
-the datum ``[u0, phi0]`` of every member, which serves either mode, so
-data it cannot build is a `ConfigError` before any output; `_output` makes
-the output directory and writes the config echo there; `_map` maps the
-study's distinct members over ``threads`` worker threads and `_solve` runs
-each through `run`, handing over the datum in a one-shot holder that the
-member's `march` empties, so no study keeps a member's unprojected datum
-while it runs (only the refinement, whose grids each serve several step
-sizes, keeps its data and hands over a fresh holder per member).  Only the
-single run passes the config's ``mode`` to `run`; every other study runs
-the transformed mode, and cross-validation runs both.  `_completed` raises
-`RunHalted`, carrying the `RunOutcome`, for a member that halted where the
-study needs a completed run; the study declares its columns beside its
-rows, writes its table through `_write_csv` (a ``# chemoflux-diagnostics-v1``
-line, a header line, numbers to 17 significant digits) and returns it as
-``(columns, rows)``, for one CLI printer.  Only the single run builds
-diagnostics rows (``node.row()``), one per record node for its CSV, and
-takes snapshots, each written by its sink as soon as its march reaches
-the snapshot's time.  A node is also the state at its time: each `run`
-hook takes one, the theta scan reads its free scalars and u, and the
-delta sweep and the refinement keep only the samples of the final node.
-The theta scan alone builds inside each member, because data it cannot
-build is a row label there.  Cross-validation steps its two solvers in
-lockstep from one datum, the original mode's `march` inside a hook of the
-transformed mode's `run`, comparing the u and v of the two nodes, so it
-holds one node per mode.  Runs are byte-deterministic for a fixed config,
-and a study's outputs do not depend on ``threads``.
+Every study has one skeleton: it checks its own inputs; `_data` builds the
+datum ``[u0, phi0]`` of every member, two N x N sample arrays that serve
+either mode, so data it cannot build is a `ConfigError` before any output;
+`_output` makes the output directory and writes the config echo there;
+`_map` maps the study's distinct members over ``threads`` worker threads
+and `_solve` runs each through `run` on the member's `Grid`, which every
+field measure takes beside its arrays, handing over the datum in a
+one-shot holder that the member's `march` empties, so no study keeps a
+member's unprojected datum while it runs (only the refinement, whose grids
+each serve several step sizes, keeps its data and hands over a fresh
+holder per member).  Only the single run passes the config's ``mode`` to
+`run`; every other study runs the transformed mode, and cross-validation
+runs both.  `_completed` raises `RunHalted`, carrying the `RunOutcome`,
+for a member that halted where the study needs a completed run; the study
+declares its columns beside its rows, writes its table through
+`_write_csv` (a ``# chemoflux-diagnostics-v1`` line, a header line,
+numbers to 17 significant digits) and returns it as ``(columns, rows)``,
+for one CLI printer.  Only the single run builds diagnostics rows
+(``node.row()``), one per record node for its CSV, and takes snapshots,
+each written by its sink as soon as its march reaches the snapshot's time.
+A node is also the state at its time: each `run` hook takes one, the theta
+scan reads its free scalars and u, and the delta sweep and the refinement
+keep only the samples of the final node.  The theta scan alone builds
+inside each member, because data it cannot build is a row label there.
+Cross-validation steps its two solvers in lockstep from one datum, the
+original mode's `march` inside a hook of the transformed mode's `run`,
+comparing the u and v of the two nodes, so it holds one node per mode.
+Runs are byte-deterministic for a fixed config, and a study's outputs do
+not depend on ``threads``.
 """
 
 from __future__ import annotations
@@ -56,7 +60,7 @@ from pathlib import Path
 from .cole_hopf import C_FLOOR, ChemistryParams, forward_transform  # noqa: F401
 from .diagnostics import CSV_COLUMNS, SCHEMA_VERSION, fit_decay, sup_deviation
 from .evolve import RunOutcome, StepperConfig, Trajectory, march, run
-from .fields import Grid, ParameterError, ScalarField, VectorField, lp_norm
+from .fields import Grid, ParameterError, lp_norm
 from .initial_data import InitialDataRecipe, build_initial_data
 from .snapshots import write_snapshot
 
@@ -180,7 +184,7 @@ _SCHEMA = (
     ("recipe.modes", "recipe", "potential_modes", _entries(4), _joined_entries),
     ("snapshot_times", None, "snapshot_times", _numbers(), _joined),
     ("sweep.deltas", None, "deltas", _widths, _joined),
-    # parse-only alias, read before refine.n_list so that the latter wins
+    # parse-only alias of refine.n_list; a file gives at most one of the two
     ("xval.n_list", None, "n_list", _resolutions, None),
     ("refine.n_list", None, "n_list", _resolutions, _joined),
     ("refine.dt_list", None, "dt_list", _numbers(), _joined),
@@ -211,11 +215,18 @@ def parse_config(text: str) -> ExperimentConfig:
         if "=" not in stripped:
             raise ConfigError(f"line {lineno}", f"expected 'key = value', got {line!r}")
         key, value = stripped.split("=", 1)
-        raw[key.strip()] = value.strip()
-    known = {row[0] for row in _SCHEMA}
+        key, value = key.strip(), value.strip()
+        if key in raw:
+            raise ConfigError(key, f"given twice, as {raw[key]!r} and {value!r}")
+        raw[key] = value
+    targets = {row[0]: row[1:3] for row in _SCHEMA}
+    setters = {}   # (section, attribute) -> the first key of the file to set it
     for key in raw:
-        if key not in known:
+        if key not in targets:
             raise ConfigError(key, "unknown key")
+        first = setters.setdefault(targets[key], key)
+        if first != key:
+            raise ConfigError(key, f"sets what {first} sets: give one of the two")
 
     values = {section: {} for section in (None, *_SECTIONS)}
 
@@ -350,10 +361,11 @@ def _data(recipe, grid) -> list:
     return [u0, phi0]
 
 
-def _solve(cfg: ExperimentConfig, data: list, stepper, **kwargs) -> Trajectory:
-    """Run a member from its datum holder ``[u0, phi0]``, which the run
-    empties."""
-    return run(data, stepper, cfg.params, p0=cfg.recipe.p0, **kwargs)
+def _solve(cfg: ExperimentConfig, grid: Grid, data: list, stepper,
+           **kwargs) -> Trajectory:
+    """Run a member on ``grid`` from its datum holder ``[u0, phi0]``, which
+    the run empties."""
+    return run(data, stepper, cfg.params, p0=cfg.recipe.p0, grid=grid, **kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -374,7 +386,7 @@ def run_single(cfg: ExperimentConfig, out_dir=None) -> tuple:
     data = _data(cfg.recipe, cfg.grid)
     out = _output(cfg, out_dir)
     records = []
-    traj = _solve(cfg, data, cfg.stepper, mode=cfg.mode,
+    traj = _solve(cfg, cfg.grid, data, cfg.stepper, mode=cfg.mode,
                   snapshot_times=cfg.snapshot_times,
                   snapshot_sink=lambda t, payload: write_snapshot(
                       out / f"snapshot_{t:.6f}.cfx", list(payload.values())),
@@ -418,16 +430,15 @@ def run_delta_sweep(cfg: ExperimentConfig, out_dir=None) -> tuple:
     out = _output(cfg, out_dir)
 
     def final_uv(datum):   # only the samples: the rest of the node is dropped
-        final = _completed(_solve(cfg, datum, cfg.stepper)).final_state
-        return final.u.values, final.v.values
+        final = _completed(_solve(cfg, cfg.grid, datum, cfg.stepper)).final_state
+        return final.u, final.v
 
     finals = _map(cfg, final_uv, data)
     rows = []
     for (d1, (u1, v1)), (d2, (u2, v2)) in zip(zip(deltas, finals),
                                               zip(deltas[1:], finals[1:])):
-        du = lp_norm(ScalarField(cfg.grid, u1 - u2, check=False), 2)
-        dv = lp_norm(VectorField(cfg.grid, v1 - v2, check=False), 2)
-        rows.append((d1, d2, du, dv))
+        rows.append((d1, d2, lp_norm(cfg.grid, u1 - u2, 2),
+                     lp_norm(cfg.grid, v1 - v2, 2)))
     decreasing = all(r0[2] > r1[2] and r0[3] > r1[3]
                      for r0, r1 in zip(rows, rows[1:]))
     table = _write_csv(out / "delta_sweep.csv",
@@ -464,29 +475,27 @@ def run_refinement(cfg: ExperimentConfig, out_dir=None) -> tuple:
         raise ConfigError("refine.dt_list", f"{_joined(cfg.dt_list)}: {exc}") from None
     in_time = [(cfg.grid.resolution, dt) for dt in dts]
     in_space = [(n, dts[-1]) for n in ns]
-    data = {n: _data(cfg.recipe, Grid(cfg.grid.side_length, n))
-            for n in dict.fromkeys((cfg.grid.resolution, *ns))}
+    grids = {n: Grid(cfg.grid.side_length, n)
+             for n in dict.fromkeys((cfg.grid.resolution, *ns))}
+    data = {n: _data(cfg.recipe, grid) for n, grid in grids.items()}
     out = _output(cfg, out_dir)
 
     def final_u(member):
         n, dt = member
         holder = list(data[n])   # a fresh one: each grid's datum serves every dt
-        return _completed(_solve(cfg, holder, steppers[dt])).final_state.u.values
+        return _completed(_solve(cfg, grids[n], holder, steppers[dt])).final_state.u
 
     members = list(dict.fromkeys(in_time + in_space))
     finals = dict(zip(members, _map(cfg, final_u, members)))
 
-    def l2(n, values):
-        return lp_norm(ScalarField(data[n][0].grid, values, check=False), 2)
-
     # (param, error, step size) per study
-    temporal = [(dt, l2(n, finals[n, dt] - finals[finer]), dt)
+    temporal = [(dt, lp_norm(grids[n], finals[n, dt] - finals[finer], 2), dt)
                 for (n, dt), finer in zip(in_time, in_time[1:])]
     spatial = []
     for n, dt in in_space[:-1]:
         k = ns[-1] // n   # the finest grid's samples at this grid's points
-        spatial.append((n, l2(n, finals[n, dt] - finals[in_space[-1]][::k, ::k]),
-                        1.0 / n))
+        spatial.append((n, lp_norm(grids[n], finals[n, dt]
+                                   - finals[in_space[-1]][::k, ::k], 2), 1.0 / n))
 
     rows = []
     for kind, errs in (("temporal", temporal), ("spatial", spatial)):
@@ -526,21 +535,21 @@ def run_cross_validate(cfg: ExperimentConfig, out_dir=None) -> tuple:
         steppers = [replace(cfg.stepper, dt=cfg.stepper.dt * (ns[0] / n)) for n in ns]
     except ValueError as exc:   # a coarse member's dt exceeds t_end
         raise ConfigError("xval.n_list", f"{_joined(ns)}: {exc}") from None
-    members = []   # (stepper, [u0, phi0])
+    members = []   # (stepper, grid, [u0, phi0])
     for n, stepper in zip(ns, steppers):
-        data = _data(cfg.recipe, Grid(cfg.grid.side_length, n))
-        if -cfg.params.mu * data[1].values.max() <= math.log(C_FLOOR):
+        grid = Grid(cfg.grid.side_length, n)
+        data = _data(cfg.recipe, grid)
+        if -cfg.params.mu * data[1].max() <= math.log(C_FLOOR):
             raise ConfigError("recipe", "matched chemical is at or below the "
                               f"extinction floor {C_FLOOR}")
-        members.append((stepper, data))
+        members.append((stepper, grid, data))
     out = _output(cfg, out_dir)
 
     def discrepancies(member):
-        stepper, data = member
-        grid = data[0].grid
+        stepper, grid, data = member
         # one datum, a holder per mode: each march empties its own
         partner = march(list(data), stepper, cfg.params, p0=cfg.recipe.p0,
-                        mode="original")
+                        mode="original", grid=grid)
         max_du = 0.0
         max_dv = 0.0
 
@@ -554,10 +563,9 @@ def run_cross_validate(cfg: ExperimentConfig, out_dir=None) -> tuple:
                 raise RuntimeError(f"cross-validation: original record at "
                                    f"t={other.t} and transformed record at "
                                    f"t={node.t} are not at the same time")
-            du = lp_norm(ScalarField(grid, node.u.values - other.u.values,
-                                     check=False), 2)
+            du = lp_norm(grid, node.u - other.u, 2)
             dv_sq = 0.0   # one N x N difference at a time, summed as lp_norm sums
-            for vo, vt in zip(other.v.values, node.v.values):
+            for vo, vt in zip(other.v, node.v):
                 d = vo - vt
                 d *= d
                 dv_sq += d.sum()
@@ -568,7 +576,7 @@ def run_cross_validate(cfg: ExperimentConfig, out_dir=None) -> tuple:
         # the transformed run goes through `run`, as every study's first run
         # does: the first entry into `run` marks where stepping starts
         # (perfbench's setup_s ends there)
-        _completed(_solve(cfg, data, stepper, recorders=(compare,)))
+        _completed(_solve(cfg, grid, data, stepper, recorders=(compare,)))
         other = _next_node(partner)
         if other is not None:
             raise RuntimeError(f"cross-validation: original record at "
@@ -611,9 +619,9 @@ def run_theta_scan(cfg: ExperimentConfig, out_dir=None) -> tuple:
             nonlocal a1
             a1 = node.a1
             if node.t >= 1.0:
-                settled.append(sup_deviation(node.u.values))
+                settled.append(sup_deviation(node.u))
 
-        traj = _solve(cfg, data, cfg.stepper, recorders=(keep,))
+        traj = _solve(cfg, cfg.grid, data, cfg.stepper, recorders=(keep,))
         bound = 1.5 * summary.theta0_raw
         a1_ok = a1 <= bound if summary.theta0_raw > 0 else True
         lemma34_ok = bool(settled) and all(x <= 0.25 for x in settled)

@@ -1,12 +1,12 @@
 """Construction of discontinuous initial data.
 
-A datum is a pair (u0, phi0) with u0 >= 0 and phi0 a zero-mean potential;
-it serves both forms of the system through the Cole-Hopf substitution,
-c0 = exp(-mu phi0) and v0 = grad(phi0), which `evolve.march` applies at
-its start.  Jump data (disks, stripes) are rasterized by cell-center
-sampling with no anti-aliasing, so arbitrarily large jumps survive in the
-stored field; an optional compact mollifier of width delta is the only
-smoothing agent.  v0 is formed only here, for the smallness parameters:
+A datum is a pair (u0, phi0) of N x N sample arrays, with u0 >= 0 and
+phi0 a zero-mean potential; it serves both forms of the system through
+the Cole-Hopf substitution, c0 = exp(-mu phi0) and v0 = grad(phi0), which
+`evolve.march` applies at its start.  Jump data (disks, stripes) are
+rasterized by cell-center sampling with no anti-aliasing, so arbitrarily
+large jumps survive in the stored field; an optional compact mollifier of
+width delta is the only smoothing agent.  v0 is formed only here, for the smallness parameters:
 the drift is a gradient by construction, so zero curl is structural.
 """
 
@@ -17,8 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import (Grid, ParameterError, ScalarField, VectorField, lp_norm,
-                     spectral_power)
+from .fields import Grid, ParameterError, lp_norm, spectral_power
 
 RECIPE_KINDS = (
     "piecewise_constant_disks",
@@ -112,21 +111,21 @@ def mollifier_kernel(grid: Grid, delta: float) -> np.ndarray:
     return w / w.sum()
 
 
-def mollify(f: ScalarField | VectorField, delta: float, ker=None):
-    """Circular convolution of a scalar or vector field with the width-delta
-    kernel, component by component (the transforms act on the last two
-    axes); preserves the mean and keeps values inside [min f, max f].
+def mollify(grid: Grid, x: np.ndarray, delta: float, ker=None) -> np.ndarray:
+    """Circular convolution of the samples x, N x N or (2, N, N), with the
+    width-delta kernel, component by component (the transforms act on the
+    last two axes); preserves the mean and keeps values inside
+    [min x, max x].
 
     ``ker`` is the kernel's half spectrum, ``np.fft.rfft2`` of
     `mollifier_kernel`; a caller that convolves several fields with one
     kernel passes it, and it is taken here otherwise.
     """
-    g = f.grid
     if ker is None:
-        ker = np.fft.rfft2(mollifier_kernel(g, delta))
-    zh = np.fft.rfft2(f.values)
+        ker = np.fft.rfft2(mollifier_kernel(grid, delta))
+    zh = np.fft.rfft2(x)
     zh *= ker
-    return type(f)(g, np.fft.irfft2(zh, s=g.shape), check=False)
+    return np.fft.irfft2(zh, s=grid.shape)
 
 
 def _min_image(d: np.ndarray, L: float) -> np.ndarray:
@@ -173,13 +172,13 @@ def _raster_potential(recipe: InitialDataRecipe, grid: Grid, X, Y) -> np.ndarray
     return phi
 
 
-def _deviation_sq(u: ScalarField) -> float:
+def _deviation_sq(grid: Grid, u: np.ndarray) -> float:
     """||u - 1||_2^2."""
-    return lp_norm(ScalarField(u.grid, u.values - 1.0, check=False), 2) ** 2
+    return lp_norm(grid, u - 1.0, 2) ** 2
 
 
 def build_initial_data(recipe: InitialDataRecipe, grid: Grid):
-    """Rasterize a recipe into (u0, phi0, summary).
+    """Rasterize a recipe into (u0, phi0, summary), u0 and phi0 N x N arrays.
 
     Raises if the recipe produces u0 < 0 anywhere or violates p0 > 4.
     phi0 is the rasterized potential with its mean mode zeroed, or zero
@@ -190,24 +189,23 @@ def build_initial_data(recipe: InitialDataRecipe, grid: Grid):
     Parseval.  A zero potential takes no transform.
     """
     X, Y = grid.coordinates()
-    u_vals = _raster_u(recipe, grid, X, Y)
-    umin = u_vals.min()
+    u0 = _raster_u(recipe, grid, X, Y)
+    umin = u0.min()
     if umin < 0:
         raise ValueError(
             f"recipe produces negative cell density (min u0 = {umin}); "
             "u0 >= 0 is required")
     phi = _raster_potential(recipe, grid, X, Y)
     del X, Y
-    u0 = ScalarField(grid, u_vals, check=False)
-    theta0_raw = _deviation_sq(u0)
+    theta0_raw = _deviation_sq(grid, u0)
     ker = None
     if recipe.delta > 0:
         ker = np.fft.rfft2(mollifier_kernel(grid, recipe.delta))
-        u0 = mollify(u0, recipe.delta, ker)
-    theta0 = _deviation_sq(u0)
+        u0 = mollify(grid, u0, recipe.delta, ker)
+    theta0 = _deviation_sq(grid, u0)
     if phi is None:
         summary = DataSummary(theta0=theta0, M=0.0, theta0_raw=theta0_raw)
-        return u0, ScalarField(grid, np.zeros(grid.shape), check=False), summary
+        return u0, np.zeros(grid.shape), summary
 
     ph = np.fft.rfft2(phi)
     del phi
@@ -218,9 +216,9 @@ def build_initial_data(recipe: InitialDataRecipe, grid: Grid):
         ph *= ker
         del ker
     theta0 += w * grid.gradient_power(spectral_power(ph))
-    phi0 = ScalarField(grid, np.fft.irfft2(ph, s=grid.shape), check=False)
-    v0 = VectorField(grid, grid._gradient(ph), check=False)
+    phi0 = np.fft.irfft2(ph, s=grid.shape)
+    v0 = grid._gradient(ph)
     del ph
-    summary = DataSummary(theta0=theta0, M=lp_norm(v0, recipe.p0),
+    summary = DataSummary(theta0=theta0, M=lp_norm(grid, v0, recipe.p0),
                           theta0_raw=theta0_raw)
     return u0, phi0, summary

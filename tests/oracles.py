@@ -3,8 +3,10 @@
 The program computes on half spectra (``np.fft.rfft2``) in a single pass;
 these operators compute the same quantities with ``np.fft.fft2`` over the
 whole N x N spectrum, from their own wavenumber tables built out of
-``grid.wavenumbers``.  They share no spectral code with ``chemoflux``, so
-the tests use them as an independent check of it.
+``grid.wavenumbers``.  Fields are plain arrays, N x N for a scalar and
+(2, N, N) for a vector, and each operator takes the `Grid` first.  They
+share no spectral code with ``chemoflux``, so the tests use them as an
+independent check of it.
 
 The energy functionals and the energy inequality are recomputed here from
 a run's diagnostics rows, with ||u_t||_2 and ||grad u_t||_2 measured on
@@ -18,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from chemoflux import ScalarField, VectorField, lp_norm
+from chemoflux import lp_norm
 
 
 @lru_cache(maxsize=None)
@@ -39,42 +41,41 @@ def _real(ah):
     return np.fft.ifft2(ah).real
 
 
-def _require_same_grid(a, b):
-    if a.grid is not b.grid and a.grid != b.grid:
-        raise ValueError("fields live on different grids")
+def _require_grid_shapes(grid, *fields):
+    """Each field is N x N or (2, N, N) on ``grid``."""
+    for f in fields:
+        if f.shape[-2:] != grid.shape:
+            raise ValueError(f"field of shape {f.shape} is not on the grid "
+                             f"{grid.shape}")
 
 
-def gradient(f: ScalarField) -> VectorField:
-    ikx, iky, _, _ = _tables(f.grid)
-    fh = np.fft.fft2(f.values)
-    return VectorField(f.grid, np.stack([_real(ikx * fh), _real(iky * fh)]),
-                       check=False)
+def gradient(grid, f):
+    ikx, iky, _, _ = _tables(grid)
+    fh = np.fft.fft2(f)
+    return np.stack([_real(ikx * fh), _real(iky * fh)])
 
 
-def divergence(w: VectorField) -> ScalarField:
-    ikx, iky, _, _ = _tables(w.grid)
-    d = _real(ikx * np.fft.fft2(w.values[0]) + iky * np.fft.fft2(w.values[1]))
-    return ScalarField(w.grid, d, check=False)
+def divergence(grid, w):
+    ikx, iky, _, _ = _tables(grid)
+    return _real(ikx * np.fft.fft2(w[0]) + iky * np.fft.fft2(w[1]))
 
 
-def curl2d(w: VectorField) -> ScalarField:
+def curl2d(grid, w):
     """Scalar curl d2(w1) - d1(w2)."""
-    ikx, iky, _, _ = _tables(w.grid)
-    c = _real(iky * np.fft.fft2(w.values[0]) - ikx * np.fft.fft2(w.values[1]))
-    return ScalarField(w.grid, c, check=False)
+    ikx, iky, _, _ = _tables(grid)
+    return _real(iky * np.fft.fft2(w[0]) - ikx * np.fft.fft2(w[1]))
 
 
-def perp_gradient(f: ScalarField) -> VectorField:
+def perp_gradient(grid, f):
     """Rotated gradient (d2 f, -d1 f)."""
-    ikx, iky, _, _ = _tables(f.grid)
-    fh = np.fft.fft2(f.values)
-    return VectorField(f.grid, np.stack([_real(iky * fh), -_real(ikx * fh)]),
-                       check=False)
+    ikx, iky, _, _ = _tables(grid)
+    fh = np.fft.fft2(f)
+    return np.stack([_real(iky * fh), -_real(ikx * fh)])
 
 
-def laplacian(f: ScalarField) -> ScalarField:
-    k2 = _tables(f.grid)[2]
-    return ScalarField(f.grid, _real(-k2 * np.fft.fft2(f.values)), check=False)
+def laplacian(grid, f):
+    k2 = _tables(grid)[2]
+    return _real(-k2 * np.fft.fft2(f))
 
 
 def _band(grid, values):
@@ -83,81 +84,73 @@ def _band(grid, values):
     return _real(fh)
 
 
-def dealias(field):
-    """Projection onto the 2/3-rule band (|m| < N/3 per axis)."""
-    g = field.grid
-    if isinstance(field, ScalarField):
-        return ScalarField(g, _band(g, field.values), check=False)
-    return VectorField(g, np.stack([_band(g, c) for c in field.values]),
-                       check=False)
+def dealias(grid, field):
+    """Projection onto the 2/3-rule band (|m| < N/3 per axis) of a scalar
+    or, component by component, a vector field."""
+    if field.ndim == 2:
+        return _band(grid, field)
+    return np.stack([_band(grid, c) for c in field])
 
 
-def product_scalar_vector(f: ScalarField, w: VectorField) -> VectorField:
+def product_scalar_vector(grid, f, w):
     """Pointwise f*w projected onto the dealias band."""
-    _require_same_grid(f, w)
-    return VectorField(f.grid, np.stack([_band(f.grid, f.values * c)
-                                         for c in w.values]), check=False)
+    _require_grid_shapes(grid, f, w)
+    return np.stack([_band(grid, f * c) for c in w])
 
 
-def product_dot(w1: VectorField, w2: VectorField) -> ScalarField:
+def product_dot(grid, w1, w2):
     """Dealiased pointwise dot product of two vector fields."""
-    _require_same_grid(w1, w2)
-    dot = w1.values[0] * w2.values[0] + w1.values[1] * w2.values[1]
-    return ScalarField(w1.grid, _band(w1.grid, dot), check=False)
+    _require_grid_shapes(grid, w1, w2)
+    return _band(grid, w1[0] * w2[0] + w1[1] * w2[1])
 
 
-def effective_flux(u: ScalarField, v: VectorField, chi: float) -> VectorField:
+def effective_flux(grid, u, v, chi: float):
     """F = grad(u) + chi * u*v with the product dealiased."""
-    g = gradient(u)
+    g = gradient(grid, u)
     if chi == 0.0:
         return g
-    p = product_scalar_vector(u, v)
-    return VectorField(u.grid, g.values + chi * p.values, check=False)
+    return g + chi * product_scalar_vector(grid, u, v)
 
 
-def assemble_rhs_ut(u: ScalarField, v: VectorField, chi: float) -> ScalarField:
+def assemble_rhs_ut(grid, u, v, chi: float):
     """Right-hand side of the density equation, lap(u) + chi*div(u*v)."""
-    out = laplacian(u).values
+    out = laplacian(grid, u)
     if chi != 0.0:
-        out = out + chi * divergence(product_scalar_vector(u, v)).values
-    return ScalarField(u.grid, out, check=False)
+        out = out + chi * divergence(grid, product_scalar_vector(grid, u, v))
+    return out
 
 
-def flux_divergence_residual(u: ScalarField, v: VectorField, chi: float,
-                             rhs_ut: ScalarField) -> float:
+def flux_divergence_residual(grid, u, v, chi: float, rhs_ut) -> float:
     """|| div(F) - u_t ||_2 where u_t is the assembled right-hand side."""
-    if rhs_ut.values.shape != u.values.shape:
+    if rhs_ut.shape != u.shape:
         raise ValueError("rhs_ut shape does not match state")
-    d = divergence(effective_flux(u, v, chi))
-    return lp_norm(ScalarField(u.grid, d.values - rhs_ut.values, check=False), 2)
+    d = divergence(grid, effective_flux(grid, u, v, chi))
+    return lp_norm(grid, d - rhs_ut, 2)
 
 
-def curl_flux_residual(u: ScalarField, v: VectorField, chi: float) -> float:
+def curl_flux_residual(grid, u, v, chi: float) -> float:
     """|| curl(F) - chi * perp_grad(u).v ||_2 (product dealiased)."""
-    lhs = curl2d(effective_flux(u, v, chi))
-    rhs = product_dot(perp_gradient(u), v)
-    return lp_norm(ScalarField(u.grid, lhs.values - chi * rhs.values, check=False), 2)
+    lhs = curl2d(grid, effective_flux(grid, u, v, chi))
+    rhs = product_dot(grid, perp_gradient(grid, u), v)
+    return lp_norm(grid, lhs - chi * rhs, 2)
 
 
-def gn_ratio(f: ScalarField) -> float:
+def gn_ratio(grid, f) -> float:
     """Interpolation-inequality sample ||f||_4^2 / (||f||_2 ||grad f||_2)."""
-    gnorm = lp_norm(gradient(f), 2)
+    gnorm = lp_norm(grid, gradient(grid, f), 2)
     if gnorm == 0.0:
         raise ValueError("gn_ratio undefined for fields with vanishing gradient")
-    return lp_norm(f, 4) ** 2 / (lp_norm(f, 2) * gnorm)
+    return lp_norm(grid, f, 4) ** 2 / (lp_norm(grid, f, 2) * gnorm)
 
 
-def jacobian_frobenius(w: VectorField) -> ScalarField:
+def jacobian_frobenius(grid, w):
     """Pointwise Frobenius magnitude of the spectral Jacobian of w."""
-    gx = gradient(ScalarField(w.grid, w.values[0], check=False))
-    gy = gradient(ScalarField(w.grid, w.values[1], check=False))
-    mag = np.sqrt(gx.values[0] ** 2 + gx.values[1] ** 2
-                  + gy.values[0] ** 2 + gy.values[1] ** 2)
-    return ScalarField(w.grid, mag, check=False)
+    gx = gradient(grid, w[0])
+    gy = gradient(grid, w[1])
+    return np.sqrt(gx[0] ** 2 + gx[1] ** 2 + gy[0] ** 2 + gy[1] ** 2)
 
 
-def lemma33_ratio(u: ScalarField, v: VectorField, ut: ScalarField, p: float,
-                  chi: float = 1.0):
+def lemma33_ratio(grid, u, v, ut, p: float, chi: float = 1.0):
     """||grad F||_p / (||u_t||_p + ||perp_grad(u).v||_p), or None when the
     denominator is degenerate.
 
@@ -166,29 +159,31 @@ def lemma33_ratio(u: ScalarField, v: VectorField, ut: ScalarField, p: float,
     chi*u*curl(v) to curl F only, so the ratio grows with the size of that
     curl relative to ||u_t||_p.
     """
-    den = lp_norm(ut, p) + lp_norm(product_dot(perp_gradient(u), v), p)
+    den = lp_norm(grid, ut, p) + lp_norm(
+        grid, product_dot(grid, perp_gradient(grid, u), v), p)
     if den <= 1e-14:
         return None
-    return lp_norm(jacobian_frobenius(effective_flux(u, v, chi)), p) / den
+    return lp_norm(grid, jacobian_frobenius(grid, effective_flux(grid, u, v, chi)),
+                   p) / den
 
 
-def project_curl_free(w: VectorField) -> VectorField:
+def project_curl_free(grid, w):
     """Gradient part of the Helmholtz decomposition, mean preserved."""
-    ikx, iky, _, _ = _tables(w.grid)
+    ikx, iky, _, _ = _tables(grid)
     kx, ky = ikx.imag, iky.imag
     k2 = kx ** 2 + ky ** 2
-    wxh = np.fft.fft2(w.values[0])
-    wyh = np.fft.fft2(w.values[1])
+    wxh = np.fft.fft2(w[0])
+    wyh = np.fft.fft2(w[1])
     coef = np.where(k2 > 0, (kx * wxh + ky * wyh) / np.where(k2 > 0, k2, 1.0), 0.0)
     pxh = kx * coef
     pyh = ky * coef
     pxh[0, 0] = wxh[0, 0]
     pyh[0, 0] = wyh[0, 0]
-    return VectorField(w.grid, np.stack([_real(pxh), _real(pyh)]), check=False)
+    return np.stack([_real(pxh), _real(pyh)])
 
 
-def energy_functionals(pairs, chi: float = 1.0) -> tuple[float, float, float]:
-    """Recompute (A1, A2, A3) from a run's ``(node, row)`` pairs.
+def energy_functionals(grid, pairs, chi: float = 1.0) -> tuple[float, float, float]:
+    """Recompute (A1, A2, A3) from a run's ``(node, row)`` pairs on ``grid``.
 
     The norms of u and v come from each record's CSV columns and those of
     u_t from its node.  Trapezoid integrals and suprema are taken on the
@@ -198,8 +193,9 @@ def energy_functionals(pairs, chi: float = 1.0) -> tuple[float, float, float]:
     """
     rows = []   # (record, ||u_t||_2^2, ||grad u_t||_2^2)
     for state, r in pairs:
-        ut = assemble_rhs_ut(state.u, state.v, chi)
-        rows.append((r, lp_norm(ut, 2) ** 2, lp_norm(gradient(ut), 2) ** 2))
+        ut = assemble_rhs_ut(grid, state.u, state.v, chi)
+        rows.append((r, lp_norm(grid, ut, 2) ** 2,
+                     lp_norm(grid, gradient(grid, ut), 2) ** 2))
     if not rows:
         raise ValueError("empty trajectory")
     sup_e = max(r.u_l2 ** 2 + r.v_l2 ** 2 for r, _, _ in rows)

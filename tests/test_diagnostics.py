@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from chemoflux import (ChemistryParams, DiagnosticsRecord, Grid, ScalarField,
-                       StepperConfig, VectorField, fit_decay, lp_norm, run)
+from chemoflux import (ChemistryParams, DiagnosticsRecord, Grid, StepperConfig,
+                       fit_decay, lp_norm, run)
 from chemoflux.diagnostics import CSV_COLUMNS
 from chemoflux.harness import write_diagnostics_csv
 from chemoflux.diagnostics import Node, TrajectoryRecorder, node_norms
@@ -22,111 +22,109 @@ SINGLE_MODE_GN_RATIO = 0.194924200308419  # sqrt(3/8)/pi, locked
 
 def solution_like_datum(grid, seed, amplitude=0.4):
     """A datum (u, phi) near the equilibrium (1, 0)."""
-    u = ScalarField(grid, 1.0 + amplitude
-                    * band_limited_field(grid, seed, kmax=6).values)
+    u = 1.0 + amplitude * band_limited_field(grid, seed, kmax=6)
     return u, band_limited_potential(grid, seed + 50, kmax=6, amplitude=amplitude)
 
 
 def solution_like_pair(grid, seed, amplitude=0.4):
     """The (u, v) of `solution_like_datum`, v = grad(phi)."""
     u, phi = solution_like_datum(grid, seed, amplitude)
-    return u, spectral_gradient(phi)
+    return u, spectral_gradient(grid, phi)
 
 
-def run_pairs(u0, phi0, cfg):
+def run_pairs(grid, u0, phi0, cfg):
     """A run, and the ``(node, row)`` pair of each record node."""
     nodes = []
-    traj, rows = run_rows(u0, phi0, cfg, recorders=(nodes.append,))
+    traj, rows = run_rows(grid, u0, phi0, cfg, recorders=(nodes.append,))
     return traj, list(zip(nodes, rows))
 
 
 class TestEffectiveFlux:
     def test_equilibrium_flux_vanishes(self, grid64):
-        f = effective_flux(constant_field(grid64, 1.0), zero_drift(grid64), chi=1.0)
-        assert np.abs(f.values).max() <= 1e-13
+        f = effective_flux(grid64, constant_field(grid64, 1.0), zero_drift(grid64),
+                           chi=1.0)
+        assert np.abs(f).max() <= 1e-13
 
     def test_flat_density_gives_drift_back(self, grid64):
         v = band_limited_gradient(grid64, 4, amplitude=0.5)
-        f = effective_flux(constant_field(grid64, 1.0), v, chi=1.0)
-        assert np.abs(f.values - v.values).max() <= 1e-12
+        f = effective_flux(grid64, constant_field(grid64, 1.0), v, chi=1.0)
+        assert np.abs(f - v).max() <= 1e-12
 
     def test_chi_zero_is_pure_gradient(self, grid64):
         u, v = solution_like_pair(grid64, 9)
-        f = effective_flux(u, v, chi=0.0)
-        assert np.abs(f.values - gradient(u).values).max() <= 1e-13
+        f = effective_flux(grid64, u, v, chi=0.0)
+        assert np.abs(f - gradient(grid64, u)).max() <= 1e-13
 
 
 class TestFluxDivergenceIdentity:
     def test_equilibrium(self, grid64):
         u = constant_field(grid64, 1.0)
         v = zero_drift(grid64)
-        rhs = assemble_rhs_ut(u, v, 1.0)
-        assert flux_divergence_residual(u, v, 1.0, rhs) <= 1e-13
+        rhs = assemble_rhs_ut(grid64, u, v, 1.0)
+        assert flux_divergence_residual(grid64, u, v, 1.0, rhs) <= 1e-13
 
     def test_algebraic_for_any_band_limited_pair(self, grid64):
         # holds pointwise in time for arbitrary fields, solution or not,
         # as long as both sides assemble the same dealiased product
         for seed in (1, 2, 3):
             u, v = solution_like_pair(grid64, seed)
-            rhs = assemble_rhs_ut(u, v, 1.0)
-            assert flux_divergence_residual(u, v, 1.0, rhs) \
-                <= 1e-11 * (1.0 + lp_norm(rhs, 2))
+            rhs = assemble_rhs_ut(grid64, u, v, 1.0)
+            assert flux_divergence_residual(grid64, u, v, 1.0, rhs) \
+                <= 1e-11 * (1.0 + lp_norm(grid64, rhs, 2))
 
     def test_detects_injected_fault(self, grid64):
         u, v = solution_like_pair(grid64, 5)
-        rhs = assemble_rhs_ut(u, v, 1.0)
+        rhs = assemble_rhs_ut(grid64, u, v, 1.0)
         L = grid64.side_length
         X, _ = grid64.coordinates()
         bump = 1e-3 * np.sin(2 * np.pi * X / L)
-        corrupted = ScalarField(grid64, rhs.values + bump)
-        resid = flux_divergence_residual(u, v, 1.0, corrupted)
-        fault_size = lp_norm(ScalarField(grid64, bump), 2)
+        resid = flux_divergence_residual(grid64, u, v, 1.0, rhs + bump)
+        fault_size = lp_norm(grid64, bump, 2)
         assert resid == pytest.approx(fault_size, rel=1e-6)
 
     def test_shape_mismatch_rejected(self, grid32, grid64):
         u, v = solution_like_pair(grid64, 5)
         with pytest.raises(ValueError):
-            flux_divergence_residual(u, v, 1.0, constant_field(grid32, 0.0))
+            flux_divergence_residual(grid64, u, v, 1.0, constant_field(grid32, 0.0))
 
 
 class TestCurlFluxIdentity:
     def test_zero_drift(self, grid64):
-        u = ScalarField(grid64, 1.0 + band_limited_field(grid64, 3).values)
-        assert curl_flux_residual(u, zero_drift(grid64), 1.0) <= 1e-13
+        u = 1.0 + band_limited_field(grid64, 3)
+        assert curl_flux_residual(grid64, u, zero_drift(grid64), 1.0) <= 1e-13
 
     def test_flat_density(self, grid64):
         v = band_limited_gradient(grid64, 7, amplitude=0.8)
-        assert curl_flux_residual(constant_field(grid64, 2.0), v, 1.0) <= 1e-12
+        assert curl_flux_residual(grid64, constant_field(grid64, 2.0), v, 1.0) \
+            <= 1e-12
 
     def test_holds_for_curl_free_drift(self, grid64):
         for seed in (11, 12):
             u, v = solution_like_pair(grid64, seed)
-            rhs = lp_norm(ScalarField(
-                grid64,
-                perp_gradient(u).values[0] * v.values[0]
-                + perp_gradient(u).values[1] * v.values[1]), 2)
-            assert curl_flux_residual(u, v, 1.0, ) <= 1e-10 * (1.0 + rhs)
+            pg = perp_gradient(grid64, u)
+            rhs = lp_norm(grid64, pg[0] * v[0] + pg[1] * v[1], 2)
+            assert curl_flux_residual(grid64, u, v, 1.0) <= 1e-10 * (1.0 + rhs)
 
     def test_detects_drift_with_curl(self, grid64):
         u, _ = solution_like_pair(grid64, 13)
         psi = band_limited_field(grid64, 60, kmax=5)
-        v_swirl = perp_gradient(psi)  # divergence-free, curl = lap(psi)
-        assert curl_flux_residual(u, v_swirl, 1.0) > 1e-4
+        v_swirl = perp_gradient(grid64, psi)  # divergence-free, curl = lap(psi)
+        assert curl_flux_residual(grid64, u, v_swirl, 1.0) > 1e-4
 
 
 class TestEnergyFunctionals:
     def test_equilibrium_trajectory_is_null(self, grid32):
         cfg = StepperConfig(dt=0.05, t_end=1.0, record_every=5)
-        _, pairs = run_pairs(constant_field(grid32, 1.0), constant_field(grid32, 0.0),
-                             cfg)
-        a1, a2, a3 = energy_functionals(pairs)
+        _, pairs = run_pairs(grid32, constant_field(grid32, 1.0),
+                             constant_field(grid32, 0.0), cfg)
+        a1, a2, a3 = energy_functionals(grid32, pairs)
         assert max(a1, a2, a3) <= 1e-24
 
     def test_frozen_state_gives_initial_energy(self, grid32):
         u, phi = solution_like_datum(grid32, 21)
         cfg = StepperConfig(dt=0.05, t_end=0.0)
-        _, pairs = run_pairs(u, phi, cfg)
-        a1, _, a3 = energy_functionals(pairs)
+        _, pairs = run_pairs(grid32, u, phi, cfg)
+        a1, _, a3 = energy_functionals(grid32, pairs)
         r = pairs[0][1]
         assert a1 == pytest.approx(r.u_l2 ** 2 + r.v_l2 ** 2, rel=1e-12)
         assert a3 == pytest.approx(r.v_l4 ** 4, rel=1e-12)
@@ -139,8 +137,8 @@ class TestEnergyFunctionals:
         for amplitude in (0.2, 1e-4):
             u, phi = solution_like_datum(grid32, 22, amplitude=amplitude)
             cfg = StepperConfig(dt=0.02, t_end=0.6, record_every=1)
-            _, pairs = run_pairs(u, phi, cfg)
-            a1, a2, a3 = energy_functionals(pairs)
+            _, pairs = run_pairs(grid32, u, phi, cfg)
+            a1, a2, a3 = energy_functionals(grid32, pairs)
             last = pairs[-1][1]
             assert a1 == pytest.approx(last.a1, rel=1e-9, abs=0), amplitude
             assert a2 == pytest.approx(last.a2, rel=1e-9, abs=0), amplitude
@@ -149,7 +147,7 @@ class TestEnergyFunctionals:
     def test_running_columns_monotone_in_integral_parts(self, grid32):
         u, phi = solution_like_datum(grid32, 23)
         cfg = StepperConfig(dt=0.02, t_end=1.0, record_every=5)
-        _, rows = run_rows(u, phi, cfg)
+        _, rows = run_rows(grid32, u, phi, cfg)
         blowups = [r.blowup_integral for r in rows]
         assert all(b1 >= b0 for b0, b1 in zip(blowups, blowups[1:]))
         a1s = [r.a1 for r in rows]
@@ -157,21 +155,20 @@ class TestEnergyFunctionals:
 
     def test_empty_trajectory_rejected(self):
         with pytest.raises(ValueError):
-            energy_functionals([])
+            energy_functionals(Grid(1.0, 8), [])
 
 
 class TestGnRatio:
     def test_single_mode_locked_value(self, grid64):
         L = grid64.side_length
         f = field_from_function(grid64, lambda X, Y: np.sin(2 * np.pi * X / L))
-        assert gn_ratio(f) == pytest.approx(SINGLE_MODE_GN_RATIO, abs=1e-12)
+        assert gn_ratio(grid64, f) == pytest.approx(SINGLE_MODE_GN_RATIO, abs=1e-12)
 
     def test_scaling_invariance(self, grid64):
         f = band_limited_field(grid64, 31, zero_mean=True)
-        base = gn_ratio(f)
+        base = gn_ratio(grid64, f)
         for s in (1e-6, 3.0, 2.7e5):
-            assert gn_ratio(ScalarField(grid64, s * f.values)) \
-                == pytest.approx(base, rel=1e-12)
+            assert gn_ratio(grid64, s * f) == pytest.approx(base, rel=1e-12)
 
     def test_dilation_sweep_stays_bounded(self):
         # on a fixed torus f(lambda x) keeps every L^p value distribution
@@ -184,14 +181,14 @@ class TestGnRatio:
             f = field_from_function(
                 grid, lambda X, Y: np.sin(lam * 2 * np.pi * X / L)
                 * np.cos(lam * 2 * np.pi * Y / L))
-            vals.append(gn_ratio(f))
+            vals.append(gn_ratio(grid, f))
         assert max(vals) <= 0.21
         products = [v * lam for v, lam in zip(vals, (1, 2, 4))]
         assert max(products) - min(products) <= 1e-12
 
     def test_rejects_constant(self, grid32):
         with pytest.raises(ValueError):
-            gn_ratio(constant_field(grid32, 2.0))
+            gn_ratio(grid32, constant_field(grid32, 2.0))
 
 
 class TestFitDecay:
@@ -229,8 +226,8 @@ class TestLemma33Ratio:
     def test_equilibrium_skipped(self, grid32):
         u = constant_field(grid32, 1.0)
         v = zero_drift(grid32)
-        ut = assemble_rhs_ut(u, v, 1.0)
-        assert lemma33_ratio(u, v, ut, p=2) is None
+        ut = assemble_rhs_ut(grid32, u, v, 1.0)
+        assert lemma33_ratio(grid32, u, v, ut, p=2) is None
 
     def test_l2_ratio_bounded_and_refinement_stable(self):
         # in L2 the gradient energy splits exactly into divergence and curl
@@ -239,16 +236,16 @@ class TestLemma33Ratio:
         for n in (64, 128, 256):
             grid = Grid(2 * np.pi * 4, n)
             u, v = solution_like_pair(grid, 33)
-            ut = assemble_rhs_ut(u, v, 1.0)
-            r = lemma33_ratio(u, v, ut, p=2)
+            ut = assemble_rhs_ut(grid, u, v, 1.0)
+            r = lemma33_ratio(grid, u, v, ut, p=2)
             assert 0.7 <= r <= 1.0 + 1e-9
             vals.append(r)
         assert max(vals) - min(vals) <= 0.2 * max(vals)
 
     def test_p4_ratio_finite(self, grid64):
         u, v = solution_like_pair(grid64, 35)
-        ut = assemble_rhs_ut(u, v, 1.0)
-        r = lemma33_ratio(u, v, ut, p=4)
+        ut = assemble_rhs_ut(grid64, u, v, 1.0)
+        r = lemma33_ratio(grid64, u, v, ut, p=4)
         assert np.isfinite(r) and r > 0
 
     def test_injected_curl_blows_ratio_up(self, grid64):
@@ -264,18 +261,17 @@ class TestLemma33Ratio:
         # checked on a long box and on the unit box.
         kappa = 10.0
         for grid in (grid64, Grid(2 * np.pi, 64)):
-            u = ScalarField(grid,
-                            1.0 + 1e-3 * band_limited_field(grid, 36, kmax=1).values)
+            u = 1.0 + 1e-3 * band_limited_field(grid, 36, kmax=1)
             v_clean = band_limited_gradient(grid, 37, kmax=1, amplitude=0.5)
-            ut_clean = assemble_rhs_ut(u, v_clean, 1.0)
-            clean = lemma33_ratio(u, v_clean, ut_clean, p=2)
+            ut_clean = assemble_rhs_ut(grid, u, v_clean, 1.0)
+            clean = lemma33_ratio(grid, u, v_clean, ut_clean, p=2)
             assert clean <= 1.0 + 1e-9
-            swirl = perp_gradient(band_limited_field(grid, 38, kmax=5))
-            scale = (kappa * lp_norm(divergence(v_clean), 2)
-                     / lp_norm(curl2d(swirl), 2))
-            v_bad = VectorField(grid, v_clean.values + scale * swirl.values)
-            ut_bad = assemble_rhs_ut(u, v_bad, 1.0)
-            bad = lemma33_ratio(u, v_bad, ut_bad, p=2)
+            swirl = perp_gradient(grid, band_limited_field(grid, 38, kmax=5))
+            scale = (kappa * lp_norm(grid, divergence(grid, v_clean), 2)
+                     / lp_norm(grid, curl2d(grid, swirl), 2))
+            v_bad = v_clean + scale * swirl
+            ut_bad = assemble_rhs_ut(grid, u, v_bad, 1.0)
+            bad = lemma33_ratio(grid, u, v_bad, ut_bad, p=2)
             assert bad > 5 * clean
 
 
@@ -311,7 +307,7 @@ class TestEnergyInequality:
     def test_smooth_run_satisfies_calibrated_inequality(self, grid32):
         u, phi = solution_like_datum(grid32, 41, amplitude=0.3)
         cfg = StepperConfig(dt=0.02, t_end=1.0, record_every=2)
-        _, rows = run_rows(u, phi, cfg)
+        _, rows = run_rows(grid32, u, phi, cfg)
         c = calibrate_energy_constant(rows)
         assert np.isfinite(c) and c >= 0
         assert check_energy_inequality(rows, c + 1e-12) == []
@@ -321,7 +317,7 @@ class TestRecordSchema:
     def test_csv_row_matches_column_count(self, grid32, tmp_path):
         u, phi = solution_like_datum(grid32, 50)
         cfg = StepperConfig(dt=0.05, t_end=0.1)
-        _, rows = run_rows(u, phi, cfg)
+        _, rows = run_rows(grid32, u, phi, cfg)
         write_diagnostics_csv(tmp_path / "d.csv", rows)
         lines = (tmp_path / "d.csv").read_text().splitlines()
         assert lines[1] == ",".join(CSV_COLUMNS)
@@ -342,17 +338,17 @@ class TestRecordAgainstOracles:
         def check(node):
             rec = node.row()
             u, v = node.u, node.v
-            u_tilde = ScalarField(grid, u.values - 1.0)
+            u_tilde = u - 1.0
             expected = {
-                "u_l2": lp_norm(u_tilde, 2),
-                "grad_u_l2": lp_norm(gradient(u_tilde), 2),
-                "u_linf": lp_norm(u_tilde, np.inf),
-                "v_l2": lp_norm(v, 2),
-                "v_l4": lp_norm(v, 4),
-                "v_lp0": lp_norm(v, p0),
-                "v_linf": lp_norm(v, np.inf),
-                "flux_l2": lp_norm(effective_flux(u, v, chi), 2),
-                "gn_ratio": gn_ratio(u_tilde),
+                "u_l2": lp_norm(grid, u_tilde, 2),
+                "grad_u_l2": lp_norm(grid, gradient(grid, u_tilde), 2),
+                "u_linf": lp_norm(grid, u_tilde, np.inf),
+                "v_l2": lp_norm(grid, v, 2),
+                "v_l4": lp_norm(grid, v, 4),
+                "v_lp0": lp_norm(grid, v, p0),
+                "v_linf": lp_norm(grid, v, np.inf),
+                "flux_l2": lp_norm(grid, effective_flux(grid, u, v, chi), 2),
+                "gn_ratio": gn_ratio(grid, u_tilde),
             }
             for column, value in expected.items():
                 assert getattr(rec, column) == pytest.approx(value, rel=1e-12), column
@@ -362,7 +358,8 @@ class TestRecordAgainstOracles:
             seen.append(node.t)
 
         cfg = StepperConfig(dt=0.02, t_end=0.1, record_every=2)
-        run([u0, phi0], cfg, ChemistryParams(chi=chi), p0=p0, recorders=(check,))
+        run([u0, phi0], cfg, ChemistryParams(chi=chi), p0=p0, recorders=(check,),
+            grid=grid)
         assert len(seen) == 4
 
     def test_curl_residual_detects_swirl(self, grid64):
@@ -372,14 +369,14 @@ class TestRecordAgainstOracles:
         # by construction, so the node is built by hand; both fields are in
         # the dealias band
         u, v = solution_like_pair(grid64, 13)
-        swirl = perp_gradient(band_limited_field(grid64, 60, kmax=5))
-        v_bad = VectorField(grid64, v.values + swirl.values)
-        uh = band_rfft2(u.values)
+        swirl = perp_gradient(grid64, band_limited_field(grid64, 60, kmax=5))
+        v_bad = v + swirl
+        uh = band_rfft2(u)
         node = Node(t=0.0, c_linf=1.0, a1=0.0, a2=0.0, a3=0.0, blowup_integral=0.0,
-                    aux=node_norms(grid64, uh, np.zeros_like(uh), v_bad.values),
+                    aux=node_norms(grid64, uh, np.zeros_like(uh), v_bad),
                     uh=uh, u=u, v=v_bad, grad_u=None, s=np.zeros(grid64.shape),
-                    recorder=TrajectoryRecorder(chi=1.0, p0=6.0))
+                    recorder=TrajectoryRecorder(grid64, chi=1.0, p0=6.0))
         rec = node.row()
         assert rec.flux_curl_residual > 1e-4
         assert rec.flux_curl_residual == pytest.approx(
-            curl_flux_residual(u, v_bad, 1.0), rel=1e-12)
+            curl_flux_residual(grid64, u, v_bad, 1.0), rel=1e-12)

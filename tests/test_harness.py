@@ -21,7 +21,6 @@ from chemoflux.cli import STUDY_COMMANDS, main
 from chemoflux.cole_hopf import C_FLOOR
 from chemoflux.diagnostics import TrajectoryRecorder
 from chemoflux.evolve import EXIT_CODES
-from chemoflux.fields import ScalarField
 from chemoflux.harness import STUDIES, format_config, parse_config
 from chemoflux.initial_data import RECIPE_KINDS
 
@@ -161,6 +160,25 @@ def test_xval_of_extinct_chemical_is_a_config_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: config field 'recipe'") and "floor" in err
     assert not out.exists()   # rejected before any output or run
+
+
+@pytest.mark.parametrize("subcommand,study,lines,key", [
+    ("run", "single_run", "grid.N = 16\n", "grid.N"),   # BASE gives grid.N = 32
+    ("xval", "cross_validate", "xval.n_list = 16\nrefine.n_list = 32,64,128\n",
+     "refine.n_list"),
+    ("xval", "cross_validate", "refine.n_list = 32,64,128\nxval.n_list = 16\n",
+     "xval.n_list"),
+], ids=["key-twice", "xval-then-refine", "refine-then-xval"])
+def test_second_value_of_one_setting_exits_2_naming_its_key(tmp_path, capsys,
+                                                            subcommand, study,
+                                                            lines, key):
+    # the later value silently won: a run at N=16, an xval over 32, 64, 128
+    code, out = cli(tmp_path, subcommand, f"study = {study}\n" + BASE + lines)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config field '{key}': ")
+    assert err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_overflowing_chemical_at_start_exits_10(tmp_path, capsys):
@@ -334,7 +352,7 @@ def test_refine_runs_each_member_and_builds_each_grid_once(tmp_path, monkeypatch
     real_run, real_build = harness.run, harness.build_initial_data
 
     def counting_run(data, stepper, *args, **kwargs):
-        runs.append((data[0].grid.resolution, stepper.dt))
+        runs.append((kwargs["grid"].resolution, stepper.dt))
         return real_run(data, stepper, *args, **kwargs)
 
     def counting_build(recipe, grid):
@@ -421,8 +439,8 @@ def test_xval_refuses_unmatched_records(tmp_path, monkeypatch, skew, message):
             # min c = exp(-mu max phi0) just above the floor, where decay
             # soon takes it
             phi0 = data[1]
-            shift = -(math.log(C_FLOOR) + margin) / params.mu - phi0.values.max()
-            data[1] = ScalarField(phi0.grid, phi0.values + shift)
+            shift = -(math.log(C_FLOOR) + margin) / params.mu - phi0.max()
+            data[1] = phi0 + shift
         return real_march(data, replace(cfg, **skew), params, **kw)
 
     monkeypatch.setattr(harness, "march", skewed_march)
@@ -626,7 +644,7 @@ def test_studies_hand_over_each_datum(tmp_path, monkeypatch, capsys):
 
     def build(recipe, grid):
         u0, phi0, summary = real_build(recipe, grid)
-        refs.extend((weakref.ref(u0.values), weakref.ref(phi0.values)))
+        refs.extend((weakref.ref(u0), weakref.ref(phi0)))
         return u0, phi0, summary
 
     def on_node(self, t, aux):
