@@ -4,7 +4,7 @@ parabolic-hyperbolic chemotaxis system with discontinuous initial data."""
 from .cole_hopf import C_FLOOR, ChemistryParams, forward_transform
 from .diagnostics import (CSV_COLUMNS, DecayFit, DiagnosticsRecord,
                           TrajectoryRecorder, fit_decay)
-from .evolve import RunOutcome, StepperConfig, Trajectory, run
+from .evolve import RunHalted, RunOutcome, StepperConfig, run
 from .fields import Grid, lp_norm
 from .harness import (ConfigError, ExperimentConfig, load_config,
                       parse_config, run_cross_validate, run_delta_sweep,

@@ -9,10 +9,12 @@ fit-decay exits 0 or 2.  The config's ``study`` key must name the
 subcommand's study, only ``single_run`` reads ``mode`` and
 ``snapshot_times``, and ``threads`` is at least 1.  Every study runs the
 skeleton of `harness`: its checks, `_data` for every member, `_output`,
-`_map`/`_solve`, `_completed`, then `_write_csv`; input or data that it
-rejects makes no output.  A study returns the table it wrote, and
-`_print_table` shows every one, the single run's decay summary too, with
-the CSV's columns: a new column changes the study alone.
+`_map`/`_solve`, then `_write_csv`; input or data that it rejects makes no
+output.  A member that halts raises `RunHalted` out of the study, which
+`main` reports; the single run prints its own outcome instead.  A study
+returns the table it wrote, and `_print_table` shows every one, the single
+run's decay summary too, with the CSV's columns: a new column changes the
+study alone.
 """
 
 from __future__ import annotations
@@ -40,15 +42,15 @@ def _print_table(table) -> int:
 
 
 def _print_run(result) -> int:
-    traj, records, decay, out_dir = result
+    outcome, message, records, decay, out_dir = result
     t_final = records[-1].t if records else 0.0   # t=0 halt
-    print(f"outcome: {traj.outcome.value}  ({len(records)} records, "
+    print(f"outcome: {outcome.value}  ({len(records)} records, "
           f"t_final={t_final:g})")
-    if traj.message:
-        print(traj.message)
+    if message:
+        print(message)
     _print_table(decay)
     print(f"artifacts in {out_dir}")
-    return EXIT_CODES[traj.outcome]
+    return EXIT_CODES[outcome]
 
 
 def _print_delta_sweep(result) -> int:

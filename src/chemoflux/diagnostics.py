@@ -32,7 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .fields import Grid, band_rfft2, spectral_power
+from .fields import Grid, band_rfft2, lp_norm, spectral_power
 
 SCHEMA_VERSION = "chemoflux-diagnostics-v1"
 
@@ -223,12 +223,12 @@ class TrajectoryRecorder:
         Parseval, ||f||_2^2 = cell_area/N^2 * sum |f_hat|^2 with the
         half-spectrum column weights of `Grid.power_total`, as in
         `node_norms`, which a compact spectrum meets for its columns
-        0..(N-1)//3, all but the first weighted twice.  The L^p0 norm and
-        the Gagliardo-Nirenberg ratio come from the physical samples, in one
-        buffer that holds (u - 1)^4 and then |v|^p0, each squared in place.  The
-        residuals are rebuilt here from u and v alone, independent of the
-        stepper's transport term, so they check the identities rather than
-        restate them.
+        0..(N-1)//3, all but the first weighted twice.  The
+        Gagliardo-Nirenberg ratio comes from the samples of (u - 1)^4, in a
+        buffer that is dropped before `fields.lp_norm` builds |v|^p0 for the
+        L^p0 norm.  The residuals are rebuilt here from u and v alone,
+        independent of the stepper's transport term, so they check the
+        identities rather than restate them.
         """
         grid = self.grid
         uh, aux = node.uh, node.aux
@@ -263,14 +263,12 @@ class TrajectoryRecorder:
         curl_sq = grid.power_total(spectral_power(res))
 
         u_l2, grad_u_l2 = math.sqrt(aux.u_sq), math.sqrt(aux.grad_u_sq)
-        sq = uv - 1.0   # one buffer, squared in place: (u - 1)^4, then |v|^p0
+        sq = uv - 1.0   # squared in place: (u - 1)^4
         sq *= sq
         sq *= sq
         gn = (math.sqrt(area * sq.sum()) / (u_l2 * grad_u_l2)
               if grad_u_l2 > 0 and u_l2 > 0 else 0.0)   # 0 at a degenerate sample
-        np.multiply(vx, vx, out=sq)
-        sq += vy * vy
-        sq **= 0.5 * self.p0
+        del sq   # before lp_norm builds |v|^p0 in a buffer of its own
         return DiagnosticsRecord(
             t=node.t,
             sigma=sigma_weight(node.t),
@@ -279,7 +277,7 @@ class TrajectoryRecorder:
             u_linf=sup_deviation(uv),
             v_l2=math.sqrt(aux.v_sq),
             v_l4=aux.v4_4 ** 0.25,
-            v_lp0=float((area * sq.sum()) ** (1.0 / self.p0)),
+            v_lp0=lp_norm(grid, node.v, self.p0),
             v_linf=math.sqrt(aux.v2_max),
             c_linf=node.c_linf,
             flux_l2=math.sqrt(w * flux_sq),

@@ -1,23 +1,24 @@
 """Time integration of the coupled density-drift and density-chemical systems.
 
 ``march`` is the only stepper: a generator that yields a `diagnostics.Node`
-at each record node and returns the `Trajectory` when it ends, whose final
-state is the last node it yielded; ``run`` drains it and calls its hooks
-on each node.  A node carries the state (t, u, v and s = ln c) and the
-scalars that are free at it, and builds its diagnostics row on
-``node.row()``, so a consumer pays for a row only where it reads one.  A
-yielded node's arrays are never written afterwards.  A march holds one
-state at a time: it takes the initial datum from a one-shot holder that it
-empties, hands each snapshot to the caller's sink at its time and keeps no
-earlier state, so a run's memory does not grow with its length, its
-snapshots or its records.  A step of either mode holds the node's state
-plus only the arrays it is building, and drops each array of the node once
-it has read it; at the widest point of a CN step, its predictor's
-transport term, those are s at the half step, the explicit term of the
-density update (in the array of the node's transport term), the predicted
-samples of u and the term being built, beside w = v + dt/2 grad(u) in
-transformed mode or the spectrum of s and the predictor's drift in
-original mode (see `march`).  The datum [u0, phi0] is the same for both
+at each record node and returns the last one, its node at t_end; ``run``
+drains it, calls its hooks on each node and returns that node.  A run that
+halts before t_end, by blow-up or by extinction of the chemical, raises
+`RunHalted`, which carries its `RunOutcome` and why.  A node carries the
+state (t, u, v and s = ln c) and the scalars that are free at it, and
+builds its diagnostics row on ``node.row()``, so a consumer pays for a row
+only where it reads one.  A yielded node's arrays are never written
+afterwards.  A march holds one state at a time: it takes the initial datum
+from a one-shot holder that it empties, hands each snapshot to the caller's
+sink at its time and keeps no earlier state, so a run's memory does not
+grow with its length, its snapshots or its records.  A step of either mode
+holds the node's state plus only the arrays it is building, and drops each
+array of the node once it has read it; at the widest point of a CN step,
+its predictor's transport term, those are s at the half step, the explicit
+term of the density update (in the array of the node's transport term), the
+predicted samples of u and the term being built, beside w = v + dt/2
+grad(u) in transformed mode or the spectrum of s and the predictor's drift
+in original mode (see `march`).  The datum [u0, phi0] is the same for both
 modes, which ``mode`` names: the march applies the Cole-Hopf substitution
 at its start, s = ln c0 = -mu*phi0 and v0 = -(1/mu) grad(s) = grad(phi0),
 so the two modes start from one node.  Both modes share one transport
@@ -112,16 +113,14 @@ class StepperConfig:
                                  f"must be a positive integer, got {self.record_every}")
 
 
-@dataclass
-class Trajectory:
-    """The structured terminal status of a run: its outcome, its node at
-    t_end (None after a halt) and why it halted; a blow-up's message names
-    the drift-integral monitor.  It keeps no field history and no snapshot:
-    `march` hands each snapshot to the caller's sink when it takes it."""
+class RunHalted(RuntimeError):
+    """A run halted before t_end: ``outcome`` is its `RunOutcome` and
+    ``message`` says why; a blow-up's message names the drift-integral
+    monitor."""
 
-    outcome: RunOutcome
-    final_state: diag.Node | None
-    message: str = ""
+    def __init__(self, outcome: RunOutcome, message: str):
+        super().__init__(f"study run halted ({outcome.value}): {message}")
+        self.outcome, self.message = outcome, message
 
 
 def _transport_hat(grid: Grid, u, v, chi: float):
@@ -201,13 +200,11 @@ def march(data: list, cfg: StepperConfig, params: ChemistryParams, p0: float = 6
     """Advance an initial datum to t_end (or a halt), yielding its nodes.
 
     A generator: it yields a `diagnostics.Node` at every record node (every
-    ``record_every`` steps and at t_end) and returns (as
-    ``StopIteration.value``) the `Trajectory` of the run, whose
-    ``final_state`` is the node it yielded at t_end.  The node carries the
-    state, c_linf and the running functionals, and builds no row until
-    ``node.row()``.  A yielded node's arrays are the march's own: it never
-    writes to them afterwards, and it keeps no reference to a node across a
-    step.
+    ``record_every`` steps and at t_end) and returns the node it yielded at
+    t_end, or raises `RunHalted` at a halt.  The node carries the state, c_linf
+    and the running functionals, and builds no row until ``node.row()``.  A
+    yielded node's arrays are the march's own: it never writes to them
+    afterwards, and it keeps no reference to a node across a step.
 
     ``data`` is a one-shot holder, the list ``[u0, phi0]`` of
     `initial_data.build_initial_data`, two arrays of ``grid``'s N x N shape
@@ -234,11 +231,11 @@ def march(data: list, cfg: StepperConfig, params: ChemistryParams, p0: float = 6
     payload)`` once, before the next step: the payload maps "u", "v1" and
     "v2" (transformed) or "u" and "c" (original) to the node's samples,
     under the contract of the yielded nodes (c is built for the call).
-    Snapshot times need a sink.  The extinction test returns
+    Snapshot times need a sink.  The extinction test halts with
     ``CHEMICAL_EXTINCTION`` when min s is at or below ln ``C_FLOOR``, where
     c, the original mode's state, underflows; transformed mode, whose state
-    is v, has none.  The blow-up test returns ``BLOWUP`` when a node norm is
-    not finite or max s reaches ln of the largest double, where c_linf
+    is v, has none.  The blow-up test halts with ``BLOWUP`` when a node norm
+    is not finite or max s reaches ln of the largest double, where c_linf
     would overflow; a non-finite field makes its norm non-finite.  Both
     tests read s, which both modes start from phi0.
 
@@ -264,8 +261,8 @@ def march(data: list, cfg: StepperConfig, params: ChemistryParams, p0: float = 6
     before asking for the next holds no more.
 
     Deterministic for a fixed configuration and single-threaded execution.
-    Halts surface as the trajectory outcome, never as silent truncation; a
-    halt at t=0 comes before any yield or snapshot.
+    A halt raises `RunHalted`, never truncates silently, and follows the
+    last yield and snapshot before it; a halt at t=0 comes before any.
     """
     if mode not in ("transformed", "original"):
         raise ValueError(f"mode must be transformed or original, got {mode!r}")
@@ -303,27 +300,21 @@ def march(data: list, cfg: StepperConfig, params: ChemistryParams, p0: float = 6
 
     t = 0.0
     t_end = cfg.t_end
-    outcome = RunOutcome.COMPLETED
-    message = ""
     nstep = 0
-    node = None   # the record node at t, None at a halt and during a step
 
     while True:
         # the node at t; u, uh, v, grad_u and s are rebound by every step,
         # never written in place, so yielded nodes and snapshots may keep them
         if not transformed and s.min() <= _LOG_FLOOR:   # c is the state
-            outcome = RunOutcome.CHEMICAL_EXTINCTION
-            message = f"chemical under floor at t={t} (min ln c = {s.min()})"
-            break
+            raise RunHalted(RunOutcome.CHEMICAL_EXTINCTION, f"chemical under "
+                            f"floor at t={t} (min ln c = {s.min()})")
         t_hat = _transport_hat(grid, u, v, chi)
         aux = diag.node_norms(grid, uh, t_hat, v)
         s_max = float(s.max())
         if not (np.isfinite(aux).all() and s_max < _LOG_MAX):
-            outcome = RunOutcome.BLOWUP
-            message = (f"node norm not finite or sup c overflowing at t={t}; "
-                       f"running drift-integral monitor = "
-                       f"{recorder.blowup_integral}")
-            break
+            raise RunHalted(RunOutcome.BLOWUP, f"node norm not finite or sup c "
+                            f"overflowing at t={t}; running drift-integral "
+                            f"monitor = {recorder.blowup_integral}")
         recorder.on_node(t, aux)
         done = t >= t_end - _time_tol(t_end)
         if grad_u is None and cfg.dt_mode == "cfl" and not done:
@@ -342,7 +333,7 @@ def march(data: list, cfg: StepperConfig, params: ChemistryParams, p0: float = 6
                 snapshot_sink(t, {"u": u, "c": np.exp(s)})
             pending_snaps.pop(0)
         if done:
-            break
+            return node
         node = None   # else its v and grad(u) outlive the step
 
         if cfg.dt_mode == "cfl":
@@ -395,15 +386,13 @@ def march(data: list, cfg: StepperConfig, params: ChemistryParams, p0: float = 6
         t += dt
         nstep += 1
 
-    # only a completed march leaves its last node: fields at a halt are unusable
-    return Trajectory(outcome=outcome, final_state=node, message=message)
-
 
 def run(data: list, cfg: StepperConfig, params: ChemistryParams, p0: float = 6.0,
         mode: str = "transformed", recorders=(), snapshot_times=(),
-        snapshot_sink=None, *, grid: Grid) -> Trajectory:
+        snapshot_sink=None, *, grid: Grid) -> diag.Node:
     """Drain `march` from the one-shot holder ``data`` = [u0, phi0] on
-    ``grid`` in ``mode`` and return its `Trajectory`.
+    ``grid`` in ``mode`` and return its node at t_end; a halt raises
+    `RunHalted`.
 
     Each hook in ``recorders`` is called as ``hook(node)`` at every record
     node, under the contract of the yielded nodes: a hook may keep their

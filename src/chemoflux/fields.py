@@ -178,21 +178,20 @@ def spectral_power(zh: np.ndarray) -> np.ndarray:
 
 
 def lp_norm(grid: Grid, x: np.ndarray, p) -> float:
-    """L^p norm of the samples x by uniform Riemann sum; p in [1, inf].
+    """L^p norm of the samples x by uniform Riemann sum: a scalar at p = 2,
+    a vector at p = 2 or p = p0.
 
     x is an N x N scalar or a (2, N, N) vector, which is measured through
     its pointwise Euclidean magnitude.  For p = 2 that is the sum of x*x
     over every sample of every component, one component at a time, with
     NumPy's own reductions: no |x| pass, no magnitude, and no BLAS dot
-    product, whose threads could change the order of the sum.
+    product, whose threads could change the order of the sum.  For another
+    p, one buffer holds |x|^2 and then, in place, |x|^p.
     """
-    if not (p == np.inf or p >= 1):
-        raise ValueError(f"p must be >= 1 or inf, got {p}")
-    vector = x.ndim == 3
     if p == 2:
-        comps = x if vector else (x,)
+        comps = x if x.ndim == 3 else (x,)
         return float(np.sqrt(sum((c * c).sum() for c in comps) * grid.cell_area))
-    vals = np.sqrt(x[0] ** 2 + x[1] ** 2) if vector else np.abs(x)
-    if p == np.inf:
-        return float(vals.max())
-    return float(((vals ** p).sum() * grid.cell_area) ** (1.0 / p))
+    vals = x[0] * x[0]
+    vals += x[1] * x[1]
+    vals **= 0.5 * p
+    return float((vals.sum() * grid.cell_area) ** (1.0 / p))

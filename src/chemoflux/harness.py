@@ -30,10 +30,11 @@ member's unprojected datum while it runs (only the refinement, whose grids
 each serve several step sizes, keeps its data and hands over a fresh
 holder per member).  Only the single run passes the config's ``mode`` to
 `run`; every other study runs the transformed mode, and cross-validation
-runs both.  `_completed` raises `RunHalted`, carrying the `RunOutcome`,
-for a member that halted where the study needs a completed run; the study
-declares its columns beside its rows, writes its table through
-`_write_csv` (a ``# chemoflux-diagnostics-v1`` line, a header line,
+runs both.  `run` returns a member's node at t_end, and a member that halts
+raises `RunHalted`, carrying its `RunOutcome`, out of every study that
+needs a completed run; the single run and the theta scan report the outcome
+instead.  Each study declares its columns beside its rows, writes its table
+through `_write_csv` (a ``# chemoflux-diagnostics-v1`` line, a header line,
 numbers to 17 significant digits) and returns it as ``(columns, rows)``,
 for one CLI printer.  Only the single run builds diagnostics rows
 (``node.row()``), one per record node for its CSV, and takes snapshots,
@@ -59,7 +60,7 @@ from pathlib import Path
 # boundary its tests require, so it stays imported though no study calls it
 from .cole_hopf import C_FLOOR, ChemistryParams, forward_transform  # noqa: F401
 from .diagnostics import CSV_COLUMNS, SCHEMA_VERSION, fit_decay, sup_deviation
-from .evolve import RunOutcome, StepperConfig, Trajectory, march, run
+from .evolve import RunHalted, RunOutcome, StepperConfig, march, run
 from .fields import Grid, ParameterError, lp_norm
 from .initial_data import InitialDataRecipe, build_initial_data
 from .snapshots import write_snapshot
@@ -304,30 +305,6 @@ def write_diagnostics_csv(path, records) -> None:
 # the study skeleton
 
 
-class RunHalted(RuntimeError):
-    """A study member halted before t_end; ``outcome`` is its `RunOutcome`."""
-
-    def __init__(self, traj: Trajectory):
-        super().__init__(f"study run halted ({traj.outcome.value}): {traj.message}")
-        self.outcome = traj.outcome
-
-
-def _completed(traj: Trajectory) -> Trajectory:
-    """``traj`` if it reached t_end; a study cannot use a halted member."""
-    if traj.outcome is not RunOutcome.COMPLETED:
-        raise RunHalted(traj)
-    return traj
-
-
-def _next_node(marching):
-    """The next node of a march, or None once it completed."""
-    try:
-        return next(marching)
-    except StopIteration as stop:
-        _completed(stop.value)
-        return None
-
-
 def _output(cfg: ExperimentConfig, out_dir) -> Path:
     """The study's output directory, created, with the config echo in it."""
     out = Path(out_dir if out_dir is not None else cfg.out_dir)
@@ -361,10 +338,9 @@ def _data(recipe, grid) -> list:
     return [u0, phi0]
 
 
-def _solve(cfg: ExperimentConfig, grid: Grid, data: list, stepper,
-           **kwargs) -> Trajectory:
+def _solve(cfg: ExperimentConfig, grid: Grid, data: list, stepper, **kwargs):
     """Run a member on ``grid`` from its datum holder ``[u0, phi0]``, which
-    the run empties."""
+    the run empties; returns its node at t_end or raises `RunHalted`."""
     return run(data, stepper, cfg.params, p0=cfg.recipe.p0, grid=grid, **kwargs)
 
 
@@ -373,8 +349,13 @@ def _solve(cfg: ExperimentConfig, grid: Grid, data: list, stepper,
 
 
 def run_single(cfg: ExperimentConfig, out_dir=None) -> tuple:
-    """One run to t_end with its artifacts; returns (trajectory, diagnostics
-    rows, decay summary table, out dir)."""
+    """One run to t_end with its artifacts; returns (outcome, message,
+    diagnostics rows, decay summary table, out dir).
+
+    A run that halts writes the rows it has; its outcome and message are
+    the `RunHalted`'s, and the exception is not kept, since its traceback
+    holds the march's frame and arrays.
+    """
     for t in cfg.snapshot_times:
         if not 0.0 <= t <= cfg.stepper.t_end:
             raise ConfigError("snapshot_times", f"{t!r} is outside [0, t_end = "
@@ -386,11 +367,15 @@ def run_single(cfg: ExperimentConfig, out_dir=None) -> tuple:
     data = _data(cfg.recipe, cfg.grid)
     out = _output(cfg, out_dir)
     records = []
-    traj = _solve(cfg, cfg.grid, data, cfg.stepper, mode=cfg.mode,
-                  snapshot_times=cfg.snapshot_times,
-                  snapshot_sink=lambda t, payload: write_snapshot(
-                      out / f"snapshot_{t:.6f}.cfx", list(payload.values())),
-                  recorders=(lambda node: records.append(node.row()),))
+    outcome, message = RunOutcome.COMPLETED, ""
+    try:
+        _solve(cfg, cfg.grid, data, cfg.stepper, mode=cfg.mode,
+               snapshot_times=cfg.snapshot_times,
+               snapshot_sink=lambda t, payload: write_snapshot(
+                   out / f"snapshot_{t:.6f}.cfx", list(payload.values())),
+               recorders=(lambda node: records.append(node.row()),))
+    except RunHalted as halt:
+        outcome, message = halt.outcome, halt.message
     write_diagnostics_csv(out / "diagnostics.csv", records)
 
     fits = []
@@ -409,7 +394,7 @@ def run_single(cfg: ExperimentConfig, out_dir=None) -> tuple:
     decay = _write_csv(out / "decay_summary.csv",
                        ("quantity", "t_lo", "t_hi", "rate", "prefactor", "residual",
                         "n_samples", "reference_rate"), fits)
-    return traj, records, decay, out
+    return outcome, message, records, decay, out
 
 
 def run_delta_sweep(cfg: ExperimentConfig, out_dir=None) -> tuple:
@@ -430,7 +415,7 @@ def run_delta_sweep(cfg: ExperimentConfig, out_dir=None) -> tuple:
     out = _output(cfg, out_dir)
 
     def final_uv(datum):   # only the samples: the rest of the node is dropped
-        final = _completed(_solve(cfg, cfg.grid, datum, cfg.stepper)).final_state
+        final = _solve(cfg, cfg.grid, datum, cfg.stepper)
         return final.u, final.v
 
     finals = _map(cfg, final_uv, data)
@@ -483,7 +468,7 @@ def run_refinement(cfg: ExperimentConfig, out_dir=None) -> tuple:
     def final_u(member):
         n, dt = member
         holder = list(data[n])   # a fresh one: each grid's datum serves every dt
-        return _completed(_solve(cfg, grids[n], holder, steppers[dt])).final_state.u
+        return _solve(cfg, grids[n], holder, steppers[dt]).u
 
     members = list(dict.fromkeys(in_time + in_space))
     finals = dict(zip(members, _map(cfg, final_u, members)))
@@ -555,7 +540,7 @@ def run_cross_validate(cfg: ExperimentConfig, out_dir=None) -> tuple:
 
         def compare(node):
             nonlocal max_du, max_dv
-            other = _next_node(partner)
+            other = next(partner, None)   # its halt raises here
             if other is None:
                 raise RuntimeError(f"cross-validation: transformed record at "
                                    f"t={node.t} has no original record")
@@ -576,8 +561,8 @@ def run_cross_validate(cfg: ExperimentConfig, out_dir=None) -> tuple:
         # the transformed run goes through `run`, as every study's first run
         # does: the first entry into `run` marks where stepping starts
         # (perfbench's setup_s ends there)
-        _completed(_solve(cfg, grid, data, stepper, recorders=(compare,)))
-        other = _next_node(partner)
+        _solve(cfg, grid, data, stepper, recorders=(compare,))
+        other = next(partner, None)
         if other is not None:
             raise RuntimeError(f"cross-validation: original record at "
                                f"t={other.t} has no transformed record")
@@ -621,18 +606,16 @@ def run_theta_scan(cfg: ExperimentConfig, out_dir=None) -> tuple:
             if node.t >= 1.0:
                 settled.append(sup_deviation(node.u))
 
-        traj = _solve(cfg, cfg.grid, data, cfg.stepper, recorders=(keep,))
+        try:
+            _solve(cfg, cfg.grid, data, cfg.stepper, recorders=(keep,))
+        except RunHalted as halt:
+            decayed, label = False, halt.outcome.value   # blowup, chemical_extinction
+        else:
+            decayed = bool(settled) and settled[-1] <= 0.5 * settled[0]
+            label = "completed_decay" if decayed else "completed_no_decay"
         bound = 1.5 * summary.theta0_raw
         a1_ok = a1 <= bound if summary.theta0_raw > 0 else True
         lemma34_ok = bool(settled) and all(x <= 0.25 for x in settled)
-        if traj.outcome is RunOutcome.COMPLETED and settled:
-            decayed = settled[-1] <= 0.5 * settled[0]
-        else:
-            decayed = False
-        if traj.outcome is not RunOutcome.COMPLETED:
-            label = traj.outcome.value   # blowup or chemical_extinction
-        else:
-            label = "completed_decay" if decayed else "completed_no_decay"
         return (amp, summary.theta0, summary.M, label, decayed, a1, bound,
                 a1_ok, lemma34_ok)
 

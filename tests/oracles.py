@@ -5,8 +5,8 @@ these operators compute the same quantities with ``np.fft.fft2`` over the
 whole N x N spectrum, from their own wavenumber tables built out of
 ``grid.wavenumbers``.  Fields are plain arrays, N x N for a scalar and
 (2, N, N) for a vector, and each operator takes the `Grid` first.  They
-share no spectral code with ``chemoflux``, so the tests use them as an
-independent check of it.
+share no spectral code with ``chemoflux``, and `lp_norm` is their own, so
+the tests use them as an independent check of it.
 
 The energy functionals and the energy inequality are recomputed here from
 a run's diagnostics rows, with ||u_t||_2 and ||grad u_t||_2 measured on
@@ -20,7 +20,15 @@ from functools import lru_cache
 
 import numpy as np
 
-from chemoflux import lp_norm
+
+def lp_norm(grid, x, p) -> float:
+    """L^p norm of the samples x by uniform Riemann sum, for p >= 1 or inf:
+    an N x N scalar through |x| and a (2, N, N) vector through its pointwise
+    magnitude, taken by ``np.hypot``."""
+    vals = np.hypot(x[0], x[1]) if x.ndim == 3 else np.abs(x)
+    if p == np.inf:
+        return float(vals.max())
+    return float(((vals ** p).sum() * grid.cell_area) ** (1.0 / p))
 
 
 @lru_cache(maxsize=None)

@@ -11,13 +11,13 @@ from chemoflux import ChemistryParams, run
 
 def run_rows(grid, u0, phi0, cfg, params=None, recorders=(), **kwargs):
     """``run`` on ``grid`` from the datum (u0, phi0) that builds the
-    diagnostics row of each record node; returns the trajectory and the
+    diagnostics row of each record node; returns the node at t_end and the
     rows.  The hooks in ``recorders`` follow it."""
     rows = []
-    traj = run([u0, phi0], cfg, params or ChemistryParams(),
-               recorders=(lambda node: rows.append(node.row()), *recorders),
-               grid=grid, **kwargs)
-    return traj, rows
+    final = run([u0, phi0], cfg, params or ChemistryParams(),
+                recorders=(lambda node: rows.append(node.row()), *recorders),
+                grid=grid, **kwargs)
+    return final, rows
 
 
 def spectral_gradient(grid, f):

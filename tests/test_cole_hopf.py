@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
-from chemoflux import (ChemistryParams, Grid, RunOutcome, StepperConfig,
-                       forward_transform, lp_norm, run)
+from chemoflux import ChemistryParams, Grid, StepperConfig, forward_transform, run
 from chemoflux.cole_hopf import C_FLOOR
 from sample_fields import band_limited_field, constant_field
-from oracles import curl2d
+from oracles import curl2d, lp_norm
 
 
 class TestChemistryParams:
@@ -61,11 +60,11 @@ class TestCStep:
         f = band_limited_field(grid32, 1)
         c0 = np.exp(0.3 * f)
         kept = []
-        traj = run([constant_field(grid32, 0.0), -0.3 * f],
-                   StepperConfig(dt=0.1, t_end=0.7), ChemistryParams(),
-                   mode="original", grid=grid32,
-                   recorders=(lambda node: kept.append(np.exp(node.s)),))
-        np.testing.assert_array_equal(np.exp(traj.final_state.s), kept[0])
+        final = run([constant_field(grid32, 0.0), -0.3 * f],
+                    StepperConfig(dt=0.1, t_end=0.7), ChemistryParams(),
+                    mode="original", grid=grid32,
+                    recorders=(lambda node: kept.append(np.exp(node.s)),))
+        np.testing.assert_array_equal(np.exp(final.s), kept[0])
         assert np.abs(kept[0] - c0).max() <= 1e-13
 
     def test_matches_closed_form_at_second_order(self):
@@ -83,9 +82,9 @@ class TestCStep:
         params = ChemistryParams(chi=0.0, mu=mu)
         errs = []
         for dt in (0.1, 0.05, 0.025):
-            traj = run([u0, phi0], StepperConfig(dt=dt, t_end=T), params,
-                       mode="original", grid=grid)
-            errs.append(np.abs(np.exp(traj.final_state.s) - exact).max())
+            final = run([u0, phi0], StepperConfig(dt=dt, t_end=T), params,
+                        mode="original", grid=grid)
+            errs.append(np.abs(np.exp(final.s) - exact).max())
             assert errs[-1] <= 0.01 * dt * dt
         assert 3.5 <= errs[0] / errs[1] <= 4.5
         assert 3.5 <= errs[1] / errs[2] <= 4.5
@@ -94,11 +93,11 @@ class TestCStep:
         # u > 0 makes c pointwise nonincreasing at every step
         u0 = 1.0 + 0.3 * band_limited_field(grid32, 9) ** 2
         kept = []
-        traj = run([u0, constant_field(grid32, -np.log(1e-12))],   # c0 = 1e-12
-                   StepperConfig(dt=0.1, t_end=5.0, record_every=1),
-                   ChemistryParams(), mode="original", grid=grid32,
-                   recorders=(lambda node: kept.append((node.u, np.exp(node.s))),))
-        assert traj.outcome is RunOutcome.COMPLETED and len(kept) == 51
+        final = run([u0, constant_field(grid32, -np.log(1e-12))],   # c0 = 1e-12
+                    StepperConfig(dt=0.1, t_end=5.0, record_every=1),
+                    ChemistryParams(), mode="original", grid=grid32,
+                    recorders=(lambda node: kept.append((node.u, np.exp(node.s))),))
+        assert abs(final.t - 5.0) <= 1e-12 and len(kept) == 51
         for (u_prev, c_prev), (u, c) in zip(kept, kept[1:]):
             assert (u > 0).all()
             assert (c > 0).all()

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from chemoflux import (ChemistryParams, DiagnosticsRecord, Grid, StepperConfig,
-                       fit_decay, lp_norm, run)
+                       fit_decay, run)
 from chemoflux.diagnostics import CSV_COLUMNS
 from chemoflux.harness import write_diagnostics_csv
 from chemoflux.diagnostics import Node, TrajectoryRecorder, node_norms
@@ -15,7 +15,7 @@ from oracles import (assemble_rhs_ut, calibrate_energy_constant,
                      check_energy_inequality, curl2d, curl_flux_residual,
                      divergence, effective_flux, energy_functionals,
                      flux_divergence_residual, gn_ratio, gradient,
-                     lemma33_ratio, perp_gradient)
+                     lemma33_ratio, lp_norm, perp_gradient)
 
 SINGLE_MODE_GN_RATIO = 0.194924200308419  # sqrt(3/8)/pi, locked
 
@@ -33,10 +33,10 @@ def solution_like_pair(grid, seed, amplitude=0.4):
 
 
 def run_pairs(grid, u0, phi0, cfg):
-    """A run, and the ``(node, row)`` pair of each record node."""
+    """The ``(node, row)`` pair of each record node of a run."""
     nodes = []
-    traj, rows = run_rows(grid, u0, phi0, cfg, recorders=(nodes.append,))
-    return traj, list(zip(nodes, rows))
+    _, rows = run_rows(grid, u0, phi0, cfg, recorders=(nodes.append,))
+    return list(zip(nodes, rows))
 
 
 class TestEffectiveFlux:
@@ -115,7 +115,7 @@ class TestCurlFluxIdentity:
 class TestEnergyFunctionals:
     def test_equilibrium_trajectory_is_null(self, grid32):
         cfg = StepperConfig(dt=0.05, t_end=1.0, record_every=5)
-        _, pairs = run_pairs(grid32, constant_field(grid32, 1.0),
+        pairs = run_pairs(grid32, constant_field(grid32, 1.0),
                              constant_field(grid32, 0.0), cfg)
         a1, a2, a3 = energy_functionals(grid32, pairs)
         assert max(a1, a2, a3) <= 1e-24
@@ -123,7 +123,7 @@ class TestEnergyFunctionals:
     def test_frozen_state_gives_initial_energy(self, grid32):
         u, phi = solution_like_datum(grid32, 21)
         cfg = StepperConfig(dt=0.05, t_end=0.0)
-        _, pairs = run_pairs(grid32, u, phi, cfg)
+        pairs = run_pairs(grid32, u, phi, cfg)
         a1, _, a3 = energy_functionals(grid32, pairs)
         r = pairs[0][1]
         assert a1 == pytest.approx(r.u_l2 ** 2 + r.v_l2 ** 2, rel=1e-12)
@@ -137,7 +137,7 @@ class TestEnergyFunctionals:
         for amplitude in (0.2, 1e-4):
             u, phi = solution_like_datum(grid32, 22, amplitude=amplitude)
             cfg = StepperConfig(dt=0.02, t_end=0.6, record_every=1)
-            _, pairs = run_pairs(grid32, u, phi, cfg)
+            pairs = run_pairs(grid32, u, phi, cfg)
             a1, a2, a3 = energy_functionals(grid32, pairs)
             last = pairs[-1][1]
             assert a1 == pytest.approx(last.a1, rel=1e-9, abs=0), amplitude

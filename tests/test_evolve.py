@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from chemoflux import (ChemistryParams, Grid, InitialDataRecipe, RunOutcome,
-                       StepperConfig, build_initial_data, lp_norm, run)
+from chemoflux import (ChemistryParams, Grid, InitialDataRecipe, RunHalted,
+                       RunOutcome, StepperConfig, build_initial_data, run)
 from sample_fields import (band_limited_field, band_limited_gradient,
                            band_limited_potential, constant_field, run_rows)
 from chemoflux.evolve import _predictor_transport_hat
-from oracles import (curl2d, dealias, divergence, gradient, product_scalar_vector,
-                     project_curl_free)
+from oracles import (curl2d, dealias, divergence, gradient, lp_norm,
+                     product_scalar_vector, project_curl_free)
 
 MODES = ("transformed", "original")
 
@@ -55,9 +55,21 @@ def smooth_state(grid, amplitude=0.3, seed=0):
 
 
 def final_state(grid, u0, phi0, cfg, params=None, mode="transformed"):
-    traj = run([u0, phi0], cfg, params or ChemistryParams(), mode=mode, grid=grid)
-    assert traj.outcome is RunOutcome.COMPLETED
-    return traj.final_state
+    """The node at t_end of a run that must complete: a halt raises."""
+    return run([u0, phi0], cfg, params or ChemistryParams(), mode=mode, grid=grid)
+
+
+def halted_run(grid, u0, phi0, cfg, mode="transformed"):
+    """A run that must halt, building a row at each record node and taking
+    a snapshot at t=0: its `RunHalted`, and the rows and snapshots taken
+    before the halt."""
+    rows, snaps = [], []
+    with pytest.raises(RunHalted) as halt:
+        run([u0, phi0], cfg, ChemistryParams(), mode=mode,
+            recorders=(lambda node: rows.append(node.row()),),
+            snapshot_times=(0.0,), snapshot_sink=lambda *snap: snaps.append(snap),
+            grid=grid)
+    return halt.value, rows, snaps
 
 
 def step_sizes(grid, u0, phi0, cfg, params=None):
@@ -176,11 +188,11 @@ class TestStepOriginal:
     def test_positivity_and_extinction(self, grid32):
         c_mins = []
         cfg = StepperConfig(dt=0.25, t_end=10.0, record_every=1)
-        traj = run([constant_field(grid32, 1.0),
-                    constant_field(grid32, -np.log(2e-300))], cfg, ChemistryParams(),
-                   mode="original", grid=grid32,
-                   recorders=(lambda node: c_mins.append(np.exp(node.s).min()),))
-        assert traj.outcome is RunOutcome.CHEMICAL_EXTINCTION
+        with pytest.raises(RunHalted) as halt:
+            run([constant_field(grid32, 1.0), constant_field(grid32, -np.log(2e-300))],
+                cfg, ChemistryParams(), mode="original", grid=grid32,
+                recorders=(lambda node: c_mins.append(np.exp(node.s).min()),))
+        assert halt.value.outcome is RunOutcome.CHEMICAL_EXTINCTION
         assert c_mins and min(c_mins) > 0
 
 
@@ -225,8 +237,7 @@ def transforms(monkeypatch):
     def counted(grid, u0, phi0, cfg, rows=True, mode="transformed"):
         before = calls[0]
         hooks = (lambda node: node.row(),) if rows else ()
-        assert run([u0, phi0], cfg, ChemistryParams(), mode=mode, recorders=hooks,
-                   grid=grid).outcome is RunOutcome.COMPLETED
+        run([u0, phi0], cfg, ChemistryParams(), mode=mode, recorders=hooks, grid=grid)
         return calls[0] - before
     return counted
 
@@ -296,8 +307,8 @@ class TestRun:
     def test_zero_horizon_gives_initial_record_only(self, grid32):
         u0, phi0 = smooth_state(grid32)
         cfg = StepperConfig(dt=0.01, t_end=0.0)
-        traj, rows = run_rows(grid32, u0, phi0, cfg)
-        assert traj.outcome is RunOutcome.COMPLETED
+        final, rows = run_rows(grid32, u0, phi0, cfg)
+        assert final.t == 0.0
         assert len(rows) == 1
         assert rows[0].t == 0.0
         assert rows[0].a1 == pytest.approx(
@@ -307,8 +318,8 @@ class TestRun:
         u0 = constant_field(grid32, 1.0)
         phi0 = constant_field(grid32, 0.0)
         cfg = StepperConfig(dt=0.01, t_end=10.0, record_every=100)
-        traj, rows = run_rows(grid32, u0, phi0, cfg)
-        assert traj.outcome is RunOutcome.COMPLETED
+        final, rows = run_rows(grid32, u0, phi0, cfg)
+        assert abs(final.t - 10.0) <= 1e-12
         for r in rows:
             assert r.u_l2 <= 1e-12
             assert r.v_l2 <= 1e-12
@@ -319,8 +330,7 @@ class TestRun:
         # v starts as a gradient, whose mean is zero
         u0, phi0 = smooth_state(grid32, amplitude=0.4, seed=7)
         cfg = StepperConfig(dt=0.005, t_end=5.0, record_every=1000)
-        traj = run([u0, phi0], cfg, ChemistryParams(), grid=grid32)
-        final = traj.final_state
+        final = run([u0, phi0], cfg, ChemistryParams(), grid=grid32)
         assert abs(final.u.mean() - u0.mean()) <= 1e-12
         assert abs(final.v[0].mean()) <= 1e-12
         assert abs(final.v[1].mean()) <= 1e-12
@@ -328,8 +338,7 @@ class TestRun:
     def test_curl_free_without_reprojection(self, grid32):
         u0, phi0 = smooth_state(grid32, amplitude=0.5, seed=11)
         cfg = StepperConfig(dt=0.01, t_end=3.0, record_every=50)
-        traj = run([u0, phi0], cfg, ChemistryParams(), grid=grid32)
-        v_final = traj.final_state.v
+        v_final = run([u0, phi0], cfg, ChemistryParams(), grid=grid32).v
         assert lp_norm(grid32, curl2d(grid32, v_final), np.inf) <= 1e-10
         reproj = project_curl_free(grid32, v_final)
         assert np.abs(reproj - v_final).max() <= 1e-12
@@ -349,21 +358,26 @@ class TestRun:
         phi0 = band_limited_potential(grid, 3, kmax=8, amplitude=8.0)
         cfg = StepperConfig(dt=0.9, t_end=1000.0, scheme="imex_be",
                             record_every=10)
-        traj = run([u0, phi0], cfg, ChemistryParams(), grid=grid)
-        assert traj.outcome is RunOutcome.BLOWUP
-        monitor = float(traj.message.split("monitor = ")[1])
+        times = []
+        with pytest.raises(RunHalted) as halt:
+            run([u0, phi0], cfg, ChemistryParams(), grid=grid,
+                recorders=(lambda node: times.append(node.t),))
+        assert halt.value.outcome is RunOutcome.BLOWUP
+        monitor = float(halt.value.message.split("monitor = ")[1])
         assert np.isfinite(monitor) and monitor > 0
-        assert traj.final_state is None
+        # no record node at or after the halt
+        assert max(times) < float(halt.value.message.split("at t=")[1].split(";")[0])
 
     def test_extinction_reported_as_outcome(self, grid32):
         u0 = constant_field(grid32, 1.0)
         phi0 = constant_field(grid32, -np.log(2e-300))   # c0 = 2e-300
         cfg = StepperConfig(dt=0.25, t_end=10.0, record_every=4)
-        traj = run([u0, phi0], cfg, ChemistryParams(), mode="original", grid=grid32)
-        assert traj.outcome is RunOutcome.CHEMICAL_EXTINCTION
-        assert "floor" in traj.message
+        with pytest.raises(RunHalted) as halt:
+            run([u0, phi0], cfg, ChemistryParams(), mode="original", grid=grid32)
+        assert halt.value.outcome is RunOutcome.CHEMICAL_EXTINCTION
+        assert "floor" in halt.value.message
         # decay at unit rate from ln(2e-300) hits the floor before t=1
-        assert float(traj.message.split("t=")[1].split()[0]) <= 1.0
+        assert float(halt.value.message.split("t=")[1].split()[0]) <= 1.0
 
     def test_chemical_supnorm_tracks_homogeneous_decay(self, grid32):
         # u = 1 everywhere: the tracked sup of c must follow exp(-mu t)
@@ -396,8 +410,8 @@ class TestRun:
         u0, phi0 = smooth_state(grid32)
         cfg = StepperConfig(dt=0.05, t_end=1.2, record_every=7)
         snaps = []
-        traj, rows = run_rows(grid32, u0, phi0, cfg, snapshot_times=(1.0, 0.525),
-                              snapshot_sink=lambda t, p: snaps.append((t, p)))
+        _, rows = run_rows(grid32, u0, phi0, cfg, snapshot_times=(1.0, 0.525),
+                           snapshot_sink=lambda t, p: snaps.append((t, p)))
         times = [t for t, _ in snaps]
         assert len(times) == 2
         assert abs(times[0] - 0.525) <= 1e-12
@@ -407,7 +421,7 @@ class TestRun:
         # there ends on the same fields
         cut = run([u0, phi0], StepperConfig(dt=0.05, t_end=0.525),
                   ChemistryParams(), grid=grid32)
-        assert np.array_equal(snaps[0][1]["u"], cut.final_state.u)
+        assert np.array_equal(snaps[0][1]["u"], cut.u)
 
     def test_on_step_snapshot_adds_no_step(self, grid32):
         u0, phi0 = smooth_state(grid32)
@@ -464,12 +478,11 @@ class TestRun:
         u0, phi0 = self.node_data(grid32)
         for mode in MODES:
             nodes = []
-            traj = run([u0, phi0], StepperConfig(dt=0.02, t_end=0.2, record_every=3),
-                       ChemistryParams(), mode=mode, recorders=(nodes.append,),
-                       grid=grid32)
-            assert traj.outcome is RunOutcome.COMPLETED
-            assert traj.final_state is nodes[-1]
-            assert abs(traj.final_state.t - 0.2) <= 1e-12
+            final = run([u0, phi0], StepperConfig(dt=0.02, t_end=0.2, record_every=3),
+                        ChemistryParams(), mode=mode, recorders=(nodes.append,),
+                        grid=grid32)
+            assert final is nodes[-1]
+            assert abs(final.t - 0.2) <= 1e-12
 
     def test_node_spectrum_is_the_compact_band(self, grid32):
         # a march carries the spectrum of u as its N x (a + 1) dealias band
@@ -550,15 +563,12 @@ class TestRun:
         # projection spreads the spike, so it is deep
         vals = np.zeros((32, 32))
         vals[3, 4] = 5000.0
-        snaps = []
-        traj, rows = run_rows(grid32, constant_field(grid32, 1.0), vals,
-                              StepperConfig(dt=0.1, t_end=1.0), mode="original",
-                              snapshot_times=(0.0,),
-                              snapshot_sink=lambda *snap: snaps.append(snap))
-        assert traj.outcome is RunOutcome.CHEMICAL_EXTINCTION
-        assert "t=0" in traj.message and "floor" in traj.message
+        halt, rows, snaps = halted_run(grid32, constant_field(grid32, 1.0), vals,
+                                       StepperConfig(dt=0.1, t_end=1.0),
+                                       mode="original")
+        assert halt.outcome is RunOutcome.CHEMICAL_EXTINCTION
+        assert "t=0" in halt.message and "floor" in halt.message
         assert rows == [] and snaps == []
-        assert traj.final_state is None
 
     def test_overflowing_chemical_halts_alike_in_both_modes(self, grid32):
         # c0 = exp(-mu phi0) = e^710 overflows; the blow-up test reads
@@ -566,11 +576,11 @@ class TestRun:
         u0 = 1.0 + 0.3 * band_limited_field(grid32, 1)
         messages = []
         for mode in MODES:
-            traj = run([u0, constant_field(grid32, -710.0)],
-                       StepperConfig(dt=0.1, t_end=1.0), ChemistryParams(),
-                       mode=mode, grid=grid32)
-            assert traj.outcome is RunOutcome.BLOWUP and traj.final_state is None
-            messages.append(traj.message)
+            halt, rows, snaps = halted_run(grid32, u0, constant_field(grid32, -710.0),
+                                           StepperConfig(dt=0.1, t_end=1.0), mode)
+            assert halt.outcome is RunOutcome.BLOWUP
+            assert rows == [] and snaps == []
+            messages.append(halt.message)
         assert messages[0] == messages[1] and "overflowing at t=0.0" in messages[0]
 
     def test_non_finite_datum_halts_at_start(self, grid32):
@@ -580,13 +590,11 @@ class TestRun:
             for mode in MODES:
                 data = [constant_field(grid32, 1.0), constant_field(grid32, 0.0)]
                 data[which][3, 4] = np.nan
-                snaps = []
-                traj, rows = run_rows(grid32, *data, StepperConfig(dt=0.1, t_end=1.0),
-                                      mode=mode, snapshot_times=(0.0,),
-                                      snapshot_sink=lambda *snap: snaps.append(snap))
-                assert traj.outcome is RunOutcome.BLOWUP, (which, mode)
-                assert "at t=0" in traj.message
-                assert rows == [] and snaps == [] and traj.final_state is None
+                halt, rows, snaps = halted_run(grid32, *data,
+                                               StepperConfig(dt=0.1, t_end=1.0), mode)
+                assert halt.outcome is RunOutcome.BLOWUP, (which, mode)
+                assert "at t=0" in halt.message
+                assert rows == [] and snaps == []
 
     def test_one_datum_gives_one_t0_node_in_both_modes(self, grid64):
         # disks and potential modes, mollified: both modes apply the
@@ -599,9 +607,8 @@ class TestRun:
         params = ChemistryParams(mu=1.7)
         nodes = {}
         for mode in MODES:
-            traj = run([u0, phi0], StepperConfig(dt=0.1, t_end=0.0), params,
-                       mode=mode, grid=grid64)
-            nodes[mode] = traj.final_state
+            nodes[mode] = run([u0, phi0], StepperConfig(dt=0.1, t_end=0.0), params,
+                              mode=mode, grid=grid64)
         a, b = nodes["transformed"], nodes["original"]
         for x, y in ((a.u, b.u), (a.v, b.v), (a.s, b.s)):
             np.testing.assert_allclose(x, y, rtol=0, atol=1e-13)

@@ -1,5 +1,6 @@
 """The five studies and every CLI subcommand at N <= 32, with their exit codes."""
 
+import gc
 import json
 import math
 import os
@@ -16,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import chemoflux
-from chemoflux import harness
+from chemoflux import evolve, harness
 from chemoflux.cli import STUDY_COMMANDS, main
 from chemoflux.cole_hopf import C_FLOOR
 from chemoflux.diagnostics import TrajectoryRecorder
@@ -266,6 +267,31 @@ def test_scan_theta_of_overflowing_chemical_labels_blowup(tmp_path, capsys):
     assert [r["outcome"] for r in rows] == ["blowup", "blowup"]
     assert all(r["a1"] == "nan" for r in rows)
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("study", ["single_run", "theta_scan"])
+def test_a_halt_frees_its_march(tmp_path, monkeypatch, study):
+    # a halt's traceback holds the frames of the march and of `run`, whose
+    # frame holds the generator, so a study that kept the `RunHalted` would
+    # keep the halted march and its arrays alive after it returned
+    marches = []
+    real_march = evolve.march
+
+    def keeping(*args, **kwargs):
+        marching = real_march(*args, **kwargs)
+        marches.append(weakref.ref(marching))
+        return marching
+
+    monkeypatch.setattr(evolve, "march", keeping)
+    if study == "single_run":
+        result = harness.run_single(parse_config(BLOWUP), out_dir=tmp_path)
+        assert result[0] is evolve.RunOutcome.BLOWUP
+    else:
+        cfg = parse_config("study = theta_scan\nscan.amplitudes = 0.9\n" + EXTINCT)
+        _, rows = harness.run_theta_scan(cfg, out_dir=tmp_path)
+        assert [row[3] for row in rows] == ["blowup"]
+    gc.collect()
+    assert len(marches) == 1 and marches[0]() is None
 
 
 @pytest.mark.parametrize("times", ["abc", "5", "-1", "0.1,0.1", "0.1,0.1000001"])
