@@ -1,20 +1,10 @@
-"""Command-line entry points for the experiment harness.
+"""Command-line entry points: a subcommand per study of `STUDY_COMMANDS`,
+each running the study skeleton of `harness`, and fit-decay.
 
-Subcommands: one per study of `STUDY_COMMANDS` (run, sweep-delta, refine,
-xval, scan-theta) and fit-decay.  A study subcommand exits 0 on
-completion, 10 on blow-up and 11 on chemical extinction of the single run
-or of any member run the study needs to complete (with one ``error:``
-line), and 2 with one ``error:`` line on a config or other input error;
-fit-decay exits 0 or 2.  The config's ``study`` key must name the
-subcommand's study, only ``single_run`` reads ``mode`` and
-``snapshot_times``, and ``threads`` is at least 1.  Every study runs the
-skeleton of `harness`: its checks, `_data` for every member, `_output`,
-`_map`/`_solve`, then `_write_csv`; input or data that it rejects makes no
-output.  A member that halts raises `RunHalted` out of the study, which
-`main` reports; the single run prints its own outcome instead.  A study
-returns the table it wrote, and `_print_table` shows every one, the single
-run's decay summary too, with the CSV's columns: a new column changes the
-study alone.
+A study subcommand exits 0 on completion, 10 on blow-up and 11 on chemical
+extinction of a run the study needs to complete, and 2 on a config or input
+error, with one ``error:`` line; fit-decay exits 0 or 2.  Only
+``single_run`` reads ``mode`` and ``snapshot_times``.
 """
 
 from __future__ import annotations

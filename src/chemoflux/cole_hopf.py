@@ -1,16 +1,7 @@
-"""Transformation layer between the chemical field c and the drift field v.
-
-The substitution v = -(1/mu) * grad(ln c) removes the logarithmic
-singularity of the chemotactic sensitivity and gives v a spatial structure.
-A datum's potential phi0 fixes both forms at once: ln c0 = -mu*phi0 and
-v0 = grad(phi0).  The chemical ODE c_t = -mu*u*c itself is integrated in
-``evolve`` on ln c, where the exact exponential update is a subtraction and
-positivity is structural.  `drift` is the one computation of v from the
-half spectrum of s = ln c: the march's start calls it in both modes and
-the original-mode stepper at every node.  `forward_transform`, which maps
-the N x N samples of c to the (2, N, N) samples of v through `drift` after
-a check of the extinction floor, stays only as a boundary that the
-benchmark traces: no study calls it.
+"""The Cole-Hopf link v = -(1/mu) grad(ln c) between the chemical c and the
+drift v, which removes the logarithmic singularity of the sensitivity.
+`drift` is the one computation of v; `forward_transform` stays only as a
+boundary that the benchmark traces.
 """
 
 from __future__ import annotations
@@ -21,18 +12,14 @@ import numpy as np
 
 from .fields import Grid, ParameterError
 
-# Below this value the chemical is treated as extinct: taking ln c and
-# further exponential decay would underflow to non-finite fields.
+# at or below this value the chemical is extinct: ln c would not be finite
 C_FLOOR = 1e-300
 
 
 @dataclass(frozen=True)
 class ChemistryParams:
-    """Physical coefficients: transport strength chi and degradation rate mu.
-
-    chi = 0 is admitted as the decoupled heat-equation limit used by the
-    verification studies; the degradation rate mu must stay positive.
-    """
+    """Transport strength chi >= 0 (0 decouples u into the heat equation)
+    and degradation rate mu > 0."""
 
     chi: float = 1.0
     mu: float = 1.0

@@ -1,27 +1,10 @@
-"""Effective-flux identities, weighted energy functionals, and decay fits.
+"""Effective-flux identities, sigma-weighted functionals and decay fits.
 
-The combined diffusive-plus-chemotactic flux F = grad(u) + chi*u*v ties the
-time derivative of the cell density to a divergence, and its scalar curl to
-a transport term; both relations are algebraic at the discrete level when
-the fields live in the dealias band, so their residuals act as exacting
-structural self-checks on a run.
-
-`node_norms` is the one measurement of the six node norms (||u-1||_2,
-||grad u||_2, ||u_t||_2, ||grad u_t||_2, ||v||_2, ||v||_4) that feed the
-functionals, and of max |v|^2, which the CFL bound reads: the stepper
-takes it once per time node, the u norms by Parseval and the v norms from
-one |v|^2 pass over the samples, and `TrajectoryRecorder` accumulates the
-functionals from it.  The stepper yields a `Node` at each record node: the
-state there as the march's own sample arrays (u and s N x N, v and grad(u)
-(2, N, N)), the scalars that are free there (c_linf and the functionals
-so far) and what a row needs; a completed run's last node is its final
-state.  A `DiagnosticsRecord` is one CSV row, built by
-``node.row()`` only where a consumer reads one: `make_record` reads its
-norm columns from the node's norms and the rest from one pass of three
-half-spectrum transforms into the compact dealias band, given the node's
-samples of grad(u) (two more transforms where the node has none).  The
-tests check both against operator-at-a-time oracles on full complex
-spectra.
+The effective flux F = grad(u) + chi*u*v satisfies u_t = div F, and while v
+is a gradient curl F = chi perp_grad(u).v; every diagnostics row reports
+both residuals.  `node_norms` measures the norms that feed the functionals,
+which `TrajectoryRecorder` accumulates, and ``node.row()`` builds a `Node`'s
+`DiagnosticsRecord`, one row of the CSV whose columns are `CSV_COLUMNS`.
 """
 
 from __future__ import annotations
@@ -89,11 +72,8 @@ class DecayFit:
 
 
 def fit_decay(series, window, quantity: str = "") -> DecayFit:
-    """Least-squares line on (t, ln value) over the window.
-
-    Requires at least 10 samples, strictly positive values, and a window
-    inside the settled regime t >= 1.
-    """
+    """Least-squares line on (t, ln value) over the window, which lies in
+    t >= 1; needs at least 10 samples, all positive."""
     t_lo, t_hi = float(window[0]), float(window[1])
     if not (t_hi > t_lo >= 1.0):
         raise ValueError(f"window must satisfy t_hi > t_lo >= 1, got {window}")
@@ -130,13 +110,9 @@ class NodeAux(NamedTuple):
 
 
 def node_norms(grid, uh, t_hat, v) -> NodeAux:
-    """The node norms of a state, with no FFTs.
-
-    ``t_hat`` is the transport term chi*div(u v) at the node, so that
-    u_t = lap(u) + chi*div(u v); the u norms are Parseval sums over the
-    compact spectra uh and t_hat, and ||v||_2^2, ||v||_4^4 and max |v|^2
-    come from one pass of |v|^2 over the samples v, a (2, N, N) array.
-    """
+    """The node norms of a state from the compact spectra ``uh`` of u and
+    ``t_hat`` of the transport term chi*div(u v), so that u_t = lap(u) +
+    t_hat, and the (2, N, N) samples ``v``."""
     n2 = grid.resolution ** 2
     w = grid.cell_area / n2
     abs_uh2 = spectral_power(uh)
@@ -155,13 +131,9 @@ def node_norms(grid, uh, t_hat, v) -> NodeAux:
 
 
 class TrajectoryRecorder:
-    """Accumulates the sigma-weighted functionals along a run.
-
-    Integrals are trapezoid sums over every time node the stepper visits
-    (not just recorded instants), which keeps them insensitive to the
-    output cadence; suprema are tracked at every node as well.  ``grid`` is
-    the run's, on which `make_record` measures each row.
-    """
+    """Accumulates the sigma-weighted functionals along a run, over every time
+    node, so they do not depend on the record cadence; `make_record` measures
+    each row on ``grid``."""
 
     def __init__(self, grid: Grid, chi: float, p0: float):
         self.grid = grid
@@ -209,27 +181,9 @@ class TrajectoryRecorder:
         return self.int_v4
 
     def make_record(self, node: Node) -> DiagnosticsRecord:
-        """The row of a record node from its norms and one spectral pass over (u, v).
-
-        ``node.aux`` holds the node's norms from `node_norms`, which give
-        the u_l2, grad_u_l2, v_l2, v_l4 and v_linf columns, ``node.uh`` is
-        the compact spectrum of u (`fields.band_rfft2`) and ``node.grad_u``
-        the node's samples of grad(u), a (2, N, N) array, or None, when they
-        are taken from ``uh`` here (two transforms).  The pass takes three
-        transforms: the dealiased products u*v_x and u*v_y, then the
-        dealiased perp_grad(u).v, once the div residual and ||F|| are done,
-        so that it holds at most three compact spectra at once.  The flux
-        and both residuals are assembled from those spectra and measured by
-        Parseval, ||f||_2^2 = cell_area/N^2 * sum |f_hat|^2 with the
-        half-spectrum column weights of `Grid.power_total`, as in
-        `node_norms`, which a compact spectrum meets for its columns
-        0..(N-1)//3, all but the first weighted twice.  The
-        Gagliardo-Nirenberg ratio comes from the samples of (u - 1)^4, in a
-        buffer that is dropped before `fields.lp_norm` builds |v|^p0 for the
-        L^p0 norm.  The residuals are rebuilt here from u and v alone,
-        independent of the stepper's transport term, so they check the
-        identities rather than restate them.
-        """
+        """The row of a record node: its norm columns from ``node.aux``, and its
+        flux and residuals rebuilt from the node's u and v, independent of the
+        stepper's transport term; a None ``node.grad_u`` is taken from ``node.uh``."""
         grid = self.grid
         uh, aux = node.uh, node.aux
         grad_u = node.grad_u if node.grad_u is not None else grid._gradient(uh)
@@ -239,7 +193,7 @@ class TrajectoryRecorder:
         area = grid.cell_area
         uv, vx, vy = node.u, node.v[0], node.v[1]
         # F = grad(u) + chi*u*v is built in place on the spectra of chi*u*v
-        # once each has served the residual (peak memory at N=256)
+        # once each has served the residual, to keep peak memory down
         fxh = band_rfft2(uv * vx)             # chi*u*v, dealiased
         fxh *= chi
         res = ikx * fxh                       # u_t = lap(u) + chi*div(u v)
@@ -293,15 +247,11 @@ class TrajectoryRecorder:
 
 @dataclass(frozen=True)
 class Node:
-    """A record node of a run: its state, the scalars that are free there,
-    and what its row needs.
+    """A record node: its state, the scalars free there, and what its row needs.
 
-    ``a1``, ``a2``, ``a3`` and ``blowup_integral`` are the recorder's running
-    values frozen at the node.  ``u``, ``v`` (the drift, in either mode) and
-    ``s`` (ln c) are the node's samples, N x N for u and s and (2, N, N) for
-    v, ``uh`` the compact spectrum of u and ``grad_u`` the (2, N, N) samples
-    of grad(u), or None where the stepper did not take them.  The arrays
-    are the stepper's own, which it never writes afterwards.
+    ``u`` and ``s`` = ln c are N x N samples, ``v`` (the drift) and ``grad_u``
+    (2, N, N) samples, ``grad_u`` None where the stepper did not take it, and
+    ``uh`` the compact spectrum of u; the stepper never writes them afterwards.
     """
 
     t: float

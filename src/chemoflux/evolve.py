@@ -1,53 +1,16 @@
-"""Time integration of the coupled density-drift and density-chemical systems.
+"""Time integration of the system in its transformed and original forms.
 
-``march`` is the only stepper: a generator that yields a `diagnostics.Node`
-at each record node and returns the last one, its node at t_end; ``run``
-drains it, calls its hooks on each node and returns that node.  A run that
-halts before t_end, by blow-up or by extinction of the chemical, raises
-`RunHalted`, which carries its `RunOutcome` and why.  A node carries the
-state (t, u, v and s = ln c) and the scalars that are free at it, and
-builds its diagnostics row on ``node.row()``, so a consumer pays for a row
-only where it reads one.  A yielded node's arrays are never written
-afterwards.  A march holds one state at a time: it takes the initial datum
-from a one-shot holder that it empties, hands each snapshot to the caller's
-sink at its time and keeps no earlier state, so a run's memory does not
-grow with its length, its snapshots or its records.  A step of either mode
-holds the node's state plus only the arrays it is building, and drops each
-array of the node once it has read it; at the widest point of a CN step,
-its predictor's transport term, those are s at the half step, the explicit
-term of the density update (in the array of the node's transport term), the
-predicted samples of u and the term being built, beside w = v + dt/2
-grad(u) in transformed mode or the spectrum of s and the predictor's drift
-in original mode (see `march`).  The datum [u0, phi0] is the same for both
-modes, which ``mode`` names: the march applies the Cole-Hopf substitution
-at its start, s = ln c0 = -mu*phi0 and v0 = -(1/mu) grad(s) = grad(phi0),
-so the two modes start from one node.  Both modes share one transport
-kernel and one implicit density update:
+`march` is the one stepper and `run` drains it.  One datum ``[u0, phi0]``
+serves both modes: the march applies the Cole-Hopf substitution at its
+start, s = ln c0 = -mu*phi0 and v0 = -(1/mu) grad(s) = grad(phi0).
+Transformed mode evolves (u, v), v by the trapezoid of grad(u), so v stays
+a spectral gradient; original mode evolves (u, c) by Strang splitting around
+the exact update of s = ln c, with v = `cole_hopf.drift` of s.  Both share
+the transport kernel and the implicit density update, and hold every
+spectrum in the compact dealias band of `fields.band_rfft2`.
 
-* transformed mode evolves (u, v) with implicit (backward-Euler or
-  trapezoidal) diffusion and explicit dealiased transport chi*div(u v);
-  v is advanced by the trapezoid of grad(u) at both time levels, so it
-  stays a spectral gradient at every step and curl-freeness is structural;
-* original mode evolves (u, c) by Strang splitting around the exact
-  exponential chemical update, with the drift recomputed from s = ln c,
-  whose compact spectrum it carries alongside the samples.
-
-Every field is a plain array of samples on the torus `fields.Grid`, which
-``march`` and ``run`` take as the keyword ``grid``: the datum's u0 and
-phi0 and a node's u and s are N x N, its v and grad(u) (2, N, N).  A run
-projects its working state onto the dealias band once at start;
-products then never alias back into the retained band, which is what makes
-the flux identities machine-precision checks.  So every spectrum that a
-march holds is a compact one, the N x ((N-1)//3 + 1) dealias band of a half
-spectrum that `fields.band_rfft2` takes; see `fields` for the layout.
-A transformed node is the spectrum of u plus the samples of u, grad(u), v
-and s; v has no spectrum, since its update is linear in grad(u).  An
-IMEX-CN step then takes 9 transforms and an IMEX-BE step 5, and the CFL
-bound reads the node's grad(u) and max |v|^2, with no transform.  An
-original-mode CN step takes 11 and a BE step 6, plus 2 for grad(u) where a
-CFL bound reads it; a row takes 3, plus those 2 where the node has no
-grad(u).  The start takes 2 for u, 4 for s and v unless phi0 is zero, and
-in transformed mode 2 for grad(u).
+Transform counts: tests/test_evolve.py::TestTransformBudget.
+Memory of a step: tests/test_evolve.py::TestRun::test_peak_memory_of_a_single_run.
 """
 
 from __future__ import annotations
@@ -115,8 +78,7 @@ class StepperConfig:
 
 class RunHalted(RuntimeError):
     """A run halted before t_end: ``outcome`` is its `RunOutcome` and
-    ``message`` says why; a blow-up's message names the drift-integral
-    monitor."""
+    ``message`` says why."""
 
     def __init__(self, outcome: RunOutcome, message: str):
         super().__init__(f"study run halted ({outcome.value}): {message}")
@@ -133,34 +95,24 @@ def _transport_hat(grid: Grid, u, v, chi: float):
 
 
 def _self_transport_hat(grid: Grid, u, dt: float, chi: float):
-    """chi * div P(u dt/2 grad u) in one transform.
-
-    In the band P(u grad u) = grad P(u^2) / 2, so the term is
-    chi dt/4 lap P(u^2).
-    """
+    """chi * div P(u dt/2 grad u), computed as chi dt/4 lap P(u^2), since
+    P(u grad u) = grad P(u^2) / 2."""
     ph = band_rfft2(u * u)
     ph *= (-0.25 * dt * chi) * grid._k_squared[:, :ph.shape[1]]
     return ph
 
 
 def _predictor_transport_hat(grid: Grid, u_p, w, dt: float, chi: float):
-    """chi * div P(u_p v_p) for v_p = w + dt/2 grad(u_p), without v_p:
-    three transforms."""
+    """chi * div P(u_p v_p) for v_p = w + dt/2 grad(u_p), without forming v_p."""
     t_hat = _transport_hat(grid, u_p, w, chi)
     t_hat += _self_transport_hat(grid, u_p, dt, chi)
     return t_hat
 
 
 def _advance_density(grid, uh, dt, scheme, t_hat, predictor_transport):
-    """IMEX update of u_hat: backward Euler, or trapezoid with a predictor.
-
-    t_hat is the transport term at the current node, an array of the
-    caller's that the update overwrites: backward Euler builds u_hat(t+dt)
-    in it, and the trapezoid its explicit term.  The trapezoid then
-    transforms its predicted spectrum and drops it, so that
-    ``predictor_transport(u_p)``, the transport term at the predicted
-    samples u_p, runs beside no spectrum of the update but t_hat.
-    """
+    """u_hat at t+dt by backward Euler or by the predicted trapezoid; overwrites
+    ``t_hat``, the node's transport term.  ``predictor_transport(u_p)`` is the
+    transport term at the predicted samples."""
     k2 = grid._k_squared[:, :uh.shape[1]]
     if scheme == "imex_be":
         t_hat *= dt
@@ -197,72 +149,24 @@ def _cfl_dt(grid, grad_u, v2_max, chi, cfg) -> float:
 def march(data: list, cfg: StepperConfig, params: ChemistryParams, p0: float = 6.0,
           mode: str = "transformed", snapshot_times=(), snapshot_sink=None, *,
           grid: Grid):
-    """Advance an initial datum to t_end (or a halt), yielding its nodes.
+    """Advance the datum to ``cfg.t_end`` on ``grid``, yielding its record nodes.
 
-    A generator: it yields a `diagnostics.Node` at every record node (every
-    ``record_every`` steps and at t_end) and returns the node it yielded at
-    t_end, or raises `RunHalted` at a halt.  The node carries the state, c_linf
-    and the running functionals, and builds no row until ``node.row()``.  A
-    yielded node's arrays are the march's own: it never writes to them
-    afterwards, and it keeps no reference to a node across a step.
+    A generator: it yields a `diagnostics.Node` every ``record_every`` steps
+    and at t_end, and returns the node at t_end.  ``data`` is the one-shot
+    holder ``[u0, phi0]`` of two arrays of ``grid``'s shape; the march empties
+    it, since every frame of the call chain would otherwise keep the datum
+    alive.  ``mode`` is "transformed" or "original"; a node's v is the drift
+    and its s is ln c in both.  A caller relies on these invariants:
 
-    ``data`` is a one-shot holder, the list ``[u0, phi0]`` of
-    `initial_data.build_initial_data`, two arrays of ``grid``'s N x N shape
-    (another shape is a ValueError).  The march empties it when it starts
-    and drops the datum once it has projected it, because in CPython every
-    frame of the call chain (the study, `run`, a tracer around it) keeps its
-    arguments alive for the whole run; a caller that needs the datum again
-    keeps its own reference and hands over a fresh holder.  ``mode`` is
-    "transformed", which evolves (u, v), or "original", which evolves
-    (u, c).  Both start alike, with the working state projected onto the
-    dealias band: the compact spectrum sh of s = ln c0 = -mu*phi0, its
-    samples s and v = `cole_hopf.drift` of sh, which is grad(phi0); a zero
-    phi0 takes no transform.  Both modes carry s: original mode evolves it
-    with its spectrum, and transformed mode drops sh and advances s by the
-    trapezoid of -mu*u over each step, the same update as the Strang pair
-    of original mode.  A node's ``c_linf`` is exp(max s), and its v is the
-    drift in both modes.
-
-    Every time node, t=0 included, takes one pass: the extinction test in
-    original mode, the transport term, the node norms
-    (`diagnostics.node_norms`), the blow-up test, the running functionals,
-    the yield at a record node, and the snapshots due.  A step lands on each
-    of ``snapshot_times``, where the march calls ``snapshot_sink(t,
-    payload)`` once, before the next step: the payload maps "u", "v1" and
-    "v2" (transformed) or "u" and "c" (original) to the node's samples,
-    under the contract of the yielded nodes (c is built for the call).
-    Snapshot times need a sink.  The extinction test halts with
-    ``CHEMICAL_EXTINCTION`` when min s is at or below ln ``C_FLOOR``, where
-    c, the original mode's state, underflows; transformed mode, whose state
-    is v, has none.  The blow-up test halts with ``BLOWUP`` when a node norm
-    is not finite or max s reaches ln of the largest double, where c_linf
-    would overflow; a non-finite field makes its norm non-finite.  Both
-    tests read s, which both modes start from phi0.
-
-    So a march holds one state at a time.  At a node that is the spectrum
-    and samples of u, the samples of v and s, the transport term, the
-    samples of grad(u) in transformed mode or where a CFL bound reads them,
-    and in original mode the spectrum of s.  A step adds only the arrays it
-    builds and drops each of the node's once it is read: s goes to its half
-    step first, as -half*u + s (the bits of s - half*u with one array
-    fewer), which frees the node's u; a transformed step forms
-    w = v + dt/2 grad(u), which frees v and grad(u), and an original step
-    frees v once its spectrum of s has moved to the half step and its
-    transport term has taken the self-transport term, both in place.  The
-    density update folds its explicit term into the transport term's array
-    and transforms its predicted spectrum before the predictor runs, so the
-    widest point of a CN step, the predictor's transport term, holds the
-    node's spectrum of u, the half-step s, the explicit term, the predicted
-    samples u_p and the term being built, beside w in transformed mode, or
-    the spectrum of s and the predictor's drift in original mode; the CN
-    denominator is taken again after the predictor, not held across it.
-    s and its spectrum take their second half in place.  A march keeps no
-    datum, snapshot or earlier state; a consumer that drops each node
-    before asking for the next holds no more.
-
-    Deterministic for a fixed configuration and single-threaded execution.
-    A halt raises `RunHalted`, never truncates silently, and follows the
-    last yield and snapshot before it; a halt at t=0 comes before any.
+    * a yielded node's arrays are never written afterwards, and the march
+      keeps no node, datum, snapshot or earlier state across a step;
+    * a step lands on each of ``snapshot_times``, where ``snapshot_sink(t,
+      payload)`` is called once, before the next step, with the node's
+      samples: "u", "v1" and "v2", or "u" and "c" in original mode;
+    * a halt raises `RunHalted` after the last yield and snapshot before it:
+      ``CHEMICAL_EXTINCTION`` in original mode when c falls to `C_FLOOR`,
+      ``BLOWUP`` when a node norm is not finite or sup c would overflow;
+    * single-threaded runs of one configuration are deterministic.
     """
     if mode not in ("transformed", "original"):
         raise ValueError(f"mode must be transformed or original, got {mode!r}")
@@ -277,7 +181,6 @@ def march(data: list, cfg: StepperConfig, params: ChemistryParams, p0: float = 6
     mu, chi = params.mu, params.chi
     transformed = mode == "transformed"
 
-    # each datum is dropped as soon as it is projected
     uh = band_rfft2(u0)
     del u0
     u = np.fft.irfft2(uh, s=shape)
@@ -286,7 +189,7 @@ def march(data: list, cfg: StepperConfig, params: ChemistryParams, p0: float = 6
         del phi0
         s = np.fft.irfft2(sh, s=shape)
         v = drift(grid, sh, mu)
-    else:   # no transform for a zero potential
+    else:
         del phi0
         sh = None if transformed else np.zeros_like(uh)
         s, v = np.zeros_like(u), np.zeros((2,) + shape)
@@ -344,18 +247,14 @@ def march(data: list, cfg: StepperConfig, params: ChemistryParams, p0: float = 6
         if pending_snaps and t + dt > pending_snaps[0] + _time_tol(t):
             dt = pending_snaps[0] - t   # land a step on the requested time
 
-        # s moves by the trapezoid of -mu*u, in original mode the Strang
-        # pair of exact decays around the density step: its first half,
-        # built as -half*u + s (the bits of s - half*u, one array fewer),
-        # frees the node's u before the density step, and its second half
-        # is taken in place
+        # s moves by the trapezoid of -mu*u (in original mode the Strang pair
+        # of exact decays); -half*u + s frees the node's u with one array fewer
         half = 0.5 * dt * mu
         s_half = u * -half
         s_half += s
         s = s_half
         if transformed:
-            # v moves by the trapezoid of grad(u) at both levels, in
-            # physical space: w = v + dt/2 grad(u) becomes v1 in place
+            # v moves by the trapezoid of grad(u): w = v + dt/2 grad(u) becomes v1
             w = grad_u * (0.5 * dt)
             w += v
             u, v, grad_u = None, w, None
@@ -363,11 +262,9 @@ def march(data: list, cfg: StepperConfig, params: ChemistryParams, p0: float = 6
                 grid, uh, dt, cfg.scheme, t_hat,
                 lambda u_p: _predictor_transport_hat(grid, u_p, w, dt, chi)), None
         else:
-            # the density step's drift is v + dt/2 grad(u), v the node's,
-            # so its transport at u is the node's t_hat plus the
-            # self-transport term; the CN predictor builds its drift from
-            # the spectrum of s at the half step.  sh and t_hat are the
-            # march's own arrays, so both move in place
+            # the density step's drift is v + dt/2 grad(u), so its transport is
+            # t_hat plus the self-transport term; sh and t_hat are the march's
+            # own arrays (never yielded), so both move in place
             sh -= half * uh
             t_hat += _self_transport_hat(grid, u, dt, chi)
             u = v = grad_u = None
@@ -390,16 +287,9 @@ def march(data: list, cfg: StepperConfig, params: ChemistryParams, p0: float = 6
 def run(data: list, cfg: StepperConfig, params: ChemistryParams, p0: float = 6.0,
         mode: str = "transformed", recorders=(), snapshot_times=(),
         snapshot_sink=None, *, grid: Grid) -> diag.Node:
-    """Drain `march` from the one-shot holder ``data`` = [u0, phi0] on
-    ``grid`` in ``mode`` and return its node at t_end; a halt raises
-    `RunHalted`.
-
-    Each hook in ``recorders`` is called as ``hook(node)`` at every record
-    node, under the contract of the yielded nodes: a hook may keep their
-    arrays but must not write to them.  Nothing is collected: a hook
-    builds the rows it reads with ``node.row()``, and ``snapshot_sink``
-    receives the snapshots at ``snapshot_times`` (see `march`).
-    """
+    """Drain `march` and return its node at t_end; a halt raises `RunHalted`.
+    Each of ``recorders`` is called as ``hook(node)`` at every record node; it
+    may keep the node's arrays but must not write them."""
     marching = march(data, cfg, params, p0, mode, snapshot_times, snapshot_sink,
                      grid=grid)
     while True:

@@ -1,53 +1,22 @@
-"""Experiment orchestration: config files, canonical studies, persistence.
+"""Experiment orchestration: config files, the five studies and their tables.
 
 Configs are flat ``key = value`` text with dotted section names
-(``grid.N = 256``).  `_SCHEMA` declares every key once, as a row of (key,
-section, attribute, parser, formatter): the key sets ``attribute`` of the
-``section`` part of an `ExperimentConfig` (of the config itself for
-section None), ``parser`` reads the value text and ``formatter`` writes it
-back.  `parse_config` sets only the keys a file gives, leaving the
-dataclass defaults, rejects keys outside the table, a key given twice and
-a key whose attribute an earlier key of the file sets (``xval.n_list`` and
-``refine.n_list``), so that no later value silently wins, and parses the
-``grid.*`` rows first, because mollifier widths and sweep deltas accept
-the ``Xh`` suffix meaning X grid cells.  Every real number, in a list or
-an ``Xh`` width too, is read by `_finite`.  A value that fails its own
-range check is reported against its key, and values that contradict each
-other (``stepper.dt`` above ``stepper.t_end``) against their section.
-`format_config` echoes the rows in table order, leaving out empty lists
-and the rows without a formatter (``xval.n_list``, a parse-only alias of
-``refine.n_list``).
+(``grid.N = 256``).  `_SCHEMA` declares every key once, and both
+`parse_config` and `format_config` walk it.  An unknown key, a key given
+twice, two keys of one attribute, a value out of range (named by its key)
+or values that contradict each other (named by their section) is a
+`ConfigError`.
 
-Every study has one skeleton: it checks its own inputs; `_data` builds the
-datum ``[u0, phi0]`` of every member, two N x N sample arrays that serve
-either mode, so data it cannot build is a `ConfigError` before any output;
-`_output` makes the output directory and writes the config echo there;
-`_map` maps the study's distinct members over ``threads`` worker threads
-and `_solve` runs each through `run` on the member's `Grid`, which every
-field measure takes beside its arrays, handing over the datum in a
-one-shot holder that the member's `march` empties, so no study keeps a
-member's unprojected datum while it runs (only the refinement, whose grids
-each serve several step sizes, keeps its data and hands over a fresh
-holder per member).  Only the single run passes the config's ``mode`` to
-`run`; every other study runs the transformed mode, and cross-validation
-runs both.  `run` returns a member's node at t_end, and a member that halts
-raises `RunHalted`, carrying its `RunOutcome`, out of every study that
-needs a completed run; the single run and the theta scan report the outcome
-instead.  Each study declares its columns beside its rows, writes its table
-through `_write_csv` (a ``# chemoflux-diagnostics-v1`` line, a header line,
-numbers to 17 significant digits) and returns it as ``(columns, rows)``,
-for one CLI printer.  Only the single run builds diagnostics rows
-(``node.row()``), one per record node for its CSV, and takes snapshots,
-each written by its sink as soon as its march reaches the snapshot's time.
-A node is also the state at its time: each `run` hook takes one, the theta
-scan reads its free scalars and u, and the delta sweep and the refinement
-keep only the samples of the final node.  The theta scan alone builds
-inside each member, because data it cannot build is a row label there.
-Cross-validation steps its two solvers in lockstep from one datum, the
-original mode's `march` inside a hook of the transformed mode's `run`,
-comparing the u and v of the two nodes, so it holds one node per mode.
-Runs are byte-deterministic for a fixed config, and a study's outputs do
-not depend on ``threads``.
+Every study runs one skeleton: its own input checks; `_data` for every
+member, so data that cannot be built is a `ConfigError` before any output
+(the theta scan builds inside each member, where it is a row label);
+`_output`; `_map` over the distinct members, each through `_solve`, which
+hands its datum to `run` in the one-shot holder that `march` empties; then
+`_write_csv`, whose ``(columns, rows)`` the study returns for the CLI.  A
+member that halts raises `RunHalted` out of the study, except in the single
+run and the theta scan, which report the outcome.  Only the single run reads
+``mode``, builds diagnostics rows and takes snapshots.  A study's outputs are
+byte-deterministic for a fixed config and do not depend on ``threads``.
 """
 
 from __future__ import annotations
@@ -281,13 +250,9 @@ def format_config(cfg: ExperimentConfig) -> str:
 
 
 def _write_csv(path, columns, rows) -> tuple:
-    """A table: the schema line, the header of ``columns``, then one line
-    per row; returns the table ``(columns, rows)`` as written, which a study
-    returns for the CLI to print.
-
-    Strings are written as they are and numbers to 17 significant digits,
-    so that they read back exactly.
-    """
+    """Write the schema line, the header of ``columns`` and a line per row,
+    numbers to 17 significant digits so they read back exactly; return
+    ``(columns, rows)``."""
     with open(path, "w", newline="\n") as fh:
         fh.write(f"# {SCHEMA_VERSION}\n{','.join(columns)}\n")
         for row in rows:
@@ -315,12 +280,9 @@ def _output(cfg: ExperimentConfig, out_dir) -> Path:
 
 def _map(cfg: ExperimentConfig, fn, items) -> list:
     """``[fn(x) for x in items]``, on ``cfg.threads`` worker threads above 1.
-
-    One thread runs in the calling thread, not in a pool of one: a worker
-    thread allocates from its own malloc arena, which raises peak memory.
-    The pool's module is imported only here, since importing it costs every
-    study's start-up several milliseconds.
-    """
+    One thread runs the members in the calling thread, not in a pool of one,
+    whose worker would allocate from a malloc arena of its own, and leaves the
+    pool's module, slow to import, unloaded."""
     if cfg.threads <= 1:
         return [fn(x) for x in items]
     from concurrent.futures import ThreadPoolExecutor
@@ -350,12 +312,8 @@ def _solve(cfg: ExperimentConfig, grid: Grid, data: list, stepper, **kwargs):
 
 def run_single(cfg: ExperimentConfig, out_dir=None) -> tuple:
     """One run to t_end with its artifacts; returns (outcome, message,
-    diagnostics rows, decay summary table, out dir).
-
-    A run that halts writes the rows it has; its outcome and message are
-    the `RunHalted`'s, and the exception is not kept, since its traceback
-    holds the march's frame and arrays.
-    """
+    diagnostics rows, decay summary table, out dir).  A halted run writes the
+    rows it has and keeps no `RunHalted`, whose traceback holds the march."""
     for t in cfg.snapshot_times:
         if not 0.0 <= t <= cfg.stepper.t_end:
             raise ConfigError("snapshot_times", f"{t!r} is outside [0, t_end = "
@@ -398,12 +356,9 @@ def run_single(cfg: ExperimentConfig, out_dir=None) -> tuple:
 
 
 def run_delta_sweep(cfg: ExperimentConfig, out_dir=None) -> tuple:
-    """Mollification-width sweep: solve for each delta, compare neighbours at T.
-
-    Returns the table of ``delta_sweep.csv`` and whether both differences
-    decrease down the sweep, the numerical counterpart of the
-    vanishing-regularization Cauchy property.
-    """
+    """Mollification-width sweep: solve for each delta and compare neighbours at
+    t_end.  Returns the table of ``delta_sweep.csv`` and whether both
+    differences decrease down the sweep (the Cauchy property)."""
     deltas = cfg.deltas
     if len(deltas) < 3:
         raise ConfigError("sweep.deltas", "need at least 3 widths")
@@ -432,15 +387,13 @@ def run_delta_sweep(cfg: ExperimentConfig, out_dir=None) -> tuple:
 
 
 def run_refinement(cfg: ExperimentConfig, out_dir=None) -> tuple:
-    """Temporal Richardson study over dt_list and spatial study over n_list.
+    """Temporal study over dt_list and spatial study over n_list, at fixed dt.
 
-    Returns the table of ``refinement.csv``, whose rows are (kind, param,
-    error, order): each temporal error is the distance to the run at the
-    next smaller dt, each spatial error the distance to the finest grid at
-    the smallest dt, and the order is observed between a row and the next
-    (nan for the last).  A member is a
-    (N, dt) pair, run once even when both studies use it, and each grid's
-    datum is built once.  Every member steps at a fixed dt.
+    Returns the table of ``refinement.csv``, rows (kind, param, error, order):
+    a temporal error is the distance to the run at the next smaller dt, a
+    spatial error the distance to the finest grid at the smallest dt, and the
+    order is observed between a row and the next (nan for the last).  Each
+    distinct (N, dt) member runs once.
     """
     if cfg.stepper.dt_mode != "fixed":
         raise ConfigError("stepper.dt_mode", f"refinement steps at fixed dt, "
@@ -495,22 +448,17 @@ def run_refinement(cfg: ExperimentConfig, out_dir=None) -> tuple:
 
 
 def run_cross_validate(cfg: ExperimentConfig, out_dir=None) -> tuple:
-    """Run both solvers from one datum; report max-in-time L2 discrepancies.
+    """Run both modes from one datum; report their max-in-time L2 discrepancies.
 
-    Each mode starts from the same datum [u0, phi0] through the log-gradient
-    substitution, so the two describe the same solution and start from the
-    same node; their drift between record times measures the combined
-    discretization error of the two schemes.  The two solvers step in
-    lockstep: at each record of the transformed run, a hook advances the
-    original-mode `march` to its next record and compares the pair on the
-    spot, so the study holds one node per mode whatever the number of
-    records.  Each side's u and v are its node's; the original node's v is
-    -(1/mu) grad ln c from its spectrum of ln c.  A datum whose chemical
-    exp(-mu phi0) is at or below the extinction floor is a `ConfigError`.
-    Neither run builds a diagnostics row.  A pair at different times or a
-    run with a record left over is an error, and a halted run of either
-    mode raises `RunHalted`.  Both modes step at a fixed dt, scaled with
-    the grid spacing.  Returns the table of ``cross_validate.csv``.
+    The modes share every spatial operator, the density update and the s
+    update; they differ only in the time level of the drift in the transport
+    term.  So the discrepancy measures that time error alone, which falls at
+    the scheme's order in dt (``test_xval_measures_the_time_level_of_the_drift``),
+    and it cannot see a defect in the shared operators.  The modes step in
+    lockstep, one node each; a record without a partner at the same time is
+    a RuntimeError, and a halt of either mode raises `RunHalted`.  Members
+    step at a fixed dt scaled with the grid spacing, and a datum whose
+    chemical is at or below `C_FLOOR` is a `ConfigError`.
     """
     if cfg.stepper.dt_mode != "fixed":
         raise ConfigError("stepper.dt_mode", f"cross-validation steps at fixed dt, "
@@ -577,12 +525,10 @@ def run_theta_scan(cfg: ExperimentConfig, out_dir=None) -> tuple:
     """Amplitude ladder: measure theta0/M and classify each run's outcome.
 
     Returns the table of ``theta_scan.csv``, a row per amplitude.  ``decayed``
-    means the sup-norm perturbation at the end is at most half its value at
-    the first settled record node (t >= 1); the energy bound check compares
-    the running A1 at the last record node against 1.5 * theta0; a member
-    reads both from its nodes and builds no diagnostics row.  A member that
-    halts is labelled with its outcome, and one whose data cannot be built
-    ``invalid_data``.
+    means the sup-norm perturbation at the end is at most half that at the
+    first record node with t >= 1, and ``a1_ok`` that the final A1 is at most
+    1.5 * theta0_raw.  A halted member is labelled with its outcome, and one
+    whose data cannot be built ``invalid_data``.
     """
     if not cfg.amplitudes:
         raise ConfigError("scan.amplitudes", "amplitude ladder is required")

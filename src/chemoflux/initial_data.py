@@ -1,13 +1,7 @@
-"""Construction of discontinuous initial data.
-
-A datum is a pair (u0, phi0) of N x N sample arrays, with u0 >= 0 and
-phi0 a zero-mean potential; it serves both forms of the system through
-the Cole-Hopf substitution, c0 = exp(-mu phi0) and v0 = grad(phi0), which
-`evolve.march` applies at its start.  Jump data (disks, stripes) are
-rasterized by cell-center sampling with no anti-aliasing, so arbitrarily
-large jumps survive in the stored field; an optional compact mollifier of
-width delta is the only smoothing agent.  v0 is formed only here, for the smallness parameters:
-the drift is a gradient by construction, so zero curl is structural.
+"""Construction of discontinuous initial data: a datum is a pair (u0, phi0) of
+N x N samples, u0 >= 0 and phi0 a zero-mean potential, serving both forms
+of the system.  Jumps are rasterized by cell-center sampling, so they
+survive in the samples; a mollifier of width delta is the only smoothing.
 """
 
 from __future__ import annotations
@@ -29,22 +23,12 @@ RECIPE_KINDS = (
 
 @dataclass(frozen=True)
 class InitialDataRecipe:
-    """Parameters describing how to synthesize (u0, phi0).
+    """How to synthesize (u0, phi0).
 
-    ``amplitude`` is a global scale: it multiplies the per-feature weights
-    of the u pattern and the potential-mode amplitudes alike.  Geometry is
-    given in fractions of the box side.  ``delta`` is the mollifier width
-    in physical units (0 disables mollification).
-
-    Without explicit ``disks``, ``random_disks`` > 0 draws that many from
-    ``random.Random(seed)``, whose stream CPython keeps fixed for an integer
-    seed: for each disk ``cx`` and then ``cy``, each uniform on [0.2, 0.8],
-    then the radius as ``uniform(0.03, 0.08)`` times the box side, with
-    weights alternating +1, -1 from the first.  ``seed`` must be
-    nonnegative: the generator would give -n the layout of n.  So must
-    ``random_disks``, and each disk's radius must be positive.  A stripe's
-    width is a fraction of the side in (0, 1]: no cell lies in a stripe of
-    width <= 0.
+    ``amplitude`` scales the u pattern and the potential modes alike, positions
+    and stripe widths are fractions of the box side, and ``delta`` is the
+    mollifier width (0: none).  Without ``disks``, ``random_disks`` disks are
+    drawn from ``random.Random(seed)``, so a nonnegative seed fixes the layout.
     """
 
     kind: str = "piecewise_constant_disks"
@@ -84,13 +68,8 @@ class InitialDataRecipe:
 
 @dataclass(frozen=True)
 class DataSummary:
-    """Smallness parameters measured from the produced fields.
-
-    ``theta0`` is recomputable from the returned (possibly mollified)
-    datum, with v0 = grad(phi0); ``theta0_raw`` is the same quantity for the
-    unsmoothed datum, which upper-bounds it and is the reference scale of
-    the energy bound.
-    """
+    """Smallness parameters of a datum, with v0 = grad(phi0): ``theta0`` of the
+    returned (possibly mollified) datum, ``theta0_raw`` of the unsmoothed one."""
 
     theta0: float       # ||u0-1||_2^2 + ||v0||_2^2 of the produced fields
     M: float            # ||v0||_{p0}
@@ -113,14 +92,8 @@ def mollifier_kernel(grid: Grid, delta: float) -> np.ndarray:
 
 def mollify(grid: Grid, x: np.ndarray, delta: float, ker=None) -> np.ndarray:
     """Circular convolution of the samples x, N x N or (2, N, N), with the
-    width-delta kernel, component by component (the transforms act on the
-    last two axes); preserves the mean and keeps values inside
-    [min x, max x].
-
-    ``ker`` is the kernel's half spectrum, ``np.fft.rfft2`` of
-    `mollifier_kernel`; a caller that convolves several fields with one
-    kernel passes it, and it is taken here otherwise.
-    """
+    width-delta kernel, whose half spectrum ``ker`` may be given; it keeps the
+    mean and stays inside [min x, max x]."""
     if ker is None:
         ker = np.fft.rfft2(mollifier_kernel(grid, delta))
     zh = np.fft.rfft2(x)
@@ -180,13 +153,9 @@ def _deviation_sq(grid: Grid, u: np.ndarray) -> float:
 def build_initial_data(recipe: InitialDataRecipe, grid: Grid):
     """Rasterize a recipe into (u0, phi0, summary), u0 and phi0 N x N arrays.
 
-    Raises if the recipe produces u0 < 0 anywhere or violates p0 > 4.
-    phi0 is the rasterized potential with its mean mode zeroed, or zero
-    where the recipe has no potential modes.  When delta > 0, u0 and phi0
-    are convolved with the same kernel, whose spectrum is taken once.  The
-    potential is transformed once: its spectrum gives phi0, the v0 =
-    grad(phi0) that M reads, and ||v0||_2^2 of theta0 and theta0_raw by
-    Parseval.  A zero potential takes no transform.
+    A ValueError if u0 < 0 anywhere or the mollifier is wider than L/4.
+    phi0 is the potential with its mean mode zeroed, or zero without
+    potential modes; for delta > 0, u0 and phi0 are mollified alike.
     """
     X, Y = grid.coordinates()
     u0 = _raster_u(recipe, grid, X, Y)

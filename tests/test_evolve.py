@@ -268,19 +268,22 @@ class TestTransformBudget:
             record_every=1000)) for t_end in (0.5, 1.125)]   # 8 and 18 steps
         assert steps[1] - steps[0] == 10 * per_step
 
-    def original_steps(self, grid, transforms, scheme):
-        """Transforms of 10 original-mode steps at fixed dt."""
+    def original_steps(self, grid, transforms, scheme, dt_mode):
+        """Transforms of 10 original-mode steps."""
         u0, phi0 = smooth_state(grid, amplitude=0.01)
         steps = [transforms(grid, u0, phi0, StepperConfig(
-            dt=0.0625, t_end=t_end, scheme=scheme, record_every=1000),
-            mode="original") for t_end in (0.5, 1.125)]
+            dt=0.0625, t_end=t_end, dt_mode=dt_mode, scheme=scheme,
+            record_every=1000), mode="original") for t_end in (0.5, 1.125)]
         return steps[1] - steps[0]
 
+    # a CFL bound reads grad(u), which original mode takes only for it
     def test_original_step(self, grid32, transforms):
-        assert self.original_steps(grid32, transforms, "imex_cn") == 110
+        assert [self.original_steps(grid32, transforms, "imex_cn", dt_mode)
+                for dt_mode in ("fixed", "cfl")] == [110, 130]
 
     def test_original_be_step(self, grid32, transforms):
-        assert self.original_steps(grid32, transforms, "imex_be") == 60
+        assert [self.original_steps(grid32, transforms, "imex_be", dt_mode)
+                for dt_mode in ("fixed", "cfl")] == [60, 80]
 
     @pytest.mark.parametrize("original,per_record", [(False, 3), (True, 5)])
     def test_record(self, grid32, transforms, original, per_record):

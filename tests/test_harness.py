@@ -442,6 +442,40 @@ def test_xval_solvers_agree(tmp_path, capsys):
     capsys.readouterr()
 
 
+# the benchmark's cross-validation layout at N=32
+XVAL_LAYOUT = """study = cross_validate
+grid.L = 50.26548245743669
+grid.N = 32
+recipe.kind = piecewise_constant_disks
+recipe.delta = 2h
+recipe.random_disks = 4
+recipe.seed = 0
+recipe.amplitude = 0.05
+recipe.modes = 1,0,1.0,0.0; 0,2,0.5,1.0
+stepper.t_end = 0.4
+stepper.record_every = 1
+xval.n_list = 32
+threads = 1
+"""
+
+
+@pytest.mark.parametrize("scheme,lo,hi", [("imex_cn", 3.9, 4.1),
+                                          ("imex_be", 1.95, 2.05)])
+def test_xval_measures_the_time_level_of_the_drift(tmp_path, scheme, lo, hi):
+    # the two modes share every spatial operator and differ only in the time
+    # level of the drift in the transport term, so the discrepancy is that
+    # term's time error alone: each halving of dt divides it by 2^order
+    table = []
+    for dt in (0.02, 0.01, 0.005):
+        cfg = parse_config(XVAL_LAYOUT + f"stepper.scheme = {scheme}\n"
+                           f"stepper.dt = {dt}\n")
+        _, rows = harness.run_cross_validate(cfg, out_dir=tmp_path / str(dt))
+        table.append(rows[0][2:])
+    for coarse, fine in zip(table, table[1:]):
+        for c, f in zip(coarse, fine):
+            assert lo <= c / f <= hi
+
+
 @pytest.mark.parametrize("skew,message", [
     ({"record_every": 2}, "same time"),      # a record between two of the other's
     ({"t_end": 0.1}, "no original record"),   # the original run stops early
@@ -575,7 +609,8 @@ def test_negative_seed_exits_2_in_every_study(tmp_path, capsys, subcommand, stud
 
 
 # runs each (subcommand, config, out) triple of its arguments through the
-# CLI and prints whether numpy.random was loaded by numpy alone and at the end
+# CLI and prints whether numpy.random was loaded by numpy alone and at the
+# end, and whether the thread pool's module was loaded at the end
 NO_NUMPY_RANDOM = """
 import json, sys
 import numpy
@@ -585,14 +620,15 @@ args = iter(sys.argv[1:])
 codes = [main([cmd, "--config", cfg, "--out", out])
          for cmd, cfg, out in zip(args, args, args)]
 print(json.dumps({"codes": codes, "with_numpy": with_numpy,
-                  "after": "numpy.random" in sys.modules}))
+                  "after": "numpy.random" in sys.modules,
+                  "pool": "concurrent.futures" in sys.modules}))
 """
 
 
 def test_random_layouts_do_not_load_numpy_random(tmp_path):
-    # a study draws its disk layouts with the standard library; this test
-    # suite loads numpy.random itself, so the studies run in a fresh
-    # interpreter
+    # a study draws its disk layouts with the standard library, and on one
+    # thread it imports no thread pool (`_map`); this test suite loads both
+    # modules itself, so the studies run in a fresh interpreter
     small = BASE.replace("grid.N = 32", "grid.N = 16")
     assert "recipe.random_disks = 2" in small and "threads = 1" in small
     args = []
@@ -609,7 +645,8 @@ def test_random_layouts_do_not_load_numpy_random(tmp_path):
     result = json.loads(proc.stdout.splitlines()[-1])
     if result["with_numpy"]:
         pytest.skip("this NumPy loads numpy.random on import")
-    assert result == {"codes": [0, 0], "with_numpy": False, "after": False}
+    assert result == {"codes": [0, 0], "with_numpy": False, "after": False,
+                      "pool": False}
 
 
 def test_every_study_enters_run_before_its_first_record(tmp_path, monkeypatch,

@@ -1,0 +1,76 @@
+"""Size of the ``chemoflux`` package, per module and in total.
+
+Usage: ``python tools/src_size.py [package_dir]``; the default is this
+checkout's ``src/chemoflux``, and another directory measures another tree.
+
+For each module it prints four counts:
+
+* ``lines``: every line, as ``wc -l`` counts them;
+* ``docstring``: the lines of the first-statement string of the module and
+  of each class and function in it;
+* ``comment``: the lines that hold only a comment;
+* ``code``: the non-blank lines that are neither of the two.
+"""
+
+from __future__ import annotations
+
+import ast
+import io
+import sys
+import tokenize
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "chemoflux"
+COLUMNS = ("lines", "docstring", "comment", "code")
+
+
+def _docstring_lines(tree) -> set:
+    lines = set()
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                                 ast.AsyncFunctionDef)):
+            continue
+        first = node.body[0] if node.body else None
+        if (isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant)
+                and isinstance(first.value.value, str)):
+            lines.update(range(first.lineno, first.end_lineno + 1))
+    return lines
+
+
+def _comment_lines(text) -> set:
+    """Lines whose only token is a comment."""
+    comment, other = set(), set()
+    for tok in tokenize.generate_tokens(io.StringIO(text).readline):
+        if tok.type == tokenize.COMMENT:
+            comment.add(tok.start[0])
+        elif tok.type not in (tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
+                              tokenize.DEDENT, tokenize.ENDMARKER):
+            other.update(range(tok.start[0], tok.end[0] + 1))
+    return comment - other
+
+
+def count(path: Path) -> dict:
+    """The four counts of one module."""
+    text = path.read_text(encoding="utf-8")
+    lines = text.splitlines()
+    doc = _docstring_lines(ast.parse(text))
+    comment = _comment_lines(text)
+    code = {i for i, line in enumerate(lines, 1) if line.strip()} - doc - comment
+    return {"lines": text.count("\n"), "docstring": len(doc),
+            "comment": len(comment), "code": len(code)}
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    package = Path(argv[0]) if argv else PACKAGE
+    rows = [(path.name, count(path)) for path in sorted(package.glob("*.py"))]
+    rows.append(("total", {c: sum(r[c] for _, r in rows) for c in COLUMNS}))
+    width = max(len(name) for name, _ in rows)
+    print(f"{'module':<{width}}" + "".join(f"{c:>11}" for c in COLUMNS))
+    for name, r in rows:
+        print(f"{name:<{width}}" + "".join(f"{r[c]:>11}" for c in COLUMNS))
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
