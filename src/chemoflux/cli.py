@@ -3,15 +3,15 @@ each running the study skeleton of `harness`, and fit-decay.
 
 A study subcommand exits 0 on completion, 10 on blow-up and 11 on chemical
 extinction of a run the study needs to complete, and 2 on a config or input
-error, with one ``error:`` line; fit-decay exits 0 or 2.  Only
-``single_run`` reads ``mode`` and ``snapshot_times``.
+error, with one ``error:`` line; fit-decay exits 0 or 2.  The config file
+gives every experiment setting, and ``--out`` (default ``out``) where the
+outputs go.  Only ``single_run`` reads ``mode`` and ``snapshot_times``.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from functools import partial
 
 from . import harness
@@ -67,16 +67,9 @@ STUDY_COMMANDS = (
 
 def _run_study(study, run_study, printer, args) -> int:
     cfg = harness.load_config(args.config)
-    if args.threads is not None:
-        cfg = replace(cfg, threads=args.threads)
-    if getattr(args, "snapshot_times", None):
-        cfg = replace(cfg, snapshot_times=harness.parse_value(
-            "snapshot_times", args.snapshot_times))
     if cfg.study != study:
         raise harness.ConfigError("study", f"{cfg.study!r} given to "
                                   f"'{args.command}', which runs {study!r}")
-    if cfg.threads < 1:
-        raise harness.ConfigError("threads", f"must be at least 1, got {cfg.threads}")
     for key in ("mode", "snapshot_times"):   # set away from the dataclass default
         if study != "single_run" and getattr(cfg, key) != getattr(
                 harness.ExperimentConfig, key):
@@ -128,13 +121,7 @@ def main(argv=None) -> int:
     for command, study, run_study, printer, text in STUDY_COMMANDS:
         p = subs.add_parser(command, help=text)
         p.add_argument("--config", required=True, help="path to a config file")
-        p.add_argument("--out", default=None, help="output directory override")
-        p.add_argument("--threads", type=int, default=None,
-                       help="worker threads for a study's members; "
-                            "outputs do not depend on it")
-        if study == "single_run":
-            p.add_argument("--snapshot-times", default=None,
-                           help="comma-separated times for CFX1 snapshots")
+        p.add_argument("--out", default="out", help="output directory")
         p.set_defaults(fn=partial(_run_study, study, run_study, printer))
 
     p = subs.add_parser("fit-decay", help="log-linear fit on a diagnostics column")

@@ -3,7 +3,7 @@
 The effective flux F = grad(u) + chi*u*v satisfies u_t = div F, and while v
 is a gradient curl F = chi perp_grad(u).v; every diagnostics row reports
 both residuals.  `node_norms` measures the norms that feed the functionals,
-which `TrajectoryRecorder` accumulates, and ``node.row()`` builds a `Node`'s
+which `TrajectoryRecorder` accumulates, and ``node.row(p0)`` builds a `Node`'s
 `DiagnosticsRecord`, one row of the CSV whose columns are `CSV_COLUMNS`.
 """
 
@@ -135,10 +135,9 @@ class TrajectoryRecorder:
     node, so they do not depend on the record cadence; `make_record` measures
     each row on ``grid``."""
 
-    def __init__(self, grid: Grid, chi: float, p0: float):
+    def __init__(self, grid: Grid, chi: float):
         self.grid = grid
         self.chi = chi
-        self.p0 = p0
         self._prev = None          # (t, NodeAux)
         self.sup_e = 0.0           # sup ||u-1||^2 + ||v||^2
         self.sup_a2 = 0.0          # sup sigma*|grad u|^2 + sigma^2(|ut|^2 + |vt|^2)
@@ -180,10 +179,11 @@ class TrajectoryRecorder:
     def blowup_integral(self) -> float:
         return self.int_v4
 
-    def make_record(self, node: Node) -> DiagnosticsRecord:
-        """The row of a record node: its norm columns from ``node.aux``, and its
-        flux and residuals rebuilt from the node's u and v, independent of the
-        stepper's transport term; a None ``node.grad_u`` is taken from ``node.uh``."""
+    def make_record(self, node: Node, p0: float) -> DiagnosticsRecord:
+        """The row of a record node: its norm columns from ``node.aux``, v_lp0
+        in L^p0, and its flux and residuals rebuilt from the node's u and v,
+        independent of the stepper's transport term; a None ``node.grad_u`` is
+        taken from ``node.uh``."""
         grid = self.grid
         uh, aux = node.uh, node.aux
         grad_u = node.grad_u if node.grad_u is not None else grid._gradient(uh)
@@ -231,7 +231,7 @@ class TrajectoryRecorder:
             u_linf=sup_deviation(uv),
             v_l2=math.sqrt(aux.v_sq),
             v_l4=aux.v4_4 ** 0.25,
-            v_lp0=lp_norm(grid, node.v, self.p0),
+            v_lp0=lp_norm(grid, node.v, p0),
             v_linf=math.sqrt(aux.v2_max),
             c_linf=node.c_linf,
             flux_l2=math.sqrt(w * flux_sq),
@@ -268,7 +268,8 @@ class Node:
     s: np.ndarray
     recorder: TrajectoryRecorder
 
-    def row(self) -> DiagnosticsRecord:
-        """The node's diagnostics row (`TrajectoryRecorder.make_record`)."""
-        return self.recorder.make_record(self)
+    def row(self, p0: float) -> DiagnosticsRecord:
+        """The node's diagnostics row, v measured in L^p0
+        (`TrajectoryRecorder.make_record`)."""
+        return self.recorder.make_record(self, p0)
 

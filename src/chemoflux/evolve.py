@@ -146,7 +146,7 @@ def _cfl_dt(grid, grad_u, v2_max, chi, cfg) -> float:
     return min(cfg.cfl_number * grid.spacing / speed, cfg.dt)
 
 
-def march(data: list, cfg: StepperConfig, params: ChemistryParams, p0: float = 6.0,
+def march(data: list, cfg: StepperConfig, params: ChemistryParams,
           mode: str = "transformed", snapshot_times=(), snapshot_sink=None, *,
           grid: Grid):
     """Advance the datum to ``cfg.t_end`` on ``grid``, yielding its record nodes.
@@ -198,7 +198,7 @@ def march(data: list, cfg: StepperConfig, params: ChemistryParams, p0: float = 6
     else:
         grad_u = None   # grad u only where it is read
 
-    recorder = diag.TrajectoryRecorder(grid, chi=chi, p0=p0)
+    recorder = diag.TrajectoryRecorder(grid, chi=chi)
     pending_snaps = sorted(float(ts) for ts in snapshot_times)
 
     t = 0.0
@@ -284,14 +284,13 @@ def march(data: list, cfg: StepperConfig, params: ChemistryParams, p0: float = 6
         nstep += 1
 
 
-def run(data: list, cfg: StepperConfig, params: ChemistryParams, p0: float = 6.0,
+def run(data: list, cfg: StepperConfig, params: ChemistryParams,
         mode: str = "transformed", recorders=(), snapshot_times=(),
         snapshot_sink=None, *, grid: Grid) -> diag.Node:
     """Drain `march` and return its node at t_end; a halt raises `RunHalted`.
     Each of ``recorders`` is called as ``hook(node)`` at every record node; it
     may keep the node's arrays but must not write them."""
-    marching = march(data, cfg, params, p0, mode, snapshot_times, snapshot_sink,
-                     grid=grid)
+    marching = march(data, cfg, params, mode, snapshot_times, snapshot_sink, grid=grid)
     while True:
         try:
             node = next(marching)

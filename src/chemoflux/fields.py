@@ -140,13 +140,14 @@ def spectral_power(zh: np.ndarray) -> np.ndarray:
 
 
 def lp_norm(grid: Grid, x: np.ndarray, p) -> float:
-    """L^p norm of the samples x by uniform Riemann sum: an N x N scalar at
-    p = 2, or a (2, N, N) vector, through its pointwise Euclidean magnitude,
-    at any p >= 1."""
+    """L^p norm, p >= 1, of the samples x by uniform Riemann sum: an N x N
+    scalar through |x|, a (2, N, N) vector through its pointwise Euclidean
+    magnitude."""
+    comps = x if x.ndim == 3 else (x,)
     if p == 2:   # NumPy's own sums: a BLAS dot's threads could reorder them
-        comps = x if x.ndim == 3 else (x,)
         return float(np.sqrt(sum((c * c).sum() for c in comps) * grid.cell_area))
-    vals = x[0] * x[0]
-    vals += x[1] * x[1]
+    vals = comps[0] * comps[0]
+    for c in comps[1:]:
+        vals += c * c
     vals **= 0.5 * p
     return float((vals.sum() * grid.cell_area) ** (1.0 / p))

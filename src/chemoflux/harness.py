@@ -10,9 +10,9 @@ or values that contradict each other (named by their section) is a
 Every study runs one skeleton: its own input checks; `_data` for every
 member, so data that cannot be built is a `ConfigError` before any output
 (the theta scan builds inside each member, where it is a row label);
-`_output`; `_map` over the distinct members, each through `_solve`, which
-hands its datum to `run` in the one-shot holder that `march` empties; then
-`_write_csv`, whose ``(columns, rows)`` the study returns for the CLI.  A
+`_output` in the caller's ``out_dir``; `_map` over the distinct members,
+each handing its datum to `run` in the one-shot holder that `march` empties;
+then `_write_csv`, whose ``(columns, rows)`` the study returns for the CLI.  A
 member that halts raises `RunHalted` out of the study, except in the single
 run and the theta scan, which report the outcome.  Only the single run reads
 ``mode``, builds diagnostics rows and takes snapshots.  A study's outputs are
@@ -53,7 +53,6 @@ class ExperimentConfig:
     stepper: StepperConfig
     study: str = "single_run"
     mode: str = "transformed"
-    out_dir: str = "out"
     snapshot_times: tuple = ()
     threads: int = 1
     deltas: tuple = ()        # delta_sweep
@@ -87,6 +86,13 @@ def _numbers(cast=_finite, arity=None):
             raise ValueError(f"expected {arity} numbers, got {len(items)}")
         return items
     return parse
+
+
+def _threads(text):
+    n = int(text)
+    if n < 1:
+        raise ValueError(f"must be at least 1, got {n}")
+    return n
 
 
 def _resolutions(text):
@@ -128,9 +134,8 @@ _SECTIONS = {"grid": Grid, "params": ChemistryParams,
 
 _SCHEMA = (
     ("study", None, "study", _one_of(*STUDIES), str),
-    ("out_dir", None, "out_dir", str, str),
     ("mode", None, "mode", _one_of("transformed", "original"), str),
-    ("threads", None, "threads", int, str),
+    ("threads", None, "threads", _threads, str),
     ("grid.L", "grid", "side_length", _finite, repr),
     ("grid.N", "grid", "resolution", int, str),
     ("params.chi", "params", "chi", _finite, repr),
@@ -168,11 +173,6 @@ def _parse(row, text, spacing=None):
         return parse(text, spacing) if parse in (_width, _widths) else parse(text)
     except ValueError as exc:
         raise ConfigError(key, f"cannot parse {text!r}: {exc}") from None
-
-
-def parse_value(key: str, text: str):
-    """The value of one config key given outside a file (a CLI override)."""
-    return _parse(next(row for row in _SCHEMA if row[0] == key), text)
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -272,7 +272,7 @@ def write_diagnostics_csv(path, records) -> None:
 
 def _output(cfg: ExperimentConfig, out_dir) -> Path:
     """The study's output directory, created, with the config echo in it."""
-    out = Path(out_dir if out_dir is not None else cfg.out_dir)
+    out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "config_echo.cfg").write_text(format_config(cfg))
     return out
@@ -300,17 +300,11 @@ def _data(recipe, grid) -> list:
     return [u0, phi0]
 
 
-def _solve(cfg: ExperimentConfig, grid: Grid, data: list, stepper, **kwargs):
-    """Run a member on ``grid`` from its datum holder ``[u0, phi0]``, which
-    the run empties; returns its node at t_end or raises `RunHalted`."""
-    return run(data, stepper, cfg.params, p0=cfg.recipe.p0, grid=grid, **kwargs)
-
-
 # ---------------------------------------------------------------------------
 # studies
 
 
-def run_single(cfg: ExperimentConfig, out_dir=None) -> tuple:
+def run_single(cfg: ExperimentConfig, out_dir) -> tuple:
     """One run to t_end with its artifacts; returns (outcome, message,
     diagnostics rows, decay summary table, out dir).  A halted run writes the
     rows it has and keeps no `RunHalted`, whose traceback holds the march."""
@@ -327,11 +321,11 @@ def run_single(cfg: ExperimentConfig, out_dir=None) -> tuple:
     records = []
     outcome, message = RunOutcome.COMPLETED, ""
     try:
-        _solve(cfg, cfg.grid, data, cfg.stepper, mode=cfg.mode,
-               snapshot_times=cfg.snapshot_times,
-               snapshot_sink=lambda t, payload: write_snapshot(
-                   out / f"snapshot_{t:.6f}.cfx", list(payload.values())),
-               recorders=(lambda node: records.append(node.row()),))
+        run(data, cfg.stepper, cfg.params, mode=cfg.mode, grid=cfg.grid,
+            snapshot_times=cfg.snapshot_times,
+            snapshot_sink=lambda t, payload: write_snapshot(
+                out / f"snapshot_{t:.6f}.cfx", list(payload.values())),
+            recorders=(lambda node: records.append(node.row(cfg.recipe.p0)),))
     except RunHalted as halt:
         outcome, message = halt.outcome, halt.message
     write_diagnostics_csv(out / "diagnostics.csv", records)
@@ -355,7 +349,7 @@ def run_single(cfg: ExperimentConfig, out_dir=None) -> tuple:
     return outcome, message, records, decay, out
 
 
-def run_delta_sweep(cfg: ExperimentConfig, out_dir=None) -> tuple:
+def run_delta_sweep(cfg: ExperimentConfig, out_dir) -> tuple:
     """Mollification-width sweep: solve for each delta and compare neighbours at
     t_end.  Returns the table of ``delta_sweep.csv`` and whether both
     differences decrease down the sweep (the Cauchy property)."""
@@ -370,7 +364,7 @@ def run_delta_sweep(cfg: ExperimentConfig, out_dir=None) -> tuple:
     out = _output(cfg, out_dir)
 
     def final_uv(datum):   # only the samples: the rest of the node is dropped
-        final = _solve(cfg, cfg.grid, datum, cfg.stepper)
+        final = run(datum, cfg.stepper, cfg.params, grid=cfg.grid)
         return final.u, final.v
 
     finals = _map(cfg, final_uv, data)
@@ -386,7 +380,7 @@ def run_delta_sweep(cfg: ExperimentConfig, out_dir=None) -> tuple:
     return table, decreasing
 
 
-def run_refinement(cfg: ExperimentConfig, out_dir=None) -> tuple:
+def run_refinement(cfg: ExperimentConfig, out_dir) -> tuple:
     """Temporal study over dt_list and spatial study over n_list, at fixed dt.
 
     Returns the table of ``refinement.csv``, rows (kind, param, error, order):
@@ -421,7 +415,7 @@ def run_refinement(cfg: ExperimentConfig, out_dir=None) -> tuple:
     def final_u(member):
         n, dt = member
         holder = list(data[n])   # a fresh one: each grid's datum serves every dt
-        return _solve(cfg, grids[n], holder, steppers[dt]).u
+        return run(holder, steppers[dt], cfg.params, grid=grids[n]).u
 
     members = list(dict.fromkeys(in_time + in_space))
     finals = dict(zip(members, _map(cfg, final_u, members)))
@@ -447,7 +441,7 @@ def run_refinement(cfg: ExperimentConfig, out_dir=None) -> tuple:
     return _write_csv(out / "refinement.csv", ("kind", "param", "error", "order"), rows)
 
 
-def run_cross_validate(cfg: ExperimentConfig, out_dir=None) -> tuple:
+def run_cross_validate(cfg: ExperimentConfig, out_dir) -> tuple:
     """Run both modes from one datum; report their max-in-time L2 discrepancies.
 
     The modes share every spatial operator, the density update and the s
@@ -481,8 +475,7 @@ def run_cross_validate(cfg: ExperimentConfig, out_dir=None) -> tuple:
     def discrepancies(member):
         stepper, grid, data = member
         # one datum, a holder per mode: each march empties its own
-        partner = march(list(data), stepper, cfg.params, p0=cfg.recipe.p0,
-                        mode="original", grid=grid)
+        partner = march(list(data), stepper, cfg.params, mode="original", grid=grid)
         max_du = 0.0
         max_dv = 0.0
 
@@ -496,20 +489,13 @@ def run_cross_validate(cfg: ExperimentConfig, out_dir=None) -> tuple:
                 raise RuntimeError(f"cross-validation: original record at "
                                    f"t={other.t} and transformed record at "
                                    f"t={node.t} are not at the same time")
-            du = lp_norm(grid, node.u - other.u, 2)
-            dv_sq = 0.0   # one N x N difference at a time, summed as lp_norm sums
-            for vo, vt in zip(other.v, node.v):
-                d = vo - vt
-                d *= d
-                dv_sq += d.sum()
-            dv = math.sqrt(dv_sq * grid.cell_area)
-            max_du = max(max_du, du)
-            max_dv = max(max_dv, dv)
+            max_du = max(max_du, lp_norm(grid, node.u - other.u, 2))
+            max_dv = max(max_dv, lp_norm(grid, other.v - node.v, 2))
 
         # the transformed run goes through `run`, as every study's first run
         # does: the first entry into `run` marks where stepping starts
         # (perfbench's setup_s ends there)
-        _solve(cfg, grid, data, stepper, recorders=(compare,))
+        run(data, stepper, cfg.params, recorders=(compare,), grid=grid)
         other = next(partner, None)
         if other is not None:
             raise RuntimeError(f"cross-validation: original record at "
@@ -521,7 +507,7 @@ def run_cross_validate(cfg: ExperimentConfig, out_dir=None) -> tuple:
                       _map(cfg, discrepancies, members))
 
 
-def run_theta_scan(cfg: ExperimentConfig, out_dir=None) -> tuple:
+def run_theta_scan(cfg: ExperimentConfig, out_dir) -> tuple:
     """Amplitude ladder: measure theta0/M and classify each run's outcome.
 
     Returns the table of ``theta_scan.csv``, a row per amplitude.  ``decayed``
@@ -553,7 +539,7 @@ def run_theta_scan(cfg: ExperimentConfig, out_dir=None) -> tuple:
                 settled.append(sup_deviation(node.u))
 
         try:
-            _solve(cfg, cfg.grid, data, cfg.stepper, recorders=(keep,))
+            run(data, cfg.stepper, cfg.params, recorders=(keep,), grid=cfg.grid)
         except RunHalted as halt:
             decayed, label = False, halt.outcome.value   # blowup, chemical_extinction
         else:

@@ -15,7 +15,7 @@ def run_rows(grid, u0, phi0, cfg, params=None, recorders=(), **kwargs):
     rows.  The hooks in ``recorders`` follow it."""
     rows = []
     final = run([u0, phi0], cfg, params or ChemistryParams(),
-                recorders=(lambda node: rows.append(node.row()), *recorders),
+                recorders=(lambda node: rows.append(node.row(6.0)), *recorders),
                 grid=grid, **kwargs)
     return final, rows
 

@@ -33,9 +33,8 @@ def test_unreadable_config_is_a_config_error(tmp_path, capsys, which):
 def test_snapshot_files_named_by_requested_times(tmp_path, capsys):
     # 1.0 is a step end between records, 0.525 lies inside a step
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(SMALL_RUN)
+    cfg.write_text(SMALL_RUN + "snapshot_times = 1.0,0.525\n")
     out = tmp_path / "out"
-    assert main(["run", "--config", str(cfg), "--out", str(out),
-                 "--snapshot-times", "1.0,0.525"]) == 0
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
     assert sorted(p.name for p in out.glob("snapshot_*.cfx")) == [
         "snapshot_0.525000.cfx", "snapshot_1.000000.cfx"]

@@ -336,7 +336,7 @@ class TestRecordAgainstOracles:
         seen = []
 
         def check(node):
-            rec = node.row()
+            rec = node.row(6.0)
             u, v = node.u, node.v
             u_tilde = u - 1.0
             expected = {
@@ -358,7 +358,7 @@ class TestRecordAgainstOracles:
             seen.append(node.t)
 
         cfg = StepperConfig(dt=0.02, t_end=0.1, record_every=2)
-        run([u0, phi0], cfg, ChemistryParams(chi=chi), p0=p0, recorders=(check,),
+        run([u0, phi0], cfg, ChemistryParams(chi=chi), recorders=(check,),
             grid=grid)
         assert len(seen) == 4
 
@@ -375,8 +375,8 @@ class TestRecordAgainstOracles:
         node = Node(t=0.0, c_linf=1.0, a1=0.0, a2=0.0, a3=0.0, blowup_integral=0.0,
                     aux=node_norms(grid64, uh, np.zeros_like(uh), v_bad),
                     uh=uh, u=u, v=v_bad, grad_u=None, s=np.zeros(grid64.shape),
-                    recorder=TrajectoryRecorder(grid64, chi=1.0, p0=6.0))
-        rec = node.row()
+                    recorder=TrajectoryRecorder(grid64, chi=1.0))
+        rec = node.row(6.0)
         assert rec.flux_curl_residual > 1e-4
         assert rec.flux_curl_residual == pytest.approx(
             curl_flux_residual(grid64, u, v_bad, 1.0), rel=1e-12)

@@ -66,7 +66,7 @@ def halted_run(grid, u0, phi0, cfg, mode="transformed"):
     rows, snaps = [], []
     with pytest.raises(RunHalted) as halt:
         run([u0, phi0], cfg, ChemistryParams(), mode=mode,
-            recorders=(lambda node: rows.append(node.row()),),
+            recorders=(lambda node: rows.append(node.row(6.0)),),
             snapshot_times=(0.0,), snapshot_sink=lambda *snap: snaps.append(snap),
             grid=grid)
     return halt.value, rows, snaps
@@ -236,7 +236,7 @@ def transforms(monkeypatch):
 
     def counted(grid, u0, phi0, cfg, rows=True, mode="transformed"):
         before = calls[0]
-        hooks = (lambda node: node.row(),) if rows else ()
+        hooks = (lambda node: node.row(6.0),) if rows else ()
         run([u0, phi0], cfg, ChemistryParams(), mode=mode, recorders=hooks, grid=grid)
         return calls[0] - before
     return counted
@@ -550,9 +550,9 @@ class TestRun:
             data = [u0, constant_field(grid, 0.0)]
             warm = [constant_field(small, 1.0), constant_field(small, 0.0)]
             cfg = StepperConfig(dt=0.05, t_end=0.5, dt_mode="cfl", record_every=1)
-        hooks = (lambda node: node.row(),) if rows else ()
+        hooks = (lambda node: node.row(6.0),) if rows else ()
         run(warm, cfg, ChemistryParams(), mode=mode,
-            recorders=(lambda node: node.row(),), grid=small)
+            recorders=(lambda node: node.row(6.0),), grid=small)
         tracemalloc.start()
         try:
             run(data, cfg, ChemistryParams(), mode=mode, recorders=hooks, grid=grid)

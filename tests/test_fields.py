@@ -214,7 +214,7 @@ class TestLaplacian:
 
 class TestLpNorm:
     """The program's norm, at the p it is measured at: 2 for a scalar, and
-    2 or p0 for a vector."""
+    2 or p0 for a vector, and at any p >= 1 for either."""
 
     def test_constant_closed_form(self):
         grid = Grid(3.0, 16)
@@ -234,6 +234,13 @@ class TestLpNorm:
         L = grid32.side_length
         assert np.isclose(lp_norm(grid32, w, 2), 5.0 * L, rtol=1e-13)
         assert np.isclose(lp_norm(grid32, w, 6), 5.0 * L ** (2.0 / 6), rtol=1e-13)
+
+    def test_scalar_away_from_two_matches_the_oracle(self):
+        # an N x N scalar is one component, not rows 0 and 1 as a vector
+        grid = Grid(2 * np.pi, 32)
+        for x in (constant_field(grid, 1.0), band_limited_field(grid, seed=4)):
+            assert lp_norm(grid, x, 6) == pytest.approx(oracle_lp_norm(grid, x, 6),
+                                                        rel=1e-13)
 
     def test_interpolation_inequality_sampler(self, grid64):
         # ||f||_4^2 <= C ||f||_2 ||grad f||_2 with C locked from the

@@ -83,9 +83,13 @@ def csv_rows(path):
 def assert_same_table_at_two_threads(tmp_path, subcommand, out, table):
     """The study of ``cli``'s last config for ``subcommand``, rerun on two
     member threads, writes ``table`` byte for byte as it wrote it in ``out``."""
+    cfg = tmp_path / f"{subcommand}.cfg"
+    cfg2 = tmp_path / "threads2.cfg"
+    text = cfg.read_text()
+    assert text.count("threads = 1\n") == 1
+    cfg2.write_text(text.replace("threads = 1\n", "threads = 2\n"))
     out2 = tmp_path / "threads2"
-    assert main([subcommand, "--config", str(tmp_path / f"{subcommand}.cfg"),
-                 "--out", str(out2), "--threads", "2"]) == 0
+    assert main([subcommand, "--config", str(cfg2), "--out", str(out2)]) == 0
     assert (out2 / table).read_bytes() == (out / table).read_bytes()
 
 
@@ -230,7 +234,6 @@ REFINE_ORDER = ("study = refinement\nrefine.dt_list = 0.02,0.01,0.005\n"
     ("xval", "study = cross_validate\nmode = original\n", "mode", ()),
     ("scan-theta", "study = theta_scan\nscan.amplitudes = 0.1\n"
                    "mode = original\n", "mode", ()),
-    ("sweep-delta", SWEEP, "threads", ("--threads", "-2")),
     # widths above L/4 = 1.57 wrap the mollifier
     ("sweep-delta", "study = delta_sweep\nsweep.deltas = 20,10,5\n",
      "sweep.deltas", ()),
@@ -244,7 +247,7 @@ REFINE_ORDER = ("study = refinement\nrefine.dt_list = 0.02,0.01,0.005\n"
     ("xval", "study = cross_validate\nstepper.dt_mode = cfl\n", "stepper.dt_mode",
      ()),
 ], ids=["study-run", "study-scan-theta", "snapshot_times", "mode-sweep-delta",
-        "mode-refine", "mode-xval", "mode-scan-theta", "threads-flag",
+        "mode-refine", "mode-xval", "mode-scan-theta",
         "sweep-too-wide", "u0-negative-run", "u0-negative-sweep-delta",
         "u0-negative-refine", "u0-negative-xval", "cfl-refine", "cfl-xval"])
 def test_config_of_another_study_exits_2(tmp_path, capsys, subcommand, head, field,
@@ -299,8 +302,8 @@ def test_bad_snapshot_times_exit_2(tmp_path, capsys, times):
     # not a number, after t_end = 0.3, before t = 0, and two times whose
     # snapshot files, named to 6 decimals, would overwrite each other
     code, out = cli(tmp_path, "run", "study = single_run\n"
-                    + BASE.replace("grid.N = 32", "grid.N = 16"),
-                    "--snapshot-times", times)
+                    + BASE.replace("grid.N = 32", "grid.N = 16")
+                    + f"snapshot_times = {times}\n")
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: config field 'snapshot_times': ")
@@ -355,6 +358,13 @@ def test_bad_value_exits_2_naming_its_key(tmp_path, capsys, line):
     assert value in err
     assert err.count("config field") == 1
     assert not out.exists()   # rejected before any output or run
+
+
+def test_parse_config_rejects_zero_threads():
+    # the parser, not only the CLI, refuses a study with no worker thread
+    with pytest.raises(harness.ConfigError) as info:
+        parse_config(BASE.replace("threads = 1", "threads = 0"))
+    assert info.value.field == "threads"
 
 
 def test_sweep_delta_is_deterministic_across_threads(tmp_path, capsys):
@@ -571,10 +581,10 @@ def test_snapshot_is_on_disk_before_the_next_record(tmp_path, monkeypatch):
     times = (0.1, 0.2)
     out = tmp_path / "out"
 
-    def looking(self, node):
+    def looking(self, node, p0):
         seen.append((node.t, [(out / f"snapshot_{ts:.6f}.cfx").is_file()
                               for ts in times]))
-        return real_record(self, node)
+        return real_record(self, node, p0)
 
     monkeypatch.setattr(TrajectoryRecorder, "make_record", looking)
     cfg = parse_config("study = single_run\nsnapshot_times = 0.1,0.2\n" + BASE)
@@ -739,9 +749,9 @@ def test_only_the_single_run_builds_rows(tmp_path, monkeypatch, capsys):
     built = []
     real_record = TrajectoryRecorder.make_record
 
-    def counting(self, node):
+    def counting(self, node, p0):
         built.append(node.t)
-        return real_record(self, node)
+        return real_record(self, node, p0)
 
     monkeypatch.setattr(TrajectoryRecorder, "make_record", counting)
     small = BASE.replace("grid.N = 32", "grid.N = 16")
@@ -858,7 +868,6 @@ def config_texts(draw):
     lines = {
         "study": draw(st.sampled_from(STUDIES)),
         "mode": draw(st.sampled_from(("transformed", "original"))),
-        "out_dir": draw(st.from_regex(r"[A-Za-z0-9_./-]{1,12}", fullmatch=True)),
         "threads": str(draw(small_int)),
         "grid.L": repr(draw(finite)),
         "grid.N": str(2 * draw(st.integers(min_value=4, max_value=64))),

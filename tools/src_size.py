@@ -10,6 +10,10 @@ For each module it prints four counts:
   of each class and function in it;
 * ``comment``: the lines that hold only a comment;
 * ``code``: the non-blank lines that are neither of the two.
+
+Then it prints the settings surface, read from the syntax trees: the config
+keys, one per row of ``harness._SCHEMA``, and the CLI options, one per
+``add_argument`` call in ``cli.py``.
 """
 
 from __future__ import annotations
@@ -60,6 +64,18 @@ def count(path: Path) -> dict:
             "comment": len(comment), "code": len(code)}
 
 
+def settings(package: Path) -> tuple:
+    """(config keys, CLI options) of the package."""
+    harness = ast.parse((package / "harness.py").read_text(encoding="utf-8"))
+    keys = next(len(node.value.elts) for node in ast.walk(harness)
+                if isinstance(node, ast.Assign)
+                and any(getattr(t, "id", None) == "_SCHEMA" for t in node.targets))
+    cli = ast.parse((package / "cli.py").read_text(encoding="utf-8"))
+    options = sum(isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and node.func.attr == "add_argument" for node in ast.walk(cli))
+    return keys, options
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     package = Path(argv[0]) if argv else PACKAGE
@@ -69,6 +85,9 @@ def main(argv=None) -> int:
     print(f"{'module':<{width}}" + "".join(f"{c:>11}" for c in COLUMNS))
     for name, r in rows:
         print(f"{name:<{width}}" + "".join(f"{r[c]:>11}" for c in COLUMNS))
+    keys, options = settings(package)
+    print(f"settings: {keys} config keys (harness._SCHEMA), "
+          f"{options} CLI options (cli.py)")
     return 0
 
 
