@@ -4,8 +4,8 @@ each running the study skeleton of `harness`, and fit-decay.
 A study subcommand exits 0 on completion, 10 on blow-up and 11 on chemical
 extinction of a run the study needs to complete, and 2 on a config or input
 error, with one ``error:`` line; fit-decay exits 0 or 2.  The config file
-gives every experiment setting, and ``--out`` (default ``out``) where the
-outputs go.  Only ``single_run`` reads ``mode`` and ``snapshot_times``.
+gives every experiment setting that its study reads, and ``--out``
+(default ``out``) where the outputs go.
 """
 
 from __future__ import annotations
@@ -70,10 +70,6 @@ def _run_study(study, run_study, printer, args) -> int:
     if cfg.study != study:
         raise harness.ConfigError("study", f"{cfg.study!r} given to "
                                   f"'{args.command}', which runs {study!r}")
-    for key in ("mode", "snapshot_times"):   # set away from the dataclass default
-        if study != "single_run" and getattr(cfg, key) != getattr(
-                harness.ExperimentConfig, key):
-            raise harness.ConfigError(key, f"is read only by single_run, not {study}")
     return printer(run_study(cfg, out_dir=args.out))
 
 
@@ -101,12 +97,11 @@ def cmd_fit_decay(args) -> int:
         window = tuple(float(x) for x in args.window.split(","))
         if len(window) != 2:
             raise ValueError(f"--window takes t_lo,t_hi, got {args.window!r}")
-        fit = fit_decay(_read_series(args.csv, args.column), window,
-                        quantity=args.column)
+        fit = fit_decay(_read_series(args.csv, args.column), window)
     except (OSError, ValueError) as exc:   # unreadable CSV or bad window
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(f"quantity={fit.quantity} window=[{fit.t_lo:g},{fit.t_hi:g}] "
+    print(f"quantity={args.column} window=[{fit.t_lo:g},{fit.t_hi:g}] "
           f"rate={fit.rate:.6g} prefactor={fit.prefactor:.6g} "
           f"residual={fit.residual:.3g} n={fit.n_samples}")
     return 0

@@ -58,20 +58,19 @@ class DiagnosticsRecord:
 CSV_COLUMNS = tuple(f.name for f in fields(DiagnosticsRecord))
 
 
-@dataclass
-class DecayFit:
-    """Log-linear fit of a positive time series on [t_lo, t_hi]."""
+class DecayFit(NamedTuple):
+    """Log-linear fit of a positive time series on [t_lo, t_hi], in the
+    column order of the decay summary table."""
 
     t_lo: float
     t_hi: float
-    quantity: str
     rate: float        # positive means decay
     prefactor: float
     residual: float    # rms residual of the fit in log space
     n_samples: int
 
 
-def fit_decay(series, window, quantity: str = "") -> DecayFit:
+def fit_decay(series, window) -> DecayFit:
     """Least-squares line on (t, ln value) over the window, which lies in
     t >= 1; needs at least 10 samples, all positive."""
     t_lo, t_hi = float(window[0]), float(window[1])
@@ -91,9 +90,8 @@ def fit_decay(series, window, quantity: str = "") -> DecayFit:
     logs = np.log(vs)
     slope, intercept = np.polyfit(ts, logs, 1)
     resid = float(np.sqrt(np.mean((logs - (slope * ts + intercept)) ** 2)))
-    return DecayFit(t_lo=t_lo, t_hi=t_hi, quantity=quantity, rate=float(-slope),
-                    prefactor=float(math.exp(intercept)), residual=resid,
-                    n_samples=len(ts))
+    return DecayFit(t_lo, t_hi, float(-slope), float(math.exp(intercept)), resid,
+                    len(ts))
 
 
 class NodeAux(NamedTuple):

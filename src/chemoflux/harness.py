@@ -3,9 +3,9 @@
 Configs are flat ``key = value`` text with dotted section names
 (``grid.N = 256``).  `_SCHEMA` declares every key once, and both
 `parse_config` and `format_config` walk it.  An unknown key, a key given
-twice, two keys of one attribute, a value out of range (named by its key)
-or values that contradict each other (named by their section) is a
-`ConfigError`.
+twice or one that the config's study does not read (`_READERS`), a value
+out of range (named by its key) or values that contradict each other
+(named by their section) is a `ConfigError`.
 
 Every study runs one skeleton: its own input checks; `_data` for every
 member, so data that cannot be built is a `ConfigError` before any output
@@ -55,10 +55,10 @@ class ExperimentConfig:
     mode: str = "transformed"
     snapshot_times: tuple = ()
     threads: int = 1
-    deltas: tuple = ()        # delta_sweep
-    n_list: tuple = ()        # refinement / cross_validate
-    dt_list: tuple = ()       # refinement
-    amplitudes: tuple = ()    # theta_scan
+    deltas: tuple = ()
+    n_list: tuple = ()
+    dt_list: tuple = ()
+    amplitudes: tuple = ()
 
 
 def _one_of(*choices):
@@ -159,12 +159,19 @@ _SCHEMA = (
     ("recipe.modes", "recipe", "potential_modes", _entries(4), _joined_entries),
     ("snapshot_times", None, "snapshot_times", _numbers(), _joined),
     ("sweep.deltas", None, "deltas", _widths, _joined),
-    # parse-only alias of refine.n_list; a file gives at most one of the two
-    ("xval.n_list", None, "n_list", _resolutions, None),
+    ("xval.n_list", None, "n_list", _resolutions, _joined),
     ("refine.n_list", None, "n_list", _resolutions, _joined),
     ("refine.dt_list", None, "dt_list", _numbers(), _joined),
     ("scan.amplitudes", None, "amplitudes", _numbers(), _joined),
 )
+
+# the one study that reads a key, by section or by name; all read the others
+_READERS = {"sweep": "delta_sweep", "refine": "refinement", "xval": "cross_validate",
+            "scan": "theta_scan", "mode": "single_run", "snapshot_times": "single_run"}
+
+
+def _reader(key, study):
+    return _READERS.get(key.split(".")[0], study)
 
 
 def _parse(row, text, spacing=None):
@@ -189,14 +196,14 @@ def parse_config(text: str) -> ExperimentConfig:
         if key in raw:
             raise ConfigError(key, f"given twice, as {raw[key]!r} and {value!r}")
         raw[key] = value
-    targets = {row[0]: row[1:3] for row in _SCHEMA}
-    setters = {}   # (section, attribute) -> the first key of the file to set it
+    rows = {row[0]: row for row in _SCHEMA}
+    study = _parse(rows["study"], raw.get("study", ExperimentConfig.study))
     for key in raw:
-        if key not in targets:
+        if key not in rows:
             raise ConfigError(key, "unknown key")
-        first = setters.setdefault(targets[key], key)
-        if first != key:
-            raise ConfigError(key, f"sets what {first} sets: give one of the two")
+        reader = _reader(key, study)
+        if reader != study:
+            raise ConfigError(key, f"is read only by {reader}, not {study}")
 
     values = {section: {} for section in (None, *_SECTIONS)}
 
@@ -236,11 +243,11 @@ def load_config(path) -> ExperimentConfig:
 
 
 def format_config(cfg: ExperimentConfig) -> str:
-    """Canonical echo of a parsed config (suitable for re-parsing)."""
+    """Canonical, re-parsable echo of a parsed config: the keys its study reads."""
     lines = []
     for key, section, attr, _, fmt in _SCHEMA:
         value = getattr(getattr(cfg, section) if section else cfg, attr)
-        if fmt is not None and value != ():
+        if _reader(key, cfg.study) == cfg.study and value != ():
             lines.append(f"{key} = {fmt(value)}")
     return "\n".join(lines) + "\n"
 
@@ -338,11 +345,10 @@ def run_single(cfg: ExperimentConfig, out_dir) -> tuple:
                             ("v_l4", None)):
             series = [(r.t, getattr(r, column)) for r in records]
             try:
-                f = fit_decay(series, window, quantity=column)
+                fit = fit_decay(series, window)
             except ValueError:
                 continue  # nonpositive values or too few samples: no fit row
-            fits.append((f.quantity, f.t_lo, f.t_hi, f.rate, f.prefactor, f.residual,
-                         f.n_samples, "" if ref is None else ref))
+            fits.append((column, *fit, "" if ref is None else ref))
     decay = _write_csv(out / "decay_summary.csv",
                        ("quantity", "t_lo", "t_hi", "rate", "prefactor", "residual",
                         "n_samples", "reference_rate"), fits)

@@ -195,7 +195,7 @@ class TestFitDecay:
     def test_exact_exponential(self):
         ts = np.linspace(1.0, 8.0, 40)
         series = [(t, 2.0 * np.exp(-0.9 * t)) for t in ts]
-        fit = fit_decay(series, (1.0, 8.0), quantity="demo")
+        fit = fit_decay(series, (1.0, 8.0))
         assert fit.rate == pytest.approx(0.9, abs=1e-10)
         assert fit.prefactor == pytest.approx(2.0, rel=1e-10)
         assert fit.residual <= 1e-10

@@ -38,6 +38,15 @@ stepper.t_end = 0.3
 threads = 1
 """
 
+# the config lines each study needs on top of BASE
+STUDY_EXTRA = {
+    "single_run": "",
+    "delta_sweep": "sweep.deltas = 4h,3h,2h\n",
+    "refinement": "refine.dt_list = 0.1,0.05,0.025\nrefine.n_list = 8,16,32\n",
+    "cross_validate": "",
+    "theta_scan": "scan.amplitudes = 0.05,0.1\n",
+}
+
 # grows without bound under backward Euler at dt = 0.9; sup c would overflow
 # at t = 4.5, where the run halts
 BLOWUP = """study = single_run
@@ -72,6 +81,14 @@ def cli(tmp_path, subcommand, text, *extra):
     out = tmp_path / subcommand
     return main([subcommand, "--config", str(cfg), "--out", str(out),
                  *extra]), out
+
+
+def setting(text, line):
+    """``text`` with ``line`` as the one line for its key: a line that gives
+    the key already is dropped, so the config does not give it twice."""
+    key = line.split(" = ")[0]
+    return "".join(ln + "\n" for ln in text.splitlines()
+                   if ln.split(" = ")[0] != key) + line + "\n"
 
 
 def csv_rows(path):
@@ -172,12 +189,13 @@ def test_xval_of_extinct_chemical_is_a_config_error(tmp_path, capsys):
     ("xval", "cross_validate", "xval.n_list = 16\nrefine.n_list = 32,64,128\n",
      "refine.n_list"),
     ("xval", "cross_validate", "refine.n_list = 32,64,128\nxval.n_list = 16\n",
-     "xval.n_list"),
+     "refine.n_list"),
 ], ids=["key-twice", "xval-then-refine", "refine-then-xval"])
 def test_second_value_of_one_setting_exits_2_naming_its_key(tmp_path, capsys,
                                                             subcommand, study,
                                                             lines, key):
-    # the later value silently won: a run at N=16, an xval over 32, 64, 128
+    # the later value silently won: a run at N=16, an xval over 32, 64, 128;
+    # refine.n_list is refinement's key, so xval refuses it in either order
     code, out = cli(tmp_path, subcommand, f"study = {study}\n" + BASE + lines)
     assert code == 2
     err = capsys.readouterr().err
@@ -223,36 +241,48 @@ REFINE_ORDER = ("study = refinement\nrefine.dt_list = 0.02,0.01,0.005\n"
                 + BASE.replace("stepper.t_end = 0.3", "stepper.t_end = 0.2"))
 
 
-@pytest.mark.parametrize("subcommand,head,field,flags", [
-    ("run", "study = theta_scan\nscan.amplitudes = 0.1\n", "study", ()),
-    ("scan-theta", "scan.amplitudes = 0.1\n", "study", ()),   # study = single_run
+@pytest.mark.parametrize("subcommand,head,field", [
+    # the subcommand and the study key name two studies
+    ("run", "study = theta_scan\nscan.amplitudes = 0.1\n", "study"),
+    ("scan-theta", "", "study"),   # study = single_run
     ("scan-theta", "study = theta_scan\nscan.amplitudes = 0.1\n"
-                   "snapshot_times = 0.1\n", "snapshot_times", ()),
+                   "snapshot_times = 0.1\n", "snapshot_times"),
     # only single_run reads mode; the other studies would ignore it
-    ("sweep-delta", SWEEP + "mode = original\n", "mode", ()),
-    ("refine", REFINE + "mode = original\n", "mode", ()),
-    ("xval", "study = cross_validate\nmode = original\n", "mode", ()),
+    ("sweep-delta", SWEEP + "mode = original\n", "mode"),
+    ("refine", REFINE + "mode = original\n", "mode"),
+    ("xval", "study = cross_validate\nmode = original\n", "mode"),
     ("scan-theta", "study = theta_scan\nscan.amplitudes = 0.1\n"
-                   "mode = original\n", "mode", ()),
+                   "mode = original\n", "mode"),
     # widths above L/4 = 1.57 wrap the mollifier
     ("sweep-delta", "study = delta_sweep\nsweep.deltas = 20,10,5\n",
-     "sweep.deltas", ()),
+     "sweep.deltas"),
     # data that cannot be built
-    ("run", "study = single_run\n" + NEGATIVE_U0, "recipe", ()),
-    ("sweep-delta", SWEEP + NEGATIVE_U0, "recipe", ()),
-    ("refine", REFINE + NEGATIVE_U0, "recipe", ()),
-    ("xval", "study = cross_validate\n" + NEGATIVE_U0, "recipe", ()),
+    ("run", "study = single_run\n" + NEGATIVE_U0, "recipe"),
+    ("sweep-delta", SWEEP + NEGATIVE_U0, "recipe"),
+    ("refine", REFINE + NEGATIVE_U0, "recipe"),
+    ("xval", "study = cross_validate\n" + NEGATIVE_U0, "recipe"),
     # both studies step at fixed dt; a CFL step would be ignored
-    ("refine", REFINE + "stepper.dt_mode = cfl\n", "stepper.dt_mode", ()),
-    ("xval", "study = cross_validate\nstepper.dt_mode = cfl\n", "stepper.dt_mode",
-     ()),
+    ("refine", REFINE + "stepper.dt_mode = cfl\n", "stepper.dt_mode"),
+    ("xval", "study = cross_validate\nstepper.dt_mode = cfl\n", "stepper.dt_mode"),
+    ("run", "study = single_run\nstepper.dt 0.05\n", "line 2"),   # no '='
+    # a study's own checks: a sweep needs three decreasing widths, a
+    # refinement three step sizes, a scan an increasing amplitude ladder
+    ("sweep-delta", "study = delta_sweep\nsweep.deltas = 4h,2h\n", "sweep.deltas"),
+    ("sweep-delta", "study = delta_sweep\nsweep.deltas = 2h,3h,4h\n",
+     "sweep.deltas"),
+    ("refine", "study = refinement\nrefine.dt_list = 0.1,0.05\n"
+               "refine.n_list = 8,16,32\n", "refine.dt_list"),
+    ("scan-theta", "study = theta_scan\nscan.amplitudes = 0.2,0.1\n",
+     "scan.amplitudes"),
+    ("scan-theta", "study = theta_scan\n", "scan.amplitudes"),
 ], ids=["study-run", "study-scan-theta", "snapshot_times", "mode-sweep-delta",
         "mode-refine", "mode-xval", "mode-scan-theta",
         "sweep-too-wide", "u0-negative-run", "u0-negative-sweep-delta",
-        "u0-negative-refine", "u0-negative-xval", "cfl-refine", "cfl-xval"])
-def test_config_of_another_study_exits_2(tmp_path, capsys, subcommand, head, field,
-                                         flags):
-    code, out = cli(tmp_path, subcommand, head + BASE, *flags)
+        "u0-negative-refine", "u0-negative-xval", "cfl-refine", "cfl-xval",
+        "no-equals-sign", "sweep-two-widths", "sweep-increasing",
+        "refine-two-steps", "scan-decreasing", "scan-absent"])
+def test_config_of_another_study_exits_2(tmp_path, capsys, subcommand, head, field):
+    code, out = cli(tmp_path, subcommand, head + BASE)
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: config field '{field}': ")
@@ -330,34 +360,89 @@ def test_chi_and_mu_are_independent_inputs(tmp_path, capsys):
     assert "config field 'params.xi': unknown key" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("line", [
-    "grid.N = 2.5e2", "params.mu = x", "stepper.dt = abc",
-    "refine.n_list = 16.7,32", "xval.n_list = 16.7,32",   # not truncated to 16
-    "stepper.dt = -1", "grid.N = 7", "recipe.kind = blob",  # parse, but out of range
-    "xval.n_list = 16,7", "refine.n_list = 6,12,24",   # not a grid resolution
-    "threads = 0",
-    "xval.n_list = 64,8",   # N=8 would step at dt = 0.4 > t_end = 0.3
-    "xval.n_list = 32,32",   # the same member twice
+def bad(line, subcommand="xval", field=None):
+    """A case of `test_bad_value_exits_2_naming_its_key`, with the line as its
+    id: the line, the subcommand of a study that reads its key, and the field
+    that the error names, by default the line's key."""
+    return pytest.param(line, subcommand, field or line.split(" = ")[0], id=line)
+
+
+@pytest.mark.parametrize("line,subcommand,field", [
+    bad("grid.N = 2.5e2"), bad("params.mu = x"), bad("stepper.dt = abc"),
+    bad("refine.n_list = 16.7,32", "refine"),   # not truncated to 16
+    bad("xval.n_list = 16.7,32"),
+    bad("stepper.dt = -1"), bad("grid.N = 7"),   # parse, but out of range
+    bad("recipe.kind = blob"),
+    bad("xval.n_list = 16,7"),   # not a grid resolution
+    bad("refine.n_list = 6,12,24", "refine"),
+    bad("threads = 0"),
+    bad("xval.n_list = 64,8"),   # N=8 would step at dt = 0.4 > t_end = 0.3
+    bad("xval.n_list = 32,32"),   # the same member twice
     # not finite: NaN passes every range check, and t_end = inf never ends
-    "stepper.t_end = nan", "stepper.t_end = inf", "stepper.dt = nan",
-    "grid.L = nan", "params.chi = nan", "params.mu = nan", "recipe.delta = nan",
-    "recipe.delta = infh", "recipe.modes = 1,0,nan,0.0", "scan.amplitudes = 0.1,nan",
+    bad("stepper.t_end = nan"), bad("stepper.t_end = inf"), bad("stepper.dt = nan"),
+    bad("grid.L = nan"), bad("params.chi = nan"), bad("params.mu = nan"),
+    bad("recipe.delta = nan"), bad("recipe.delta = infh"),
+    bad("recipe.modes = 1,0,nan,0.0"), bad("scan.amplitudes = 0.1,nan", "scan-theta"),
     # no disk would be drawn, and a radius r <= 0 would act as |r|
-    "recipe.random_disks = -3", "recipe.disks = 0.5,0.5,0.0,1.0",
-    "recipe.disks = 0.5,0.5,-0.2,1.0",
+    bad("recipe.random_disks = -3"), bad("recipe.disks = 0.5,0.5,0.0,1.0"),
+    bad("recipe.disks = 0.5,0.5,-0.2,1.0"),
     # no cell lies in a stripe of width <= 0, and one past 1 is the whole box
-    "recipe.stripes = 0.2,-0.3,1.0", "recipe.stripes = 0.2,0.0,1.0",
-    "recipe.stripes = 0.2,1.5,1.0",
+    bad("recipe.stripes = 0.2,-0.3,1.0"), bad("recipe.stripes = 0.2,0.0,1.0"),
+    bad("recipe.stripes = 0.2,1.5,1.0"),
+    # out of range; a step longer than the horizon (t_end = 0.3) is named by
+    # its section, since the two values contradict each other
+    bad("stepper.t_end = -1"), bad("stepper.dt = 0.5", field="stepper"),
+    bad("stepper.dt_mode = adaptive"), bad("stepper.cfl_number = 2"),
+    bad("stepper.scheme = rk4"), bad("stepper.record_every = 0"),
+    bad("params.chi = -1"), bad("recipe.delta = -1"),
+    # unparsable: a point is two numbers, and a mode one of two names
+    bad("recipe.bump_center = 0.5"), bad("mode = sideways", "run"),
 ])
-def test_bad_value_exits_2_naming_its_key(tmp_path, capsys, line):
-    key, value = line.split(" = ")
-    code, out = cli(tmp_path, "xval", "study = cross_validate\n" + BASE + line + "\n")
+def test_bad_value_exits_2_naming_its_key(tmp_path, capsys, line, subcommand, field):
+    study = next(c[1] for c in STUDY_COMMANDS if c[0] == subcommand)
+    text = setting(f"study = {study}\n" + STUDY_EXTRA[study] + BASE, line)
+    code, out = cli(tmp_path, subcommand, text)
     assert code == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"error: config field '{key}': ")
-    assert value in err
-    assert err.count("config field") == 1
+    assert err.startswith(f"error: config field '{field}': ")
+    assert line.split(" = ")[1] in err
+    assert err.count("config field") == 1 and "given twice" not in err
     assert not out.exists()   # rejected before any output or run
+
+
+# a valid value of each key that one study alone reads, and that study
+STUDY_KEYS = {
+    "mode": ("single_run", "original"),
+    "snapshot_times": ("single_run", "0.1"),
+    "sweep.deltas": ("delta_sweep", "4h,3h,2h"),
+    "refine.n_list": ("refinement", "8,16,32"),
+    "refine.dt_list": ("refinement", "0.1,0.05,0.025"),
+    "xval.n_list": ("cross_validate", "16,32"),
+    "scan.amplitudes": ("theta_scan", "0.05,0.1"),
+}
+
+
+@pytest.mark.parametrize("subcommand,study", [c[:2] for c in STUDY_COMMANDS])
+def test_key_of_another_study_exits_2(tmp_path, capsys, subcommand, study):
+    # a study that ignored the key would report a claim checked under a
+    # setting it never used; every key not in STUDY_KEYS is every study's
+    assert set(STUDY_KEYS) == {row[0] for row in harness._SCHEMA
+                               if harness._reader(row[0], None) is not None}
+    for key, (reader, value) in STUDY_KEYS.items():
+        if reader == study:
+            continue
+        code, out = cli(tmp_path, subcommand, f"study = {study}\n"
+                        + STUDY_EXTRA[study] + BASE + f"{key} = {value}\n")
+        assert code == 2, key
+        err = capsys.readouterr().err
+        assert err == (f"error: config field '{key}': is read only by {reader}, "
+                       f"not {study}\n")
+        assert not out.exists(), key
+    # the study's own keys parse, and its echo parses back to the same config
+    own = "".join(f"{key} = {value}\n" for key, (reader, value) in STUDY_KEYS.items()
+                  if reader == study)
+    cfg = parse_config(f"study = {study}\n" + BASE + own)
+    assert parse_config(format_config(cfg)) == cfg
 
 
 def test_parse_config_rejects_zero_threads():
@@ -594,27 +679,17 @@ def test_snapshot_is_on_disk_before_the_next_record(tmp_path, monkeypatch):
         assert on_disk == [t > ts + 1e-12 for ts in times], t
 
 
-# the config lines each study needs on top of BASE
-STUDY_EXTRA = {
-    "single_run": "",
-    "delta_sweep": "sweep.deltas = 4h,3h,2h\n",
-    "refinement": "refine.dt_list = 0.1,0.05,0.025\nrefine.n_list = 8,16,32\n",
-    "cross_validate": "",
-    "theta_scan": "scan.amplitudes = 0.05,0.1\n",
-}
-
-
 @pytest.mark.parametrize("subcommand,study", [c[:2] for c in STUDY_COMMANDS])
 def test_negative_seed_exits_2_in_every_study(tmp_path, capsys, subcommand, study):
     # random.Random(-n) would draw the layout of n; a negative seed is
     # refused at parse time, also in the theta scan, which builds its data
     # inside each member
-    code, out = cli(tmp_path, subcommand, f"study = {study}\n" + STUDY_EXTRA[study]
-                    + BASE + "recipe.seed = -3\n")
+    code, out = cli(tmp_path, subcommand, setting(
+        f"study = {study}\n" + STUDY_EXTRA[study] + BASE, "recipe.seed = -3"))
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: config field 'recipe.seed': ")
-    assert err.count("\n") == 1
+    assert err.count("\n") == 1 and "given twice" not in err
     assert not out.exists()
 
 
@@ -849,6 +924,28 @@ def test_scan_theta_classifies_each_amplitude(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("t_end,label,decayed", [
+    (2.0, "completed_no_decay", "0"), (3.0, "completed_decay", "1")])
+def test_scan_theta_labels_the_settled_window(tmp_path, capsys, t_end, label,
+                                              decayed):
+    # two disks of opposite weight, mirror images of each other, so the mean
+    # density is 1 at every amplitude; at amplitude 2 the negative disk puts
+    # u0 = -1 under it, and that member's data cannot be built.  The other
+    # members settle (t >= 1) near 1, and their sup deviation from it halves
+    # by t = 3 but not by t = 2.
+    text = "study = theta_scan\nscan.amplitudes = 0.1,0.6,2.0\n" + BASE.replace(
+        "grid.N = 32", "grid.N = 16").replace(
+        "recipe.random_disks = 2", "recipe.disks = 0.25,0.5,0.8,1.0; 0.75,0.5,0.8,-1.0"
+        ).replace("stepper.t_end = 0.3", f"stepper.t_end = {t_end}")
+    code, out = cli(tmp_path, "scan-theta", text)
+    assert code == 0
+    rows = csv_rows(out / "theta_scan.csv")
+    assert [(r["outcome"], r["decayed"], r["lemma34_ok"]) for r in rows] == [
+        (label, decayed, "1"), (label, decayed, "1"), ("invalid_data", "0", "0")]
+    assert rows[2]["theta0"] == "nan"
+    capsys.readouterr()
+
+
 # --- config round trip -------------------------------------------------------
 
 finite = st.floats(min_value=1e-3, max_value=1e3, allow_nan=False)
@@ -865,9 +962,9 @@ def _join(items, sep=","):
 @st.composite
 def config_texts(draw):
     dt = draw(finite)
+    study = draw(st.sampled_from(STUDIES))
     lines = {
-        "study": draw(st.sampled_from(STUDIES)),
-        "mode": draw(st.sampled_from(("transformed", "original"))),
+        "study": study,
         "threads": str(draw(small_int)),
         "grid.L": repr(draw(finite)),
         "grid.N": str(2 * draw(st.integers(min_value=4, max_value=64))),
@@ -901,17 +998,26 @@ def config_texts(draw):
                                            signed, signed),
                                  min_size=1, max_size=3).map(
             lambda ms: "; ".join(_join(m) for m in ms)),
-        "snapshot_times": st.lists(finite, min_size=1, max_size=4).map(_join),
-        "sweep.deltas": st.lists(st.one_of(
-            st.integers(min_value=1, max_value=8).map(lambda n: f"{n}h"),
-            finite.map(repr)), min_size=1, max_size=4).map(",".join),
-        "xval.n_list": st.lists(st.integers(min_value=4, max_value=256).map(
-                                    lambda n: 2 * n),
-                                min_size=1, max_size=4, unique=True).map(
-            lambda ns: ",".join(map(str, ns))),
-        "refine.dt_list": st.lists(finite, min_size=1, max_size=4).map(_join),
-        "scan.amplitudes": st.lists(signed, min_size=1, max_size=4).map(_join),
     }
+    resolutions = st.lists(st.integers(min_value=4, max_value=256).map(
+                               lambda n: 2 * n),
+                           min_size=1, max_size=4, unique=True).map(
+        lambda ns: ",".join(map(str, ns)))
+    # the keys that only the drawn study reads
+    optional |= {
+        "single_run": {
+            "mode": st.sampled_from(("transformed", "original")),
+            "snapshot_times": st.lists(finite, min_size=1, max_size=4).map(_join)},
+        "delta_sweep": {"sweep.deltas": st.lists(st.one_of(
+            st.integers(min_value=1, max_value=8).map(lambda n: f"{n}h"),
+            finite.map(repr)), min_size=1, max_size=4).map(",".join)},
+        "refinement": {
+            "refine.n_list": resolutions,
+            "refine.dt_list": st.lists(finite, min_size=1, max_size=4).map(_join)},
+        "cross_validate": {"xval.n_list": resolutions},
+        "theta_scan": {
+            "scan.amplitudes": st.lists(signed, min_size=1, max_size=4).map(_join)},
+    }[study]
     for key, strategy in optional.items():
         if draw(st.booleans()):
             lines[key] = draw(strategy)
@@ -921,6 +1027,7 @@ def config_texts(draw):
 @settings(max_examples=30, deadline=None)
 @given(config_texts())
 def test_config_round_trip(text):
+    # every key of the text is one that its study reads, so the echo keeps it
     cfg = parse_config(text)
     echo = format_config(cfg)
     assert parse_config(echo) == cfg

@@ -13,7 +13,9 @@ For each module it prints four counts:
 
 Then it prints the settings surface, read from the syntax trees: the config
 keys, one per row of ``harness._SCHEMA``, and the CLI options, one per
-``add_argument`` call in ``cli.py``.
+``add_argument`` call in ``cli.py``.  Last it prints how many of those keys
+each study of ``harness.STUDIES`` accepts: all but the keys that
+``harness._READERS`` gives to another study, by section or by name.
 """
 
 from __future__ import annotations
@@ -64,16 +66,25 @@ def count(path: Path) -> dict:
             "comment": len(comment), "code": len(code)}
 
 
+def _assigned(tree, name):
+    """The value node of the module-level assignment to ``name``, or None."""
+    return next((node.value for node in tree.body if isinstance(node, ast.Assign)
+                 and any(getattr(t, "id", None) == name for t in node.targets)), None)
+
+
 def settings(package: Path) -> tuple:
-    """(config keys, CLI options) of the package."""
+    """(config keys, CLI options, {study: keys it accepts}) of the package."""
     harness = ast.parse((package / "harness.py").read_text(encoding="utf-8"))
-    keys = next(len(node.value.elts) for node in ast.walk(harness)
-                if isinstance(node, ast.Assign)
-                and any(getattr(t, "id", None) == "_SCHEMA" for t in node.targets))
+    keys = [row.elts[0].value for row in _assigned(harness, "_SCHEMA").elts]
+    readers = _assigned(harness, "_READERS")   # a tree without it: all read all
+    readers = ast.literal_eval(readers) if readers else {}
+    studies = ast.literal_eval(_assigned(harness, "STUDIES"))
+    accepted = {study: sum(readers.get(key.split(".")[0], study) == study
+                           for key in keys) for study in studies}
     cli = ast.parse((package / "cli.py").read_text(encoding="utf-8"))
     options = sum(isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
                   and node.func.attr == "add_argument" for node in ast.walk(cli))
-    return keys, options
+    return len(keys), options, accepted
 
 
 def main(argv=None) -> int:
@@ -85,9 +96,11 @@ def main(argv=None) -> int:
     print(f"{'module':<{width}}" + "".join(f"{c:>11}" for c in COLUMNS))
     for name, r in rows:
         print(f"{name:<{width}}" + "".join(f"{r[c]:>11}" for c in COLUMNS))
-    keys, options = settings(package)
+    keys, options, accepted = settings(package)
     print(f"settings: {keys} config keys (harness._SCHEMA), "
           f"{options} CLI options (cli.py)")
+    print("keys accepted: " + ", ".join(f"{study} {n}"
+                                        for study, n in accepted.items()))
     return 0
 
 
