@@ -1,10 +1,10 @@
 """Command-line entry points: a subcommand per study of `STUDY_COMMANDS`,
 each running the study skeleton of `harness`, and fit-decay.
 
-A study subcommand exits 0 on completion, 10 on blow-up and 11 on chemical
-extinction of a run the study needs to complete, and 2 on a config or input
-error, with one ``error:`` line; fit-decay exits 0 or 2.  The config file
-gives every experiment setting that its study reads, and ``--out``
+A study subcommand exits with the `EXIT_CODES` entry of its outcome, or of
+the halt of a run that the study needs to complete, and 2 on a config or
+input error, with one ``error:`` line; fit-decay exits 0 or 2.  The config
+file gives every experiment setting that its study reads, and ``--out``
 (default ``out``) where the outputs go.
 """
 
@@ -15,8 +15,15 @@ import sys
 from functools import partial
 
 from . import harness
-from .diagnostics import fit_decay
-from .evolve import EXIT_CODES
+from .diagnostics import DECAY_WINDOW, fit_decay
+from .evolve import RunOutcome
+
+# a study's exit code by its outcome; a config or input error exits 2
+EXIT_CODES = {
+    RunOutcome.COMPLETED: 0,
+    RunOutcome.BLOWUP: 10,
+    RunOutcome.CHEMICAL_EXTINCTION: 11,
+}
 
 
 def _print_table(table) -> int:
@@ -73,31 +80,12 @@ def _run_study(study, run_study, printer, args) -> int:
     return printer(run_study(cfg, out_dir=args.out))
 
 
-def _read_series(path, column) -> list:
-    """(t, value) pairs of one column of a chemoflux CSV table."""
-    with open(path) as fh:
-        rows = [(lineno, ln.strip().split(",")) for lineno, ln in enumerate(fh, 1)
-                if ln.strip() and not ln.startswith("#")]
-    header = rows[0][1] if rows else []
-    for name in ("t", column):
-        if name not in header:
-            raise ValueError(f"column {name!r} not found in {path}")
-    i, j = header.index("t"), header.index(column)
-    series = []
-    for lineno, p in rows[1:]:
-        if len(p) != len(header):
-            raise ValueError(f"{path} line {lineno}: {len(p)} fields, "
-                             f"the header has {len(header)}")
-        series.append((float(p[i]), float(p[j])))
-    return series
-
-
 def cmd_fit_decay(args) -> int:
     try:
         window = tuple(float(x) for x in args.window.split(","))
         if len(window) != 2:
             raise ValueError(f"--window takes t_lo,t_hi, got {args.window!r}")
-        fit = fit_decay(_read_series(args.csv, args.column), window)
+        fit = fit_decay(harness.read_series(args.csv, args.column), window)
     except (OSError, ValueError) as exc:   # unreadable CSV or bad window
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -122,7 +110,8 @@ def main(argv=None) -> int:
     p = subs.add_parser("fit-decay", help="log-linear fit on a diagnostics column")
     p.add_argument("--csv", required=True, help="diagnostics CSV path")
     p.add_argument("--column", default="c_linf")
-    p.add_argument("--window", default="2,20", help="t_lo,t_hi")
+    p.add_argument("--window", default="{:g},{:g}".format(*DECAY_WINDOW),
+                   help="t_lo,t_hi")
     p.set_defaults(fn=cmd_fit_decay)
 
     args = parser.parse_args(argv)

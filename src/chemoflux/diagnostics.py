@@ -10,7 +10,7 @@ which `TrajectoryRecorder` accumulates, and ``node.row(p0)`` builds a `Node`'s
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -18,6 +18,7 @@ import numpy as np
 from .fields import Grid, band_rfft2, lp_norm, spectral_power
 
 SCHEMA_VERSION = "chemoflux-diagnostics-v1"
+DECAY_WINDOW = (2.0, 20.0)   # the settled window (t_lo, t_hi) of a decay fit
 
 
 def sigma_weight(t: float) -> float:
@@ -31,8 +32,7 @@ def sup_deviation(u: np.ndarray) -> float:
     return float(max(u.max() - 1.0, 1.0 - u.min()))
 
 
-@dataclass
-class DiagnosticsRecord:
+class DiagnosticsRecord(NamedTuple):
     """One row of the diagnostics CSV: its fields are the columns, in order."""
 
     t: float
@@ -55,7 +55,7 @@ class DiagnosticsRecord:
     gn_ratio: float
 
 
-CSV_COLUMNS = tuple(f.name for f in fields(DiagnosticsRecord))
+CSV_COLUMNS = DiagnosticsRecord._fields
 
 
 class DecayFit(NamedTuple):
@@ -72,7 +72,7 @@ class DecayFit(NamedTuple):
 
 def fit_decay(series, window) -> DecayFit:
     """Least-squares line on (t, ln value) over the window, which lies in
-    t >= 1; needs at least 10 samples, all positive."""
+    t >= 1; needs at least 10 samples, all finite and positive."""
     t_lo, t_hi = float(window[0]), float(window[1])
     if not (t_hi > t_lo >= 1.0):
         raise ValueError(f"window must satisfy t_hi > t_lo >= 1, got {window}")
@@ -84,8 +84,8 @@ def fit_decay(series, window) -> DecayFit:
     if len(ts) < 10:
         raise ValueError(f"need >= 10 samples in window, got {len(ts)}")
     vs = np.asarray(vs)
-    if (vs <= 0).any():
-        raise ValueError("decay fit requires strictly positive values")
+    if not (np.isfinite(vs) & (vs > 0)).all():
+        raise ValueError("decay fit requires finite, strictly positive values")
     ts = np.asarray(ts)
     logs = np.log(vs)
     slope, intercept = np.polyfit(ts, logs, 1)
@@ -142,7 +142,7 @@ class TrajectoryRecorder:
         self.sup_v4 = 0.0          # sup ||v||_4^4
         self.int_grad_u = 0.0      # int |grad u|^2
         self.int_a2 = 0.0          # int sigma|ut|^2 + sigma^2|grad ut|^2
-        self.int_v4 = 0.0          # int ||v||_4^4  (blow-up monitor)
+        self.blowup_integral = 0.0  # int ||v||_4^4, the blow-up monitor
 
     def on_node(self, t: float, aux: NodeAux) -> None:
         s = sigma_weight(t)
@@ -158,7 +158,7 @@ class TrajectoryRecorder:
             self.int_a2 += 0.5 * h * (
                 (s0 * a0.ut_sq + s0 * s0 * a0.grad_ut_sq)
                 + (s * aux.ut_sq + s * s * aux.grad_ut_sq))
-            self.int_v4 += 0.5 * h * (a0.v4_4 + aux.v4_4)
+            self.blowup_integral += 0.5 * h * (a0.v4_4 + aux.v4_4)
         self._prev = (t, aux)
 
     @property
@@ -171,11 +171,7 @@ class TrajectoryRecorder:
 
     @property
     def a3(self) -> float:
-        return self.sup_v4 + self.int_v4
-
-    @property
-    def blowup_integral(self) -> float:
-        return self.int_v4
+        return self.sup_v4 + self.blowup_integral
 
     def make_record(self, node: Node, p0: float) -> DiagnosticsRecord:
         """The row of a record node: its norm columns from ``node.aux``, v_lp0

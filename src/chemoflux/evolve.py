@@ -26,6 +26,7 @@ from .fields import Grid, ParameterError, band_rfft2
 
 _LOG_FLOOR = float(np.log(C_FLOOR))
 _LOG_MAX = float(np.log(np.finfo(float).max))   # exp overflows above this
+MODES = ("transformed", "original")
 
 
 def _time_tol(t: float) -> float:
@@ -37,13 +38,6 @@ class RunOutcome(Enum):
     COMPLETED = "completed"
     BLOWUP = "blowup"
     CHEMICAL_EXTINCTION = "chemical_extinction"
-
-
-EXIT_CODES = {
-    RunOutcome.COMPLETED: 0,
-    RunOutcome.BLOWUP: 10,
-    RunOutcome.CHEMICAL_EXTINCTION: 11,
-}
 
 
 @dataclass
@@ -155,8 +149,8 @@ def march(data: list, cfg: StepperConfig, params: ChemistryParams,
     and at t_end, and returns the node at t_end.  ``data`` is the one-shot
     holder ``[u0, phi0]`` of two arrays of ``grid``'s shape; the march empties
     it, since every frame of the call chain would otherwise keep the datum
-    alive.  ``mode`` is "transformed" or "original"; a node's v is the drift
-    and its s is ln c in both.  A caller relies on these invariants:
+    alive.  ``mode`` is one of `MODES`; a node's v is the drift and its s is
+    ln c in both.  A caller relies on these invariants:
 
     * a yielded node's arrays are never written afterwards, and the march
       keeps no node, datum, snapshot or earlier state across a step;
@@ -168,7 +162,7 @@ def march(data: list, cfg: StepperConfig, params: ChemistryParams,
       ``BLOWUP`` when a node norm is not finite or sup c would overflow;
     * single-threaded runs of one configuration are deterministic.
     """
-    if mode not in ("transformed", "original"):
+    if mode not in MODES:
         raise ValueError(f"mode must be transformed or original, got {mode!r}")
     if snapshot_times and snapshot_sink is None:
         raise ValueError("snapshot_times need a snapshot_sink")

@@ -53,11 +53,6 @@ class Grid:
     def shape(self) -> tuple[int, int]:
         return (self.resolution, self.resolution)
 
-    @cached_property
-    def wavenumbers(self) -> np.ndarray:
-        """Per-axis table 2*pi*m/L, FFT index order (length N)."""
-        return 2.0 * np.pi * np.fft.fftfreq(self.resolution, d=self.spacing)
-
     # separable derivative tables: a (1, N/2 + 1) row in x and an (N, 1)
     # column in y; the Nyquist entry has no sign partner and is zeroed
     @cached_property
@@ -68,7 +63,7 @@ class Grid:
 
     @cached_property
     def _ky_deriv(self) -> np.ndarray:
-        k = self.wavenumbers.copy()
+        k = 2.0 * np.pi * np.fft.fftfreq(self.resolution, d=self.spacing)
         k[self.resolution // 2] = 0.0
         return k[:, None]
 

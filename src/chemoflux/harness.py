@@ -28,8 +28,9 @@ from pathlib import Path
 # perfbench traces `forward_transform` as ``harness.forward_transform``, a
 # boundary its tests require, so it stays imported though no study calls it
 from .cole_hopf import C_FLOOR, ChemistryParams, forward_transform  # noqa: F401
-from .diagnostics import CSV_COLUMNS, SCHEMA_VERSION, fit_decay, sup_deviation
-from .evolve import RunHalted, RunOutcome, StepperConfig, march, run
+from .diagnostics import (CSV_COLUMNS, DECAY_WINDOW, SCHEMA_VERSION, DecayFit,
+                          fit_decay, sup_deviation)
+from .evolve import MODES, RunHalted, RunOutcome, StepperConfig, march, run
 from .fields import Grid, ParameterError, lp_norm
 from .initial_data import InitialDataRecipe, build_initial_data
 from .snapshots import write_snapshot
@@ -134,7 +135,7 @@ _SECTIONS = {"grid": Grid, "params": ChemistryParams,
 
 _SCHEMA = (
     ("study", None, "study", _one_of(*STUDIES), str),
-    ("mode", None, "mode", _one_of("transformed", "original"), str),
+    ("mode", None, "mode", _one_of(*MODES), str),
     ("threads", None, "threads", _threads, str),
     ("grid.L", "grid", "side_length", _finite, repr),
     ("grid.N", "grid", "resolution", int, str),
@@ -203,7 +204,8 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ConfigError(key, "unknown key")
         reader = _reader(key, study)
         if reader != study:
-            raise ConfigError(key, f"is read only by {reader}, not {study}")
+            note = "" if "study" in raw else " (the config gives no study key)"
+            raise ConfigError(key, f"is read only by {reader}, not {study}{note}")
 
     values = {section: {} for section in (None, *_SECTIONS)}
 
@@ -258,8 +260,8 @@ def format_config(cfg: ExperimentConfig) -> str:
 
 def _write_csv(path, columns, rows) -> tuple:
     """Write the schema line, the header of ``columns`` and a line per row,
-    numbers to 17 significant digits so they read back exactly; return
-    ``(columns, rows)``."""
+    numbers to 17 significant digits so that `read_series` reads them back
+    exactly; return ``(columns, rows)``."""
     with open(path, "w", newline="\n") as fh:
         fh.write(f"# {SCHEMA_VERSION}\n{','.join(columns)}\n")
         for row in rows:
@@ -268,9 +270,27 @@ def _write_csv(path, columns, rows) -> tuple:
     return columns, rows
 
 
+def read_series(path, column) -> list:
+    """(t, value) pairs of one column of a table that `_write_csv` wrote."""
+    with open(path) as fh:
+        rows = [(lineno, ln.strip().split(",")) for lineno, ln in enumerate(fh, 1)
+                if ln.strip() and not ln.startswith("#")]
+    header = rows[0][1] if rows else []
+    for name in ("t", column):
+        if name not in header:
+            raise ValueError(f"column {name!r} not found in {path}")
+    i, j = header.index("t"), header.index(column)
+    series = []
+    for lineno, p in rows[1:]:
+        if len(p) != len(header):
+            raise ValueError(f"{path} line {lineno}: {len(p)} fields, "
+                             f"the header has {len(header)}")
+        series.append((float(p[i]), float(p[j])))
+    return series
+
+
 def write_diagnostics_csv(path, records) -> None:
-    _write_csv(path, CSV_COLUMNS,
-               ([getattr(rec, c) for c in CSV_COLUMNS] for rec in records))
+    _write_csv(path, CSV_COLUMNS, records)
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +359,8 @@ def run_single(cfg: ExperimentConfig, out_dir) -> tuple:
 
     fits = []
     t_final = records[-1].t if records else 0.0   # t=0 halt
-    window = (2.0, min(20.0, t_final))
+    lo, hi = DECAY_WINDOW
+    window = (lo, min(hi, t_final))
     if window[1] > window[0]:
         for column, ref in (("c_linf", cfg.params.mu), ("u_linf", None),
                             ("v_l4", None)):
@@ -347,11 +368,10 @@ def run_single(cfg: ExperimentConfig, out_dir) -> tuple:
             try:
                 fit = fit_decay(series, window)
             except ValueError:
-                continue  # nonpositive values or too few samples: no fit row
+                continue  # too few samples, or one not finite and positive: no row
             fits.append((column, *fit, "" if ref is None else ref))
     decay = _write_csv(out / "decay_summary.csv",
-                       ("quantity", "t_lo", "t_hi", "rate", "prefactor", "residual",
-                        "n_samples", "reference_rate"), fits)
+                       ("quantity", *DecayFit._fields, "reference_rate"), fits)
     return outcome, message, records, decay, out
 
 
@@ -392,8 +412,8 @@ def run_refinement(cfg: ExperimentConfig, out_dir) -> tuple:
     Returns the table of ``refinement.csv``, rows (kind, param, error, order):
     a temporal error is the distance to the run at the next smaller dt, a
     spatial error the distance to the finest grid at the smallest dt, and the
-    order is observed between a row and the next (nan for the last).  Each
-    distinct (N, dt) member runs once.
+    order is observed between a row and the next (nan for the last, and
+    where either error is 0).  Each distinct (N, dt) member runs once.
     """
     if cfg.stepper.dt_mode != "fixed":
         raise ConfigError("stepper.dt_mode", f"refinement steps at fixed dt, "
@@ -441,8 +461,8 @@ def run_refinement(cfg: ExperimentConfig, out_dir) -> tuple:
             order = float("nan")
             if i + 1 < len(errs):
                 _, err_next, h_next = errs[i + 1]
-                ratio = max(err / max(err_next, 1e-300), 1e-300)
-                order = math.log(ratio) / math.log(h / h_next)
+                if err > 0 and err_next > 0:
+                    order = math.log(err / err_next) / math.log(h / h_next)
             rows.append((kind, param, err, order))
     return _write_csv(out / "refinement.csv", ("kind", "param", "error", "order"), rows)
 

@@ -3,7 +3,7 @@
 The program computes on half spectra (``np.fft.rfft2``) in a single pass;
 these operators compute the same quantities with ``np.fft.fft2`` over the
 whole N x N spectrum, from their own wavenumber tables built out of
-``grid.wavenumbers``.  Fields are plain arrays, N x N for a scalar and
+`wavenumbers`.  Fields are plain arrays, N x N for a scalar and
 (2, N, N) for a vector, and each operator takes the `Grid` first.  They
 share no spectral code with ``chemoflux``, and `lp_norm` is their own, so
 the tests use them as an independent check of it.
@@ -31,11 +31,16 @@ def lp_norm(grid, x, p) -> float:
     return float(((vals ** p).sum() * grid.cell_area) ** (1.0 / p))
 
 
+def wavenumbers(grid):
+    """Per-axis table 2*pi*m/L in FFT index order (length N)."""
+    return 2.0 * np.pi * np.fft.fftfreq(grid.resolution, d=grid.spacing)
+
+
 @lru_cache(maxsize=None)
 def _tables(grid):
     """(ikx, iky, k_squared, out_of_band) in full FFT index order."""
     n = grid.resolution
-    k = grid.wavenumbers
+    k = wavenumbers(grid)
     k_deriv = k.copy()
     k_deriv[n // 2] = 0.0   # Nyquist has no sign partner
     # rounded, since fftfreq(n) * n is not always an exact integer

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from chemoflux import ChemistryParams, Grid, StepperConfig, forward_transform, run
-from chemoflux.cole_hopf import C_FLOOR
+from chemoflux import ChemistryParams, Grid, StepperConfig, run
+from chemoflux.cole_hopf import C_FLOOR, forward_transform
 from sample_fields import band_limited_field, constant_field
 from oracles import curl2d, lp_norm
 

@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
-from chemoflux import (ChemistryParams, DiagnosticsRecord, Grid, StepperConfig,
-                       fit_decay, run)
-from chemoflux.diagnostics import CSV_COLUMNS
+from chemoflux import ChemistryParams, Grid, StepperConfig, run
+from chemoflux.diagnostics import (CSV_COLUMNS, DiagnosticsRecord, Node,
+                                   TrajectoryRecorder, fit_decay, node_norms)
 from chemoflux.harness import write_diagnostics_csv
-from chemoflux.diagnostics import Node, TrajectoryRecorder, node_norms
 from chemoflux.fields import band_rfft2
 from sample_fields import (band_limited_field, band_limited_gradient,
                            band_limited_potential, constant_field,

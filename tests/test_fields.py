@@ -6,13 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chemoflux import Grid, lp_norm, write_snapshot
-from chemoflux.fields import band_rfft2, spectral_power
+from chemoflux import Grid
+from chemoflux.fields import band_rfft2, lp_norm, spectral_power
+from chemoflux.snapshots import write_snapshot
 from sample_fields import (band_limited_field, band_limited_gradient,
                            constant_field, field_from_function)
 from sample_fields import spectral_gradient as gradient
 from oracles import (curl2d, dealias, divergence, gn_ratio, laplacian,
-                     perp_gradient, product_dot, product_scalar_vector)
+                     perp_gradient, product_dot, product_scalar_vector,
+                     wavenumbers)
 from oracles import gradient as full_spectrum_gradient
 from oracles import lp_norm as oracle_lp_norm
 
@@ -31,7 +33,7 @@ class TestGrid:
             Grid(side_length=1.0, resolution=4)
 
     def test_wavenumber_table(self, grid32):
-        k = grid32.wavenumbers
+        k = wavenumbers(grid32)
         n = grid32.resolution
         assert k.shape == (n,)
         assert k[0] == 0.0
@@ -40,6 +42,10 @@ class TestGrid:
             assert k[m] == -k[n - m]
         assert k[n // 2] == -np.pi * n / grid32.side_length
         assert np.isclose(k[1], 2 * np.pi / grid32.side_length)
+        # the derivative tables are this one with the Nyquist entry zeroed
+        k[n // 2] = 0.0
+        assert np.array_equal(grid32._ky_deriv[:, 0], k)
+        assert np.array_equal(grid32._kx_deriv[0], np.abs(k[:n // 2 + 1]))
 
     def test_cell_area(self, grid32):
         assert np.isclose(grid32.cell_area, (grid32.side_length / 32) ** 2)

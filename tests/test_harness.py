@@ -4,6 +4,7 @@ import gc
 import json
 import math
 import os
+import struct
 import subprocess
 import sys
 import tracemalloc
@@ -18,10 +19,9 @@ from hypothesis import strategies as st
 
 import chemoflux
 from chemoflux import evolve, harness
-from chemoflux.cli import STUDY_COMMANDS, main
+from chemoflux.cli import EXIT_CODES, STUDY_COMMANDS, main
 from chemoflux.cole_hopf import C_FLOOR
 from chemoflux.diagnostics import TrajectoryRecorder
-from chemoflux.evolve import EXIT_CODES
 from chemoflux.harness import STUDIES, format_config, parse_config
 from chemoflux.initial_data import RECIPE_KINDS
 
@@ -139,13 +139,19 @@ def test_fit_decay_unknown_column_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and "u_linf" in err
     # a missing file, a one-number window, a window fit_decay rejects, a
-    # row with fewer fields than the header
+    # row with fewer fields than the header, and a window of exp(-t) whose
+    # sample at t = 5 is nan or inf, which would fit rate=nan
     short = tmp_path / "short.csv"
     short.write_text("t,c_linf\n2.0\n")
+    for bad in ("nan", "inf"):
+        (tmp_path / f"{bad}.csv").write_text("t,c_linf\n" + "".join(
+            f"{t},{bad if t == 5 else repr(math.exp(-t))}\n" for t in range(1, 21)))
     for flags, needle in ((["--csv", str(tmp_path / "none.csv")], "none.csv"),
                           (["--csv", str(csv), "--window", "2"], "window"),
                           (["--csv", str(csv), "--window", "0.1,0.3"], "window"),
-                          (["--csv", str(short)], "short.csv line 2")):
+                          (["--csv", str(short)], "short.csv line 2"),
+                          (["--csv", str(tmp_path / "nan.csv")], "finite"),
+                          (["--csv", str(tmp_path / "inf.csv")], "finite")):
         assert main(["fit-decay", *flags]) == 2, flags
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, flags
@@ -445,6 +451,16 @@ def test_key_of_another_study_exits_2(tmp_path, capsys, subcommand, study):
     assert parse_config(format_config(cfg)) == cfg
 
 
+def test_key_of_another_study_without_a_study_key_says_so(tmp_path, capsys):
+    # a config with no study line is a single run, whatever subcommand ran it
+    code, out = cli(tmp_path, "xval", BASE + "xval.n_list = 16,32\n")
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: config field 'xval.n_list': is read only by cross_validate, "
+        "not single_run (the config gives no study key)\n")
+    assert not out.exists()
+
+
 def test_parse_config_rejects_zero_threads():
     # the parser, not only the CLI, refuses a study with no worker thread
     with pytest.raises(harness.ConfigError) as info:
@@ -502,6 +518,17 @@ def test_refine_reports_second_order_in_time(tmp_path, capsys):
     assert 1.8 <= float(temporal[0]["order"]) <= 2.2     # IMEX-CN
     assert "temporal" in capsys.readouterr().out
     assert_same_table_at_two_threads(tmp_path, "refine", out, "refinement.csv")
+
+
+def test_refine_order_between_zero_errors_is_nan(tmp_path, capsys):
+    # at t_end = 0 every member is its datum, so each temporal error is 0,
+    # and two zero errors have no observed order
+    code, out = cli(tmp_path, "refine", REFINE + setting(BASE, "stepper.t_end = 0"))
+    assert code == 0
+    rows = csv_rows(out / "refinement.csv")
+    assert [(r["kind"], r["error"], r["order"]) for r in rows
+            if r["kind"] == "temporal"] == [("temporal", "0", "nan")] * 2
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("dt_list,n_list,key", [
@@ -677,6 +704,24 @@ def test_snapshot_is_on_disk_before_the_next_record(tmp_path, monkeypatch):
     assert len(seen) == 7   # 6 steps of 0.05, a record at each node
     for t, on_disk in seen:
         assert on_disk == [t > ts + 1e-12 for ts in times], t
+
+
+def test_run_original_mode_at_cfl_steps_snapshots_u_and_c(tmp_path, capsys):
+    # the original mode takes grad u for its CFL bound, and its snapshot
+    # holds the samples of u and c, whose max is the row's c_linf
+    code, out = cli(tmp_path, "run", "study = single_run\nmode = original\n"
+                    "stepper.dt_mode = cfl\nsnapshot_times = 0.125\n" + BASE)
+    assert code == 0
+    rows = csv_rows(out / "diagnostics.csv")
+    assert [float(r["t"]) for r in rows] == pytest.approx(
+        [0, 0.05, 0.1, 0.125, 0.175, 0.225, 0.275, 0.3], abs=1e-12)
+    blob = (out / "snapshot_0.125000.cfx").read_bytes()
+    magic, n, count, _ = struct.unpack_from("<4sIII", blob)
+    assert (magic, n, count) == (b"CFX1", 32, 2)
+    assert len(blob) == 16 + 8 * n * n * count
+    c = np.frombuffer(blob, dtype="<f8", offset=16 + 8 * n * n)
+    assert c.max() == float(rows[3]["c_linf"])
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("subcommand,study", [c[:2] for c in STUDY_COMMANDS])

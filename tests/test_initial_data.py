@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from chemoflux import (ChemistryParams, Grid, InitialDataRecipe, StepperConfig,
-                       build_initial_data, mollify, run)
+                       build_initial_data, run)
+from chemoflux.initial_data import mollify
 from sample_fields import (band_limited_field, band_limited_gradient,
                            constant_field, spectral_gradient)
 from oracles import curl2d, lp_norm, project_curl_free

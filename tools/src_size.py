@@ -15,7 +15,9 @@ Then it prints the settings surface, read from the syntax trees: the config
 keys, one per row of ``harness._SCHEMA``, and the CLI options, one per
 ``add_argument`` call in ``cli.py``.  Last it prints how many of those keys
 each study of ``harness.STUDIES`` accepts: all but the keys that
-``harness._READERS`` gives to another study, by section or by name.
+``harness._READERS`` gives to another study, by section or by name.  Last of
+all it prints how many names ``__init__.py`` re-exports from the package's
+modules, read from its syntax tree.
 """
 
 from __future__ import annotations
@@ -87,6 +89,13 @@ def settings(package: Path) -> tuple:
     return len(keys), options, accepted
 
 
+def reexports(package: Path) -> int:
+    """How many names ``__init__.py`` imports from the package's own modules."""
+    init = ast.parse((package / "__init__.py").read_text(encoding="utf-8"))
+    return sum(len(node.names) for node in init.body
+               if isinstance(node, ast.ImportFrom) and node.level == 1)
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     package = Path(argv[0]) if argv else PACKAGE
@@ -101,6 +110,7 @@ def main(argv=None) -> int:
           f"{options} CLI options (cli.py)")
     print("keys accepted: " + ", ".join(f"{study} {n}"
                                         for study, n in accepted.items()))
+    print(f"re-exports: {reexports(package)} names (__init__.py)")
     return 0
 
 
