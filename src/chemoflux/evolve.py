@@ -178,15 +178,10 @@ def march(data: list, cfg: StepperConfig, params: ChemistryParams,
     uh = band_rfft2(u0)
     del u0
     u = np.fft.irfft2(uh, s=shape)
-    if phi0.any():   # the Cole-Hopf substitution
-        sh = band_rfft2(-mu * phi0)
-        del phi0
-        s = np.fft.irfft2(sh, s=shape)
-        v = drift(grid, sh, mu)
-    else:
-        del phi0
-        sh = None if transformed else np.zeros_like(uh)
-        s, v = np.zeros_like(u), np.zeros((2,) + shape)
+    sh = band_rfft2(-mu * phi0)   # the Cole-Hopf substitution
+    del phi0
+    s = np.fft.irfft2(sh, s=shape)
+    v = drift(grid, sh, mu)
     if transformed:
         sh, grad_u = None, grid._gradient(uh)
     else:

@@ -135,12 +135,10 @@ def spectral_power(zh: np.ndarray) -> np.ndarray:
 
 
 def lp_norm(grid: Grid, x: np.ndarray, p) -> float:
-    """L^p norm, p >= 1, of the samples x by uniform Riemann sum: an N x N
-    scalar through |x|, a (2, N, N) vector through its pointwise Euclidean
-    magnitude."""
+    """L^p norm, p >= 1, of the samples x by uniform Riemann sum of |x|^p,
+    one formula for every p: an N x N scalar through |x|, a (2, N, N) vector
+    through its pointwise Euclidean magnitude."""
     comps = x if x.ndim == 3 else (x,)
-    if p == 2:   # NumPy's own sums: a BLAS dot's threads could reorder them
-        return float(np.sqrt(sum((c * c).sum() for c in comps) * grid.cell_area))
     vals = comps[0] * comps[0]
     for c in comps[1:]:
         vals += c * c

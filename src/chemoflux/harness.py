@@ -384,8 +384,9 @@ def run_delta_sweep(cfg: ExperimentConfig, out_dir) -> tuple:
         raise ConfigError("sweep.deltas", "need at least 3 widths")
     if any(d2 >= d1 for d1, d2 in zip(deltas, deltas[1:])):
         raise ConfigError("sweep.deltas", "widths must be strictly decreasing")
-    if any(not 0 < d <= cfg.grid.side_length / 4 for d in deltas):
-        raise ConfigError("sweep.deltas", "widths must be positive and at most L/4")
+    if any(not cfg.grid.spacing < d <= cfg.grid.side_length / 4 for d in deltas):
+        raise ConfigError("sweep.deltas", "widths must exceed one cell h, at "
+                          "which the kernel is the identity, and be at most L/4")
     data = [_data(replace(cfg.recipe, delta=d), cfg.grid) for d in deltas]
     out = _output(cfg, out_dir)
 

@@ -77,7 +77,8 @@ class DataSummary:
 
 
 def mollifier_kernel(grid: Grid, delta: float) -> np.ndarray:
-    """Discrete radial bump (1 - (r/delta)^2)^3, unit mass, support r <= delta."""
+    """Half spectrum of the discrete radial bump (1 - (r/delta)^2)^3 of unit
+    mass and support r <= delta; a ValueError unless 0 < delta <= L/4."""
     if delta <= 0:
         raise ValueError(f"delta must be positive, got {delta}")
     if delta > grid.side_length / 4:
@@ -87,15 +88,13 @@ def mollifier_kernel(grid: Grid, delta: float) -> np.ndarray:
     d = np.minimum(x, grid.side_length - x)  # min-image distance to 0
     r2 = (d[None, :] ** 2 + d[:, None] ** 2) / delta ** 2
     w = np.where(r2 < 1.0, (1.0 - np.minimum(r2, 1.0)) ** 3, 0.0)
-    return w / w.sum()
+    return np.fft.rfft2(w / w.sum())
 
 
-def mollify(grid: Grid, x: np.ndarray, delta: float, ker=None) -> np.ndarray:
+def mollify(grid: Grid, x: np.ndarray, ker: np.ndarray) -> np.ndarray:
     """Circular convolution of the samples x, N x N or (2, N, N), with the
-    width-delta kernel, whose half spectrum ``ker`` may be given; it keeps the
+    kernel whose half spectrum ``ker`` is `mollifier_kernel`'s; it keeps the
     mean and stays inside [min x, max x]."""
-    if ker is None:
-        ker = np.fft.rfft2(mollifier_kernel(grid, delta))
     zh = np.fft.rfft2(x)
     zh *= ker
     return np.fft.irfft2(zh, s=grid.shape)
@@ -134,9 +133,7 @@ def _raster_u(recipe: InitialDataRecipe, grid: Grid, X, Y) -> np.ndarray:
     return u
 
 
-def _raster_potential(recipe: InitialDataRecipe, grid: Grid, X, Y) -> np.ndarray | None:
-    if not recipe.potential_modes:
-        return None
+def _raster_potential(recipe: InitialDataRecipe, grid: Grid, X, Y) -> np.ndarray:
     L = grid.side_length
     phi = np.zeros((grid.resolution, grid.resolution))
     for mx, my, amp, phase in recipe.potential_modes:
@@ -154,8 +151,8 @@ def build_initial_data(recipe: InitialDataRecipe, grid: Grid):
     """Rasterize a recipe into (u0, phi0, summary), u0 and phi0 N x N arrays.
 
     A ValueError if u0 < 0 anywhere or the mollifier is wider than L/4.
-    phi0 is the potential with its mean mode zeroed, or zero without
-    potential modes; for delta > 0, u0 and phi0 are mollified alike.
+    phi0 is the potential, zero without potential modes, with its mean mode
+    zeroed; for delta > 0, u0 and phi0 are mollified alike.
     """
     X, Y = grid.coordinates()
     u0 = _raster_u(recipe, grid, X, Y)
@@ -169,13 +166,9 @@ def build_initial_data(recipe: InitialDataRecipe, grid: Grid):
     theta0_raw = _deviation_sq(grid, u0)
     ker = None
     if recipe.delta > 0:
-        ker = np.fft.rfft2(mollifier_kernel(grid, recipe.delta))
-        u0 = mollify(grid, u0, recipe.delta, ker)
+        ker = mollifier_kernel(grid, recipe.delta)
+        u0 = mollify(grid, u0, ker)
     theta0 = _deviation_sq(grid, u0)
-    if phi is None:
-        summary = DataSummary(theta0=theta0, M=0.0, theta0_raw=theta0_raw)
-        return u0, np.zeros(grid.shape), summary
-
     ph = np.fft.rfft2(phi)
     del phi
     ph[0, 0] = 0.0   # a zero-mean potential

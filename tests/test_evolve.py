@@ -249,9 +249,9 @@ class TestTransformBudget:
 
     @pytest.mark.parametrize("mode,zero,count", [
         ("transformed", False, 10), ("original", False, 8),
-        ("transformed", True, 6), ("original", True, 4)])
+        ("transformed", True, 10), ("original", True, 8)])
     def test_start_and_first_node(self, grid32, transforms, mode, zero, count):
-        # u: 2; s and v from phi0: 4, none for a zero phi0; grad(u) in
+        # u: 2; s and v from phi0: 4, a zero phi0 too; grad(u) in
         # transformed mode: 2; the t=0 node's transport term: 2
         u0, phi0 = smooth_state(grid32, amplitude=0.01)
         if zero:

@@ -262,6 +262,9 @@ REFINE_ORDER = ("study = refinement\nrefine.dt_list = 0.02,0.01,0.005\n"
     # widths above L/4 = 1.57 wrap the mollifier
     ("sweep-delta", "study = delta_sweep\nsweep.deltas = 20,10,5\n",
      "sweep.deltas"),
+    # at one cell or less the kernel is the identity: two widths, one datum
+    ("sweep-delta", "study = delta_sweep\nsweep.deltas = 2h,1h,0.5h\n",
+     "sweep.deltas"),
     # data that cannot be built
     ("run", "study = single_run\n" + NEGATIVE_U0, "recipe"),
     ("sweep-delta", SWEEP + NEGATIVE_U0, "recipe"),
@@ -283,7 +286,7 @@ REFINE_ORDER = ("study = refinement\nrefine.dt_list = 0.02,0.01,0.005\n"
     ("scan-theta", "study = theta_scan\n", "scan.amplitudes"),
 ], ids=["study-run", "study-scan-theta", "snapshot_times", "mode-sweep-delta",
         "mode-refine", "mode-xval", "mode-scan-theta",
-        "sweep-too-wide", "u0-negative-run", "u0-negative-sweep-delta",
+        "sweep-too-wide", "sweep-one-cell", "u0-negative-run", "u0-negative-sweep-delta",
         "u0-negative-refine", "u0-negative-xval", "cfl-refine", "cfl-xval",
         "no-equals-sign", "sweep-two-widths", "sweep-increasing",
         "refine-two-steps", "scan-decreasing", "scan-absent"])

@@ -5,7 +5,7 @@ import pytest
 
 from chemoflux import (ChemistryParams, Grid, InitialDataRecipe, StepperConfig,
                        build_initial_data, run)
-from chemoflux.initial_data import mollify
+from chemoflux.initial_data import mollifier_kernel, mollify
 from sample_fields import (band_limited_field, band_limited_gradient,
                            constant_field, spectral_gradient)
 from oracles import curl2d, lp_norm, project_curl_free
@@ -112,13 +112,13 @@ class TestRecipes:
         np.testing.assert_array_equal(drawn, explicit)
 
     @pytest.mark.parametrize("modes,count", [
-        ((), 3),                      # mollify u0: kernel, u0 and back
-        (((1, 0, 1.0, 0.0),), 7),     # + the potential and back, grad(phi0) 2
+        ((), 7),                      # kernel, u0 and back: 3; the potential,
+        (((1, 0, 1.0, 0.0),), 7),     # zero or not, and back, grad(phi0): 4
     ])
     def test_transforms_of_a_mollified_build(self, grid64, monkeypatch, modes,
                                              count):
-        # a zero phi0 takes no transform, and u0 and phi0 share one kernel
-        # spectrum
+        # a zero phi0 takes the transforms of any other, and u0 and phi0
+        # share one kernel spectrum
         calls = [0]
         for name in ("rfft2", "irfft2"):
             def counting(*args, _real=getattr(np.fft, name), **kwargs):
@@ -151,17 +151,17 @@ class TestMollify:
     def test_constant_fixed_point(self, grid64):
         f = constant_field(grid64, 2.5)
         for delta in (grid64.spacing, 1.0, 3.0):
-            out = mollify(grid64, f, delta)
+            out = mollify(grid64, f, mollifier_kernel(grid64, delta))
             assert np.abs(out - 2.5).max() <= 1e-13
 
     def test_mean_preserved(self, grid64):
         f = band_limited_field(grid64, seed=13, amplitude=2.0)
-        out = mollify(grid64, f, 1.3)
+        out = mollify(grid64, f, mollifier_kernel(grid64, 1.3))
         assert abs(out.mean() - f.mean()) <= 1e-12
 
     def test_range_bounds(self, grid64):
         f = _stripe(grid64, amplitude=5.0)
-        out = mollify(grid64, f, 2.0)
+        out = mollify(grid64, f, mollifier_kernel(grid64, 2.0))
         assert out.min() >= f.min() - 1e-12
         assert out.max() <= f.max() + 1e-12
 
@@ -170,7 +170,8 @@ class TestMollify:
         grid = Grid(16 * np.pi, 128)
         f = _stripe(grid)
         deltas = [4.0, 2.0, 1.0, 0.5]
-        dists = [lp_norm(grid, mollify(grid, f, d) - f, 2) for d in deltas]
+        dists = [lp_norm(grid, mollify(grid, f, mollifier_kernel(grid, d)) - f, 2)
+                 for d in deltas]
         assert all(a > b for a, b in zip(dists, dists[1:]))
         assert dists[-1] < 0.35 * dists[0]
 
@@ -178,14 +179,15 @@ class TestMollify:
         f = _stripe(grid64, amplitude=3.0)
         for p in (2, 4, 6, np.inf):
             for delta in (0.5, 1.5):
-                assert (lp_norm(grid64, mollify(grid64, f, delta), p)
+                ker = mollifier_kernel(grid64, delta)
+                assert (lp_norm(grid64, mollify(grid64, f, ker), p)
                         <= lp_norm(grid64, f, p) + 1e-12)
 
     def test_gradient_sup_monotone_in_delta(self, grid64):
         # wider kernels smooth harder: sup |grad| nonincreasing in delta
         f = _stripe(grid64)
-        sups = [lp_norm(grid64, spectral_gradient(grid64, mollify(grid64, f, d)),
-                        np.inf)
+        sups = [lp_norm(grid64, spectral_gradient(
+                    grid64, mollify(grid64, f, mollifier_kernel(grid64, d))), np.inf)
                 for d in (4.0, 2.0, 1.0, 0.5)]  # shrinking widths
         assert all(wide <= narrow + 1e-12
                    for wide, narrow in zip(sups, sups[1:]))
@@ -193,19 +195,22 @@ class TestMollify:
     def test_commutes_with_gradient(self, grid64):
         phi = band_limited_field(grid64, seed=17)
         delta = 1.1
-        a = mollify(grid64, spectral_gradient(grid64, phi), delta)
-        b = spectral_gradient(grid64, mollify(grid64, phi, delta))
+        ker = mollifier_kernel(grid64, delta)
+        a = mollify(grid64, spectral_gradient(grid64, phi), ker)
+        b = spectral_gradient(grid64, mollify(grid64, phi, ker))
         assert a.shape == (2,) + grid64.shape
         assert np.abs(a - b).max() <= 1e-12
 
     def test_rejects_wide_kernel(self, grid64):
         f = constant_field(grid64, 1.0)
         with pytest.raises(ValueError):
-            mollify(grid64, f, grid64.side_length / 4 + 0.1)
+            mollify(grid64, f,
+                    mollifier_kernel(grid64, grid64.side_length / 4 + 0.1))
 
     def test_rejects_nonpositive_delta(self, grid64):
         with pytest.raises(ValueError):
-            mollify(grid64, constant_field(grid64, 1.0), 0.0)
+            mollify(grid64, constant_field(grid64, 1.0),
+                    mollifier_kernel(grid64, 0.0))
 
 
 class TestProjectCurlFree:

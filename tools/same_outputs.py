@@ -1,0 +1,115 @@
+"""Check that two checkouts write byte-identical outputs on every benchmark
+workload.
+
+Usage: ``python tools/same_outputs.py PARENT [CHANGE]``; CHANGE defaults to
+this checkout.  Each argument is the root of a checkout, with the package in
+``src/chemoflux``.
+
+For each workload of ``perfbench/workloads.WORKLOADS`` at seeds 0 and 5 it
+writes the workload's config to a temporary directory and runs
+``python -m chemoflux.cli <subcommand> --config ... --out ...`` once per
+checkout, with ``PYTHONPATH=<checkout>/src``, one thread and no bytecode
+written, so that neither checkout is touched.  Then it compares the two
+output trees file by file, as bytes, and prints each file that differs or
+exists on one side only; for a CSV it also prints the first line that
+differs.  It exits 1 on any difference or on a study that exits non-zero,
+2 on a checkout without ``src/chemoflux``, and 0 otherwise.
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.dont_write_bytecode = True   # importing perfbench/ leaves no __pycache__
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+from run import THREAD_VARS  # noqa: E402
+from workloads import WORKLOADS  # noqa: E402
+
+SEEDS = (0, 5)
+
+
+def run_study(checkout: Path, subcommand: str, config: Path, out: Path) -> str:
+    """Run one study from ``checkout``; returns "" or why it failed."""
+    env = {**os.environ, **{var: "1" for var in THREAD_VARS},
+           "PYTHONPATH": str(checkout / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    proc = subprocess.run(
+        [sys.executable, "-m", "chemoflux.cli", subcommand, "--config",
+         str(config), "--out", str(out)],
+        cwd=out.parent, env=env, capture_output=True, text=True)
+    if proc.returncode == 0:
+        return ""
+    return f"exit code {proc.returncode}: {proc.stderr.strip()[-500:]}"
+
+
+def first_difference(a: bytes, b: bytes) -> str:
+    """The first differing line of two texts, as a message."""
+    lines_a, lines_b = a.decode().splitlines(), b.decode().splitlines()
+    for i, (la, lb) in enumerate(zip(lines_a, lines_b), 1):
+        if la != lb:
+            return f"line {i}:\n    - {la}\n    + {lb}"
+    return f"{len(lines_a)} lines against {len(lines_b)}"
+
+
+def compare_trees(a: Path, b: Path) -> list:
+    """Messages for every file that differs between the trees a and b."""
+    names = sorted({p.relative_to(root) for root in (a, b)
+                    for p in root.rglob("*") if p.is_file()})
+    problems = []
+    for name in names:
+        fa, fb = a / name, b / name
+        if not (fa.exists() and fb.exists()):
+            problems.append(f"{name}: only in {'parent' if fa.exists() else 'change'}")
+            continue
+        da, db = fa.read_bytes(), fb.read_bytes()
+        if da != db:
+            detail = (f", first difference at {first_difference(da, db)}"
+                      if name.suffix == ".csv" else "")
+            problems.append(f"{name}: differs{detail}")
+    return problems
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if not 1 <= len(argv) <= 2:
+        print(__doc__.split("\n\n")[1], file=sys.stderr)
+        return 2
+    checkouts = {"parent": Path(argv[0]).resolve(),
+                 "change": Path(argv[1]).resolve() if len(argv) > 1 else ROOT}
+    for side, checkout in checkouts.items():
+        if not (checkout / "src" / "chemoflux").is_dir():
+            print(f"error: {side} checkout {checkout} has no src/chemoflux",
+                  file=sys.stderr)
+            return 2
+    bad = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        for workload in WORKLOADS.values():
+            for seed in SEEDS:
+                case = Path(tmp) / f"{workload.name}_seed{seed}"
+                case.mkdir()
+                config = case / "workload.cfg"
+                config.write_text(workload.config(seed))
+                problems = []
+                for side, checkout in checkouts.items():
+                    why = run_study(checkout, workload.subcommand, config,
+                                    case / side)
+                    if why:
+                        problems.append(f"{side} study failed, {why}")
+                if not problems:
+                    problems = compare_trees(case / "parent", case / "change")
+                files = sum(1 for p in (case / "change").rglob("*") if p.is_file())
+                verdict = "differs" if problems else f"{files} files identical"
+                print(f"{workload.name} seed {seed}: {verdict}")
+                for problem in problems:
+                    print(f"  {problem}")
+                bad += bool(problems)
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
