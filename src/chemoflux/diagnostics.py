@@ -17,7 +17,7 @@ import numpy as np
 
 from .fields import Grid, band_rfft2, lp_norm, spectral_power
 
-SCHEMA_VERSION = "chemoflux-diagnostics-v1"
+SCHEMA_VERSION = "chemoflux-diagnostics-v2"
 DECAY_WINDOW = (2.0, 20.0)   # the settled window (t_lo, t_hi) of a decay fit
 
 

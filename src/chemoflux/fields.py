@@ -129,6 +129,22 @@ def band_rfft2(x: np.ndarray) -> np.ndarray:
     return zh
 
 
+def resample(x: np.ndarray, n: int) -> np.ndarray:
+    """The samples x, N x N or (2, N, N), on an n x n grid of the same torus:
+    the trigonometric polynomial of x's modes in the dealias band of the
+    coarser grid, so zero-padding to go up and truncation to go down; x
+    itself at n = N."""
+    N = x.shape[-1]
+    if n == N:
+        return x
+    a = (min(n, N) - 1) // 3
+    xh = np.fft.rfft2(x, norm="forward")   # the coefficients, whatever N
+    zh = np.zeros(x.shape[:-2] + (n, n // 2 + 1), complex)
+    zh[..., :a + 1, :a + 1] = xh[..., :a + 1, :a + 1]
+    zh[..., -a:, :a + 1] = xh[..., -a:, :a + 1]
+    return np.fft.irfft2(zh, s=(n, n), norm="forward")
+
+
 def spectral_power(zh: np.ndarray) -> np.ndarray:
     """|zh|^2 elementwise, without the square root that np.abs takes."""
     return zh.real ** 2 + zh.imag ** 2

@@ -9,13 +9,16 @@ out of range (named by its key) or values that contradict each other
 
 Every study runs one skeleton: its own input checks; `_data` for every
 member, so data that cannot be built is a `ConfigError` before any output
-(the theta scan builds inside each member, where it is a row label);
-`_output` in the caller's ``out_dir``; `_map` over the distinct members,
-each handing its datum to `run` in the one-shot holder that `march` empties;
-then `_write_csv`, whose ``(columns, rows)`` the study returns for the CLI.  A
-member that halts raises `RunHalted` out of the study, except in the single
-run and the theta scan, which report the outcome.  Only the single run reads
-``mode``, builds diagnostics rows and takes snapshots.  A study's outputs are
+(the theta scan builds inside each member, where it is a row label, and the
+refinement builds one datum, on its finest grid, which `resample` restricts
+to each member's grid); `_output` in the caller's ``out_dir``; `_map` over
+the distinct members, each handing its datum to `run` in the one-shot holder
+that `march` empties; then `_write_csv`, whose ``(columns, rows)`` the study
+returns for the CLI.  The refinement and the delta sweep compare their
+members' final fields through one `_ladder`.  A member that halts raises
+`RunHalted` out of the study, except in the single run and the theta scan,
+which report the outcome.  Only the single run reads ``mode``, builds
+diagnostics rows and takes snapshots.  A study's outputs are
 byte-deterministic for a fixed config and do not depend on ``threads``.
 """
 
@@ -31,7 +34,7 @@ from .cole_hopf import C_FLOOR, ChemistryParams, forward_transform  # noqa: F401
 from .diagnostics import (CSV_COLUMNS, DECAY_WINDOW, SCHEMA_VERSION, DecayFit,
                           fit_decay, sup_deviation)
 from .evolve import MODES, RunHalted, RunOutcome, StepperConfig, march, run
-from .fields import Grid, ParameterError, lp_norm
+from .fields import Grid, ParameterError, lp_norm, resample
 from .initial_data import InitialDataRecipe, build_initial_data
 from .snapshots import write_snapshot
 
@@ -322,9 +325,25 @@ def _data(recipe, grid) -> list:
     empties.  Data that cannot be built is a `ConfigError` on ``recipe``."""
     try:
         u0, phi0, _ = build_initial_data(recipe, grid)
-    except ValueError as exc:   # u0 < 0, or a mollifier wider than L/4
+    except ValueError as exc:   # u0 < 0, or a mollifier of at most h or over L/4
         raise ConfigError("recipe", str(exc)) from None
     return [u0, phi0]
+
+
+def _ladder(side_length, steps, fields) -> tuple:
+    """Neighbour differences of a convergence ladder: ``fields[k]`` is member
+    k's final field, on any grid of the torus of side ``side_length``, and
+    ``steps[k]`` its step size (dt, h or delta), coarse to fine.  Each field is
+    resampled onto the finest grid, where e_k = ||f_k - f_{k+1}||_2
+    (`lp_norm`).  Returns the lists (e_k) and (order_k) over every member but
+    the last, with the observed order order_k = log(e_k/e_{k+1}) /
+    log(h_k/h_{k+1}), nan for the last and wherever either error is 0."""
+    grid = Grid(side_length, max(f.shape[-1] for f in fields))
+    fields = [resample(f, grid.resolution) for f in fields]
+    errors = [lp_norm(grid, f1 - f2, 2) for f1, f2 in zip(fields, fields[1:])]
+    orders = [math.log(e1 / e2) / math.log(h1 / h2) if e1 > 0 and e2 > 0 else math.nan
+              for e1, e2, h1, h2 in zip(errors, errors[1:], steps, steps[1:])]
+    return errors, orders + [math.nan]
 
 
 # ---------------------------------------------------------------------------
@@ -376,9 +395,14 @@ def run_single(cfg: ExperimentConfig, out_dir) -> tuple:
 
 
 def run_delta_sweep(cfg: ExperimentConfig, out_dir) -> tuple:
-    """Mollification-width sweep: solve for each delta and compare neighbours at
-    t_end.  Returns the table of ``delta_sweep.csv`` and whether both
-    differences decrease down the sweep (the Cauchy property)."""
+    """Mollification-width sweep: solve for each delta on the config grid and
+    compare neighbours at t_end.  Returns the table of ``delta_sweep.csv`` and
+    whether both differences decrease down the sweep (the Cauchy property).
+    A row per width but the narrowest: through `_ladder`, ``du_l2`` and
+    ``dv_l2`` are the L2 distances of its final u and v to those of the next
+    narrower width, and ``du_order`` and ``dv_order`` the observed orders in
+    delta, log(e_k/e_{k+1}) / log(delta_k/delta_{k+1}) between the row and
+    the next, nan for the last row and wherever either error is 0."""
     deltas = cfg.deltas
     if len(deltas) < 3:
         raise ConfigError("sweep.deltas", "need at least 3 widths")
@@ -395,26 +419,28 @@ def run_delta_sweep(cfg: ExperimentConfig, out_dir) -> tuple:
         return final.u, final.v
 
     finals = _map(cfg, final_uv, data)
-    rows = []
-    for (d1, (u1, v1)), (d2, (u2, v2)) in zip(zip(deltas, finals),
-                                              zip(deltas[1:], finals[1:])):
-        rows.append((d1, d2, lp_norm(cfg.grid, u1 - u2, 2),
-                     lp_norm(cfg.grid, v1 - v2, 2)))
-    decreasing = all(r0[2] > r1[2] and r0[3] > r1[3]
-                     for r0, r1 in zip(rows, rows[1:]))
-    table = _write_csv(out / "delta_sweep.csv",
-                       ("delta_coarse", "delta_fine", "du_l2", "dv_l2"), rows)
+    (du, du_order), (dv, dv_order) = (_ladder(cfg.grid.side_length, deltas, fields)
+                                      for fields in zip(*finals))
+    decreasing = all(e1 > e2 for e in (du, dv) for e1, e2 in zip(e, e[1:]))
+    table = _write_csv(out / "delta_sweep.csv", ("delta_coarse", "delta_fine", "du_l2",
+                                                 "dv_l2", "du_order", "dv_order"),
+                       list(zip(deltas, deltas[1:], du, dv, du_order, dv_order)))
     return table, decreasing
 
 
 def run_refinement(cfg: ExperimentConfig, out_dir) -> tuple:
-    """Temporal study over dt_list and spatial study over n_list, at fixed dt.
+    """Temporal study over dt_list on the config grid, and spatial study over
+    n_list at the smallest dt, from one datum.
 
-    Returns the table of ``refinement.csv``, rows (kind, param, error, order):
-    a temporal error is the distance to the run at the next smaller dt, a
-    spatial error the distance to the finest grid at the smallest dt, and the
-    order is observed between a row and the next (nan for the last, and
-    where either error is 0).  Each distinct (N, dt) member runs once.
+    The datum is built once, on the finest grid (the largest of grid.N and
+    n_list), and `resample` restricts it to each member's grid.  Returns the
+    table of ``refinement.csv``, rows (kind, param, error, order), a row per
+    member but the finest of each study, ``param`` its dt or N.  Through
+    `_ladder`, ``error`` is the L2 distance between its final u and the next
+    finer member's, both resampled onto the study's finest grid, and
+    ``order`` is log(e_k/e_{k+1}) / log(h_k/h_{k+1}) in dt or the grid
+    spacing h, nan for the last row and wherever either error is 0.  Each
+    distinct (N, dt) member runs once.
     """
     if cfg.stepper.dt_mode != "fixed":
         raise ConfigError("stepper.dt_mode", f"refinement steps at fixed dt, "
@@ -425,46 +451,29 @@ def run_refinement(cfg: ExperimentConfig, out_dir) -> tuple:
     if len(set(cfg.dt_list)) < len(cfg.dt_list):   # a repeat has no order
         raise ConfigError("refine.dt_list", "steps must be distinct")
     ns = sorted(cfg.n_list)
-    if any(ns[-1] % n for n in ns):
-        raise ConfigError("refine.n_list", "each resolution must divide the finest")
     dts = sorted(cfg.dt_list, reverse=True)
     try:   # every member's stepper, before any output
         steppers = {dt: replace(cfg.stepper, dt=dt) for dt in dts}
     except ValueError as exc:   # a dt above t_end
         raise ConfigError("refine.dt_list", f"{_joined(cfg.dt_list)}: {exc}") from None
-    in_time = [(cfg.grid.resolution, dt) for dt in dts]
-    in_space = [(n, dts[-1]) for n in ns]
-    grids = {n: Grid(cfg.grid.side_length, n)
-             for n in dict.fromkeys((cfg.grid.resolution, *ns))}
-    data = {n: _data(cfg.recipe, grid) for n, grid in grids.items()}
+    L = cfg.grid.side_length
+    u0, phi0 = _data(cfg.recipe, Grid(L, max(cfg.grid.resolution, *ns)))
     out = _output(cfg, out_dir)
+    data = {n: (resample(u0, n), resample(phi0, n)) for n in {cfg.grid.resolution, *ns}}
 
     def final_u(member):
-        n, dt = member
-        holder = list(data[n])   # a fresh one: each grid's datum serves every dt
-        return run(holder, steppers[dt], cfg.params, grid=grids[n]).u
+        n, dt = member   # a fresh holder: each grid's datum serves every dt
+        return run(list(data[n]), steppers[dt], cfg.params, grid=Grid(L, n)).u
 
+    in_time = [(cfg.grid.resolution, dt) for dt in dts]
+    in_space = [(n, dts[-1]) for n in ns]
     members = list(dict.fromkeys(in_time + in_space))
     finals = dict(zip(members, _map(cfg, final_u, members)))
-
-    # (param, error, step size) per study
-    temporal = [(dt, lp_norm(grids[n], finals[n, dt] - finals[finer], 2), dt)
-                for (n, dt), finer in zip(in_time, in_time[1:])]
-    spatial = []
-    for n, dt in in_space[:-1]:
-        k = ns[-1] // n   # the finest grid's samples at this grid's points
-        spatial.append((n, lp_norm(grids[n], finals[n, dt]
-                                   - finals[in_space[-1]][::k, ::k], 2), 1.0 / n))
-
     rows = []
-    for kind, errs in (("temporal", temporal), ("spatial", spatial)):
-        for i, (param, err, h) in enumerate(errs):
-            order = float("nan")
-            if i + 1 < len(errs):
-                _, err_next, h_next = errs[i + 1]
-                if err > 0 and err_next > 0:
-                    order = math.log(err / err_next) / math.log(h / h_next)
-            rows.append((kind, param, err, order))
+    for kind, params, ladder, steps in (("temporal", dts, in_time, dts),
+                                        ("spatial", ns, in_space, [L / n for n in ns])):
+        errors, orders = _ladder(L, steps, [finals[m] for m in ladder])
+        rows += zip([kind] * len(errors), params, errors, orders)
     return _write_csv(out / "refinement.csv", ("kind", "param", "error", "order"), rows)
 
 

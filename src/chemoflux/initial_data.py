@@ -78,12 +78,12 @@ class DataSummary:
 
 def mollifier_kernel(grid: Grid, delta: float) -> np.ndarray:
     """Half spectrum of the discrete radial bump (1 - (r/delta)^2)^3 of unit
-    mass and support r <= delta; a ValueError unless 0 < delta <= L/4."""
-    if delta <= 0:
-        raise ValueError(f"delta must be positive, got {delta}")
-    if delta > grid.side_length / 4:
-        raise ValueError(
-            f"delta={delta} exceeds L/4={grid.side_length / 4}; kernel would wrap")
+    mass and support r <= delta; a ValueError unless h < delta <= L/4, since
+    at one cell h or less the kernel is the identity."""
+    if not grid.spacing < delta <= grid.side_length / 4:
+        raise ValueError(f"delta={delta} is outside (h, L/4] = ({grid.spacing}, "
+                         f"{grid.side_length / 4}]: at one cell or less the kernel "
+                         "is the identity, and above L/4 it wraps")
     x = np.arange(grid.resolution) * grid.spacing
     d = np.minimum(x, grid.side_length - x)  # min-image distance to 0
     r2 = (d[None, :] ** 2 + d[:, None] ** 2) / delta ** 2
@@ -150,7 +150,8 @@ def _deviation_sq(grid: Grid, u: np.ndarray) -> float:
 def build_initial_data(recipe: InitialDataRecipe, grid: Grid):
     """Rasterize a recipe into (u0, phi0, summary), u0 and phi0 N x N arrays.
 
-    A ValueError if u0 < 0 anywhere or the mollifier is wider than L/4.
+    A ValueError if u0 < 0 anywhere, or if the mollifier is at most one cell
+    wide or wider than L/4.
     phi0 is the potential, zero without potential modes, with its mean mode
     zeroed; for delta > 0, u0 and phi0 are mollified alike.
     """

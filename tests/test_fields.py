@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chemoflux import Grid
-from chemoflux.fields import band_rfft2, lp_norm, spectral_power
+from chemoflux.fields import band_rfft2, lp_norm, resample, spectral_power
 from chemoflux.snapshots import write_snapshot
 from sample_fields import (band_limited_field, band_limited_gradient,
                            constant_field, field_from_function)
@@ -276,6 +276,51 @@ class TestSpectralConvergence:
             exact = (4 * 2 * np.pi / L) * np.cos(2 * np.pi * X / L) * f
             errs[n] = np.abs(gradient(grid, f)[0] - exact).max()
         assert errs[32] / max(errs[64], 1e-300) >= 1e3
+
+
+def _evaluate(grid, f, target, kmax):
+    """The trigonometric polynomial of the samples f on ``grid``, its modes
+    |m| <= kmax per axis alone, summed term by term at ``target``'s points."""
+    n = grid.resolution
+    m = np.abs(np.round(np.fft.fftfreq(n) * n))
+    keep = (m[:, None] <= kmax) & (m[None, :] <= kmax)
+    c = np.where(keep, np.fft.fft2(f), 0.0) / n ** 2
+    x = np.arange(target.resolution) * target.spacing
+    e = np.exp(1j * np.outer(x, wavenumbers(grid)))   # e[i, a] = exp(i k_a x_i)
+    return (e @ c @ e.T).real
+
+
+class TestResample:
+    L = 16 * np.pi
+
+    @pytest.mark.parametrize("n,N", [(32, 64), (24, 40), (16, 128)])
+    def test_coarse_band_field_goes_up_and_back_down(self, n, N):
+        f = band_limited_field(Grid(self.L, n), seed=n, kmax=(n - 1) // 3)
+        up = resample(f, N)
+        assert up.shape == (N, N)
+        assert np.abs(resample(up, n) - f).max() <= 1e-13
+
+    @pytest.mark.parametrize("n,N", [(16, 48), (24, 32)])
+    def test_matches_the_trigonometric_polynomial(self, n, N):
+        # up: every mode of a coarse-band field; down: a fine field's modes
+        # in the coarse band, its others dropped
+        coarse, fine = Grid(self.L, n), Grid(self.L, N)
+        f = band_limited_field(coarse, seed=3, kmax=(n - 1) // 3)
+        up = resample(f, N)
+        assert np.abs(up - _evaluate(coarse, f, fine, (n - 1) // 3)).max() <= 1e-12
+        g = band_limited_field(fine, seed=4, kmax=(N - 1) // 3)
+        assert np.abs(resample(g, n)
+                      - _evaluate(fine, g, coarse, (n - 1) // 3)).max() <= 1e-12
+        # a vector goes component by component: the full-spectrum gradient
+        # commutes with resampling a band field
+        w = full_spectrum_gradient(coarse, f)
+        assert np.abs(resample(w, N)
+                      - full_spectrum_gradient(fine, up)).max() <= 1e-12
+
+    def test_equal_resolution_returns_its_input(self, grid32):
+        f = band_limited_field(grid32, seed=5)
+        w = band_limited_gradient(grid32, seed=5)
+        assert resample(f, 32) is f and resample(w, 32) is w
 
 
 class TestDealiasing:

@@ -484,10 +484,60 @@ def test_sweep_delta_is_deterministic_across_threads(tmp_path, capsys):
     assert_same_table_at_two_threads(tmp_path, "sweep-delta", out, "delta_sweep.csv")
 
 
+def test_sweep_delta_orders_follow_its_differences(tmp_path, capsys):
+    # the order of a row in delta comes from its difference and the next
+    # row's; the last row has no next
+    code, out = cli(tmp_path, "sweep-delta",
+                    "study = delta_sweep\nsweep.deltas = 5h,4h,3h,2h\n" + BASE)
+    assert code == 0
+    rows = [{k: float(x) for k, x in r.items()}
+            for r in csv_rows(out / "delta_sweep.csv")]
+    assert len(rows) == 3
+    for r0, r1 in zip(rows, rows[1:]):
+        ratio = math.log(r0["delta_coarse"] / r1["delta_coarse"])
+        for col in ("du", "dv"):
+            assert r0[f"{col}_order"] == pytest.approx(
+                math.log(r0[f"{col}_l2"] / r1[f"{col}_l2"]) / ratio, rel=1e-12)
+    assert math.isnan(rows[-1]["du_order"]) and math.isnan(rows[-1]["dv_order"])
+    capsys.readouterr()
+
+
+# two opposite disks of area 2 and a ladder whose finest member, N = 128,
+# resolves the mollifier of width 2h of N = 64
+REFINE_LADDER = """study = refinement
+grid.L = 50.26548245743669
+grid.N = 64
+recipe.disks = 0.4,0.5,0.7978845608028654,1.0; 0.6,0.5,0.7978845608028654,-1.0
+recipe.amplitude = 0.05
+recipe.delta = 2h
+stepper.scheme = imex_cn
+stepper.t_end = 0.3
+refine.dt_list = 0.04,0.02,0.01
+refine.n_list = 16,32,64,128
+threads = 1
+"""
+
+
+def test_refine_spatial_errors_fall_on_one_datum(tmp_path, capsys):
+    # every member runs the finest grid's datum, restricted to its own grid,
+    # so the distance between neighbours measures the solver alone; each
+    # grid mollifying its own rasterised jumps gave 3.2e-2, 2.4e-2, 1.1e-2
+    code, out = cli(tmp_path, "refine", REFINE_LADDER)
+    assert code == 0
+    rows = csv_rows(out / "refinement.csv")
+    temporal = [r for r in rows if r["kind"] == "temporal"]
+    spatial = [float(r["error"]) for r in rows if r["kind"] == "spatial"]
+    assert [int(r["param"]) for r in rows if r["kind"] == "spatial"] == [16, 32, 64]
+    assert spatial[0] > spatial[1] > spatial[2] > 0
+    assert spatial[1] / spatial[2] >= 10
+    assert 1.8 <= float(temporal[0]["order"]) <= 2.2     # IMEX-CN
+    capsys.readouterr()
+
+
 def test_refine_runs_each_member_and_builds_each_grid_once(tmp_path, monkeypatch,
                                                           capsys):
-    # the (grid.N, smallest dt) member serves both studies, and one datum
-    # per grid serves every dt
+    # the (grid.N, smallest dt) member serves both studies, and one datum,
+    # built on the finest grid and restricted to the others, serves them all
     runs, builds = [], []
     real_run, real_build = harness.run, harness.build_initial_data
 
@@ -505,7 +555,7 @@ def test_refine_runs_each_member_and_builds_each_grid_once(tmp_path, monkeypatch
     assert code == 0
     assert sorted(runs) == [(8, 0.005), (16, 0.005), (32, 0.005), (32, 0.01),
                             (32, 0.02)]
-    assert sorted(builds) == [8, 16, 32]
+    assert builds == [32]
     capsys.readouterr()
 
 
@@ -535,14 +585,13 @@ def test_refine_order_between_zero_errors_is_nan(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("dt_list,n_list,key", [
-    ("0.02,0.01,0.005", "8,12,16", "refine.n_list"),
     # a repeated entry has no observed order between it and its twin
     ("0.1,0.1,0.05", "8,16,32", "refine.dt_list"),
     ("0.1,0.05,0.025", "8,8,16", "refine.n_list"),
     ("0.5,0.4,0.3", "8,16,32", "refine.dt_list"),   # above t_end = 0.3
-], ids=["not-dividing", "repeated-dt", "repeated-n", "dt-above-t_end"])
-def test_refine_resolution_not_dividing_the_finest_exits_2(tmp_path, capsys,
-                                                          dt_list, n_list, key):
+], ids=["repeated-dt", "repeated-n", "dt-above-t_end"])
+def test_refine_bad_step_or_resolution_list_exits_2(tmp_path, capsys,
+                                                    dt_list, n_list, key):
     text = (f"study = refinement\nrefine.dt_list = {dt_list}\n"
             f"refine.n_list = {n_list}\n" + BASE)
     code, out = cli(tmp_path, "refine", text)
@@ -553,8 +602,49 @@ def test_refine_resolution_not_dividing_the_finest_exits_2(tmp_path, capsys,
     assert not out.exists()
 
 
+def test_refine_runs_resolutions_not_dividing_the_finest(tmp_path, capsys):
+    # members meet on the finest grid of the pair, so no grid need divide another
+    code, out = cli(tmp_path, "refine", "study = refinement\n"
+                    "refine.dt_list = 0.02,0.01,0.005\nrefine.n_list = 8,12,16\n"
+                    + BASE)
+    assert code == 0
+    spatial = [r for r in csv_rows(out / "refinement.csv") if r["kind"] == "spatial"]
+    assert [int(r["param"]) for r in spatial] == [8, 12]
+    assert all(float(r["error"]) > 0 for r in spatial)
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("cells", ["1h", "0.5h"])
+@pytest.mark.parametrize("subcommand,study", [
+    ("run", "single_run"), ("refine", "refinement"), ("xval", "cross_validate")])
+def test_mollifier_of_at_most_one_cell_exits_2(tmp_path, capsys, subcommand, study,
+                                               cells):
+    # at one cell or less the kernel is the identity: a datum said to be
+    # mollified would be the raw one
+    code, out = cli(tmp_path, subcommand, setting(
+        f"study = {study}\n" + STUDY_EXTRA[study] + BASE, f"recipe.delta = {cells}"))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config field 'recipe': ")
+    assert "at one cell or less" in err and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_scan_theta_labels_a_mollifier_of_one_cell_invalid(tmp_path, capsys):
+    code, out = cli(tmp_path, "scan-theta", setting(
+        "study = theta_scan\n" + STUDY_EXTRA["theta_scan"] + BASE,
+        "recipe.delta = 1h"))
+    assert code == 0
+    rows = csv_rows(out / "theta_scan.csv")
+    assert [r["outcome"] for r in rows] == ["invalid_data"] * 2
+    capsys.readouterr()
+
+
 def test_xval_solvers_agree(tmp_path, capsys):
-    text = "study = cross_validate\nxval.n_list = 16,32\n" + BASE
+    # each member builds its own datum, so delta = 2h of grid.N = 16 is 4h of
+    # the N = 32 member
+    text = ("study = cross_validate\nxval.n_list = 16,32\n"
+            + BASE.replace("grid.N = 32", "grid.N = 16"))
     code, out = cli(tmp_path, "xval", text)
     assert code == 0
     rows = csv_rows(out / "cross_validate.csv")

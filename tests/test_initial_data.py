@@ -64,7 +64,7 @@ class TestRecipes:
                                                   (0.7, 0.6, 1.5, -1.0)),
                               potential_modes=((1, 1, 0.5, 0.3),)),
             InitialDataRecipe(kind="piecewise_constant_stripes", amplitude=0.8,
-                              delta=h, stripes=((0.2, 0.25, 1.0),)),
+                              delta=2 * h, stripes=((0.2, 0.25, 1.0),)),
             InitialDataRecipe(kind="smooth_bump", amplitude=0.5,
                               bump_sharpness=10.0,
                               potential_modes=((2, 0, 1.0, 0.0),)),
@@ -150,7 +150,7 @@ def _stripe(grid, amplitude=1.0, start=0.3, width=0.3):
 class TestMollify:
     def test_constant_fixed_point(self, grid64):
         f = constant_field(grid64, 2.5)
-        for delta in (grid64.spacing, 1.0, 3.0):
+        for delta in (1.01 * grid64.spacing, 1.0, 3.0):
             out = mollify(grid64, f, mollifier_kernel(grid64, delta))
             assert np.abs(out - 2.5).max() <= 1e-13
 
@@ -178,7 +178,7 @@ class TestMollify:
     def test_lp_contraction(self, grid64):
         f = _stripe(grid64, amplitude=3.0)
         for p in (2, 4, 6, np.inf):
-            for delta in (0.5, 1.5):
+            for delta in (1.0, 1.5):
                 ker = mollifier_kernel(grid64, delta)
                 assert (lp_norm(grid64, mollify(grid64, f, ker), p)
                         <= lp_norm(grid64, f, p) + 1e-12)
@@ -188,7 +188,7 @@ class TestMollify:
         f = _stripe(grid64)
         sups = [lp_norm(grid64, spectral_gradient(
                     grid64, mollify(grid64, f, mollifier_kernel(grid64, d))), np.inf)
-                for d in (4.0, 2.0, 1.0, 0.5)]  # shrinking widths
+                for d in (4.0, 2.0, 1.0, 0.8)]  # shrinking widths, h = 0.785
         assert all(wide <= narrow + 1e-12
                    for wide, narrow in zip(sups, sups[1:]))
 
@@ -211,6 +211,16 @@ class TestMollify:
         with pytest.raises(ValueError):
             mollify(grid64, constant_field(grid64, 1.0),
                     mollifier_kernel(grid64, 0.0))
+
+    @pytest.mark.parametrize("cells", [1.0, 0.5])
+    def test_rejects_delta_of_at_most_one_cell(self, grid64, cells):
+        # the bump's only sample in r < delta is its centre: the identity
+        delta = cells * grid64.spacing
+        with pytest.raises(ValueError, match="at one cell or less"):
+            mollifier_kernel(grid64, delta)
+        with pytest.raises(ValueError, match="at one cell or less"):
+            build_initial_data(InitialDataRecipe(amplitude=0.2, delta=delta,
+                                                 random_disks=2), grid64)
 
 
 class TestProjectCurlFree:

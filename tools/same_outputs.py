@@ -11,8 +11,10 @@ writes the workload's config to a temporary directory and runs
 checkout, with ``PYTHONPATH=<checkout>/src``, one thread and no bytecode
 written, so that neither checkout is touched.  Then it compares the two
 output trees file by file, as bytes, and prints each file that differs or
-exists on one side only; for a CSV it also prints the first line that
-differs.  It exits 1 on any difference or on a study that exits non-zero,
+exists on one side only; for a CSV it also prints how many lines differ and
+the first that differs below the schema line ``# chemoflux-diagnostics-vN``,
+so that a schema bump cannot hide a changed row.  It exits 1 on any
+difference, the schema line's included, or on a study that exits non-zero,
 2 on a checkout without ``src/chemoflux``, and 0 otherwise.
 """
 
@@ -32,6 +34,7 @@ from run import THREAD_VARS  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
 SEEDS = (0, 5)
+SCHEMA_PREFIX = "# chemoflux-diagnostics-v"
 
 
 def run_study(checkout: Path, subcommand: str, config: Path, out: Path) -> str:
@@ -47,13 +50,24 @@ def run_study(checkout: Path, subcommand: str, config: Path, out: Path) -> str:
     return f"exit code {proc.returncode}: {proc.stderr.strip()[-500:]}"
 
 
-def first_difference(a: bytes, b: bytes) -> str:
-    """The first differing line of two texts, as a message."""
+def csv_difference(a: bytes, b: bytes) -> str:
+    """How many lines of two texts differ, and the first that differs below
+    a schema line on both sides, as a message."""
     lines_a, lines_b = a.decode().splitlines(), b.decode().splitlines()
-    for i, (la, lb) in enumerate(zip(lines_a, lines_b), 1):
-        if la != lb:
-            return f"line {i}:\n    - {la}\n    + {lb}"
-    return f"{len(lines_a)} lines against {len(lines_b)}"
+    differ = [(i, la, lb) for i, (la, lb) in enumerate(zip(lines_a, lines_b), 1)
+              if la != lb]
+    count = len(differ) + abs(len(lines_a) - len(lines_b))
+    schema = lines_a[:1] + lines_b[:1]
+    if len(schema) == 2 and all(ln.startswith(SCHEMA_PREFIX) for ln in schema):
+        differ = [d for d in differ if d[0] > 1]
+    if differ:
+        i, la, lb = differ[0]
+        first = f"first at line {i}:\n    - {la}\n    + {lb}"
+    elif len(lines_a) != len(lines_b):
+        first = f"{len(lines_a)} lines against {len(lines_b)}"
+    else:
+        first = "only the schema line differs"
+    return f"{count} of {max(len(lines_a), len(lines_b))} lines differ, {first}"
 
 
 def compare_trees(a: Path, b: Path) -> list:
@@ -68,8 +82,7 @@ def compare_trees(a: Path, b: Path) -> list:
             continue
         da, db = fa.read_bytes(), fb.read_bytes()
         if da != db:
-            detail = (f", first difference at {first_difference(da, db)}"
-                      if name.suffix == ".csv" else "")
+            detail = f", {csv_difference(da, db)}" if name.suffix == ".csv" else ""
             problems.append(f"{name}: differs{detail}")
     return problems
 
