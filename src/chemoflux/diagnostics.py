@@ -175,12 +175,10 @@ class TrajectoryRecorder:
 
     def make_record(self, node: Node, p0: float) -> DiagnosticsRecord:
         """The row of a record node: its norm columns from ``node.aux``, v_lp0
-        in L^p0, and its flux and residuals rebuilt from the node's u and v,
-        independent of the stepper's transport term; a None ``node.grad_u`` is
-        taken from ``node.uh``."""
+        in L^p0, and its flux and residuals rebuilt from the node's u, v and
+        grad(u), independent of the stepper's transport term."""
         grid = self.grid
-        uh, aux = node.uh, node.aux
-        grad_u = node.grad_u if node.grad_u is not None else grid._gradient(uh)
+        uh, aux, grad_u = node.uh, node.aux, node.grad_u
         chi = self.chi
         ikx, iky = grid._ikx[:, :uh.shape[1]], grid._iky
         w = grid.cell_area / grid.resolution ** 2
@@ -244,8 +242,8 @@ class Node:
     """A record node: its state, the scalars free there, and what its row needs.
 
     ``u`` and ``s`` = ln c are N x N samples, ``v`` (the drift) and ``grad_u``
-    (2, N, N) samples, ``grad_u`` None where the stepper did not take it, and
-    ``uh`` the compact spectrum of u; the stepper never writes them afterwards.
+    (2, N, N) samples, and ``uh`` the compact spectrum of u; the stepper never
+    writes them afterwards.
     """
 
     t: float
@@ -258,7 +256,7 @@ class Node:
     uh: np.ndarray
     u: np.ndarray
     v: np.ndarray
-    grad_u: np.ndarray | None
+    grad_u: np.ndarray
     s: np.ndarray
     recorder: TrajectoryRecorder
 

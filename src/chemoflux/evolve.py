@@ -2,12 +2,15 @@
 
 `march` is the one stepper and `run` drains it.  One datum ``[u0, phi0]``
 serves both modes: the march applies the Cole-Hopf substitution at its
-start, s = ln c0 = -mu*phi0 and v0 = -(1/mu) grad(s) = grad(phi0).
-Transformed mode evolves (u, v), v by the trapezoid of grad(u), so v stays
-a spectral gradient; original mode evolves (u, c) by Strang splitting around
-the exact update of s = ln c, with v = `cole_hopf.drift` of s.  Both share
-the transport kernel and the implicit density update, and hold every
-spectrum in the compact dealias band of `fields.band_rfft2`.
+start, s = ln c0 = -mu*phi0 and v0 = -(1/mu) grad(s) = grad(phi0).  Both
+modes then take one step: s = ln c moves by the trapezoid of -mu*u and v by
+the trapezoid of grad(u), which on the dealias band keeps v = -(1/mu)
+grad(s), and u by an implicit density update whose transport term is
+carried at the half-step drift w = v + dt/2 grad(u).  The modes differ only
+in where the self-transport term chi dt/4 lap P(u^2) goes: original mode,
+which evolves (u, c), adds it to the node's transport term; transformed
+mode, which evolves (u, v), adds it to the predictor's.  Every spectrum is
+held in the compact dealias band of `fields.band_rfft2`.
 
 Transform counts: tests/test_evolve.py::TestTransformBudget.
 Memory of a step: tests/test_evolve.py::TestRun::test_peak_memory_of_a_single_run.
@@ -149,8 +152,8 @@ def march(data: list, cfg: StepperConfig, params: ChemistryParams,
     and at t_end, and returns the node at t_end.  ``data`` is the one-shot
     holder ``[u0, phi0]`` of two arrays of ``grid``'s shape; the march empties
     it, since every frame of the call chain would otherwise keep the datum
-    alive.  ``mode`` is one of `MODES`; a node's v is the drift and its s is
-    ln c in both.  A caller relies on these invariants:
+    alive.  ``mode`` is one of `MODES`; a node's v is the drift, its grad_u
+    grad(u) and its s ln c in both.  A caller relies on these invariants:
 
     * a yielded node's arrays are never written afterwards, and the march
       keeps no node, datum, snapshot or earlier state across a step;
@@ -182,10 +185,8 @@ def march(data: list, cfg: StepperConfig, params: ChemistryParams,
     del phi0
     s = np.fft.irfft2(sh, s=shape)
     v = drift(grid, sh, mu)
-    if transformed:
-        sh, grad_u = None, grid._gradient(uh)
-    else:
-        grad_u = None   # grad u only where it is read
+    del sh   # from here v moves by the trapezoid of grad(u) in both modes
+    grad_u = grid._gradient(uh)
 
     recorder = diag.TrajectoryRecorder(grid, chi=chi)
     pending_snaps = sorted(float(ts) for ts in snapshot_times)
@@ -209,8 +210,6 @@ def march(data: list, cfg: StepperConfig, params: ChemistryParams,
                             f"monitor = {recorder.blowup_integral}")
         recorder.on_node(t, aux)
         done = t >= t_end - _time_tol(t_end)
-        if grad_u is None and cfg.dt_mode == "cfl" and not done:
-            grad_u = grid._gradient(uh)   # original mode: the CFL bound reads it
         if nstep % cfg.record_every == 0 or done:
             node = diag.Node(t=t, c_linf=float(np.exp(s_max)), a1=recorder.a1,
                              a2=recorder.a2, a3=recorder.a3,
@@ -236,39 +235,36 @@ def march(data: list, cfg: StepperConfig, params: ChemistryParams,
         if pending_snaps and t + dt > pending_snaps[0] + _time_tol(t):
             dt = pending_snaps[0] - t   # land a step on the requested time
 
-        # s moves by the trapezoid of -mu*u (in original mode the Strang pair
-        # of exact decays); -half*u + s frees the node's u with one array fewer
+        # the modes differ only in where the self-transport term chi dt/4
+        # lap P(u^2) goes: original mode adds it to the node's transport term
+        # (the march's own array), so both its terms use the drift w below;
+        # transformed mode adds it to the predictor's, of drift w + dt/2 grad(u_p)
+        if transformed:
+            def predictor_transport(u_p):
+                return _predictor_transport_hat(grid, u_p, w, dt, chi)
+        else:
+            t_hat += _self_transport_hat(grid, u, dt, chi)
+
+            def predictor_transport(u_p):
+                return _transport_hat(grid, u_p, w, chi)
+        # s moves by the trapezoid of -mu*u and v by that of grad(u), whose
+        # half-step drift w = v + dt/2 grad(u) becomes v at t+dt; on the band
+        # this keeps v = -(1/mu) grad(s).  -half*u + s frees the node's u with
+        # one array fewer
         half = 0.5 * dt * mu
         s_half = u * -half
         s_half += s
         s = s_half
-        if transformed:
-            # v moves by the trapezoid of grad(u): w = v + dt/2 grad(u) becomes v1
-            w = grad_u * (0.5 * dt)
-            w += v
-            u, v, grad_u = None, w, None
-            uh, t_hat = _advance_density(
-                grid, uh, dt, cfg.scheme, t_hat,
-                lambda u_p: _predictor_transport_hat(grid, u_p, w, dt, chi)), None
-        else:
-            # the density step's drift is v + dt/2 grad(u), so its transport is
-            # t_hat plus the self-transport term; sh and t_hat are the march's
-            # own arrays (never yielded), so both move in place
-            sh -= half * uh
-            t_hat += _self_transport_hat(grid, u, dt, chi)
-            u = v = grad_u = None
-            uh, t_hat = _advance_density(
-                grid, uh, dt, cfg.scheme, t_hat,
-                lambda u_p: _transport_hat(grid, u_p, drift(grid, sh, mu), chi)), None
+        w = grad_u * (0.5 * dt)
+        w += v
+        u, v, grad_u = None, w, None
+        uh, t_hat = _advance_density(grid, uh, dt, cfg.scheme, t_hat,
+                                     predictor_transport), None
         u = np.fft.irfft2(uh, s=shape)
         s -= half * u
-        if transformed:
-            grad_u = grid._gradient(uh)
-            for i in (0, 1):   # no loop variable keeps a component view
-                v[i] += (0.5 * dt) * grad_u[i]
-        else:
-            sh -= half * uh
-            v = drift(grid, sh, mu)
+        grad_u = grid._gradient(uh)
+        for i in (0, 1):   # no loop variable keeps a component view
+            v[i] += (0.5 * dt) * grad_u[i]
         t += dt
         nstep += 1
 

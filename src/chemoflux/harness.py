@@ -480,11 +480,14 @@ def run_refinement(cfg: ExperimentConfig, out_dir) -> tuple:
 def run_cross_validate(cfg: ExperimentConfig, out_dir) -> tuple:
     """Run both modes from one datum; report their max-in-time L2 discrepancies.
 
-    The modes share every spatial operator, the density update and the s
-    update; they differ only in the time level of the drift in the transport
-    term.  So the discrepancy measures that time error alone, which falls at
-    the scheme's order in dt (``test_xval_measures_the_time_level_of_the_drift``),
-    and it cannot see a defect in the shared operators.  The modes step in
+    The modes share every spatial operator and one step, the s and v
+    updates included; they differ only in where the self-transport term
+    chi dt/4 lap P(u^2) goes: at the node in original mode, at the predictor
+    (which backward Euler does not take) in transformed mode.  That is, in
+    the time level of the drift in one transport term.  So the discrepancy
+    measures that time error alone, which falls at the scheme's order in dt
+    (``test_xval_measures_the_time_level_of_the_drift``), and it cannot see
+    a defect in the shared operators.  The modes step in
     lockstep, one node each; a record without a partner at the same time is
     a RuntimeError, and a halt of either mode raises `RunHalted`.  Members
     step at a fixed dt scaled with the grid spacing, and a datum whose

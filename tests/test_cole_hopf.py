@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from chemoflux import ChemistryParams, Grid, StepperConfig, run
-from chemoflux.cole_hopf import C_FLOOR, forward_transform
-from sample_fields import band_limited_field, constant_field
+from chemoflux.cole_hopf import C_FLOOR, drift, forward_transform
+from chemoflux.fields import band_rfft2
+from sample_fields import band_limited_field, band_limited_potential, constant_field
 from oracles import curl2d, lp_norm
 
 
@@ -50,6 +51,31 @@ class TestForwardTransform:
         vals[9, 11] = C_FLOOR / 2
         with pytest.raises(ValueError, match=r"\(9, 11\)"):
             forward_transform(grid32, vals, ChemistryParams())
+
+
+class TestColeHopfLink:
+    @pytest.mark.parametrize("scheme", ["imex_cn", "imex_be"])
+    @pytest.mark.parametrize("mode", ["transformed", "original"])
+    def test_every_node_keeps_v_the_log_gradient(self, grid64, mode, scheme):
+        # both modes move s = ln c by the trapezoid of -mu u and v by that of
+        # grad(u); on the dealias band the two trapezoids keep
+        # v = -(1/mu) grad(s), an identity that no step imposes.  The first
+        # steps are CFL-limited below the cap dt = 1
+        mu = 2.0
+        u0 = 1.0 + 0.3 * band_limited_field(grid64, 4, kmax=14)
+        phi0 = band_limited_potential(grid64, 5, kmax=14, amplitude=0.3)
+        times, errors = [], []
+
+        def check(node):
+            link = drift(grid64, band_rfft2(node.s), mu)
+            times.append(node.t)
+            errors.append(np.abs(node.v - link).max() / np.abs(node.v).max())
+
+        run([u0, phi0], StepperConfig(dt=1.0, t_end=4.0, dt_mode="cfl",
+                                      scheme=scheme),
+            ChemistryParams(mu=mu), mode=mode, recorders=(check,), grid=grid64)
+        assert min(np.diff(times)) < 1.0
+        assert max(errors) <= 1e-12
 
 
 class TestCStep:

@@ -373,7 +373,8 @@ class TestRecordAgainstOracles:
         uh = band_rfft2(u)
         node = Node(t=0.0, c_linf=1.0, a1=0.0, a2=0.0, a3=0.0, blowup_integral=0.0,
                     aux=node_norms(grid64, uh, np.zeros_like(uh), v_bad),
-                    uh=uh, u=u, v=v_bad, grad_u=None, s=np.zeros(grid64.shape),
+                    uh=uh, u=u, v=v_bad, grad_u=gradient(grid64, u),
+                    s=np.zeros(grid64.shape),
                     recorder=TrajectoryRecorder(grid64, chi=1.0))
         rec = node.row(6.0)
         assert rec.flux_curl_residual > 1e-4

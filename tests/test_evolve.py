@@ -243,49 +243,40 @@ def transforms(monkeypatch):
 
 
 class TestTransformBudget:
-    """Exact transform counts, as differences between runs that differ only
-    in horizon or in record cadence.  dt = 1/16 keeps the step ends exact,
-    and the small data keep the CFL bound above that cap."""
+    """Exact transform counts, one table for both modes, as differences
+    between runs that differ only in horizon or in record cadence.  dt = 1/16
+    keeps the step ends exact, and the small data keep the CFL bound above
+    that cap."""
 
     @pytest.mark.parametrize("mode,zero,count", [
-        ("transformed", False, 10), ("original", False, 8),
-        ("transformed", True, 10), ("original", True, 8)])
+        ("transformed", False, 10), ("original", False, 10),
+        ("transformed", True, 10), ("original", True, 10)])
     def test_start_and_first_node(self, grid32, transforms, mode, zero, count):
-        # u: 2; s and v from phi0: 4, a zero phi0 too; grad(u) in
-        # transformed mode: 2; the t=0 node's transport term: 2
+        # u: 2; s and v from phi0: 4, a zero phi0 too; grad(u): 2; the t=0
+        # node's transport term: 2
         u0, phi0 = smooth_state(grid32, amplitude=0.01)
         if zero:
             phi0 = constant_field(grid32, 0.0)
         assert transforms(grid32, u0, phi0, StepperConfig(dt=0.0625, t_end=0.0),
                           rows=False, mode=mode) == count
 
+    # the node's transport term 2, u 1 and grad(u) 2; the self-transport term
+    # 1, at the node in original mode and at the predictor in transformed
+    # mode; CN's predicted u 1 and its transport term 2.  A CFL bound reads
+    # the grad(u) that every step takes.
     @pytest.mark.parametrize("dt_mode", ["fixed", "cfl"])
-    @pytest.mark.parametrize("scheme,per_step", [("imex_cn", 9), ("imex_be", 5)])
-    def test_transformed_step(self, grid32, transforms, dt_mode, scheme, per_step):
+    @pytest.mark.parametrize("mode,scheme,per_step", [
+        ("transformed", "imex_cn", 9), ("original", "imex_cn", 9),
+        ("transformed", "imex_be", 5), ("original", "imex_be", 6)])
+    def test_step(self, grid32, transforms, mode, scheme, per_step, dt_mode):
         u0, phi0 = smooth_state(grid32, amplitude=0.01)
         steps = [transforms(grid32, u0, phi0, StepperConfig(
             dt=0.0625, t_end=t_end, dt_mode=dt_mode, scheme=scheme,
-            record_every=1000)) for t_end in (0.5, 1.125)]   # 8 and 18 steps
+            record_every=1000), mode=mode)
+            for t_end in (0.5, 1.125)]   # 8 and 18 steps
         assert steps[1] - steps[0] == 10 * per_step
 
-    def original_steps(self, grid, transforms, scheme, dt_mode):
-        """Transforms of 10 original-mode steps."""
-        u0, phi0 = smooth_state(grid, amplitude=0.01)
-        steps = [transforms(grid, u0, phi0, StepperConfig(
-            dt=0.0625, t_end=t_end, dt_mode=dt_mode, scheme=scheme,
-            record_every=1000), mode="original") for t_end in (0.5, 1.125)]
-        return steps[1] - steps[0]
-
-    # a CFL bound reads grad(u), which original mode takes only for it
-    def test_original_step(self, grid32, transforms):
-        assert [self.original_steps(grid32, transforms, "imex_cn", dt_mode)
-                for dt_mode in ("fixed", "cfl")] == [110, 130]
-
-    def test_original_be_step(self, grid32, transforms):
-        assert [self.original_steps(grid32, transforms, "imex_be", dt_mode)
-                for dt_mode in ("fixed", "cfl")] == [60, 80]
-
-    @pytest.mark.parametrize("original,per_record", [(False, 3), (True, 5)])
+    @pytest.mark.parametrize("original,per_record", [(False, 3), (True, 3)])
     def test_record(self, grid32, transforms, original, per_record):
         # 20 steps: 21 rows, or the first and the last
         u0, phi0 = smooth_state(grid32, amplitude=0.01)
@@ -448,9 +439,7 @@ class TestRun:
             kept, at_hook, snapped = [], [], []
 
             def hook(node):
-                arrays = [node.u, node.v, node.s, node.uh]
-                if node.grad_u is not None:
-                    arrays.append(node.grad_u)
+                arrays = [node.u, node.v, node.s, node.uh, node.grad_u]
                 kept.append(arrays)
                 at_hook.append([a.copy() for a in arrays])
 
@@ -519,25 +508,24 @@ class TestRun:
             assert len(nodes) == 3
             for node in nodes:
                 assert_arrays(scalar, node.u, node.s)
-                assert_arrays(vector, node.v)
-                if node.t < 0.1:   # a CFL bound reads grad(u) in both modes
-                    assert_arrays(vector, node.grad_u)
+                assert_arrays(vector, node.v, node.grad_u)
 
     @pytest.mark.parametrize("original,rows,bound", [
         (False, True, 401_032), (False, False, 354_912),
-        (True, True, 423_624), (True, False, 334_880),
+        (True, True, 401_032), (True, False, 354_912),
     ], ids=["transformed-rows", "transformed", "original-rows", "original"])
     def test_peak_memory_of_a_single_run(self, original, rows, bound):
         # NumPy registers its arrays with tracemalloc.  A run on a small
         # grid first makes the one-time allocations of the code paths; the
         # traced run then builds a fresh grid's tables and takes CN steps,
         # at CFL dt in transformed mode and at fixed dt in original mode,
-        # building a row at every node or none.  Each bound is the peak of
-        # the case run alone (Python 3.11, NumPy 2.4; some 300 bytes less
-        # after the rest of the suite).  The 8 KB margin is under a quarter
-        # of one full-width N x (N/2 + 1) spectrum at N=64 (33 792 bytes),
-        # so a full-width intermediate that comes back fails, and so does
-        # an N x N array (32 768 bytes) that a step holds again.
+        # building a row at every node or none.  Both modes hold the same
+        # arrays at a node and in a step, so their bounds agree.  Each bound
+        # is the peak of the case run alone (Python 3.11, NumPy 2.4; some
+        # 300 bytes less after the rest of the suite).  The 8 KB margin is
+        # under a quarter of one full-width N x (N/2 + 1) spectrum at N=64
+        # (33 792 bytes), so a full-width intermediate that comes back fails,
+        # and so does an N x N array (32 768 bytes) that a step holds again.
         grid, small = Grid(16 * np.pi, 64), Grid(16 * np.pi, 8)
         u0 = 1.0 + 0.3 * band_limited_field(grid, 7, kmax=14)
         if original:   # c0 = exp(0.2 f)

@@ -13,13 +13,16 @@ written, so that neither checkout is touched.  Then it compares the two
 output trees file by file, as bytes, and prints each file that differs or
 exists on one side only; for a CSV it also prints how many lines differ and
 the first that differs below the schema line ``# chemoflux-diagnostics-vN``,
-so that a schema bump cannot hide a changed row.  It exits 1 on any
+so that a schema bump cannot hide a changed row, and the largest absolute
+difference of each numeric column, so that a tolerance on a column can be
+read off the output.  It exits 1 on any
 difference, the schema line's included, or on a study that exits non-zero,
 2 on a checkout without ``src/chemoflux``, and 0 otherwise.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import subprocess
 import sys
@@ -70,6 +73,40 @@ def csv_difference(a: bytes, b: bytes) -> str:
     return f"{count} of {max(len(lines_a), len(lines_b))} lines differ, {first}"
 
 
+def _gap(x: float, y: float) -> float:
+    """|x - y|, 0 for two NaNs and infinite for a NaN against a number."""
+    if x == y or (math.isnan(x) and math.isnan(y)):
+        return 0.0
+    gap = abs(x - y)
+    return math.inf if math.isnan(gap) else gap
+
+
+def column_differences(a: bytes, b: bytes) -> str:
+    """The largest absolute difference of each column of two CSV texts whose
+    values parse as numbers on both sides, over the rows both have, as a
+    message; a column is matched by its name in the header below the comment
+    lines."""
+    tables = []
+    for text in (a, b):
+        lines = [ln.split(",") for ln in text.decode().splitlines()
+                 if ln and not ln.startswith("#")]
+        tables.append((lines[0], lines[1:]) if lines else ([], []))
+    (head_a, rows_a), (head_b, rows_b) = tables
+    parts = []
+    for name in head_a:
+        if name not in head_b:
+            continue
+        i, j = head_a.index(name), head_b.index(name)
+        try:
+            pairs = [(float(ra[i]), float(rb[j])) for ra, rb in zip(rows_a, rows_b)]
+        except (IndexError, ValueError):   # a short row or a text column
+            continue
+        gap = max((_gap(x, y) for x, y in pairs), default=0.0)
+        parts.append(f"{name} {gap:.3g}")
+    return "largest absolute difference per numeric column: " + (
+        ", ".join(parts) if parts else "none")
+
+
 def compare_trees(a: Path, b: Path) -> list:
     """Messages for every file that differs between the trees a and b."""
     names = sorted({p.relative_to(root) for root in (a, b)
@@ -82,7 +119,8 @@ def compare_trees(a: Path, b: Path) -> list:
             continue
         da, db = fa.read_bytes(), fb.read_bytes()
         if da != db:
-            detail = f", {csv_difference(da, db)}" if name.suffix == ".csv" else ""
+            detail = (f", {csv_difference(da, db)}\n    {column_differences(da, db)}"
+                      if name.suffix == ".csv" else "")
             problems.append(f"{name}: differs{detail}")
     return problems
 
