@@ -10,7 +10,6 @@ which `TrajectoryRecorder` accumulates, and ``node.row(p0)`` builds a `Node`'s
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -237,13 +236,12 @@ class TrajectoryRecorder:
         )
 
 
-@dataclass(frozen=True)
-class Node:
+class Node(NamedTuple):
     """A record node: its state, the scalars free there, and what its row needs.
 
     ``u`` and ``s`` = ln c are N x N samples, ``v`` (the drift) and ``grad_u``
-    (2, N, N) samples, and ``uh`` the compact spectrum of u; the stepper never
-    writes them afterwards.
+    (2, N, N) samples, and ``uh`` the compact spectrum of u; a NamedTuple, so
+    no field is rebound, and the stepper never writes the arrays afterwards.
     """
 
     t: float

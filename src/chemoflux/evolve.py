@@ -9,8 +9,9 @@ grad(s), and u by an implicit density update whose transport term is
 carried at the half-step drift w = v + dt/2 grad(u).  The modes differ only
 in where the self-transport term chi dt/4 lap P(u^2) goes: original mode,
 which evolves (u, c), adds it to the node's transport term; transformed
-mode, which evolves (u, v), adds it to the predictor's.  Every spectrum is
-held in the compact dealias band of `fields.band_rfft2`.
+mode, which evolves (u, v), has `_advance_density` add it to the
+predictor's.  Every spectrum is held in the compact dealias band of
+`fields.band_rfft2`.
 
 Transform counts: tests/test_evolve.py::TestTransformBudget.
 Memory of a step: tests/test_evolve.py::TestRun::test_peak_memory_of_a_single_run.
@@ -99,17 +100,12 @@ def _self_transport_hat(grid: Grid, u, dt: float, chi: float):
     return ph
 
 
-def _predictor_transport_hat(grid: Grid, u_p, w, dt: float, chi: float):
-    """chi * div P(u_p v_p) for v_p = w + dt/2 grad(u_p), without forming v_p."""
-    t_hat = _transport_hat(grid, u_p, w, chi)
-    t_hat += _self_transport_hat(grid, u_p, dt, chi)
-    return t_hat
-
-
-def _advance_density(grid, uh, dt, scheme, t_hat, predictor_transport):
+def _advance_density(grid, uh, dt, scheme, t_hat, w, chi, self_at_predictor):
     """u_hat at t+dt by backward Euler or by the predicted trapezoid; overwrites
-    ``t_hat``, the node's transport term.  ``predictor_transport(u_p)`` is the
-    transport term at the predicted samples."""
+    ``t_hat``, the node's transport term.  The predictor's transport term is
+    chi * div P(u_p w) for the half-step drift ``w``, plus, if
+    ``self_at_predictor`` (transformed mode), the self-transport term at u_p,
+    so chi * div P(u_p v_p) for v_p = w + dt/2 grad(u_p) without forming v_p."""
     k2 = grid._k_squared[:, :uh.shape[1]]
     if scheme == "imex_be":
         t_hat *= dt
@@ -125,7 +121,9 @@ def _advance_density(grid, uh, dt, scheme, t_hat, predictor_transport):
     del explicit
     u_p = np.fft.irfft2(uh_p, s=grid.shape)
     del uh_p
-    uh1 = predictor_transport(u_p)
+    uh1 = _transport_hat(grid, u_p, w, chi)
+    if self_at_predictor:
+        uh1 += _self_transport_hat(grid, u_p, dt, chi)
     del u_p
     uh1 *= 0.5 * dt
     uh1 += t_hat
@@ -236,17 +234,12 @@ def march(data: list, cfg: StepperConfig, params: ChemistryParams,
             dt = pending_snaps[0] - t   # land a step on the requested time
 
         # the modes differ only in where the self-transport term chi dt/4
-        # lap P(u^2) goes: original mode adds it to the node's transport term
-        # (the march's own array), so both its terms use the drift w below;
-        # transformed mode adds it to the predictor's, of drift w + dt/2 grad(u_p)
-        if transformed:
-            def predictor_transport(u_p):
-                return _predictor_transport_hat(grid, u_p, w, dt, chi)
-        else:
+        # lap P(u^2) goes: original mode adds it here, to the node's transport
+        # term (the march's own array), so both its terms use the drift w
+        # below; transformed mode has _advance_density add it to the
+        # predictor's, of drift w + dt/2 grad(u_p)
+        if not transformed:
             t_hat += _self_transport_hat(grid, u, dt, chi)
-
-            def predictor_transport(u_p):
-                return _transport_hat(grid, u_p, w, chi)
         # s moves by the trapezoid of -mu*u and v by that of grad(u), whose
         # half-step drift w = v + dt/2 grad(u) becomes v at t+dt; on the band
         # this keeps v = -(1/mu) grad(s).  -half*u + s frees the node's u with
@@ -258,8 +251,8 @@ def march(data: list, cfg: StepperConfig, params: ChemistryParams,
         w = grad_u * (0.5 * dt)
         w += v
         u, v, grad_u = None, w, None
-        uh, t_hat = _advance_density(grid, uh, dt, cfg.scheme, t_hat,
-                                     predictor_transport), None
+        uh, t_hat = _advance_density(grid, uh, dt, cfg.scheme, t_hat, w, chi,
+                                     transformed), None
         u = np.fft.irfft2(uh, s=shape)
         s -= half * u
         grad_u = grid._gradient(uh)

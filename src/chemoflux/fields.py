@@ -5,7 +5,8 @@ A field is a float64 array of samples on the `Grid`: N x N for a scalar and
 ``np.fft.rfft2``'s N x (N/2 + 1) layout with y along the rows; the solver
 keeps the compact dealias band of `band_rfft2`, which ``np.fft.irfft2(zh,
 s=(N, N))`` inverts as well.  `Grid`'s tables are full width, and each use
-slices them to the width of the spectrum it meets.
+slices them to the width of the spectrum it meets.  `Grid` holds no sample
+coordinates: the cell centers along an axis are ``arange(N) * spacing``.
 """
 
 from __future__ import annotations
@@ -110,11 +111,6 @@ class Grid:
         out[0] = np.fft.irfft2(self._ikx[:, :zh.shape[1]] * zh, s=self.shape)
         out[1] = np.fft.irfft2(self._iky * zh, s=self.shape)
         return out
-
-    def coordinates(self) -> tuple[np.ndarray, np.ndarray]:
-        """Cell-center sample coordinates (X, Y), each N x N."""
-        x = np.arange(self.resolution) * self.spacing
-        return np.meshgrid(x, x, indexing="xy")
 
 
 def band_rfft2(x: np.ndarray) -> np.ndarray:

@@ -2,12 +2,16 @@
 N x N samples, u0 >= 0 and phi0 a zero-mean potential, serving both forms
 of the system.  Jumps are rasterized by cell-center sampling, so they
 survive in the samples; a mollifier of width delta is the only smoothing.
+The rasters are built on the cell-center axis x = arange(N) * h, broadcast
+as the row x[None, :] along x and the column x[:, None] along y, so the
+build makes no N x N coordinate mesh.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -66,8 +70,7 @@ class InitialDataRecipe:
                                      f"got {','.join(map(repr, stripe))}")
 
 
-@dataclass(frozen=True)
-class DataSummary:
+class DataSummary(NamedTuple):
     """Smallness parameters of a datum, with v0 = grad(phi0): ``theta0`` of the
     returned (possibly mollified) datum, ``theta0_raw`` of the unsmoothed one."""
 
@@ -104,7 +107,8 @@ def _min_image(d: np.ndarray, L: float) -> np.ndarray:
     return d - L * np.round(d / L)
 
 
-def _raster_u(recipe: InitialDataRecipe, grid: Grid, X, Y) -> np.ndarray:
+def _raster_u(recipe: InitialDataRecipe, grid: Grid, x) -> np.ndarray:
+    X, Y = x[None, :], x[:, None]
     L = grid.side_length
     u = np.ones((grid.resolution, grid.resolution))
     a = recipe.amplitude
@@ -133,18 +137,14 @@ def _raster_u(recipe: InitialDataRecipe, grid: Grid, X, Y) -> np.ndarray:
     return u
 
 
-def _raster_potential(recipe: InitialDataRecipe, grid: Grid, X, Y) -> np.ndarray:
+def _raster_potential(recipe: InitialDataRecipe, grid: Grid, x) -> np.ndarray:
+    X, Y = x[None, :], x[:, None]
     L = grid.side_length
     phi = np.zeros((grid.resolution, grid.resolution))
     for mx, my, amp, phase in recipe.potential_modes:
         phi += recipe.amplitude * amp * np.sin(
             2 * np.pi * (mx * X + my * Y) / L + phase)
     return phi
-
-
-def _deviation_sq(grid: Grid, u: np.ndarray) -> float:
-    """||u - 1||_2^2."""
-    return lp_norm(grid, u - 1.0, 2) ** 2
 
 
 def build_initial_data(recipe: InitialDataRecipe, grid: Grid):
@@ -155,21 +155,20 @@ def build_initial_data(recipe: InitialDataRecipe, grid: Grid):
     phi0 is the potential, zero without potential modes, with its mean mode
     zeroed; for delta > 0, u0 and phi0 are mollified alike.
     """
-    X, Y = grid.coordinates()
-    u0 = _raster_u(recipe, grid, X, Y)
+    x = np.arange(grid.resolution) * grid.spacing   # the cell-center axis
+    u0 = _raster_u(recipe, grid, x)
     umin = u0.min()
     if umin < 0:
         raise ValueError(
             f"recipe produces negative cell density (min u0 = {umin}); "
             "u0 >= 0 is required")
-    phi = _raster_potential(recipe, grid, X, Y)
-    del X, Y
-    theta0_raw = _deviation_sq(grid, u0)
+    phi = _raster_potential(recipe, grid, x)
+    theta0_raw = lp_norm(grid, u0 - 1.0, 2) ** 2
     ker = None
     if recipe.delta > 0:
         ker = mollifier_kernel(grid, recipe.delta)
         u0 = mollify(grid, u0, ker)
-    theta0 = _deviation_sq(grid, u0)
+    theta0 = lp_norm(grid, u0 - 1.0, 2) ** 2
     ph = np.fft.rfft2(phi)
     del phi
     ph[0, 0] = 0.0   # a zero-mean potential

@@ -1,5 +1,5 @@
-"""Sample fields shared by the test modules, as plain arrays: constant, from
-a function of the sample coordinates, random band-limited, and random
+"""Sample fields shared by the test modules, as plain arrays: the sample
+coordinates, constant, from a function of them, random band-limited, and random
 potentials and their gradients; `spectral_gradient`, the gradient that the
 program takes on a half spectrum; and `run_rows`, a run that keeps its
 diagnostics rows."""
@@ -36,13 +36,19 @@ def zero_drift(grid):
     return np.zeros((2,) + grid.shape)
 
 
+def coordinates(grid):
+    """Cell-center sample coordinates (X, Y), each N x N."""
+    x = np.arange(grid.resolution) * grid.spacing
+    return np.meshgrid(x, x, indexing="xy")
+
+
 def constant_field(grid, value):
     return np.full(grid.shape, float(value))
 
 
 def field_from_function(grid, fn):
     """The samples fn(X, Y) at the grid's cell-center coordinates."""
-    X, Y = grid.coordinates()
+    X, Y = coordinates(grid)
     return fn(X, Y)
 
 

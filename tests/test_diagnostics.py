@@ -7,7 +7,7 @@ from chemoflux.diagnostics import (CSV_COLUMNS, DiagnosticsRecord, Node,
 from chemoflux.harness import write_diagnostics_csv
 from chemoflux.fields import band_rfft2
 from sample_fields import (band_limited_field, band_limited_gradient,
-                           band_limited_potential, constant_field,
+                           band_limited_potential, constant_field, coordinates,
                            field_from_function, run_rows, spectral_gradient,
                            zero_drift)
 from oracles import (assemble_rhs_ut, calibrate_energy_constant,
@@ -75,7 +75,7 @@ class TestFluxDivergenceIdentity:
         u, v = solution_like_pair(grid64, 5)
         rhs = assemble_rhs_ut(grid64, u, v, 1.0)
         L = grid64.side_length
-        X, _ = grid64.coordinates()
+        X, _ = coordinates(grid64)
         bump = 1e-3 * np.sin(2 * np.pi * X / L)
         resid = flux_divergence_residual(grid64, u, v, 1.0, rhs + bump)
         fault_size = lp_norm(grid64, bump, 2)

@@ -10,7 +10,7 @@ from chemoflux import Grid
 from chemoflux.fields import band_rfft2, lp_norm, resample, spectral_power
 from chemoflux.snapshots import write_snapshot
 from sample_fields import (band_limited_field, band_limited_gradient,
-                           constant_field, field_from_function)
+                           constant_field, coordinates, field_from_function)
 from sample_fields import spectral_gradient as gradient
 from oracles import (curl2d, dealias, divergence, gn_ratio, laplacian,
                      perp_gradient, product_dot, product_scalar_vector,
@@ -61,7 +61,7 @@ class TestHalfSpectrumParseval:
         # count once; the field puts energy in both, and in the y-Nyquist row
         grid = Grid(2 * np.pi * 3, n)
         L = grid.side_length
-        X, Y = grid.coordinates()
+        X, Y = coordinates(grid)
         alt = (-1.0) ** np.arange(n)
         vals = (np.random.default_rng(seed).standard_normal((n, n))
                 + 2.0 * alt[None, :] * (1.0 + np.sin(2 * np.pi * Y / L))
@@ -94,7 +94,7 @@ class TestGradient:
         L = grid.side_length
         f = field_from_function(grid, lambda X, Y: np.sin(2 * np.pi * X / L))
         g = gradient(grid, f)
-        X, _ = grid.coordinates()
+        X, _ = coordinates(grid)
         expected = (2 * np.pi / L) * np.cos(2 * np.pi * X / L)
         assert np.abs(g[0] - expected).max() <= 1e-12
         assert np.abs(g[1]).max() <= 1e-12
@@ -186,7 +186,7 @@ class TestCurl:
     def test_analytic_sign_conventions(self):
         grid = Grid(2 * np.pi * 4, 64)
         L = grid.side_length
-        X, Y = grid.coordinates()
+        X, Y = coordinates(grid)
         k = 2 * np.pi / L
         w = np.stack([np.sin(k * Y), np.zeros_like(Y)])
         assert np.abs(curl2d(grid, w) - k * np.cos(k * Y)).max() <= 1e-12
@@ -271,7 +271,7 @@ class TestSpectralConvergence:
         errs = {}
         for n in (32, 64):
             grid = Grid(L, n)
-            X, _ = grid.coordinates()
+            X, _ = coordinates(grid)
             f = np.exp(4 * np.sin(2 * np.pi * X / L))
             exact = (4 * 2 * np.pi / L) * np.cos(2 * np.pi * X / L) * f
             errs[n] = np.abs(gradient(grid, f)[0] - exact).max()

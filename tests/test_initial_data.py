@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from chemoflux import (ChemistryParams, Grid, InitialDataRecipe, StepperConfig,
                        build_initial_data, run)
 from chemoflux.initial_data import mollifier_kernel, mollify
 from sample_fields import (band_limited_field, band_limited_gradient,
-                           constant_field, spectral_gradient)
+                           constant_field, coordinates, spectral_gradient)
 from oracles import curl2d, lp_norm, project_curl_free
 
 
@@ -25,7 +26,7 @@ class TestRecipes:
                                    disks=((0.5, 0.5, r, 1.0),))
         u0, _, summary = build_initial_data(recipe, grid64)
         # oracle: count raster cells inside the disk directly
-        X, Y = grid64.coordinates()
+        X, Y = coordinates(grid64)
         L = grid64.side_length
         dx = X - 0.5 * L - L * np.round((X - 0.5 * L) / L)
         dy = Y - 0.5 * L - L * np.round((Y - 0.5 * L) / L)
@@ -111,12 +112,13 @@ class TestRecipes:
         assert set(np.unique(drawn)) >= {0.8, 1.0, 1.2}
         np.testing.assert_array_equal(drawn, explicit)
 
-    @pytest.mark.parametrize("modes,count", [
-        ((), 7),                      # kernel, u0 and back: 3; the potential,
-        (((1, 0, 1.0, 0.0),), 7),     # zero or not, and back, grad(phi0): 4
-    ])
-    def test_transforms_of_a_mollified_build(self, grid64, monkeypatch, modes,
-                                             count):
+    @pytest.mark.parametrize("cells,modes,count", [
+        (0, (), 4),                      # no kernel: the potential, zero or
+        (0, ((1, 0, 1.0, 0.0),), 4),     # not, and back, grad(phi0): 1 + 3
+        (2, (), 7),                      # kernel, u0 and back: 3; the potential,
+        (2, ((1, 0, 1.0, 0.0),), 7),     # zero or not, and back, grad(phi0): 4
+    ], ids=["unmollified", "unmollified-modes", "mollified", "mollified-modes"])
+    def test_transforms_of_a_build(self, grid64, monkeypatch, cells, modes, count):
         # a zero phi0 takes the transforms of any other, and u0 and phi0
         # share one kernel spectrum
         calls = [0]
@@ -125,12 +127,60 @@ class TestRecipes:
                 calls[0] += 1
                 return _real(*args, **kwargs)
             monkeypatch.setattr(np.fft, name, counting)
-        recipe = InitialDataRecipe(amplitude=0.2, delta=2 * grid64.spacing,
+        recipe = InitialDataRecipe(amplitude=0.2, delta=cells * grid64.spacing,
                                    disks=((0.5, 0.5, 3.0, 1.0),),
                                    potential_modes=modes)
         _, phi0, summary = build_initial_data(recipe, grid64)
         assert calls[0] == count
         assert (summary.M > 0) == bool(modes) and phi0.any() == bool(modes)
+
+    def test_peak_memory_of_a_build(self):
+        # NumPy registers its arrays with tracemalloc.  A build on a small
+        # grid first makes the one-time allocations of the code path; the
+        # traced build then makes a fresh N=64 grid's tables and builds the
+        # theta scan workload's recipe: four random disks and two potential
+        # modes, mollified.  The bound is the peak of the case run alone
+        # (Python 3.11, NumPy 2.4), with the 8 KB margin of
+        # test_peak_memory_of_a_single_run, a quarter of one N x N
+        # array (32 768 bytes).
+        modes = ((1, 0, 1.0, 0.0), (0, 2, 0.5, 1.0))
+        grid, small = Grid(16 * np.pi, 64), Grid(16 * np.pi, 8)
+        build_initial_data(InitialDataRecipe(
+            amplitude=0.2, delta=2 * small.spacing, random_disks=4,
+            potential_modes=modes), small)
+        recipe = InitialDataRecipe(amplitude=0.2, delta=2 * grid.spacing,
+                                   random_disks=4, potential_modes=modes)
+        tracemalloc.start()
+        try:
+            build_initial_data(recipe, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 272_112 + 8_192
+
+    @pytest.mark.parametrize("recipe", [
+        # the first disk wraps across both edges of the box
+        InitialDataRecipe(amplitude=0.3, disks=((0.97, 0.02, 3.0, 1.0),
+                                                (0.4, 0.6, 2.0, -1.0)),
+                          potential_modes=((2, 1, 0.5, 0.7),)),
+        InitialDataRecipe(kind="piecewise_constant_stripes", amplitude=0.8,
+                          stripes=((0.2, 0.25, 1.0), (0.9, 0.3, -0.5))),
+        InitialDataRecipe(kind="smooth_bump", amplitude=0.5, bump_center=(0.3, 0.7),
+                          bump_sharpness=10.0),
+        InitialDataRecipe(kind="from_potential", amplitude=0.1,
+                          potential_modes=((1, 0, 1.0, 0.0), (2, 3, 0.5, 1.3))),
+    ], ids=["disks", "stripes", "smooth_bump", "from_potential"])
+    def test_rasters_match_the_mesh_formulas(self, grid64, recipe):
+        # the build broadcasts the sample axis; its u0 and phi0 equal, bit for
+        # bit, the formulas on N x N coordinate meshes
+        u, phi = mesh_rasters(recipe, grid64)
+        ph = np.fft.rfft2(phi)
+        ph[0, 0] = 0.0
+        u0, phi0, _ = build_initial_data(recipe, grid64)
+        assert np.array_equal(u0, u)
+        assert np.array_equal(phi0, np.fft.irfft2(ph, s=grid64.shape))
+        if recipe.disks:
+            assert u0[0, 0] > 1.0 and u0[-1, -1] > 1.0
 
     def test_rejects_p0_at_most_four(self):
         with pytest.raises(ValueError):
@@ -141,8 +191,33 @@ class TestRecipes:
             InitialDataRecipe(kind="checkerboard")
 
 
+def mesh_rasters(recipe, grid):
+    """u0 and the potential of an unmollified recipe without random disks, by
+    the formulas on N x N coordinate meshes."""
+    X, Y = coordinates(grid)
+    L, a = grid.side_length, recipe.amplitude
+    u = np.ones(grid.shape)
+    if recipe.kind == "piecewise_constant_disks":
+        for cx, cy, radius, weight in recipe.disks:
+            dx, dy = X - cx * L, Y - cy * L
+            dx, dy = dx - L * np.round(dx / L), dy - L * np.round(dy / L)
+            u += a * weight * (dx ** 2 + dy ** 2 < radius ** 2)
+    elif recipe.kind == "piecewise_constant_stripes":
+        for start, width, weight in recipe.stripes:
+            u += a * weight * ((X / L - start) % 1.0 < width)
+    elif recipe.kind == "smooth_bump":
+        cx, cy = recipe.bump_center
+        k = recipe.bump_sharpness
+        u += a * (np.exp(k * (np.cos(2 * np.pi * (X - cx * L) / L) - 1.0))
+                  * np.exp(k * (np.cos(2 * np.pi * (Y - cy * L) / L) - 1.0)))
+    phi = np.zeros(grid.shape)
+    for mx, my, amp, phase in recipe.potential_modes:
+        phi += a * amp * np.sin(2 * np.pi * (mx * X + my * Y) / L + phase)
+    return u, phi
+
+
 def _stripe(grid, amplitude=1.0, start=0.3, width=0.3):
-    X, _ = grid.coordinates()
+    X, _ = coordinates(grid)
     frac = X / grid.side_length
     return amplitude * (((frac - start) % 1.0) < width)
 
@@ -231,7 +306,7 @@ class TestProjectCurlFree:
 
     def test_annihilates_pure_curl_part(self, grid64):
         L = grid64.side_length
-        _, Y = grid64.coordinates()
+        _, Y = coordinates(grid64)
         w = np.stack([np.sin(2 * np.pi * Y / L), np.zeros_like(Y)])
         out = project_curl_free(grid64, w)
         assert np.abs(out).max() <= 1e-13

@@ -5,8 +5,9 @@ Usage: ``python tools/same_outputs.py PARENT [CHANGE]``; CHANGE defaults to
 this checkout.  Each argument is the root of a checkout, with the package in
 ``src/chemoflux``.
 
-For each workload of ``perfbench/workloads.WORKLOADS`` at seeds 0 and 5 it
-writes the workload's config to a temporary directory and runs
+For each workload of ``perfbench/workloads.WORKLOADS`` at seeds 0 and 5,
+and for each ``tests/golden/*.cfg`` of this checkout as a ``run``, it
+writes the config to a temporary directory and runs
 ``python -m chemoflux.cli <subcommand> --config ... --out ...`` once per
 checkout, with ``PYTHONPATH=<checkout>/src``, one thread and no bytecode
 written, so that neither checkout is touched.  Then it compares the two
@@ -37,6 +38,7 @@ from run import THREAD_VARS  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
 SEEDS = (0, 5)
+GOLDEN = ROOT / "tests" / "golden"
 SCHEMA_PREFIX = "# chemoflux-diagnostics-v"
 
 
@@ -107,6 +109,19 @@ def column_differences(a: bytes, b: bytes) -> str:
         ", ".join(parts) if parts else "none")
 
 
+def cases():
+    """(label, subcommand, config text) of every case: each workload at each
+    seed, then each golden config; the goldens run backward Euler, an
+    original-mode single run and an off-record snapshot, which no workload
+    does."""
+    for workload in WORKLOADS.values():
+        for seed in SEEDS:
+            yield (f"{workload.name} seed {seed}", workload.subcommand,
+                   workload.config(seed))
+    for config in sorted(GOLDEN.glob("*.cfg")):
+        yield f"golden {config.stem}", "run", config.read_text()
+
+
 def compare_trees(a: Path, b: Path) -> list:
     """Messages for every file that differs between the trees a and b."""
     names = sorted({p.relative_to(root) for root in (a, b)
@@ -139,26 +154,23 @@ def main(argv=None) -> int:
             return 2
     bad = 0
     with tempfile.TemporaryDirectory() as tmp:
-        for workload in WORKLOADS.values():
-            for seed in SEEDS:
-                case = Path(tmp) / f"{workload.name}_seed{seed}"
-                case.mkdir()
-                config = case / "workload.cfg"
-                config.write_text(workload.config(seed))
-                problems = []
-                for side, checkout in checkouts.items():
-                    why = run_study(checkout, workload.subcommand, config,
-                                    case / side)
-                    if why:
-                        problems.append(f"{side} study failed, {why}")
-                if not problems:
-                    problems = compare_trees(case / "parent", case / "change")
-                files = sum(1 for p in (case / "change").rglob("*") if p.is_file())
-                verdict = "differs" if problems else f"{files} files identical"
-                print(f"{workload.name} seed {seed}: {verdict}")
-                for problem in problems:
-                    print(f"  {problem}")
-                bad += bool(problems)
+        for label, subcommand, text in cases():
+            case = Path(tmp) / label.replace(" ", "_")
+            case.mkdir()
+            config = case / "study.cfg"
+            config.write_text(text)
+            problems = []
+            for side, checkout in checkouts.items():
+                why = run_study(checkout, subcommand, config, case / side)
+                if why:
+                    problems.append(f"{side} study failed, {why}")
+            if not problems:
+                problems = compare_trees(case / "parent", case / "change")
+            files = sum(1 for p in (case / "change").rglob("*") if p.is_file())
+            print(f"{label}: {'differs' if problems else f'{files} files identical'}")
+            for problem in problems:
+                print(f"  {problem}")
+            bad += bool(problems)
     return 1 if bad else 0
 
 
