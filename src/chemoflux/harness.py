@@ -3,9 +3,11 @@
 Configs are flat ``key = value`` text with dotted section names
 (``grid.N = 256``).  `_SCHEMA` declares every key once, and both
 `parse_config` and `format_config` walk it.  An unknown key, a key given
-twice or one that the config's study does not read (`_READERS`), a value
-out of range (named by its key) or values that contradict each other
-(named by their section) is a `ConfigError`.
+twice, a value out of range (named by its key), values that contradict
+each other (named by their section) or, checked last, a key that the run
+does not read, by its study, recipe kind or dt mode (`_READ_WHEN`), is a
+`ConfigError`; the echo of `format_config` holds the keys that the run
+reads.
 
 Every study runs one skeleton: its own input checks; `_data` for every
 member, so data that cannot be built is a `ConfigError` before any output
@@ -169,21 +171,49 @@ _SCHEMA = (
     ("scan.amplitudes", None, "amplitudes", _numbers(), _joined),
 )
 
-# the one study that reads a key, by section or by name; all read the others
-_READERS = {"sweep": "delta_sweep", "refine": "refinement", "xval": "cross_validate",
-            "scan": "theta_scan", "mode": "single_run", "snapshot_times": "single_run"}
+# When a key is read, where not every run reads it: a run reads the key when
+# each condition that names it holds.  (setting, readers) holds when the
+# setting's value is one of the readers, (setting, True) when the value is
+# nonzero and (setting, False) when it is empty.  The theta scan sets each
+# member's amplitude and the sweep each member's delta; the sweep and the
+# refinement keep only final fields, and two studies report the norm M in p0.
+_READ_WHEN = {
+    ("study", ("single_run",)): ("mode", "snapshot_times"),
+    ("study", ("delta_sweep",)): ("sweep.deltas",),
+    ("study", ("refinement",)): ("refine.n_list", "refine.dt_list"),
+    ("study", ("cross_validate",)): ("xval.n_list",),
+    ("study", ("theta_scan",)): ("scan.amplitudes",),
+    ("study", ("single_run", "theta_scan")): ("recipe.p0",),
+    ("study", ("single_run", "cross_validate", "theta_scan")): ("stepper.record_every",),
+    ("study", ("single_run", "delta_sweep", "refinement", "cross_validate")): (
+        "recipe.amplitude",),
+    ("study", ("single_run", "refinement", "cross_validate", "theta_scan")): (
+        "recipe.delta",),
+    ("recipe.kind", ("piecewise_constant_disks",)): (
+        "recipe.disks", "recipe.random_disks", "recipe.seed"),
+    ("recipe.kind", ("piecewise_constant_stripes",)): ("recipe.stripes",),
+    ("recipe.kind", ("smooth_bump",)): ("recipe.bump_center", "recipe.bump_sharpness"),
+    ("recipe.disks", False): ("recipe.random_disks", "recipe.seed"),
+    ("recipe.random_disks", True): ("recipe.seed",),
+    ("stepper.dt_mode", ("cfl",)): ("stepper.cfl_number",),
+}
 
 
-def _reader(key, study):
-    return _READERS.get(key.split(".")[0], study)
-
-
-def _parse(row, text, spacing=None):
-    key, parse = row[0], row[3]
-    try:
-        return parse(text, spacing) if parse in (_width, _widths) else parse(text)
-    except ValueError as exc:
-        raise ConfigError(key, f"cannot parse {text!r}: {exc}") from None
+def _unread(cfg, key, given=()):
+    """Why the run of ``cfg`` does not read ``key``, or None: the first
+    condition of `_READ_WHEN` on ``key`` that ``cfg`` fails, in words that
+    say so where the config, whose keys are ``given``, does not give its
+    setting."""
+    for setting, readers in (cond for cond, keys in _READ_WHEN.items() if key in keys):
+        section, attr = next(row[1:3] for row in _SCHEMA if row[0] == setting)
+        value = getattr(getattr(cfg, section) if section else cfg, attr)
+        note = "" if setting in given else f" (the config gives no {setting} key)"
+        if readers in (True, False) and bool(value) != readers:
+            return f"{'with a nonzero' if readers else 'without'} {setting}{note}"
+        if readers not in (True, False) and value not in readers:
+            by = "by" if setting == "study" else f"at {setting} ="
+            return f"{by} {' or '.join(readers)}, not {value}{note}"
+    return None
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -200,23 +230,19 @@ def parse_config(text: str) -> ExperimentConfig:
         if key in raw:
             raise ConfigError(key, f"given twice, as {raw[key]!r} and {value!r}")
         raw[key] = value
-    rows = {row[0]: row for row in _SCHEMA}
-    study = _parse(rows["study"], raw.get("study", ExperimentConfig.study))
     for key in raw:
-        if key not in rows:
+        if key not in {row[0] for row in _SCHEMA}:
             raise ConfigError(key, "unknown key")
-        reader = _reader(key, study)
-        if reader != study:
-            note = "" if "study" in raw else " (the config gives no study key)"
-            raise ConfigError(key, f"is read only by {reader}, not {study}{note}")
 
     values = {section: {} for section in (None, *_SECTIONS)}
 
     def parse_rows(rows, spacing=None):
-        for row in rows:
-            key, section, attr = row[:3]
-            if key in raw:
-                values[section][attr] = _parse(row, raw[key], spacing)
+        for key, section, attr, parse, _ in (row for row in rows if row[0] in raw):
+            try:
+                args = (raw[key], spacing) if parse in (_width, _widths) else (raw[key],)
+                values[section][attr] = parse(*args)
+            except ValueError as exc:
+                raise ConfigError(key, f"cannot parse {raw[key]!r}: {exc}") from None
 
     def build(section):
         try:
@@ -231,9 +257,12 @@ def parse_config(text: str) -> ExperimentConfig:
     parse_rows(row for row in _SCHEMA if row[1] == "grid")
     grid = build("grid")
     parse_rows((row for row in _SCHEMA if row[1] != "grid"), grid.spacing)
-    return ExperimentConfig(grid=grid, params=build("params"),
-                            recipe=build("recipe"), stepper=build("stepper"),
-                            **values[None])
+    cfg = ExperimentConfig(grid=grid, params=build("params"), recipe=build("recipe"),
+                           stepper=build("stepper"), **values[None])
+    for key in raw:   # after every value is checked, so a bad one is named as such
+        if why := _unread(cfg, key, raw):
+            raise ConfigError(key, f"is read only {why}")
+    return cfg
 
 
 def load_config(path) -> ExperimentConfig:
@@ -248,11 +277,13 @@ def load_config(path) -> ExperimentConfig:
 
 
 def format_config(cfg: ExperimentConfig) -> str:
-    """Canonical, re-parsable echo of a parsed config: the keys its study reads."""
+    """Canonical, re-parsable echo of a parsed config: the keys its run reads,
+    by its study, recipe kind and dt mode (`_READ_WHEN`), less those whose
+    value is an empty list."""
     lines = []
     for key, section, attr, _, fmt in _SCHEMA:
         value = getattr(getattr(cfg, section) if section else cfg, attr)
-        if _reader(key, cfg.study) == cfg.study and value != ():
+        if value != () and _unread(cfg, key) is None:
             lines.append(f"{key} = {fmt(value)}")
     return "\n".join(lines) + "\n"
 

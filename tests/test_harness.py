@@ -38,6 +38,10 @@ stepper.t_end = 0.3
 threads = 1
 """
 
+# the keys of BASE that a study does not read: the theta scan sets each
+# member's amplitude, and the sweep each member's delta
+UNREAD = {"delta_sweep": ("recipe.delta",), "theta_scan": ("recipe.amplitude",)}
+
 # the config lines each study needs on top of BASE
 STUDY_EXTRA = {
     "single_run": "",
@@ -83,12 +87,23 @@ def cli(tmp_path, subcommand, text, *extra):
                  *extra]), out
 
 
+def without(text, *keys):
+    """``text`` less the lines that give one of ``keys``."""
+    return "".join(ln + "\n" for ln in text.splitlines()
+                   if ln.split(" = ")[0] not in keys)
+
+
+def read_by(study, text=BASE):
+    """``text`` less each line whose key the run of ``study`` does not read:
+    its `UNREAD` keys, and the random layout where ``text`` gives disks."""
+    layout = ("recipe.random_disks", "recipe.seed") if "recipe.disks" in text else ()
+    return without(text, *UNREAD.get(study, ()), *layout)
+
+
 def setting(text, line):
     """``text`` with ``line`` as the one line for its key: a line that gives
     the key already is dropped, so the config does not give it twice."""
-    key = line.split(" = ")[0]
-    return "".join(ln + "\n" for ln in text.splitlines()
-                   if ln.split(" = ")[0] != key) + line + "\n"
+    return without(text, line.split(" = ")[0]) + line + "\n"
 
 
 def csv_rows(path):
@@ -291,7 +306,8 @@ REFINE_ORDER = ("study = refinement\nrefine.dt_list = 0.02,0.01,0.005\n"
         "no-equals-sign", "sweep-two-widths", "sweep-increasing",
         "refine-two-steps", "scan-decreasing", "scan-absent"])
 def test_config_of_another_study_exits_2(tmp_path, capsys, subcommand, head, field):
-    code, out = cli(tmp_path, subcommand, head + BASE)
+    study = head.partition("study = ")[2].partition("\n")[0]
+    code, out = cli(tmp_path, subcommand, read_by(study, head + BASE))
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: config field '{field}': ")
@@ -302,7 +318,8 @@ def test_config_of_another_study_exits_2(tmp_path, capsys, subcommand, head, fie
 def test_scan_theta_of_overflowing_chemical_labels_blowup(tmp_path, capsys):
     # ln c0 = -phi reaches 1000 > ln(float max): each member halts at its
     # t=0 node, with no record, before c_linf overflows
-    text = "study = theta_scan\nscan.amplitudes = 0.9,1.0\n" + EXTINCT
+    text = "study = theta_scan\nscan.amplitudes = 0.9,1.0\n" + read_by("theta_scan",
+                                                                       EXTINCT)
     code, out = cli(tmp_path, "scan-theta", text)
     assert code == 0
     rows = csv_rows(out / "theta_scan.csv")
@@ -329,7 +346,8 @@ def test_a_halt_frees_its_march(tmp_path, monkeypatch, study):
         result = harness.run_single(parse_config(BLOWUP), out_dir=tmp_path)
         assert result[0] is evolve.RunOutcome.BLOWUP
     else:
-        cfg = parse_config("study = theta_scan\nscan.amplitudes = 0.9\n" + EXTINCT)
+        cfg = parse_config("study = theta_scan\nscan.amplitudes = 0.9\n"
+                           + read_by("theta_scan", EXTINCT))
         _, rows = harness.run_theta_scan(cfg, out_dir=tmp_path)
         assert [row[3] for row in rows] == ["blowup"]
     gc.collect()
@@ -409,7 +427,7 @@ def bad(line, subcommand="xval", field=None):
 ])
 def test_bad_value_exits_2_naming_its_key(tmp_path, capsys, line, subcommand, field):
     study = next(c[1] for c in STUDY_COMMANDS if c[0] == subcommand)
-    text = setting(f"study = {study}\n" + STUDY_EXTRA[study] + BASE, line)
+    text = setting(f"study = {study}\n" + STUDY_EXTRA[study] + read_by(study), line)
     code, out = cli(tmp_path, subcommand, text)
     assert code == 2
     err = capsys.readouterr().err
@@ -419,15 +437,22 @@ def test_bad_value_exits_2_naming_its_key(tmp_path, capsys, line, subcommand, fi
     assert not out.exists()   # rejected before any output or run
 
 
-# a valid value of each key that one study alone reads, and that study
+# a valid value of each key that not every study reads, and the studies
+# that read it
 STUDY_KEYS = {
-    "mode": ("single_run", "original"),
-    "snapshot_times": ("single_run", "0.1"),
-    "sweep.deltas": ("delta_sweep", "4h,3h,2h"),
-    "refine.n_list": ("refinement", "8,16,32"),
-    "refine.dt_list": ("refinement", "0.1,0.05,0.025"),
-    "xval.n_list": ("cross_validate", "16,32"),
-    "scan.amplitudes": ("theta_scan", "0.05,0.1"),
+    "mode": (("single_run",), "original"),
+    "snapshot_times": (("single_run",), "0.1"),
+    "sweep.deltas": (("delta_sweep",), "4h,3h,2h"),
+    "refine.n_list": (("refinement",), "8,16,32"),
+    "refine.dt_list": (("refinement",), "0.1,0.05,0.025"),
+    "xval.n_list": (("cross_validate",), "16,32"),
+    "scan.amplitudes": (("theta_scan",), "0.05,0.1"),
+    "recipe.p0": (("single_run", "theta_scan"), "7.0"),
+    "stepper.record_every": (("single_run", "cross_validate", "theta_scan"), "2"),
+    "recipe.amplitude": (("single_run", "delta_sweep", "refinement", "cross_validate"),
+                         "0.1"),
+    "recipe.delta": (("single_run", "refinement", "cross_validate", "theta_scan"),
+                     "2h"),
 }
 
 
@@ -435,22 +460,24 @@ STUDY_KEYS = {
 def test_key_of_another_study_exits_2(tmp_path, capsys, subcommand, study):
     # a study that ignored the key would report a claim checked under a
     # setting it never used; every key not in STUDY_KEYS is every study's
-    assert set(STUDY_KEYS) == {row[0] for row in harness._SCHEMA
-                               if harness._reader(row[0], None) is not None}
-    for key, (reader, value) in STUDY_KEYS.items():
-        if reader == study:
+    assert set(STUDY_KEYS) == {key for (named, _), keys in harness._READ_WHEN.items()
+                               if named == "study" for key in keys}
+    for key, (readers, value) in STUDY_KEYS.items():
+        if study in readers:
             continue
         code, out = cli(tmp_path, subcommand, f"study = {study}\n"
-                        + STUDY_EXTRA[study] + BASE + f"{key} = {value}\n")
+                        + STUDY_EXTRA[study] + read_by(study) + f"{key} = {value}\n")
         assert code == 2, key
         err = capsys.readouterr().err
-        assert err == (f"error: config field '{key}': is read only by {reader}, "
-                       f"not {study}\n")
+        assert err == (f"error: config field '{key}': is read only by "
+                       f"{' or '.join(readers)}, not {study}\n")
         assert not out.exists(), key
     # the study's own keys parse, and its echo parses back to the same config
-    own = "".join(f"{key} = {value}\n" for key, (reader, value) in STUDY_KEYS.items()
-                  if reader == study)
-    cfg = parse_config(f"study = {study}\n" + BASE + own)
+    text = f"study = {study}\n" + read_by(study)
+    for key, (readers, value) in STUDY_KEYS.items():
+        if study in readers:
+            text = setting(text, f"{key} = {value}")
+    cfg = parse_config(text)
     assert parse_config(format_config(cfg)) == cfg
 
 
@@ -464,6 +491,53 @@ def test_key_of_another_study_without_a_study_key_says_so(tmp_path, capsys):
     assert not out.exists()
 
 
+DISK = "recipe.disks = 0.5,0.5,0.3,1.0"
+
+
+@pytest.mark.parametrize("lines,key,message", [
+    # only the disks kind draws disks
+    ("recipe.kind = smooth_bump\n" + DISK, "recipe.disks",
+     "at recipe.kind = piecewise_constant_disks, not smooth_bump"),
+    ("recipe.kind = piecewise_constant_stripes\nrecipe.random_disks = 2",
+     "recipe.random_disks",
+     "at recipe.kind = piecewise_constant_disks, not piecewise_constant_stripes"),
+    ("recipe.kind = from_potential\nrecipe.seed = 3", "recipe.seed",
+     "at recipe.kind = piecewise_constant_disks, not from_potential"),
+    # explicit disks leave the random layout unread, and no random disk its seed
+    (DISK + "\nrecipe.random_disks = 2", "recipe.random_disks", "without recipe.disks"),
+    (DISK + "\nrecipe.seed = 3", "recipe.seed", "without recipe.disks"),
+    ("recipe.random_disks = 0\nrecipe.seed = 3", "recipe.seed",
+     "with a nonzero recipe.random_disks"),
+    ("recipe.seed = 3", "recipe.seed", "with a nonzero recipe.random_disks "
+                                       "(the config gives no recipe.random_disks key)"),
+    ("recipe.stripes = 0.2,0.3,1.0", "recipe.stripes",
+     "at recipe.kind = piecewise_constant_stripes, not piecewise_constant_disks"),
+    ("recipe.kind = from_potential\nrecipe.bump_center = 0.3,0.3",
+     "recipe.bump_center", "at recipe.kind = smooth_bump, not from_potential"),
+    ("recipe.bump_sharpness = 8", "recipe.bump_sharpness",
+     "at recipe.kind = smooth_bump, not piecewise_constant_disks"),
+    # a fixed step takes no CFL number
+    ("stepper.dt_mode = fixed\nstepper.cfl_number = 0.9", "stepper.cfl_number",
+     "at stepper.dt_mode = cfl, not fixed"),
+    ("stepper.cfl_number = 0.9", "stepper.cfl_number", "at stepper.dt_mode = cfl, "
+     "not fixed (the config gives no stepper.dt_mode key)"),
+], ids=["disks-smooth_bump", "random_disks-stripes", "seed-from_potential",
+        "random_disks-beside-disks", "seed-beside-disks", "seed-no-random-disk",
+        "seed-no-random_disks-key", "stripes-disks", "bump_center-from_potential",
+        "bump_sharpness-disks", "cfl_number-fixed", "cfl_number-no-dt_mode-key"])
+def test_key_of_another_recipe_kind_or_dt_mode_exits_2(tmp_path, capsys, lines, key,
+                                                       message):
+    # a run that ignored the key would echo a setting that moved nothing
+    text = "study = single_run\n" + without(BASE, "recipe.random_disks", "recipe.seed")
+    for line in lines.splitlines():
+        text = setting(text, line)
+    code, out = cli(tmp_path, "run", text)
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: config field '{key}': is read only {message}\n")
+    assert not out.exists()
+
+
 def test_parse_config_rejects_zero_threads():
     # the parser, not only the CLI, refuses a study with no worker thread
     with pytest.raises(harness.ConfigError) as info:
@@ -472,7 +546,7 @@ def test_parse_config_rejects_zero_threads():
 
 
 def test_sweep_delta_is_deterministic_across_threads(tmp_path, capsys):
-    text = "study = delta_sweep\nsweep.deltas = 4h,3h,2h\n" + BASE
+    text = "study = delta_sweep\nsweep.deltas = 4h,3h,2h\n" + read_by("delta_sweep")
     code, out = cli(tmp_path, "sweep-delta", text)
     assert code == 0
     rows = csv_rows(out / "delta_sweep.csv")
@@ -488,7 +562,8 @@ def test_sweep_delta_orders_follow_its_differences(tmp_path, capsys):
     # the order of a row in delta comes from its difference and the next
     # row's; the last row has no next
     code, out = cli(tmp_path, "sweep-delta",
-                    "study = delta_sweep\nsweep.deltas = 5h,4h,3h,2h\n" + BASE)
+                    "study = delta_sweep\nsweep.deltas = 5h,4h,3h,2h\n"
+                    + read_by("delta_sweep"))
     assert code == 0
     rows = [{k: float(x) for k, x in r.items()}
             for r in csv_rows(out / "delta_sweep.csv")]
@@ -622,7 +697,8 @@ def test_mollifier_of_at_most_one_cell_exits_2(tmp_path, capsys, subcommand, stu
     # at one cell or less the kernel is the identity: a datum said to be
     # mollified would be the raw one
     code, out = cli(tmp_path, subcommand, setting(
-        f"study = {study}\n" + STUDY_EXTRA[study] + BASE, f"recipe.delta = {cells}"))
+        f"study = {study}\n" + STUDY_EXTRA[study] + read_by(study),
+        f"recipe.delta = {cells}"))
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: config field 'recipe': ")
@@ -632,7 +708,7 @@ def test_mollifier_of_at_most_one_cell_exits_2(tmp_path, capsys, subcommand, stu
 
 def test_scan_theta_labels_a_mollifier_of_one_cell_invalid(tmp_path, capsys):
     code, out = cli(tmp_path, "scan-theta", setting(
-        "study = theta_scan\n" + STUDY_EXTRA["theta_scan"] + BASE,
+        "study = theta_scan\n" + STUDY_EXTRA["theta_scan"] + read_by("theta_scan"),
         "recipe.delta = 1h"))
     assert code == 0
     rows = csv_rows(out / "theta_scan.csv")
@@ -823,7 +899,7 @@ def test_negative_seed_exits_2_in_every_study(tmp_path, capsys, subcommand, stud
     # refused at parse time, also in the theta scan, which builds its data
     # inside each member
     code, out = cli(tmp_path, subcommand, setting(
-        f"study = {study}\n" + STUDY_EXTRA[study] + BASE, "recipe.seed = -3"))
+        f"study = {study}\n" + STUDY_EXTRA[study] + read_by(study), "recipe.seed = -3"))
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: config field 'recipe.seed': ")
@@ -857,7 +933,8 @@ def test_random_layouts_do_not_load_numpy_random(tmp_path):
     args = []
     for subcommand, study in (("scan-theta", "theta_scan"), ("xval", "cross_validate")):
         cfg = tmp_path / f"{subcommand}.cfg"
-        cfg.write_text(f"study = {study}\n" + STUDY_EXTRA[study] + small)
+        cfg.write_text(f"study = {study}\n" + STUDY_EXTRA[study]
+                       + read_by(study, small))
         args += [subcommand, str(cfg), str(tmp_path / subcommand)]
     src = str(Path(chemoflux.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
@@ -906,7 +983,7 @@ def test_every_study_enters_run_before_its_first_record(tmp_path, monkeypatch,
     for subcommand, study, *_ in STUDY_COMMANDS:
         events.clear()
         code, _ = cli(tmp_path, subcommand, f"study = {study}\n"
-                      + STUDY_EXTRA[study] + small)
+                      + STUDY_EXTRA[study] + read_by(study, small))
         assert code == 0, subcommand
         assert "node" in events, subcommand
         assert "run" in events[:events.index("node")], subcommand
@@ -946,7 +1023,7 @@ def test_studies_hand_over_each_datum(tmp_path, monkeypatch, capsys):
         refs.clear()
         alive.clear()
         code, _ = cli(tmp_path, subcommand, f"study = {study}\n"
-                      + STUDY_EXTRA[study] + small)
+                      + STUDY_EXTRA[study] + read_by(study, small))
         assert code == 0, subcommand
         assert alive and alive[-1] == 0, subcommand
         # later members' data wait; an earlier member's never come back
@@ -970,8 +1047,12 @@ def test_only_the_single_run_builds_rows(tmp_path, monkeypatch, capsys):
     small = BASE.replace("grid.N = 32", "grid.N = 16")
     for subcommand, study, *_ in STUDY_COMMANDS:
         built.clear()
-        code, out = cli(tmp_path, subcommand, f"study = {study}\n"
-                        "stepper.record_every = 2\n" + STUDY_EXTRA[study] + small)
+        # the sweep and the refinement keep only final fields, and do not
+        # read the record cadence
+        every = ("" if study in ("delta_sweep", "refinement")
+                 else "stepper.record_every = 2\n")
+        code, out = cli(tmp_path, subcommand, f"study = {study}\n" + every
+                        + STUDY_EXTRA[study] + read_by(study, small))
         assert code == 0, subcommand
         if study == "single_run":
             # 6 steps of 0.05: record nodes at steps 0, 2, 4 and 6
@@ -995,7 +1076,7 @@ def test_printed_table_is_the_written_table(tmp_path, capsys, subcommand, study,
     # CSV's number to 6 significant digits; only the delta sweep adds a line
     small = BASE.replace("grid.N = 32", "grid.N = 16")
     code, out = cli(tmp_path, subcommand, f"study = {study}\n" + STUDY_EXTRA[study]
-                    + small)
+                    + read_by(study, small))
     assert code == 0
     lines = [ln for ln in (out / table).read_text().splitlines()
              if not ln.startswith("#")]
@@ -1037,13 +1118,14 @@ def test_production_transforms_are_half_spectra(tmp_path, monkeypatch, capsys):
     for name in calls:
         monkeypatch.setattr(np.fft, name, counting(name))
     small = BASE.replace("grid.N = 32", "grid.N = 16")
-    for subcommand, head in (
-            ("run", "study = single_run\n"),
-            ("scan-theta", "study = theta_scan\nscan.amplitudes = 0.05,0.1\n"
-                           "stepper.dt_mode = cfl\n"),
-            ("xval", "study = cross_validate\n")):
+    for subcommand, study, head in (
+            ("run", "single_run", ""),
+            ("scan-theta", "theta_scan", "scan.amplitudes = 0.05,0.1\n"
+                                         "stepper.dt_mode = cfl\n"),
+            ("xval", "cross_validate", "")):
         before = dict(calls)
-        code, _ = cli(tmp_path, subcommand, head + small)
+        code, _ = cli(tmp_path, subcommand,
+                      f"study = {study}\n" + head + read_by(study, small))
         assert code == 0, subcommand
         assert all(calls[n] > before[n] for n in calls), (subcommand, calls)
     capsys.readouterr()
@@ -1051,7 +1133,7 @@ def test_production_transforms_are_half_spectra(tmp_path, monkeypatch, capsys):
 
 def test_scan_theta_classifies_each_amplitude(tmp_path, capsys):
     text = ("study = theta_scan\nscan.amplitudes = 0.05,0.1\n"
-            "stepper.dt_mode = cfl\n" + BASE)
+            "stepper.dt_mode = cfl\n" + read_by("theta_scan"))
     code, out = cli(tmp_path, "scan-theta", text)
     assert code == 0
     rows = csv_rows(out / "theta_scan.csv")
@@ -1071,10 +1153,11 @@ def test_scan_theta_labels_the_settled_window(tmp_path, capsys, t_end, label,
     # u0 = -1 under it, and that member's data cannot be built.  The other
     # members settle (t >= 1) near 1, and their sup deviation from it halves
     # by t = 3 but not by t = 2.
-    text = "study = theta_scan\nscan.amplitudes = 0.1,0.6,2.0\n" + BASE.replace(
-        "grid.N = 32", "grid.N = 16").replace(
-        "recipe.random_disks = 2", "recipe.disks = 0.25,0.5,0.8,1.0; 0.75,0.5,0.8,-1.0"
-        ).replace("stepper.t_end = 0.3", f"stepper.t_end = {t_end}")
+    text = "study = theta_scan\nscan.amplitudes = 0.1,0.6,2.0\n" + read_by(
+        "theta_scan", BASE.replace("grid.N = 32", "grid.N = 16").replace(
+            "recipe.random_disks = 2",
+            "recipe.disks = 0.25,0.5,0.8,1.0; 0.75,0.5,0.8,-1.0").replace(
+            "stepper.t_end = 0.3", f"stepper.t_end = {t_end}"))
     code, out = cli(tmp_path, "scan-theta", text)
     assert code == 0
     rows = csv_rows(out / "theta_scan.csv")
@@ -1099,8 +1182,11 @@ def _join(items, sep=","):
 
 @st.composite
 def config_texts(draw):
+    # the study, recipe kind and dt mode first, then only keys that they read
     dt = draw(finite)
     study = draw(st.sampled_from(STUDIES))
+    kind = draw(st.sampled_from(RECIPE_KINDS))
+    dt_mode = draw(st.sampled_from(("fixed", "cfl")))
     lines = {
         "study": study,
         "threads": str(draw(small_int)),
@@ -1108,35 +1194,47 @@ def config_texts(draw):
         "grid.N": str(2 * draw(st.integers(min_value=4, max_value=64))),
         "params.mu": repr(draw(finite)),
         "params.chi": repr(draw(st.floats(min_value=0.0, max_value=1e3))),
-        "recipe.kind": draw(st.sampled_from(RECIPE_KINDS)),
-        "recipe.amplitude": repr(draw(signed)),
-        "recipe.p0": repr(draw(st.floats(min_value=4.001, max_value=100.0))),
-        "recipe.delta": draw(st.one_of(
-            st.integers(min_value=0, max_value=8).map(lambda n: f"{n}h"),
-            st.floats(min_value=0.0, max_value=5.0).map(repr))),
-        "recipe.seed": str(draw(st.integers(min_value=0, max_value=2 ** 31))),
-        "recipe.random_disks": str(draw(st.integers(min_value=0, max_value=9))),
-        "recipe.bump_center": _join(draw(st.tuples(fraction, fraction))),
-        "recipe.bump_sharpness": repr(draw(finite)),
+        "recipe.kind": kind,
         "stepper.scheme": draw(st.sampled_from(("imex_be", "imex_cn"))),
         "stepper.dt": repr(dt),
         "stepper.t_end": repr(dt * draw(st.floats(min_value=1.0, max_value=1e3))),
-        "stepper.dt_mode": draw(st.sampled_from(("fixed", "cfl"))),
-        "stepper.cfl_number": repr(draw(st.floats(min_value=1e-3, max_value=1.0))),
-        "stepper.record_every": str(draw(small_int)),
+        "stepper.dt_mode": dt_mode,
     }
+    if study != "theta_scan":   # the scan sets each member's amplitude
+        lines["recipe.amplitude"] = repr(draw(signed))
+    if study in ("single_run", "theta_scan"):
+        lines["recipe.p0"] = repr(draw(st.floats(min_value=4.001, max_value=100.0)))
+    if study != "delta_sweep":   # the sweep sets each member's delta
+        lines["recipe.delta"] = draw(st.one_of(
+            st.integers(min_value=0, max_value=8).map(lambda n: f"{n}h"),
+            st.floats(min_value=0.0, max_value=5.0).map(repr)))
+    if study not in ("delta_sweep", "refinement"):   # these keep final fields only
+        lines["stepper.record_every"] = str(draw(small_int))
+    if dt_mode == "cfl":
+        lines["stepper.cfl_number"] = repr(draw(st.floats(min_value=1e-3,
+                                                          max_value=1.0)))
+    if kind == "smooth_bump":
+        lines["recipe.bump_center"] = _join(draw(st.tuples(fraction, fraction)))
+        lines["recipe.bump_sharpness"] = repr(draw(finite))
     optional = {
-        "recipe.disks": st.lists(st.tuples(fraction, fraction, finite, signed),
-                                 min_size=1, max_size=3).map(
-            lambda ds: "; ".join(_join(d) for d in ds)),
-        "recipe.stripes": st.lists(st.tuples(fraction, width, signed),
-                                   min_size=1, max_size=3).map(
-            lambda ss: "; ".join(_join(s) for s in ss)),
         "recipe.modes": st.lists(st.tuples(st.integers(-4, 4), st.integers(-4, 4),
                                            signed, signed),
                                  min_size=1, max_size=3).map(
             lambda ms: "; ".join(_join(m) for m in ms)),
     }
+    if kind == "piecewise_constant_disks" and draw(st.booleans()):
+        lines["recipe.disks"] = "; ".join(_join(d) for d in draw(st.lists(
+            st.tuples(fraction, fraction, finite, signed), min_size=1, max_size=3)))
+    elif kind == "piecewise_constant_disks":   # a random layout, seeded if drawn
+        n = draw(st.integers(min_value=0, max_value=9))
+        lines["recipe.random_disks"] = str(n)
+        if n:
+            lines["recipe.seed"] = str(draw(st.integers(min_value=0,
+                                                        max_value=2 ** 31)))
+    if kind == "piecewise_constant_stripes":
+        optional["recipe.stripes"] = st.lists(st.tuples(fraction, width, signed),
+                                              min_size=1, max_size=3).map(
+            lambda ss: "; ".join(_join(s) for s in ss))
     resolutions = st.lists(st.integers(min_value=4, max_value=256).map(
                                lambda n: 2 * n),
                            min_size=1, max_size=4, unique=True).map(
@@ -1165,8 +1263,10 @@ def config_texts(draw):
 @settings(max_examples=30, deadline=None)
 @given(config_texts())
 def test_config_round_trip(text):
-    # every key of the text is one that its study reads, so the echo keeps it
+    # every key of the text is one that its run reads, so the echo keeps it
     cfg = parse_config(text)
     echo = format_config(cfg)
+    given = {line.split(" = ")[0] for line in text.splitlines()}
+    assert given <= {line.split(" = ")[0] for line in echo.splitlines()}
     assert parse_config(echo) == cfg
     assert format_config(parse_config(echo)) == echo

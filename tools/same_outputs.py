@@ -16,7 +16,9 @@ exists on one side only; for a CSV it also prints how many lines differ and
 the first that differs below the schema line ``# chemoflux-diagnostics-vN``,
 so that a schema bump cannot hide a changed row, and the largest absolute
 difference of each numeric column, so that a tolerance on a column can be
-read off the output.  It exits 1 on any
+read off the output.  For any other file that differs and is UTF-8 text,
+such as ``config_echo.cfg``, it prints the lines that only one side has,
+``-`` for the parent and ``+`` for the change.  It exits 1 on any
 difference, the schema line's included, or on a study that exits non-zero,
 2 on a checkout without ``src/chemoflux``, and 0 otherwise.
 """
@@ -25,6 +27,7 @@ from __future__ import annotations
 
 import math
 import os
+from collections import Counter
 import subprocess
 import sys
 import tempfile
@@ -109,6 +112,20 @@ def column_differences(a: bytes, b: bytes) -> str:
         ", ".join(parts) if parts else "none")
 
 
+def line_difference(a: bytes, b: bytes) -> str:
+    """The lines that only one of two texts has, as a message: "" for data
+    that is not UTF-8 text."""
+    try:
+        lines_a, lines_b = (Counter(x.decode().splitlines()) for x in (a, b))
+    except UnicodeDecodeError:
+        return ""
+    only = [f"\n    - {ln}" for ln in (lines_a - lines_b).elements()]
+    only += [f"\n    + {ln}" for ln in (lines_b - lines_a).elements()]
+    if not only:
+        return ", the same lines in another order"
+    return ", lines on one side only:" + "".join(only)
+
+
 def cases():
     """(label, subcommand, config text) of every case: each workload at each
     seed, then each golden config; the goldens run backward Euler, an
@@ -135,7 +152,7 @@ def compare_trees(a: Path, b: Path) -> list:
         da, db = fa.read_bytes(), fb.read_bytes()
         if da != db:
             detail = (f", {csv_difference(da, db)}\n    {column_differences(da, db)}"
-                      if name.suffix == ".csv" else "")
+                      if name.suffix == ".csv" else line_difference(da, db))
             problems.append(f"{name}: differs{detail}")
     return problems
 

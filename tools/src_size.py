@@ -13,11 +13,12 @@ For each module it prints four counts:
 
 Then it prints the settings surface, read from the syntax trees: the config
 keys, one per row of ``harness._SCHEMA``, and the CLI options, one per
-``add_argument`` call in ``cli.py``.  Last it prints how many of those keys
-each study of ``harness.STUDIES`` accepts: all but the keys that
-``harness._READERS`` gives to another study, by section or by name.  Last of
-all it prints how many names ``__init__.py`` re-exports from the package's
-modules, read from its syntax tree.
+``add_argument`` call in ``cli.py``.  From ``harness._READ_WHEN``, which
+declares when a key is read, it prints how many of those keys each study of
+``harness.STUDIES`` accepts, and which keys each recipe kind of
+``initial_data.RECIPE_KINDS`` and each dt mode that ``evolve.StepperConfig``
+accepts leave unread.  Last it prints how many names ``__init__.py``
+re-exports from the package's modules, read from its syntax tree.
 """
 
 from __future__ import annotations
@@ -74,19 +75,45 @@ def _assigned(tree, name):
                  and any(getattr(t, "id", None) == name for t in node.targets)), None)
 
 
+def _tree(path: Path):
+    return ast.parse(path.read_text(encoding="utf-8"))
+
+
+def _tested(tree, attr):
+    """The literal tuple that a ``self.<attr> not in (...)`` check tests."""
+    return next(ast.literal_eval(node.comparators[0]) for node in ast.walk(tree)
+                if isinstance(node, ast.Compare)
+                and isinstance(node.left, ast.Attribute) and node.left.attr == attr
+                and isinstance(node.comparators[0], ast.Tuple))
+
+
 def settings(package: Path) -> tuple:
-    """(config keys, CLI options, {study: keys it accepts}) of the package."""
-    harness = ast.parse((package / "harness.py").read_text(encoding="utf-8"))
+    """(config keys, CLI options, {study: keys it accepts}, {recipe kind or dt
+    mode: the keys it leaves unread}) of the package."""
+    harness = _tree(package / "harness.py")
     keys = [row.elts[0].value for row in _assigned(harness, "_SCHEMA").elts]
-    readers = _assigned(harness, "_READERS")   # a tree without it: all read all
-    readers = ast.literal_eval(readers) if readers else {}
-    studies = ast.literal_eval(_assigned(harness, "STUDIES"))
-    accepted = {study: sum(readers.get(key.split(".")[0], study) == study
-                           for key in keys) for study in studies}
-    cli = ast.parse((package / "cli.py").read_text(encoding="utf-8"))
+    read_when = _assigned(harness, "_READ_WHEN")   # a tree without it: all read all
+    read_when = ast.literal_eval(read_when) if read_when else {}
+    choices = {
+        "study": ast.literal_eval(_assigned(harness, "STUDIES")),
+        "recipe.kind": ast.literal_eval(_assigned(_tree(package / "initial_data.py"),
+                                                  "RECIPE_KINDS")),
+        "stepper.dt_mode": _tested(_tree(package / "evolve.py"), "dt_mode")}
+
+    def unread(setting, choice):
+        names = {key for (named, readers), ks in read_when.items()
+                 if named == setting and choice not in readers for key in ks}
+        return [key for key in keys if key in names]
+
+    accepted = {study: len(keys) - len(unread("study", study))
+                for study in choices["study"]}
+    left = {choice: unread(setting, choice)
+            for setting in ("recipe.kind", "stepper.dt_mode")
+            for choice in choices[setting]}
+    cli = _tree(package / "cli.py")
     options = sum(isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
                   and node.func.attr == "add_argument" for node in ast.walk(cli))
-    return len(keys), options, accepted
+    return len(keys), options, accepted, left
 
 
 def reexports(package: Path) -> int:
@@ -105,11 +132,13 @@ def main(argv=None) -> int:
     print(f"{'module':<{width}}" + "".join(f"{c:>11}" for c in COLUMNS))
     for name, r in rows:
         print(f"{name:<{width}}" + "".join(f"{r[c]:>11}" for c in COLUMNS))
-    keys, options, accepted = settings(package)
+    keys, options, accepted, left = settings(package)
     print(f"settings: {keys} config keys (harness._SCHEMA), "
           f"{options} CLI options (cli.py)")
     print("keys accepted: " + ", ".join(f"{study} {n}"
                                         for study, n in accepted.items()))
+    print("keys unread by recipe kind and dt mode: " + "; ".join(
+        f"{choice} {', '.join(names) or 'none'}" for choice, names in left.items()))
     print(f"re-exports: {reexports(package)} names (__init__.py)")
     return 0
 
