@@ -16,13 +16,23 @@ import numpy as np
 
 from .fields import Grid, band_rfft2, lp_norm, spectral_power
 
-SCHEMA_VERSION = "chemoflux-diagnostics-v2"
+SCHEMA_VERSION = "chemoflux-diagnostics-v3"
 DECAY_WINDOW = (2.0, 20.0)   # the settled window (t_lo, t_hi) of a decay fit
 
 
 def sigma_weight(t: float) -> float:
     """Initial-layer discount min(1, t)."""
     return min(1.0, t)
+
+
+def smallness(grid: Grid, u0: np.ndarray, phi0: np.ndarray, p0: float) -> tuple:
+    """The smallness parameters (theta0, M) of the datum (u0, phi0), N x N
+    samples on ``grid``, with v0 = grad(phi0): theta0 = ||u0 - 1||_2^2 +
+    ||v0||_2^2, the energy that the paper's condition bounds, and M =
+    ||v0||_{p0}."""
+    v0 = grid._gradient(np.fft.rfft2(phi0))
+    return (lp_norm(grid, u0 - 1.0, 2) ** 2 + lp_norm(grid, v0, 2) ** 2,
+            lp_norm(grid, v0, p0))
 
 
 def sup_deviation(u: np.ndarray) -> float:

@@ -13,12 +13,21 @@ mode, which evolves (u, v), has `_advance_density` add it to the
 predictor's.  Every spectrum is held in the compact dealias band of
 `fields.band_rfft2`.
 
+Linearised about (u_bar, 0), u_bar the mean of u0, original mode's half-step
+drift adds the explicit diffusion chi u_bar dt/2 lap(u), so its
+Crank-Nicolson step amplifies a mode of wavenumber |k| once dt |k|
+sqrt(chi u_bar) > 2.  `wave_limit` is that dt at the corner of the band;
+in ``cfl`` mode `march` caps original-mode Crank-Nicolson steps at
+``cfl_number`` times it, and the studies that run original mode refuse a
+fixed dt above it.
+
 Transform counts: tests/test_evolve.py::TestTransformBudget.
 Memory of a step: tests/test_evolve.py::TestRun::test_peak_memory_of_a_single_run.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -141,6 +150,17 @@ def _cfl_dt(grid, grad_u, v2_max, chi, cfg) -> float:
     return min(cfg.cfl_number * grid.spacing / speed, cfg.dt)
 
 
+def wave_limit(grid: Grid, u0, chi: float) -> float:
+    """The largest dt at which original-mode Crank-Nicolson is linearly stable
+    on ``grid`` about the mean u_bar of the samples ``u0``: 2 / (|k|_max
+    sqrt(chi u_bar)), |k|_max = sqrt(2) ((N-1)//3) 2 pi/L the band's corner;
+    infinite when chi u_bar = 0.  The march conserves u_bar, so the limit of
+    the datum holds for the whole run."""
+    c = chi * float(u0.mean())
+    k_max = math.sqrt(2.0) * float(grid._kx_deriv[0, (grid.resolution - 1) // 3])
+    return 2.0 / (k_max * math.sqrt(c)) if c > 0 else math.inf
+
+
 def march(data: list, cfg: StepperConfig, params: ChemistryParams,
           mode: str = "transformed", snapshot_times=(), snapshot_sink=None, *,
           grid: Grid):
@@ -155,6 +175,9 @@ def march(data: list, cfg: StepperConfig, params: ChemistryParams,
 
     * a yielded node's arrays are never written afterwards, and the march
       keeps no node, datum, snapshot or earlier state across a step;
+    * in ``cfl`` mode an original-mode Crank-Nicolson step is at most
+      ``cfl_number`` times the datum's `wave_limit`; a fixed dt is not
+      checked;
     * a step lands on each of ``snapshot_times``, where ``snapshot_sink(t,
       payload)`` is called once, before the next step, with the node's
       samples: "u", "v1" and "v2", or "u" and "c" in original mode;
@@ -177,6 +200,8 @@ def march(data: list, cfg: StepperConfig, params: ChemistryParams,
     transformed = mode == "transformed"
 
     uh = band_rfft2(u0)
+    ceiling = (cfg.cfl_number * wave_limit(grid, u0, chi)   # caps a cfl step
+               if not transformed and cfg.scheme == "imex_cn" else math.inf)
     del u0
     u = np.fft.irfft2(uh, s=shape)
     sh = band_rfft2(-mu * phi0)   # the Cole-Hopf substitution
@@ -226,7 +251,7 @@ def march(data: list, cfg: StepperConfig, params: ChemistryParams,
         node = None   # else its v and grad(u) outlive the step
 
         if cfg.dt_mode == "cfl":
-            dt = _cfl_dt(grid, grad_u, aux.v2_max, chi, cfg)
+            dt = min(_cfl_dt(grid, grad_u, aux.v2_max, chi, cfg), ceiling)
         else:
             dt = cfg.dt
         dt = min(dt, t_end - t)

@@ -9,19 +9,25 @@ does not read, by its study, recipe kind or dt mode (`_READ_WHEN`), is a
 `ConfigError`; the echo of `format_config` holds the keys that the run
 reads.
 
-Every study runs one skeleton: its own input checks; `_data` for every
-member, so data that cannot be built is a `ConfigError` before any output
-(the theta scan builds inside each member, where it is a row label, and the
-refinement builds one datum, on its finest grid, which `resample` restricts
-to each member's grid); `_output` in the caller's ``out_dir``; `_map` over
-the distinct members, each handing its datum to `run` in the one-shot holder
-that `march` empties; then `_write_csv`, whose ``(columns, rows)`` the study
-returns for the CLI.  The refinement and the delta sweep compare their
-members' final fields through one `_ladder`.  A member that halts raises
-`RunHalted` out of the study, except in the single run and the theta scan,
-which report the outcome.  Only the single run reads ``mode``, builds
-diagnostics rows and takes snapshots.  A study's outputs are
-byte-deterministic for a fixed config and do not depend on ``threads``.
+Every study runs one skeleton: its own input checks; `_data`, the one build
+path, for every member, so data that cannot be built is a `ConfigError`
+before any output (the theta scan calls it inside each member, where that
+error is the row label ``invalid_data``, and the refinement builds one
+datum, on its finest grid, which `resample` restricts to each member's
+grid); in the two studies that run original mode, the single run and the
+cross-validation, a fixed Crank-Nicolson dt above the datum's
+`evolve.wave_limit` is a `ConfigError` as well; `_output` in the caller's
+``out_dir``; `_map` over the distinct members, each handing its datum to
+`run` in the one-shot holder that `march` empties; then `_write_csv`, whose
+``(columns, rows)`` the study returns for the CLI.  The refinement and the
+delta sweep compare their members' final fields through one `_ladder`.  A
+member that halts raises `RunHalted` out of the study, except in the single
+run and the theta scan, which report the outcome.  Only the single run reads
+``mode``, builds diagnostics rows and takes snapshots.  The theta scan
+measures theta0 and M on the datum that each member runs
+(`diagnostics.smallness`), and its ``a1_ok`` compares the member's final A1
+with 1.5 * theta0.  A study's outputs are byte-deterministic for a fixed
+config and do not depend on ``threads``.
 """
 
 from __future__ import annotations
@@ -34,8 +40,9 @@ from pathlib import Path
 # boundary its tests require, so it stays imported though no study calls it
 from .cole_hopf import C_FLOOR, ChemistryParams, forward_transform  # noqa: F401
 from .diagnostics import (CSV_COLUMNS, DECAY_WINDOW, SCHEMA_VERSION, DecayFit,
-                          fit_decay, sup_deviation)
-from .evolve import MODES, RunHalted, RunOutcome, StepperConfig, march, run
+                          fit_decay, smallness, sup_deviation)
+from .evolve import (MODES, RunHalted, RunOutcome, StepperConfig, march, run,
+                     wave_limit)
 from .fields import Grid, ParameterError, lp_norm, resample
 from .initial_data import InitialDataRecipe, build_initial_data
 from .snapshots import write_snapshot
@@ -355,10 +362,19 @@ def _data(recipe, grid) -> list:
     """A member's datum ``[u0, phi0]``, the one-shot holder that `march`
     empties.  Data that cannot be built is a `ConfigError` on ``recipe``."""
     try:
-        u0, phi0, _ = build_initial_data(recipe, grid)
+        return list(build_initial_data(recipe, grid))
     except ValueError as exc:   # u0 < 0, or a mollifier of at most h or over L/4
         raise ConfigError("recipe", str(exc)) from None
-    return [u0, phi0]
+
+
+def _refuse_above_wave_limit(stepper, grid, u0, chi) -> None:
+    """A `ConfigError` on ``stepper.dt`` for a fixed Crank-Nicolson dt above
+    the `wave_limit` of the datum of u0 on ``grid``, past which an
+    original-mode run amplifies its band corner."""
+    fixed_cn = stepper.scheme == "imex_cn" and stepper.dt_mode == "fixed"
+    if fixed_cn and stepper.dt > (limit := wave_limit(grid, u0, chi)):
+        raise ConfigError("stepper.dt", f"{stepper.dt!r} is above the original "
+                          f"mode's Crank-Nicolson wave limit {limit!r}")
 
 
 def _ladder(side_length, steps, fields) -> tuple:
@@ -384,7 +400,9 @@ def _ladder(side_length, steps, fields) -> tuple:
 def run_single(cfg: ExperimentConfig, out_dir) -> tuple:
     """One run to t_end with its artifacts; returns (outcome, message,
     diagnostics rows, decay summary table, out dir).  A halted run writes the
-    rows it has and keeps no `RunHalted`, whose traceback holds the march."""
+    rows it has and keeps no `RunHalted`, whose traceback holds the march.
+    In original mode a fixed Crank-Nicolson dt above the datum's
+    `wave_limit` is a `ConfigError` on ``stepper.dt``."""
     for t in cfg.snapshot_times:
         if not 0.0 <= t <= cfg.stepper.t_end:
             raise ConfigError("snapshot_times", f"{t!r} is outside [0, t_end = "
@@ -394,6 +412,8 @@ def run_single(cfg: ExperimentConfig, out_dir) -> tuple:
         raise ConfigError("snapshot_times", f"{_joined(cfg.snapshot_times)}: two "
                           "times share a file name, which keeps 6 decimals")
     data = _data(cfg.recipe, cfg.grid)
+    if cfg.mode == "original":
+        _refuse_above_wave_limit(cfg.stepper, cfg.grid, data[0], cfg.params.chi)
     out = _output(cfg, out_dir)
     records = []
     outcome, message = RunOutcome.COMPLETED, ""
@@ -521,8 +541,9 @@ def run_cross_validate(cfg: ExperimentConfig, out_dir) -> tuple:
     a defect in the shared operators.  The modes step in
     lockstep, one node each; a record without a partner at the same time is
     a RuntimeError, and a halt of either mode raises `RunHalted`.  Members
-    step at a fixed dt scaled with the grid spacing, and a datum whose
-    chemical is at or below `C_FLOOR` is a `ConfigError`.
+    step at a fixed dt scaled with the grid spacing; a datum whose chemical
+    is at or below `C_FLOOR` is a `ConfigError`, and so is a Crank-Nicolson
+    member's dt above its datum's `wave_limit`, on ``stepper.dt``.
     """
     if cfg.stepper.dt_mode != "fixed":
         raise ConfigError("stepper.dt_mode", f"cross-validation steps at fixed dt, "
@@ -536,6 +557,7 @@ def run_cross_validate(cfg: ExperimentConfig, out_dir) -> tuple:
     for n, stepper in zip(ns, steppers):
         grid = Grid(cfg.grid.side_length, n)
         data = _data(cfg.recipe, grid)
+        _refuse_above_wave_limit(stepper, grid, data[0], cfg.params.chi)
         if -cfg.params.mu * data[1].max() <= math.log(C_FLOOR):
             raise ConfigError("recipe", "matched chemical is at or below the "
                               f"extinction floor {C_FLOOR}")
@@ -578,13 +600,15 @@ def run_cross_validate(cfg: ExperimentConfig, out_dir) -> tuple:
 
 
 def run_theta_scan(cfg: ExperimentConfig, out_dir) -> tuple:
-    """Amplitude ladder: measure theta0/M and classify each run's outcome.
+    """Amplitude ladder: measure theta0 and M and classify each run's outcome.
 
-    Returns the table of ``theta_scan.csv``, a row per amplitude.  ``decayed``
-    means the sup-norm perturbation at the end is at most half that at the
-    first record node with t >= 1, and ``a1_ok`` that the final A1 is at most
-    1.5 * theta0_raw.  A halted member is labelled with its outcome, and one
-    whose data cannot be built ``invalid_data``.
+    Returns the table of ``theta_scan.csv``, a row per amplitude.  ``theta0``
+    and ``M`` are `smallness` of the datum that the member runs, mollified
+    if delta > 0.  ``decayed`` means the sup-norm perturbation at the end is
+    at most half that at the first record node with t >= 1, and ``a1_ok``
+    that the final A1 is at most ``a1_bound`` = 1.5 * theta0, the linear
+    bound.  A halted member is labelled with its outcome, and one whose data
+    `_data` cannot build ``invalid_data``.
     """
     if not cfg.amplitudes:
         raise ConfigError("scan.amplitudes", "amplitude ladder is required")
@@ -593,13 +617,13 @@ def run_theta_scan(cfg: ExperimentConfig, out_dir) -> tuple:
     out = _output(cfg, out_dir)
 
     def scan_one(amp):
-        try:   # data = [u0, phi0], the holder that the run empties
-            *data, summary = build_initial_data(replace(cfg.recipe, amplitude=amp),
-                                                cfg.grid)
-        except ValueError:
-            return (amp, float("nan"), float("nan"), "invalid_data",
-                    False, float("nan"), float("nan"), False, False)
-        a1 = float("nan")   # a run can halt at its t=0 node, before any record
+        try:
+            data = _data(replace(cfg.recipe, amplitude=amp), cfg.grid)
+        except ConfigError:
+            return (amp, math.nan, math.nan, "invalid_data", False, math.nan,
+                    math.nan, False, False)
+        theta0, M = smallness(cfg.grid, *data, cfg.recipe.p0)
+        a1 = math.nan   # a run can halt at its t=0 node, before any record
         settled = []        # u_linf at each record node from t = 1 on
 
         def keep(node):
@@ -615,11 +639,10 @@ def run_theta_scan(cfg: ExperimentConfig, out_dir) -> tuple:
         else:
             decayed = bool(settled) and settled[-1] <= 0.5 * settled[0]
             label = "completed_decay" if decayed else "completed_no_decay"
-        bound = 1.5 * summary.theta0_raw
-        a1_ok = a1 <= bound if summary.theta0_raw > 0 else True
+        bound = 1.5 * theta0
+        a1_ok = a1 <= bound if theta0 > 0 else True
         lemma34_ok = bool(settled) and all(x <= 0.25 for x in settled)
-        return (amp, summary.theta0, summary.M, label, decayed, a1, bound,
-                a1_ok, lemma34_ok)
+        return amp, theta0, M, label, decayed, a1, bound, a1_ok, lemma34_ok
 
     return _write_csv(out / "theta_scan.csv",
                       ("amplitude", "theta0", "M", "outcome", "decayed", "a1",

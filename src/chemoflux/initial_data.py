@@ -1,21 +1,21 @@
 """Construction of discontinuous initial data: a datum is a pair (u0, phi0) of
 N x N samples, u0 >= 0 and phi0 a zero-mean potential, serving both forms
-of the system.  Jumps are rasterized by cell-center sampling, so they
-survive in the samples; a mollifier of width delta is the only smoothing.
-The rasters are built on the cell-center axis x = arange(N) * h, broadcast
-as the row x[None, :] along x and the column x[:, None] along y, so the
-build makes no N x N coordinate mesh.
+of the system.  The build returns the datum and nothing else; its smallness
+parameters are measured on it (`diagnostics.smallness`).  Jumps are
+rasterized by cell-center sampling, so they survive in the samples; a
+mollifier of width delta is the only smoothing.  The rasters are built on
+the cell-center axis x = arange(N) * h, broadcast as the row x[None, :]
+along x and the column x[:, None] along y, so the build makes no N x N
+coordinate mesh.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import NamedTuple
-
 import numpy as np
 
-from .fields import Grid, ParameterError, lp_norm, spectral_power
+from .fields import Grid, ParameterError
 
 RECIPE_KINDS = (
     "piecewise_constant_disks",
@@ -68,15 +68,6 @@ class InitialDataRecipe:
             if not 0 < stripe[1] <= 1:
                 raise ParameterError("stripes", "must each have a width in (0, 1], "
                                      f"got {','.join(map(repr, stripe))}")
-
-
-class DataSummary(NamedTuple):
-    """Smallness parameters of a datum, with v0 = grad(phi0): ``theta0`` of the
-    returned (possibly mollified) datum, ``theta0_raw`` of the unsmoothed one."""
-
-    theta0: float       # ||u0-1||_2^2 + ||v0||_2^2 of the produced fields
-    M: float            # ||v0||_{p0}
-    theta0_raw: float
 
 
 def mollifier_kernel(grid: Grid, delta: float) -> np.ndarray:
@@ -148,7 +139,7 @@ def _raster_potential(recipe: InitialDataRecipe, grid: Grid, x) -> np.ndarray:
 
 
 def build_initial_data(recipe: InitialDataRecipe, grid: Grid):
-    """Rasterize a recipe into (u0, phi0, summary), u0 and phi0 N x N arrays.
+    """Rasterize a recipe into the datum (u0, phi0), two N x N arrays.
 
     A ValueError if u0 < 0 anywhere, or if the mollifier is at most one cell
     wide or wider than L/4.
@@ -163,24 +154,11 @@ def build_initial_data(recipe: InitialDataRecipe, grid: Grid):
             f"recipe produces negative cell density (min u0 = {umin}); "
             "u0 >= 0 is required")
     phi = _raster_potential(recipe, grid, x)
-    theta0_raw = lp_norm(grid, u0 - 1.0, 2) ** 2
-    ker = None
-    if recipe.delta > 0:
-        ker = mollifier_kernel(grid, recipe.delta)
-        u0 = mollify(grid, u0, ker)
-    theta0 = lp_norm(grid, u0 - 1.0, 2) ** 2
     ph = np.fft.rfft2(phi)
     del phi
     ph[0, 0] = 0.0   # a zero-mean potential
-    w = grid.cell_area / grid.resolution ** 2   # Parseval: ||v0||_2^2
-    theta0_raw += w * grid.gradient_power(spectral_power(ph))
-    if ker is not None:
+    if recipe.delta > 0:   # one kernel spectrum mollifies both
+        ker = mollifier_kernel(grid, recipe.delta)
+        u0 = mollify(grid, u0, ker)
         ph *= ker
-        del ker
-    theta0 += w * grid.gradient_power(spectral_power(ph))
-    phi0 = np.fft.irfft2(ph, s=grid.shape)
-    v0 = grid._gradient(ph)
-    del ph
-    summary = DataSummary(theta0=theta0, M=lp_norm(grid, v0, recipe.p0),
-                          theta0_raw=theta0_raw)
-    return u0, phi0, summary
+    return u0, np.fft.irfft2(ph, s=grid.shape)

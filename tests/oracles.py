@@ -11,7 +11,8 @@ the tests use them as an independent check of it.
 The energy functionals and the energy inequality are recomputed here from
 a run's diagnostics rows, with ||u_t||_2 and ||grad u_t||_2 measured on
 each recorded state through `assemble_rhs_ut`, independently of the
-stepper's node norms.
+stepper's node norms.  `amplification` is one step of the stepper,
+linearised about the equilibrium, on a single mode.
 """
 
 from __future__ import annotations
@@ -148,6 +149,14 @@ def curl_flux_residual(grid, u, v, chi: float) -> float:
     return lp_norm(grid, lhs - chi * rhs, 2)
 
 
+def smallness(grid, u0, phi0, p0) -> tuple:
+    """(theta0, M) of the datum (u0, phi0): ||u0 - 1||_2^2 + ||v0||_2^2 and
+    ||v0||_p0 for v0 = grad(phi0)."""
+    v0 = gradient(grid, phi0)
+    return (lp_norm(grid, u0 - 1.0, 2) ** 2 + lp_norm(grid, v0, 2) ** 2,
+            lp_norm(grid, v0, p0))
+
+
 def gn_ratio(grid, f) -> float:
     """Interpolation-inequality sample ||f||_4^2 / (||f||_2 ||grad f||_2)."""
     gnorm = lp_norm(grid, gradient(grid, f), 2)
@@ -257,3 +266,36 @@ def check_energy_inequality(records, constant: float, slack: float = 1e-12):
         if e1 - e0 > -diss + constant * forcing + slack * (1.0 + e0):
             violations.append(r1.t)
     return violations
+
+
+def amplification(K, dt, c, mode, scheme):
+    """The 2 x 2 matrix that takes the coefficients (u_hat, phi_hat) of one
+    mode of |k|^2 = K to those after one step of dt of ``mode`` and
+    ``scheme``, for the step linearised about (u, v) = (u_bar, 0), v =
+    grad(phi) and c = chi u_bar.  Linearised, chi div(u w) is -c K psi_hat for
+    a drift w = grad(psi), and the self-transport term chi dt/4 lap P(u^2) is
+    -c dt/2 K u_hat.  Both modes carry the half-step drift w = v + dt/2
+    grad(u), and phi moves by the trapezoid of u; the self-transport term
+    goes to the node's transport term in original mode and to the
+    predictor's in transformed mode, which backward Euler does not take."""
+    def step(a, p):
+        pw = p + 0.5 * dt * a                      # the half-step drift
+        t = -c * K * p                             # the node's transport
+        if mode == "original":
+            t -= 0.5 * c * dt * K * a
+        if scheme == "imex_be":
+            a1 = (a + dt * t) / (1.0 + dt * K)
+        else:
+            explicit = (1.0 - 0.5 * dt * K) * a
+            a_p = (dt * t + explicit) / (1.0 + 0.5 * dt * K)
+            t1 = -c * K * pw
+            if mode == "transformed":
+                t1 -= 0.5 * c * dt * K * a_p
+            a1 = (0.5 * dt * (t + t1) + explicit) / (1.0 + 0.5 * dt * K)
+        return a1, pw + 0.5 * dt * a1
+
+    return np.array([step(1.0, 0.0), step(0.0, 1.0)]).T
+
+
+def spectral_radius(matrix) -> float:
+    return float(np.abs(np.linalg.eigvals(matrix)).max())

@@ -1,12 +1,12 @@
 """Sample fields shared by the test modules, as plain arrays: the sample
 coordinates, constant, from a function of them, random band-limited, and random
 potentials and their gradients; `spectral_gradient`, the gradient that the
-program takes on a half spectrum; and `run_rows`, a run that keeps its
-diagnostics rows."""
+program takes on a half spectrum; `run_rows`, a run that keeps its
+diagnostics rows; and `recipes_of_each_kind`, data recipes to build."""
 
 import numpy as np
 
-from chemoflux import ChemistryParams, run
+from chemoflux import ChemistryParams, InitialDataRecipe, run
 
 
 def run_rows(grid, u0, phi0, cfg, params=None, recorders=(), **kwargs):
@@ -76,3 +76,21 @@ def band_limited_potential(grid, seed, kmax=6, amplitude=1.0):
 def band_limited_gradient(grid, seed, kmax=6, amplitude=1.0):
     """Random curl-free vector field, the gradient of `band_limited_potential`."""
     return spectral_gradient(grid, band_limited_potential(grid, seed, kmax, amplitude))
+
+
+def recipes_of_each_kind(h):
+    """Recipes of three kinds and a random layout on a grid of spacing h, the
+    disks and the stripes mollified at 2h, the disks and the bump with
+    potential modes."""
+    return [
+        InitialDataRecipe(kind="piecewise_constant_disks", amplitude=0.4,
+                          delta=2 * h, disks=((0.3, 0.4, 2.0, 1.0),
+                                              (0.7, 0.6, 1.5, -1.0)),
+                          potential_modes=((1, 1, 0.5, 0.3),)),
+        InitialDataRecipe(kind="piecewise_constant_stripes", amplitude=0.8,
+                          delta=2 * h, stripes=((0.2, 0.25, 1.0),)),
+        InitialDataRecipe(kind="smooth_bump", amplitude=0.5, bump_sharpness=10.0,
+                          potential_modes=((2, 0, 1.0, 0.0),)),
+        InitialDataRecipe(kind="piecewise_constant_disks", amplitude=0.2,
+                          random_disks=4, seed=7),
+    ]

@@ -1,20 +1,25 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from chemoflux import ChemistryParams, Grid, StepperConfig, run
+from chemoflux import (ChemistryParams, Grid, InitialDataRecipe, StepperConfig,
+                       build_initial_data, run)
 from chemoflux.diagnostics import (CSV_COLUMNS, DiagnosticsRecord, Node,
-                                   TrajectoryRecorder, fit_decay, node_norms)
+                                   TrajectoryRecorder, fit_decay, node_norms,
+                                   smallness)
 from chemoflux.harness import write_diagnostics_csv
 from chemoflux.fields import band_rfft2
 from sample_fields import (band_limited_field, band_limited_gradient,
                            band_limited_potential, constant_field, coordinates,
-                           field_from_function, run_rows, spectral_gradient,
-                           zero_drift)
+                           field_from_function, recipes_of_each_kind, run_rows,
+                           spectral_gradient, zero_drift)
 from oracles import (assemble_rhs_ut, calibrate_energy_constant,
                      check_energy_inequality, curl2d, curl_flux_residual,
                      divergence, effective_flux, energy_functionals,
                      flux_divergence_residual, gn_ratio, gradient,
                      lemma33_ratio, lp_norm, perp_gradient)
+from oracles import smallness as oracle_smallness
 
 SINGLE_MODE_GN_RATIO = 0.194924200308419  # sqrt(3/8)/pi, locked
 
@@ -155,6 +160,48 @@ class TestEnergyFunctionals:
     def test_empty_trajectory_rejected(self):
         with pytest.raises(ValueError):
             energy_functionals(Grid(1.0, 8), [])
+
+
+class TestSmallness:
+    def test_equilibrium_is_zero(self, grid64):
+        assert smallness(grid64, constant_field(grid64, 1.0),
+                         constant_field(grid64, 0.0), 6.0) == (0.0, 0.0)
+
+    def test_disk_theta0_is_amplitude_sq_times_area(self, grid64):
+        a, r = 0.3, 2.5
+        recipe = InitialDataRecipe(amplitude=a, disks=((0.5, 0.5, r, 1.0),))
+        theta0, M = smallness(grid64, *build_initial_data(recipe, grid64), 6.0)
+        # oracle: count raster cells inside the disk directly
+        X, Y = coordinates(grid64)
+        L = grid64.side_length
+        dx = X - 0.5 * L - L * np.round((X - 0.5 * L) / L)
+        dy = Y - 0.5 * L - L * np.round((Y - 0.5 * L) / L)
+        count = int((dx ** 2 + dy ** 2 < r ** 2).sum())
+        area = count * grid64.cell_area
+        assert theta0 == pytest.approx(a * a * area, rel=1e-12)
+        assert M == 0.0
+        # and the raster area tracks the geometric one at O(h * perimeter)
+        assert abs(area - np.pi * r * r) <= 4 * grid64.spacing * 2 * np.pi * r
+
+    def test_potential_mode_closed_form(self, grid64):
+        # phi0 = eps sin(kx), so |v0| = eps k |cos(kx)|, whose mean square is
+        # 1/2 and whose mean sixth power 5/16; the Riemann sums are exact
+        eps, L = 0.01, grid64.side_length
+        k = 2 * np.pi / L
+        recipe = InitialDataRecipe(kind="from_potential", amplitude=eps,
+                                   potential_modes=((1, 0, 1.0, 0.0),))
+        theta0, M = smallness(grid64, *build_initial_data(recipe, grid64), 6.0)
+        assert theta0 == pytest.approx((eps * k * L) ** 2 / 2, rel=1e-12)
+        assert M == pytest.approx(eps * k * (5 / 16 * L ** 2) ** (1 / 6), rel=1e-12)
+
+    def test_matches_the_oracle_and_mollifying_lowers_theta0(self, grid64):
+        for recipe in recipes_of_each_kind(grid64.spacing):
+            datum = build_initial_data(recipe, grid64)
+            got = smallness(grid64, *datum, recipe.p0)
+            assert got == pytest.approx(oracle_smallness(grid64, *datum, recipe.p0),
+                                        rel=1e-12, abs=1e-300)
+            raw = build_initial_data(replace(recipe, delta=0.0), grid64)
+            assert got[0] <= smallness(grid64, *raw, recipe.p0)[0] + 1e-15
 
 
 class TestGnRatio:

@@ -10,8 +10,9 @@ from sample_fields import (band_limited_field, band_limited_gradient,
                            band_limited_potential, constant_field, coordinates,
                            run_rows)
 from chemoflux.evolve import _self_transport_hat, _transport_hat
-from oracles import (curl2d, dealias, divergence, gradient, lp_norm,
-                     product_scalar_vector, project_curl_free)
+from oracles import (amplification, curl2d, dealias, divergence, gradient,
+                     lp_norm, product_scalar_vector, project_curl_free,
+                     spectral_radius)
 
 MODES = ("transformed", "original")
 
@@ -196,6 +197,59 @@ class TestStepOriginal:
                 recorders=(lambda node: c_mins.append(np.exp(node.s).min()),))
         assert halt.value.outcome is RunOutcome.CHEMICAL_EXTINCTION
         assert c_mins and min(c_mins) > 0
+
+
+class TestAmplification:
+    """One step of the march on a single mode against `oracles.amplification`,
+    and the limits on dt that the linearised step has."""
+
+    @pytest.mark.parametrize("m,dt", [((3, 2), 0.05), ((8, 6), 0.3)],
+                             ids=["stable", "past-the-wave-limit"])
+    @pytest.mark.parametrize("scheme", ["imex_cn", "imex_be"])
+    @pytest.mark.parametrize("mode", MODES)
+    def test_one_step_of_the_march(self, grid32, mode, scheme, m, dt):
+        # u_bar = 1.5 and chi = 2, so c = 3; at amplitude 1e-6 the first
+        # nonlinear term that reaches the mode is of relative size 1e-12.
+        # At m = (8, 6), c dt^2 |k|^2 = 27, past original CN's limit of 4
+        L, n = grid32.side_length, grid32.resolution
+        k = 2 * np.pi * np.array(m) / L
+        X, Y = coordinates(grid32)
+        u0 = 1.5 + 1e-6 * np.cos(k[0] * X + k[1] * Y)
+        phi0 = 1e-6 * np.sin(k[0] * X + k[1] * Y + 0.4)
+        final = run([u0, phi0], StepperConfig(dt=dt, t_end=dt, scheme=scheme),
+                    ChemistryParams(chi=2.0), mode=mode, grid=grid32)
+        at = (m[1] % n, m[0])
+        before = np.array([np.fft.rfft2(u0)[at], np.fft.rfft2(phi0)[at]])
+        after = np.array([np.fft.rfft2(final.u)[at],
+                          np.fft.rfft2(final.v[0])[at] / (1j * k[0])])
+        expected = amplification(k @ k, dt, 3.0, mode, scheme) @ before
+        assert np.abs(after - expected).max() <= 1e-6 * np.abs(expected).max()
+
+    @pytest.mark.parametrize("mode,scheme", [
+        ("transformed", "imex_cn"), ("transformed", "imex_be"), ("original", "imex_be")])
+    def test_stable_at_every_k_while_c_dt_is_at_most_two(self, mode, scheme):
+        for c_dt in np.linspace(0.1, 2.0, 20):
+            for dt in (1e-3, 0.1, 1.0):
+                assert max(spectral_radius(amplification(K, dt, c_dt / dt, mode,
+                                                         scheme))
+                           for K in np.geomspace(1e-3, 1e8, 60)) <= 1 + 1e-12
+
+    @pytest.mark.parametrize("scheme,radius", [("imex_cn", 2.5), ("imex_be", 1.2247)])
+    def test_transformed_grows_past_c_dt_of_two(self, scheme, radius):
+        assert max(spectral_radius(amplification(K, 0.1, 30.0, "transformed", scheme))
+                   for K in np.geomspace(1e-3, 1e8, 400)) == pytest.approx(radius,
+                                                                           abs=1e-4)
+
+    @pytest.mark.parametrize("dt,c", [(0.01, 1.0), (0.1, 3.0), (0.04, 1.0)])
+    def test_original_cn_limit_is_c_dt2_k2_of_four(self, dt, c):
+        # a radius of 1 on the limit, below it before and above it beyond
+        def radius(ratio):
+            K = 4.0 * ratio / (c * dt * dt)
+            return spectral_radius(amplification(K, dt, c, "original", "imex_cn"))
+
+        assert radius(1.0) == pytest.approx(1.0, abs=1e-12)
+        assert radius(0.99) < 1.0 < radius(1.01)
+        assert radius(4.0) > 1.0
 
 
 class TestChooseDt:
@@ -493,7 +547,7 @@ class TestRun:
         # and s N x N, v and grad(u) (2, N, N)
         recipe = InitialDataRecipe(amplitude=0.2, random_disks=2, seed=1,
                                    potential_modes=((1, 0, 0.5, 0.0),))
-        u0, phi0, _ = build_initial_data(recipe, grid32)
+        u0, phi0 = build_initial_data(recipe, grid32)
         scalar, vector = grid32.shape, (2,) + grid32.shape
 
         def assert_arrays(shape, *arrays):
@@ -596,7 +650,7 @@ class TestRun:
         recipe = InitialDataRecipe(amplitude=0.3, delta=2 * grid64.spacing,
                                    disks=((0.3, 0.4, 3.0, 1.0), (0.7, 0.6, 2.0, -1.0)),
                                    potential_modes=((1, 1, 0.5, 0.3), (0, 2, 1.0, 0.0)))
-        u0, phi0, _ = build_initial_data(recipe, grid64)
+        u0, phi0 = build_initial_data(recipe, grid64)
         params = ChemistryParams(mu=1.7)
         nodes = {}
         for mode in MODES:

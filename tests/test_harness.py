@@ -24,6 +24,7 @@ from chemoflux.cole_hopf import C_FLOOR
 from chemoflux.diagnostics import TrajectoryRecorder
 from chemoflux.harness import STUDIES, format_config, parse_config
 from chemoflux.initial_data import RECIPE_KINDS
+from oracles import smallness
 
 BASE = """grid.L = 6.283185307179586
 grid.N = 32
@@ -733,6 +734,50 @@ def test_xval_solvers_agree(tmp_path, capsys):
     capsys.readouterr()
 
 
+# two opposite disks on a small box, whose band corner |k|_max = sqrt(2) 21 *
+# 2 pi/L = 59.4 gives original-mode Crank-Nicolson the wave limit dt =
+# 2/|k|_max = 0.0337 at u_bar = chi = 1; stepper.dt is 2.4/|k|_max
+WAVE = f"""grid.L = {math.pi!r}
+grid.N = 64
+recipe.amplitude = 0.01
+recipe.disks = 0.4,0.5,0.2,1.0; 0.6,0.5,0.2,-1.0
+recipe.delta = 2h
+recipe.modes = 1,0,1.0,0.0
+stepper.dt = {2.4 / (math.sqrt(2) * 42)!r}
+stepper.t_end = 1.0
+threads = 1
+"""
+
+
+@pytest.mark.parametrize("subcommand,head", [
+    ("run", "study = single_run\nmode = original\n"),
+    ("xval", "study = cross_validate\n")])
+def test_fixed_dt_past_the_wave_limit_exits_2(tmp_path, capsys, subcommand, head):
+    code, out = cli(tmp_path, subcommand, head + WAVE)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config field 'stepper.dt': ")
+    assert "wave limit 0.0336717514850736" in err
+    assert not out.exists()
+
+
+def test_cfl_steps_below_the_wave_limit_damp_the_band_corner(tmp_path, capsys):
+    # at the uncapped dt the two corner modes grow by a third by t = 1; at
+    # cfl_number = 0.5 times the limit they fall by more than an order
+    code, out = cli(tmp_path, "run", "study = single_run\nmode = original\n"
+                    "stepper.dt_mode = cfl\nsnapshot_times = 0,1\n" + WAVE)
+    assert code == 0
+    steps = np.diff([float(r["t"]) for r in csv_rows(out / "diagnostics.csv")])
+    assert len(steps) == 60 and max(steps) <= 0.5 * 0.03367175148507369 * (1 + 1e-12)
+
+    def corner(name):
+        u = np.fromfile(out / name, dtype="<f8", offset=16)[:64 * 64].reshape(64, 64)
+        return np.abs(np.fft.rfft2(u)[[21, 64 - 21], 21]).max()
+
+    assert corner("snapshot_1.000000.cfx") < 0.1 * corner("snapshot_0.000000.cfx")
+    capsys.readouterr()
+
+
 # the benchmark's cross-validation layout at N=32
 XVAL_LAYOUT = """study = cross_validate
 grid.L = 50.26548245743669
@@ -1006,9 +1051,9 @@ def test_studies_hand_over_each_datum(tmp_path, monkeypatch, capsys):
     real_build, real_node = harness.build_initial_data, TrajectoryRecorder.on_node
 
     def build(recipe, grid):
-        u0, phi0, summary = real_build(recipe, grid)
+        u0, phi0 = real_build(recipe, grid)
         refs.extend((weakref.ref(u0), weakref.ref(phi0)))
-        return u0, phi0, summary
+        return u0, phi0
 
     def on_node(self, t, aux):
         alive.append(sum(ref() is not None for ref in refs))
@@ -1141,6 +1186,27 @@ def test_scan_theta_classifies_each_amplitude(tmp_path, capsys):
     assert all(r["outcome"].startswith("completed_") for r in rows)
     theta = [float(r["theta0"]) for r in rows]
     assert theta[1] == pytest.approx(4 * theta[0], rel=1e-12)
+    capsys.readouterr()
+
+
+def test_scan_theta_measures_the_datum_it_runs(tmp_path, capsys):
+    # theta0 and M of each member's mollified datum, as `_data` builds it,
+    # against the oracle's own wavenumber table; a1_bound is 1.5 theta0
+    text = ("study = theta_scan\nscan.amplitudes = 0.05,0.1,0.2\n"
+            + read_by("theta_scan"))
+    code, out = cli(tmp_path, "scan-theta", text)
+    assert code == 0
+    cfg = parse_config(text)
+    rows = csv_rows(out / "theta_scan.csv")
+    assert len(rows) == 3
+    for r in rows:
+        datum = harness._data(replace(cfg.recipe, amplitude=float(r["amplitude"])),
+                              cfg.grid)
+        theta0, M = smallness(cfg.grid, *datum, cfg.recipe.p0)
+        assert float(r["theta0"]) == pytest.approx(theta0, rel=1e-12)
+        assert float(r["M"]) == pytest.approx(M, rel=1e-12)
+        assert r["outcome"].startswith("completed_")
+        assert float(r["a1_bound"]) == 1.5 * float(r["theta0"])
     capsys.readouterr()
 
 

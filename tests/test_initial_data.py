@@ -8,34 +8,17 @@ from chemoflux import (ChemistryParams, Grid, InitialDataRecipe, StepperConfig,
                        build_initial_data, run)
 from chemoflux.initial_data import mollifier_kernel, mollify
 from sample_fields import (band_limited_field, band_limited_gradient,
-                           constant_field, coordinates, spectral_gradient)
+                           constant_field, coordinates, recipes_of_each_kind,
+                           spectral_gradient)
 from oracles import curl2d, lp_norm, project_curl_free
 
 
 class TestRecipes:
     def test_zero_amplitude_bump_is_equilibrium(self, grid64):
         recipe = InitialDataRecipe(kind="smooth_bump", amplitude=0.0)
-        u0, phi0, summary = build_initial_data(recipe, grid64)
+        u0, phi0 = build_initial_data(recipe, grid64)
         assert np.all(u0 == 1.0)
         assert np.all(phi0 == 0.0)
-        assert summary.theta0 == 0.0
-
-    def test_disk_theta0_is_amplitude_sq_times_area(self, grid64):
-        a, r = 0.3, 2.5
-        recipe = InitialDataRecipe(kind="piecewise_constant_disks", amplitude=a,
-                                   disks=((0.5, 0.5, r, 1.0),))
-        u0, _, summary = build_initial_data(recipe, grid64)
-        # oracle: count raster cells inside the disk directly
-        X, Y = coordinates(grid64)
-        L = grid64.side_length
-        dx = X - 0.5 * L - L * np.round((X - 0.5 * L) / L)
-        dy = Y - 0.5 * L - L * np.round((Y - 0.5 * L) / L)
-        count = int((dx ** 2 + dy ** 2 < r ** 2).sum())
-        area = count * grid64.cell_area
-        assert summary.theta0 == pytest.approx(a * a * area, rel=1e-12)
-        # and the raster area tracks the geometric one at O(h * perimeter)
-        assert abs(area - np.pi * r * r) <= 4 * grid64.spacing * 2 * np.pi * r
-        assert summary.theta0_raw == summary.theta0  # no mollification here
 
     def test_negative_density_rejected_with_minimum(self, grid64):
         recipe = InitialDataRecipe(kind="piecewise_constant_disks", amplitude=1.5,
@@ -48,47 +31,27 @@ class TestRecipes:
         L = grid64.side_length
         recipe = InitialDataRecipe(kind="from_potential", amplitude=eps,
                                    potential_modes=((1, 0, 1.0, 0.0),))
-        u0, phi0, summary = build_initial_data(recipe, grid64)
+        u0, phi0 = build_initial_data(recipe, grid64)
         v0 = spectral_gradient(grid64, phi0)
         assert np.all(u0 == 1.0)
         expected_sq = eps ** 2 * (2 * np.pi / L) ** 2 * L ** 2 / 2
         assert lp_norm(grid64, v0, 2) ** 2 == pytest.approx(expected_sq, rel=1e-12)
-        assert summary.M == pytest.approx(lp_norm(grid64, v0, 6), rel=1e-12)
 
     def test_every_recipe_kind_is_curl_free_and_nonnegative(self, grid64):
         # the drift of a datum is the v of its t=0 node: the march applies
         # the Cole-Hopf substitution to phi0
-        h = grid64.spacing
-        recipes = [
-            InitialDataRecipe(kind="piecewise_constant_disks", amplitude=0.4,
-                              delta=2 * h, disks=((0.3, 0.4, 2.0, 1.0),
-                                                  (0.7, 0.6, 1.5, -1.0)),
-                              potential_modes=((1, 1, 0.5, 0.3),)),
-            InitialDataRecipe(kind="piecewise_constant_stripes", amplitude=0.8,
-                              delta=2 * h, stripes=((0.2, 0.25, 1.0),)),
-            InitialDataRecipe(kind="smooth_bump", amplitude=0.5,
-                              bump_sharpness=10.0,
-                              potential_modes=((2, 0, 1.0, 0.0),)),
-            InitialDataRecipe(kind="piecewise_constant_disks", amplitude=0.2,
-                              random_disks=4, seed=7),
-        ]
-        for recipe in recipes:
-            u0, phi0, summary = build_initial_data(recipe, grid64)
+        for recipe in recipes_of_each_kind(grid64.spacing):
+            u0, phi0 = build_initial_data(recipe, grid64)
             assert u0.min() >= 0
-            v0 = spectral_gradient(grid64, phi0)
             first = run([u0, phi0], StepperConfig(dt=0.1, t_end=0.0),
                         ChemistryParams(), grid=grid64)
             assert lp_norm(grid64, curl2d(grid64, first.v), np.inf) <= 1e-10
-            recomputed = (lp_norm(grid64, u0 - 1.0, 2) ** 2
-                          + lp_norm(grid64, v0, 2) ** 2)
-            assert summary.theta0 == pytest.approx(recomputed, rel=1e-12, abs=1e-300)
-            assert summary.theta0 <= summary.theta0_raw + 1e-15
 
     def test_randomized_disks_deterministic_in_seed(self, grid64):
         recipe = InitialDataRecipe(kind="piecewise_constant_disks", amplitude=0.2,
                                    random_disks=3, seed=42)
-        u_a, _, _ = build_initial_data(recipe, grid64)
-        u_b, _, _ = build_initial_data(recipe, grid64)
+        u_a, _ = build_initial_data(recipe, grid64)
+        u_b, _ = build_initial_data(recipe, grid64)
         np.testing.assert_array_equal(u_a, u_b)
         other = build_initial_data(
             InitialDataRecipe(kind="piecewise_constant_disks", amplitude=0.2,
@@ -113,10 +76,10 @@ class TestRecipes:
         np.testing.assert_array_equal(drawn, explicit)
 
     @pytest.mark.parametrize("cells,modes,count", [
-        (0, (), 4),                      # no kernel: the potential, zero or
-        (0, ((1, 0, 1.0, 0.0),), 4),     # not, and back, grad(phi0): 1 + 3
-        (2, (), 7),                      # kernel, u0 and back: 3; the potential,
-        (2, ((1, 0, 1.0, 0.0),), 7),     # zero or not, and back, grad(phi0): 4
+        (0, (), 2),                      # no kernel: the potential, zero or
+        (0, ((1, 0, 1.0, 0.0),), 2),     # not, and back: 2
+        (2, (), 5),                      # kernel, u0 and back: 3; the potential,
+        (2, ((1, 0, 1.0, 0.0),), 5),     # zero or not, and back: 2
     ], ids=["unmollified", "unmollified-modes", "mollified", "mollified-modes"])
     def test_transforms_of_a_build(self, grid64, monkeypatch, cells, modes, count):
         # a zero phi0 takes the transforms of any other, and u0 and phi0
@@ -130,9 +93,9 @@ class TestRecipes:
         recipe = InitialDataRecipe(amplitude=0.2, delta=cells * grid64.spacing,
                                    disks=((0.5, 0.5, 3.0, 1.0),),
                                    potential_modes=modes)
-        _, phi0, summary = build_initial_data(recipe, grid64)
+        _, phi0 = build_initial_data(recipe, grid64)
         assert calls[0] == count
-        assert (summary.M > 0) == bool(modes) and phi0.any() == bool(modes)
+        assert phi0.any() == bool(modes)
 
     def test_peak_memory_of_a_build(self):
         # NumPy registers its arrays with tracemalloc.  A build on a small
@@ -156,7 +119,7 @@ class TestRecipes:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 272_112 + 8_192
+        assert peak <= 236_888 + 8_192
 
     @pytest.mark.parametrize("recipe", [
         # the first disk wraps across both edges of the box
@@ -176,7 +139,7 @@ class TestRecipes:
         u, phi = mesh_rasters(recipe, grid64)
         ph = np.fft.rfft2(phi)
         ph[0, 0] = 0.0
-        u0, phi0, _ = build_initial_data(recipe, grid64)
+        u0, phi0 = build_initial_data(recipe, grid64)
         assert np.array_equal(u0, u)
         assert np.array_equal(phi0, np.fft.irfft2(ph, s=grid64.shape))
         if recipe.disks:
