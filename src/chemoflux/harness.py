@@ -624,7 +624,7 @@ def run_theta_scan(cfg: ExperimentConfig, out_dir) -> tuple:
                     math.nan, False, False)
         theta0, M = smallness(cfg.grid, *data, cfg.recipe.p0)
         a1 = math.nan   # a run can halt at its t=0 node, before any record
-        settled = []        # u_linf at each record node from t = 1 on
+        settled = []    # u_linf at each record node from t = 1 on
 
         def keep(node):
             nonlocal a1

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+
 import numpy as np
 
 from .fields import Grid, ParameterError

@@ -9,10 +9,10 @@ from chemoflux import (ChemistryParams, Grid, InitialDataRecipe, RunHalted,
 from sample_fields import (band_limited_field, band_limited_gradient,
                            band_limited_potential, constant_field, coordinates,
                            run_rows)
-from chemoflux.evolve import _self_transport_hat, _transport_hat
+from chemoflux.evolve import _self_transport_hat, _transport_hat, wave_limit
 from oracles import (amplification, curl2d, dealias, divergence, gradient,
                      lp_norm, product_scalar_vector, project_curl_free,
-                     spectral_radius)
+                     spectral_radius, wavenumbers)
 
 MODES = ("transformed", "original")
 
@@ -250,6 +250,20 @@ class TestAmplification:
         assert radius(1.0) == pytest.approx(1.0, abs=1e-12)
         assert radius(0.99) < 1.0 < radius(1.01)
         assert radius(4.0) > 1.0
+
+    def test_wave_limit_is_the_limit_at_the_band_corner(self, grid64):
+        # u_bar = 1.5 and chi = 2; the corner's |k|^2 from the oracle's table
+        K = 2 * wavenumbers(grid64)[(grid64.resolution - 1) // 3] ** 2
+        u0 = constant_field(grid64, 1.5)
+        dt = wave_limit(grid64, u0, 2.0)
+
+        def radius(scale):
+            return spectral_radius(amplification(K, scale * dt, 3.0, "original",
+                                                 "imex_cn"))
+
+        assert radius(1.0) == pytest.approx(1.0, abs=1e-12)
+        assert radius(0.99) < 1.0 < radius(1.01)
+        assert wave_limit(grid64, u0, 0.0) == np.inf
 
 
 class TestChooseDt:

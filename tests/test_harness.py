@@ -751,7 +751,7 @@ threads = 1
 
 @pytest.mark.parametrize("subcommand,head", [
     ("run", "study = single_run\nmode = original\n"),
-    ("xval", "study = cross_validate\n")])
+    ("xval", "study = cross_validate\n")], ids=["run", "xval"])
 def test_fixed_dt_past_the_wave_limit_exits_2(tmp_path, capsys, subcommand, head):
     code, out = cli(tmp_path, subcommand, head + WAVE)
     assert code == 2
