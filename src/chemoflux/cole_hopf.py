@@ -1,7 +1,8 @@
 """The Cole-Hopf link v = -(1/mu) grad(ln c) between the chemical c and the
 drift v, which removes the logarithmic singularity of the sensitivity.
-`drift` is the one computation of v; `forward_transform` stays only as a
-boundary that the benchmark traces.
+`drift` is the one computation of v, from the spectrum of s = ln c; the
+march applies it once, at its start, and in original mode halts when c
+falls to `C_FLOOR`.
 """
 
 from __future__ import annotations
@@ -36,15 +37,3 @@ def drift(grid: Grid, sh: np.ndarray, mu: float) -> np.ndarray:
     spectrum sh of s = ln c."""
     return grid._gradient((-1.0 / mu) * sh)
 
-
-def forward_transform(grid: Grid, c: np.ndarray,
-                      params: ChemistryParams) -> np.ndarray:
-    """v = -(1/mu) * grad(ln c) from the samples c; rejects fields at or
-    below the extinction floor."""
-    cmin = c.min()
-    if cmin <= C_FLOOR:
-        i, j = np.unravel_index(int(c.argmin()), c.shape)
-        raise ValueError(
-            f"chemical concentration {cmin} at cell ({i}, {j}) is at or below "
-            f"the floor {C_FLOOR}; ln c is not representable")
-    return drift(grid, np.fft.rfft2(np.log(c)), params.mu)

@@ -22,13 +22,14 @@ RECIPE_KINDS = (
     "piecewise_constant_disks",
     "piecewise_constant_stripes",
     "smooth_bump",
-    "from_potential",
 )
 
 
 @dataclass(frozen=True)
 class InitialDataRecipe:
-    """How to synthesize (u0, phi0).
+    """How to synthesize (u0, phi0): u0 is 1 plus the pattern of ``kind``,
+    and phi0 the sum of ``potential_modes``, which every kind takes; a
+    potential alone is the disks kind with no disks.
 
     ``amplitude`` scales the u pattern and the potential modes alike, positions
     and stripe widths are fractions of the box side, and ``delta`` is the
@@ -71,14 +72,20 @@ class InitialDataRecipe:
                                      f"got {','.join(map(repr, stripe))}")
 
 
+def check_width(grid: Grid, delta: float) -> float:
+    """The mollifier width delta, or a ValueError unless h < delta <= L/4:
+    at one cell h or less the kernel is the identity, and above L/4 it wraps."""
+    if not grid.spacing < delta <= grid.side_length / 4:
+        raise ValueError(f"{delta!r} is outside (h, L/4] = ({grid.spacing!r}, "
+                         f"{grid.side_length / 4!r}]: at one cell or less the "
+                         "kernel is the identity, and above L/4 it wraps")
+    return delta
+
+
 def mollifier_kernel(grid: Grid, delta: float) -> np.ndarray:
     """Half spectrum of the discrete radial bump (1 - (r/delta)^2)^3 of unit
-    mass and support r <= delta; a ValueError unless h < delta <= L/4, since
-    at one cell h or less the kernel is the identity."""
-    if not grid.spacing < delta <= grid.side_length / 4:
-        raise ValueError(f"delta={delta} is outside (h, L/4] = ({grid.spacing}, "
-                         f"{grid.side_length / 4}]: at one cell or less the kernel "
-                         "is the identity, and above L/4 it wraps")
+    mass and support r <= delta, for a width that `check_width` accepts."""
+    check_width(grid, delta)
     x = np.arange(grid.resolution) * grid.spacing
     d = np.minimum(x, grid.side_length - x)  # min-image distance to 0
     r2 = (d[None, :] ** 2 + d[:, None] ** 2) / delta ** 2
@@ -125,7 +132,6 @@ def _raster_u(recipe: InitialDataRecipe, grid: Grid, x) -> np.ndarray:
         k = recipe.bump_sharpness
         u += a * (np.exp(k * (np.cos(2 * np.pi * (X - cx * L) / L) - 1.0))
                   * np.exp(k * (np.cos(2 * np.pi * (Y - cy * L) / L) - 1.0)))
-    # from_potential leaves u identically 1
     return u
 
 

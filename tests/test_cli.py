@@ -38,3 +38,17 @@ def test_snapshot_files_named_by_requested_times(tmp_path, capsys):
     assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
     assert sorted(p.name for p in out.glob("snapshot_*.cfx")) == [
         "snapshot_0.525000.cfx", "snapshot_1.000000.cfx"]
+
+
+@pytest.mark.parametrize("which", ["file", "under_a_file"])
+def test_unusable_out_is_a_config_error(tmp_path, capsys, which):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(SMALL_RUN)
+    taken = tmp_path / "taken"
+    taken.write_text("kept\n")
+    out = taken if which == "file" else taken / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config field 'out': ") and str(out) in err
+    assert err.count("\n") == 1
+    assert taken.read_text() == "kept\n"

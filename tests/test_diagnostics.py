@@ -188,8 +188,7 @@ class TestSmallness:
         # 1/2 and whose mean sixth power 5/16; the Riemann sums are exact
         eps, L = 0.01, grid64.side_length
         k = 2 * np.pi / L
-        recipe = InitialDataRecipe(kind="from_potential", amplitude=eps,
-                                   potential_modes=((1, 0, 1.0, 0.0),))
+        recipe = InitialDataRecipe(amplitude=eps, potential_modes=((1, 0, 1.0, 0.0),))
         theta0, M = smallness(grid64, *build_initial_data(recipe, grid64), 6.0)
         assert theta0 == pytest.approx((eps * k * L) ** 2 / 2, rel=1e-12)
         assert M == pytest.approx(eps * k * (5 / 16 * L ** 2) ** (1 / 6), rel=1e-12)

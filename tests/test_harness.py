@@ -502,8 +502,8 @@ DISK = "recipe.disks = 0.5,0.5,0.3,1.0"
     ("recipe.kind = piecewise_constant_stripes\nrecipe.random_disks = 2",
      "recipe.random_disks",
      "at recipe.kind = piecewise_constant_disks, not piecewise_constant_stripes"),
-    ("recipe.kind = from_potential\nrecipe.seed = 3", "recipe.seed",
-     "at recipe.kind = piecewise_constant_disks, not from_potential"),
+    ("recipe.kind = smooth_bump\nrecipe.seed = 3", "recipe.seed",
+     "at recipe.kind = piecewise_constant_disks, not smooth_bump"),
     # explicit disks leave the random layout unread, and no random disk its seed
     (DISK + "\nrecipe.random_disks = 2", "recipe.random_disks", "without recipe.disks"),
     (DISK + "\nrecipe.seed = 3", "recipe.seed", "without recipe.disks"),
@@ -513,8 +513,9 @@ DISK = "recipe.disks = 0.5,0.5,0.3,1.0"
                                        "(the config gives no recipe.random_disks key)"),
     ("recipe.stripes = 0.2,0.3,1.0", "recipe.stripes",
      "at recipe.kind = piecewise_constant_stripes, not piecewise_constant_disks"),
-    ("recipe.kind = from_potential\nrecipe.bump_center = 0.3,0.3",
-     "recipe.bump_center", "at recipe.kind = smooth_bump, not from_potential"),
+    ("recipe.kind = piecewise_constant_stripes\nrecipe.bump_center = 0.3,0.3",
+     "recipe.bump_center",
+     "at recipe.kind = smooth_bump, not piecewise_constant_stripes"),
     ("recipe.bump_sharpness = 8", "recipe.bump_sharpness",
      "at recipe.kind = smooth_bump, not piecewise_constant_disks"),
     # a fixed step takes no CFL number
@@ -522,9 +523,9 @@ DISK = "recipe.disks = 0.5,0.5,0.3,1.0"
      "at stepper.dt_mode = cfl, not fixed"),
     ("stepper.cfl_number = 0.9", "stepper.cfl_number", "at stepper.dt_mode = cfl, "
      "not fixed (the config gives no stepper.dt_mode key)"),
-], ids=["disks-smooth_bump", "random_disks-stripes", "seed-from_potential",
+], ids=["disks-smooth_bump", "random_disks-stripes", "seed-smooth_bump",
         "random_disks-beside-disks", "seed-beside-disks", "seed-no-random-disk",
-        "seed-no-random_disks-key", "stripes-disks", "bump_center-from_potential",
+        "seed-no-random_disks-key", "stripes-disks", "bump_center-stripes",
         "bump_sharpness-disks", "cfl_number-fixed", "cfl_number-no-dt_mode-key"])
 def test_key_of_another_recipe_kind_or_dt_mode_exits_2(tmp_path, capsys, lines, key,
                                                        message):
@@ -690,31 +691,23 @@ def test_refine_runs_resolutions_not_dividing_the_finest(tmp_path, capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("cells", ["1h", "0.5h"])
+@pytest.mark.parametrize("width", ["1h", "0.5h", "9h", "2.0"])
 @pytest.mark.parametrize("subcommand,study", [
-    ("run", "single_run"), ("refine", "refinement"), ("xval", "cross_validate")])
-def test_mollifier_of_at_most_one_cell_exits_2(tmp_path, capsys, subcommand, study,
-                                               cells):
-    # at one cell or less the kernel is the identity: a datum said to be
-    # mollified would be the raw one
+    ("run", "single_run"), ("refine", "refinement"), ("xval", "cross_validate"),
+    ("scan-theta", "theta_scan")])
+def test_mollifier_width_out_of_range_exits_2(tmp_path, capsys, subcommand, study,
+                                              width):
+    # at one cell h or less the kernel is the identity, so a datum said to be
+    # mollified would be the raw one, and above L/4 = 8h it wraps; the scan
+    # would label every member invalid_data
     code, out = cli(tmp_path, subcommand, setting(
         f"study = {study}\n" + STUDY_EXTRA[study] + read_by(study),
-        f"recipe.delta = {cells}"))
+        f"recipe.delta = {width}"))
     assert code == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: config field 'recipe': ")
+    assert err.startswith("error: config field 'recipe.delta': ")
     assert "at one cell or less" in err and err.count("\n") == 1
     assert not out.exists()
-
-
-def test_scan_theta_labels_a_mollifier_of_one_cell_invalid(tmp_path, capsys):
-    code, out = cli(tmp_path, "scan-theta", setting(
-        "study = theta_scan\n" + STUDY_EXTRA["theta_scan"] + read_by("theta_scan"),
-        "recipe.delta = 1h"))
-    assert code == 0
-    rows = csv_rows(out / "theta_scan.csv")
-    assert [r["outcome"] for r in rows] == ["invalid_data"] * 2
-    capsys.readouterr()
 
 
 def test_xval_solvers_agree(tmp_path, capsys):
@@ -1253,11 +1246,17 @@ def config_texts(draw):
     study = draw(st.sampled_from(STUDIES))
     kind = draw(st.sampled_from(RECIPE_KINDS))
     dt_mode = draw(st.sampled_from(("fixed", "cfl")))
+    L, N = draw(finite), 2 * draw(st.integers(min_value=4, max_value=64))
+    # a mollifier width in (h, L/4]: 2 to (N-1)//4 cells, whose product with
+    # h stays below L/4 after rounding, or a number in the range
+    widths = st.one_of(
+        st.integers(min_value=2, max_value=max(2, (N - 1) // 4)).map(lambda n: f"{n}h"),
+        st.floats(min_value=L / N, max_value=L / 4, exclude_min=True).map(repr))
     lines = {
         "study": study,
         "threads": str(draw(small_int)),
-        "grid.L": repr(draw(finite)),
-        "grid.N": str(2 * draw(st.integers(min_value=4, max_value=64))),
+        "grid.L": repr(L),
+        "grid.N": str(N),
         "params.mu": repr(draw(finite)),
         "params.chi": repr(draw(st.floats(min_value=0.0, max_value=1e3))),
         "recipe.kind": kind,
@@ -1271,9 +1270,7 @@ def config_texts(draw):
     if study in ("single_run", "theta_scan"):
         lines["recipe.p0"] = repr(draw(st.floats(min_value=4.001, max_value=100.0)))
     if study != "delta_sweep":   # the sweep sets each member's delta
-        lines["recipe.delta"] = draw(st.one_of(
-            st.integers(min_value=0, max_value=8).map(lambda n: f"{n}h"),
-            st.floats(min_value=0.0, max_value=5.0).map(repr)))
+        lines["recipe.delta"] = draw(st.one_of(st.sampled_from(("0", "0h")), widths))
     if study not in ("delta_sweep", "refinement"):   # these keep final fields only
         lines["stepper.record_every"] = str(draw(small_int))
     if dt_mode == "cfl":
@@ -1310,9 +1307,8 @@ def config_texts(draw):
         "single_run": {
             "mode": st.sampled_from(("transformed", "original")),
             "snapshot_times": st.lists(finite, min_size=1, max_size=4).map(_join)},
-        "delta_sweep": {"sweep.deltas": st.lists(st.one_of(
-            st.integers(min_value=1, max_value=8).map(lambda n: f"{n}h"),
-            finite.map(repr)), min_size=1, max_size=4).map(",".join)},
+        "delta_sweep": {"sweep.deltas": st.lists(widths, min_size=1,
+                                                 max_size=4).map(",".join)},
         "refinement": {
             "refine.n_list": resolutions,
             "refine.dt_list": st.lists(finite, min_size=1, max_size=4).map(_join)},

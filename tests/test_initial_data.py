@@ -29,8 +29,7 @@ class TestRecipes:
     def test_potential_mode_norm_closed_form(self, grid64):
         eps = 0.01
         L = grid64.side_length
-        recipe = InitialDataRecipe(kind="from_potential", amplitude=eps,
-                                   potential_modes=((1, 0, 1.0, 0.0),))
+        recipe = InitialDataRecipe(amplitude=eps, potential_modes=((1, 0, 1.0, 0.0),))
         u0, phi0 = build_initial_data(recipe, grid64)
         v0 = spectral_gradient(grid64, phi0)
         assert np.all(u0 == 1.0)
@@ -130,9 +129,10 @@ class TestRecipes:
                           stripes=((0.2, 0.25, 1.0), (0.9, 0.3, -0.5))),
         InitialDataRecipe(kind="smooth_bump", amplitude=0.5, bump_center=(0.3, 0.7),
                           bump_sharpness=10.0),
-        InitialDataRecipe(kind="from_potential", amplitude=0.1,
+        # a potential alone: the disks kind with no disks
+        InitialDataRecipe(amplitude=0.1,
                           potential_modes=((1, 0, 1.0, 0.0), (2, 3, 0.5, 1.3))),
-    ], ids=["disks", "stripes", "smooth_bump", "from_potential"])
+    ], ids=["disks", "stripes", "smooth_bump", "potential_only"])
     def test_rasters_match_the_mesh_formulas(self, grid64, recipe):
         # the build broadcasts the sample axis; its u0 and phi0 equal, bit for
         # bit, the formulas on N x N coordinate meshes

@@ -2,12 +2,13 @@
 name its prose cites exists.
 
 The name of each public top-level function or class, and of each public
-method, must occur in the package's code outside its own definition and
-outside ``__init__.py``, which only re-exports: a name that only the tests
-call belongs in the tests.  The match is by word, over the name tokens of
-the code (comments and strings do not count), not by object, so a generic
-method name such as ``copy`` passes when some other object's ``copy`` is
-called.
+method, must occur in the package's code outside its own definition,
+outside import statements and outside ``__init__.py``, which only
+re-exports: a name that only the tests call belongs in the tests, and one
+that is only imported has no caller.  The match is by word, over the name
+tokens of the code (comments and strings do not count), not by object, so
+a generic method name such as ``copy`` passes when some other object's
+``copy`` is called.
 """
 
 import ast
@@ -41,9 +42,18 @@ def _tokens(path, kind=tokenize.NAME):
                 if tok.type == kind]
 
 
+def _uses(path):
+    """(text, line) of each name token of a module outside its import
+    statements."""
+    imports = {line for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, (ast.Import, ast.ImportFrom))
+               for line in range(node.lineno, node.end_lineno + 1)}
+    return [(word, line) for word, line in _tokens(path) if line not in imports]
+
+
 def test_every_public_name_is_used_in_src():
     modules = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
-    tokens = {path: _tokens(path) for path in modules}
+    tokens = {path: _uses(path) for path in modules}
     unused = []
     for path in modules:
         for name, first, last in _definitions(ast.parse(path.read_text())):

@@ -5,10 +5,14 @@ Usage: ``python tools/same_outputs.py PARENT [CHANGE]``; CHANGE defaults to
 this checkout.  Each argument is the root of a checkout, with the package in
 ``src/chemoflux``.
 
-For each workload of ``perfbench/workloads.WORKLOADS`` at seeds 0 and 5,
-and for each ``tests/golden/*.cfg`` of this checkout as a ``run``, it
-writes the config to a temporary directory and runs
-``python -m chemoflux.cli <subcommand> --config ... --out ...`` once per
+Each checkout runs its own cases: each workload of its
+``perfbench/workloads.py`` at seeds 0 and 5, and each of its
+``tests/golden/*.cfg`` as a ``run``, so that the two sides may spell a
+config differently.  A case is matched across the checkouts by the
+workload's name and seed, or by the golden's file name; a case that only
+one checkout has is reported as such.  For each case it writes each
+side's config to a temporary directory and runs
+``python -m chemoflux.cli <subcommand> --config ... --out ...`` from each
 checkout, with ``PYTHONPATH=<checkout>/src``, one thread and no bytecode
 written, so that neither checkout is touched.  Then it compares the two
 output trees file by file, as bytes, and prints each file that differs or
@@ -19,12 +23,14 @@ difference of each numeric column, so that a tolerance on a column can be
 read off the output.  For any other file that differs and is UTF-8 text,
 such as ``config_echo.cfg``, it prints the lines that only one side has,
 ``-`` for the parent and ``+`` for the change.  It exits 1 on any
-difference, the schema line's included, or on a study that exits non-zero,
-2 on a checkout without ``src/chemoflux``, and 0 otherwise.
+difference, the schema line's included, on a case of one side only or on a
+study that exits non-zero, 2 on a checkout without ``src/chemoflux``, and 0
+otherwise.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import math
 import os
 from collections import Counter
@@ -38,10 +44,8 @@ sys.dont_write_bytecode = True   # importing perfbench/ leaves no __pycache__
 sys.path.insert(0, str(ROOT / "perfbench"))
 
 from run import THREAD_VARS  # noqa: E402
-from workloads import WORKLOADS  # noqa: E402
 
 SEEDS = (0, 5)
-GOLDEN = ROOT / "tests" / "golden"
 SCHEMA_PREFIX = "# chemoflux-diagnostics-v"
 
 
@@ -126,17 +130,25 @@ def line_difference(a: bytes, b: bytes) -> str:
     return ", lines on one side only:" + "".join(only)
 
 
-def cases():
-    """(label, subcommand, config text) of every case: each workload at each
-    seed, then each golden config; the goldens run backward Euler, an
-    original-mode single run and an off-record snapshot, which no workload
-    does."""
-    for workload in WORKLOADS.values():
-        for seed in SEEDS:
-            yield (f"{workload.name} seed {seed}", workload.subcommand,
-                   workload.config(seed))
-    for config in sorted(GOLDEN.glob("*.cfg")):
-        yield f"golden {config.stem}", "run", config.read_text()
+def cases(checkout: Path) -> dict:
+    """{label: (subcommand, config text)} of every case of a checkout: each
+    workload of its ``perfbench/workloads.py`` at each seed, then each of its
+    golden configs; the goldens run backward Euler, an original-mode single
+    run and an off-record snapshot, which no workload does."""
+    found = {}
+    path = checkout / "perfbench" / "workloads.py"
+    if path.exists():   # loaded by path: each checkout's own module
+        name = f"workloads@{path}"
+        spec = importlib.util.spec_from_file_location(name, path)
+        module = sys.modules[name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        for workload in module.WORKLOADS.values():
+            for seed in SEEDS:
+                found[f"{workload.name} seed {seed}"] = (workload.subcommand,
+                                                         workload.config(seed))
+    for config in sorted((checkout / "tests" / "golden").glob("*.cfg")):
+        found[f"golden {config.stem}"] = ("run", config.read_text())
+    return found
 
 
 def compare_trees(a: Path, b: Path) -> list:
@@ -169,15 +181,23 @@ def main(argv=None) -> int:
             print(f"error: {side} checkout {checkout} has no src/chemoflux",
                   file=sys.stderr)
             return 2
+    side_cases = {side: cases(checkout) for side, checkout in checkouts.items()}
+    labels = dict.fromkeys([*side_cases["parent"], *side_cases["change"]])
     bad = 0
     with tempfile.TemporaryDirectory() as tmp:
-        for label, subcommand, text in cases():
+        for label in labels:
+            only = [side for side, found in side_cases.items() if label in found]
+            if len(only) == 1:
+                print(f"{label}: only in {only[0]}")
+                bad += 1
+                continue
             case = Path(tmp) / label.replace(" ", "_")
             case.mkdir()
-            config = case / "study.cfg"
-            config.write_text(text)
             problems = []
             for side, checkout in checkouts.items():
+                subcommand, text = side_cases[side][label]
+                config = case / f"{side}.cfg"
+                config.write_text(text)
                 why = run_study(checkout, subcommand, config, case / side)
                 if why:
                     problems.append(f"{side} study failed, {why}")
