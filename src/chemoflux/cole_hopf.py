@@ -33,7 +33,7 @@ class ChemistryParams:
 
 
 def drift(grid: Grid, sh: np.ndarray, mu: float) -> np.ndarray:
-    """Samples of v = -(1/mu) grad(s), a (2, N, N) array, from the half
-    spectrum sh of s = ln c."""
+    """Samples of v = -(1/mu) grad(s), a (2, N, N) array, from the band
+    spectrum sh of s = ln c (`band_rfft2`)."""
     return grid._gradient((-1.0 / mu) * sh)
 

@@ -16,23 +16,13 @@ import numpy as np
 
 from .fields import Grid, band_rfft2, lp_norm, spectral_power
 
-SCHEMA_VERSION = "chemoflux-diagnostics-v3"
+SCHEMA_VERSION = "chemoflux-diagnostics-v4"
 DECAY_WINDOW = (2.0, 20.0)   # the settled window (t_lo, t_hi) of a decay fit
 
 
 def sigma_weight(t: float) -> float:
     """Initial-layer discount min(1, t)."""
     return min(1.0, t)
-
-
-def smallness(grid: Grid, u0: np.ndarray, phi0: np.ndarray, p0: float) -> tuple:
-    """The smallness parameters (theta0, M) of the datum (u0, phi0), N x N
-    samples on ``grid``, with v0 = grad(phi0): theta0 = ||u0 - 1||_2^2 +
-    ||v0||_2^2, the energy that the paper's condition bounds, and M =
-    ||v0||_{p0}."""
-    v0 = grid._gradient(np.fft.rfft2(phi0))
-    return (lp_norm(grid, u0 - 1.0, 2) ** 2 + lp_norm(grid, v0, 2) ** 2,
-            lp_norm(grid, v0, p0))
 
 
 def sup_deviation(u: np.ndarray) -> float:
@@ -126,7 +116,7 @@ def node_norms(grid, uh, t_hat, v) -> NodeAux:
     mean_u = uh[0, 0].real / n2
     abs_uh2[0, 0] = 0.0   # the mean mode's power would swamp ||u - 1||^2 near u = 1
     u_sq = w * grid.power_total(abs_uh2) + (mean_u - 1.0) ** 2 * grid.side_length ** 2
-    abs_ut2 = spectral_power(t_hat - grid._k_squared[:, :uh.shape[1]] * uh)
+    abs_ut2 = spectral_power(t_hat - grid._k_squared * uh)
     v2 = v[0] * v[0]   # two N x N arrays, not three
     v2 += v[1] * v[1]
     return NodeAux(u_sq=float(u_sq), v_sq=float(grid.cell_area * v2.sum()),
@@ -189,7 +179,7 @@ class TrajectoryRecorder:
         grid = self.grid
         uh, aux, grad_u = node.uh, node.aux, node.grad_u
         chi = self.chi
-        ikx, iky = grid._ikx[:, :uh.shape[1]], grid._iky
+        ikx, iky = grid._ikx, grid._iky
         w = grid.cell_area / grid.resolution ** 2
         area = grid.cell_area
         uv, vx, vy = node.u, node.v[0], node.v[1]
@@ -203,7 +193,7 @@ class TrajectoryRecorder:
         fyh *= chi
         res += iky * fyh
         fyh += iky * uh
-        res -= grid._k_squared[:, :uh.shape[1]] * uh
+        res -= grid._k_squared * uh
         res -= ikx * fxh                      # u_t - div(F)
         res -= iky * fyh
         div_sq = grid.power_total(spectral_power(res))

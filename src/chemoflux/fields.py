@@ -4,9 +4,10 @@ A field is a float64 array of samples on the `Grid`: N x N for a scalar and
 (2, N, N) for a vector, x component first.  Spectra are half spectra,
 ``np.fft.rfft2``'s N x (N/2 + 1) layout with y along the rows; the solver
 keeps the compact dealias band of `band_rfft2`, which ``np.fft.irfft2(zh,
-s=(N, N))`` inverts as well.  `Grid`'s tables are full width, and each use
-slices them to the width of the spectrum it meets.  `Grid` holds no sample
-coordinates: the cell centers along an axis are ``arange(N) * spacing``.
+s=(N, N))`` inverts as well.  `Grid`'s tables span that band's a + 1
+columns, a = (N-1)//3, so every spectrum they meet is a band spectrum.
+`Grid` holds no sample coordinates: the cell centers along an axis are
+``arange(N) * spacing``.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 
 
 class ParameterError(ValueError):
-    """A constructor argument outside its range; ``name`` is the argument."""
+    """A value outside its range; ``name`` is the argument that holds it."""
 
     def __init__(self, name: str, message: str):
         super().__init__(f"{name} {message}")
@@ -54,19 +55,17 @@ class Grid:
     def shape(self) -> tuple[int, int]:
         return (self.resolution, self.resolution)
 
-    # separable derivative tables: a (1, N/2 + 1) row in x and an (N, 1)
-    # column in y; the Nyquist entry has no sign partner and is zeroed
+    # separable derivative tables over the dealias band: a (1, a + 1) row in
+    # x and an (N, 1) column in y, whose rows a+1..N-a-1, y's Nyquist row
+    # among them, meet only the band's zeros
     @cached_property
     def _kx_deriv(self) -> np.ndarray:
         k = 2.0 * np.pi * np.fft.rfftfreq(self.resolution, d=self.spacing)
-        k[-1] = 0.0
-        return k[None, :]
+        return k[None, :(self.resolution - 1) // 3 + 1]
 
     @cached_property
     def _ky_deriv(self) -> np.ndarray:
-        k = 2.0 * np.pi * np.fft.fftfreq(self.resolution, d=self.spacing)
-        k[self.resolution // 2] = 0.0
-        return k[:, None]
+        return 2.0 * np.pi * np.fft.fftfreq(self.resolution, d=self.spacing)[:, None]
 
     @cached_property
     def _ikx(self) -> np.ndarray:
@@ -78,37 +77,34 @@ class Grid:
 
     @cached_property
     def _k_squared(self) -> np.ndarray:
-        """-1 times the Laplacian's symbol, for compact spectra only: they have
-        no Nyquist mode, so the derivative tables serve."""
+        """-1 times the Laplacian's symbol on the band."""
         return self._kx_deriv ** 2 + self._ky_deriv ** 2
 
     @cached_property
     def _column_weight(self) -> np.ndarray:
-        """Parseval weight of each half-spectrum column: 1 on 0 and N/2, else 2."""
-        w = np.full(self.resolution // 2 + 1, 2.0)
-        w[0] = w[-1] = 1.0
-        return w
+        """Parseval weight of each band column: 1 on column 0, else 2, since the
+        band has no Nyquist column."""
+        return np.array([1.0] + [2.0] * ((self.resolution - 1) // 3))
 
     def power_total(self, power: np.ndarray) -> float:
-        """Parseval sum of a half-spectrum ``power`` = |f_hat|^2, full or
-        compact: times cell_area / N^2 it is ||f||_2^2."""
-        return float(power.sum(axis=0) @ self._column_weight[:power.shape[1]])
+        """Parseval sum of a band ``power`` = |f_hat|^2: times cell_area / N^2
+        it is ||f||_2^2."""
+        return float(power.sum(axis=0) @ self._column_weight)
 
     def gradient_power(self, power: np.ndarray) -> float:
-        """Parseval sum of (kx^2 + ky^2) |f_hat|^2 for a half-spectrum
-        ``power``, full or compact: times cell_area / N^2 it is ||grad f||_2^2."""
-        w = self._column_weight[:power.shape[1]]
-        kx2 = self._kx_deriv[0, :power.shape[1]] ** 2
+        """Parseval sum of (kx^2 + ky^2) |f_hat|^2 for a band ``power``: times
+        cell_area / N^2 it is ||grad f||_2^2."""
+        w = self._column_weight
+        kx2 = self._kx_deriv[0] ** 2
         ky2 = self._ky_deriv[:, 0] ** 2
         return float(power.sum(axis=0) @ (w * kx2) + (power @ w) @ ky2)
 
     def _gradient(self, zh: np.ndarray) -> np.ndarray:
-        """Samples of grad(z), a (2, N, N) array, from z's half spectrum zh,
-        full or compact."""
+        """Samples of grad(z), a (2, N, N) array, from z's band spectrum zh."""
         # a component at a time: irfft2 ignores out=, and a stack would hold
         # both components beside the result
         out = np.empty((2,) + self.shape)
-        out[0] = np.fft.irfft2(self._ikx[:, :zh.shape[1]] * zh, s=self.shape)
+        out[0] = np.fft.irfft2(self._ikx * zh, s=self.shape)
         out[1] = np.fft.irfft2(self._iky * zh, s=self.shape)
         return out
 

@@ -25,10 +25,10 @@ delta sweep compare their members' final fields through one `_ladder`.  A
 member that halts raises `RunHalted` out of the study, except in the single
 run and the theta scan, which report the outcome.  Only the single run reads
 ``mode``, builds diagnostics rows and takes snapshots.  The theta scan
-measures theta0 and M on the datum that each member runs
-(`diagnostics.smallness`), and its ``a1_ok`` compares the member's final A1
-with 1.5 * theta0.  A study's outputs are byte-deterministic for a fixed
-config and do not depend on ``threads``.
+measures theta0 and M at each member's t = 0 node, on the state that the
+march runs, and its ``a1_ok`` compares the member's final A1 with 1.5 *
+theta0.  A study's outputs are byte-deterministic for a fixed config and do
+not depend on ``threads``.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from pathlib import Path
 
 from .cole_hopf import C_FLOOR, ChemistryParams, drift
 from .diagnostics import (CSV_COLUMNS, DECAY_WINDOW, SCHEMA_VERSION, DecayFit,
-                          fit_decay, smallness, sup_deviation)
+                          fit_decay, sup_deviation)
 from .evolve import (MODES, RunHalted, RunOutcome, StepperConfig, march, run,
                      wave_limit)
 from .fields import Grid, ParameterError, lp_norm, resample
@@ -106,7 +106,7 @@ def _numbers(cast=_finite, arity=None):
 def _threads(text):
     n = int(text)
     if n < 1:
-        raise ValueError(f"must be at least 1, got {n}")
+        raise ParameterError("threads", f"must be at least 1, got {n}")
     return n
 
 
@@ -114,9 +114,9 @@ def _resolutions(text):
     """Comma-separated distinct grid resolutions, each one that `Grid` accepts."""
     ns = _numbers(int)(text)
     for n in ns:
-        Grid(1.0, n)   # its ParameterError is a ValueError, reported on the key
+        Grid(1.0, n)   # its ParameterError is reported on the key
     if len(set(ns)) < len(ns):   # a repeated member adds no information
-        raise ValueError("resolutions must be distinct")
+        raise ParameterError("resolutions", f"must be distinct, got {_joined(ns)}")
     return ns
 
 
@@ -253,7 +253,9 @@ def parse_config(text: str) -> ExperimentConfig:
             try:
                 args = (raw[key], grid) if parse in (_width, _widths) else (raw[key],)
                 values[section][attr] = parse(*args)
-            except ValueError as exc:
+            except ParameterError as exc:   # a value out of range, as build reports one
+                raise ConfigError(key, str(exc)) from None
+            except ValueError as exc:       # text that is not a value of the key
                 raise ConfigError(key, f"cannot parse {raw[key]!r}: {exc}") from None
 
     def build(section):
@@ -369,10 +371,13 @@ def _map(cfg: ExperimentConfig, fn, items) -> list:
 
 def _data(recipe, grid) -> list:
     """A member's datum ``[u0, phi0]``, the one-shot holder that `march`
-    empties.  Data that cannot be built is a `ConfigError` on ``recipe``."""
+    empties.  Data that cannot be built is a `ConfigError` on ``recipe``, or
+    on ``recipe.delta`` for a width that the member's grid refuses."""
     try:
         return list(build_initial_data(recipe, grid))
-    except ValueError as exc:   # u0 < 0, or a width out of range on a member's grid
+    except ParameterError as exc:   # parsed on grid.N, refused on a coarser member
+        raise ConfigError("recipe.delta", f"at N = {grid.resolution}, {exc}") from None
+    except ValueError as exc:   # u0 < 0
         raise ConfigError("recipe", str(exc)) from None
 
 
@@ -548,8 +553,9 @@ def run_cross_validate(cfg: ExperimentConfig, out_dir) -> tuple:
     lockstep, one node each; a record without a partner at the same time is
     a RuntimeError, and a halt of either mode raises `RunHalted`.  Members
     step at a fixed dt scaled with the grid spacing; a datum whose chemical
-    is at or below `C_FLOOR` is a `ConfigError`, and so is a Crank-Nicolson
-    member's dt above its datum's `wave_limit`, on ``stepper.dt``.
+    is at or below `C_FLOOR` is a `ConfigError`, and so are a width that a
+    member's grid refuses, on ``recipe.delta``, and a Crank-Nicolson member's
+    dt above its datum's `wave_limit`, on ``stepper.dt``.
     """
     if cfg.stepper.dt_mode != "fixed":
         raise ConfigError("stepper.dt_mode", f"cross-validation steps at fixed dt, "
@@ -609,12 +615,13 @@ def run_theta_scan(cfg: ExperimentConfig, out_dir) -> tuple:
     """Amplitude ladder: measure theta0 and M and classify each run's outcome.
 
     Returns the table of ``theta_scan.csv``, a row per amplitude.  ``theta0``
-    and ``M`` are `smallness` of the datum that the member runs, mollified
-    if delta > 0.  ``decayed`` means the sup-norm perturbation at the end is
-    at most half that at the first record node with t >= 1, and ``a1_ok``
-    that the final A1 is at most ``a1_bound`` = 1.5 * theta0, the linear
-    bound.  A halted member is labelled with its outcome, and one whose data
-    `_data` cannot build ``invalid_data``.
+    = ||u0 - 1||_2^2 + ||v0||_2^2 and ``M`` = ||v0||_{p0} are measured at the
+    member's t = 0 node, on the band of the datum that the march runs, so A1
+    >= theta0; a halt there leaves them nan.  ``decayed`` means the sup-norm
+    perturbation at the end is at most half that at the first record node
+    with t >= 1, and ``a1_ok`` that the final A1 is at most ``a1_bound`` =
+    1.5 * theta0, the linear bound.  A halted member is labelled with its
+    outcome, and one whose data `_data` cannot build ``invalid_data``.
     """
     if not cfg.amplitudes:
         raise ConfigError("scan.amplitudes", "amplitude ladder is required")
@@ -628,12 +635,14 @@ def run_theta_scan(cfg: ExperimentConfig, out_dir) -> tuple:
         except ConfigError:
             return (amp, math.nan, math.nan, "invalid_data", False, math.nan,
                     math.nan, False, False)
-        theta0, M = smallness(cfg.grid, *data, cfg.recipe.p0)
-        a1 = math.nan   # a run can halt at its t=0 node, before any record
+        theta0 = M = a1 = math.nan   # a run can halt at t=0, before any record
         settled = []    # u_linf at each record node from t = 1 on
 
         def keep(node):
-            nonlocal a1
+            nonlocal theta0, M, a1
+            if node.t == 0.0:   # the datum as the march runs it
+                theta0 = node.aux.u_sq + node.aux.v_sq
+                M = lp_norm(cfg.grid, node.v, cfg.recipe.p0)
             a1 = node.a1
             if node.t >= 1.0:
                 settled.append(sup_deviation(node.u))
@@ -646,7 +655,7 @@ def run_theta_scan(cfg: ExperimentConfig, out_dir) -> tuple:
             decayed = bool(settled) and settled[-1] <= 0.5 * settled[0]
             label = "completed_decay" if decayed else "completed_no_decay"
         bound = 1.5 * theta0
-        a1_ok = a1 <= bound if theta0 > 0 else True
+        a1_ok = a1 <= bound or theta0 == 0.0
         lemma34_ok = bool(settled) and all(x <= 0.25 for x in settled)
         return amp, theta0, M, label, decayed, a1, bound, a1_ok, lemma34_ok
 

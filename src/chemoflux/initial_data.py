@@ -1,12 +1,12 @@
 """Construction of discontinuous initial data: a datum is a pair (u0, phi0) of
 N x N samples, u0 >= 0 and phi0 a zero-mean potential, serving both forms
-of the system.  The build returns the datum and nothing else; its smallness
-parameters are measured on it (`diagnostics.smallness`).  Jumps are
-rasterized by cell-center sampling, so they survive in the samples; a
-mollifier of width delta is the only smoothing.  The rasters are built on
-the cell-center axis x = arange(N) * h, broadcast as the row x[None, :]
-along x and the column x[:, None] along y, so the build makes no N x N
-coordinate mesh.
+of the system.  The build returns the datum and nothing else, at full
+width: the march runs its dealias-band projection, on which the theta scan
+measures its smallness parameters.  Jumps are rasterized by cell-center
+sampling, so they survive in the samples; a mollifier of width delta is the
+only smoothing.  The rasters are built on the cell-center axis x =
+arange(N) * h, broadcast as the row x[None, :] along x and the column
+x[:, None] along y, so the build makes no N x N coordinate mesh.
 """
 
 from __future__ import annotations
@@ -73,12 +73,13 @@ class InitialDataRecipe:
 
 
 def check_width(grid: Grid, delta: float) -> float:
-    """The mollifier width delta, or a ValueError unless h < delta <= L/4:
+    """The mollifier width delta, or a `ParameterError` unless h < delta <= L/4:
     at one cell h or less the kernel is the identity, and above L/4 it wraps."""
     if not grid.spacing < delta <= grid.side_length / 4:
-        raise ValueError(f"{delta!r} is outside (h, L/4] = ({grid.spacing!r}, "
-                         f"{grid.side_length / 4!r}]: at one cell or less the "
-                         "kernel is the identity, and above L/4 it wraps")
+        raise ParameterError("delta", f"{delta!r} is outside (h, L/4] = "
+                             f"({grid.spacing!r}, {grid.side_length / 4!r}]: at one "
+                             "cell or less the kernel is the identity, and above "
+                             "L/4 it wraps")
     return delta
 
 

@@ -7,6 +7,7 @@ diagnostics rows; and `recipes_of_each_kind`, data recipes to build."""
 import numpy as np
 
 from chemoflux import ChemistryParams, InitialDataRecipe, run
+from chemoflux.fields import band_rfft2
 
 
 def run_rows(grid, u0, phi0, cfg, params=None, recorders=(), **kwargs):
@@ -22,9 +23,9 @@ def run_rows(grid, u0, phi0, cfg, params=None, recorders=(), **kwargs):
 
 def spectral_gradient(grid, f):
     """grad(f), a (2, N, N) array, as the program takes it, `Grid._gradient`
-    of the half spectrum; zero mode annihilated, so components have zero
-    mean."""
-    return grid._gradient(np.fft.rfft2(f))
+    of the dealias band `band_rfft2`, so exact for a band-limited f; zero
+    mode annihilated, so components have zero mean."""
+    return grid._gradient(band_rfft2(f))
 
 
 def magnitude(w):

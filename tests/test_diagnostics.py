@@ -6,9 +6,9 @@ import pytest
 from chemoflux import (ChemistryParams, Grid, InitialDataRecipe, StepperConfig,
                        build_initial_data, run)
 from chemoflux.diagnostics import (CSV_COLUMNS, DiagnosticsRecord, Node,
-                                   TrajectoryRecorder, fit_decay, node_norms,
-                                   smallness)
-from chemoflux.harness import write_diagnostics_csv
+                                   TrajectoryRecorder, fit_decay, node_norms)
+from chemoflux.harness import (ExperimentConfig, run_theta_scan,
+                               write_diagnostics_csv)
 from chemoflux.fields import band_rfft2
 from sample_fields import (band_limited_field, band_limited_gradient,
                            band_limited_potential, constant_field, coordinates,
@@ -162,15 +162,32 @@ class TestEnergyFunctionals:
             energy_functionals(Grid(1.0, 8), [])
 
 
-class TestSmallness:
-    def test_equilibrium_is_zero(self, grid64):
-        assert smallness(grid64, constant_field(grid64, 1.0),
-                         constant_field(grid64, 0.0), 6.0) == (0.0, 0.0)
+def scan_smallness(out_dir, grid, recipe):
+    """(theta0, M) of a one-member theta scan of ``recipe`` at its amplitude,
+    to t = 0: measured at the member's t = 0 node, on the datum's dealias
+    band."""
+    cfg = ExperimentConfig(grid=grid, params=ChemistryParams(), recipe=recipe,
+                           stepper=StepperConfig(dt=0.1, t_end=0.0),
+                           study="theta_scan", amplitudes=(recipe.amplitude,))
+    (row,) = run_theta_scan(cfg, out_dir)[1]
+    return row[1], row[2]
 
-    def test_disk_theta0_is_amplitude_sq_times_area(self, grid64):
+
+def band_projection(grid, x):
+    """The samples of x's dealias-band projection, which the march runs."""
+    return np.fft.irfft2(band_rfft2(x), s=grid.shape)
+
+
+class TestSmallness:
+    def test_equilibrium_is_zero(self, grid64, tmp_path):
+        recipe = InitialDataRecipe(kind="smooth_bump", amplitude=0.0)
+        assert scan_smallness(tmp_path, grid64, recipe) == (0.0, 0.0)
+
+    def test_disk_theta0_is_below_amplitude_sq_times_area(self, grid64, tmp_path):
+        # the raster's energy is a^2 times its area; the band keeps less of it
         a, r = 0.3, 2.5
         recipe = InitialDataRecipe(amplitude=a, disks=((0.5, 0.5, r, 1.0),))
-        theta0, M = smallness(grid64, *build_initial_data(recipe, grid64), 6.0)
+        theta0, M = scan_smallness(tmp_path, grid64, recipe)
         # oracle: count raster cells inside the disk directly
         X, Y = coordinates(grid64)
         L = grid64.side_length
@@ -178,29 +195,31 @@ class TestSmallness:
         dy = Y - 0.5 * L - L * np.round((Y - 0.5 * L) / L)
         count = int((dx ** 2 + dy ** 2 < r ** 2).sum())
         area = count * grid64.cell_area
-        assert theta0 == pytest.approx(a * a * area, rel=1e-12)
+        assert 0.0 < theta0 < a * a * area
         assert M == 0.0
         # and the raster area tracks the geometric one at O(h * perimeter)
         assert abs(area - np.pi * r * r) <= 4 * grid64.spacing * 2 * np.pi * r
 
-    def test_potential_mode_closed_form(self, grid64):
-        # phi0 = eps sin(kx), so |v0| = eps k |cos(kx)|, whose mean square is
-        # 1/2 and whose mean sixth power 5/16; the Riemann sums are exact
+    def test_potential_mode_closed_form(self, grid64, tmp_path):
+        # phi0 = eps sin(kx), a band mode, so |v0| = eps k |cos(kx)|, whose
+        # mean square is 1/2 and whose mean sixth power 5/16; the Riemann
+        # sums are exact
         eps, L = 0.01, grid64.side_length
         k = 2 * np.pi / L
         recipe = InitialDataRecipe(amplitude=eps, potential_modes=((1, 0, 1.0, 0.0),))
-        theta0, M = smallness(grid64, *build_initial_data(recipe, grid64), 6.0)
+        theta0, M = scan_smallness(tmp_path, grid64, recipe)
         assert theta0 == pytest.approx((eps * k * L) ** 2 / 2, rel=1e-12)
         assert M == pytest.approx(eps * k * (5 / 16 * L ** 2) ** (1 / 6), rel=1e-12)
 
-    def test_matches_the_oracle_and_mollifying_lowers_theta0(self, grid64):
+    def test_matches_the_oracle_and_mollifying_lowers_theta0(self, grid64, tmp_path):
         for recipe in recipes_of_each_kind(grid64.spacing):
-            datum = build_initial_data(recipe, grid64)
-            got = smallness(grid64, *datum, recipe.p0)
-            assert got == pytest.approx(oracle_smallness(grid64, *datum, recipe.p0),
+            band = [band_projection(grid64, x)
+                    for x in build_initial_data(recipe, grid64)]
+            got = scan_smallness(tmp_path, grid64, recipe)
+            assert got == pytest.approx(oracle_smallness(grid64, *band, recipe.p0),
                                         rel=1e-12, abs=1e-300)
-            raw = build_initial_data(replace(recipe, delta=0.0), grid64)
-            assert got[0] <= smallness(grid64, *raw, recipe.p0)[0] + 1e-15
+            raw = scan_smallness(tmp_path, grid64, replace(recipe, delta=0.0))
+            assert got[0] <= raw[0] + 1e-15
 
 
 class TestGnRatio:

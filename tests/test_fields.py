@@ -42,10 +42,24 @@ class TestGrid:
             assert k[m] == -k[n - m]
         assert k[n // 2] == -np.pi * n / grid32.side_length
         assert np.isclose(k[1], 2 * np.pi / grid32.side_length)
-        # the derivative tables are this one with the Nyquist entry zeroed
-        k[n // 2] = 0.0
+        # the y table is this one; the x table is its first a + 1 entries, the
+        # columns of the dealias band
+        a = (n - 1) // 3
         assert np.array_equal(grid32._ky_deriv[:, 0], k)
-        assert np.array_equal(grid32._kx_deriv[0], np.abs(k[:n // 2 + 1]))
+        assert np.array_equal(grid32._kx_deriv[0], k[:a + 1])
+
+    @pytest.mark.parametrize("n", [8, 30, 32, 64])
+    def test_every_table_spans_the_band(self, n):
+        # a + 1 columns, as many as a band spectrum has, and N rows in y
+        grid = Grid(2 * np.pi, n)
+        a = (n - 1) // 3
+        assert band_rfft2(np.zeros(grid.shape)).shape == (n, a + 1)
+        for table, shape in ((grid._kx_deriv, (1, a + 1)), (grid._ikx, (1, a + 1)),
+                             (grid._ky_deriv, (n, 1)), (grid._iky, (n, 1)),
+                             (grid._k_squared, (n, a + 1)),
+                             (grid._column_weight, (a + 1,))):
+            assert table.shape == shape
+        assert np.array_equal(grid._column_weight, [1.0] + [2.0] * a)
 
     def test_cell_area(self, grid32):
         assert np.isclose(grid32.cell_area, (grid32.side_length / 32) ** 2)
@@ -57,8 +71,9 @@ class TestHalfSpectrumParseval:
     @given(n=st.integers(min_value=4, max_value=32).map(lambda m: 2 * m),
            seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
     def test_weighted_sums_match_full_spectrum_norms(self, n, seed):
-        # columns 0 and N/2 of a half spectrum have no mirror image and
-        # count once; the field puts energy in both, and in the y-Nyquist row
+        # the band of a field with energy everywhere, the Nyquist column and
+        # the y-Nyquist row included, against its full-spectrum projection:
+        # column 0 has no mirror image and counts once, every other twice
         grid = Grid(2 * np.pi * 3, n)
         L = grid.side_length
         X, Y = coordinates(grid)
@@ -67,14 +82,6 @@ class TestHalfSpectrumParseval:
                 + 2.0 * alt[None, :] * (1.0 + np.sin(2 * np.pi * Y / L))
                 + 2.0 * alt[:, None] * (1.0 + np.cos(2 * np.pi * X / L)))
         w = grid.cell_area / n ** 2
-        fh = np.fft.rfft2(vals)
-        power = spectral_power(fh)
-        f_sq = oracle_lp_norm(grid, vals, 2) ** 2
-        grad_sq = oracle_lp_norm(grid, full_spectrum_gradient(grid, vals), 2) ** 2
-        assert w * grid.power_total(power) == pytest.approx(f_sq, rel=1e-12)
-        assert w * grid.gradient_power(power) == pytest.approx(grad_sq, rel=1e-12)
-        # the compact band of the same field, against its full-spectrum
-        # projection: the tables meet it sliced to its a + 1 columns
         band = dealias(grid, vals)
         power = spectral_power(band_rfft2(vals))
         assert w * grid.power_total(power) == pytest.approx(
@@ -120,16 +127,6 @@ class TestGradient:
                             np.abs(spectral[1] - fd_y).max()))
         ratio = errs[0] / errs[1]
         assert 3.5 <= ratio <= 4.5
-
-    @pytest.mark.parametrize("n", [30, 64, 256])
-    def test_compact_spectrum_matches_its_zero_padded_full_spectrum(self, n):
-        # the inverse zero-pads the columns a compact spectrum lacks, so
-        # its gradient is bit for bit that of the full-width spectrum
-        grid = Grid(2 * np.pi, n)
-        zh = band_rfft2(band_limited_field(grid, seed=n, kmax=n // 2))
-        full = np.zeros((n, n // 2 + 1), complex)
-        full[:, :zh.shape[1]] = zh
-        np.testing.assert_array_equal(grid._gradient(zh), grid._gradient(full))
 
     def test_components_have_zero_mean(self, grid64):
         f = band_limited_field(grid64, seed=3)

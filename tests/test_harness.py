@@ -22,6 +22,7 @@ from chemoflux import evolve, harness
 from chemoflux.cli import EXIT_CODES, STUDY_COMMANDS, main
 from chemoflux.cole_hopf import C_FLOOR
 from chemoflux.diagnostics import TrajectoryRecorder
+from chemoflux.fields import band_rfft2
 from chemoflux.harness import STUDIES, format_config, parse_config
 from chemoflux.initial_data import RECIPE_KINDS
 from oracles import smallness
@@ -388,21 +389,24 @@ def test_chi_and_mu_are_independent_inputs(tmp_path, capsys):
     assert "config field 'params.xi': unknown key" in capsys.readouterr().err
 
 
-def bad(line, subcommand="xval", field=None):
+def bad(line, subcommand="xval", field=None, shown=None):
     """A case of `test_bad_value_exits_2_naming_its_key`, with the line as its
-    id: the line, the subcommand of a study that reads its key, and the field
-    that the error names, by default the line's key."""
-    return pytest.param(line, subcommand, field or line.split(" = ")[0], id=line)
+    id: the line, the subcommand of a study that reads its key, the field
+    that the error names, by default the line's key, and the text that it
+    shows, by default the line's value."""
+    key, value = line.split(" = ")
+    return pytest.param(line, subcommand, field or key, shown or value, id=line)
 
 
-@pytest.mark.parametrize("line,subcommand,field", [
+@pytest.mark.parametrize("line,subcommand,field,shown", [
     bad("grid.N = 2.5e2"), bad("params.mu = x"), bad("stepper.dt = abc"),
     bad("refine.n_list = 16.7,32", "refine"),   # not truncated to 16
     bad("xval.n_list = 16.7,32"),
     bad("stepper.dt = -1"), bad("grid.N = 7"),   # parse, but out of range
     bad("recipe.kind = blob"),
-    bad("xval.n_list = 16,7"),   # not a grid resolution
-    bad("refine.n_list = 6,12,24", "refine"),
+    # not a grid resolution: the error names the member
+    bad("xval.n_list = 16,7", shown="got 7"),
+    bad("refine.n_list = 6,12,24", "refine", shown="got 6"),
     bad("threads = 0"),
     bad("xval.n_list = 64,8"),   # N=8 would step at dt = 0.4 > t_end = 0.3
     bad("xval.n_list = 32,32"),   # the same member twice
@@ -426,14 +430,15 @@ def bad(line, subcommand="xval", field=None):
     # unparsable: a point is two numbers, and a mode one of two names
     bad("recipe.bump_center = 0.5"), bad("mode = sideways", "run"),
 ])
-def test_bad_value_exits_2_naming_its_key(tmp_path, capsys, line, subcommand, field):
+def test_bad_value_exits_2_naming_its_key(tmp_path, capsys, line, subcommand, field,
+                                         shown):
     study = next(c[1] for c in STUDY_COMMANDS if c[0] == subcommand)
     text = setting(f"study = {study}\n" + STUDY_EXTRA[study] + read_by(study), line)
     code, out = cli(tmp_path, subcommand, text)
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: config field '{field}': ")
-    assert line.split(" = ")[1] in err
+    assert shown in err
     assert err.count("config field") == 1 and "given twice" not in err
     assert not out.exists()   # rejected before any output or run
 
@@ -707,7 +712,39 @@ def test_mollifier_width_out_of_range_exits_2(tmp_path, capsys, subcommand, stud
     err = capsys.readouterr().err
     assert err.startswith("error: config field 'recipe.delta': ")
     assert "at one cell or less" in err and err.count("\n") == 1
+    assert "cannot parse" not in err   # a width, but out of range
     assert not out.exists()
+
+
+def test_xval_checks_the_width_on_each_member_grid(tmp_path, capsys):
+    # recipe.delta = 2h is parsed on grid.N = 32, but it is half a cell of the
+    # N = 8 member, where the kernel would be the identity
+    text = "study = cross_validate\nxval.n_list = 8,32\n" + read_by("cross_validate")
+    code, out = cli(tmp_path, "xval", text)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config field 'recipe.delta': at N = 8, ")
+    assert "at one cell or less" in err and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("line,subcommand,number", [
+    ("threads = 0", "run", True), ("threads = 1.5", "run", False),
+    ("recipe.delta = 1h", "run", True), ("recipe.delta = 1x", "run", False),
+    ("xval.n_list = 16,7", "xval", True), ("xval.n_list = 32,32", "xval", True),
+    ("xval.n_list = 16,x", "xval", False), ("recipe.delta = nan", "run", False),
+])
+def test_only_text_that_is_not_a_value_cannot_parse(tmp_path, capsys, line,
+                                                     subcommand, number):
+    # a value that parses but is out of range says why, as a constructor's
+    # range error does; "cannot parse" is kept for text that is not a number
+    study = next(c[1] for c in STUDY_COMMANDS if c[0] == subcommand)
+    code, _ = cli(tmp_path, subcommand,
+                  setting(f"study = {study}\n" + read_by(study), line))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config field '{line.split(' = ')[0]}': ")
+    assert ("cannot parse" in err) != number and err.count("\n") == 1
 
 
 def test_xval_solvers_agree(tmp_path, capsys):
@@ -1183,8 +1220,9 @@ def test_scan_theta_classifies_each_amplitude(tmp_path, capsys):
 
 
 def test_scan_theta_measures_the_datum_it_runs(tmp_path, capsys):
-    # theta0 and M of each member's mollified datum, as `_data` builds it,
-    # against the oracle's own wavenumber table; a1_bound is 1.5 theta0
+    # theta0 and M of the dealias-band projection of each member's mollified
+    # datum, as `_data` builds it and the march runs it, against the oracle's
+    # own wavenumber table; they open A1, and a1_bound is 1.5 theta0
     text = ("study = theta_scan\nscan.amplitudes = 0.05,0.1,0.2\n"
             + read_by("theta_scan"))
     code, out = cli(tmp_path, "scan-theta", text)
@@ -1195,9 +1233,11 @@ def test_scan_theta_measures_the_datum_it_runs(tmp_path, capsys):
     for r in rows:
         datum = harness._data(replace(cfg.recipe, amplitude=float(r["amplitude"])),
                               cfg.grid)
-        theta0, M = smallness(cfg.grid, *datum, cfg.recipe.p0)
+        band = [np.fft.irfft2(band_rfft2(x), s=cfg.grid.shape) for x in datum]
+        theta0, M = smallness(cfg.grid, *band, cfg.recipe.p0)
         assert float(r["theta0"]) == pytest.approx(theta0, rel=1e-12)
         assert float(r["M"]) == pytest.approx(M, rel=1e-12)
+        assert float(r["a1"]) >= float(r["theta0"])
         assert r["outcome"].startswith("completed_")
         assert float(r["a1_bound"]) == 1.5 * float(r["theta0"])
     capsys.readouterr()

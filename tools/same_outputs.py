@@ -130,22 +130,29 @@ def line_difference(a: bytes, b: bytes) -> str:
     return ", lines on one side only:" + "".join(only)
 
 
+def load_workloads(checkout: Path) -> dict:
+    """The ``WORKLOADS`` of a checkout's ``perfbench/workloads.py``, loaded by
+    path as that checkout's own module; {} for a checkout without one."""
+    path = checkout / "perfbench" / "workloads.py"
+    if not path.exists():
+        return {}
+    name = f"workloads@{path}"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = sys.modules[name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.WORKLOADS
+
+
 def cases(checkout: Path) -> dict:
     """{label: (subcommand, config text)} of every case of a checkout: each
     workload of its ``perfbench/workloads.py`` at each seed, then each of its
     golden configs; the goldens run backward Euler, an original-mode single
     run and an off-record snapshot, which no workload does."""
     found = {}
-    path = checkout / "perfbench" / "workloads.py"
-    if path.exists():   # loaded by path: each checkout's own module
-        name = f"workloads@{path}"
-        spec = importlib.util.spec_from_file_location(name, path)
-        module = sys.modules[name] = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        for workload in module.WORKLOADS.values():
-            for seed in SEEDS:
-                found[f"{workload.name} seed {seed}"] = (workload.subcommand,
-                                                         workload.config(seed))
+    for workload in load_workloads(checkout).values():
+        for seed in SEEDS:
+            found[f"{workload.name} seed {seed}"] = (workload.subcommand,
+                                                     workload.config(seed))
     for config in sorted((checkout / "tests" / "golden").glob("*.cfg")):
         found[f"golden {config.stem}"] = ("run", config.read_text())
     return found
