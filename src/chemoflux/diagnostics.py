@@ -110,19 +110,17 @@ def node_norms(grid, uh, t_hat, v) -> NodeAux:
     """The node norms of a state from the compact spectra ``uh`` of u and
     ``t_hat`` of the transport term chi*div(u v), so that u_t = lap(u) +
     t_hat, and the (2, N, N) samples ``v``."""
-    n2 = grid.resolution ** 2
-    w = grid.cell_area / n2
     abs_uh2 = spectral_power(uh)
-    mean_u = uh[0, 0].real / n2
+    mean_u = uh[0, 0].real / grid.resolution ** 2
     abs_uh2[0, 0] = 0.0   # the mean mode's power would swamp ||u - 1||^2 near u = 1
-    u_sq = w * grid.power_total(abs_uh2) + (mean_u - 1.0) ** 2 * grid.side_length ** 2
+    u_sq = grid.power_total(abs_uh2) + (mean_u - 1.0) ** 2 * grid.side_length ** 2
     abs_ut2 = spectral_power(t_hat - grid._k_squared * uh)
     v2 = v[0] * v[0]   # two N x N arrays, not three
     v2 += v[1] * v[1]
     return NodeAux(u_sq=float(u_sq), v_sq=float(grid.cell_area * v2.sum()),
-                   grad_u_sq=w * grid.gradient_power(abs_uh2),
-                   ut_sq=w * grid.power_total(abs_ut2),
-                   grad_ut_sq=w * grid.gradient_power(abs_ut2),
+                   grad_u_sq=grid.gradient_power(abs_uh2),
+                   ut_sq=grid.power_total(abs_ut2),
+                   grad_ut_sq=grid.gradient_power(abs_ut2),
                    v4_4=float(grid.cell_area * (v2 * v2).sum()),
                    v2_max=float(v2.max()))
 
@@ -180,8 +178,6 @@ class TrajectoryRecorder:
         uh, aux, grad_u = node.uh, node.aux, node.grad_u
         chi = self.chi
         ikx, iky = grid._ikx, grid._iky
-        w = grid.cell_area / grid.resolution ** 2
-        area = grid.cell_area
         uv, vx, vy = node.u, node.v[0], node.v[1]
         # F = grad(u) + chi*u*v is built in place on the spectra of chi*u*v
         # once each has served the residual, to keep peak memory down
@@ -211,7 +207,7 @@ class TrajectoryRecorder:
         sq = uv - 1.0   # squared in place: (u - 1)^4
         sq *= sq
         sq *= sq
-        gn = (math.sqrt(area * sq.sum()) / (u_l2 * grad_u_l2)
+        gn = (math.sqrt(grid.cell_area * sq.sum()) / (u_l2 * grad_u_l2)
               if grad_u_l2 > 0 and u_l2 > 0 else 0.0)   # 0 at a degenerate sample
         del sq   # before lp_norm builds |v|^p0 in a buffer of its own
         return DiagnosticsRecord(
@@ -225,9 +221,9 @@ class TrajectoryRecorder:
             v_lp0=lp_norm(grid, node.v, p0),
             v_linf=math.sqrt(aux.v2_max),
             c_linf=node.c_linf,
-            flux_l2=math.sqrt(w * flux_sq),
-            flux_div_residual=math.sqrt(w * div_sq),
-            flux_curl_residual=math.sqrt(w * curl_sq),
+            flux_l2=math.sqrt(flux_sq),
+            flux_div_residual=math.sqrt(div_sq),
+            flux_curl_residual=math.sqrt(curl_sq),
             a1=node.a1,
             a2=node.a2,
             a3=node.a3,

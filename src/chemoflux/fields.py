@@ -86,18 +86,21 @@ class Grid:
         band has no Nyquist column."""
         return np.array([1.0] + [2.0] * ((self.resolution - 1) // 3))
 
+    @property
+    def _parseval(self) -> float:
+        """cell_area / N^2, which turns a Parseval sum of |f_hat|^2 into
+        ||f||_2^2."""
+        return self.cell_area / self.resolution ** 2
+
     def power_total(self, power: np.ndarray) -> float:
-        """Parseval sum of a band ``power`` = |f_hat|^2: times cell_area / N^2
-        it is ||f||_2^2."""
-        return float(power.sum(axis=0) @ self._column_weight)
+        """||f||_2^2 of the field whose band power |f_hat|^2 is ``power``."""
+        return self._parseval * float(power.sum(axis=0) @ self._column_weight)
 
     def gradient_power(self, power: np.ndarray) -> float:
-        """Parseval sum of (kx^2 + ky^2) |f_hat|^2 for a band ``power``: times
-        cell_area / N^2 it is ||grad f||_2^2."""
+        """||grad f||_2^2 of the field whose band power |f_hat|^2 is ``power``."""
         w = self._column_weight
-        kx2 = self._kx_deriv[0] ** 2
-        ky2 = self._ky_deriv[:, 0] ** 2
-        return float(power.sum(axis=0) @ (w * kx2) + (power @ w) @ ky2)
+        return self._parseval * float(power.sum(axis=0) @ (w * self._kx_deriv[0] ** 2)
+                                      + (power @ w) @ self._ky_deriv[:, 0] ** 2)
 
     def _gradient(self, zh: np.ndarray) -> np.ndarray:
         """Samples of grad(z), a (2, N, N) array, from z's band spectrum zh."""

@@ -10,13 +10,12 @@ does not read, by its study, recipe kind or dt mode (`_READ_WHEN`), is a
 reads.
 
 Every study runs one skeleton: its own input checks; `_data`, the one build
-path, for every member, so data that cannot be built is a `ConfigError`
+path, for every member, so data that cannot be built, or a fixed dt above
+the datum's `evolve.wave_limit` in the member's mode, is a `ConfigError`
 before any output (the theta scan calls it inside each member, where that
 error is the row label ``invalid_data``, and the refinement builds one
 datum, on its finest grid, which `resample` restricts to each member's
-grid); in the two studies that run original mode, the single run and the
-cross-validation, a fixed Crank-Nicolson dt above the datum's
-`evolve.wave_limit` is a `ConfigError` as well; `_output` in the caller's
+grid, and checks its largest dt there); `_output` in the caller's
 ``out_dir`` (one that cannot be written is a `ConfigError`); `_map` over
 the distinct members, each handing its datum to `run` in the one-shot
 holder that `march` empties; then `_write_csv`, whose
@@ -369,26 +368,25 @@ def _map(cfg: ExperimentConfig, fn, items) -> list:
         return list(pool.map(fn, items))
 
 
-def _data(recipe, grid) -> list:
-    """A member's datum ``[u0, phi0]``, the one-shot holder that `march`
-    empties.  Data that cannot be built is a `ConfigError` on ``recipe``, or
-    on ``recipe.delta`` for a width that the member's grid refuses."""
+def _data(cfg, grid, stepper, mode="transformed", **changes) -> list:
+    """A member's datum ``[u0, phi0]`` of ``cfg.recipe`` with ``changes`` on
+    ``grid``, the one-shot holder that `march` empties, for a member that
+    steps by ``stepper`` in ``mode``.  Data that cannot be built is a
+    `ConfigError` on ``recipe``, or on ``recipe.delta`` for a width that the
+    member's grid refuses; a fixed dt above the datum's `wave_limit` in
+    ``mode``, past which the linearised step amplifies a mode, is one on
+    ``stepper.dt``."""
     try:
-        return list(build_initial_data(recipe, grid))
+        data = list(build_initial_data(replace(cfg.recipe, **changes), grid))
     except ParameterError as exc:   # parsed on grid.N, refused on a coarser member
         raise ConfigError("recipe.delta", f"at N = {grid.resolution}, {exc}") from None
     except ValueError as exc:   # u0 < 0
         raise ConfigError("recipe", str(exc)) from None
-
-
-def _refuse_above_wave_limit(stepper, grid, u0, chi) -> None:
-    """A `ConfigError` on ``stepper.dt`` for a fixed Crank-Nicolson dt above
-    the `wave_limit` of the datum of u0 on ``grid``, past which an
-    original-mode run amplifies its band corner."""
-    fixed_cn = stepper.scheme == "imex_cn" and stepper.dt_mode == "fixed"
-    if fixed_cn and stepper.dt > (limit := wave_limit(grid, u0, chi)):
-        raise ConfigError("stepper.dt", f"{stepper.dt!r} is above the original "
-                          f"mode's Crank-Nicolson wave limit {limit!r}")
+    limit = wave_limit(grid, data[0], cfg.params.chi, mode, stepper.scheme)
+    if stepper.dt_mode == "fixed" and stepper.dt > limit:
+        raise ConfigError("stepper.dt", f"{stepper.dt!r} is above the wave limit "
+                          f"{limit!r} of {stepper.scheme} in {mode} mode")
+    return data
 
 
 def _ladder(side_length, steps, fields) -> tuple:
@@ -415,8 +413,8 @@ def run_single(cfg: ExperimentConfig, out_dir) -> tuple:
     """One run to t_end with its artifacts; returns (outcome, message,
     diagnostics rows, decay summary table, out dir).  A halted run writes the
     rows it has and keeps no `RunHalted`, whose traceback holds the march.
-    In original mode a fixed Crank-Nicolson dt above the datum's
-    `wave_limit` is a `ConfigError` on ``stepper.dt``."""
+    A fixed dt above the datum's `wave_limit` in ``cfg.mode`` is a
+    `ConfigError` on ``stepper.dt``."""
     for t in cfg.snapshot_times:
         if not 0.0 <= t <= cfg.stepper.t_end:
             raise ConfigError("snapshot_times", f"{t!r} is outside [0, t_end = "
@@ -425,9 +423,7 @@ def run_single(cfg: ExperimentConfig, out_dir) -> tuple:
     if len(set(names)) < len(names):   # a later file would overwrite an earlier
         raise ConfigError("snapshot_times", f"{_joined(cfg.snapshot_times)}: two "
                           "times share a file name, which keeps 6 decimals")
-    data = _data(cfg.recipe, cfg.grid)
-    if cfg.mode == "original":
-        _refuse_above_wave_limit(cfg.stepper, cfg.grid, data[0], cfg.params.chi)
+    data = _data(cfg, cfg.grid, cfg.stepper, cfg.mode)
     out = _output(cfg, out_dir)
     records = []
     outcome, message = RunOutcome.COMPLETED, ""
@@ -473,7 +469,7 @@ def run_delta_sweep(cfg: ExperimentConfig, out_dir) -> tuple:
         raise ConfigError("sweep.deltas", "need at least 3 widths")
     if any(d2 >= d1 for d1, d2 in zip(deltas, deltas[1:])):
         raise ConfigError("sweep.deltas", "widths must be strictly decreasing")
-    data = [_data(replace(cfg.recipe, delta=d), cfg.grid) for d in deltas]
+    data = [_data(cfg, cfg.grid, cfg.stepper, delta=d) for d in deltas]
     out = _output(cfg, out_dir)
 
     def final_uv(datum):   # only the samples: the rest of the node is dropped
@@ -502,7 +498,9 @@ def run_refinement(cfg: ExperimentConfig, out_dir) -> tuple:
     finer member's, both resampled onto the study's finest grid, and
     ``order`` is log(e_k/e_{k+1}) / log(h_k/h_{k+1}) in dt or the grid
     spacing h, nan for the last row and wherever either error is 0.  Each
-    distinct (N, dt) member runs once.
+    distinct (N, dt) member runs once.  A largest dt above the datum's
+    `wave_limit` is a `ConfigError` on ``stepper.dt``; resampling keeps the
+    mean that the limit reads.
     """
     if cfg.stepper.dt_mode != "fixed":
         raise ConfigError("stepper.dt_mode", f"refinement steps at fixed dt, "
@@ -519,7 +517,7 @@ def run_refinement(cfg: ExperimentConfig, out_dir) -> tuple:
     except ValueError as exc:   # a dt above t_end
         raise ConfigError("refine.dt_list", f"{_joined(cfg.dt_list)}: {exc}") from None
     L = cfg.grid.side_length
-    u0, phi0 = _data(cfg.recipe, Grid(L, max(cfg.grid.resolution, *ns)))
+    u0, phi0 = _data(cfg, Grid(L, max(cfg.grid.resolution, *ns)), steppers[dts[0]])
     out = _output(cfg, out_dir)
     data = {n: (resample(u0, n), resample(phi0, n)) for n in {cfg.grid.resolution, *ns}}
 
@@ -554,8 +552,9 @@ def run_cross_validate(cfg: ExperimentConfig, out_dir) -> tuple:
     a RuntimeError, and a halt of either mode raises `RunHalted`.  Members
     step at a fixed dt scaled with the grid spacing; a datum whose chemical
     is at or below `C_FLOOR` is a `ConfigError`, and so are a width that a
-    member's grid refuses, on ``recipe.delta``, and a Crank-Nicolson member's
-    dt above its datum's `wave_limit`, on ``stepper.dt``.
+    member's grid refuses, on ``recipe.delta``, and a member's dt above its
+    datum's original-mode `wave_limit`, the smaller of the two modes', on
+    ``stepper.dt``.
     """
     if cfg.stepper.dt_mode != "fixed":
         raise ConfigError("stepper.dt_mode", f"cross-validation steps at fixed dt, "
@@ -568,8 +567,7 @@ def run_cross_validate(cfg: ExperimentConfig, out_dir) -> tuple:
     members = []   # (stepper, grid, [u0, phi0])
     for n, stepper in zip(ns, steppers):
         grid = Grid(cfg.grid.side_length, n)
-        data = _data(cfg.recipe, grid)
-        _refuse_above_wave_limit(stepper, grid, data[0], cfg.params.chi)
+        data = _data(cfg, grid, stepper, "original")   # the stricter limit
         if -cfg.params.mu * data[1].max() <= math.log(C_FLOOR):
             raise ConfigError("recipe", "matched chemical is at or below the "
                               f"extinction floor {C_FLOOR}")
@@ -621,7 +619,8 @@ def run_theta_scan(cfg: ExperimentConfig, out_dir) -> tuple:
     perturbation at the end is at most half that at the first record node
     with t >= 1, and ``a1_ok`` that the final A1 is at most ``a1_bound`` =
     1.5 * theta0, the linear bound.  A halted member is labelled with its
-    outcome, and one whose data `_data` cannot build ``invalid_data``.
+    outcome, and one whose data `_data` cannot build, or whose fixed dt is
+    above its datum's `wave_limit`, ``invalid_data``.
     """
     if not cfg.amplitudes:
         raise ConfigError("scan.amplitudes", "amplitude ladder is required")
@@ -631,7 +630,7 @@ def run_theta_scan(cfg: ExperimentConfig, out_dir) -> tuple:
 
     def scan_one(amp):
         try:
-            data = _data(replace(cfg.recipe, amplitude=amp), cfg.grid)
+            data = _data(cfg, cfg.grid, cfg.stepper, amplitude=amp)
         except ConfigError:
             return (amp, math.nan, math.nan, "invalid_data", False, math.nan,
                     math.nan, False, False)

@@ -90,7 +90,7 @@ def mollifier_kernel(grid: Grid, delta: float) -> np.ndarray:
     x = np.arange(grid.resolution) * grid.spacing
     d = np.minimum(x, grid.side_length - x)  # min-image distance to 0
     r2 = (d[None, :] ** 2 + d[:, None] ** 2) / delta ** 2
-    w = np.where(r2 < 1.0, (1.0 - np.minimum(r2, 1.0)) ** 3, 0.0)
+    w = np.clip(1.0 - r2, 0.0, None) ** 3
     return np.fft.rfft2(w / w.sum())
 
 

@@ -255,7 +255,7 @@ class TestAmplification:
         # u_bar = 1.5 and chi = 2; the corner's |k|^2 from the oracle's table
         K = 2 * wavenumbers(grid64)[(grid64.resolution - 1) // 3] ** 2
         u0 = constant_field(grid64, 1.5)
-        dt = wave_limit(grid64, u0, 2.0)
+        dt = wave_limit(grid64, u0, 2.0, "original", "imex_cn")
 
         def radius(scale):
             return spectral_radius(amplification(K, scale * dt, 3.0, "original",
@@ -263,7 +263,29 @@ class TestAmplification:
 
         assert radius(1.0) == pytest.approx(1.0, abs=1e-12)
         assert radius(0.99) < 1.0 < radius(1.01)
-        assert wave_limit(grid64, u0, 0.0) == np.inf
+        assert wave_limit(grid64, u0, 0.0, "original", "imex_cn") == np.inf
+
+    @pytest.mark.parametrize("mode,scheme", [
+        ("transformed", "imex_cn"), ("transformed", "imex_be"), ("original", "imex_be")])
+    def test_wave_limit_is_two_over_c_where_the_corner_does_not_bind(self, grid64,
+                                                                     mode, scheme):
+        # c = chi u_bar = 3: no mode grows at dt = 2/c, and one does just past it
+        u0 = constant_field(grid64, 1.5)
+        dt = wave_limit(grid64, u0, 2.0, mode, scheme)
+        assert dt == 2.0 / 3.0
+
+        def radius(scale):
+            return max(spectral_radius(amplification(K, scale * dt, 3.0, mode, scheme))
+                       for K in np.geomspace(1e-3, 1e8, 400))
+
+        assert radius(1.0) <= 1 + 1e-12 < radius(1.01)
+        assert wave_limit(grid64, u0, 0.0, mode, scheme) == np.inf
+
+    def test_original_cn_takes_two_over_c_below_a_low_corner(self):
+        # on a band whose corner |k|^2 = 8e-4 lies below c = 3, 2/c binds first
+        grid = Grid(200 * np.pi, 8)
+        assert wave_limit(grid, constant_field(grid, 1.5), 2.0, "original",
+                          "imex_cn") == 2.0 / 3.0
 
 
 class TestChooseDt:

@@ -81,14 +81,24 @@ class TestHalfSpectrumParseval:
         vals = (np.random.default_rng(seed).standard_normal((n, n))
                 + 2.0 * alt[None, :] * (1.0 + np.sin(2 * np.pi * Y / L))
                 + 2.0 * alt[:, None] * (1.0 + np.cos(2 * np.pi * X / L)))
-        w = grid.cell_area / n ** 2
         band = dealias(grid, vals)
         power = spectral_power(band_rfft2(vals))
-        assert w * grid.power_total(power) == pytest.approx(
+        assert grid.power_total(power) == pytest.approx(
             oracle_lp_norm(grid, band, 2) ** 2, rel=1e-12)
-        assert w * grid.gradient_power(power) == pytest.approx(
+        assert grid.gradient_power(power) == pytest.approx(
             oracle_lp_norm(grid, full_spectrum_gradient(grid, band), 2) ** 2,
             rel=1e-12)
+
+    @pytest.mark.parametrize("n", [32, 64])
+    def test_power_sums_are_the_norms_of_a_band_limited_field(self, n):
+        # the band's Parseval weight is applied inside: no caller scales them
+        grid = Grid(2 * np.pi * 3, n)
+        f = band_limited_field(grid, seed=n, kmax=(n - 1) // 3)
+        power = spectral_power(band_rfft2(f))
+        assert grid.power_total(power) == pytest.approx(lp_norm(grid, f, 2) ** 2,
+                                                        rel=1e-12)
+        assert grid.gradient_power(power) == pytest.approx(
+            lp_norm(grid, full_spectrum_gradient(grid, f), 2) ** 2, rel=1e-12)
 
 
 class TestGradient:

@@ -808,6 +808,59 @@ def test_cfl_steps_below_the_wave_limit_damp_the_band_corner(tmp_path, capsys):
     capsys.readouterr()
 
 
+# at chi = 100 and u_bar ~ 1 every step amplifies some mode past dt = 2/(chi
+# u_bar) ~ 0.02, in both modes and both schemes; BASE steps at dt = 0.05
+STIFF = setting(BASE, "params.chi = 100.0")
+
+
+@pytest.mark.parametrize("subcommand,head,dt", [
+    ("run", "study = single_run\nmode = transformed\n", "0.05"),
+    ("run", "study = single_run\nmode = original\n", "0.05"),
+    ("run", "study = single_run\nmode = original\nstepper.scheme = imex_be\n", "0.05"),
+    ("sweep-delta", "study = delta_sweep\nsweep.deltas = 4h,3h,2h\n", "0.05"),
+    ("xval", "study = cross_validate\n", "0.05"),
+    ("refine", "study = refinement\n" + STUDY_EXTRA["refinement"], "0.1")],
+    ids=["transformed", "original", "original-be", "sweep-delta", "xval", "refine"])
+def test_fixed_dt_past_two_over_chi_u_bar_exits_2(tmp_path, capsys, subcommand, head,
+                                                  dt):
+    # the refinement checks its largest dt
+    study = head.split("\n")[0].split(" = ")[1]
+    code, out = cli(tmp_path, subcommand, head + read_by(study, STIFF))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config field 'stepper.dt': {dt} is above the "
+                          "wave limit 0.0") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_scan_theta_labels_a_fixed_dt_past_the_wave_limit_invalid_data(tmp_path,
+                                                                       capsys):
+    # the scan builds inside each member, so the refusal is each row's label
+    text = ("study = theta_scan\nscan.amplitudes = 0.05,0.1\n"
+            + read_by("theta_scan", STIFF))
+    code, out = cli(tmp_path, "scan-theta", text)
+    assert code == 0
+    assert [r["outcome"] for r in csv_rows(out / "theta_scan.csv")] == [
+        "invalid_data", "invalid_data"]
+    capsys.readouterr()
+
+
+def test_cfl_steps_are_capped_below_two_over_chi_u_bar(tmp_path, capsys):
+    # at amplitude 0.01 the advective bound, about 0.2, sits far above the
+    # ceiling, so every step but the one clipped at t_end is the ceiling
+    text = ("study = single_run\nstepper.dt_mode = cfl\n"
+            + setting(STIFF, "recipe.amplitude = 0.01"))
+    code, out = cli(tmp_path, "run", text)
+    assert code == 0
+    cfg = parse_config(text)
+    limit = 2.0 / (100.0 * chemoflux.build_initial_data(cfg.recipe, cfg.grid)[0].mean())
+    assert limit == pytest.approx(0.02, rel=1e-2)
+    steps = np.diff([float(r["t"]) for r in csv_rows(out / "diagnostics.csv")])
+    assert max(steps) <= 0.5 * limit * (1 + 1e-12)
+    assert steps[:-1] == pytest.approx(0.5 * limit, rel=1e-12)
+    capsys.readouterr()
+
+
 # the benchmark's cross-validation layout at N=32
 XVAL_LAYOUT = """study = cross_validate
 grid.L = 50.26548245743669
@@ -1231,8 +1284,8 @@ def test_scan_theta_measures_the_datum_it_runs(tmp_path, capsys):
     rows = csv_rows(out / "theta_scan.csv")
     assert len(rows) == 3
     for r in rows:
-        datum = harness._data(replace(cfg.recipe, amplitude=float(r["amplitude"])),
-                              cfg.grid)
+        datum = harness._data(cfg, cfg.grid, cfg.stepper,
+                              amplitude=float(r["amplitude"]))
         band = [np.fft.irfft2(band_rfft2(x), s=cfg.grid.shape) for x in datum]
         theta0, M = smallness(cfg.grid, *band, cfg.recipe.p0)
         assert float(r["theta0"]) == pytest.approx(theta0, rel=1e-12)
