@@ -26,9 +26,9 @@ class ChemistryParams:
     mu: float = 1.0
 
     def __post_init__(self):
-        if self.chi < 0:
+        if not self.chi >= 0:   # NaN fails each range check
             raise ParameterError("chi", f"must be nonnegative, got {self.chi}")
-        if self.mu <= 0:
+        if not self.mu > 0:
             raise ParameterError("mu", f"must be positive, got {self.mu}")
 
 

@@ -21,7 +21,7 @@ DECAY_WINDOW = (2.0, 20.0)   # the settled window (t_lo, t_hi) of a decay fit
 
 
 def sigma_weight(t: float) -> float:
-    """Initial-layer discount min(1, t)."""
+    """Initial-layer discount min(1, t); the layer ends where it reaches 1."""
     return min(1.0, t)
 
 
@@ -73,7 +73,7 @@ def fit_decay(series, window) -> DecayFit:
     """Least-squares line on (t, ln value) over the window, which lies in
     t >= 1; needs at least 10 samples, all finite and positive."""
     t_lo, t_hi = float(window[0]), float(window[1])
-    if not (t_hi > t_lo >= 1.0):
+    if not (t_hi > t_lo and sigma_weight(t_lo) == 1.0):
         raise ValueError(f"window must satisfy t_hi > t_lo >= 1, got {window}")
     ts, vs = [], []
     for t, val in series:

@@ -64,8 +64,10 @@ class StepperConfig:
     record_every: int = 1
 
     def __post_init__(self):
-        if self.dt <= 0:
+        if not self.dt > 0:   # NaN fails each range check
             raise ParameterError("dt", f"must be positive, got {self.dt}")
+        if not math.isfinite(self.t_end):   # an infinite horizon never ends
+            raise ParameterError("t_end", f"must be finite, got {self.t_end}")
         if self.t_end < 0:
             raise ParameterError("t_end", f"must be nonnegative, got {self.t_end}")
         if self.t_end > 0 and self.dt > self.t_end:
@@ -79,7 +81,7 @@ class StepperConfig:
         if self.scheme not in ("imex_be", "imex_cn"):
             raise ParameterError("scheme",
                                  f"must be imex_be or imex_cn, got {self.scheme!r}")
-        if self.record_every < 1:
+        if not self.record_every >= 1:
             raise ParameterError("record_every",
                                  f"must be a positive integer, got {self.record_every}")
 

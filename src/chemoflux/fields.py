@@ -5,13 +5,14 @@ A field is a float64 array of samples on the `Grid`: N x N for a scalar and
 ``np.fft.rfft2``'s N x (N/2 + 1) layout with y along the rows; the solver
 keeps the compact dealias band of `band_rfft2`, which ``np.fft.irfft2(zh,
 s=(N, N))`` inverts as well.  `Grid`'s tables span that band's a + 1
-columns, a = (N-1)//3, so every spectrum they meet is a band spectrum.
-`Grid` holds no sample coordinates: the cell centers along an axis are
-``arange(N) * spacing``.
+columns, a = (N-1)//3 by `band_edge`, so every spectrum they meet is a band
+spectrum.  `Grid` holds no sample coordinates: the cell centers along an
+axis are ``arange(N) * spacing``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -28,13 +29,17 @@ class ParameterError(ValueError):
 
 @dataclass(frozen=True)
 class Grid:
-    """Torus geometry and wavenumber tables: period ``side_length`` and
-    ``resolution`` samples per axis, an even integer of at least 8."""
+    """Torus geometry and wavenumber tables: period ``side_length``, finite
+    and positive, and ``resolution`` samples per axis, an even integer of at
+    least 8."""
 
     side_length: float = 16 * np.pi
     resolution: int = 256
 
     def __post_init__(self):
+        if not math.isfinite(self.side_length):
+            raise ParameterError("side_length",
+                                 f"must be finite, got {self.side_length}")
         if self.side_length <= 0:
             raise ParameterError("side_length",
                                  f"must be positive, got {self.side_length}")
@@ -61,7 +66,7 @@ class Grid:
     @cached_property
     def _kx_deriv(self) -> np.ndarray:
         k = 2.0 * np.pi * np.fft.rfftfreq(self.resolution, d=self.spacing)
-        return k[None, :(self.resolution - 1) // 3 + 1]
+        return k[None, :band_edge(self.resolution) + 1]
 
     @cached_property
     def _ky_deriv(self) -> np.ndarray:
@@ -84,7 +89,7 @@ class Grid:
     def _column_weight(self) -> np.ndarray:
         """Parseval weight of each band column: 1 on column 0, else 2, since the
         band has no Nyquist column."""
-        return np.array([1.0] + [2.0] * ((self.resolution - 1) // 3))
+        return np.array([1.0] + [2.0] * band_edge(self.resolution))
 
     @property
     def _parseval(self) -> float:
@@ -112,12 +117,19 @@ class Grid:
         return out
 
 
+def band_edge(n: int) -> int:
+    """The top index a = (n - 1)//3 of the 2/3 dealias band on an n x n grid:
+    its modes are those with |kx|, |ky| <= a in units of 2 pi/L."""
+    return (n - 1) // 3
+
+
 def band_rfft2(x: np.ndarray) -> np.ndarray:
     """The compact dealias band of the half spectrum of real N x N samples x:
-    the columns 0..a, a = (N-1)//3, of ``np.fft.rfft2(x)`` with the rows
-    a+1..N-a-1 zeroed.  No product of two band fields aliases into the band."""
+    the columns 0..a, a = (N-1)//3 by `band_edge`, of ``np.fft.rfft2(x)`` with
+    the rows a+1..N-a-1 zeroed.  No product of two band fields aliases into
+    the band."""
     n = x.shape[0]
-    a = (n - 1) // 3
+    a = band_edge(n)
     # a given out array spares NumPy a second full-width one
     zh = np.fft.rfft2(x, out=np.empty((n, n // 2 + 1), complex))[:, :a + 1].copy()
     zh[a + 1:n - a] = 0.0
@@ -132,7 +144,7 @@ def resample(x: np.ndarray, n: int) -> np.ndarray:
     N = x.shape[-1]
     if n == N:
         return x
-    a = (min(n, N) - 1) // 3
+    a = band_edge(min(n, N))
     xh = np.fft.rfft2(x, norm="forward")   # the coefficients, whatever N
     zh = np.zeros(x.shape[:-2] + (n, n // 2 + 1), complex)
     zh[..., :a + 1, :a + 1] = xh[..., :a + 1, :a + 1]

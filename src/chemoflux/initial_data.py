@@ -53,13 +53,13 @@ class InitialDataRecipe:
         if self.kind not in RECIPE_KINDS:
             raise ParameterError("kind",
                                  f"must be one of {RECIPE_KINDS}, got {self.kind!r}")
-        if self.p0 <= 4:
+        if not self.p0 > 4:   # NaN fails each range check
             raise ParameterError("p0", f"must exceed 4, got {self.p0}")
-        if self.delta < 0:
+        if not self.delta >= 0:
             raise ParameterError("delta", f"must be nonnegative, got {self.delta}")
-        if self.seed < 0:
+        if not self.seed >= 0:
             raise ParameterError("seed", f"must be nonnegative, got {self.seed}")
-        if self.random_disks < 0:
+        if not self.random_disks >= 0:
             raise ParameterError("random_disks",
                                  f"must be nonnegative, got {self.random_disks}")
         for disk in self.disks:

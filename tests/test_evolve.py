@@ -9,7 +9,8 @@ from chemoflux import (ChemistryParams, Grid, InitialDataRecipe, RunHalted,
 from sample_fields import (band_limited_field, band_limited_gradient,
                            band_limited_potential, constant_field, coordinates,
                            run_rows)
-from chemoflux.evolve import _self_transport_hat, _transport_hat, wave_limit
+from chemoflux.evolve import (_self_transport_hat, _transport_hat, march,
+                              wave_limit)
 from oracles import (amplification, curl2d, dealias, divergence, gradient,
                      lp_norm, product_scalar_vector, project_curl_free,
                      spectral_radius, wavenumbers)
@@ -437,6 +438,19 @@ class TestRun:
         _, rows = run_rows(grid32, u0, phi0, cfg)
         # rows at step 0, 7, 14, 21, and the final step 25
         assert [round(r.t / 0.01) for r in rows] == [0, 7, 14, 21, 25]
+
+    def test_both_modes_record_at_the_same_times(self, grid32):
+        # cross-validation compares the modes node by node with no check of
+        # its own: the march's time arithmetic puts their records at the same
+        # times, bit for bit, the clipped last step included
+        u0, phi0 = smooth_state(grid32)
+        cfg = StepperConfig(dt=0.07, t_end=0.3, record_every=2)
+        times = {mode: [node.t for node in march([u0, phi0], cfg, ChemistryParams(),
+                                                 mode, grid=grid32)]
+                 for mode in MODES}
+        assert times["transformed"] == times["original"]
+        assert times["transformed"] == pytest.approx([0.0, 0.14, 0.28, 0.3],
+                                                     abs=1e-12)
 
     def test_blowup_reported_as_outcome(self):
         grid = Grid(2 * np.pi, 32)

@@ -382,6 +382,18 @@ class TestSnapshotFormat:
         np.testing.assert_array_equal(comps[0], a)
         np.testing.assert_array_equal(comps[1], b)
 
+    def test_refuses_no_component(self, tmp_path):
+        path = tmp_path / "none.cfx"
+        with pytest.raises(ValueError, match="at least one component"):
+            write_snapshot(path, [])
+        assert not path.exists()
+
+    def test_refuses_components_of_two_shapes(self, tmp_path):
+        path = tmp_path / "mixed.cfx"
+        with pytest.raises(ValueError, match=r"component shape \(8, 8\) != \(16, 16\)"):
+            write_snapshot(path, [np.zeros((16, 16)), np.zeros((8, 8))])
+        assert not path.exists()
+
     def test_header_layout(self, tmp_path):
         path = tmp_path / "one.cfx"
         write_snapshot(path, [np.zeros((16, 16))])

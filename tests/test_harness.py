@@ -9,7 +9,6 @@ import subprocess
 import sys
 import tracemalloc
 import weakref
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +21,7 @@ from chemoflux import evolve, harness
 from chemoflux.cli import EXIT_CODES, STUDY_COMMANDS, main
 from chemoflux.cole_hopf import C_FLOOR
 from chemoflux.diagnostics import TrajectoryRecorder
-from chemoflux.fields import band_rfft2
+from chemoflux.fields import ParameterError, band_rfft2
 from chemoflux.harness import STUDIES, format_config, parse_config
 from chemoflux.initial_data import RECIPE_KINDS
 from oracles import smallness
@@ -410,7 +409,7 @@ def bad(line, subcommand="xval", field=None, shown=None):
     bad("threads = 0"),
     bad("xval.n_list = 64,8"),   # N=8 would step at dt = 0.4 > t_end = 0.3
     bad("xval.n_list = 32,32"),   # the same member twice
-    # not finite: NaN passes every range check, and t_end = inf never ends
+    # not finite: refused as text, before any range check
     bad("stepper.t_end = nan"), bad("stepper.t_end = inf"), bad("stepper.dt = nan"),
     bad("grid.L = nan"), bad("params.chi = nan"), bad("params.mu = nan"),
     bad("recipe.delta = nan"), bad("recipe.delta = infh"),
@@ -441,6 +440,27 @@ def test_bad_value_exits_2_naming_its_key(tmp_path, capsys, line, subcommand, fi
     assert shown in err
     assert err.count("config field") == 1 and "given twice" not in err
     assert not out.exists()   # rejected before any output or run
+
+
+@pytest.mark.parametrize("cls,value,field", [
+    # NaN passes a range check written as `x <= 0`, and a run to t_end = inf
+    # or nan never ends; a dt of nan would halt as a blow-up "at t=nan"
+    ("StepperConfig", {"t_end": math.inf}, "t_end"),
+    ("StepperConfig", {"t_end": math.nan}, "t_end"),
+    ("StepperConfig", {"dt": math.nan, "t_end": 0.1}, "dt"),
+    ("StepperConfig", {"cfl_number": math.nan}, "cfl_number"),
+    ("Grid", {"side_length": math.nan}, "side_length"),
+    ("Grid", {"side_length": math.inf}, "side_length"),
+    ("ChemistryParams", {"chi": math.nan}, "chi"),
+    ("ChemistryParams", {"mu": math.nan}, "mu"),
+    ("InitialDataRecipe", {"delta": math.nan}, "delta"),
+    ("InitialDataRecipe", {"p0": math.nan}, "p0"),
+])
+def test_public_classes_refuse_non_finite_values(cls, value, field):
+    with pytest.raises(ParameterError) as info:
+        getattr(chemoflux, cls)(**value)
+    assert info.value.name == field
+    assert str(info.value).startswith(f"{field} must ")
 
 
 # a valid value of each key that not every study reads, and the studies
@@ -895,42 +915,29 @@ def test_xval_measures_the_time_level_of_the_drift(tmp_path, scheme, lo, hi):
             assert lo <= c / f <= hi
 
 
-@pytest.mark.parametrize("skew,message", [
-    ({"record_every": 2}, "same time"),      # a record between two of the other's
-    ({"t_end": 0.1}, "no original record"),   # the original run stops early
-    ({"t_end": 0.5}, "no transformed record"),   # the transformed run stops early
-    pytest.param({"floor_margin": 0.12},     # the original run halts at t=0.15
-                 r"halted \(chemical_extinction\): chemical under floor at t=0\.15",
-                 id="original-halts"),
+@pytest.mark.parametrize("margin", [
+    pytest.param(0.12, id="original-halts"),   # the original run halts at t=0.15
 ])
-def test_xval_refuses_unmatched_records(tmp_path, monkeypatch, skew, message):
-    # the two solvers' records are compared pairwise; a record of one
-    # without a partner at the same time must not be skipped, and a partner
-    # that halts is a halted study member
+def test_xval_refuses_unmatched_records(tmp_path, monkeypatch, margin):
+    # the two solvers' records are compared pairwise, and a partner that
+    # halts is a halted study member, not a record skipped
     real_march = harness.march
-    skew = dict(skew)
-    margin = skew.pop("floor_margin", None)
 
-    def skewed_march(data, cfg, params, **kw):
+    def halting_march(data, cfg, params, **kw):
         assert kw["mode"] == "original"   # the transformed run goes through run()
-        if margin is not None:
-            # a constant shift leaves v = grad(phi0) as it was, but puts
-            # min c = exp(-mu max phi0) just above the floor, where decay
-            # soon takes it
-            phi0 = data[1]
-            shift = -(math.log(C_FLOOR) + margin) / params.mu - phi0.max()
-            data[1] = phi0 + shift
-        return real_march(data, replace(cfg, **skew), params, **kw)
+        # a constant shift leaves v = grad(phi0) as it was, but puts min c =
+        # exp(-mu max phi0) just above the floor, where decay soon takes it
+        phi0 = data[1]
+        shift = -(math.log(C_FLOOR) + margin) / params.mu - phi0.max()
+        data[1] = phi0 + shift
+        return real_march(data, cfg, params, **kw)
 
-    monkeypatch.setattr(harness, "march", skewed_march)
+    monkeypatch.setattr(harness, "march", halting_march)
     cfg = parse_config("study = cross_validate\n" + BASE)
-    with pytest.raises(RuntimeError, match=message) as info:
+    with pytest.raises(harness.RunHalted, match=r"halted \(chemical_extinction\): "
+                       r"chemical under floor at t=0\.15") as info:
         harness.run_cross_validate(cfg, out_dir=tmp_path)
-    if margin is None:
-        assert info.type is RuntimeError
-    else:
-        assert info.type is harness.RunHalted
-        assert EXIT_CODES[info.value.outcome] == 11
+    assert EXIT_CODES[info.value.outcome] == 11
 
 
 def test_xval_memory_does_not_grow_with_the_horizon(tmp_path):

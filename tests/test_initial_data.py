@@ -6,6 +6,7 @@ import pytest
 
 from chemoflux import (ChemistryParams, Grid, InitialDataRecipe, StepperConfig,
                        build_initial_data, run)
+from chemoflux.fields import ParameterError
 from chemoflux.initial_data import mollifier_kernel, mollify
 from sample_fields import (band_limited_field, band_limited_gradient,
                            constant_field, coordinates, recipes_of_each_kind,
@@ -149,6 +150,10 @@ class TestRecipes:
     def test_rejects_p0_at_most_four(self):
         with pytest.raises(ValueError):
             InitialDataRecipe(kind="smooth_bump", p0=4.0)
+
+    def test_rejects_negative_delta(self):
+        with pytest.raises(ParameterError, match="delta must be nonnegative"):
+            InitialDataRecipe(delta=-1.0)
 
     def test_rejects_unknown_kind(self):
         with pytest.raises(ValueError):
